@@ -11,8 +11,8 @@ dual generators the engines actually compute with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .encoding import decode_scalar
 from .errors import Issue, ValidationError
 from .laurent import LaurentPoly
 from .matrices import Matrix
@@ -199,18 +199,6 @@ def dual_element(action, exponents) -> Matrix:
     return out
 
 
-def _decode_entry(v):
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        f = Fraction(v)
-        return int(f) if f.denominator == 1 else f
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, int) for x in v):
-        f = Fraction(v[0], v[1])
-        return int(f) if f.denominator == 1 else f
-    raise ValidationError([Issue("schema", (), f"bad matrix entry {v!r}")])
-
-
 def build_action(doc: dict):
     """Build and validate an action from a parsed input document."""
     if not isinstance(doc, dict) or "type" not in doc:
@@ -220,11 +208,9 @@ def build_action(doc: dict):
         if "generators" not in doc or not isinstance(doc["generators"], list):
             raise ValidationError([Issue("schema", (), "generators array required")])
         try:
-            mats = [Matrix.from_rows([[_decode_entry(x) for x in row] for row in g])
+            mats = [Matrix.from_rows([[decode_scalar(x) for x in row] for row in g])
                     for g in doc["generators"]]
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
             raise ValidationError([Issue("schema", (), f"bad generator: {exc}")])
         if "r" in doc and mats and mats[0].nrows != doc["r"]:
             raise ValidationError([Issue("schema", (),

@@ -178,7 +178,11 @@ def cmd_oracle_check(args) -> dict:
 
 
 def cmd_demo(args) -> dict:
-    results = oracle.product_action_demo(ProductDemoSpec(args.box))
+    try:
+        spec = ProductDemoSpec(args.box)
+    except ValueError as exc:
+        raise _CliExit(2, f"demo-e2: {exc}")
+    results = oracle.product_action_demo(spec)
     return _report("demo-e2", {"box": args.box}, args, results)
 
 

@@ -23,12 +23,22 @@ def encode_scalar(x):
 
 
 def decode_scalar(v):
-    if isinstance(v, int):
+    """Exact scalar from an int, a "num/den" string or a [num, den] pair
+    of ints.  Raises TypeError for any other value, booleans included,
+    and ValueError for a malformed string or a zero denominator."""
+    if type(v) is int:
         return v
     if isinstance(v, str):
-        f = Fraction(v)
-        return int(f) if f.denominator == 1 else f
-    raise TypeError(f"cannot decode scalar from {type(v).__name__}")
+        args = (v,)
+    elif isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v):
+        args = tuple(v)
+    else:
+        raise TypeError(f"not an exact scalar: {v!r}")
+    try:
+        f = Fraction(*args)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None
+    return int(f) if f.denominator == 1 else f
 
 
 def encode_vector(v) -> list:

@@ -99,9 +99,6 @@ class Polynomial:
                 out[i + j] += x * y
         return Polynomial.from_coeffs(out)
 
-    def scale(self, c) -> "Polynomial":
-        return Polynomial.from_coeffs([c * x for x in self.coeffs])
-
     def __divmod__(self, other: "Polynomial"):
         """Exact rational division with remainder."""
         if other.is_zero:

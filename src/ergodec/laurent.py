@@ -28,12 +28,6 @@ def _fp_trim(a):
     return a
 
 
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return _fp_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
-
-
 def _fp_sub(a, b, p):
     n = max(len(a), len(b))
     return _fp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
@@ -49,11 +43,6 @@ def _fp_mul(a, b, p):
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
     return _fp_trim(out)
-
-
-def _fp_scale(a, c, p):
-    c %= p
-    return _fp_trim([(x * c) % p for x in a])
 
 
 def _fp_divmod(a, b, p):
@@ -181,10 +170,6 @@ class LaurentPoly:
         return LaurentPoly(self.p, self.nvars, tuple(sorted(
             (tuple(x - o for x, o in zip(e, off)), c) for e, c in self.terms)))
 
-    def shift(self, offsets) -> "LaurentPoly":
-        return LaurentPoly(self.p, self.nvars, tuple(sorted(
-            (tuple(x + o for x, o in zip(e, offsets)), c) for e, c in self.terms)))
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._compatible(other)
         return LaurentPoly.from_terms(self.p, self.nvars,
@@ -206,16 +191,6 @@ class LaurentPoly:
                 acc[e] = (acc.get(e, 0) + c1 * c2) % self.p
         return LaurentPoly(self.p, self.nvars,
                            tuple(sorted((e, c) for e, c in acc.items() if c)))
-
-    def associates(self, other: "LaurentPoly") -> bool:
-        """Equal up to multiplication by a unit (monomial times scalar)."""
-        a, b = self.canonical(), other.canonical()
-        if a.is_zero or b.is_zero:
-            return a.is_zero and b.is_zero
-        lead_a, lead_b = a.terms[-1][1], b.terms[-1][1]
-        scale = (lead_b * pow(lead_a, self.p - 2, self.p)) % self.p
-        scaled = tuple((e, (c * scale) % self.p) for e, c in a.terms)
-        return scaled == b.terms
 
     def univariate_in(self, var: int):
         """Coefficient list if the polynomial involves only one variable."""

@@ -183,8 +183,7 @@ def _directions_in_shell(nvars: int, shell: int):
     return out
 
 
-def find_ergodic_direction(action, search_box: int, k_max: int | None = None,
-                           allow_bounded: bool = True):
+def find_ergodic_direction(action, search_box: int, k_max: int | None = None):
     """First direction, scanning sup-norm shells in descending
     lexicographic order, whose translation is certified ergodic.  Exact
     verdicts win over bounded ones across the whole box.
@@ -202,7 +201,7 @@ def find_ergodic_direction(action, search_box: int, k_max: int | None = None,
                 return direction, verdict
             if verdict.kind == BoundedVerdictKind.ERGODIC_UP_TO and first_bounded is None:
                 first_bounded = (direction, verdict)
-    if allow_bounded and first_bounded is not None:
+    if first_bounded is not None:
         return first_bounded
     raise SearchExhaustedError(search_box)
 

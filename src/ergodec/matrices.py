@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .intpoly import Polynomial, _norm_scalar
 
@@ -68,6 +69,10 @@ class Matrix:
     @property
     def is_integral(self) -> bool:
         return all(isinstance(x, int) for row in self.rows for x in row)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(x == 0 for row in self.rows for x in row)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -339,21 +344,13 @@ class Subspace:
             den = 1
             for x in v:
                 if isinstance(x, Fraction):
-                    den = den * x.denominator // _gcd(den, x.denominator)
+                    den = den * x.denominator // gcd(den, x.denominator)
             w = [int(x * den) for x in v]
-            g = 0
-            for x in w:
-                g = _gcd(g, abs(x))
+            g = gcd(*w)
             if g > 1:
                 w = [x // g for x in w]
             out.append(tuple(w))
         return tuple(out)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -423,3 +420,56 @@ def lift_from_quotient(sub: Subspace, qvector) -> tuple:
     for c, x in zip(coords, qvector):
         v[c] = x
     return tuple(v)
+
+
+def stage_quotient(m: Matrix, outer: Subspace, inner: Subspace) -> Matrix:
+    """Matrix induced by m on outer/inner, for m-invariant subspaces
+    inner strictly inside outer, in the coordinates of outer's echelon
+    basis."""
+    return quotient_matrix(restrict_matrix(m, outer), express_in(outer, inner))
+
+
+def fixed_by_power(mats, m: int) -> Subspace:
+    """Common fixed space of the m-th powers of square matrices of one
+    size: the kernel of every x**m - I stacked."""
+    stacked = []
+    for x in mats:
+        stacked.extend((x ** m - Matrix.identity(x.nrows)).rows)
+    return kernel(Matrix.from_rows(stacked))
+
+
+def unipotent_power(x: Matrix, m: int) -> Matrix:
+    """(x**m - I)**n for an n-by-n x.  It is zero exactly when x**m is
+    unipotent, and its kernel is the generalized 1-eigenspace of x**m."""
+    return (x ** m - Matrix.identity(x.nrows)) ** x.nrows
+
+
+def walk_orbit(maps, start, cap: int, guard=None, known=None):
+    """Breadth-first walk of the orbit of start under the given maps.
+
+    The walk gives up when it reaches a point of the container known,
+    when a new point has a coordinate of absolute value at least guard,
+    or once more than cap points are seen.  Returns (seen, stop, last):
+    seen is the set of points reached, stop is None when the orbit closed
+    and otherwise "known", "coordinate-guard" or "visited-cap", and last
+    is the point that stopped the walk.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for apply_map in maps:
+                w = apply_map(v)
+                if w in seen:
+                    continue
+                if known is not None and w in known:
+                    return seen, "known", w
+                if guard is not None and max(map(abs, w)) >= guard:
+                    return seen, "coordinate-guard", w
+                seen.add(w)
+                nxt.append(w)
+                if len(seen) > cap:
+                    return seen, "visited-cap", w
+        frontier = nxt
+    return seen, None, None

@@ -1,12 +1,15 @@
-"""Independent brute-force verification of the dual orbit semantics.
+"""Brute-force verification of the dual orbit semantics.
 
-The analytic engine never touches this module's logic: orbits are walked
-character by character over the dual generators and their inverses, and
-finiteness means the frontier emptied.  A breadth-first search that gives
-up (too many characters visited, or coordinates past the size guard)
-certifies nothing; only the analytic side can assert an orbit is
-infinite.  Cross-validation walks a whole box of characters, shares work
-between characters that turn out to lie on the same orbit, and flags any
+Orbits are walked character by character over the dual generators and
+their inverses, and finiteness means the frontier emptied.  The walk is
+the same breadth-first walker (matrices.walk_orbit) that the engine uses
+to enumerate a finite orbit for a certificate, but the oracle decides
+finiteness only by walking: it never consults the analytic finite-orbit
+subspace, except to compare against it.  A walk that gives up (too many
+characters visited, or coordinates past the size guard) certifies
+nothing; only the analytic side can assert an orbit is infinite.
+Cross-validation walks a whole box of characters, shares work between
+characters that turn out to lie on the same orbit, and flags any
 disagreement with the engine as a hard failure.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ProductDemoSpec
+from .matrices import walk_orbit
 from .toral import finite_orbit_subspace
 
 DEFAULT_COORD_BITS = 64
@@ -83,27 +87,14 @@ def orbit_bfs(action, chi, cap: int,
         raise ValueError("the zero character is fixed by everything")
     maps = _orbit_maps(action)
     guard = 1 << max_coord_bits
-    seen = {chi}
-    frontier = [chi]
-    max_abs = max(abs(x) for x in chi)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for apply_map in maps:
-                w = apply_map(v)
-                big = max(map(abs, w))
-                if big > max_abs:
-                    max_abs = big
-                if big >= guard:
-                    return OrbitResult("exceeded-cap", None, len(seen), max_abs,
-                                       "coordinate-guard")
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    if len(seen) > cap:
-                        return OrbitResult("exceeded-cap", None, len(seen), max_abs,
-                                           "visited-cap")
-        frontier = nxt
+    big = max(map(abs, chi))
+    if big >= guard:
+        return OrbitResult("exceeded-cap", None, 1, big, "coordinate-guard")
+    seen, stop, last = walk_orbit(maps, chi, cap, guard)
+    max_abs = max(max(map(abs, v)) for v in seen)
+    if stop is not None:
+        max_abs = max(max_abs, max(map(abs, last)))
+        return OrbitResult("exceeded-cap", None, len(seen), max_abs, stop)
     for v in seen:
         for apply_map in maps:
             if apply_map(v) not in seen:
@@ -142,37 +133,14 @@ def cross_validate(action, norm_bound: int, cap: int,
     def classify(start):
         if start in class_of:
             return class_of[start]
-        seen = {start}
-        seen_add = seen.add
-        known_class = class_of.get
-        frontier = [start]
-        status = None
-        while frontier and status is None:
-            nxt = []
-            nxt_append = nxt.append
-            for v in frontier:
-                for apply_map in maps:
-                    w = apply_map(v)
-                    if w in seen:
-                        continue
-                    known = known_class(w)
-                    if known is not None:
-                        # Same orbit as an already-walked class; inherit.
-                        status = class_status[known]
-                        break
-                    if max(map(abs, w)) >= guard:
-                        status = ("exceeded-cap", "coordinate-guard")
-                        break
-                    seen_add(w)
-                    nxt_append(w)
-                    if len(seen) > cap:
-                        status = ("exceeded-cap", "visited-cap")
-                        break
-                if status is not None:
-                    break
-            frontier = nxt
-        if status is None:
+        seen, stop, last = walk_orbit(maps, start, cap, guard, class_of)
+        if stop is None:
             status = ("finite", len(seen))
+        elif stop == "known":
+            # Same orbit as an already-walked class; inherit.
+            status = class_status[class_of[last]]
+        else:
+            status = ("exceeded-cap", stop)
         cid = len(class_status)
         class_status.append(status)
         for v in seen:

@@ -14,7 +14,8 @@ from .actions import build_action, dual_element
 from .intpoly import cyclotomic, poly_gcd, root_of_unity_lcm
 from .laurent import (bivar_gcd, content_in, direction_power_minus_one,
                       laurent_divides)
-from .matrices import Matrix, Subspace, kernel
+from .matrices import (Matrix, Subspace, fixed_by_power, restrict_matrix,
+                       stage_quotient, unipotent_power)
 
 
 def _check(condition: bool, failures: list, what: str) -> None:
@@ -81,11 +82,7 @@ def replay_group_verdict(action, payload: dict, failures: list) -> None:
     data = cert["data"]
     duals = action.dual_generators
     if kind == "zero-finite-orbit-subspace":
-        m = data["power"]
-        stacked = []
-        for d in duals:
-            stacked.extend(((d ** m) - Matrix.identity(action.dim)).rows)
-        _check(kernel(Matrix.from_rows(stacked)).is_zero, failures,
+        _check(fixed_by_power(duals, data["power"]).is_zero, failures,
                "finite-orbit subspace is not zero")
     elif kind == "witness-character":
         chi = encoding.decode_vector(data["character"])
@@ -124,7 +121,6 @@ def replay_subspace_invariance(action, subspace_payload: dict, failures: list) -
 
 
 def replay_filtration(action, payload: dict, failures: list) -> None:
-    from .matrices import express_in, quotient_matrix, restrict_matrix
     chain = [encoding.decode_subspace(w) for w in payload["chain"]]
     rank = action.dim
     m = root_of_unity_lcm(rank)
@@ -138,23 +134,14 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
         d = action.dual_generators[entry["generator"] - 1]
         if prev.dim == cur.dim:
             continue
-        if prev.is_full and cur.is_zero:
-            q = d
-        else:
-            restricted = restrict_matrix(d, prev)
-            inner = express_in(prev, cur)
-            q = restricted if inner.is_zero else quotient_matrix(restricted, inner)
-        fixed = kernel((q ** m) - Matrix.identity(q.nrows))
-        _check(fixed.is_zero, failures, "stage quotient has a finite-orbit character")
+        _check(fixed_by_power([stage_quotient(d, prev, cur)], m).is_zero, failures,
+               "stage quotient has a finite-orbit character")
     residual = encoding.decode_subspace(payload["residual"])
     _check(residual == chain[-1], failures, "residual differs from the chain tail")
     for d in action.dual_generators:
         if residual.is_zero:
             break
-        restricted = restrict_matrix(d, residual)
-        nil = (restricted ** m) - Matrix.identity(residual.dim)
-        power = nil ** residual.dim
-        _check(all(x == 0 for row in power.rows for x in row), failures,
+        _check(unipotent_power(restrict_matrix(d, residual), m).is_zero, failures,
                "a generator is not quasi-unipotent on the residual")
     _check(payload["group_ergodic"] == residual.is_zero, failures,
            "group flag disagrees with the residual")

@@ -12,7 +12,6 @@ independent routes that are asserted to agree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,8 +20,9 @@ from .actions import dual_element
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
 from .intpoly import (Polynomial, cyclotomic, orders_with_totient_at_most,
                       poly_gcd, root_of_unity_lcm)
-from .matrices import (Matrix, Subspace, express_in, kernel, lift_from_quotient,
-                       quotient_matrix, restrict_matrix)
+from .matrices import (Matrix, Subspace, fixed_by_power, kernel, lift_from_quotient,
+                       quotient_matrix, restrict_matrix, stage_quotient,
+                       unipotent_power, walk_orbit)
 
 _ORBIT_ENUMERATION_CAP = 200_000
 
@@ -96,19 +96,19 @@ def _root_of_unity_data(b: Matrix, rank: int):
         if not g.is_one:
             shared.append(d)
     m = root_of_unity_lcm(rank)
-    powered = b ** m
-    det_value = (powered - Matrix.identity(b.nrows)).det()
+    power_minus_identity = b ** m - Matrix.identity(b.nrows)
+    det_value = power_minus_identity.det()
     if bool(shared) != (det_value == 0):
         raise InternalCheckError(
             "cyclotomic gcd route and power determinant route disagree")
-    return cp, orders, shared, m, powered, det_value
+    return cp, orders, shared, m, power_minus_identity, det_value
 
 
 def is_ergodic_element(action, exponents) -> Verdict:
     """Ergodicity of a single product of generator powers."""
     b = dual_element(action, exponents)
     rank = action.dim
-    cp, orders, shared, m, powered, det_value = _root_of_unity_data(b, rank)
+    cp, orders, shared, m, power_minus_identity, det_value = _root_of_unity_data(b, rank)
     if not shared:
         cert = Certificate("no-root-of-unity-eigenvalue", {
             "char_poly": encoding.encode_poly(cp),
@@ -117,7 +117,7 @@ def is_ergodic_element(action, exponents) -> Verdict:
             "det_power_minus_identity": encoding.encode_scalar(det_value),
         })
         return Verdict(VerdictKind.ERGODIC, cert)
-    fixed = kernel(powered - Matrix.identity(b.nrows))
+    fixed = kernel(power_minus_identity)
     witness = _witness_vector(action, fixed)
     cert = Certificate("witness-character", {
         "character": encoding.encode_vector(witness),
@@ -160,9 +160,7 @@ def is_distal_element(action, exponents) -> Verdict:
     orders = orders_with_totient_at_most(rank)
     factors, rest = _cyclotomic_split(cp, orders)
     m = root_of_unity_lcm(rank)
-    nilpotent_part = (b ** m) - Matrix.identity(b.nrows)
-    is_nilpotent = _is_zero_matrix(nilpotent_part ** rank)
-    if rest.is_one != is_nilpotent:
+    if rest.is_one != unipotent_power(b, m).is_zero:
         raise InternalCheckError(
             "cyclotomic factorization route and nilpotency route disagree")
     if rest.is_one:
@@ -179,46 +177,19 @@ def is_distal_element(action, exponents) -> Verdict:
     return Verdict(VerdictKind.NOT_DISTAL, cert)
 
 
-def _is_zero_matrix(m: Matrix) -> bool:
-    return all(x == 0 for row in m.rows for x in row)
-
-
-def _finite_orbit_subspace_of(duals, dim: int, rank: int) -> Subspace:
-    """Common fixed space of the uniform powers of the dual matrices;
-    this is exactly the set of characters with a finite group orbit."""
-    m = root_of_unity_lcm(rank)
-    stacked = []
-    for d in duals:
-        diff = (d ** m) - Matrix.identity(dim)
-        stacked.extend(diff.rows)
-    return kernel(Matrix.from_rows(stacked))
-
-
 def finite_orbit_subspace(action) -> Subspace:
-    """Characters of the dual space whose group orbit is finite."""
-    return _finite_orbit_subspace_of(action.dual_generators, action.dim, action.dim)
+    """Characters of the dual space whose group orbit is finite: the
+    common fixed space of the uniform powers of the dual generators."""
+    return fixed_by_power(action.dual_generators, root_of_unity_lcm(action.dim))
 
 
 def _enumerate_finite_orbit(duals, chi):
     """Full group orbit of a character known to be finite (closed walk
     over the dual generators and their inverses)."""
-    maps = []
-    for d in duals:
-        maps.append(d)
-        maps.append(d.inverse())
-    seen = {chi}
-    frontier = [chi]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for m in maps:
-                w = m.matvec(v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if len(seen) > _ORBIT_ENUMERATION_CAP:
-            raise InternalCheckError("orbit enumeration exceeded the safety cap")
-        frontier = nxt
+    maps = [f.matvec for d in duals for f in (d, d.inverse())]
+    seen, stop, _ = walk_orbit(maps, chi, _ORBIT_ENUMERATION_CAP)
+    if stop is not None:
+        raise InternalCheckError("orbit enumeration exceeded the safety cap")
     return sorted(seen)
 
 
@@ -260,13 +231,8 @@ def is_distal_group(action) -> Verdict:
     return Verdict(VerdictKind.NOT_DISTAL, cert)
 
 
-def _quasi_unipotent_on(d: Matrix, sub: Subspace, rank: int) -> bool:
-    if sub.is_zero:
-        return True
-    restricted = restrict_matrix(d, sub)
-    m = root_of_unity_lcm(rank)
-    nil = (restricted ** m) - Matrix.identity(sub.dim)
-    return _is_zero_matrix(nil ** sub.dim)
+def _quasi_unipotent_on(d: Matrix, sub: Subspace, power: int) -> bool:
+    return sub.is_zero or unipotent_power(restrict_matrix(d, sub), power).is_zero
 
 
 def largest_ergodic_subgroup(action):
@@ -280,17 +246,13 @@ def largest_ergodic_subgroup(action):
     """
     rank = action.dim
     duals = action.dual_generators
+    m = root_of_unity_lcm(rank)
     w = Subspace.zero(rank)
     rounds = []
     while True:
         if w.is_full:
             break
-        if w.is_zero:
-            quotient_duals = list(duals)
-        else:
-            quotient_duals = [quotient_matrix(d, w) for d in duals]
-        qdim = rank - w.dim
-        fixed = _finite_orbit_subspace_of(quotient_duals, qdim, rank)
+        fixed = fixed_by_power([quotient_matrix(d, w) for d in duals], m)
         if fixed.is_zero:
             break
         lifts = [lift_from_quotient(w, v) for v in fixed.basis]
@@ -302,7 +264,7 @@ def largest_ergodic_subgroup(action):
     for d in duals:
         if not w.is_invariant(d):
             raise InternalCheckError("accumulated subspace is not invariant")
-        if not _quasi_unipotent_on(d, w, rank):
+        if not _quasi_unipotent_on(d, w, m):
             raise InternalCheckError("generator is not quasi-unipotent on the result")
     report = {
         "rounds": rounds,
@@ -324,9 +286,7 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
     chain = [w_prev]
     attributions = []
     for i, d in enumerate(duals, start=1):
-        nil = (d ** m) - Matrix.identity(rank)
-        quasi_unipotent_part = kernel(nil ** rank)
-        w_i = quasi_unipotent_part.intersect(w_prev)
+        w_i = kernel(unipotent_power(d, m)).intersect(w_prev)
         for other in duals:
             if not w_i.is_invariant(other):
                 raise InternalCheckError("stage subspace is not invariant")
@@ -342,7 +302,7 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
         w_prev = w_i
     residual = chain[-1]
     for d in duals:
-        if not _quasi_unipotent_on(d, residual, rank):
+        if not _quasi_unipotent_on(d, residual, m):
             raise InternalCheckError("generator is not quasi-unipotent on the residual")
     group_verdict = is_ergodic_group(action)
     if residual.is_zero != group_verdict.is_ergodic:
@@ -358,14 +318,7 @@ def _certify_stage_ergodic(d: Matrix, w_outer: Subspace, w_inner: Subspace,
     the given power of d."""
     if w_outer.dim == w_inner.dim:
         return True  # trivial quotient
-    if w_outer.is_full and w_inner.is_zero:
-        q = d
-    else:
-        restricted = restrict_matrix(d, w_outer)
-        inner_coords = express_in(w_outer, w_inner)
-        q = restricted if inner_coords.is_zero else quotient_matrix(restricted, inner_coords)
-    fixed = kernel((q ** power) - Matrix.identity(q.nrows))
-    if not fixed.is_zero:
+    if not fixed_by_power([stage_quotient(d, w_outer, w_inner)], power).is_zero:
         raise InternalCheckError("stage quotient carries a finite-orbit character")
     return True
 
@@ -406,9 +359,3 @@ def mixing_flag(verdict: Verdict) -> bool:
     """A single ergodic automorphism of a compact group is mixing of all
     orders; this flag only reflects the ergodicity verdict."""
     return verdict.is_ergodic
-
-
-def exponent_candidates(n: int, max_exponent_sum: int):
-    """Public view of the deterministic exponent scan order."""
-    return itertools.chain.from_iterable(
-        _positive_vectors(n, total) for total in range(n, max_exponent_sum + 1))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -121,8 +122,10 @@ class TestBuildAction:
         assert act.kind == "toral"
 
     def test_solenoid_document_with_rationals(self):
-        act = build_action({"type": "solenoid", "r": 1, "generators": [[["3/2"]]]})
-        assert act.kind == "solenoid"
+        for entry in ("3/2", [3, 2]):
+            act = build_action({"type": "solenoid", "r": 1, "generators": [[[entry]]]})
+            assert act.kind == "solenoid"
+            assert act.generators[0].rows == ((Fraction(3, 2),),)
 
     def test_laurent_document(self):
         act = build_action({"type": "laurent", "p": 2, "d": 2, "g": [

@@ -63,6 +63,15 @@ class TestAnalyze:
         assert res.returncode == 2
         assert "invalid JSON" in res.stderr
 
+    @pytest.mark.parametrize("entry", [True, "1/0", [1, 0], [True, 1]],
+                             ids=["bool", "string-zero-den", "pair-zero-den", "pair-bool"])
+    def test_bad_scalar_exits_2(self, tmp_path, entry):
+        doc = {"type": "toral", "r": 1, "generators": [[[entry]]]}
+        res = run("analyze", write(tmp_path, "bad.json", doc))
+        assert res.returncode == 2
+        assert "schema" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_laurent_analyze(self, tmp_path):
         res = run("analyze", write(tmp_path, "led.json", LEDRAPPIER))
         assert res.returncode == 0
@@ -135,6 +144,12 @@ class TestOracleCheckAndDemo:
         report = json.loads(res.stdout)
         assert report["results"]["points_certified"] == 80
         assert report["results"]["chain_length"] == 4
+
+    def test_demo_box_zero_exits_2(self):
+        res = run("demo-e2", "--box", "0")
+        assert res.returncode == 2
+        assert "box radius must be positive" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestDeterminismAndVerification:

@@ -5,8 +5,10 @@ import pytest
 
 from ergodec.intpoly import Polynomial
 from ergodec.matrices import (DimensionError, Matrix, Subspace, char_poly,
-                              express_in, kernel, lift_from_quotient,
-                              quotient_matrix, restrict_matrix)
+                              express_in, fixed_by_power, kernel,
+                              lift_from_quotient, quotient_matrix,
+                              restrict_matrix, stage_quotient, unipotent_power,
+                              walk_orbit)
 from factories import fibonacci_matrix, random_unimodular
 
 
@@ -189,3 +191,42 @@ class TestQuotients:
         outer = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
         inner = Subspace.span(3, [(1, 1, 0)])
         assert express_in(outer, inner).basis == ((1, 1),)
+
+
+class TestFiniteOrbitPrimitives:
+    def test_fixed_by_power_is_common_fixed_space(self):
+        rot = Matrix.from_rows([[0, -1], [1, 0]])
+        shear = Matrix.from_rows([[1, 1], [0, 1]])
+        assert fixed_by_power([rot], 4).is_full
+        assert fixed_by_power([rot], 2).is_zero
+        assert fixed_by_power([shear], 12) == Subspace.span(2, [(1, 0)])
+        assert fixed_by_power([rot, shear], 4) == Subspace.span(2, [(1, 0)])
+        assert fixed_by_power([rot, shear], 2).is_zero
+
+    def test_unipotent_power(self):
+        rot = Matrix.from_rows([[0, -1], [1, 0]])
+        shear = Matrix.from_rows([[1, 1], [0, 1]])
+        assert unipotent_power(rot, 4).is_zero
+        assert not unipotent_power(rot, 2).is_zero
+        assert unipotent_power(shear, 1).is_zero
+        assert not unipotent_power(fibonacci_matrix(), 12).is_zero
+
+    def test_stage_quotient_of_block_matrix(self):
+        m = Matrix.block_diag(Matrix.identity(2), fibonacci_matrix())
+        plane = Subspace.span(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+        assert stage_quotient(m, Subspace.full(4), plane) == fibonacci_matrix()
+        assert stage_quotient(m, Subspace.full(4), Subspace.zero(4)) == m
+        line = Subspace.span(4, [(1, 0, 0, 0)])
+        assert stage_quotient(m, plane, line) == Matrix.identity(1)
+
+    def test_walk_orbit_stops(self):
+        rot = Matrix.from_rows([[0, -1], [1, 0]]).matvec
+        seen, stop, last = walk_orbit([rot], (1, 0), cap=10)
+        assert (len(seen), stop, last) == (4, None, None)
+        shear = Matrix.from_rows([[1, 1], [0, 1]]).matvec
+        seen, stop, last = walk_orbit([shear], (0, 1), cap=5)
+        assert (len(seen), stop, last) == (6, "visited-cap", (5, 1))
+        seen, stop, last = walk_orbit([shear], (0, 1), cap=100, guard=3)
+        assert (seen, stop, last) == ({(0, 1), (1, 1), (2, 1)}, "coordinate-guard", (3, 1))
+        seen, stop, last = walk_orbit([shear], (0, 1), cap=100, known={(2, 1)})
+        assert (seen, stop, last) == ({(0, 1), (1, 1)}, "known", (2, 1))
