@@ -21,7 +21,7 @@ from . import encoding, laurent_engine, oracle, replay, toral
 from .actions import ProductDemoSpec, build_action, element
 from .errors import NotErgodicGroupError, SearchExhaustedError, ValidationError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -53,10 +53,6 @@ def encode_matrix(m: Matrix) -> list:
     return [encode_vector(row) for row in m.rows]
 
 
-def decode_matrix(rows) -> Matrix:
-    return Matrix.from_rows([decode_vector(row) for row in rows])
-
-
 def encode_poly(f: Polynomial) -> list:
     return encode_vector(f.coeffs)
 

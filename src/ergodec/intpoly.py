@@ -4,8 +4,8 @@ A polynomial is a tuple of coefficients, lowest degree first, with no
 trailing zeros.  Coefficients are Python ints or fractions.Fraction, so all
 arithmetic is exact.  This module also provides the number-theoretic
 helpers used by the root-of-unity tests: Euler's totient, cyclotomic
-polynomials, and the lcm of all root-of-unity orders that can occur as
-eigenvalue orders of a rational matrix of a given size.
+polynomials, the root-of-unity orders that can occur as eigenvalue orders
+of a rational matrix of a given size, and cyclotomic factor splitting.
 """
 
 from __future__ import annotations
@@ -217,11 +217,7 @@ def orders_with_totient_at_most(r: int) -> list[int]:
 
 def root_of_unity_lcm(r: int) -> int:
     """lcm of all orders of roots of unity that satisfy a rational
-    polynomial of degree at most r.
-
-    Raising an r-by-r rational matrix to this power turns every
-    root-of-unity eigenvalue into 1.
-    """
+    polynomial of degree at most r: exponential in r, a test reference."""
     return math.lcm(*orders_with_totient_at_most(r))
 
 
@@ -236,3 +232,24 @@ def cyclotomic(d: int) -> Polynomial:
         if d % e == 0:
             f = f.exact_div(cyclotomic(e))
     return f
+
+
+def cyclotomic_split(f: Polynomial, orders):
+    """Strip cyclotomic factors from a monic polynomial by exact division
+    by each cyclotomic(d), d in orders; returns the factor multiset as
+    (d, count) pairs in the order of orders, and the cofactor."""
+    factors, rest = [], f
+    for d in orders:
+        phi = cyclotomic(d)
+        count = 0
+        while not rest.is_one and phi.divides(rest):
+            rest = rest.exact_div(phi)
+            count += 1
+        if count:
+            factors.append((d, count))
+    return factors, rest
+
+
+def cyclotomic_product(factors) -> Polynomial:
+    """Product of cyclotomic(d)**count over (d, count) pairs."""
+    return math.prod((cyclotomic(d).pow(c) for d, c in factors), start=Polynomial.one())

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .intpoly import Polynomial, _norm_scalar
+from .intpoly import (Polynomial, _norm_scalar, cyclotomic, cyclotomic_product,
+                      cyclotomic_split, euler_phi, orders_with_totient_at_most)
 
 
 class DimensionError(ValueError):
@@ -120,11 +121,14 @@ class Matrix:
         return Matrix(tuple(zip(*self.rows)))
 
     def det(self):
-        """Exact determinant by fraction-free Bareiss elimination."""
+        """Exact determinant by fraction-free Bareiss elimination on the
+        matrix scaled to integer entries: det A = det(LA) / L**n, with L
+        the common denominator of the entries."""
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
         n = self.nrows
-        m = [list(row) for row in self.rows]
+        den = lcm(*(x.denominator for row in self.rows for x in row))
+        m = [[int(x * den) for x in row] for row in self.rows]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -138,11 +142,13 @@ class Matrix:
                     return 0
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    m[i][j] = _exact_div(num, prev)
+                    q, r = divmod(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                    if r:
+                        raise ArithmeticError("inexact division in fraction-free elimination")
+                    m[i][j] = q
                 m[i][k] = 0
             prev = m[k][k]
-        return _norm_scalar(sign * m[n - 1][n - 1])
+        return _norm_scalar(Fraction(sign * m[n - 1][n - 1], den ** n))
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan elimination."""
@@ -175,15 +181,6 @@ class Matrix:
     def _same_shape(self, other: "Matrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionError("shapes do not match")
-
-
-def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact division in fraction-free elimination")
-        return q
-    return _norm_scalar(Fraction(a) / Fraction(b))
 
 
 def _berkowitz(rows) -> list:
@@ -429,19 +426,62 @@ def stage_quotient(m: Matrix, outer: Subspace, inner: Subspace) -> Matrix:
     return quotient_matrix(restrict_matrix(m, outer), express_in(outer, inner))
 
 
-def fixed_by_power(mats, m: int) -> Subspace:
-    """Common fixed space of the m-th powers of square matrices of one
-    size: the kernel of every x**m - I stacked."""
+def _powers(x: Matrix, k: int) -> list:
+    """[I, x, x**2, ..., x**k]."""
+    out = [Matrix.identity(x.nrows)]
+    for _ in range(k):
+        out.append(out[-1] * x)
+    return out
+
+
+def _poly_at(p: Polynomial, powers) -> Matrix:
+    """p(x) from the powers [I, x, x**2, ...] of a square x."""
+    n = powers[0].nrows
+    rows = [[0] * n for _ in range(n)]
+    for c, pw in zip(p.coeffs, powers):
+        for row, prow in zip(rows, pw.rows):
+            for j, y in enumerate(prow):
+                row[j] += c * y
+    return Matrix.from_rows(rows)
+
+
+def cyclotomic_orders(x: Matrix) -> list:
+    """Orders of the root-of-unity eigenvalues of a square rational matrix:
+    the d with cyclotomic(d) dividing its characteristic polynomial."""
+    factors, _ = cyclotomic_split(x.char_poly(), orders_with_totient_at_most(x.nrows))
+    return [d for d, _ in factors]
+
+
+def singular_cyclotomic_orders(x: Matrix, orders) -> list:
+    """The d in orders with cyclotomic(d) at x singular: the same orders
+    as cyclotomic_orders, by determinants instead of the characteristic
+    polynomial."""
+    powers = _powers(x, max(map(euler_phi, orders), default=0))
+    return [d for d in orders if _poly_at(cyclotomic(d), powers).det() == 0]
+
+
+def _cyclotomic_at(x: Matrix, orders) -> Matrix:
+    c = cyclotomic_product((d, 1) for d in orders)
+    return _poly_at(c, _powers(x, c.degree))
+
+
+def fixed_by_power(mats) -> Subspace:
+    """Characters with a finite orbit under square matrices of one size:
+    the kernel of every c(x) stacked, c the product of cyclotomic(d) over
+    cyclotomic_orders(x).  As x**m - 1 is squarefree, this is the common
+    fixed space of the x**m for any m that all those orders divide."""
     stacked = []
     for x in mats:
-        stacked.extend((x ** m - Matrix.identity(x.nrows)).rows)
+        stacked.extend(_cyclotomic_at(x, cyclotomic_orders(x)).rows)
     return kernel(Matrix.from_rows(stacked))
 
 
-def unipotent_power(x: Matrix, m: int) -> Matrix:
-    """(x**m - I)**n for an n-by-n x.  It is zero exactly when x**m is
-    unipotent, and its kernel is the generalized 1-eigenspace of x**m."""
-    return (x ** m - Matrix.identity(x.nrows)) ** x.nrows
+def unipotent_power(x: Matrix, orders=None) -> Matrix:
+    """c(x)**n for an n-by-n x, c the product of cyclotomic(d) over the
+    given orders, by default cyclotomic_orders(x).  It is then zero
+    exactly when x is quasi-unipotent, and its kernel is the sum of the
+    generalized eigenspaces of x for roots of unity."""
+    return _cyclotomic_at(x, cyclotomic_orders(x) if orders is None else orders) ** x.nrows
 
 
 def walk_orbit(maps, start, cap: int, guard=None, known=None):

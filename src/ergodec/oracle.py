@@ -32,10 +32,6 @@ class OrbitResult:
     max_coordinate: int
     reason: str | None  # "visited-cap" | "coordinate-guard" for exceeded-cap
 
-    @property
-    def is_finite(self) -> bool:
-        return self.status == "finite"
-
     def to_payload(self) -> dict:
         return {"status": self.status, "size": self.size, "visited": self.visited,
                 "max_coordinate": self.max_coordinate, "reason": self.reason}

@@ -9,13 +9,16 @@ consults the engines' verdict logic beyond shared exact primitives.
 
 from __future__ import annotations
 
+import math
+
 from . import encoding
 from .actions import build_action, dual_element
-from .intpoly import cyclotomic, poly_gcd, root_of_unity_lcm
+from .intpoly import cyclotomic_product, cyclotomic_split, orders_with_totient_at_most
 from .laurent import (bivar_gcd, content_in, direction_power_minus_one,
                       laurent_divides)
-from .matrices import (Matrix, Subspace, fixed_by_power, restrict_matrix,
-                       stage_quotient, unipotent_power)
+from .matrices import (Matrix, cyclotomic_orders, fixed_by_power, restrict_matrix,
+                       singular_cyclotomic_orders, stage_quotient, unipotent_power,
+                       walk_orbit)
 
 
 def _check(condition: bool, failures: list, what: str) -> None:
@@ -23,8 +26,12 @@ def _check(condition: bool, failures: list, what: str) -> None:
         failures.append(what)
 
 
-def _matrix_fixes(vector, matrix: Matrix) -> bool:
-    return matrix.matvec(vector) == tuple(vector)
+def _power_fixes(vector, matrix: Matrix, power: int) -> bool:
+    """matrix**power fixes vector: its cyclic orbit closes within the lcm
+    of the matrix's root-of-unity orders, and its length divides power."""
+    cap = math.lcm(*cyclotomic_orders(matrix))
+    seen, stop, _ = walk_orbit([matrix.matvec], tuple(vector), cap)
+    return power > 0 and stop is None and power % len(seen) == 0
 
 
 def replay_element_verdict(action, exponents, payload: dict, failures: list) -> None:
@@ -32,48 +39,39 @@ def replay_element_verdict(action, exponents, payload: dict, failures: list) -> 
     kind = cert["kind"]
     data = cert["data"]
     b = dual_element(action, exponents)
-    rank = action.dim
     if kind == "no-root-of-unity-eigenvalue":
         cp = b.char_poly()
         _check(encoding.encode_poly(cp) == data["char_poly"], failures,
                "stored characteristic polynomial differs")
-        _check(data["power"] == root_of_unity_lcm(rank), failures,
-               "stored power is not the uniform root-of-unity power")
-        for d in data["orders_checked"]:
-            _check(poly_gcd(cp, cyclotomic(d)).is_one, failures,
-                   f"characteristic polynomial shares a factor with order {d}")
-        det = (b ** data["power"] - Matrix.identity(rank)).det()
-        _check(det != 0, failures, "power minus identity is singular")
-        _check(encoding.encode_scalar(det) == data["det_power_minus_identity"],
-               failures, "stored determinant differs")
+        orders = data["orders_checked"]
+        _check(orders == orders_with_totient_at_most(action.dim), failures,
+               "orders checked are not every order with totient at most the rank")
+        _check(not cyclotomic_split(cp, orders)[0], failures,
+               "a cyclotomic polynomial divides the characteristic polynomial")
+        _check(not singular_cyclotomic_orders(b, orders), failures,
+               "a cyclotomic polynomial is singular at the matrix")
     elif kind == "witness-character":
         chi = encoding.decode_vector(data["character"])
         _check(any(x != 0 for x in chi), failures, "witness character is zero")
-        _check(_matrix_fixes(chi, b ** data["power"]), failures,
+        _check(data["power"] == math.lcm(*data["shared_orders"]), failures,
+               "stated power is not the lcm of the shared orders")
+        _check(_power_fixes(chi, b, data["power"]), failures,
                "witness character is not fixed by the stated power")
     elif kind == "cyclotomic-char-poly":
-        prod = _cyclotomic_product(data["factors"])
-        _check(prod == b.char_poly(), failures,
+        _check(cyclotomic_product(data["factors"]) == b.char_poly(), failures,
                "cyclotomic factors do not multiply to the characteristic polynomial")
     elif kind == "non-cyclotomic-factor":
         rest = encoding.decode_poly(data["factor"])
-        prod = _cyclotomic_product(data["cyclotomic_part"]) * rest
+        prod = cyclotomic_product(data["cyclotomic_part"]) * rest
         _check(prod == b.char_poly(), failures,
                "factorization does not multiply back")
         _check(rest.degree >= 1, failures, "residual factor is constant")
-        for d in data["orders_checked"]:
-            _check(poly_gcd(rest, cyclotomic(d)).is_one, failures,
-                   f"residual factor shares a cyclotomic factor of order {d}")
+        _check(data["orders_checked"] == orders_with_totient_at_most(action.dim), failures,
+               "orders checked are not every order with totient at most the rank")
+        _check(not cyclotomic_split(rest, data["orders_checked"])[0], failures,
+               "residual factor has a cyclotomic factor")
     else:
         failures.append(f"unknown element certificate kind {kind!r}")
-
-
-def _cyclotomic_product(factors):
-    from .intpoly import Polynomial
-    prod = Polynomial.one()
-    for d, count in factors:
-        prod = prod * cyclotomic(d).pow(count)
-    return prod
 
 
 def replay_group_verdict(action, payload: dict, failures: list) -> None:
@@ -82,30 +80,23 @@ def replay_group_verdict(action, payload: dict, failures: list) -> None:
     data = cert["data"]
     duals = action.dual_generators
     if kind == "zero-finite-orbit-subspace":
-        _check(fixed_by_power(duals, data["power"]).is_zero, failures,
+        _check(fixed_by_power(duals).is_zero, failures,
                "finite-orbit subspace is not zero")
     elif kind == "witness-character":
         chi = encoding.decode_vector(data["character"])
         _check(any(x != 0 for x in chi), failures, "witness character is zero")
         for d in duals:
-            _check(_matrix_fixes(chi, d ** data["power"]), failures,
+            _check(_power_fixes(chi, d, data["power"]), failures,
                    "witness character is not fixed by a generator power")
         orbit = [encoding.decode_vector(v) for v in data["orbit"]]
         orbit_set = set(orbit)
         _check(tuple(chi) in orbit_set, failures, "orbit does not contain the witness")
         _check(len(orbit_set) == data["orbit_size"], failures, "orbit size mismatch")
-        maps = []
-        for d in duals:
-            maps.append(d)
-            maps.append(d.inverse())
+        maps = [f for d in duals for f in (d, d.inverse())]
         for v in orbit:
             for m in maps:
                 _check(m.matvec(v) in orbit_set, failures, "orbit is not closed")
-    elif kind == "all-generators-quasi-unipotent":
-        for i, sub in enumerate(data["generators"]):
-            exps = tuple(1 if j == i else 0 for j in range(action.n_generators))
-            replay_element_verdict(action, exps, {"certificate": sub}, failures)
-    elif kind == "non-quasi-unipotent-generator":
+    elif kind in ("all-generators-quasi-unipotent", "non-quasi-unipotent-generator"):
         for i, sub in enumerate(data["generators"]):
             exps = tuple(1 if j == i else 0 for j in range(action.n_generators))
             replay_element_verdict(action, exps, {"certificate": sub}, failures)
@@ -113,38 +104,37 @@ def replay_group_verdict(action, payload: dict, failures: list) -> None:
         failures.append(f"unknown group certificate kind {kind!r}")
 
 
-def replay_subspace_invariance(action, subspace_payload: dict, failures: list) -> Subspace:
+def replay_subspace_invariance(action, subspace_payload: dict, failures: list) -> None:
     sub = encoding.decode_subspace(subspace_payload)
     for d in action.dual_generators:
         _check(sub.is_invariant(d), failures, "subspace is not invariant")
-    return sub
 
 
 def replay_filtration(action, payload: dict, failures: list) -> None:
     chain = [encoding.decode_subspace(w) for w in payload["chain"]]
-    rank = action.dim
-    m = root_of_unity_lcm(rank)
+    duals = action.dual_generators
     _check(chain[0].is_full, failures, "chain does not start at the full space")
-    for prev, cur in zip(chain, chain[1:]):
-        _check(prev.contains_subspace(cur), failures, "chain is not decreasing")
-    for w in chain:
-        for d in action.dual_generators:
-            _check(w.is_invariant(d), failures, "chain member is not invariant")
-    for entry, (prev, cur) in zip(payload["attributions"], zip(chain, chain[1:])):
-        d = action.dual_generators[entry["generator"] - 1]
-        if prev.dim == cur.dim:
-            continue
-        _check(fixed_by_power([stage_quotient(d, prev, cur)], m).is_zero, failures,
-               "stage quotient has a finite-orbit character")
+    nested = all(prev.contains_subspace(cur) for prev, cur in zip(chain, chain[1:]))
+    _check(nested, failures, "chain is not decreasing")
+    invariant = all(w.is_invariant(d) for w in chain for d in duals)
+    _check(invariant, failures, "chain member is not invariant")
     residual = encoding.decode_subspace(payload["residual"])
     _check(residual == chain[-1], failures, "residual differs from the chain tail")
-    for d in action.dual_generators:
-        if residual.is_zero:
-            break
-        _check(unipotent_power(restrict_matrix(d, residual), m).is_zero, failures,
-               "a generator is not quasi-unipotent on the residual")
     _check(payload["group_ergodic"] == residual.is_zero, failures,
            "group flag disagrees with the residual")
+    if not (nested and invariant):
+        return  # the stage quotients and the restriction to the tail need both
+    for entry, (prev, cur) in zip(payload["attributions"], zip(chain, chain[1:])):
+        d = duals[entry["generator"] - 1]
+        if prev.dim == cur.dim:
+            continue
+        _check(fixed_by_power([stage_quotient(d, prev, cur)]).is_zero, failures,
+               "stage quotient has a finite-orbit character")
+    for d in duals:
+        if chain[-1].is_zero:
+            break
+        _check(unipotent_power(restrict_matrix(d, chain[-1])).is_zero, failures,
+               "a generator is not quasi-unipotent on the residual")
 
 
 def replay_bounded_verdict(action, payload: dict, failures: list) -> None:

@@ -2,27 +2,32 @@
 
 Everything is decided on the dual side.  A character has a finite orbit
 under a single automorphism exactly when the dual matrix has a
-root-of-unity eigenvalue on its rational span, and the orders of the
-roots of unity that an r-by-r rational matrix can carry are bounded
-through the totient, so one uniform power exposes them all.  Every
-operation returns a verdict with a certificate that can be replayed by
-exact linear algebra alone, and each predicate is computed by two
-independent routes that are asserted to agree.
+root-of-unity eigenvalue on its rational span.  Such an eigenvalue of an
+r-by-r rational matrix X has an order d with phi(d) <= r, so the
+cyclotomic polynomials of those orders expose them all: the finite-orbit
+characters are the kernel of c(X), c the product of the distinct
+cyclotomic factors of X's characteristic polynomial, and X is
+quasi-unipotent exactly when c(X)**r = 0.  Every operation returns a
+verdict with a certificate that can be replayed by exact linear algebra
+alone, and each order d is detected by two independent routes asserted
+to agree: cyclotomic(d) divides the characteristic polynomial, and
+cyclotomic(d) at X is singular.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from . import encoding
 from .actions import dual_element
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
-from .intpoly import (Polynomial, cyclotomic, orders_with_totient_at_most,
-                      poly_gcd, root_of_unity_lcm)
-from .matrices import (Matrix, Subspace, fixed_by_power, kernel, lift_from_quotient,
-                       quotient_matrix, restrict_matrix, stage_quotient,
-                       unipotent_power, walk_orbit)
+from .intpoly import cyclotomic_split, orders_with_totient_at_most
+from .matrices import (Matrix, Subspace, cyclotomic_orders, fixed_by_power, kernel,
+                       lift_from_quotient, quotient_matrix, restrict_matrix,
+                       singular_cyclotomic_orders, stage_quotient, unipotent_power,
+                       walk_orbit)
 
 _ORBIT_ENUMERATION_CAP = 200_000
 
@@ -84,44 +89,34 @@ class FiltrationReport:
         }
 
 
-def _root_of_unity_data(b: Matrix, rank: int):
+def _root_of_unity_orders(b: Matrix, rank: int):
     """Both root-of-unity detection routes for a dual matrix, asserted to
-    agree: shared cyclotomic factors of the characteristic polynomial, and
-    singularity of b**m - identity for the uniform power m."""
+    agree order by order: the cyclotomic split of the characteristic
+    polynomial, and the orders d with cyclotomic(d) at b singular."""
     cp = b.char_poly()
     orders = orders_with_totient_at_most(rank)
-    shared = []
-    for d in orders:
-        g = poly_gcd(cp, cyclotomic(d))
-        if not g.is_one:
-            shared.append(d)
-    m = root_of_unity_lcm(rank)
-    power_minus_identity = b ** m - Matrix.identity(b.nrows)
-    det_value = power_minus_identity.det()
-    if bool(shared) != (det_value == 0):
+    factors, rest = cyclotomic_split(cp, orders)
+    shared = singular_cyclotomic_orders(b, orders)
+    if [d for d, _ in factors] != shared:
         raise InternalCheckError(
-            "cyclotomic gcd route and power determinant route disagree")
-    return cp, orders, shared, m, power_minus_identity, det_value
+            "cyclotomic division route and cyclotomic determinant route disagree")
+    return cp, orders, factors, rest, shared
 
 
 def is_ergodic_element(action, exponents) -> Verdict:
     """Ergodicity of a single product of generator powers."""
     b = dual_element(action, exponents)
-    rank = action.dim
-    cp, orders, shared, m, power_minus_identity, det_value = _root_of_unity_data(b, rank)
+    cp, orders, _, _, shared = _root_of_unity_orders(b, action.dim)
     if not shared:
         cert = Certificate("no-root-of-unity-eigenvalue", {
             "char_poly": encoding.encode_poly(cp),
             "orders_checked": orders,
-            "power": m,
-            "det_power_minus_identity": encoding.encode_scalar(det_value),
         })
         return Verdict(VerdictKind.ERGODIC, cert)
-    fixed = kernel(power_minus_identity)
-    witness = _witness_vector(action, fixed)
+    witness = _witness_vector(action, fixed_by_power([b]))
     cert = Certificate("witness-character", {
         "character": encoding.encode_vector(witness),
-        "power": m,
+        "power": math.lcm(*shared),
         "shared_orders": shared,
     })
     return Verdict(VerdictKind.NOT_ERGODIC, cert)
@@ -135,38 +130,17 @@ def _witness_vector(action, subspace: Subspace):
     return subspace.basis[0]
 
 
-def _cyclotomic_split(cp: Polynomial, orders):
-    """Strip cyclotomic factors from a monic polynomial; returns the
-    factor multiset and the non-cyclotomic cofactor."""
-    factors = []
-    rest = cp
-    for d in orders:
-        phi = cyclotomic(d)
-        count = 0
-        while not rest.is_one and phi.divides(rest):
-            rest = rest.exact_div(phi)
-            count += 1
-        if count:
-            factors.append((d, count))
-    return factors, rest
-
-
 def is_distal_element(action, exponents) -> Verdict:
     """Distality of a single product of generator powers: the dual matrix
     must be quasi-unipotent."""
     b = dual_element(action, exponents)
-    rank = action.dim
-    cp = b.char_poly()
-    orders = orders_with_totient_at_most(rank)
-    factors, rest = _cyclotomic_split(cp, orders)
-    m = root_of_unity_lcm(rank)
-    if rest.is_one != unipotent_power(b, m).is_zero:
+    _, orders, factors, rest, shared = _root_of_unity_orders(b, action.dim)
+    if rest.is_one != unipotent_power(b, shared).is_zero:
         raise InternalCheckError(
             "cyclotomic factorization route and nilpotency route disagree")
     if rest.is_one:
         cert = Certificate("cyclotomic-char-poly", {
             "factors": [[d, c] for d, c in factors],
-            "power": m,
         })
         return Verdict(VerdictKind.DISTAL, cert)
     cert = Certificate("non-cyclotomic-factor", {
@@ -179,8 +153,8 @@ def is_distal_element(action, exponents) -> Verdict:
 
 def finite_orbit_subspace(action) -> Subspace:
     """Characters of the dual space whose group orbit is finite: the
-    common fixed space of the uniform powers of the dual generators."""
-    return fixed_by_power(action.dual_generators, root_of_unity_lcm(action.dim))
+    common kernel of the cyclotomic parts of the dual generators."""
+    return fixed_by_power(action.dual_generators)
 
 
 def _enumerate_finite_orbit(duals, chi):
@@ -196,15 +170,13 @@ def _enumerate_finite_orbit(duals, chi):
 def is_ergodic_group(action) -> Verdict:
     """Group ergodicity: no nonzero character with a finite orbit."""
     fixed = finite_orbit_subspace(action)
-    m = root_of_unity_lcm(action.dim)
     if fixed.is_zero:
-        cert = Certificate("zero-finite-orbit-subspace", {"power": m})
-        return Verdict(VerdictKind.ERGODIC, cert)
+        return Verdict(VerdictKind.ERGODIC, Certificate("zero-finite-orbit-subspace", {}))
     witness = _witness_vector(action, fixed)
     orbit = _enumerate_finite_orbit(action.dual_generators, witness)
     cert = Certificate("witness-character", {
         "character": encoding.encode_vector(witness),
-        "power": m,
+        "power": math.lcm(*(d for x in action.dual_generators for d in cyclotomic_orders(x))),
         "orbit_size": len(orbit),
         "orbit": [encoding.encode_vector(v) for v in orbit],
     })
@@ -231,8 +203,8 @@ def is_distal_group(action) -> Verdict:
     return Verdict(VerdictKind.NOT_DISTAL, cert)
 
 
-def _quasi_unipotent_on(d: Matrix, sub: Subspace, power: int) -> bool:
-    return sub.is_zero or unipotent_power(restrict_matrix(d, sub), power).is_zero
+def _quasi_unipotent_on(d: Matrix, sub: Subspace) -> bool:
+    return sub.is_zero or unipotent_power(restrict_matrix(d, sub)).is_zero
 
 
 def largest_ergodic_subgroup(action):
@@ -246,13 +218,12 @@ def largest_ergodic_subgroup(action):
     """
     rank = action.dim
     duals = action.dual_generators
-    m = root_of_unity_lcm(rank)
     w = Subspace.zero(rank)
     rounds = []
     while True:
         if w.is_full:
             break
-        fixed = fixed_by_power([quotient_matrix(d, w) for d in duals], m)
+        fixed = fixed_by_power([quotient_matrix(d, w) for d in duals])
         if fixed.is_zero:
             break
         lifts = [lift_from_quotient(w, v) for v in fixed.basis]
@@ -264,7 +235,7 @@ def largest_ergodic_subgroup(action):
     for d in duals:
         if not w.is_invariant(d):
             raise InternalCheckError("accumulated subspace is not invariant")
-        if not _quasi_unipotent_on(d, w, m):
+        if not _quasi_unipotent_on(d, w):
             raise InternalCheckError("generator is not quasi-unipotent on the result")
     report = {
         "rounds": rounds,
@@ -281,16 +252,15 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
     generator quasi-unipotent on the residual."""
     rank = action.dim
     duals = action.dual_generators
-    m = root_of_unity_lcm(rank)
     w_prev = Subspace.full(rank)
     chain = [w_prev]
     attributions = []
     for i, d in enumerate(duals, start=1):
-        w_i = kernel(unipotent_power(d, m)).intersect(w_prev)
+        w_i = kernel(unipotent_power(d)).intersect(w_prev)
         for other in duals:
             if not w_i.is_invariant(other):
                 raise InternalCheckError("stage subspace is not invariant")
-        certified = _certify_stage_ergodic(d, w_prev, w_i, m)
+        certified = _certify_stage_ergodic(d, w_prev, w_i)
         attributions.append({
             "stage": i,
             "generator": i,
@@ -302,7 +272,7 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
         w_prev = w_i
     residual = chain[-1]
     for d in duals:
-        if not _quasi_unipotent_on(d, residual, m):
+        if not _quasi_unipotent_on(d, residual):
             raise InternalCheckError("generator is not quasi-unipotent on the residual")
     group_verdict = is_ergodic_group(action)
     if residual.is_zero != group_verdict.is_ergodic:
@@ -312,13 +282,12 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
                             group_verdict.is_ergodic)
 
 
-def _certify_stage_ergodic(d: Matrix, w_outer: Subspace, w_inner: Subspace,
-                           power: int) -> bool:
-    """No nonzero character of the quotient w_outer/w_inner is fixed by
-    the given power of d."""
+def _certify_stage_ergodic(d: Matrix, w_outer: Subspace, w_inner: Subspace) -> bool:
+    """No nonzero character of the quotient w_outer/w_inner has a finite
+    orbit under d."""
     if w_outer.dim == w_inner.dim:
         return True  # trivial quotient
-    if not fixed_by_power([stage_quotient(d, w_outer, w_inner)], power).is_zero:
+    if not fixed_by_power([stage_quotient(d, w_outer, w_inner)]).is_zero:
         raise InternalCheckError("stage quotient carries a finite-orbit character")
     return True
 

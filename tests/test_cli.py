@@ -13,6 +13,13 @@ NONCOMMUTING = {"type": "toral", "r": 2,
 BLOCK_PAIR = {"type": "toral", "r": 4, "generators": [
     [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]]}
+F_CUBED = {"type": "toral", "r": 6, "generators": [
+    [[0, 1, 0, 0, 0, 0], [1, 5, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+     [0, 0, 1, 5, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 5]]]}
+# companion matrix of x^16 - 3x - 1, which has no root-of-unity root
+COMPANION_16 = {"type": "toral", "r": 16, "generators": [
+    [[1 if i == j + 1 else 0 for j in range(15)] + [{0: 1, 1: 3}.get(i, 0)]
+     for i in range(16)]]}
 LEDRAPPIER = {"type": "laurent", "p": 2, "d": 2, "g": [
     {"exponents": [0, 0], "coefficient": 1},
     {"exponents": [1, 0], "coefficient": 1},
@@ -179,3 +186,25 @@ class TestDeterminismAndVerification:
         report = json.loads(res.stdout)
         assert report["verification"]["failures"] == []
         assert report["verification"]["checked"] >= 1
+
+
+class TestRankWall:
+    def test_block_cube_replays(self, tmp_path):
+        res = run("analyze", write(tmp_path, "f3.json", F_CUBED), "--verify-report")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["verification"]["failures"] == []
+
+    def test_rank_16_companion_analyze(self, tmp_path):
+        res = run("analyze", write(tmp_path, "c16.json", COMPANION_16), "--verify-report")
+        assert res.returncode == 0
+        report = json.loads(res.stdout)
+        assert report["results"]["generators"][0]["ergodic"]["kind"] == "ergodic"
+        assert report["verification"]["failures"] == []
+
+    def test_rank_16_companion_filtration(self, tmp_path):
+        res = run("filtration", write(tmp_path, "c16.json", COMPANION_16), "--verify-report")
+        assert res.returncode == 0
+        report = json.loads(res.stdout)
+        assert report["results"]["dims"] == [16, 0]
+        assert report["results"]["attributions"][0]["ergodic_on_quotient"] is True
+        assert report["verification"]["failures"] == []

@@ -1,0 +1,99 @@
+"""Differential tests of the finite-orbit primitives against sympy: the
+cyclotomic split of a characteristic polynomial against sympy's
+factorization, and the finite-orbit kernel against sympy's nullspace."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ergodec import Matrix, Subspace, orders_with_totient_at_most
+from ergodec.intpoly import cyclotomic_split
+from ergodec.matrices import fixed_by_power, singular_cyclotomic_orders
+from factories import (commuting_mixed_family, commuting_unipotent_family,
+                       conjugate, ergodic_distal_pair, random_unimodular)
+
+sp = pytest.importorskip("sympy")
+X = sp.Symbol("x")
+
+# companions of the cyclotomic polynomials of orders 4, 3 and 6
+ROTATIONS = [Matrix.from_rows(rows) for rows in (
+    [[0, -1], [1, 0]], [[0, -1], [1, -1]], [[0, -1], [1, 1]])]
+
+
+def families():
+    """Commuting families from the factories, some with a rotation block
+    of order 3, 4 or 6, some conjugated by a rational matrix."""
+    rng = random.Random(4242)
+    out = []
+    for _ in range(6):
+        out.append(commuting_mixed_family(rng, max_dim=4))
+        out.append(commuting_unipotent_family(rng, max_dim=4))
+        alpha, beta = ergodic_distal_pair(rng, max_dim=4)
+        rot = rng.choice(ROTATIONS)
+        p = random_unimodular(rng, alpha.nrows + 2)
+        out.append([conjugate(Matrix.block_diag(g, rot), p) for g in (alpha, beta)])
+        gens = commuting_mixed_family(rng, max_dim=4)
+        n = gens[0].nrows
+        scale = Matrix.from_rows([[Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2, 5]))
+                                   if i == j else 0 for j in range(n)] for i in range(n)])
+        out.append([conjugate(g, scale * random_unimodular(rng, n)) for g in gens])
+    return out
+
+
+FAMILIES = families()
+
+
+def to_sympy(m):
+    return sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row]
+                      for row in m.rows])
+
+
+def sympy_cyclotomic_split(m):
+    """({order: multiplicity}, monic non-cyclotomic cofactor) from sympy's
+    factorization of the characteristic polynomial."""
+    _, factors = sp.factor_list(to_sympy(m).charpoly(X).as_expr(), X)
+    orders, rest = {}, sp.Integer(1)
+    for f, e in factors:
+        poly = sp.Poly(f, X)
+        if poly.LC() == 1 and poly.is_cyclotomic:
+            d = next(d for d in range(1, 2 * m.nrows ** 2 + 2)
+                     if sp.Poly(sp.cyclotomic_poly(d, X), X) == poly)
+            orders[d] = e
+        else:
+            rest *= f ** e
+    return orders, sp.Poly(rest, X).monic()
+
+
+def at_matrix(poly, m):
+    out = sp.zeros(m.rows, m.cols)
+    for c in poly.all_coeffs():
+        out = out * m + c * sp.eye(m.rows)
+    return out
+
+
+@pytest.mark.parametrize("gens", FAMILIES)
+def test_cyclotomic_split_matches_sympy(gens):
+    for g in gens:
+        factors, rest = cyclotomic_split(g.char_poly(), orders_with_totient_at_most(g.nrows))
+        orders, sympy_rest = sympy_cyclotomic_split(g)
+        assert dict(factors) == orders
+        assert [sp.Rational(c.numerator, c.denominator) for c in reversed(rest.coeffs)] \
+            == sympy_rest.all_coeffs()
+        assert singular_cyclotomic_orders(g, orders_with_totient_at_most(g.nrows)) \
+            == sorted(orders)
+
+
+@pytest.mark.parametrize("gens", FAMILIES)
+def test_finite_orbit_kernel_matches_sympy_nullspace(gens):
+    blocks = []
+    for g in gens:
+        c = sp.Integer(1)
+        for d in sympy_cyclotomic_split(g)[0]:
+            c *= sp.cyclotomic_poly(d, X)
+        blocks.append(at_matrix(sp.Poly(c, X), to_sympy(g)))
+    null = sp.Matrix.vstack(*blocks).nullspace()
+    n = gens[0].nrows
+    expected = Subspace.span(n, [tuple(Fraction(int(x.p), int(x.q)) for x in v)
+                                 for v in null])
+    assert fixed_by_power(gens) == expected

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodec.intpoly import (Polynomial, cyclotomic, euler_phi,
+from ergodec.intpoly import (Polynomial, cyclotomic, cyclotomic_product,
+                             cyclotomic_split, euler_phi,
                              orders_with_totient_at_most, poly_gcd,
                              root_of_unity_lcm)
 
@@ -74,6 +75,21 @@ class TestCyclotomic:
     def test_degrees_match_totient(self):
         for d in range(1, 40):
             assert cyclotomic(d).degree == euler_phi(d)
+
+
+class TestCyclotomicSplit:
+    def test_split_and_product_round_trip(self):
+        golden = poly(-1, -1, 1)
+        f = cyclotomic(4).pow(2) * cyclotomic(1) * golden * cyclotomic(6)
+        factors, rest = cyclotomic_split(f, orders_with_totient_at_most(8))
+        assert factors == [(1, 1), (4, 2), (6, 1)]
+        assert rest == golden
+        assert cyclotomic_product(factors) * rest == f
+
+    def test_orders_outside_the_list_stay_in_the_rest(self):
+        factors, rest = cyclotomic_split(cyclotomic(5) * cyclotomic(2), [1, 2, 3])
+        assert factors == [(2, 1)]
+        assert rest == cyclotomic(5)
 
 
 class TestPolyGcd:

@@ -5,10 +5,10 @@ import pytest
 
 from ergodec.intpoly import Polynomial
 from ergodec.matrices import (DimensionError, Matrix, Subspace, char_poly,
-                              express_in, fixed_by_power, kernel,
-                              lift_from_quotient, quotient_matrix,
-                              restrict_matrix, stage_quotient, unipotent_power,
-                              walk_orbit)
+                              cyclotomic_orders, express_in, fixed_by_power,
+                              kernel, lift_from_quotient, quotient_matrix,
+                              restrict_matrix, singular_cyclotomic_orders,
+                              stage_quotient, unipotent_power, walk_orbit)
 from factories import fibonacci_matrix, random_unimodular
 
 
@@ -87,6 +87,22 @@ class TestDeterminantAndInverse:
             sign = 1 if n % 2 == 0 else -1
             expected = sign * char_poly_by_cofactors(m)(0)
             assert m.det() == expected
+
+    def test_rational_det_clears_denominators(self):
+        m = Matrix.from_rows([[32, 0, -15, -30], [2, 0, 0, -2],
+                              [Fraction(1, 30), Fraction(1, 2), 0, 0],
+                              [30, Fraction(1, 4), -15, -28]])
+        assert m.det() == Fraction(1, 4)
+        assert m.det() == char_poly_by_cofactors(m)(0)
+
+    def test_rational_det_matches_cofactor_expansion(self):
+        rng = random.Random(18)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            m = Matrix.from_rows([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                   for _ in range(n)] for _ in range(n)])
+            sign = 1 if n % 2 == 0 else -1
+            assert m.det() == sign * char_poly_by_cofactors(m)(0)
 
     def test_fibonacci_power_twelve(self):
         f12 = fibonacci_matrix() ** 12
@@ -197,19 +213,29 @@ class TestFiniteOrbitPrimitives:
     def test_fixed_by_power_is_common_fixed_space(self):
         rot = Matrix.from_rows([[0, -1], [1, 0]])
         shear = Matrix.from_rows([[1, 1], [0, 1]])
-        assert fixed_by_power([rot], 4).is_full
-        assert fixed_by_power([rot], 2).is_zero
-        assert fixed_by_power([shear], 12) == Subspace.span(2, [(1, 0)])
-        assert fixed_by_power([rot, shear], 4) == Subspace.span(2, [(1, 0)])
-        assert fixed_by_power([rot, shear], 2).is_zero
+        assert fixed_by_power([rot]).is_full
+        assert fixed_by_power([fibonacci_matrix()]).is_zero
+        assert fixed_by_power([shear]) == Subspace.span(2, [(1, 0)])
+        assert fixed_by_power([rot, shear]) == Subspace.span(2, [(1, 0)])
+        assert fixed_by_power([rot, fibonacci_matrix()]).is_zero
 
     def test_unipotent_power(self):
         rot = Matrix.from_rows([[0, -1], [1, 0]])
         shear = Matrix.from_rows([[1, 1], [0, 1]])
-        assert unipotent_power(rot, 4).is_zero
-        assert not unipotent_power(rot, 2).is_zero
-        assert unipotent_power(shear, 1).is_zero
-        assert not unipotent_power(fibonacci_matrix(), 12).is_zero
+        assert unipotent_power(rot).is_zero
+        assert not unipotent_power(rot, [2]).is_zero
+        assert unipotent_power(shear).is_zero
+        assert not unipotent_power(fibonacci_matrix()).is_zero
+
+    def test_cyclotomic_orders_by_both_routes(self):
+        rot = Matrix.from_rows([[0, -1], [1, 0]])
+        third = Matrix.from_rows([[0, -1], [1, -1]])
+        cases = [(rot, [4]), (Matrix.from_rows([[1, 1], [0, 1]]), [1]),
+                 (fibonacci_matrix(), []),
+                 (Matrix.block_diag(third, rot, rot * rot), [2, 3, 4])]
+        for x, orders in cases:
+            assert cyclotomic_orders(x) == orders
+            assert singular_cyclotomic_orders(x, [1, 2, 3, 4, 5, 6, 8]) == orders
 
     def test_stage_quotient_of_block_matrix(self):
         m = Matrix.block_diag(Matrix.identity(2), fibonacci_matrix())
