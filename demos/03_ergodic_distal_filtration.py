@@ -1,13 +1,14 @@
-"""The ergodic-distal structure of a commuting action, two ways.
+"""The ergodic-distal structure of a commuting action.
 
 First the largest subgroup on which the whole group acts ergodically,
-with a distal action on the quotient: computed as a fixpoint on the dual
-side, accumulating finite-orbit characters of successive quotients.
+with a distal action on the quotient: on the dual side, the common
+kernel of the unipotent powers c(D)**n of the dual generators D.
 
 Then the per-generator chain: a weakly decreasing sequence of invariant
 dual subspaces, one stage per generator, with generator i certified
 ergodic on stage quotient i, every generator quasi-unipotent on the
-residual, and residual zero exactly when the group is ergodic.
+residual, and residual zero exactly when the group is ergodic.  The
+residual is the largest subgroup's dual subspace again.
 """
 
 from ergodec import (Matrix, ergodic_distal_filtration,
@@ -17,9 +18,8 @@ from ergodec import (Matrix, ergodic_distal_filtration,
 def describe(name, generators):
     action = toral_action(generators)
     print(f"{name} (dimension {action.dim})")
-    w, report = largest_ergodic_subgroup(action)
-    print(f"  largest ergodic subgroup: dual annihilator dimension {w.dim}"
-          f" (fixpoint rounds: {report['rounds'] or 'none needed'})")
+    w, _ = largest_ergodic_subgroup(action)
+    print(f"  largest ergodic subgroup: dual annihilator dimension {w.dim}")
     chain = ergodic_distal_filtration(action)
     print(f"  filtration dims: {list(chain.dims())}")
     for entry in chain.attributions:
@@ -27,7 +27,8 @@ def describe(name, generators):
               f"ergodic on a quotient of dimension "
               f"{entry['dim_from'] - entry['dim_to']}")
     print(f"  residual dimension {chain.residual.dim}; "
-          f"group ergodic: {chain.group_ergodic}")
+          f"group ergodic: {chain.group_ergodic}; "
+          f"residual is the largest subgroup's: {chain.residual == w}")
     print()
 
 

@@ -86,6 +86,10 @@ def dual_matrix(m: Matrix) -> Matrix:
     return m.transpose().inverse()
 
 
+# Primality is decided by trial division, so the modulus is capped.
+_MAX_MODULUS = 2 ** 31
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -159,8 +163,8 @@ def solenoid_action(generators) -> SolenoidAction:
 
 def laurent_cyclic_action(p: int, nvars: int, presenter: LaurentPoly) -> LaurentCyclicAction:
     issues = []
-    if not _is_prime(p):
-        issues.append(Issue("bad-modulus", (), f"{p} is not prime"))
+    if not (type(p) is int and p < _MAX_MODULUS and _is_prime(p)):
+        issues.append(Issue("bad-modulus", (), f"{p} is not a prime below 2**31"))
     if nvars not in (1, 2):
         issues.append(Issue("bad-variable-count", (), "one or two variables supported"))
     if not issues:

@@ -21,7 +21,7 @@ from . import encoding, laurent_engine, oracle, replay, toral
 from .actions import ProductDemoSpec, build_action, element
 from .errors import NotErgodicGroupError, SearchExhaustedError, ValidationError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -100,11 +100,12 @@ def _axis_directions(nvars: int):
 def cmd_analyze(args) -> dict:
     doc, action = _action_from_file(args.file)
     if action.kind in ("toral", "solenoid"):
-        generators = []
+        generators, distals = [], []
         for i in range(action.n_generators):
             exps = tuple(1 if j == i else 0 for j in range(action.n_generators))
             ergodic = toral.is_ergodic_element(action, exps)
             distal = toral.is_distal_element(action, exps)
+            distals.append(distal)
             generators.append({
                 "index": i + 1,
                 "ergodic": ergodic.to_payload(),
@@ -112,7 +113,7 @@ def cmd_analyze(args) -> dict:
                 "mixing_of_all_orders": toral.mixing_flag(ergodic),
             })
         group_ergodic = toral.is_ergodic_group(action)
-        group_distal = toral.is_distal_group(action)
+        group_distal = toral.distal_group_verdict(distals)
         subspace, sub_report = toral.largest_ergodic_subgroup(action)
         results = {
             "generators": generators,

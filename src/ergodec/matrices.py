@@ -308,11 +308,6 @@ class Subspace:
             raise ValueError("vector is not in the subspace")
         return tuple(v[p] for p in self.pivots)
 
-    def add(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise DimensionError("ambient dimensions differ")
-        return Subspace.span(self.ambient, list(self.basis) + list(other.basis))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionError("ambient dimensions differ")
@@ -405,20 +400,6 @@ def quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
     return Matrix.from_rows(list(zip(*cols)))
 
 
-def lift_from_quotient(sub: Subspace, qvector) -> tuple:
-    """A representative in the ambient space of a quotient coordinate
-    vector (coordinates indexed by the non-pivot columns of sub)."""
-    n = sub.ambient
-    pivot_set = set(sub.pivots)
-    coords = [c for c in range(n) if c not in pivot_set]
-    if len(qvector) != len(coords):
-        raise DimensionError("quotient vector has the wrong length")
-    v = [0] * n
-    for c, x in zip(coords, qvector):
-        v[c] = x
-    return tuple(v)
-
-
 def stage_quotient(m: Matrix, outer: Subspace, inner: Subspace) -> Matrix:
     """Matrix induced by m on outer/inner, for m-invariant subspaces
     inner strictly inside outer, in the coordinates of outer's echelon
@@ -482,6 +463,16 @@ def unipotent_power(x: Matrix, orders=None) -> Matrix:
     exactly when x is quasi-unipotent, and its kernel is the sum of the
     generalized eigenspaces of x for roots of unity."""
     return _cyclotomic_at(x, cyclotomic_orders(x) if orders is None else orders) ** x.nrows
+
+
+def quasi_unipotent_on(x: Matrix, sub: Subspace) -> bool:
+    """x is quasi-unipotent on the x-invariant subspace sub: the
+    characteristic polynomial of the restriction is a product of
+    cyclotomic factors."""
+    if sub.is_zero:
+        return True
+    r = restrict_matrix(x, sub)
+    return cyclotomic_split(r.char_poly(), orders_with_totient_at_most(r.nrows))[1].is_one
 
 
 def walk_orbit(maps, start, cap: int, guard=None, known=None):

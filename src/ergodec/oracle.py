@@ -55,11 +55,9 @@ def _compile_map(rows):
 
 
 def _orbit_maps(action):
-    maps = []
-    for d in action.dual_generators:
-        maps.append(_compile_map(d.rows))
-        maps.append(_compile_map(d.inverse().rows))
-    return maps
+    """Each dual generator and its inverse, the transposed generator."""
+    return [_compile_map(m.rows) for g, d in zip(action.generators, action.dual_generators)
+            for m in (d, g.transpose())]
 
 
 def _require_toral(action):

@@ -16,8 +16,8 @@ from .actions import build_action, dual_element
 from .intpoly import cyclotomic_product, cyclotomic_split, orders_with_totient_at_most
 from .laurent import (bivar_gcd, content_in, direction_power_minus_one,
                       laurent_divides)
-from .matrices import (Matrix, cyclotomic_orders, fixed_by_power, restrict_matrix,
-                       singular_cyclotomic_orders, stage_quotient, unipotent_power,
+from .matrices import (Matrix, cyclotomic_orders, fixed_by_power, quasi_unipotent_on,
+                       quotient_matrix, singular_cyclotomic_orders, stage_quotient,
                        walk_orbit)
 
 
@@ -92,7 +92,7 @@ def replay_group_verdict(action, payload: dict, failures: list) -> None:
         orbit_set = set(orbit)
         _check(tuple(chi) in orbit_set, failures, "orbit does not contain the witness")
         _check(len(orbit_set) == data["orbit_size"], failures, "orbit size mismatch")
-        maps = [f for d in duals for f in (d, d.inverse())]
+        maps = [f for g, d in zip(action.generators, duals) for f in (d, g.transpose())]
         for v in orbit:
             for m in maps:
                 _check(m.matvec(v) in orbit_set, failures, "orbit is not closed")
@@ -104,10 +104,24 @@ def replay_group_verdict(action, payload: dict, failures: list) -> None:
         failures.append(f"unknown group certificate kind {kind!r}")
 
 
-def replay_subspace_invariance(action, subspace_payload: dict, failures: list) -> None:
-    sub = encoding.decode_subspace(subspace_payload)
-    for d in action.dual_generators:
-        _check(sub.is_invariant(d), failures, "subspace is not invariant")
+def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
+    """The three properties that fix the largest ergodic subgroup's dual
+    subspace W: (a) W is invariant, (b) every generator is quasi-unipotent
+    on W, so W lies in the common kernel of the c(D)**n, and (c) the
+    quotient by W has no finite-orbit character, as it would if W were
+    strictly inside that kernel."""
+    sub = encoding.decode_subspace(payload["subspace"])
+    duals = action.dual_generators
+    invariant = sub.ambient == action.dim and all(sub.is_invariant(d) for d in duals)
+    _check(invariant, failures, "subspace is not invariant")
+    if not invariant:
+        return  # the restrictions and the quotient need it
+    _check(payload["generators_quasi_unipotent_on_subspace"] is True
+           and all(quasi_unipotent_on(d, sub) for d in duals), failures,
+           "a generator is not quasi-unipotent on the subspace")
+    _check(payload["quotient_has_no_finite_orbit"] is True
+           and (sub.is_full or fixed_by_power([quotient_matrix(d, sub) for d in duals]).is_zero),
+           failures, "quotient has a finite-orbit character")
 
 
 def replay_filtration(action, payload: dict, failures: list) -> None:
@@ -130,11 +144,8 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
             continue
         _check(fixed_by_power([stage_quotient(d, prev, cur)]).is_zero, failures,
                "stage quotient has a finite-orbit character")
-    for d in duals:
-        if chain[-1].is_zero:
-            break
-        _check(unipotent_power(restrict_matrix(d, chain[-1])).is_zero, failures,
-               "a generator is not quasi-unipotent on the residual")
+    _check(all(quasi_unipotent_on(d, chain[-1]) for d in duals), failures,
+           "a generator is not quasi-unipotent on the residual")
 
 
 def replay_bounded_verdict(action, payload: dict, failures: list) -> None:
@@ -218,8 +229,7 @@ def replay_report(report: dict) -> dict:
             checked += 1
             replay_group_verdict(action, results["group"]["distal"], failures)
             checked += 1
-            replay_subspace_invariance(
-                action, results["largest_ergodic_subgroup"]["subspace"], failures)
+            replay_largest_subgroup(action, results["largest_ergodic_subgroup"], failures)
             checked += 1
         else:
             for entry in results["directions"]:

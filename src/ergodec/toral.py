@@ -25,9 +25,8 @@ from .actions import dual_element
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
 from .intpoly import cyclotomic_split, orders_with_totient_at_most
 from .matrices import (Matrix, Subspace, cyclotomic_orders, fixed_by_power, kernel,
-                       lift_from_quotient, quotient_matrix, restrict_matrix,
-                       singular_cyclotomic_orders, stage_quotient, unipotent_power,
-                       walk_orbit)
+                       quasi_unipotent_on, singular_cyclotomic_orders, stage_quotient,
+                       unipotent_power, walk_orbit)
 
 _ORBIT_ENUMERATION_CAP = 200_000
 
@@ -157,10 +156,11 @@ def finite_orbit_subspace(action) -> Subspace:
     return fixed_by_power(action.dual_generators)
 
 
-def _enumerate_finite_orbit(duals, chi):
+def _enumerate_finite_orbit(action, chi):
     """Full group orbit of a character known to be finite (closed walk
-    over the dual generators and their inverses)."""
-    maps = [f.matvec for d in duals for f in (d, d.inverse())]
+    over the dual generators and their inverses, the transposes)."""
+    maps = [f.matvec for g, d in zip(action.generators, action.dual_generators)
+            for f in (d, g.transpose())]
     seen, stop, _ = walk_orbit(maps, chi, _ORBIT_ENUMERATION_CAP)
     if stop is not None:
         raise InternalCheckError("orbit enumeration exceeded the safety cap")
@@ -173,7 +173,7 @@ def is_ergodic_group(action) -> Verdict:
     if fixed.is_zero:
         return Verdict(VerdictKind.ERGODIC, Certificate("zero-finite-orbit-subspace", {}))
     witness = _witness_vector(action, fixed)
-    orbit = _enumerate_finite_orbit(action.dual_generators, witness)
+    orbit = _enumerate_finite_orbit(action, witness)
     cert = Certificate("witness-character", {
         "character": encoding.encode_vector(witness),
         "power": math.lcm(*(d for x in action.dual_generators for d in cyclotomic_orders(x))),
@@ -186,10 +186,15 @@ def is_ergodic_group(action) -> Verdict:
 def is_distal_group(action) -> Verdict:
     """Group distality is equivalent to distality of every generator for
     commuting automorphisms."""
-    per_generator = []
-    for i in range(action.n_generators):
-        exps = tuple(1 if j == i else 0 for j in range(action.n_generators))
-        per_generator.append(is_distal_element(action, exps))
+    n = action.n_generators
+    return distal_group_verdict([
+        is_distal_element(action, tuple(1 if j == i else 0 for j in range(n)))
+        for i in range(n)])
+
+
+def distal_group_verdict(per_generator) -> Verdict:
+    """Group distality verdict from the distality verdicts of the
+    generators, in generator order."""
     if all(v.is_distal for v in per_generator):
         cert = Certificate("all-generators-quasi-unipotent", {
             "generators": [v.certificate.to_payload() for v in per_generator],
@@ -203,10 +208,6 @@ def is_distal_group(action) -> Verdict:
     return Verdict(VerdictKind.NOT_DISTAL, cert)
 
 
-def _quasi_unipotent_on(d: Matrix, sub: Subspace) -> bool:
-    return sub.is_zero or unipotent_power(restrict_matrix(d, sub)).is_zero
-
-
 def largest_ergodic_subgroup(action):
     """Smallest invariant dual subspace whose quotient carries no nonzero
     finite-orbit character.  The corresponding closed subgroup is the
@@ -214,31 +215,23 @@ def largest_ergodic_subgroup(action):
     quotient by that subgroup is distal because every generator is
     quasi-unipotent on the returned subspace.
 
+    It is the common kernel of the c(D)**n over the dual generators D,
+    zero exactly when no character has a finite orbit: on a nonzero
+    invariant subquotient, commuting quasi-unipotent matrices always
+    share a vector with a finite orbit.
+
     Returns (subspace, report).
     """
-    rank = action.dim
     duals = action.dual_generators
-    w = Subspace.zero(rank)
-    rounds = []
-    while True:
-        if w.is_full:
-            break
-        fixed = fixed_by_power([quotient_matrix(d, w) for d in duals])
-        if fixed.is_zero:
-            break
-        lifts = [lift_from_quotient(w, v) for v in fixed.basis]
-        grown = w.add(Subspace.span(rank, lifts))
-        if grown.dim <= w.dim:
-            raise InternalCheckError("fixpoint failed to grow")
-        w = grown
-        rounds.append(w.dim)
+    w = finite_orbit_subspace(action)
+    if not w.is_zero:
+        w = kernel(Matrix.from_rows([row for d in duals for row in unipotent_power(d).rows]))
     for d in duals:
         if not w.is_invariant(d):
-            raise InternalCheckError("accumulated subspace is not invariant")
-        if not _quasi_unipotent_on(d, w):
+            raise InternalCheckError("common kernel is not invariant")
+        if not quasi_unipotent_on(d, w):
             raise InternalCheckError("generator is not quasi-unipotent on the result")
     report = {
-        "rounds": rounds,
         "subspace": encoding.encode_subspace(w),
         "quotient_has_no_finite_orbit": True,
         "generators_quasi_unipotent_on_subspace": True,
@@ -272,7 +265,7 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
         w_prev = w_i
     residual = chain[-1]
     for d in duals:
-        if not _quasi_unipotent_on(d, residual):
+        if not quasi_unipotent_on(d, residual):
             raise InternalCheckError("generator is not quasi-unipotent on the residual")
     group_verdict = is_ergodic_group(action)
     if residual.is_zero != group_verdict.is_ergodic:

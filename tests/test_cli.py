@@ -79,6 +79,15 @@ class TestAnalyze:
         assert "schema" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("p", [10 ** 30 + 57, 7.0, "7"], ids=["past-cap", "float", "string"])
+    def test_bad_modulus_exits_2(self, tmp_path, p):
+        doc = dict(LEDRAPPIER, p=p, g=[])
+        res = subprocess.run(CLI + ["analyze", write(tmp_path, "p.json", doc)],
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2
+        assert "bad-modulus" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_laurent_analyze(self, tmp_path):
         res = run("analyze", write(tmp_path, "led.json", LEDRAPPIER))
         assert res.returncode == 0

@@ -1,13 +1,15 @@
 """Differential tests of the finite-orbit primitives against sympy: the
 cyclotomic split of a characteristic polynomial against sympy's
-factorization, and the finite-orbit kernel against sympy's nullspace."""
+factorization, and the finite-orbit kernel and the largest ergodic
+subgroup's dual subspace against sympy's nullspace."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from ergodec import Matrix, Subspace, orders_with_totient_at_most
+from ergodec import (Matrix, Subspace, largest_ergodic_subgroup,
+                     orders_with_totient_at_most, solenoid_action)
 from ergodec.intpoly import cyclotomic_split
 from ergodec.matrices import fixed_by_power, singular_cyclotomic_orders
 from factories import (commuting_mixed_family, commuting_unipotent_family,
@@ -84,16 +86,28 @@ def test_cyclotomic_split_matches_sympy(gens):
             == sorted(orders)
 
 
-@pytest.mark.parametrize("gens", FAMILIES)
-def test_finite_orbit_kernel_matches_sympy_nullspace(gens):
+def sympy_common_kernel(mats, power):
+    """Nullspace of the c(x)**power stacked over mats, c the product of
+    the distinct cyclotomic factors of x's characteristic polynomial."""
     blocks = []
-    for g in gens:
+    for g in mats:
         c = sp.Integer(1)
         for d in sympy_cyclotomic_split(g)[0]:
             c *= sp.cyclotomic_poly(d, X)
-        blocks.append(at_matrix(sp.Poly(c, X), to_sympy(g)))
+        blocks.append(at_matrix(sp.Poly(c, X), to_sympy(g)) ** power)
     null = sp.Matrix.vstack(*blocks).nullspace()
-    n = gens[0].nrows
-    expected = Subspace.span(n, [tuple(Fraction(int(x.p), int(x.q)) for x in v)
-                                 for v in null])
-    assert fixed_by_power(gens) == expected
+    return Subspace.span(mats[0].nrows, [tuple(Fraction(int(x.p), int(x.q)) for x in v)
+                                         for v in null])
+
+
+@pytest.mark.parametrize("gens", FAMILIES)
+def test_finite_orbit_kernel_matches_sympy_nullspace(gens):
+    assert fixed_by_power(gens) == sympy_common_kernel(gens, 1)
+
+
+@pytest.mark.parametrize("gens", [gens for gens in FAMILIES
+                                  if all(a * b == b * a for a in gens for b in gens)])
+def test_largest_ergodic_subgroup_matches_sympy_nullspace(gens):
+    action = solenoid_action(gens)
+    w, _ = largest_ergodic_subgroup(action)
+    assert w == sympy_common_kernel(action.dual_generators, action.dim)

@@ -12,6 +12,8 @@ FIB = {"type": "toral", "r": 2, "generators": [[[0, 1], [1, 1]]]}
 BLOCK_PAIR = {"type": "toral", "r": 4, "generators": [
     [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]]}
+FIB_IDENTITY = {"type": "toral", "r": 4, "generators": [
+    [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}
 
 
 def fresh_report(tmp_path, capsys, command, doc):
@@ -64,3 +66,18 @@ def test_tampered_certificate_fails_replay(tmp_path, capsys, doc, tamper):
     assert replay_report(report)["failures"] == []
     tamper(report["results"])
     assert replay_report(report)["failures"]
+
+
+@pytest.mark.parametrize("forged,failure", [
+    (Subspace.zero(4), "quotient has a finite-orbit character"),
+    (Subspace.span(4, [(0, 0, 1, 0)]), "quotient has a finite-orbit character"),
+    (Subspace.full(4), "a generator is not quasi-unipotent on the subspace"),
+], ids=["zero", "span-e3", "full"])
+def test_forged_largest_subgroup_fails_replay(tmp_path, capsys, forged, failure):
+    report = fresh_report(tmp_path, capsys, "analyze", FIB_IDENTITY)
+    results = report["results"]
+    assert results["largest_ergodic_subgroup"]["subspace"] == encode_subspace(
+        Subspace.span(4, [(0, 0, 1, 0), (0, 0, 0, 1)]))
+    assert replay_report(report)["failures"] == []
+    results["largest_ergodic_subgroup"]["subspace"] = encode_subspace(forged)
+    assert replay_report(report)["failures"] == [failure]

@@ -10,9 +10,10 @@ from ergodec import (Matrix, NotErgodicGroupError, Subspace, VerdictKind,
                      is_ergodic_group, largest_ergodic_subgroup, mixing_flag,
                      orders_with_totient_at_most, poly_gcd, root_of_unity_lcm,
                      solenoid_action, toral_action)
+from ergodec.encoding import encode_subspace
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, ergodic_distal_pair, fibonacci_matrix,
-                       random_unimodular)
+                       random_unimodular, random_unipotent)
 
 
 def fib_action():
@@ -144,17 +145,43 @@ class TestLargestErgodicSubgroup:
     def test_fibonacci_whole_torus(self):
         w, report = largest_ergodic_subgroup(fib_action())
         assert w.is_zero
-        assert report["rounds"] == []
+        assert report["subspace"] == encode_subspace(w)
 
     def test_shear_trivial_subgroup(self):
         w, report = largest_ergodic_subgroup(shear_action())
         assert w.is_full
-        assert report["rounds"] == [1, 2]
+        assert report["subspace"] == encode_subspace(w)
 
     def test_block_with_identity(self):
         act = toral_action([Matrix.block_diag(fibonacci_matrix(), Matrix.identity(2))])
         w, _ = largest_ergodic_subgroup(act)
         assert w == Subspace.span(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+
+    @pytest.mark.parametrize("action,basis", [
+        (toral_action([Matrix.block_diag(fibonacci_matrix(), rotation_action().generators[0])]),
+         [(0, 0, 1, 0), (0, 0, 0, 1)]),
+        (block_pair_action(), []),
+    ], ids=["fibonacci-rotation", "block-pair"])
+    def test_common_root_of_unity_kernel(self, action, basis):
+        w, report = largest_ergodic_subgroup(action)
+        assert w == Subspace.span(4, basis)
+        assert report["subspace"] == encode_subspace(w)
+
+    def test_equals_filtration_residual(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            alpha, beta = ergodic_distal_pair(rng, max_dim=4)
+            u = random_unipotent(rng, rng.randint(1, 2))
+            families = [
+                commuting_mixed_family(rng, max_dim=4),
+                commuting_unipotent_family(rng, max_dim=4),
+                [alpha, beta],
+                [Matrix.block_diag(alpha, u), Matrix.block_diag(beta, Matrix.identity(u.nrows))],
+            ]
+            for gens in families:
+                act = toral_action(gens)
+                w, _ = largest_ergodic_subgroup(act)
+                assert w == ergodic_distal_filtration(act).residual
 
 
 class TestFiltration:
