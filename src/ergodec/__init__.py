@@ -4,9 +4,8 @@ integer matrix actions on tori, rational matrix actions on solenoids, and
 coordinate translations on duals of cyclic Laurent quotient modules."""
 
 from .actions import (LaurentCyclicAction, ProductDemoSpec, SolenoidAction,
-                      ToralAction, build_action, dual_element, dual_matrix,
-                      element, laurent_cyclic_action, solenoid_action,
-                      toral_action)
+                      ToralAction, build_action, dual_element, element,
+                      laurent_cyclic_action, solenoid_action, toral_action)
 from .errors import (InternalCheckError, Issue, NotErgodicGroupError,
                      SearchExhaustedError, ValidationError)
 from .intpoly import (Polynomial, cyclotomic, euler_phi,
@@ -34,7 +33,7 @@ __all__ = [
     "ToralAction", "ValidationError", "Verdict", "VerdictKind", "build_action",
     "bivar_common_factor", "bivar_gcd", "char_poly", "content_in",
     "cross_validate", "cyclotomic", "default_k_max", "direction_is_ergodic",
-    "direction_power_minus_one", "dual_element", "dual_matrix", "element",
+    "direction_power_minus_one", "dual_element", "element",
     "ergodic_distal_filtration", "euler_phi", "find_ergodic_direction",
     "find_ergodic_exponents", "finite_orbit_subspace", "group_is_ergodic",
     "is_distal_element", "is_distal_group", "is_ergodic_element",

@@ -5,7 +5,9 @@ tori (unimodular generators), rational matrix groups on solenoids
 (invertible generators), and coordinate translation groups on duals of
 cyclic Laurent quotient modules over a prime field.  Validation collects
 every failure before reporting, and each validated action carries the
-dual generators the engines actually compute with.
+dual generators the engines actually compute with: the transposes of
+the generators, since a character chi composed with the matrix A is the
+character A^T chi.
 """
 
 from __future__ import annotations
@@ -81,11 +83,6 @@ class ProductDemoSpec:
             raise ValueError("box radius must be positive")
 
 
-def dual_matrix(m: Matrix) -> Matrix:
-    """Matrix of the dual automorphism: inverse transpose."""
-    return m.transpose().inverse()
-
-
 # Primality is decided by trial division, so the modulus is capped.
 _MAX_MODULUS = 2 ** 31
 
@@ -141,12 +138,7 @@ def toral_action(generators) -> ToralAction:
     issues.extend(_matrix_issues(mats, dim, unimodular=True))
     if issues:
         raise ValidationError(issues)
-    duals = tuple(dual_matrix(m) for m in mats)
-    for d in duals:
-        if not d.is_integral:
-            raise ValidationError([Issue("not-unimodular", (),
-                                         "dual generator is not integral")])
-    return ToralAction(dim, mats, duals)
+    return ToralAction(dim, mats, tuple(m.transpose() for m in mats))
 
 
 def solenoid_action(generators) -> SolenoidAction:
@@ -158,7 +150,7 @@ def solenoid_action(generators) -> SolenoidAction:
     issues = _matrix_issues(mats, dim, unimodular=False)
     if issues:
         raise ValidationError(issues)
-    return SolenoidAction(dim, mats, tuple(dual_matrix(m) for m in mats))
+    return SolenoidAction(dim, mats, tuple(m.transpose() for m in mats))
 
 
 def laurent_cyclic_action(p: int, nvars: int, presenter: LaurentPoly) -> LaurentCyclicAction:

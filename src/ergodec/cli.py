@@ -7,7 +7,8 @@ report body.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure,
 3 hypothesis failure (the group is not ergodic), 4 certificate replay
-failure under --verify-report.
+failure under --verify-report, 5 internal check failure (two routes
+that must agree did not; this is a bug).
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import time
 
 from . import encoding, laurent_engine, oracle, replay, toral
 from .actions import ProductDemoSpec, build_action, element
-from .errors import NotErgodicGroupError, SearchExhaustedError, ValidationError
+from .errors import (InternalCheckError, NotErgodicGroupError, SearchExhaustedError,
+                     ValidationError)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -164,9 +166,7 @@ def cmd_filtration(args) -> dict:
     doc, action = _action_from_file(args.file)
     if action.kind == "laurent":
         raise _CliExit(2, "filtration is defined for toral and solenoid actions")
-    report = toral.ergodic_distal_filtration(action)
-    results = report.to_payload()
-    results["dims"] = list(report.dims())
+    results = toral.ergodic_distal_filtration(action).to_payload()
     return _report("filtration", doc, args, results)
 
 
@@ -260,6 +260,9 @@ def main(argv=None) -> int:
     except _CliExit as exc:
         sys.stderr.write(exc.message + "\n")
         return exc.code
+    except InternalCheckError as exc:
+        sys.stderr.write(f"internal check failed: {exc}\n")
+        return 5
     if args.verify_report:
         round_tripped = json.loads(json.dumps(report, sort_keys=True))
         verification = replay.replay_report(round_tripped)

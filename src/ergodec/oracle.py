@@ -1,11 +1,13 @@
 """Brute-force verification of the dual orbit semantics.
 
-Orbits are walked character by character over the dual generators and
-their inverses, and finiteness means the frontier emptied.  The walk is
-the same breadth-first walker (matrices.walk_orbit) that the engine uses
-to enumerate a finite orbit for a certificate, but the oracle decides
-finiteness only by walking: it never consults the analytic finite-orbit
-subspace, except to compare against it.  A walk that gives up (too many
+Orbits are walked character by character over the dual generators
+alone, and finiteness means the frontier emptied: a generator permutes
+any finite set it maps into itself, so a finite closure under the
+generators is the group orbit.  The walk is the same breadth-first
+walker (matrices.walk_orbit) that the engine uses to enumerate a finite
+orbit for a certificate, but the oracle decides finiteness only by
+walking: it never consults the analytic finite-orbit subspace, except
+to compare against it.  A walk that gives up (too many
 characters visited, or coordinates past the size guard) certifies
 nothing; only the analytic side can assert an orbit is infinite.
 Cross-validation walks a whole box of characters, shares work between
@@ -55,9 +57,7 @@ def _compile_map(rows):
 
 
 def _orbit_maps(action):
-    """Each dual generator and its inverse, the transposed generator."""
-    return [_compile_map(m.rows) for g, d in zip(action.generators, action.dual_generators)
-            for m in (d, g.transpose())]
+    return [_compile_map(d.rows) for d in action.dual_generators]
 
 
 def _require_toral(action):
@@ -70,7 +70,7 @@ def orbit_bfs(action, chi, cap: int,
     """Breadth-first walk of the group orbit of an integer character.
 
     Finite status is re-verified on output: the enumerated set must be
-    closed under every dual generator and inverse.  The walk gives up
+    closed under every dual generator.  The walk gives up
     once more than cap characters are visited or a coordinate outgrows
     the bit guard; both outcomes are reported as exceeded-cap with the
     reason recorded, and certify nothing.

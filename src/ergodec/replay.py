@@ -9,10 +9,11 @@ consults the engines' verdict logic beyond shared exact primitives.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import encoding
-from .actions import build_action, dual_element
+from .actions import build_action, dual_element, element
 from .intpoly import cyclotomic_product, cyclotomic_split, orders_with_totient_at_most
 from .laurent import (bivar_gcd, content_in, direction_power_minus_one,
                       laurent_divides)
@@ -21,9 +22,26 @@ from .matrices import (Matrix, cyclotomic_orders, fixed_by_power, quasi_unipoten
                        walk_orbit)
 
 
+# The verdict each toral or solenoid certificate kind proves.
+_PROVES = {
+    "no-root-of-unity-eigenvalue": "ergodic",
+    "zero-finite-orbit-subspace": "ergodic",
+    "witness-character": "not-ergodic",
+    "cyclotomic-char-poly": "distal",
+    "all-generators-quasi-unipotent": "distal",
+    "non-cyclotomic-factor": "not-distal",
+    "non-quasi-unipotent-generator": "not-distal",
+}
+
+
 def _check(condition: bool, failures: list, what: str) -> None:
     if not condition:
         failures.append(what)
+
+
+def _check_kind(payload: dict, failures: list) -> None:
+    _check(payload["kind"] == _PROVES.get(payload["certificate"]["kind"]), failures,
+           "verdict kind is not the one its certificate proves")
 
 
 def _power_fixes(vector, matrix: Matrix, power: int) -> bool:
@@ -35,6 +53,7 @@ def _power_fixes(vector, matrix: Matrix, power: int) -> bool:
 
 
 def replay_element_verdict(action, exponents, payload: dict, failures: list) -> None:
+    _check_kind(payload, failures)
     cert = payload["certificate"]
     kind = cert["kind"]
     data = cert["data"]
@@ -75,6 +94,7 @@ def replay_element_verdict(action, exponents, payload: dict, failures: list) -> 
 
 
 def replay_group_verdict(action, payload: dict, failures: list) -> None:
+    _check_kind(payload, failures)
     cert = payload["certificate"]
     kind = cert["kind"]
     data = cert["data"]
@@ -88,18 +108,27 @@ def replay_group_verdict(action, payload: dict, failures: list) -> None:
         for d in duals:
             _check(_power_fixes(chi, d, data["power"]), failures,
                    "witness character is not fixed by a generator power")
-        orbit = [encoding.decode_vector(v) for v in data["orbit"]]
-        orbit_set = set(orbit)
-        _check(tuple(chi) in orbit_set, failures, "orbit does not contain the witness")
-        _check(len(orbit_set) == data["orbit_size"], failures, "orbit size mismatch")
-        maps = [f for g, d in zip(action.generators, duals) for f in (d, g.transpose())]
-        for v in orbit:
-            for m in maps:
-                _check(m.matvec(v) in orbit_set, failures, "orbit is not closed")
+        orbit = {encoding.decode_vector(v) for v in data["orbit"]}
+        _check(len(orbit) == data["orbit_size"], failures, "orbit size mismatch")
+        seen, stop, _ = walk_orbit([d.matvec for d in duals], chi, len(orbit))
+        _check(stop is None and seen == orbit, failures,
+               "orbit is not the witness's orbit under the generators")
     elif kind in ("all-generators-quasi-unipotent", "non-quasi-unipotent-generator"):
-        for i, sub in enumerate(data["generators"]):
+        subs = data["generators"]
+        _check(len(subs) == action.n_generators, failures,
+               "not one distality certificate per generator")
+        verdicts = ["distal" if sub["kind"] == "cyclotomic-char-poly" else "not-distal"
+                    for sub in subs]
+        if kind == "all-generators-quasi-unipotent":
+            _check("not-distal" not in verdicts, failures, "a generator is not distal")
+        else:
+            first = verdicts.index("not-distal") + 1 if "not-distal" in verdicts else None
+            _check(data["generator"] == first, failures,
+                   "stated generator is not the first non-distal one")
+        for i, (verdict, sub) in enumerate(zip(verdicts, subs)):
             exps = tuple(1 if j == i else 0 for j in range(action.n_generators))
-            replay_element_verdict(action, exps, {"certificate": sub}, failures)
+            replay_element_verdict(action, exps, {"kind": verdict, "certificate": sub},
+                                   failures)
     else:
         failures.append(f"unknown group certificate kind {kind!r}")
 
@@ -127,6 +156,14 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
 def replay_filtration(action, payload: dict, failures: list) -> None:
     chain = [encoding.decode_subspace(w) for w in payload["chain"]]
     duals = action.dual_generators
+    _check(len(chain) == len(duals) + 1, failures, "chain does not have one stage per generator")
+    _check(payload["dims"] == [w.dim for w in chain], failures,
+           "dims differ from the chain's dimensions")
+    _check(payload["attributions"] == [
+        {"stage": i, "generator": i, "dim_from": prev.dim, "dim_to": cur.dim,
+         "ergodic_on_quotient": True}
+        for i, (prev, cur) in enumerate(zip(chain, chain[1:]), start=1)], failures,
+        "attributions do not match the chain stage by stage")
     _check(chain[0].is_full, failures, "chain does not start at the full space")
     nested = all(prev.contains_subspace(cur) for prev, cur in zip(chain, chain[1:]))
     _check(nested, failures, "chain is not decreasing")
@@ -138,14 +175,44 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
            "group flag disagrees with the residual")
     if not (nested and invariant):
         return  # the stage quotients and the restriction to the tail need both
-    for entry, (prev, cur) in zip(payload["attributions"], zip(chain, chain[1:])):
-        d = duals[entry["generator"] - 1]
+    for d, (prev, cur) in zip(duals, zip(chain, chain[1:])):
         if prev.dim == cur.dim:
             continue
         _check(fixed_by_power([stage_quotient(d, prev, cur)]).is_zero, failures,
                "stage quotient has a finite-orbit character")
     _check(all(quasi_unipotent_on(d, chain[-1]) for d in duals), failures,
            "a generator is not quasi-unipotent on the residual")
+
+
+def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> None:
+    """Re-derive the cross-validation counts.  Every box character in the
+    finite-orbit subspace must close its orbit within the cap, and every
+    other one counts as exceeded without a walk: the analytic side
+    already proves its orbit infinite."""
+    bound, cap = results["norm_bound"], results["cap"]
+    _check(bound == flags.get("norm-bound") and cap == flags.get("cap"), failures,
+           "norm bound or cap differs from the flags")
+    fixed = fixed_by_power(action.dual_generators)
+    maps = [d.matvec for d in action.dual_generators]
+    box = [chi for chi in itertools.product(range(-bound, bound + 1), repeat=action.dim)
+           if any(chi)]
+    inside = [chi for chi in box if fixed.contains(chi)]
+    closed: set = set()
+    for chi in inside:
+        if chi in closed:
+            continue
+        seen, stop, _ = walk_orbit(maps, chi, cap)
+        if stop is not None:
+            failures.append("a finite-orbit character's orbit does not close within the cap")
+            break
+        closed |= seen
+    _check(results["characters_checked"] == len(box), failures,
+           "characters checked is not the size of the box")
+    _check(results["finite_orbits"] == len(inside)
+           and results["exceeded"] == len(box) - len(inside), failures,
+           "finite and exceeded counts differ from the finite-orbit subspace")
+    _check(results["consistent"] is True and not results["failures"], failures,
+           "cross-validation recorded failures")
 
 
 def replay_bounded_verdict(action, payload: dict, failures: list) -> None:
@@ -218,7 +285,12 @@ def replay_report(report: dict) -> dict:
         action = build_action(report["input"])
     if command == "analyze":
         if action.kind in ("toral", "solenoid"):
-            for entry in results["generators"]:
+            entries = results["generators"]
+            _check([e["index"] for e in entries] == list(range(1, action.n_generators + 1)),
+                   failures, "generator entries are not one per generator in order")
+            for entry in entries:
+                _check(entry["mixing_of_all_orders"] == (entry["ergodic"]["kind"] == "ergodic"),
+                       failures, "mixing flag differs from the ergodic verdict")
                 exps = tuple(1 if j == entry["index"] - 1 else 0
                              for j in range(action.n_generators))
                 replay_element_verdict(action, exps, entry["ergodic"], failures)
@@ -241,8 +313,10 @@ def replay_report(report: dict) -> dict:
         if action.kind in ("toral", "solenoid"):
             replay_group_verdict(action, results["group"], failures)
             checked += 1
-            replay_element_verdict(action, tuple(results["exponents"]),
-                                   results["verdict"], failures)
+            exps = tuple(results["exponents"])
+            _check(results["element_matrix"] == encoding.encode_matrix(element(action, exps)),
+                   failures, "element matrix is not the product of generator powers")
+            replay_element_verdict(action, exps, results["verdict"], failures)
             checked += 1
         else:
             replay_bounded_verdict(action, results["group"], failures)
@@ -253,8 +327,7 @@ def replay_report(report: dict) -> dict:
         replay_filtration(action, results, failures)
         checked += 1
     elif command == "oracle-check":
-        _check(results["consistent"] and not results["failures"], failures,
-               "cross-validation recorded failures")
+        replay_oracle_check(action, report["flags"], results, failures)
         checked += 1
     elif command == "demo-e2":
         replay_demo(results, failures)

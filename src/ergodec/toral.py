@@ -82,6 +82,7 @@ class FiltrationReport:
     def to_payload(self) -> dict:
         return {
             "chain": [encoding.encode_subspace(w) for w in self.chain],
+            "dims": list(self.dims()),
             "attributions": list(self.attributions),
             "residual": encoding.encode_subspace(self.residual),
             "group_ergodic": self.group_ergodic,
@@ -157,10 +158,10 @@ def finite_orbit_subspace(action) -> Subspace:
 
 
 def _enumerate_finite_orbit(action, chi):
-    """Full group orbit of a character known to be finite (closed walk
-    over the dual generators and their inverses, the transposes)."""
-    maps = [f.matvec for g, d in zip(action.generators, action.dual_generators)
-            for f in (d, g.transpose())]
+    """Full group orbit of a character known to be finite: the closed
+    walk over the dual generators.  Each generator permutes a finite
+    invariant set, so the set is closed under the inverses as well."""
+    maps = [d.matvec for d in action.dual_generators]
     seen, stop, _ = walk_orbit(maps, chi, _ORBIT_ENUMERATION_CAP)
     if stop is not None:
         raise InternalCheckError("orbit enumeration exceeded the safety cap")

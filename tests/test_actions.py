@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from ergodec import (LaurentPoly, Matrix, ValidationError, build_action,
-                     dual_element, dual_matrix, element, laurent_cyclic_action,
+                     dual_element, element, laurent_cyclic_action,
                      solenoid_action, toral_action)
-from factories import fibonacci_matrix, random_unimodular
+from factories import fibonacci_matrix
 
 
 class TestValidation:
@@ -55,32 +55,6 @@ class TestValidation:
         g = LaurentPoly.from_terms(2, 2, {(-1, 0): 1, (0, 1): 1, (-1, 1): 1})
         act = laurent_cyclic_action(2, 2, g)
         assert act.presenter.is_canonical()
-
-
-class TestDualMatrix:
-    def test_identity(self):
-        assert dual_matrix(Matrix.identity(3)) == Matrix.identity(3)
-
-    def test_fibonacci(self):
-        assert dual_matrix(fibonacci_matrix()) == Matrix.from_rows([[-1, 1], [1, 0]])
-
-    def test_rotation_self_dual(self):
-        rot = Matrix.from_rows([[0, -1], [1, 0]])
-        assert dual_matrix(rot) == rot
-
-    def test_involution(self):
-        rng = random.Random(53)
-        for _ in range(20):
-            p = random_unimodular(rng, rng.randint(1, 4))
-            assert dual_matrix(dual_matrix(p)) == p
-
-    def test_dual_of_toral_generator_is_integral_unimodular(self):
-        rng = random.Random(59)
-        for _ in range(20):
-            p = random_unimodular(rng, 3)
-            d = dual_matrix(p)
-            assert d.is_integral
-            assert d.det() in (1, -1)
 
 
 class TestElement:

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from ergodec import toral
+from ergodec.cli import main
+
 CLI = [sys.executable, "-m", "ergodec.cli"]
 
 FIB = {"type": "toral", "r": 2, "generators": [[[0, 1], [1, 1]]]}
@@ -87,6 +90,13 @@ class TestAnalyze:
         assert res.returncode == 2
         assert "bad-modulus" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_internal_check_failure_exits_5(self, tmp_path, capsys, monkeypatch):
+        # the determinant route claims order 1, which the division route rules out
+        monkeypatch.setattr(toral, "singular_cyclotomic_orders", lambda x, orders: [1])
+        assert main(["analyze", write(tmp_path, "fib.json", FIB)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: ") and err.count("\n") == 1
 
     def test_laurent_analyze(self, tmp_path):
         res = run("analyze", write(tmp_path, "led.json", LEDRAPPIER))

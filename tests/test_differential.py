@@ -100,9 +100,18 @@ def sympy_common_kernel(mats, power):
                                          for v in null])
 
 
+def inverse_transposes(mats):
+    return [m.transpose().inverse() for m in mats]
+
+
 @pytest.mark.parametrize("gens", FAMILIES)
 def test_finite_orbit_kernel_matches_sympy_nullspace(gens):
+    """The transposes, which are the duals, and their inverses have the
+    same kernel, since cyclotomic polynomials are reciprocal up to sign."""
     assert fixed_by_power(gens) == sympy_common_kernel(gens, 1)
+    duals = [g.transpose() for g in gens]
+    assert fixed_by_power(duals) == sympy_common_kernel(duals, 1) \
+        == sympy_common_kernel(inverse_transposes(gens), 1)
 
 
 @pytest.mark.parametrize("gens", [gens for gens in FAMILIES
@@ -110,4 +119,5 @@ def test_finite_orbit_kernel_matches_sympy_nullspace(gens):
 def test_largest_ergodic_subgroup_matches_sympy_nullspace(gens):
     action = solenoid_action(gens)
     w, _ = largest_ergodic_subgroup(action)
-    assert w == sympy_common_kernel(action.dual_generators, action.dim)
+    assert w == sympy_common_kernel(action.dual_generators, action.dim) \
+        == sympy_common_kernel(inverse_transposes(gens), action.dim)

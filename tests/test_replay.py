@@ -14,12 +14,15 @@ BLOCK_PAIR = {"type": "toral", "r": 4, "generators": [
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]]}
 FIB_IDENTITY = {"type": "toral", "r": 4, "generators": [
     [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}
+FIB_TWICE = {"type": "toral", "r": 2, "generators": [[[0, 1], [1, 1]], [[0, 1], [1, 1]]]}
+SHEAR = {"type": "toral", "r": 2, "generators": [[[1, 1], [0, 1]]]}
+IDENTITY = {"type": "toral", "r": 2, "generators": [[[1, 0], [0, 1]]]}
 
 
-def fresh_report(tmp_path, capsys, command, doc):
+def fresh_report(tmp_path, capsys, command, doc, *flags):
     path = tmp_path / "action.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main([command, str(path)]) == 0
+    assert main([command, str(path), *flags]) == 0
     return json.loads(capsys.readouterr().out)
 
 
@@ -81,3 +84,71 @@ def test_forged_largest_subgroup_fails_replay(tmp_path, capsys, forged, failure)
     assert replay_report(report)["failures"] == []
     results["largest_ergodic_subgroup"]["subspace"] = encode_subspace(forged)
     assert replay_report(report)["failures"] == [failure]
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def tamper(results):
+        target = results
+        for step in path:
+            target = target[step]
+        target[key] = value
+    return tamper
+
+
+def _swap_generator_indices(results):
+    first, second = results["generators"]
+    first["index"], second["index"] = 2, 1
+
+
+def _drop_second_generator(results):
+    del results["generators"][1]
+
+
+def _forged_distal_group(results):
+    verdict = results["group"]["distal"]
+    verdict["kind"] = "distal"
+    verdict["certificate"]["kind"] = "all-generators-quasi-unipotent"
+
+
+def _group_orbit_superset(results):
+    data = results["group"]["ergodic"]["certificate"]["data"]
+    assert data["orbit"] == [[1, 0]]
+    data["orbit"], data["orbit_size"] = [[0, 1], [1, 0]], 2  # closed, but two orbits
+
+
+ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
+
+
+@pytest.mark.parametrize("command,doc,flags,tamper", [
+    ("analyze", FIB, (), _set("generators", 0, "mixing_of_all_orders", False)),
+    ("analyze", FIB, (), _set("generators", 0, "ergodic", "kind", "not-ergodic")),
+    ("analyze", FIB_TWICE, (), _swap_generator_indices),
+    ("analyze", FIB_TWICE, (), _drop_second_generator),
+    ("analyze", FIB_TWICE, (), _set("group", "distal", "certificate", "data", "generator", 2)),
+    ("analyze", FIB, (), _forged_distal_group),
+    ("analyze", IDENTITY, (), _group_orbit_superset),
+    ("find-ergodic", FIB, (), _set("element_matrix", [[1, 1], [1, 2]])),
+    ("filtration", FIB_TWICE, (), _set("dims", [2, 1, 0])),
+    ("filtration", FIB_TWICE, (), _set("attributions", 0, "stage", 2)),
+    ("filtration", FIB_TWICE, (), _set("attributions", 0, "generator", 2)),
+    ("filtration", FIB_TWICE, (), _set("attributions", 0, "dim_from", 1)),
+    ("filtration", FIB_TWICE, (), _set("attributions", 0, "dim_to", 1)),
+    ("filtration", FIB_TWICE, (), _set("attributions", 1, "ergodic_on_quotient", False)),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, _set("finite_orbits", 5)),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, _set("exceeded", 19)),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, _set("characters_checked", 25)),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, _set("norm_bound", 3)),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, _set("cap", 100)),
+], ids=["mixing-flag", "verdict-kind", "generator-index", "generator-count",
+        "not-distal-generator", "distal-group-kind", "group-orbit", "element-matrix",
+        "filtration-dims",
+        "attribution-stage", "attribution-generator", "attribution-dim-from",
+        "attribution-dim-to", "attribution-ergodic", "finite-orbits", "exceeded",
+        "characters-checked", "norm-bound", "cap"])
+def test_tampered_derived_field_fails_replay(tmp_path, capsys, command, doc, flags, tamper):
+    report = fresh_report(tmp_path, capsys, command, doc, *flags)
+    assert replay_report(report)["failures"] == []
+    tamper(report["results"])
+    assert replay_report(report)["failures"]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ergodec import (Matrix, NotErgodicGroupError, Subspace, VerdictKind,
+from ergodec import (Matrix, NotErgodicGroupError, Subspace, ToralAction, VerdictKind,
                      cyclotomic, dual_element, ergodic_distal_filtration,
                      find_ergodic_exponents, finite_orbit_subspace,
                      is_distal_element, is_distal_group, is_ergodic_element,
@@ -285,6 +285,50 @@ class TestInvariances:
                         == is_ergodic_element(dual_act, exps).kind)
                 assert (is_distal_element(act, exps).kind
                         == is_distal_element(dual_act, exps).kind)
+
+
+def inverse_transpose_action(act):
+    """The same group with the contragredient duals (A^T)^-1 in place of
+    the transposes."""
+    return ToralAction(act.dim, act.generators,
+                       tuple(g.transpose().inverse() for g in act.generators))
+
+
+def transpose_dual_families():
+    """Factories families, some with a rotation block of order 3, 4 or 6."""
+    rng = random.Random(97)
+    rotations = [Matrix.from_rows(rows) for rows in (
+        [[0, -1], [1, 0]], [[0, -1], [1, -1]], [[0, -1], [1, 1]])]
+    out = []
+    for _ in range(8):
+        out.append(commuting_mixed_family(rng, max_dim=4))
+        out.append(commuting_unipotent_family(rng, max_dim=4))
+        alpha, beta = ergodic_distal_pair(rng, max_dim=4)
+        rot = rng.choice(rotations)
+        p = random_unimodular(rng, alpha.nrows + 2)
+        out.append([conjugate(Matrix.block_diag(g, rot), p) for g in (alpha, beta)])
+    return out
+
+
+class TestTransposeDual:
+    @pytest.mark.parametrize("gens", transpose_dual_families())
+    def test_inverse_transpose_duals_give_the_same_results(self, gens):
+        act = toral_action(gens)
+        old = inverse_transpose_action(act)
+        assert finite_orbit_subspace(act) == finite_orbit_subspace(old)
+        assert largest_ergodic_subgroup(act)[0] == largest_ergodic_subgroup(old)[0]
+        assert ergodic_distal_filtration(act).chain == ergodic_distal_filtration(old).chain
+        group, old_group = is_ergodic_group(act), is_ergodic_group(old)
+        assert group.kind == old_group.kind
+        if not group.is_ergodic:
+            data, old_data = group.certificate.data, old_group.certificate.data
+            assert data["character"] == old_data["character"]
+            assert set(map(tuple, data["orbit"])) == set(map(tuple, old_data["orbit"]))
+        n = act.n_generators
+        for exps in [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)] \
+                + [(1,) * n, tuple(range(1, n + 1))]:
+            assert is_ergodic_element(act, exps).kind == is_ergodic_element(old, exps).kind
+            assert is_distal_element(act, exps).kind == is_distal_element(old, exps).kind
 
 
 class TestKolchinProperty:
