@@ -9,13 +9,13 @@ from .actions import (LaurentCyclicAction, ProductDemoSpec, SolenoidAction,
 from .errors import (InternalCheckError, Issue, NotErgodicGroupError,
                      SearchExhaustedError, ValidationError)
 from .intpoly import (Polynomial, cyclotomic, euler_phi,
-                      orders_with_totient_at_most, poly_gcd, root_of_unity_lcm)
+                      orders_with_totient_at_most, poly_gcd)
 from .laurent import (LaurentPoly, bivar_common_factor, bivar_gcd, content_in,
                       direction_power_minus_one, laurent_divides, laurent_gcd_1d)
 from .laurent_engine import (BoundedVerdict, BoundedVerdictKind, default_k_max,
                              direction_is_ergodic, find_ergodic_direction,
                              group_is_ergodic, orbit_probe)
-from .matrices import Matrix, Subspace, char_poly, kernel
+from .matrices import Matrix, Subspace, kernel
 from .oracle import OrbitResult, cross_validate, orbit_bfs, product_action_demo
 from .toral import (Certificate, FiltrationReport, Verdict, VerdictKind,
                     ergodic_distal_filtration, find_ergodic_exponents,
@@ -31,7 +31,7 @@ __all__ = [
     "Matrix", "NotErgodicGroupError", "OrbitResult", "Polynomial",
     "ProductDemoSpec", "SearchExhaustedError", "SolenoidAction", "Subspace",
     "ToralAction", "ValidationError", "Verdict", "VerdictKind", "build_action",
-    "bivar_common_factor", "bivar_gcd", "char_poly", "content_in",
+    "bivar_common_factor", "bivar_gcd", "content_in",
     "cross_validate", "cyclotomic", "default_k_max", "direction_is_ergodic",
     "direction_power_minus_one", "dual_element", "element",
     "ergodic_distal_filtration", "euler_phi", "find_ergodic_direction",
@@ -40,6 +40,6 @@ __all__ = [
     "is_ergodic_group", "kernel", "largest_ergodic_subgroup",
     "laurent_cyclic_action", "laurent_divides", "laurent_gcd_1d",
     "mixing_flag", "orbit_bfs", "orbit_probe", "orders_with_totient_at_most",
-    "poly_gcd", "product_action_demo", "root_of_unity_lcm", "solenoid_action",
+    "poly_gcd", "product_action_demo", "solenoid_action",
     "toral_action",
 ]

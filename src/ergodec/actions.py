@@ -12,6 +12,8 @@ character A^T chi.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .encoding import decode_scalar
@@ -171,28 +173,34 @@ def laurent_cyclic_action(p: int, nvars: int, presenter: LaurentPoly) -> Laurent
     return LaurentCyclicAction(p, nvars, presenter.canonical())
 
 
-def element(action, exponents) -> Matrix:
-    """Exact product of generator powers."""
-    gens = action.generators
+def _product_of_powers(gens, exponents, dim: int) -> Matrix:
+    """Exact product of the gens[i]**exponents[i]; for a unit exponent
+    vector, the generator object itself, so its cached spectrum is read."""
     if len(exponents) != len(gens):
         raise ValueError("one exponent per generator expected")
-    out = Matrix.identity(action.dim)
-    for g, e in zip(gens, exponents):
-        if e:
-            out = out * (g ** e)
-    return out
+    powers = [g ** e for g, e in zip(gens, exponents) if e]
+    return functools.reduce(operator.mul, powers) if powers else Matrix.identity(dim)
+
+
+def element(action, exponents) -> Matrix:
+    """Exact product of generator powers."""
+    return _product_of_powers(action.generators, exponents, action.dim)
 
 
 def dual_element(action, exponents) -> Matrix:
     """Dual matrix of the product of generator powers."""
-    gens = action.dual_generators
-    if len(exponents) != len(gens):
-        raise ValueError("one exponent per generator expected")
-    out = Matrix.identity(action.dim)
-    for g, e in zip(gens, exponents):
-        if e:
-            out = out * (g ** e)
-    return out
+    return _product_of_powers(action.dual_generators, exponents, action.dim)
+
+
+def positive_vectors(n: int, total: int):
+    """All-positive integer vectors with the given coordinate sum, in
+    lexicographic order."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(1, total - n + 2):
+        for rest in positive_vectors(n - 1, total - first):
+            yield (first,) + rest
 
 
 def build_action(doc: dict):

@@ -23,7 +23,7 @@ from .actions import ProductDemoSpec, build_action, element
 from .errors import (InternalCheckError, NotErgodicGroupError, SearchExhaustedError,
                      ValidationError)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -102,20 +102,18 @@ def _axis_directions(nvars: int):
 def cmd_analyze(args) -> dict:
     doc, action = _action_from_file(args.file)
     if action.kind in ("toral", "solenoid"):
-        generators, distals = [], []
+        generators = []
         for i in range(action.n_generators):
             exps = tuple(1 if j == i else 0 for j in range(action.n_generators))
             ergodic = toral.is_ergodic_element(action, exps)
-            distal = toral.is_distal_element(action, exps)
-            distals.append(distal)
             generators.append({
                 "index": i + 1,
                 "ergodic": ergodic.to_payload(),
-                "distal": distal.to_payload(),
+                "distal": toral.is_distal_element(action, exps).to_payload(),
                 "mixing_of_all_orders": toral.mixing_flag(ergodic),
             })
         group_ergodic = toral.is_ergodic_group(action)
-        group_distal = toral.distal_group_verdict(distals)
+        group_distal = toral.is_distal_group(action)
         subspace, sub_report = toral.largest_ergodic_subgroup(action)
         results = {
             "generators": generators,

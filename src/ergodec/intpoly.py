@@ -215,12 +215,6 @@ def orders_with_totient_at_most(r: int) -> list[int]:
     return [d for d in range(1, 2 * r * r + 2) if euler_phi(d) <= r]
 
 
-def root_of_unity_lcm(r: int) -> int:
-    """lcm of all orders of roots of unity that satisfy a rational
-    polynomial of degree at most r: exponential in r, a test reference."""
-    return math.lcm(*orders_with_totient_at_most(r))
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic(d: int) -> Polynomial:
     """The d-th cyclotomic polynomial, by iterated exact division of

@@ -9,8 +9,9 @@ subspaces is equality of representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .intpoly import (Polynomial, _norm_scalar, cyclotomic, cyclotomic_product,
@@ -106,6 +107,8 @@ class Matrix:
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square:
             raise DimensionError("power of a non-square matrix")
+        if k == 1:
+            return self
         if k < 0:
             return self.inverse() ** (-k)
         out = Matrix.identity(self.nrows)
@@ -178,6 +181,14 @@ class Matrix:
         coeffs_high_first = _berkowitz(self.rows)
         return Polynomial.from_coeffs(tuple(reversed(coeffs_high_first)))
 
+    @cached_property
+    def spectrum(self) -> "Spectrum":
+        """Root-of-unity eigenvalues, computed at most once per matrix."""
+        cp = self.char_poly()
+        orders = tuple(orders_with_totient_at_most(self.nrows))
+        factors, rest = cyclotomic_split(cp, orders)
+        return Spectrum(self, cp, orders, tuple(factors), rest)
+
     def _same_shape(self, other: "Matrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionError("shapes do not match")
@@ -208,10 +219,6 @@ def _berkowitz(rows) -> list:
                 s += v[k] * q[j]
         out.append(s)
     return out
-
-
-def char_poly(m: Matrix) -> Polynomial:
-    return m.char_poly()
 
 
 def rref(rows):
@@ -426,43 +433,66 @@ def _poly_at(p: Polynomial, powers) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def cyclotomic_orders(x: Matrix) -> list:
-    """Orders of the root-of-unity eigenvalues of a square rational matrix:
-    the d with cyclotomic(d) dividing its characteristic polynomial."""
-    factors, _ = cyclotomic_split(x.char_poly(), orders_with_totient_at_most(x.nrows))
-    return [d for d, _ in factors]
-
-
 def singular_cyclotomic_orders(x: Matrix, orders) -> list:
-    """The d in orders with cyclotomic(d) at x singular: the same orders
-    as cyclotomic_orders, by determinants instead of the characteristic
-    polynomial."""
+    """The d in orders with cyclotomic(d) at x singular: the orders of
+    the root-of-unity eigenvalues of x, by determinants instead of the
+    characteristic polynomial."""
     powers = _powers(x, max(map(euler_phi, orders), default=0))
     return [d for d in orders if _poly_at(cyclotomic(d), powers).det() == 0]
 
 
-def _cyclotomic_at(x: Matrix, orders) -> Matrix:
-    c = cyclotomic_product((d, 1) for d in orders)
-    return _poly_at(c, _powers(x, c.degree))
+@dataclass(frozen=True)
+class Spectrum:
+    """Which roots of unity are eigenvalues of a square rational matrix x.
+
+    Such an eigenvalue of an n-by-n x has an order d with phi(d) <= n, one
+    of the candidate_orders, so the cyclotomic factors of the
+    characteristic polynomial over those orders find them all: factors as
+    (d, count) pairs, and the cofactor rest, which is 1 exactly when x is
+    quasi-unipotent.  The determinant route, c(x) and c(x)**n, c the
+    product of the distinct cyclotomic factors, are computed when read."""
+
+    matrix: Matrix = field(repr=False, compare=False)
+    char_poly: Polynomial
+    candidate_orders: tuple
+    factors: tuple
+    rest: Polynomial
+
+    @property
+    def orders(self) -> list:
+        """The d with cyclotomic(d) dividing the characteristic polynomial."""
+        return [d for d, _ in self.factors]
+
+    @cached_property
+    def singular_orders(self) -> list:
+        """The same orders by the independent determinant route."""
+        return singular_cyclotomic_orders(self.matrix, self.candidate_orders)
+
+    @cached_property
+    def cyclotomic_at(self) -> Matrix:
+        """c(x): its kernel is the characters with a finite x-orbit."""
+        c = cyclotomic_product((d, 1) for d in self.orders)
+        return _poly_at(c, _powers(self.matrix, c.degree))
+
+    @cached_property
+    def unipotent_power(self) -> Matrix:
+        """c(x)**n: zero exactly when x is quasi-unipotent, and its kernel
+        is the sum of the generalized eigenspaces of x for roots of unity."""
+        return self.cyclotomic_at ** self.matrix.nrows
 
 
 def fixed_by_power(mats) -> Subspace:
     """Characters with a finite orbit under square matrices of one size:
-    the kernel of every c(x) stacked, c the product of cyclotomic(d) over
-    cyclotomic_orders(x).  As x**m - 1 is squarefree, this is the common
-    fixed space of the x**m for any m that all those orders divide."""
-    stacked = []
-    for x in mats:
-        stacked.extend(_cyclotomic_at(x, cyclotomic_orders(x)).rows)
-    return kernel(Matrix.from_rows(stacked))
+    the kernel of every c(x) stacked.  As x**m - 1 is squarefree, this
+    is the common fixed space of the x**m for any m that all the orders
+    of x's spectrum divide."""
+    return kernel(Matrix.from_rows(
+        [row for x in mats for row in x.spectrum.cyclotomic_at.rows]))
 
 
-def unipotent_power(x: Matrix, orders=None) -> Matrix:
-    """c(x)**n for an n-by-n x, c the product of cyclotomic(d) over the
-    given orders, by default cyclotomic_orders(x).  It is then zero
-    exactly when x is quasi-unipotent, and its kernel is the sum of the
-    generalized eigenspaces of x for roots of unity."""
-    return _cyclotomic_at(x, cyclotomic_orders(x) if orders is None else orders) ** x.nrows
+def unipotent_power(x: Matrix) -> Matrix:
+    """c(x)**n for an n-by-n x; see Spectrum.unipotent_power."""
+    return x.spectrum.unipotent_power
 
 
 def quasi_unipotent_on(x: Matrix, sub: Subspace) -> bool:
@@ -471,8 +501,7 @@ def quasi_unipotent_on(x: Matrix, sub: Subspace) -> bool:
     cyclotomic factors."""
     if sub.is_zero:
         return True
-    r = restrict_matrix(x, sub)
-    return cyclotomic_split(r.char_poly(), orders_with_totient_at_most(r.nrows))[1].is_one
+    return restrict_matrix(x, sub).spectrum.rest.is_one
 
 
 def walk_orbit(maps, start, cap: int, guard=None, known=None):

@@ -13,13 +13,12 @@ import itertools
 import math
 
 from . import encoding
-from .actions import build_action, dual_element, element
-from .intpoly import cyclotomic_product, cyclotomic_split, orders_with_totient_at_most
+from .actions import build_action, dual_element, element, positive_vectors
+from .intpoly import cyclotomic_product
 from .laurent import (bivar_gcd, content_in, direction_power_minus_one,
                       laurent_divides)
-from .matrices import (Matrix, cyclotomic_orders, fixed_by_power, quasi_unipotent_on,
-                       quotient_matrix, singular_cyclotomic_orders, stage_quotient,
-                       walk_orbit)
+from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
+                       stage_quotient, walk_orbit)
 
 
 # The verdict each toral or solenoid certificate kind proves.
@@ -39,7 +38,13 @@ def _check(condition: bool, failures: list, what: str) -> None:
         failures.append(what)
 
 
-def _check_kind(payload: dict, failures: list) -> None:
+# The verdict kinds each report slot may hold.
+_ERGODIC_SLOT = ("ergodic", "not-ergodic")
+_DISTAL_SLOT = ("distal", "not-distal")
+
+
+def _check_kind(payload: dict, slot: tuple, failures: list) -> None:
+    _check(payload["kind"] in slot, failures, "verdict kind does not belong in its slot")
     _check(payload["kind"] == _PROVES.get(payload["certificate"]["kind"]), failures,
            "verdict kind is not the one its certificate proves")
 
@@ -47,27 +52,25 @@ def _check_kind(payload: dict, failures: list) -> None:
 def _power_fixes(vector, matrix: Matrix, power: int) -> bool:
     """matrix**power fixes vector: its cyclic orbit closes within the lcm
     of the matrix's root-of-unity orders, and its length divides power."""
-    cap = math.lcm(*cyclotomic_orders(matrix))
+    cap = math.lcm(*matrix.spectrum.orders)
     seen, stop, _ = walk_orbit([matrix.matvec], tuple(vector), cap)
     return power > 0 and stop is None and power % len(seen) == 0
 
 
-def replay_element_verdict(action, exponents, payload: dict, failures: list) -> None:
-    _check_kind(payload, failures)
+def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
+                           failures: list) -> None:
+    _check_kind(payload, slot, failures)
     cert = payload["certificate"]
     kind = cert["kind"]
     data = cert["data"]
     b = dual_element(action, exponents)
+    spectrum = b.spectrum
     if kind == "no-root-of-unity-eigenvalue":
-        cp = b.char_poly()
-        _check(encoding.encode_poly(cp) == data["char_poly"], failures,
+        _check(encoding.encode_poly(spectrum.char_poly) == data["char_poly"], failures,
                "stored characteristic polynomial differs")
-        orders = data["orders_checked"]
-        _check(orders == orders_with_totient_at_most(action.dim), failures,
-               "orders checked are not every order with totient at most the rank")
-        _check(not cyclotomic_split(cp, orders)[0], failures,
+        _check(not spectrum.orders, failures,
                "a cyclotomic polynomial divides the characteristic polynomial")
-        _check(not singular_cyclotomic_orders(b, orders), failures,
+        _check(not spectrum.singular_orders, failures,
                "a cyclotomic polynomial is singular at the matrix")
     elif kind == "witness-character":
         chi = encoding.decode_vector(data["character"])
@@ -77,24 +80,33 @@ def replay_element_verdict(action, exponents, payload: dict, failures: list) -> 
         _check(_power_fixes(chi, b, data["power"]), failures,
                "witness character is not fixed by the stated power")
     elif kind == "cyclotomic-char-poly":
-        _check(cyclotomic_product(data["factors"]) == b.char_poly(), failures,
+        _check(cyclotomic_product(data["factors"]) == spectrum.char_poly, failures,
                "cyclotomic factors do not multiply to the characteristic polynomial")
     elif kind == "non-cyclotomic-factor":
         rest = encoding.decode_poly(data["factor"])
         prod = cyclotomic_product(data["cyclotomic_part"]) * rest
-        _check(prod == b.char_poly(), failures,
+        _check(prod == spectrum.char_poly, failures,
                "factorization does not multiply back")
         _check(rest.degree >= 1, failures, "residual factor is constant")
-        _check(data["orders_checked"] == orders_with_totient_at_most(action.dim), failures,
-               "orders checked are not every order with totient at most the rank")
-        _check(not cyclotomic_split(rest, data["orders_checked"])[0], failures,
-               "residual factor has a cyclotomic factor")
+        _check(rest == spectrum.rest, failures, "residual factor has a cyclotomic factor")
     else:
         failures.append(f"unknown element certificate kind {kind!r}")
 
 
-def replay_group_verdict(action, payload: dict, failures: list) -> None:
-    _check_kind(payload, failures)
+def _replay_first_ergodic(action, exponents: tuple, failures: list) -> None:
+    """Every all-positive vector before exponents, by coordinate sum then
+    lexicographic order, has a dual element with a root-of-unity
+    eigenvalue, so its element is not ergodic."""
+    n = action.n_generators
+    _check(min(exponents) > 0, failures, "exponents are not all positive")
+    earlier = itertools.takewhile(lambda v: v != exponents, itertools.chain.from_iterable(
+        positive_vectors(n, total) for total in range(n, sum(exponents) + 1)))
+    _check(all(dual_element(action, v).spectrum.orders for v in earlier), failures,
+           "an earlier all-positive vector has an ergodic element")
+
+
+def replay_group_verdict(action, payload: dict, slot: tuple, failures: list) -> None:
+    _check_kind(payload, slot, failures)
     cert = payload["certificate"]
     kind = cert["kind"]
     data = cert["data"]
@@ -114,21 +126,13 @@ def replay_group_verdict(action, payload: dict, failures: list) -> None:
         _check(stop is None and seen == orbit, failures,
                "orbit is not the witness's orbit under the generators")
     elif kind in ("all-generators-quasi-unipotent", "non-quasi-unipotent-generator"):
-        subs = data["generators"]
-        _check(len(subs) == action.n_generators, failures,
-               "not one distality certificate per generator")
-        verdicts = ["distal" if sub["kind"] == "cyclotomic-char-poly" else "not-distal"
-                    for sub in subs]
+        distal = [d.spectrum.rest.is_one for d in duals]
         if kind == "all-generators-quasi-unipotent":
-            _check("not-distal" not in verdicts, failures, "a generator is not distal")
+            _check(all(distal), failures, "a generator is not distal")
         else:
-            first = verdicts.index("not-distal") + 1 if "not-distal" in verdicts else None
+            first = distal.index(False) + 1 if not all(distal) else None
             _check(data["generator"] == first, failures,
                    "stated generator is not the first non-distal one")
-        for i, (verdict, sub) in enumerate(zip(verdicts, subs)):
-            exps = tuple(1 if j == i else 0 for j in range(action.n_generators))
-            replay_element_verdict(action, exps, {"kind": verdict, "certificate": sub},
-                                   failures)
     else:
         failures.append(f"unknown group certificate kind {kind!r}")
 
@@ -293,13 +297,13 @@ def replay_report(report: dict) -> dict:
                        failures, "mixing flag differs from the ergodic verdict")
                 exps = tuple(1 if j == entry["index"] - 1 else 0
                              for j in range(action.n_generators))
-                replay_element_verdict(action, exps, entry["ergodic"], failures)
+                replay_element_verdict(action, exps, entry["ergodic"], _ERGODIC_SLOT, failures)
                 checked += 1
-                replay_element_verdict(action, exps, entry["distal"], failures)
+                replay_element_verdict(action, exps, entry["distal"], _DISTAL_SLOT, failures)
                 checked += 1
-            replay_group_verdict(action, results["group"]["ergodic"], failures)
+            replay_group_verdict(action, results["group"]["ergodic"], _ERGODIC_SLOT, failures)
             checked += 1
-            replay_group_verdict(action, results["group"]["distal"], failures)
+            replay_group_verdict(action, results["group"]["distal"], _DISTAL_SLOT, failures)
             checked += 1
             replay_largest_subgroup(action, results["largest_ergodic_subgroup"], failures)
             checked += 1
@@ -311,12 +315,13 @@ def replay_report(report: dict) -> dict:
             checked += 1
     elif command == "find-ergodic":
         if action.kind in ("toral", "solenoid"):
-            replay_group_verdict(action, results["group"], failures)
+            replay_group_verdict(action, results["group"], _ERGODIC_SLOT, failures)
             checked += 1
             exps = tuple(results["exponents"])
             _check(results["element_matrix"] == encoding.encode_matrix(element(action, exps)),
                    failures, "element matrix is not the product of generator powers")
-            replay_element_verdict(action, exps, results["verdict"], failures)
+            replay_element_verdict(action, exps, results["verdict"], ("ergodic",), failures)
+            _replay_first_ergodic(action, exps, failures)
             checked += 1
         else:
             replay_bounded_verdict(action, results["group"], failures)

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import encoding
-from .actions import dual_element
+from .actions import dual_element, positive_vectors
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
-from .intpoly import cyclotomic_split, orders_with_totient_at_most
-from .matrices import (Matrix, Subspace, cyclotomic_orders, fixed_by_power, kernel,
-                       quasi_unipotent_on, singular_cyclotomic_orders, stage_quotient,
-                       unipotent_power, walk_orbit)
+from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, kernel,
+                       quasi_unipotent_on, stage_quotient, unipotent_power, walk_orbit)
 
 _ORBIT_ENUMERATION_CAP = 200_000
 
@@ -89,35 +87,30 @@ class FiltrationReport:
         }
 
 
-def _root_of_unity_orders(b: Matrix, rank: int):
-    """Both root-of-unity detection routes for a dual matrix, asserted to
-    agree order by order: the cyclotomic split of the characteristic
-    polynomial, and the orders d with cyclotomic(d) at b singular."""
-    cp = b.char_poly()
-    orders = orders_with_totient_at_most(rank)
-    factors, rest = cyclotomic_split(cp, orders)
-    shared = singular_cyclotomic_orders(b, orders)
-    if [d for d, _ in factors] != shared:
+def _checked_spectrum(b: Matrix) -> Spectrum:
+    """The spectrum of a dual matrix, with its cyclotomic division route
+    and cyclotomic determinant route asserted to agree order by order."""
+    spectrum = b.spectrum
+    if spectrum.orders != spectrum.singular_orders:
         raise InternalCheckError(
             "cyclotomic division route and cyclotomic determinant route disagree")
-    return cp, orders, factors, rest, shared
+    return spectrum
 
 
 def is_ergodic_element(action, exponents) -> Verdict:
     """Ergodicity of a single product of generator powers."""
     b = dual_element(action, exponents)
-    cp, orders, _, _, shared = _root_of_unity_orders(b, action.dim)
-    if not shared:
+    spectrum = _checked_spectrum(b)
+    if not spectrum.orders:
         cert = Certificate("no-root-of-unity-eigenvalue", {
-            "char_poly": encoding.encode_poly(cp),
-            "orders_checked": orders,
+            "char_poly": encoding.encode_poly(spectrum.char_poly),
         })
         return Verdict(VerdictKind.ERGODIC, cert)
     witness = _witness_vector(action, fixed_by_power([b]))
     cert = Certificate("witness-character", {
         "character": encoding.encode_vector(witness),
-        "power": math.lcm(*shared),
-        "shared_orders": shared,
+        "power": math.lcm(*spectrum.orders),
+        "shared_orders": spectrum.orders,
     })
     return Verdict(VerdictKind.NOT_ERGODIC, cert)
 
@@ -133,20 +126,18 @@ def _witness_vector(action, subspace: Subspace):
 def is_distal_element(action, exponents) -> Verdict:
     """Distality of a single product of generator powers: the dual matrix
     must be quasi-unipotent."""
-    b = dual_element(action, exponents)
-    _, orders, factors, rest, shared = _root_of_unity_orders(b, action.dim)
-    if rest.is_one != unipotent_power(b, shared).is_zero:
+    spectrum = _checked_spectrum(dual_element(action, exponents))
+    if spectrum.rest.is_one != spectrum.unipotent_power.is_zero:
         raise InternalCheckError(
             "cyclotomic factorization route and nilpotency route disagree")
-    if rest.is_one:
-        cert = Certificate("cyclotomic-char-poly", {
-            "factors": [[d, c] for d, c in factors],
-        })
-        return Verdict(VerdictKind.DISTAL, cert)
+    factors = [[d, c] for d, c in spectrum.factors]
+    if spectrum.rest.is_one:
+        return Verdict(VerdictKind.DISTAL, Certificate("cyclotomic-char-poly", {
+            "factors": factors,
+        }))
     cert = Certificate("non-cyclotomic-factor", {
-        "factor": encoding.encode_poly(rest),
-        "cyclotomic_part": [[d, c] for d, c in factors],
-        "orders_checked": orders,
+        "factor": encoding.encode_poly(spectrum.rest),
+        "cyclotomic_part": factors,
     })
     return Verdict(VerdictKind.NOT_DISTAL, cert)
 
@@ -177,7 +168,7 @@ def is_ergodic_group(action) -> Verdict:
     orbit = _enumerate_finite_orbit(action, witness)
     cert = Certificate("witness-character", {
         "character": encoding.encode_vector(witness),
-        "power": math.lcm(*(d for x in action.dual_generators for d in cyclotomic_orders(x))),
+        "power": math.lcm(*(d for x in action.dual_generators for d in x.spectrum.orders)),
         "orbit_size": len(orbit),
         "orbit": [encoding.encode_vector(v) for v in orbit],
     })
@@ -188,25 +179,13 @@ def is_distal_group(action) -> Verdict:
     """Group distality is equivalent to distality of every generator for
     commuting automorphisms."""
     n = action.n_generators
-    return distal_group_verdict([
-        is_distal_element(action, tuple(1 if j == i else 0 for j in range(n)))
-        for i in range(n)])
-
-
-def distal_group_verdict(per_generator) -> Verdict:
-    """Group distality verdict from the distality verdicts of the
-    generators, in generator order."""
-    if all(v.is_distal for v in per_generator):
-        cert = Certificate("all-generators-quasi-unipotent", {
-            "generators": [v.certificate.to_payload() for v in per_generator],
-        })
-        return Verdict(VerdictKind.DISTAL, cert)
-    failing = next(i for i, v in enumerate(per_generator, start=1) if not v.is_distal)
-    cert = Certificate("non-quasi-unipotent-generator", {
-        "generator": failing,
-        "generators": [v.certificate.to_payload() for v in per_generator],
-    })
-    return Verdict(VerdictKind.NOT_DISTAL, cert)
+    distal = [is_distal_element(action, tuple(1 if j == i else 0 for j in range(n))).is_distal
+              for i in range(n)]
+    if all(distal):
+        return Verdict(VerdictKind.DISTAL, Certificate("all-generators-quasi-unipotent", {}))
+    return Verdict(VerdictKind.NOT_DISTAL, Certificate("non-quasi-unipotent-generator", {
+        "generator": distal.index(False) + 1,
+    }))
 
 
 def largest_ergodic_subgroup(action):
@@ -286,17 +265,6 @@ def _certify_stage_ergodic(d: Matrix, w_outer: Subspace, w_inner: Subspace) -> b
     return True
 
 
-def _positive_vectors(n: int, total: int):
-    """All-positive integer vectors with the given coordinate sum, in
-    lexicographic order."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(1, total - n + 2):
-        for rest in _positive_vectors(n - 1, total - first):
-            yield (first,) + rest
-
-
 def find_ergodic_exponents(action, max_exponent_sum: int = 60):
     """First all-positive exponent vector, by increasing coordinate sum
     then lexicographic order, whose product element is ergodic.
@@ -311,7 +279,7 @@ def find_ergodic_exponents(action, max_exponent_sum: int = 60):
         raise NotErgodicGroupError(group.to_payload())
     n = action.n_generators
     for total in range(n, max_exponent_sum + 1):
-        for exps in _positive_vectors(n, total):
+        for exps in positive_vectors(n, total):
             v = is_ergodic_element(action, exps)
             if v.is_ergodic:
                 return exps, v

@@ -9,9 +9,10 @@ comes from Kronecker structure or from taking polynomials in one matrix.
 
 from __future__ import annotations
 
+import math
 import random
 
-from ergodec import Matrix
+from ergodec import Matrix, orders_with_totient_at_most
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 5) -> Matrix:
@@ -29,6 +30,13 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 5) -> Matrix:
         else:
             rows[i] = [-x for x in rows[i]]
     return Matrix.from_rows(rows)
+
+
+def root_of_unity_lcm(r: int) -> int:
+    """lcm of all orders of roots of unity that satisfy a rational
+    polynomial of degree at most r: exponential in r, the uniform power
+    that tests check the engine's cyclotomic answers against."""
+    return math.lcm(*orders_with_totient_at_most(r))
 
 
 def conjugate(m: Matrix, p: Matrix) -> Matrix:

@@ -16,13 +16,12 @@ from ergodec import (BoundedVerdictKind, LaurentPoly, Matrix, ProductDemoSpec,
                      is_distal_group, is_ergodic_element, is_ergodic_group,
                      laurent_cyclic_action, laurent_divides,
                      direction_power_minus_one, orders_with_totient_at_most,
-                     poly_gcd, product_action_demo, root_of_unity_lcm,
-                     toral_action)
+                     poly_gcd, product_action_demo, toral_action)
 from ergodec.encoding import decode_laurent
 from ergodec.replay import replay_filtration
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, ergodic_distal_pair, fibonacci_matrix,
-                       random_ergodic_2x2, random_unimodular)
+                       random_ergodic_2x2, random_unimodular, root_of_unity_lcm)
 
 
 class Budget:

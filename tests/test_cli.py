@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ergodec import toral
+from ergodec import matrices
 from ergodec.cli import main
 
 CLI = [sys.executable, "-m", "ergodec.cli"]
@@ -93,10 +93,24 @@ class TestAnalyze:
 
     def test_internal_check_failure_exits_5(self, tmp_path, capsys, monkeypatch):
         # the determinant route claims order 1, which the division route rules out
-        monkeypatch.setattr(toral, "singular_cyclotomic_orders", lambda x, orders: [1])
+        monkeypatch.setattr(matrices, "singular_cyclotomic_orders", lambda x, orders: [1])
         assert main(["analyze", write(tmp_path, "fib.json", FIB)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("internal check failed: ") and err.count("\n") == 1
+
+    def test_one_char_poly_per_generator(self, tmp_path, capsys, monkeypatch):
+        # each dual generator's spectrum is split once; replay splits its own
+        calls = []
+        char_poly = matrices.Matrix.char_poly
+        monkeypatch.setattr(matrices.Matrix, "char_poly",
+                            lambda m: calls.append(m) or char_poly(m))
+        path = write(tmp_path, "pair.json", BLOCK_PAIR)
+        assert main(["analyze", path]) == 0
+        assert len(calls) == 2
+        calls.clear()
+        assert main(["analyze", path, "--verify-report"]) == 0
+        assert len(calls) <= 6
+        capsys.readouterr()
 
     def test_laurent_analyze(self, tmp_path):
         res = run("analyze", write(tmp_path, "led.json", LEDRAPPIER))

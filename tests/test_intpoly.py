@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ergodec.intpoly import (Polynomial, cyclotomic, cyclotomic_product,
                              cyclotomic_split, euler_phi,
-                             orders_with_totient_at_most, poly_gcd,
-                             root_of_unity_lcm)
+                             orders_with_totient_at_most, poly_gcd)
+from factories import root_of_unity_lcm
 
 
 def phi_by_counting(d):

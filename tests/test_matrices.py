@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from ergodec.intpoly import Polynomial
-from ergodec.matrices import (DimensionError, Matrix, Subspace, char_poly,
-                              cyclotomic_orders, express_in, fixed_by_power,
-                              kernel, quotient_matrix, restrict_matrix,
-                              singular_cyclotomic_orders, stage_quotient,
-                              unipotent_power, walk_orbit)
+from ergodec.matrices import (DimensionError, Matrix, Subspace, express_in,
+                              fixed_by_power, kernel, quotient_matrix,
+                              restrict_matrix, singular_cyclotomic_orders,
+                              stage_quotient, unipotent_power, walk_orbit)
 from factories import fibonacci_matrix, random_unimodular
 
 
@@ -39,15 +38,15 @@ def char_poly_by_cofactors(m):
 
 class TestCharPoly:
     def test_identity(self):
-        assert char_poly(Matrix.identity(2)) == poly(1, -2, 1)
+        assert Matrix.identity(2).char_poly() == poly(1, -2, 1)
 
     def test_fibonacci(self):
-        assert char_poly(fibonacci_matrix()) == poly(-1, -1, 1)
+        assert fibonacci_matrix().char_poly() == poly(-1, -1, 1)
         assert char_poly_by_cofactors(fibonacci_matrix()) == poly(-1, -1, 1)
 
     def test_rotation(self):
         rot = Matrix.from_rows([[0, -1], [1, 0]])
-        assert char_poly(rot) == poly(1, 0, 1)
+        assert rot.char_poly() == poly(1, 0, 1)
         assert char_poly_by_cofactors(rot) == poly(1, 0, 1)
 
     def test_against_cofactor_oracle(self):
@@ -56,11 +55,11 @@ class TestCharPoly:
             n = rng.randint(1, 5)
             m = Matrix.from_rows([[rng.randint(-4, 4) for _ in range(n)]
                                   for _ in range(n)])
-            assert char_poly(m) == char_poly_by_cofactors(m)
+            assert m.char_poly() == char_poly_by_cofactors(m)
 
     def test_rational_entries(self):
         m = Matrix.from_rows([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
-        assert char_poly(m) == char_poly_by_cofactors(m)
+        assert m.char_poly() == char_poly_by_cofactors(m)
 
     def test_conjugation_invariance(self):
         rng = random.Random(13)
@@ -69,11 +68,11 @@ class TestCharPoly:
             m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(n)]
                                   for _ in range(n)])
             p = random_unimodular(rng, n)
-            assert char_poly(p * m * p.inverse()) == char_poly(m)
+            assert (p * m * p.inverse()).char_poly() == m.char_poly()
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            char_poly(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+            Matrix.from_rows([[1, 2, 3], [4, 5, 6]]).char_poly()
 
 
 class TestDeterminantAndInverse:
@@ -217,7 +216,6 @@ class TestFiniteOrbitPrimitives:
         rot = Matrix.from_rows([[0, -1], [1, 0]])
         shear = Matrix.from_rows([[1, 1], [0, 1]])
         assert unipotent_power(rot).is_zero
-        assert not unipotent_power(rot, [2]).is_zero
         assert unipotent_power(shear).is_zero
         assert not unipotent_power(fibonacci_matrix()).is_zero
 
@@ -228,7 +226,7 @@ class TestFiniteOrbitPrimitives:
                  (fibonacci_matrix(), []),
                  (Matrix.block_diag(third, rot, rot * rot), [2, 3, 4])]
         for x, orders in cases:
-            assert cyclotomic_orders(x) == orders
+            assert x.spectrum.orders == orders
             assert singular_cyclotomic_orders(x, [1, 2, 3, 4, 5, 6, 8]) == orders
 
     def test_stage_quotient_of_block_matrix(self):

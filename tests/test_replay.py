@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from ergodec import Subspace
+from ergodec import Subspace, build_action, element, is_ergodic_element
 from ergodec.cli import main
-from ergodec.encoding import encode_subspace
+from ergodec.encoding import encode_matrix, encode_subspace
 from ergodec.replay import replay_report
 
 ROTATION = {"type": "toral", "r": 2, "generators": [[[0, -1], [1, 0]]]}
@@ -34,15 +34,11 @@ def test_non_invariant_chain_member_is_a_failure(tmp_path, capsys):
     assert "chain member is not invariant" in replay_report(report)["failures"]
 
 
-def _drop_last_order(results):
-    results["generators"][0]["ergodic"]["certificate"]["data"]["orders_checked"].pop()
-
-
 def _forged_not_distal_rotation(results):
     verdict = results["generators"][0]["distal"]
     verdict["kind"] = "not-distal"
     verdict["certificate"] = {"kind": "non-cyclotomic-factor", "data": {
-        "factor": [1, 0, 1], "cyclotomic_part": [], "orders_checked": [1]}}
+        "factor": [1, 0, 1], "cyclotomic_part": []}}
 
 
 def _rotation_witness_power_three(results):
@@ -58,11 +54,10 @@ def _group_witness_power_two(results):
 
 
 @pytest.mark.parametrize("doc,tamper", [
-    (FIB, _drop_last_order),
     (ROTATION, _forged_not_distal_rotation),
     (ROTATION, _rotation_witness_power_three),
     (ROTATION, _group_witness_power_two),
-], ids=["ergodic-orders-checked", "distal-orders-checked", "element-witness-power",
+], ids=["distal-orders-checked", "element-witness-power",
         "group-witness-power"])
 def test_tampered_certificate_fails_replay(tmp_path, capsys, doc, tamper):
     report = fresh_report(tmp_path, capsys, "analyze", doc)
@@ -118,18 +113,35 @@ def _group_orbit_superset(results):
     data["orbit"], data["orbit_size"] = [[0, 1], [1, 0]], 2  # closed, but two orbits
 
 
+def _distal_verdict_in_ergodic_slot(results):
+    entry = results["generators"][0]
+    entry["ergodic"] = entry["distal"]
+
+
+def _later_ergodic_vector(results):
+    # (1, 1) comes first and is ergodic; (2, 1) is ergodic too, with its own
+    # verdict and element matrix, so only the "first" claim is false
+    assert results["exponents"] == [1, 1]
+    action = build_action(BLOCK_PAIR)
+    results["exponents"] = [2, 1]
+    results["verdict"] = is_ergodic_element(action, (2, 1)).to_payload()
+    results["element_matrix"] = encode_matrix(element(action, (2, 1)))
+
+
 ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
 
 
 @pytest.mark.parametrize("command,doc,flags,tamper", [
     ("analyze", FIB, (), _set("generators", 0, "mixing_of_all_orders", False)),
     ("analyze", FIB, (), _set("generators", 0, "ergodic", "kind", "not-ergodic")),
+    ("analyze", SHEAR, (), _distal_verdict_in_ergodic_slot),
     ("analyze", FIB_TWICE, (), _swap_generator_indices),
     ("analyze", FIB_TWICE, (), _drop_second_generator),
     ("analyze", FIB_TWICE, (), _set("group", "distal", "certificate", "data", "generator", 2)),
     ("analyze", FIB, (), _forged_distal_group),
     ("analyze", IDENTITY, (), _group_orbit_superset),
     ("find-ergodic", FIB, (), _set("element_matrix", [[1, 1], [1, 2]])),
+    ("find-ergodic", BLOCK_PAIR, (), _later_ergodic_vector),
     ("filtration", FIB_TWICE, (), _set("dims", [2, 1, 0])),
     ("filtration", FIB_TWICE, (), _set("attributions", 0, "stage", 2)),
     ("filtration", FIB_TWICE, (), _set("attributions", 0, "generator", 2)),
@@ -141,8 +153,9 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("oracle-check", SHEAR, ORACLE_FLAGS, _set("characters_checked", 25)),
     ("oracle-check", SHEAR, ORACLE_FLAGS, _set("norm_bound", 3)),
     ("oracle-check", SHEAR, ORACLE_FLAGS, _set("cap", 100)),
-], ids=["mixing-flag", "verdict-kind", "generator-index", "generator-count",
+], ids=["mixing-flag", "verdict-kind", "verdict-slot", "generator-index", "generator-count",
         "not-distal-generator", "distal-group-kind", "group-orbit", "element-matrix",
+        "first-vector",
         "filtration-dims",
         "attribution-stage", "attribution-generator", "attribution-dim-from",
         "attribution-dim-to", "attribution-ergodic", "finite-orbits", "exceeded",

@@ -8,12 +8,12 @@ from ergodec import (Matrix, NotErgodicGroupError, Subspace, ToralAction, Verdic
                      find_ergodic_exponents, finite_orbit_subspace,
                      is_distal_element, is_distal_group, is_ergodic_element,
                      is_ergodic_group, largest_ergodic_subgroup, mixing_flag,
-                     orders_with_totient_at_most, poly_gcd, root_of_unity_lcm,
-                     solenoid_action, toral_action)
+                     orders_with_totient_at_most, poly_gcd, solenoid_action,
+                     toral_action)
 from ergodec.encoding import encode_subspace
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, ergodic_distal_pair, fibonacci_matrix,
-                       random_unimodular, random_unipotent)
+                       random_unimodular, random_unipotent, root_of_unity_lcm)
 
 
 def fib_action():
