@@ -12,8 +12,16 @@ honest about being bounded.  A one-variable presenter, by contrast, has
 a finite module, so no translation is ever ergodic there.
 """
 
-from ergodec import (LaurentPoly, direction_is_ergodic, find_ergodic_direction,
-                     group_is_ergodic, laurent_cyclic_action, orbit_probe)
+from ergodec import (LaurentPoly, VerdictKind, direction_is_ergodic,
+                     find_ergodic_direction, group_is_ergodic, laurent_cyclic_action,
+                     orbit_probe)
+
+
+def tag(verdict):
+    """Every verdict kind is exact except the bounded mixed-direction one."""
+    if verdict.kind == VerdictKind.ERGODIC_UP_TO:
+        return f"searched up to k={verdict.certificate.data['k_max']}"
+    return "exact"
 
 
 def main():
@@ -22,12 +30,11 @@ def main():
     print(f"presenter g = {g} over F_2")
 
     group = group_is_ergodic(action)
-    print(f"group verdict: {group.kind.value} (exact: {group.exact})")
+    print(f"group verdict: {group.kind.value} ({tag(group)})")
 
     for direction in ((1, 0), (0, 1), (1, 1), (2, -1)):
         verdict = direction_is_ergodic(action, direction)
-        tag = "exact" if verdict.exact else f"searched up to k={verdict.bound}"
-        print(f"direction {direction}: {verdict.kind.value} ({tag})")
+        print(f"direction {direction}: {verdict.kind.value} ({tag(verdict)})")
 
     found, verdict = find_ergodic_direction(action, search_box=3)
     print(f"first certified ergodic direction in the box: {found}")

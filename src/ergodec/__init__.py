@@ -10,10 +10,9 @@ from .errors import (InternalCheckError, Issue, NotErgodicGroupError,
                      SearchExhaustedError, ValidationError)
 from .intpoly import (Polynomial, cyclotomic, euler_phi,
                       orders_with_totient_at_most, poly_gcd)
-from .laurent import (LaurentPoly, bivar_common_factor, bivar_gcd, content_in,
-                      direction_power_minus_one, laurent_divides, laurent_gcd_1d)
-from .laurent_engine import (BoundedVerdict, BoundedVerdictKind, default_k_max,
-                             direction_is_ergodic, find_ergodic_direction,
+from .laurent import (LaurentPoly, bivar_gcd, content_in, direction_power_minus_one,
+                      laurent_divides)
+from .laurent_engine import (default_k_max, direction_is_ergodic, find_ergodic_direction,
                              group_is_ergodic, orbit_probe)
 from .matrices import Matrix, Subspace, kernel
 from .oracle import OrbitResult, cross_validate, orbit_bfs, product_action_demo
@@ -26,20 +25,18 @@ from .toral import (Certificate, FiltrationReport, Verdict, VerdictKind,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundedVerdict", "BoundedVerdictKind", "Certificate", "FiltrationReport",
-    "InternalCheckError", "Issue", "LaurentCyclicAction", "LaurentPoly",
-    "Matrix", "NotErgodicGroupError", "OrbitResult", "Polynomial",
-    "ProductDemoSpec", "SearchExhaustedError", "SolenoidAction", "Subspace",
-    "ToralAction", "ValidationError", "Verdict", "VerdictKind", "build_action",
-    "bivar_common_factor", "bivar_gcd", "content_in",
-    "cross_validate", "cyclotomic", "default_k_max", "direction_is_ergodic",
+    "Certificate", "FiltrationReport", "InternalCheckError", "Issue",
+    "LaurentCyclicAction", "LaurentPoly", "Matrix", "NotErgodicGroupError",
+    "OrbitResult", "Polynomial", "ProductDemoSpec", "SearchExhaustedError",
+    "SolenoidAction", "Subspace", "ToralAction", "ValidationError", "Verdict",
+    "VerdictKind", "bivar_gcd", "build_action", "content_in", "cross_validate",
+    "cyclotomic", "default_k_max", "direction_is_ergodic",
     "direction_power_minus_one", "dual_element", "element",
     "ergodic_distal_filtration", "euler_phi", "find_ergodic_direction",
     "find_ergodic_exponents", "finite_orbit_subspace", "group_is_ergodic",
     "is_distal_element", "is_distal_group", "is_ergodic_element",
     "is_ergodic_group", "kernel", "largest_ergodic_subgroup",
-    "laurent_cyclic_action", "laurent_divides", "laurent_gcd_1d",
-    "mixing_flag", "orbit_bfs", "orbit_probe", "orders_with_totient_at_most",
-    "poly_gcd", "product_action_demo", "solenoid_action",
-    "toral_action",
+    "laurent_cyclic_action", "laurent_divides", "mixing_flag", "orbit_bfs",
+    "orbit_probe", "orders_with_totient_at_most", "poly_gcd",
+    "product_action_demo", "solenoid_action", "toral_action",
 ]

@@ -22,8 +22,9 @@ from . import encoding, laurent_engine, oracle, replay, toral
 from .actions import ProductDemoSpec, build_action, element
 from .errors import (InternalCheckError, NotErgodicGroupError, SearchExhaustedError,
                      ValidationError)
+from .laurent import axis_directions
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -93,12 +94,6 @@ def _action_from_file(path: str):
         raise _CliExit(2, f"{path}: validation failed: {details}")
 
 
-def _axis_directions(nvars: int):
-    if nvars == 1:
-        return [(1,)]
-    return [(1, 0), (0, 1)]
-
-
 def cmd_analyze(args) -> dict:
     doc, action = _action_from_file(args.file)
     if action.kind in ("toral", "solenoid"):
@@ -123,7 +118,7 @@ def cmd_analyze(args) -> dict:
         }
     else:
         directions = []
-        for direction in _axis_directions(action.nvars):
+        for direction in axis_directions(action.nvars):
             verdict = laurent_engine.direction_is_ergodic(action, direction, args.kmax)
             directions.append({"direction": list(direction),
                                "verdict": verdict.to_payload()})
@@ -149,7 +144,6 @@ def cmd_find_ergodic(args) -> dict:
             results = {
                 "direction": list(direction),
                 "verdict": verdict.to_payload(),
-                "bounded": not verdict.exact,
                 "group": laurent_engine.group_is_ergodic(action, args.kmax).to_payload(),
             }
     except NotErgodicGroupError as exc:

@@ -261,6 +261,11 @@ def direction_power_minus_one(p: int, nvars: int, direction, k: int) -> LaurentP
     return LaurentPoly.from_terms(p, nvars, {exps: 1, (0,) * nvars: p - 1})
 
 
+def axis_directions(nvars: int) -> list:
+    """The coordinate directions e_1, ..., e_nvars."""
+    return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+
+
 def _grlex_key(e):
     return (sum(e), e)
 
@@ -310,18 +315,6 @@ def laurent_divides(g: LaurentPoly, h: LaurentPoly):
         tuple(e[i] + shift[i] for i in range(g.nvars)): c for e, c in quo.items()})
 
 
-def laurent_gcd_1d(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Monic univariate gcd, after canonicalization."""
-    f._compatible(g)
-    if f.nvars != 1:
-        raise ValueError("univariate gcd needs one-variable polynomials")
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    a = f.canonical().univariate_in(0) if not f.is_zero else []
-    b = g.canonical().univariate_in(0) if not g.is_zero else []
-    return LaurentPoly.from_univariate(f.p, 1, 0, _fp_gcd(a, b, f.p))
-
-
 def content_in(f: LaurentPoly, var: int):
     """Monic gcd over F_p[u_var] of the coefficients of the canonical form
     of f, grouped by the exponent of the other variable.
@@ -350,86 +343,6 @@ def _to_var2_coeffs(f: LaurentPoly):
     for j, coeffs in by_e2.items():
         out[j] = coeffs
     return out
-
-
-def _sylvester_resultant_is_zero(fa, fb, p) -> bool:
-    """Whether the resultant in the second variable of two primitive
-    two-variable polynomials vanishes.  The Sylvester determinant over
-    F_p[u1] is computed by fraction-free Bareiss elimination."""
-    m = len(fa) - 1
-    n = len(fb) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [[] for _ in range(size)]
-        for j, c in enumerate(fa):
-            row[i + (m - j)] = list(c)
-        rows.append(row)
-    for i in range(m):
-        row = [[] for _ in range(size)]
-        for j, c in enumerate(fb):
-            row[i + (n - j)] = list(c)
-        rows.append(row)
-    sign = 1
-    prev = [1]
-    for k in range(size - 1):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
-            if swap is None:
-                return True
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = _fp_sub(_fp_mul(rows[i][j], rows[k][k], p),
-                              _fp_mul(rows[i][k], rows[k][j], p), p)
-                rows[i][j] = _fp_exact_div(num, prev, p)
-            rows[i][k] = []
-        prev = rows[k][k]
-    return not rows[size - 1][size - 1]
-
-
-def bivar_common_factor(f: LaurentPoly, g: LaurentPoly):
-    """Whether two two-variable polynomials share a non-unit common
-    divisor.  Returns (flag, route) where route names the deciding check:
-    a univariate content gcd (with its variable) or the resultant in the
-    second variable of the primitive parts."""
-    f._compatible(g)
-    if f.nvars != 2:
-        raise ValueError("two-variable polynomials expected")
-    if f.is_zero or g.is_zero:
-        raise ValueError("nonzero polynomials expected")
-    fc, gc = f.canonical(), g.canonical()
-    f_has_2 = fc.degree_in(1) > 0
-    g_has_2 = gc.degree_in(1) > 0
-    f_has_1 = fc.degree_in(0) > 0
-    g_has_1 = gc.degree_in(0) > 0
-    if not f_has_2 and not g_has_2:
-        gcd = _fp_gcd(fc.univariate_in(0), gc.univariate_in(0), fc.p)
-        return len(gcd) > 1, {"route": "univariate", "variable": 0}
-    if not f_has_1 and not g_has_1:
-        gcd = _fp_gcd(fc.univariate_in(1), gc.univariate_in(1), fc.p)
-        return len(gcd) > 1, {"route": "univariate", "variable": 1}
-    if not f_has_2:
-        gcd = _fp_gcd(fc.univariate_in(0), content_in(gc, 0), fc.p)
-        return len(gcd) > 1, {"route": "content", "variable": 0}
-    if not g_has_2:
-        gcd = _fp_gcd(gc.univariate_in(0), content_in(fc, 0), fc.p)
-        return len(gcd) > 1, {"route": "content", "variable": 0}
-    if not f_has_1:
-        gcd = _fp_gcd(fc.univariate_in(1), content_in(gc, 1), fc.p)
-        return len(gcd) > 1, {"route": "content", "variable": 1}
-    if not g_has_1:
-        gcd = _fp_gcd(gc.univariate_in(1), content_in(fc, 1), fc.p)
-        return len(gcd) > 1, {"route": "content", "variable": 1}
-    cont_gcd = _fp_gcd(content_in(fc, 0), content_in(gc, 0), fc.p)
-    if len(cont_gcd) > 1:
-        return True, {"route": "content", "variable": 0}
-    pf = _primitive_part_var2(fc)
-    pg = _primitive_part_var2(gc)
-    if _sylvester_resultant_is_zero(_to_var2_coeffs(pf), _to_var2_coeffs(pg), fc.p):
-        return True, {"route": "resultant", "variable": 1}
-    return False, {"route": "resultant", "variable": 1}
 
 
 def _primitive_part_var2(f: LaurentPoly) -> LaurentPoly:

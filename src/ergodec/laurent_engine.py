@@ -7,49 +7,20 @@ verdict is certified by a replayable divisibility identity.  A direction
 is non-ergodic exactly when some power of its monomial meets g in a
 non-unit common divisor; along a coordinate axis that common divisor is
 univariate, which makes the answer exact through a content computation.
-For general directions in two variables the scan is bounded and reported
-as such.
+For general directions in two variables the scan is bounded: the verdict
+is `ergodic-up-to`, and its certificate records the bound.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 from . import encoding
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
 from .laurent import (LaurentPoly, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub,
                       bivar_gcd, content_in, direction_power_minus_one,
                       laurent_divides)
-from .toral import Certificate
+from .toral import Certificate, Verdict, VerdictKind
 
 _DEFAULT_KMAX_CAP = 64
-
-
-class BoundedVerdictKind(str, Enum):
-    ERGODIC = "ergodic"
-    NOT_ERGODIC = "not-ergodic"
-    ERGODIC_UP_TO = "ergodic-up-to"
-
-
-@dataclass(frozen=True)
-class BoundedVerdict:
-    """Decision with explicit exactness: negative verdicts are always
-    exact, positive ones are exact only when a closure argument applies,
-    and otherwise record the bound that was searched."""
-
-    kind: BoundedVerdictKind
-    exact: bool
-    bound: int
-    certificate: Certificate
-
-    @property
-    def is_ergodic(self) -> bool:
-        return self.kind != BoundedVerdictKind.NOT_ERGODIC
-
-    def to_payload(self) -> dict:
-        return {"kind": self.kind.value, "exact": self.exact, "bound": self.bound,
-                "certificate": self.certificate.to_payload()}
 
 
 def default_k_max(action) -> int:
@@ -97,7 +68,7 @@ def _not_ergodic_certificate(action, direction, k: int, factor: LaurentPoly):
     })
 
 
-def direction_is_ergodic(action, direction, k_max: int | None = None) -> BoundedVerdict:
+def direction_is_ergodic(action, direction, k_max: int | None = None) -> Verdict:
     """Ergodicity of the translation by u^direction on the dual of S/(g).
 
     One variable: always non-ergodic (the module is finite), with the
@@ -116,9 +87,8 @@ def direction_is_ergodic(action, direction, k_max: int | None = None) -> Bounded
         content = g.univariate_in(0)
         k, common = _univariate_witness_power(content, abs(direction[0]), p)
         factor = LaurentPoly.from_univariate(p, 1, 0, common)
-        cert = _not_ergodic_certificate(action, direction, k, factor)
-        bound = p ** g.degree_in(0) - 1
-        return BoundedVerdict(BoundedVerdictKind.NOT_ERGODIC, True, bound, cert)
+        return Verdict(VerdictKind.NOT_ERGODIC,
+                       _not_ergodic_certificate(action, direction, k, factor))
     axis = [i for i in range(2) if direction[i] != 0]
     if len(axis) == 1:
         var = axis[0]
@@ -129,27 +99,26 @@ def direction_is_ergodic(action, direction, k_max: int | None = None) -> Bounded
                 "variable": var,
                 "content": list(content),
             })
-            return BoundedVerdict(BoundedVerdictKind.ERGODIC, True, 0, cert)
+            return Verdict(VerdictKind.ERGODIC, cert)
         k, common = _univariate_witness_power(content, abs(direction[var]), p)
         factor = LaurentPoly.from_univariate(p, 2, var, common)
-        cert = _not_ergodic_certificate(action, direction, k, factor)
-        bound = p ** (len(content) - 1) - 1
-        return BoundedVerdict(BoundedVerdictKind.NOT_ERGODIC, True, bound, cert)
+        return Verdict(VerdictKind.NOT_ERGODIC,
+                       _not_ergodic_certificate(action, direction, k, factor))
     bound = default_k_max(action) if k_max is None else k_max
     for k in range(1, bound + 1):
         w = direction_power_minus_one(p, 2, direction, k).canonical()
         common = bivar_gcd(g, w)
         if not common.is_unit:
-            cert = _not_ergodic_certificate(action, direction, k, common)
-            return BoundedVerdict(BoundedVerdictKind.NOT_ERGODIC, True, bound, cert)
+            return Verdict(VerdictKind.NOT_ERGODIC,
+                           _not_ergodic_certificate(action, direction, k, common))
     cert = Certificate("bounded-scan", {
         "direction": list(direction),
         "k_max": bound,
     })
-    return BoundedVerdict(BoundedVerdictKind.ERGODIC_UP_TO, False, bound, cert)
+    return Verdict(VerdictKind.ERGODIC_UP_TO, cert)
 
 
-def group_is_ergodic(action, k_max: int | None = None) -> BoundedVerdict:
+def group_is_ergodic(action, k_max: int | None = None) -> Verdict:
     """Ergodicity of the full translation group.
 
     One variable: never ergodic (the quotient ring is finite).  Two
@@ -167,7 +136,7 @@ def group_is_ergodic(action, k_max: int | None = None) -> BoundedVerdict:
         "reason": "a simultaneous finite-orbit witness divides both axis "
                   "power identities, whose gcd is a unit",
     })
-    return BoundedVerdict(BoundedVerdictKind.ERGODIC, True, 0, cert)
+    return Verdict(VerdictKind.ERGODIC, cert)
 
 
 def _directions_in_shell(nvars: int, shell: int):
@@ -197,9 +166,9 @@ def find_ergodic_direction(action, search_box: int, k_max: int | None = None):
     for shell in range(1, search_box + 1):
         for direction in _directions_in_shell(action.nvars, shell):
             verdict = direction_is_ergodic(action, direction, k_max)
-            if verdict.kind == BoundedVerdictKind.ERGODIC:
+            if verdict.kind == VerdictKind.ERGODIC:
                 return direction, verdict
-            if verdict.kind == BoundedVerdictKind.ERGODIC_UP_TO and first_bounded is None:
+            if verdict.kind == VerdictKind.ERGODIC_UP_TO and first_bounded is None:
                 first_bounded = (direction, verdict)
     if first_bounded is not None:
         return first_bounded

@@ -15,13 +15,13 @@ import math
 from . import encoding
 from .actions import build_action, dual_element, element, positive_vectors
 from .intpoly import cyclotomic_product
-from .laurent import (bivar_gcd, content_in, direction_power_minus_one,
-                      laurent_divides)
+from .laurent import (axis_directions, bivar_gcd, content_in,
+                      direction_power_minus_one, laurent_divides)
 from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
                        stage_quotient, walk_orbit)
 
 
-# The verdict each toral or solenoid certificate kind proves.
+# The verdict each certificate kind proves.
 _PROVES = {
     "no-root-of-unity-eigenvalue": "ergodic",
     "zero-finite-orbit-subspace": "ergodic",
@@ -30,6 +30,10 @@ _PROVES = {
     "all-generators-quasi-unipotent": "distal",
     "non-cyclotomic-factor": "not-distal",
     "non-quasi-unipotent-generator": "not-distal",
+    "finite-quotient-witness": "not-ergodic",
+    "trivial-univariate-content": "ergodic",
+    "coprime-axis-powers": "ergodic",
+    "bounded-scan": "ergodic-up-to",
 }
 
 
@@ -41,6 +45,8 @@ def _check(condition: bool, failures: list, what: str) -> None:
 # The verdict kinds each report slot may hold.
 _ERGODIC_SLOT = ("ergodic", "not-ergodic")
 _DISTAL_SLOT = ("distal", "not-distal")
+_DIRECTION_SLOT = ("ergodic", "not-ergodic", "ergodic-up-to")
+_FOUND_SLOT = ("ergodic", "ergodic-up-to")
 
 
 def _check_kind(payload: dict, slot: tuple, failures: list) -> None:
@@ -152,8 +158,10 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
     _check(payload["generators_quasi_unipotent_on_subspace"] is True
            and all(quasi_unipotent_on(d, sub) for d in duals), failures,
            "a generator is not quasi-unipotent on the subspace")
+    # the quotient by W = 0 is the space itself, whose spectra are cached
     _check(payload["quotient_has_no_finite_orbit"] is True
-           and (sub.is_full or fixed_by_power([quotient_matrix(d, sub) for d in duals]).is_zero),
+           and (sub.is_full or fixed_by_power(
+               duals if sub.is_zero else [quotient_matrix(d, sub) for d in duals]).is_zero),
            failures, "quotient has a finite-orbit character")
 
 
@@ -219,18 +227,29 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
            "cross-validation recorded failures")
 
 
-def replay_bounded_verdict(action, payload: dict, failures: list) -> None:
+def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
+                           failures: list) -> None:
+    """Replay a Laurent verdict in a slot about the translation by
+    u^direction; direction is None for a two-variable group slot, whose
+    certificate names no direction."""
+    _check_kind(payload, slot, failures)
     cert = payload["certificate"]
     kind = cert["kind"]
     data = cert["data"]
     g = action.presenter
+    stated = data.get("direction")
+    if stated != (None if direction is None else list(direction)) or (
+            stated is not None and (len(stated) != action.nvars or not any(stated))):
+        failures.append("certificate direction is not its slot's nonzero direction")
+        return  # every identity below is about that direction
     if kind == "finite-quotient-witness":
+        if data["power"] < 1:
+            failures.append("witness power is not positive")
+            return
         witness = encoding.decode_laurent(data["witness"])
         quotient = encoding.decode_laurent(data["quotient"])
         factor = encoding.decode_laurent(data["common_factor"])
-        direction = tuple(data["direction"])
-        k = data["power"]
-        w = direction_power_minus_one(action.p, action.nvars, direction, k)
+        w = direction_power_minus_one(action.p, action.nvars, direction, data["power"])
         _check(w * witness == quotient * g, failures,
                "witness identity does not hold exactly")
         _check(laurent_divides(g, witness) is None, failures,
@@ -242,8 +261,10 @@ def replay_bounded_verdict(action, payload: dict, failures: list) -> None:
         _check(laurent_divides(factor, w) is not None, failures,
                "common factor does not divide the power identity")
     elif kind == "trivial-univariate-content":
-        var = data["variable"]
-        _check(content_in(g, var) == list(data["content"]), failures,
+        axis = [i for i, x in enumerate(direction or ()) if x]
+        _check(axis == [data["variable"]], failures,
+               "content variable is not the direction's one axis")
+        _check(len(axis) == 1 and content_in(g, axis[0]) == list(data["content"]), failures,
                "stored content differs")
         _check(len(data["content"]) == 1, failures, "content is not constant")
     elif kind == "coprime-axis-powers":
@@ -251,13 +272,21 @@ def replay_bounded_verdict(action, payload: dict, failures: list) -> None:
         _check(not g.is_zero and not g.is_unit, failures,
                "presenter must be a nonzero non-unit")
     elif kind == "bounded-scan":
-        direction = tuple(data["direction"])
+        if action.nvars != 2:
+            failures.append("bounded scan needs two variables")
+            return
         for k in range(1, data["k_max"] + 1):
             w = direction_power_minus_one(action.p, 2, direction, k).canonical()
             _check(bivar_gcd(g, w).is_unit, failures,
                    f"scan missed a common factor at power {k}")
     else:
-        failures.append(f"unknown bounded certificate kind {kind!r}")
+        failures.append(f"unknown Laurent certificate kind {kind!r}")
+
+
+def _group_direction(action):
+    """A one-variable group is generated by u alone; a two-variable group
+    verdict is about no single direction."""
+    return (1,) if action.nvars == 1 else None
 
 
 def replay_demo(payload: dict, failures: list) -> None:
@@ -308,10 +337,15 @@ def replay_report(report: dict) -> dict:
             replay_largest_subgroup(action, results["largest_ergodic_subgroup"], failures)
             checked += 1
         else:
-            for entry in results["directions"]:
-                replay_bounded_verdict(action, entry["verdict"], failures)
+            entries = results["directions"]
+            _check([tuple(e["direction"]) for e in entries] == axis_directions(action.nvars),
+                   failures, "directions are not the coordinate axes in order")
+            for entry in entries:
+                replay_laurent_verdict(action, tuple(entry["direction"]), entry["verdict"],
+                                       _DIRECTION_SLOT, failures)
                 checked += 1
-            replay_bounded_verdict(action, results["group"], failures)
+            replay_laurent_verdict(action, _group_direction(action), results["group"],
+                                   _ERGODIC_SLOT, failures)
             checked += 1
     elif command == "find-ergodic":
         if action.kind in ("toral", "solenoid"):
@@ -324,9 +358,13 @@ def replay_report(report: dict) -> dict:
             _replay_first_ergodic(action, exps, failures)
             checked += 1
         else:
-            replay_bounded_verdict(action, results["group"], failures)
+            # the claim that the direction is the first one found stays on
+            # trust: checking it would re-run every earlier bounded scan
+            replay_laurent_verdict(action, _group_direction(action), results["group"],
+                                   _ERGODIC_SLOT, failures)
             checked += 1
-            replay_bounded_verdict(action, results["verdict"], failures)
+            replay_laurent_verdict(action, tuple(results["direction"]), results["verdict"],
+                                   _FOUND_SLOT, failures)
             checked += 1
     elif command == "filtration":
         replay_filtration(action, results, failures)

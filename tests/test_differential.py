@@ -1,16 +1,18 @@
-"""Differential tests of the finite-orbit primitives against sympy: the
-cyclotomic split of a characteristic polynomial against sympy's
-factorization, and the finite-orbit kernel and the largest ergodic
-subgroup's dual subspace against sympy's nullspace."""
+"""Differential tests against sympy: the cyclotomic split of a
+characteristic polynomial against sympy's factorization, the finite-orbit
+kernel and the largest ergodic subgroup's dual subspace against sympy's
+nullspace, and the Laurent gcds over GF(p) against sympy's gcd."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from ergodec import (Matrix, Subspace, largest_ergodic_subgroup,
-                     orders_with_totient_at_most, solenoid_action)
+from ergodec import (LaurentPoly, Matrix, Subspace, bivar_gcd, content_in,
+                     largest_ergodic_subgroup, orders_with_totient_at_most,
+                     solenoid_action)
 from ergodec.intpoly import cyclotomic_split
+from ergodec.laurent import _fp_gcd
 from ergodec.matrices import fixed_by_power, singular_cyclotomic_orders
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, ergodic_distal_pair, random_unimodular)
@@ -121,3 +123,69 @@ def test_largest_ergodic_subgroup_matches_sympy_nullspace(gens):
     w, _ = largest_ergodic_subgroup(action)
     assert w == sympy_common_kernel(action.dual_generators, action.dim) \
         == sympy_common_kernel(inverse_transposes(gens), action.dim)
+
+
+U = sp.symbols("u1 u2")
+PRIMES = [2, 3, 5, 7]
+
+
+def random_laurent(rng, p, nvars, max_terms=4, span=3):
+    terms = {tuple(rng.randint(-span, span) for _ in range(nvars)): rng.randint(1, p - 1)
+             for _ in range(rng.randint(1, max_terms))}
+    return LaurentPoly.from_terms(p, nvars, terms)
+
+
+def planted_pairs(p, nvars, count=12):
+    """Random pairs, every other one multiplied by a shared random factor."""
+    rng = random.Random(1000 * p + nvars)
+    pairs = []
+    for i in range(count):
+        f, g = random_laurent(rng, p, nvars), random_laurent(rng, p, nvars)
+        if i % 2:
+            common = random_laurent(rng, p, nvars, max_terms=3, span=2)
+            f, g = f * common, g * common
+        pairs.append((f, g))
+    return pairs
+
+
+def sympy_poly(f, gens=U):
+    """The canonical form of f as a sympy polynomial over GF(p)."""
+    expr = sum(c * sp.Mul(*(u ** e for u, e in zip(gens, exps)))
+               for exps, c in f.canonical().terms)
+    return sp.Poly(expr, *gens, modulus=f.p)
+
+
+def same_up_to_unit(ours, theirs):
+    return ours.monic() == theirs.monic()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fp_gcd_matches_sympy(p):
+    for f, g in planted_pairs(p, 1):
+        ours = _fp_gcd(f.canonical().univariate_in(0), g.canonical().univariate_in(0), p)
+        theirs = sympy_poly(f, U[:1]).gcd(sympy_poly(g, U[:1]))
+        assert same_up_to_unit(sympy_poly(LaurentPoly.from_univariate(p, 1, 0, ours), U[:1]),
+                               theirs)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_content_in_matches_sympy(p):
+    """The content in u_var is the gcd of the coefficients of f as a
+    polynomial in the other variable over GF(p)[u_var]."""
+    rng = random.Random(p)
+    for f, _ in planted_pairs(p, 2):
+        for var in (0, 1):
+            side = random_laurent(rng, p, 1).canonical().univariate_in(0)
+            h = f * LaurentPoly.from_univariate(p, 2, var, side)  # a univariate factor
+            ring = sp.GF(p)[U[var]]
+            over_ring = sp.Poly(sympy_poly(h).as_expr(), U[1 - var], domain=ring)
+            theirs = sp.Poly(ring.to_sympy(over_ring.content()), U[var], modulus=p)
+            ours = LaurentPoly.from_univariate(p, 1, 0, content_in(h, var))
+            assert same_up_to_unit(sympy_poly(ours, U[var:var + 1]), theirs)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_bivar_gcd_matches_sympy(p):
+    for f, g in planted_pairs(p, 2):
+        theirs = sympy_poly(f).gcd(sympy_poly(g))
+        assert same_up_to_unit(sympy_poly(bivar_gcd(f, g)), theirs)

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from ergodec.laurent import (LaurentPoly, ModulusMismatchError,
-                             bivar_common_factor, bivar_gcd, content_in,
-                             direction_power_minus_one, laurent_divides,
-                             laurent_gcd_1d)
+from ergodec.laurent import (LaurentPoly, ModulusMismatchError, _fp_gcd,
+                             bivar_gcd, content_in, direction_power_minus_one,
+                             laurent_divides)
 
 
 def lp(p, nvars, terms):
@@ -93,18 +92,27 @@ class TestDivides:
             laurent_divides(LaurentPoly.zero(2, 1), LaurentPoly.one(2, 1))
 
 
+def coefficients(f):
+    """Coefficient list of a one-variable polynomial's canonical form."""
+    return f.canonical().univariate_in(0)
+
+
+def gcd_1d(f, g):
+    return LaurentPoly.from_univariate(f.p, 1, 0, _fp_gcd(coefficients(f), coefficients(g), f.p))
+
+
 class TestUnivariateGcd:
     def test_examples(self):
         u_minus_1 = lp(3, 1, {(1,): 1, (0,): 2})
         u2_minus_1 = lp(3, 1, {(2,): 1, (0,): 2})
-        assert laurent_gcd_1d(u_minus_1, u2_minus_1) == u_minus_1
+        assert gcd_1d(u_minus_1, u2_minus_1) == u_minus_1
 
         trinomial = lp(2, 1, {(2,): 1, (1,): 1, (0,): 1})
         cube = lp(2, 1, {(3,): 1, (0,): 1})
-        assert laurent_gcd_1d(trinomial, cube) == trinomial
+        assert gcd_1d(trinomial, cube) == trinomial
 
         square = lp(2, 1, {(2,): 1, (0,): 1})
-        assert laurent_gcd_1d(trinomial, square) == LaurentPoly.one(2, 1)
+        assert gcd_1d(trinomial, square) == LaurentPoly.one(2, 1)
 
     def test_gcd_divides_both(self):
         rng = random.Random(41)
@@ -112,28 +120,25 @@ class TestUnivariateGcd:
             p = rng.choice([2, 3, 5])
             f = random_poly(rng, p, 1)
             g = random_poly(rng, p, 1)
-            h = laurent_gcd_1d(f, g)
+            h = gcd_1d(f, g)
             assert laurent_divides(h, f) is not None
             assert laurent_divides(h, g) is not None
 
 
 class TestBivariate:
+    # sympy's gcd over GF(p) is the oracle in tests/test_differential.py;
+    # these check examples and the divisibility properties of any gcd
     def test_equal_inputs_share_factor(self):
-        flag, route = bivar_common_factor(ledrappier(), ledrappier())
-        assert flag
+        assert not bivar_gcd(ledrappier(), ledrappier()).is_unit
 
     def test_ledrappier_coprime_to_univariate(self):
         h = lp(2, 2, {(3, 0): 1, (0, 0): 1})
-        flag, route = bivar_common_factor(ledrappier(), h)
-        assert not flag
+        assert bivar_gcd(ledrappier(), h).is_unit
 
     def test_constructed_common_factor(self):
         f = lp(3, 2, {(1, 1): 1, (1, 0): 2, (0, 1): 2, (0, 0): 1})  # (u1-1)(u2-1)
         g = lp(3, 2, {(5, 0): 1, (0, 0): 2})  # u1^5 - 1
-        flag, route = bivar_common_factor(f, g)
-        assert flag
-        h = bivar_gcd(f, g)
-        assert h == lp(3, 2, {(1, 0): 1, (0, 0): 2})  # u1 - 1
+        assert bivar_gcd(f, g) == lp(3, 2, {(1, 0): 1, (0, 0): 2})  # u1 - 1
 
     def test_agrees_with_univariate_gcd_when_one_variable_absent(self):
         rng = random.Random(43)
@@ -143,24 +148,25 @@ class TestBivariate:
             b = random_poly(rng, p, 1)
             f = lp(p, 2, {(e[0], 0): c for e, c in a.terms})
             g = lp(p, 2, {(e[0], 0): c for e, c in b.terms})
-            flag, _ = bivar_common_factor(f, g)
-            assert flag == (not laurent_gcd_1d(a, b).is_unit)
+            expected = _fp_gcd(coefficients(a), coefficients(b), p)
+            assert bivar_gcd(f, g) == LaurentPoly.from_univariate(p, 2, 0, expected)
 
     def test_gcd_route_matches_decision_route(self):
+        # the gcd divides both inputs, and a planted common factor divides it
         rng = random.Random(47)
         for _ in range(50):
             p = rng.choice([2, 3])
             f = random_poly(rng, p, 2)
             g = random_poly(rng, p, 2)
+            common = LaurentPoly.one(p, 2)
             if rng.random() < 0.5:
                 common = random_poly(rng, p, 2, max_terms=2)
                 f = f * common
                 g = g * common
-            flag, _ = bivar_common_factor(f, g)
             gcd = bivar_gcd(f, g)
-            assert flag == (not gcd.is_unit)
             assert laurent_divides(gcd, f) is not None
             assert laurent_divides(gcd, g) is not None
+            assert laurent_divides(common, gcd) is not None
 
     def test_content_of_ledrappier_is_trivial(self):
         assert content_in(ledrappier(), 0) == [1]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ergodec import (BoundedVerdictKind, LaurentPoly, NotErgodicGroupError,
+from ergodec import (LaurentPoly, NotErgodicGroupError, VerdictKind,
                      default_k_max, direction_is_ergodic,
                      direction_power_minus_one, find_ergodic_direction,
                      group_is_ergodic, laurent_cyclic_action, laurent_divides,
@@ -37,15 +37,15 @@ class TestOneVariable:
     def test_irreducible_trinomial_witness_at_three(self):
         act = trinomial_action()
         v = direction_is_ergodic(act, (1,))
-        assert v.kind == BoundedVerdictKind.NOT_ERGODIC
-        assert v.exact
+        assert v.kind == VerdictKind.NOT_ERGODIC
+        assert v.certificate.kind == "finite-quotient-witness"
         assert v.certificate.data["power"] == 3
         replay_witness(act, v)
 
     def test_group_matches_single_direction(self):
         act = trinomial_action()
         g = group_is_ergodic(act)
-        assert g.kind == BoundedVerdictKind.NOT_ERGODIC
+        assert g.kind == VerdictKind.NOT_ERGODIC
         assert g.certificate.data["power"] == 3
 
     def test_witness_power_is_minimal_for_its_witness(self):
@@ -61,7 +61,7 @@ class TestOneVariable:
                 continue
             act = laurent_cyclic_action(p, 1, g)
             v = direction_is_ergodic(act, (1,))
-            assert v.kind == BoundedVerdictKind.NOT_ERGODIC
+            assert v.kind == VerdictKind.NOT_ERGODIC
             k = v.certificate.data["power"]
             assert k <= p ** g.degree_in(0) - 1
             from ergodec.encoding import decode_laurent
@@ -72,7 +72,7 @@ class TestOneVariable:
     def test_negative_direction_also_certified(self):
         act = trinomial_action()
         v = direction_is_ergodic(act, (-1,))
-        assert v.kind == BoundedVerdictKind.NOT_ERGODIC
+        assert v.kind == VerdictKind.NOT_ERGODIC
         replay_witness(act, v)
 
     def test_find_direction_rejects_one_variable(self):
@@ -85,26 +85,24 @@ class TestLedrappier:
         act = ledrappier_action()
         for n in ((1, 0), (0, 1), (-1, 0), (0, -1)):
             v = direction_is_ergodic(act, n)
-            assert v.kind == BoundedVerdictKind.ERGODIC
-            assert v.exact
+            assert v.kind == VerdictKind.ERGODIC
             assert v.certificate.kind == "trivial-univariate-content"
 
     def test_diagonal_is_bounded(self):
         act = ledrappier_action()
         v = direction_is_ergodic(act, (1, 1))
-        assert v.kind == BoundedVerdictKind.ERGODIC_UP_TO
-        assert not v.exact
-        assert v.bound == default_k_max(act)
+        assert v.kind == VerdictKind.ERGODIC_UP_TO
+        assert v.certificate.data["k_max"] == default_k_max(act)
 
     def test_group_exactly_ergodic(self):
         v = group_is_ergodic(ledrappier_action())
-        assert v.kind == BoundedVerdictKind.ERGODIC
-        assert v.exact
+        assert v.kind == VerdictKind.ERGODIC
+        assert v.certificate.kind == "coprime-axis-powers"
 
     def test_find_direction_returns_first_axis(self):
         direction, verdict = find_ergodic_direction(ledrappier_action(), 3)
         assert direction == (1, 0)
-        assert verdict.exact
+        assert verdict.kind == VerdictKind.ERGODIC
 
     def test_orbit_probe_of_one_never_closes(self):
         act = ledrappier_action()
@@ -118,7 +116,7 @@ class TestTwoVariableWitnesses:
         g = lp(3, 2, {(1, 1): 1, (1, 0): 1, (0, 1): 2, (0, 0): 2})
         act = laurent_cyclic_action(3, 2, g)
         v = direction_is_ergodic(act, (1, 0))
-        assert v.kind == BoundedVerdictKind.NOT_ERGODIC
+        assert v.kind == VerdictKind.NOT_ERGODIC
         assert v.certificate.data["power"] == 1
         replay_witness(act, v)
 
@@ -128,10 +126,10 @@ class TestTwoVariableWitnesses:
         # coprime axis identities, hence zero in the module.
         g = lp(3, 2, {(1, 1): 1, (1, 0): 2, (0, 1): 2, (0, 0): 1})
         act = laurent_cyclic_action(3, 2, g)
-        assert direction_is_ergodic(act, (1, 0)).kind == BoundedVerdictKind.NOT_ERGODIC
-        assert direction_is_ergodic(act, (0, 1)).kind == BoundedVerdictKind.NOT_ERGODIC
+        assert direction_is_ergodic(act, (1, 0)).kind == VerdictKind.NOT_ERGODIC
+        assert direction_is_ergodic(act, (0, 1)).kind == VerdictKind.NOT_ERGODIC
         v = group_is_ergodic(act)
-        assert v.kind == BoundedVerdictKind.ERGODIC and v.exact
+        assert v.kind == VerdictKind.ERGODIC
 
     def test_group_verdict_backed_by_orbit_probes(self):
         # Oracle support for the simultaneous-coprimality argument: no
@@ -158,12 +156,12 @@ class TestTwoVariableWitnesses:
         g = lp(2, 2, {(1, 1): 1, (0, 0): 1})
         act = laurent_cyclic_action(2, 2, g)
         v = direction_is_ergodic(act, (1, 1))
-        assert v.kind == BoundedVerdictKind.NOT_ERGODIC
+        assert v.kind == VerdictKind.NOT_ERGODIC
         assert v.certificate.data["power"] == 1
         replay_witness(act, v)
         # but the opposite diagonal never meets it within the bound
         v2 = direction_is_ergodic(act, (1, -1), k_max=8)
-        assert v2.kind == BoundedVerdictKind.ERGODIC_UP_TO
+        assert v2.kind == VerdictKind.ERGODIC_UP_TO
 
     def test_scan_continues_past_failing_directions(self):
         # (u1+1)*(1+u1+u2) over F2: directions with a u1 power fail at
@@ -171,10 +169,10 @@ class TestTwoVariableWitnesses:
         h = lp(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         g = lp(2, 2, {(1, 0): 1, (0, 0): 1}) * h
         act = laurent_cyclic_action(2, 2, g)
-        assert direction_is_ergodic(act, (1, 0)).kind == BoundedVerdictKind.NOT_ERGODIC
+        assert direction_is_ergodic(act, (1, 0)).kind == VerdictKind.NOT_ERGODIC
         direction, verdict = find_ergodic_direction(act, 3)
         assert direction == (0, 1)
-        assert verdict.exact
+        assert verdict.kind == VerdictKind.ERGODIC
 
 
 class TestInvariances:

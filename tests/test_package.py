@@ -1,10 +1,14 @@
+import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 
 import ergodec
+from ergodec import cli
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ergodec").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "ergodec").glob("*.py"))
 
 
 def test_library_imports_only_the_standard_library():
@@ -25,3 +29,21 @@ def test_library_imports_only_the_standard_library():
 
 def test_every_export_resolves():
     assert [name for name in ergodec.__all__ if not hasattr(ergodec, name)] == []
+
+
+def test_readme_matches_the_command_line():
+    """The schema version README states, and its synopsis: one line per
+    subcommand with that subcommand's own options, plus the common ones."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"`schema_version`,\s+currently (\d+)\.", readme) \
+        == [str(cli.SCHEMA_VERSION)]
+    section = readme.split("## Command line", 1)[1]
+    synopsis = section.split("```", 2)[1]
+    common = set(re.findall(r"--[a-z-]+", section.split("Common flags:", 1)[1].split("\n\n")[0]))
+    documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line)) | common
+                  for line in synopsis.splitlines() if line.startswith("ergodec ")}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actual = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+              for name, sub in subparsers.choices.items()}
+    assert documented == actual

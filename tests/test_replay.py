@@ -17,6 +17,19 @@ FIB_IDENTITY = {"type": "toral", "r": 4, "generators": [
 FIB_TWICE = {"type": "toral", "r": 2, "generators": [[[0, 1], [1, 1]], [[0, 1], [1, 1]]]}
 SHEAR = {"type": "toral", "r": 2, "generators": [[[1, 1], [0, 1]]]}
 IDENTITY = {"type": "toral", "r": 2, "generators": [[[1, 0], [0, 1]]]}
+LEDRAPPIER = {"type": "laurent", "p": 2, "d": 2, "g": [
+    {"exponents": [0, 0], "coefficient": 1},
+    {"exponents": [1, 0], "coefficient": 1},
+    {"exponents": [0, 1], "coefficient": 1}]}
+# (u1 - 1)(u2 + 1) over F_3: the first axis is not ergodic
+REDUCIBLE = {"type": "laurent", "p": 3, "d": 2, "g": [
+    {"exponents": [1, 1], "coefficient": 1},
+    {"exponents": [1, 0], "coefficient": 1},
+    {"exponents": [0, 1], "coefficient": 2},
+    {"exponents": [0, 0], "coefficient": 2}]}
+TRINOMIAL = {"type": "laurent", "p": 2, "d": 1, "g": [
+    {"exponents": [0], "coefficient": 1}, {"exponents": [1], "coefficient": 1},
+    {"exponents": [2], "coefficient": 1}]}
 
 
 def fresh_report(tmp_path, capsys, command, doc, *flags):
@@ -128,6 +141,16 @@ def _later_ergodic_vector(results):
     results["element_matrix"] = encode_matrix(element(action, (2, 1)))
 
 
+def _one_variable_bounded_scan(results):
+    results["directions"][0]["verdict"] = {"kind": "ergodic-up-to", "certificate": {
+        "kind": "bounded-scan", "data": {"direction": [1], "k_max": 4}}}
+
+
+def _zero_found_direction(results):
+    results["direction"] = [0, 0]
+    results["verdict"]["certificate"]["data"]["direction"] = [0, 0]
+
+
 ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
 
 
@@ -153,13 +176,26 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("oracle-check", SHEAR, ORACLE_FLAGS, _set("characters_checked", 25)),
     ("oracle-check", SHEAR, ORACLE_FLAGS, _set("norm_bound", 3)),
     ("oracle-check", SHEAR, ORACLE_FLAGS, _set("cap", 100)),
+    ("analyze", REDUCIBLE, (), _set("directions", 0, "verdict", "kind", "ergodic")),
+    ("analyze", LEDRAPPIER, (), _set("directions", 0, "direction", [1, 1])),
+    ("analyze", LEDRAPPIER, (),
+     _set("directions", 0, "verdict", "certificate", "data", "variable", 1)),
+    ("analyze", LEDRAPPIER, (), _set("group", "kind", "ergodic-up-to")),
+    ("find-ergodic", LEDRAPPIER, (), _set("direction", [0, 1])),
+    ("find-ergodic", LEDRAPPIER, (), _set("verdict", "kind", "not-ergodic")),
+    ("analyze", TRINOMIAL, (), _one_variable_bounded_scan),
+    ("find-ergodic", LEDRAPPIER, (), _zero_found_direction),
+    ("analyze", TRINOMIAL, (), _set("group", "certificate", "data", "power", 0)),
 ], ids=["mixing-flag", "verdict-kind", "verdict-slot", "generator-index", "generator-count",
         "not-distal-generator", "distal-group-kind", "group-orbit", "element-matrix",
         "first-vector",
         "filtration-dims",
         "attribution-stage", "attribution-generator", "attribution-dim-from",
         "attribution-dim-to", "attribution-ergodic", "finite-orbits", "exceeded",
-        "characters-checked", "norm-bound", "cap"])
+        "characters-checked", "norm-bound", "cap", "laurent-direction-kind",
+        "laurent-direction-slot", "laurent-content-variable", "laurent-group-kind",
+        "laurent-found-direction", "laurent-found-kind", "laurent-one-variable-scan",
+        "laurent-zero-direction", "laurent-witness-power-zero"])
 def test_tampered_derived_field_fails_replay(tmp_path, capsys, command, doc, flags, tamper):
     report = fresh_report(tmp_path, capsys, command, doc, *flags)
     assert replay_report(report)["failures"] == []
