@@ -9,7 +9,9 @@ with F the Fibonacci matrix.  Each generator fixes a 2-dimensional dual
 plane, so neither is ergodic on its own.  But the only characters fixed
 by powers of both generators form the zero subspace, so the group action
 is ergodic, and scanning all-positive exponent vectors finds the product
-diag(F, F) right away.
+diag(F, F) right away.  The scan is sure to stop: an ergodic group of
+rank r with d generators has an ergodic element whose exponents sum to
+at most r(d - 1) + 2 (Berend's argument).
 """
 
 from ergodec import (Matrix, element, find_ergodic_exponents,
@@ -32,8 +34,10 @@ def main():
           f"(finite-orbit subspace dimension {finite_orbit_subspace(action).dim})")
 
     exps, verdict = find_ergodic_exponents(action)
-    print(f"first ergodic exponent vector: {exps}")
-    print(f"its element:")
+    bound = action.dim * (action.n_generators - 1) + 2
+    print(f"first ergodic exponent vector: {exps} "
+          f"(coordinate sum {sum(exps)}, bound r(d - 1) + 2 = {bound})")
+    print("its element:")
     for row in element(action, exps).rows:
         print(f"   {list(row)}")
     print(f"element verdict: {verdict.kind.value}, "

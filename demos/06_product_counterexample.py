@@ -1,33 +1,42 @@
 """Why some chain condition is needed: a product action that is ergodic
 as a group while no single element is ergodic.
 
-Index a family of factors by the nonzero lattice points (i, j) and let
-the group element (n, m) act on factor (i, j) through a fixed ergodic
-base automorphism raised to the power m*i - n*j.  The group acts
-ergodically on the product, but the element (i, j) acts on its own
-factor with exponent j*i - i*j = 0: the identity.  Every element is
-therefore trivial somewhere, hence not ergodic on the product.
+Index 2-torus factors by the primitive lattice directions (i, j) of a
+half-plane and let the group element (n, m) act on factor (i, j) by
+F**(m*i - n*j), with F the Fibonacci matrix.  The element (n, m) is the
+identity on the factor of its own direction, so no element of the full
+product is ergodic, although the group is.  The descending chain
+condition that the existence theorem asks of the center fails there.
 
-The construction escapes the finite-chain world: the subproducts over
-indices with i + j at least n descend strictly forever.  This demo
-certifies both facts symbolically inside a chosen box.
+Each finite truncation, one factor per direction in the box of a
+radius, is an ordinary toral action, and the ordinary engine runs on
+it: the group is ergodic, every element of the box is not, and the
+first ergodic element sits one step outside the box.  As the radius
+grows that element moves outward, within the bound r(d - 1) + 2 the
+existence theorem gives, and in the full product it is gone.
 """
 
-from ergodec import ProductDemoSpec, product_action_demo
+from ergodec import (find_ergodic_exponents, is_ergodic_element, is_ergodic_group,
+                     product_counterexample)
 
 
 def main():
-    bundle = product_action_demo(ProductDemoSpec(box_radius=4))
-    print(f"box radius 4: {bundle['points_certified']} nonzero lattice points")
-    sample = [p for p in bundle["points"] if p["element"] in ([1, 0], [2, 3], [-4, 4])]
-    for point in sample:
-        i, j = point["element"]
-        print(f"  element ({i:2d},{j:2d}) acts on its own factor with exponent "
-              f"{j}*{i} - {i}*{j} = {point['exponent_on_own_factor']}")
-    print("descending chain of invariant subproducts:")
-    for entry in bundle["chain"]:
-        print(f"  level {entry['level']}: {entry['factor_count']} factors remain")
-    print(f"strictly descending: {bundle['strictly_descending']}")
+    for radius in (1, 2, 3):
+        action = product_counterexample(radius)
+        group = is_ergodic_group(action)
+        row = [f"radius {radius}: {action.dim // 2} factors", f"rank {action.dim}",
+               f"group {group.kind.value} ({group.certificate.kind})"]
+        if radius <= 2:
+            box = range(-radius, radius + 1)
+            ergodic = [(n, m) for n in box for m in box if (n, m) != (0, 0)
+                       and is_ergodic_element(action, (n, m)).is_ergodic]
+            row.append(f"ergodic box elements {ergodic}" if ergodic
+                       else "every box element not ergodic")
+        exps, _ = find_ergodic_exponents(action)
+        bound = action.dim * (action.n_generators - 1) + 2
+        row.append(f"first ergodic element {exps}, coordinate sum {sum(exps)} "
+                   f"<= bound r(d - 1) + 2 = {bound}")
+        print(", ".join(row))
 
 
 if __name__ == "__main__":

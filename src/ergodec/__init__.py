@@ -3,19 +3,19 @@ generated commuting automorphism groups of compact abelian groups:
 integer matrix actions on tori, rational matrix actions on solenoids, and
 coordinate translations on duals of cyclic Laurent quotient modules."""
 
-from .actions import (LaurentCyclicAction, ProductDemoSpec, SolenoidAction,
-                      ToralAction, build_action, dual_element, element,
-                      laurent_cyclic_action, solenoid_action, toral_action)
+from .actions import (LaurentCyclicAction, SolenoidAction, ToralAction, build_action,
+                      dual_element, element, laurent_cyclic_action,
+                      product_counterexample, solenoid_action, toral_action)
 from .errors import (InternalCheckError, Issue, NotErgodicGroupError,
                      SearchExhaustedError, ValidationError)
 from .intpoly import (Polynomial, cyclotomic, euler_phi,
                       orders_with_totient_at_most, poly_gcd)
-from .laurent import (LaurentPoly, bivar_gcd, content_in, direction_power_minus_one,
-                      laurent_divides)
-from .laurent_engine import (default_k_max, direction_is_ergodic, find_ergodic_direction,
+from .laurent import (LaurentPoly, bivar_gcd, content_in, default_k_max,
+                      direction_power_minus_one, laurent_divides)
+from .laurent_engine import (direction_is_ergodic, find_ergodic_direction,
                              group_is_ergodic, orbit_probe)
 from .matrices import Matrix, Subspace, kernel
-from .oracle import OrbitResult, cross_validate, orbit_bfs, product_action_demo
+from .oracle import OrbitResult, cross_validate, orbit_bfs
 from .toral import (Certificate, FiltrationReport, Verdict, VerdictKind,
                     ergodic_distal_filtration, find_ergodic_exponents,
                     finite_orbit_subspace, is_distal_element, is_distal_group,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate", "FiltrationReport", "InternalCheckError", "Issue",
     "LaurentCyclicAction", "LaurentPoly", "Matrix", "NotErgodicGroupError",
-    "OrbitResult", "Polynomial", "ProductDemoSpec", "SearchExhaustedError",
+    "OrbitResult", "Polynomial", "SearchExhaustedError",
     "SolenoidAction", "Subspace", "ToralAction", "ValidationError", "Verdict",
     "VerdictKind", "bivar_gcd", "build_action", "content_in", "cross_validate",
     "cyclotomic", "default_k_max", "direction_is_ergodic",
@@ -38,5 +38,5 @@ __all__ = [
     "is_ergodic_group", "kernel", "largest_ergodic_subgroup",
     "laurent_cyclic_action", "laurent_divides", "mixing_flag", "orbit_bfs",
     "orbit_probe", "orders_with_totient_at_most", "poly_gcd",
-    "product_action_demo", "solenoid_action", "toral_action",
+    "product_counterexample", "solenoid_action", "toral_action",
 ]

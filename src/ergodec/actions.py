@@ -13,6 +13,7 @@ character A^T chi.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -73,18 +74,6 @@ class LaurentCyclicAction:
         return "laurent"
 
 
-@dataclass(frozen=True)
-class ProductDemoSpec:
-    """Box radius for the product-action demonstration, built over a
-    formal ergodic base automorphism."""
-
-    box_radius: int
-
-    def __post_init__(self):
-        if self.box_radius < 1:
-            raise ValueError("box radius must be positive")
-
-
 # Primality is decided by trial division, so the modulus is capped.
 _MAX_MODULUS = 2 ** 31
 
@@ -141,6 +130,22 @@ def toral_action(generators) -> ToralAction:
     if issues:
         raise ValidationError(issues)
     return ToralAction(dim, mats, tuple(m.transpose() for m in mats))
+
+
+def product_counterexample(radius: int) -> ToralAction:
+    """Finite truncation of the product action of Z^2 that is ergodic as
+    a group while no element is ergodic: one 2-torus factor for each
+    primitive (i, j) with i > 0, or i = 0 and j > 0, and max(|i|, |j|)
+    <= radius, on which the element (n, m) acts by F**(m*i - n*j), F the
+    Fibonacci matrix.  Every nonzero element of the box of the radius is
+    the identity on the factor of its own direction."""
+    if radius < 1:
+        raise ValueError("radius must be positive")
+    f = Matrix.from_rows([[0, 1], [1, 1]])
+    factors = [(i, j) for i in range(radius + 1) for j in range(-radius, radius + 1)
+               if (i > 0 or j > 0) and math.gcd(i, j) == 1]
+    return toral_action([Matrix.block_diag(*(f ** -j for _, j in factors)),
+                         Matrix.block_diag(*(f ** i for i, _ in factors))])
 
 
 def solenoid_action(generators) -> SolenoidAction:

@@ -6,7 +6,8 @@ sorted, orderings are canonical, and timing goes to stderr instead of the
 report body.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure,
-3 hypothesis failure (the group is not ergodic), 4 certificate replay
+3 hypothesis failure (the group is not ergodic, or no Laurent direction
+in --search-box is ergodic), 4 certificate replay
 failure under --verify-report, 5 internal check failure (two routes
 that must agree did not; this is a bug).
 """
@@ -19,12 +20,12 @@ import sys
 import time
 
 from . import encoding, laurent_engine, oracle, replay, toral
-from .actions import ProductDemoSpec, build_action, element
+from .actions import build_action, element
 from .errors import (InternalCheckError, NotErgodicGroupError, SearchExhaustedError,
                      ValidationError)
-from .laurent import axis_directions
+from .laurent import KMAX_CAP, axis_directions
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -131,7 +132,7 @@ def cmd_find_ergodic(args) -> dict:
     doc, action = _action_from_file(args.file)
     try:
         if action.kind in ("toral", "solenoid"):
-            exps, verdict = toral.find_ergodic_exponents(action, args.max_exponent_sum)
+            exps, verdict = toral.find_ergodic_exponents(action)
             results = {
                 "exponents": list(exps),
                 "verdict": verdict.to_payload(),
@@ -170,15 +171,6 @@ def cmd_oracle_check(args) -> dict:
     return _report("oracle-check", doc, args, results)
 
 
-def cmd_demo(args) -> dict:
-    try:
-        spec = ProductDemoSpec(args.box)
-    except ValueError as exc:
-        raise _CliExit(2, f"demo-e2: {exc}")
-    results = oracle.product_action_demo(spec)
-    return _report("demo-e2", {"box": args.box}, args, results)
-
-
 def _flags_payload(args) -> dict:
     skip = {"func", "file", "format", "verify_report", "command"}
     out = {}
@@ -199,6 +191,22 @@ def _report(command: str, input_echo: dict, args, results: dict) -> dict:
     }
 
 
+def _positive_int(text: str, cap: int | None = None) -> int:
+    """The type of every integer flag: anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1 or (cap is not None and value > cap):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer" + (f" up to {cap}" if cap else ""))
+    return value
+
+
+def _kmax(text: str) -> int:
+    return _positive_int(text, KMAX_CAP)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergodec",
@@ -206,40 +214,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "automorphism groups of compact abelian groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="action document (JSON, one action per file)")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="action document (JSON, one action per file)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--verify-report", action="store_true",
                        help="re-parse the report and replay every certificate")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", help="validate and run all verdicts")
-    common(p)
-    p.add_argument("--kmax", type=int, default=None)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("find-ergodic", help="search for an ergodic element")
-    common(p)
-    p.add_argument("--max-exponent-sum", type=int, default=60)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--search-box", type=int, default=3)
-    p.set_defaults(func=cmd_find_ergodic)
-
-    p = sub.add_parser("filtration", help="build the ergodic-distal chain")
-    common(p)
-    p.set_defaults(func=cmd_filtration)
-
-    p = sub.add_parser("oracle-check", help="cross-validate against orbit enumeration")
-    common(p)
-    p.add_argument("--norm-bound", type=int, default=3)
-    p.add_argument("--cap", type=int, default=100_000)
-    p.set_defaults(func=cmd_oracle_check)
-
-    p = sub.add_parser("demo-e2", help="product action demo: ergodic group, "
-                                       "no ergodic element, no descending chain bound")
-    common(p, with_file=False)
-    p.add_argument("--box", type=int, default=4)
-    p.set_defaults(func=cmd_demo)
+    p = command("analyze", cmd_analyze, "validate and run all verdicts")
+    p.add_argument("--kmax", type=_kmax, default=None)
+    p = command("find-ergodic", cmd_find_ergodic, "search for an ergodic element")
+    p.add_argument("--kmax", type=_kmax, default=None)
+    p.add_argument("--search-box", type=_positive_int, default=3)
+    command("filtration", cmd_filtration, "build the ergodic-distal chain")
+    p = command("oracle-check", cmd_oracle_check, "cross-validate against orbit enumeration")
+    p.add_argument("--norm-bound", type=_positive_int, default=3)
+    p.add_argument("--cap", type=_positive_int, default=100_000)
     return parser
 
 

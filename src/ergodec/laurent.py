@@ -266,6 +266,16 @@ def axis_directions(nvars: int) -> list:
     return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
 
 
+# The largest power a bounded scan of a mixed direction may reach.
+KMAX_CAP = 64
+
+
+def default_k_max(action) -> int:
+    """The bounded scan's reach when no --kmax is given."""
+    deg = action.presenter.total_degree()
+    return min(action.p ** (2 * max(deg, 1)), KMAX_CAP)
+
+
 def _grlex_key(e):
     return (sum(e), e)
 

@@ -16,16 +16,9 @@ from __future__ import annotations
 from . import encoding
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
 from .laurent import (LaurentPoly, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub,
-                      bivar_gcd, content_in, direction_power_minus_one,
+                      bivar_gcd, content_in, default_k_max, direction_power_minus_one,
                       laurent_divides)
 from .toral import Certificate, Verdict, VerdictKind
-
-_DEFAULT_KMAX_CAP = 64
-
-
-def default_k_max(action) -> int:
-    deg = action.presenter.total_degree()
-    return min(action.p ** (2 * max(deg, 1)), _DEFAULT_KMAX_CAP)
 
 
 def _univariate_witness_power(content, step: int, p: int):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import ProductDemoSpec
 from .matrices import walk_orbit
 from .toral import finite_orbit_subspace
 
@@ -176,43 +175,3 @@ def cross_validate(action, norm_bound: int, cap: int,
         "consistent": not failures,
     }
 
-
-def product_action_demo(spec: ProductDemoSpec) -> dict:
-    """Certificate bundle for the product construction in which the full
-    two-parameter group acts ergodically but no single element does.
-
-    Each factor indexed by (i, j) carries the translation action sending
-    the group element (n, m) to the base automorphism raised to m*i - n*j.
-    The element (i, j) therefore acts on its own factor with exponent
-    j*i - i*j = 0, so it is not ergodic there, and factors are quotients
-    of the product.  The nested subproducts indexed by i + j at least n
-    form a strictly descending chain of invariant subgroups, so the
-    action has arbitrarily long descending chains.
-    """
-    b = spec.box_radius
-    points = []
-    for i in range(-b, b + 1):
-        for j in range(-b, b + 1):
-            if i == 0 and j == 0:
-                continue
-            exponent = j * i - i * j
-            if exponent != 0:
-                raise AssertionError("exponent identity failed; arithmetic bug")
-            points.append({"element": [i, j], "exponent_on_own_factor": exponent})
-    chain = []
-    previous = None
-    for level in range(1, b + 1):
-        members = [(i, j) for i in range(-b, b + 1) for j in range(-b, b + 1)
-                   if (i, j) != (0, 0) and i + j >= level]
-        if previous is not None and not (set(members) < set(previous)):
-            raise AssertionError("chain is not strictly descending")
-        chain.append({"level": level, "factor_count": len(members)})
-        previous = members
-    return {
-        "box_radius": b,
-        "points_certified": len(points),
-        "points": points,
-        "chain": chain,
-        "chain_length": len(chain),
-        "strictly_descending": True,
-    }

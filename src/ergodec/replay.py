@@ -15,7 +15,7 @@ import math
 from . import encoding
 from .actions import build_action, dual_element, element, positive_vectors
 from .intpoly import cyclotomic_product
-from .laurent import (axis_directions, bivar_gcd, content_in,
+from .laurent import (KMAX_CAP, axis_directions, bivar_gcd, content_in, default_k_max,
                       direction_power_minus_one, laurent_divides)
 from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
                        stage_quotient, walk_orbit)
@@ -227,11 +227,12 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
            "cross-validation recorded failures")
 
 
-def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
+def replay_laurent_verdict(action, direction, payload: dict, slot: tuple, flags: dict,
                            failures: list) -> None:
     """Replay a Laurent verdict in a slot about the translation by
     u^direction; direction is None for a two-variable group slot, whose
-    certificate names no direction."""
+    certificate names no direction.  A bounded scan must reach exactly
+    the report's --kmax, or the default when the flag is absent."""
     _check_kind(payload, slot, failures)
     cert = payload["certificate"]
     kind = cert["kind"]
@@ -275,6 +276,11 @@ def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
         if action.nvars != 2:
             failures.append("bounded scan needs two variables")
             return
+        # the scan's reach is fixed by the flags, and capped, before any gcd runs
+        bound = flags.get("kmax", default_k_max(action))
+        if data["k_max"] != bound or bound not in range(1, KMAX_CAP + 1):
+            failures.append("scan bound is not the one the flags fix")
+            return
         for k in range(1, data["k_max"] + 1):
             w = direction_power_minus_one(action.p, 2, direction, k).canonical()
             _check(bivar_gcd(g, w).is_unit, failures,
@@ -289,21 +295,6 @@ def _group_direction(action):
     return (1,) if action.nvars == 1 else None
 
 
-def replay_demo(payload: dict, failures: list) -> None:
-    b = payload["box_radius"]
-    expected = (2 * b + 1) ** 2 - 1
-    _check(payload["points_certified"] == expected, failures,
-           "point count does not match the box")
-    for point in payload["points"]:
-        i, j = point["element"]
-        _check(j * i - i * j == point["exponent_on_own_factor"] == 0, failures,
-               "exponent identity failed")
-    counts = [entry["factor_count"] for entry in payload["chain"]]
-    _check(all(a > b2 for a, b2 in zip(counts, counts[1:])), failures,
-           "chain counts are not strictly descending")
-    _check(len(counts) == b, failures, "chain length does not match the box")
-
-
 def replay_report(report: dict) -> dict:
     """Re-check every certificate in a serialized report.
 
@@ -312,6 +303,7 @@ def replay_report(report: dict) -> dict:
     failures: list = []
     checked = 0
     command = report["command"]
+    flags = report["flags"]
     results = report["results"]
     action = None
     if command in ("analyze", "find-ergodic", "filtration", "oracle-check"):
@@ -342,10 +334,10 @@ def replay_report(report: dict) -> dict:
                    failures, "directions are not the coordinate axes in order")
             for entry in entries:
                 replay_laurent_verdict(action, tuple(entry["direction"]), entry["verdict"],
-                                       _DIRECTION_SLOT, failures)
+                                       _DIRECTION_SLOT, flags, failures)
                 checked += 1
             replay_laurent_verdict(action, _group_direction(action), results["group"],
-                                   _ERGODIC_SLOT, failures)
+                                   _ERGODIC_SLOT, flags, failures)
             checked += 1
     elif command == "find-ergodic":
         if action.kind in ("toral", "solenoid"):
@@ -361,19 +353,16 @@ def replay_report(report: dict) -> dict:
             # the claim that the direction is the first one found stays on
             # trust: checking it would re-run every earlier bounded scan
             replay_laurent_verdict(action, _group_direction(action), results["group"],
-                                   _ERGODIC_SLOT, failures)
+                                   _ERGODIC_SLOT, flags, failures)
             checked += 1
             replay_laurent_verdict(action, tuple(results["direction"]), results["verdict"],
-                                   _FOUND_SLOT, failures)
+                                   _FOUND_SLOT, flags, failures)
             checked += 1
     elif command == "filtration":
         replay_filtration(action, results, failures)
         checked += 1
     elif command == "oracle-check":
-        replay_oracle_check(action, report["flags"], results, failures)
-        checked += 1
-    elif command == "demo-e2":
-        replay_demo(results, failures)
+        replay_oracle_check(action, flags, results, failures)
         checked += 1
     else:
         failures.append(f"unknown command {command!r}")

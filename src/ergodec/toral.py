@@ -22,7 +22,7 @@ from enum import Enum
 
 from . import encoding
 from .actions import dual_element, positive_vectors
-from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
+from .errors import InternalCheckError, NotErgodicGroupError
 from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, kernel,
                        quasi_unipotent_on, stage_quotient, unipotent_power, walk_orbit)
 
@@ -266,25 +266,30 @@ def _certify_stage_ergodic(d: Matrix, w_outer: Subspace, w_inner: Subspace) -> b
     return True
 
 
-def find_ergodic_exponents(action, max_exponent_sum: int = 60):
+def find_ergodic_exponents(action):
     """First all-positive exponent vector, by increasing coordinate sum
     then lexicographic order, whose product element is ergodic.
 
+    The search is total (Berend's argument): for an ergodic group, the
+    vectors whose element is not ergodic lie in at most r hyperplanes,
+    one per joint eigenvalue tuple of the r-by-r dual generators, and a
+    hyperplane holds at most a (d - 1)/(S - 1) share of the positive
+    vectors with sum S, so some vector with sum r*(d - 1) + 2 is ergodic.
+
     Returns (exponents, element_verdict).  Raises NotErgodicGroupError
-    when the group itself is not ergodic, and SearchExhaustedError when
-    the configured bound is hit (the group verdict guarantees existence,
-    with no effective bound on the coordinate sum).
+    when the group itself is not ergodic.
     """
     group = is_ergodic_group(action)
     if not group.is_ergodic:
         raise NotErgodicGroupError(group.to_payload())
     n = action.n_generators
-    for total in range(n, max_exponent_sum + 1):
+    bound = action.dim * (n - 1) + 2
+    for total in range(n, bound + 1):
         for exps in positive_vectors(n, total):
             v = is_ergodic_element(action, exps)
             if v.is_ergodic:
                 return exps, v
-    raise SearchExhaustedError(max_exponent_sum)
+    raise InternalCheckError(f"no ergodic element within coordinate sum {bound}")
 
 
 def mixing_flag(verdict: Verdict) -> bool:

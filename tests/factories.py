@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import random
 
-from ergodec import Matrix, orders_with_totient_at_most
+from ergodec import Matrix, orders_with_totient_at_most, product_counterexample
+from ergodec.encoding import encode_matrix
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 5) -> Matrix:
@@ -145,3 +146,10 @@ def commuting_unipotent_family(rng: random.Random, max_dim: int = 6):
             power = power * nil
         gens.append(conjugate(g, p))
     return gens
+
+
+def counterexample_doc(radius: int) -> dict:
+    """Action document of the product counterexample truncated at radius."""
+    action = product_counterexample(radius)
+    return {"type": "toral", "r": action.dim,
+            "generators": [encode_matrix(g) for g in action.generators]}

@@ -8,19 +8,18 @@ import subprocess
 import sys
 import time
 
-from ergodec import (LaurentPoly, Matrix, ProductDemoSpec,
-                     VerdictKind, cross_validate, cyclotomic, dual_element,
+from ergodec import (LaurentPoly, Matrix, VerdictKind, cross_validate, cyclotomic, dual_element,
                      ergodic_distal_filtration, find_ergodic_direction,
                      find_ergodic_exponents, finite_orbit_subspace,
                      direction_is_ergodic, group_is_ergodic, is_distal_element,
                      is_distal_group, is_ergodic_element, is_ergodic_group,
                      laurent_cyclic_action, laurent_divides,
                      direction_power_minus_one, orders_with_totient_at_most,
-                     poly_gcd, product_action_demo, toral_action)
+                     poly_gcd, product_counterexample, toral_action)
 from ergodec.encoding import decode_laurent
 from ergodec.replay import replay_filtration
 from factories import (commuting_mixed_family, commuting_unipotent_family,
-                       conjugate, ergodic_distal_pair, fibonacci_matrix,
+                       conjugate, counterexample_doc, ergodic_distal_pair, fibonacci_matrix,
                        random_ergodic_2x2, random_unimodular, root_of_unity_lcm)
 
 
@@ -235,15 +234,22 @@ def test_criterion_08_laurent_engine():
 
 def test_criterion_09_product_demo():
     budget = Budget(1.0)
-    bundle = product_action_demo(ProductDemoSpec(4))
-    assert bundle["points_certified"] == 80
-    assert all(p["exponent_on_own_factor"] == 0 for p in bundle["points"])
-    assert bundle["chain_length"] == 4
-    counts = [c["factor_count"] for c in bundle["chain"]]
-    assert all(a > b for a, b in zip(counts, counts[1:]))
+    hits = []
+    for radius in (1, 2):
+        action = product_counterexample(radius)
+        assert is_ergodic_group(action).certificate.kind == "zero-finite-orbit-subspace"
+        exps, verdict = find_ergodic_exponents(action)
+        assert exps == (1, radius + 1) and verdict.is_ergodic
+        assert sum(exps) <= action.dim * (action.n_generators - 1) + 2
+        hits.append(exps)
+    # the rank-16 box is left to tests/test_oracle.py: 24 route-B spectra
+    # do not fit this budget
+    action = product_counterexample(1)
+    assert not any(is_ergodic_element(action, (n, m)).is_ergodic
+                   for n in (-1, 0, 1) for m in (-1, 0, 1) if (n, m) != (0, 0))
     elapsed = budget.check()
-    print(f"PASS criterion 9: 80 lattice points certified, descending chain "
-          f"of length 4 ({elapsed:.2f}s)")
+    print(f"PASS criterion 9: product action ergodic, box elements not, first "
+          f"ergodic elements {hits} step outward ({elapsed:.2f}s)")
 
 
 GOLDEN_DOCS = {
@@ -255,6 +261,7 @@ GOLDEN_DOCS = {
         {"exponents": [0, 0], "coefficient": 1},
         {"exponents": [1, 0], "coefficient": 1},
         {"exponents": [0, 1], "coefficient": 1}]},
+    "product_r2.json": counterexample_doc(2),
 }
 
 GOLDEN_COMMANDS = [
@@ -264,7 +271,7 @@ GOLDEN_COMMANDS = [
     ("find-ergodic", "ledrappier.json"),
     ("filtration", "blockpair.json"),
     ("oracle-check", "fib.json", "--norm-bound", "3", "--cap", "100000"),
-    ("demo-e2", None, "--box", "4"),
+    ("find-ergodic", "product_r2.json"),
 ]
 
 
@@ -279,7 +286,7 @@ def test_criterion_10_report_determinism_and_replay(tmp_path):
 
     commands_run = 0
     for command, doc_name, *flags in GOLDEN_COMMANDS:
-        args = [command] + ([str(tmp_path / doc_name)] if doc_name else []) + list(flags)
+        args = [command, str(tmp_path / doc_name)] + list(flags)
         first = run(args)
         second = run(args)
         assert first.returncode == 0, first.stderr

@@ -1,11 +1,13 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ergodec import matrices
+from ergodec import Verdict, cli, matrices, toral
 from ergodec.cli import main
+from factories import counterexample_doc
 
 CLI = [sys.executable, "-m", "ergodec.cli"]
 
@@ -145,6 +147,13 @@ class TestFindErgodic:
         res = run("find-ergodic", write(tmp_path, "id.json", IDENTITY))
         assert res.returncode == 3
 
+    def test_exhausted_bound_is_an_internal_failure(self, tmp_path, capsys, monkeypatch):
+        # an ergodic group always has an ergodic element within the bound
+        never = Verdict(toral.VerdictKind.NOT_ERGODIC, toral.Certificate("forged", {}))
+        monkeypatch.setattr(toral, "is_ergodic_element", lambda action, exps: never)
+        assert main(["find-ergodic", write(tmp_path, "bp.json", BLOCK_PAIR)]) == 5
+        assert "no ergodic element within coordinate sum 6" in capsys.readouterr().err
+
 
 class TestFiltration:
     def test_block_pair_dims(self, tmp_path):
@@ -178,17 +187,53 @@ class TestOracleCheckAndDemo:
         assert report["results"]["characters_checked"] == 48
         assert report["results"]["failures"] == []
 
-    def test_demo_box_four(self):
-        res = run("demo-e2", "--box", "4")
-        assert res.returncode == 0
+    def test_product_counterexample_steps_outside_the_box(self, tmp_path):
+        res = run("find-ergodic", write(tmp_path, "product_r2.json", counterexample_doc(2)),
+                  "--verify-report")
+        assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout)
-        assert report["results"]["points_certified"] == 80
-        assert report["results"]["chain_length"] == 4
+        assert report["results"]["exponents"] == [1, 3]
+        assert report["results"]["group"]["certificate"]["kind"] == \
+            "zero-finite-orbit-subspace"
+        assert report["verification"]["failures"] == []
 
-    def test_demo_box_zero_exits_2(self):
-        res = run("demo-e2", "--box", "0")
+    def test_product_counterexample_generators_not_ergodic(self, tmp_path):
+        res = run("analyze", write(tmp_path, "product_r1.json", counterexample_doc(1)))
+        assert res.returncode == 0
+        results = json.loads(res.stdout)["results"]
+        assert [g["ergodic"]["kind"] for g in results["generators"]] == ["not-ergodic"] * 2
+        assert results["group"]["ergodic"]["kind"] == "ergodic"
+
+
+def _integer_options():
+    """(subcommand, flag) for every option of the parser that takes a
+    typed value; all of them are integers."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0]) for name, sub in subparsers.choices.items()
+            for a in sub._actions if a.option_strings and a.type is not None]
+
+
+class TestFlagValidation:
+    def test_integer_flags_are_found(self):
+        assert {("analyze", "--kmax"), ("find-ergodic", "--kmax"),
+                ("find-ergodic", "--search-box"), ("oracle-check", "--cap"),
+                ("oracle-check", "--norm-bound")} <= set(_integer_options())
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command,flag", _integer_options())
+    def test_non_positive_exits_2(self, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, write(tmp_path, "fib.json", FIB), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: '{value}' is not a positive integer" in err
+        assert "Traceback" not in err
+
+    def test_kmax_past_the_scan_cap_exits_2(self, tmp_path):
+        res = run("find-ergodic", write(tmp_path, "led.json", LEDRAPPIER), "--kmax", "65")
         assert res.returncode == 2
-        assert "box radius must be positive" in res.stderr
+        assert "'65' is not a positive integer up to 64" in res.stderr
         assert "Traceback" not in res.stderr
 
 
@@ -204,8 +249,12 @@ class TestDeterminismAndVerification:
         assert first.returncode == 0
         assert first.stdout == second.stdout
 
-    def test_demo_byte_identical(self):
-        assert run("demo-e2", "--box", "3").stdout == run("demo-e2", "--box", "3").stdout
+    def test_product_counterexample_byte_identical(self, tmp_path):
+        doc = write(tmp_path, "product_r1.json", counterexample_doc(1))
+        first = run("find-ergodic", doc)
+        assert first.returncode == 0
+        assert json.loads(first.stdout)["results"]["exponents"] == [1, 2]
+        assert first.stdout == run("find-ergodic", doc).stdout
 
     @pytest.mark.parametrize("command,doc", [
         ("analyze", FIB), ("analyze", IDENTITY), ("analyze", LEDRAPPIER),

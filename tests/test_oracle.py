@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ergodec import (Matrix, ProductDemoSpec, cross_validate,
-                     finite_orbit_subspace, orbit_bfs, product_action_demo,
-                     solenoid_action, toral_action)
+from ergodec import (Matrix, VerdictKind, cross_validate, element, find_ergodic_exponents,
+                     finite_orbit_subspace, is_ergodic_element, is_ergodic_group,
+                     orbit_bfs, product_counterexample, solenoid_action, toral_action)
 from factories import commuting_mixed_family, fibonacci_matrix
 
 
@@ -94,24 +94,34 @@ class TestCrossValidate:
 
 
 class TestProductDemo:
-    def test_box_four_counts(self):
-        bundle = product_action_demo(ProductDemoSpec(4))
-        assert bundle["points_certified"] == 80
-        assert bundle["chain_length"] == 4
-        assert bundle["strictly_descending"]
+    """The truncated product action through the ordinary engine: an
+    ergodic group whose ergodic elements all lie outside the box."""
 
-    def test_every_exponent_vanishes(self):
-        bundle = product_action_demo(ProductDemoSpec(3))
-        assert all(p["exponent_on_own_factor"] == 0 for p in bundle["points"])
-        assert {tuple(p["element"]) for p in bundle["points"]} == {
-            (i, j) for i in range(-3, 4) for j in range(-3, 4) if (i, j) != (0, 0)}
+    @pytest.mark.parametrize("radius,rank", [(1, 8), (2, 16), (3, 32)])
+    def test_group_ergodic_and_hit_outside_the_box(self, radius, rank):
+        act = product_counterexample(radius)
+        assert act.dim == rank
+        assert is_ergodic_group(act).certificate.kind == "zero-finite-orbit-subspace"
+        exps, verdict = find_ergodic_exponents(act)
+        assert exps == (1, radius + 1) and verdict.is_ergodic
+        assert sum(exps) <= rank * (act.n_generators - 1) + 2
 
-    def test_chain_counts_strictly_descend(self):
-        bundle = product_action_demo(ProductDemoSpec(5))
-        counts = [c["factor_count"] for c in bundle["chain"]]
-        assert counts == sorted(counts, reverse=True)
-        assert len(set(counts)) == len(counts)
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_box_elements_not_ergodic(self, radius):
+        act = product_counterexample(radius)
+        box = range(-radius, radius + 1)
+        assert all(is_ergodic_element(act, (n, m)).kind == VerdictKind.NOT_ERGODIC
+                   for n in box for m in box if (n, m) != (0, 0))
+
+    def test_element_acts_on_each_factor_by_its_exponent(self):
+        # the primitive (i, j) of the half-plane in the radius-2 box, in order
+        factors = [(0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -1), (2, 1)]
+        act = product_counterexample(2)
+        f = fibonacci_matrix()
+        for n, m in [(1, 0), (0, 1), (2, -1), (1, 3), (-3, 2)]:
+            assert element(act, (n, m)) == Matrix.block_diag(
+                *(f ** (m * i - n * j) for i, j in factors))
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
-            ProductDemoSpec(0)
+            product_counterexample(0)

@@ -27,6 +27,12 @@ REDUCIBLE = {"type": "laurent", "p": 3, "d": 2, "g": [
     {"exponents": [1, 0], "coefficient": 1},
     {"exponents": [0, 1], "coefficient": 2},
     {"exponents": [0, 0], "coefficient": 2}]}
+# (u1 - 1)(u2 - 1) over F_3: both axes fail, (1, 1) is ergodic up to k_max 64
+AXES_ONLY = {"type": "laurent", "p": 3, "d": 2, "g": [
+    {"exponents": [1, 1], "coefficient": 1},
+    {"exponents": [1, 0], "coefficient": 2},
+    {"exponents": [0, 1], "coefficient": 2},
+    {"exponents": [0, 0], "coefficient": 1}]}
 TRINOMIAL = {"type": "laurent", "p": 2, "d": 1, "g": [
     {"exponents": [0], "coefficient": 1}, {"exponents": [1], "coefficient": 1},
     {"exponents": [2], "coefficient": 1}]}
@@ -186,6 +192,10 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("analyze", TRINOMIAL, (), _one_variable_bounded_scan),
     ("find-ergodic", LEDRAPPIER, (), _zero_found_direction),
     ("analyze", TRINOMIAL, (), _set("group", "certificate", "data", "power", 0)),
+    ("find-ergodic", AXES_ONLY, ("--search-box", "1"),
+     _set("verdict", "certificate", "data", "k_max", 640)),
+    ("find-ergodic", AXES_ONLY, ("--search-box", "1", "--kmax", "8"),
+     _set("verdict", "certificate", "data", "k_max", 64)),
 ], ids=["mixing-flag", "verdict-kind", "verdict-slot", "generator-index", "generator-count",
         "not-distal-generator", "distal-group-kind", "group-orbit", "element-matrix",
         "first-vector",
@@ -195,7 +205,8 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
         "characters-checked", "norm-bound", "cap", "laurent-direction-kind",
         "laurent-direction-slot", "laurent-content-variable", "laurent-group-kind",
         "laurent-found-direction", "laurent-found-kind", "laurent-one-variable-scan",
-        "laurent-zero-direction", "laurent-witness-power-zero"])
+        "laurent-zero-direction", "laurent-witness-power-zero", "laurent-scan-past-default",
+        "laurent-scan-past-flag"])
 def test_tampered_derived_field_fails_replay(tmp_path, capsys, command, doc, flags, tamper):
     report = fresh_report(tmp_path, capsys, command, doc, *flags)
     assert replay_report(report)["failures"] == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from ergodec import (Matrix, NotErgodicGroupError, Subspace, ToralAction, Verdic
                      is_ergodic_group, largest_ergodic_subgroup, mixing_flag,
                      orders_with_totient_at_most, poly_gcd, solenoid_action,
                      toral_action)
+from ergodec.actions import positive_vectors
 from ergodec.encoding import encode_subspace
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, ergodic_distal_pair, fibonacci_matrix,
@@ -235,6 +237,16 @@ class TestFindErgodicExponents:
     def test_all_positive_and_first_in_order(self):
         exps, _ = find_ergodic_exponents(block_pair_action())
         assert all(e >= 1 for e in exps)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_hyperplane_share_of_a_sum_shell(self, d):
+        # the lemma behind the search bound: a hyperplane through 0 holds at
+        # most a (d - 1)/(S - 1) share of the positive vectors with sum S
+        for total in range(d, 11):
+            shell = list(positive_vectors(d, total))
+            for normal in itertools.product(range(-6, 7), repeat=d):
+                on = sum(1 for v in shell if sum(a * x for a, x in zip(normal, v)) == 0)
+                assert not any(normal) or on * (total - 1) <= (d - 1) * len(shell)
 
 
 class TestTwoRouteEquivalence:
