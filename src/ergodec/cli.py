@@ -5,9 +5,10 @@ deterministic byte for byte for a fixed input and flag set: keys are
 sorted, orderings are canonical, and timing goes to stderr instead of the
 report body.
 
-Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure,
-3 hypothesis failure (the group is not ergodic, or no Laurent direction
-in --search-box is ergodic), 4 certificate replay
+Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure
+(including a resource-limit issue: an oracle-check box too large to
+enumerate), 3 hypothesis failure (the group is not ergodic, or no
+Laurent direction in --search-box is ergodic), 4 certificate replay
 failure under --verify-report, 5 internal check failure (two routes
 that must agree did not; this is a bug).
 """
@@ -85,14 +86,18 @@ class _CliExit(Exception):
         super().__init__(message)
 
 
+def _validation_exit(path: str, exc: ValidationError) -> _CliExit:
+    details = "; ".join(
+        f"{i.code}{list(i.where) if i.where else ''}: {i.message}" for i in exc.issues)
+    return _CliExit(2, f"{path}: validation failed: {details}")
+
+
 def _action_from_file(path: str):
     doc = _load_document(path)
     try:
         return doc, build_action(doc)
     except ValidationError as exc:
-        details = "; ".join(
-            f"{i.code}{list(i.where) if i.where else ''}: {i.message}" for i in exc.issues)
-        raise _CliExit(2, f"{path}: validation failed: {details}")
+        raise _validation_exit(path, exc)
 
 
 def cmd_analyze(args) -> dict:
@@ -167,7 +172,10 @@ def cmd_oracle_check(args) -> dict:
     doc, action = _action_from_file(args.file)
     if action.kind != "toral":
         raise _CliExit(2, "oracle enumeration runs on toral actions only")
-    results = oracle.cross_validate(action, args.norm_bound, args.cap)
+    try:
+        results = oracle.cross_validate(action, args.norm_bound, args.cap)
+    except ValidationError as exc:
+        raise _validation_exit(args.file, exc)
     return _report("oracle-check", doc, args, results)
 
 

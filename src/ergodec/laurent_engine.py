@@ -150,6 +150,11 @@ def find_ergodic_direction(action, search_box: int, k_max: int | None = None):
     lexicographic order, whose translation is certified ergodic.  Exact
     verdicts win over bounded ones across the whole box.
 
+    A shell that ends with a bounded hit and no exact one ends the scan:
+    no later shell holds an exact verdict, because an axis direction
+    k*e_i has the same content as e_i and a mixed direction never gets
+    one.
+
     Returns (direction, verdict).
     """
     group = group_is_ergodic(action, k_max)
@@ -163,8 +168,8 @@ def find_ergodic_direction(action, search_box: int, k_max: int | None = None):
                 return direction, verdict
             if verdict.kind == VerdictKind.ERGODIC_UP_TO and first_bounded is None:
                 first_bounded = (direction, verdict)
-    if first_bounded is not None:
-        return first_bounded
+        if first_bounded is not None:
+            return first_bounded
     raise SearchExhaustedError(search_box)
 
 

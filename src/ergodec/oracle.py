@@ -1,28 +1,41 @@
 """Brute-force verification of the dual orbit semantics.
 
 Orbits are walked character by character over the dual generators
-alone, and finiteness means the frontier emptied: a generator permutes
-any finite set it maps into itself, so a finite closure under the
-generators is the group orbit.  The walk is the same breadth-first
-walker (matrices.walk_orbit) that the engine uses to enumerate a finite
-orbit for a certificate, but the oracle decides finiteness only by
+alone, and finiteness means the walk closed: a generator permutes any
+finite set it maps into itself, so a finite closure under the
+generators is the group orbit.  The oracle decides finiteness only by
 walking: it never consults the analytic finite-orbit subspace, except
-to compare against it.  A walk that gives up (too many
-characters visited, or coordinates past the size guard) certifies
-nothing; only the analytic side can assert an orbit is infinite.
-Cross-validation walks a whole box of characters, shares work between
-characters that turn out to lie on the same orbit, and flags any
-disagreement with the engine as a hard failure.
+to compare against it.  A walk that gives up (too many characters
+visited, or coordinates past the size guard) certifies nothing; only
+the analytic side can assert an orbit is infinite.
+
+Cross-validation first walks each generator's cycle through a
+character, all generators in lockstep.  The generators commute, so an
+orbit is finite if and only if every cyclic orbit closes: if each
+generator g_i returns chi after n_i steps, then g_i^n_i fixes every
+point g_1^m_1 ... g_d^m_d chi of the orbit, so the orbit holds only the
+points with 0 <= m_i < n_i.  A cycle that passes the visited cap or
+the coordinate guard ends the walk at once, and only the orbits whose
+cycles all close are walked breadth-first (matrices.walk_orbit) to
+measure their size against the cap.  Cross-validation covers a whole box
+of characters, shares work between characters that turn out to lie on
+the same orbit, and flags any disagreement with the engine as a hard
+failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
+from .errors import Issue, ValidationError
 from .matrices import walk_orbit
 from .toral import finite_orbit_subspace
 
 DEFAULT_COORD_BITS = 64
+# Most nonzero characters a cross-validation box may hold: (2b+1)^r - 1
+# grows past any run time long before r or b look large.
+MAX_BOX_CHARACTERS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,7 @@ def _compile_map(rows):
         return lambda v: (a * v[0] + b * v[1] + c * v[2],
                           d * v[0] + e * v[1] + f * v[2],
                           g * v[0] + h * v[1] + i * v[2])
-    return lambda v: tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
+    return lambda v: tuple([sum(map(mul, row, v)) for row in rows])
 
 
 def _orbit_maps(action):
@@ -106,6 +119,48 @@ def _box_characters(dim: int, norm_bound: int):
     yield from rec([], dim)
 
 
+def box_limit_issue(dim: int, norm_bound: int) -> Issue | None:
+    """The resource-limit issue of a box with more than
+    MAX_BOX_CHARACTERS nonzero characters, or None."""
+    count = (2 * norm_bound + 1) ** dim - 1
+    if count <= MAX_BOX_CHARACTERS:
+        return None
+    return Issue("resource-limit", (),
+                 f"the norm-bound {norm_bound} box in dimension {dim} holds {count} "
+                 f"characters, above the limit of {MAX_BOX_CHARACTERS}")
+
+
+def _cycle_walks(maps, start, cap: int, guard: int, known):
+    """Walk each generator's cycle through start, all in lockstep.
+
+    Returns (points, stop, last) as matrices.walk_orbit does: stop is
+    None when every cycle came back to start, and otherwise "known",
+    "coordinate-guard" or "visited-cap" for the first walk to reach a
+    point of known, a coordinate of absolute value at least guard, or
+    more than cap points.  points lists every point walked.
+    """
+    points = [start]
+    walks = [(apply_map, start) for apply_map in maps]
+    length = 1
+    while walks:
+        length += 1
+        still_open = []
+        for apply_map, v in walks:
+            w = apply_map(v)
+            if w == start:
+                continue
+            if w in known:
+                return points, "known", w
+            if max(map(abs, w)) >= guard:
+                return points, "coordinate-guard", w
+            points.append(w)
+            if length > cap:
+                return points, "visited-cap", w
+            still_open.append((apply_map, w))
+        walks = still_open
+    return points, None, None
+
+
 def cross_validate(action, norm_bound: int, cap: int,
                    max_coord_bits: int = DEFAULT_COORD_BITS) -> dict:
     """Differential test of the finite-orbit subspace against orbit
@@ -114,9 +169,13 @@ def cross_validate(action, norm_bound: int, cap: int,
     Hard failures: a finite enumerated orbit whose character lies outside
     the engine's finite-orbit subspace, or a character inside it whose
     enumeration did not close.  Exceeded-cap outside the subspace is
-    consistent by construction.
+    consistent by construction.  A box of more than MAX_BOX_CHARACTERS
+    characters raises ValidationError with a resource-limit issue.
     """
     _require_toral(action)
+    issue = box_limit_issue(action.dim, norm_bound)
+    if issue is not None:
+        raise ValidationError([issue])
     fixed = finite_orbit_subspace(action)
     maps = _orbit_maps(action)
     guard = 1 << max_coord_bits
@@ -126,7 +185,10 @@ def cross_validate(action, norm_bound: int, cap: int,
     def classify(start):
         if start in class_of:
             return class_of[start]
-        seen, stop, last = walk_orbit(maps, start, cap, guard, class_of)
+        seen, stop, last = _cycle_walks(maps, start, cap, guard, class_of)
+        if stop is None and len(maps) > 1:
+            # Every cycle closed, so the orbit is finite; size it.
+            seen, stop, last = walk_orbit(maps, start, cap, guard, class_of)
         if stop is None:
             status = ("finite", len(seen))
         elif stop == "known":

@@ -19,6 +19,7 @@ from .laurent import (KMAX_CAP, axis_directions, bivar_gcd, content_in, default_
                       direction_power_minus_one, laurent_divides)
 from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
                        stage_quotient, walk_orbit)
+from .oracle import box_limit_issue
 
 
 # The verdict each certificate kind proves.
@@ -204,6 +205,10 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
     bound, cap = results["norm_bound"], results["cap"]
     _check(bound == flags.get("norm-bound") and cap == flags.get("cap"), failures,
            "norm bound or cap differs from the flags")
+    issue = box_limit_issue(action.dim, bound)
+    if issue is not None:
+        failures.append(issue.message)
+        return
     fixed = fixed_by_power(action.dual_generators)
     maps = [d.matvec for d in action.dual_generators]
     box = [chi for chi in itertools.product(range(-bound, bound + 1), repeat=action.dim)

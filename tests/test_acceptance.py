@@ -176,7 +176,7 @@ def test_criterion_06_commuting_unipotent_distality():
 
 
 def test_criterion_07_oracle_cross_validation():
-    budget = Budget(120.0)
+    budget = Budget(40.0)
     rng = random.Random(707)
     actions = []
     for _ in range(8):

@@ -187,6 +187,15 @@ class TestOracleCheckAndDemo:
         assert report["results"]["characters_checked"] == 48
         assert report["results"]["failures"] == []
 
+    def test_box_past_the_limit_exits_2(self, tmp_path):
+        identity_12 = {"type": "toral", "r": 12, "generators": [
+            [[int(i == j) for j in range(12)] for i in range(12)]]}
+        res = run("oracle-check", write(tmp_path, "id12.json", identity_12))
+        assert res.returncode == 2
+        assert "resource-limit" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
     def test_product_counterexample_steps_outside_the_box(self, tmp_path):
         res = run("find-ergodic", write(tmp_path, "product_r2.json", counterexample_doc(2)),
                   "--verify-report")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ergodec import laurent_engine
 from ergodec import (LaurentPoly, NotErgodicGroupError, VerdictKind,
                      default_k_max, direction_is_ergodic,
                      direction_power_minus_one, find_ergodic_direction,
@@ -173,6 +174,24 @@ class TestTwoVariableWitnesses:
         direction, verdict = find_ergodic_direction(act, 3)
         assert direction == (0, 1)
         assert verdict.kind == VerdictKind.ERGODIC
+
+    def test_scan_stops_after_the_first_shell_with_a_bounded_hit(self, monkeypatch):
+        # (u1-1)(u2-1) over F3: both axes fail, so shell 1 ends with only
+        # a bounded hit, and no later shell can hold an exact verdict.
+        g = lp(3, 2, {(1, 1): 1, (1, 0): 2, (0, 1): 2, (0, 0): 1})
+        act = laurent_cyclic_action(3, 2, g)
+        calls = []
+        real = laurent_engine.direction_is_ergodic
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(laurent_engine, "direction_is_ergodic", counted)
+        direction, verdict = find_ergodic_direction(act, 3)
+        assert len(calls) <= 8
+        assert direction == (1, 1)
+        assert verdict.kind == VerdictKind.ERGODIC_UP_TO
 
 
 class TestInvariances:

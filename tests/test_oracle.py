@@ -1,11 +1,73 @@
+import itertools
 import random
 
 import pytest
 
-from ergodec import (Matrix, VerdictKind, cross_validate, element, find_ergodic_exponents,
-                     finite_orbit_subspace, is_ergodic_element, is_ergodic_group,
-                     orbit_bfs, product_counterexample, solenoid_action, toral_action)
+from ergodec import (Matrix, ValidationError, VerdictKind, cross_validate, element,
+                     find_ergodic_exponents, finite_orbit_subspace, is_ergodic_element,
+                     is_ergodic_group, oracle, orbit_bfs, product_counterexample,
+                     solenoid_action, toral_action)
 from factories import commuting_mixed_family, fibonacci_matrix
+
+QUARTER_TURN = Matrix.from_rows([[0, -1], [1, 0]])
+SHEAR = Matrix.from_rows([[1, 1], [0, 1]])
+
+
+def reference_orbit(maps, chi, cap, guard):
+    """Plain breadth-first walk of one orbit, shared with nothing:
+    ("finite", size) or ("exceeded-cap", reason)."""
+    seen = {chi}
+    frontier = [chi]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for apply_map in maps:
+                w = apply_map(v)
+                if w in seen:
+                    continue
+                if max(map(abs, w)) >= guard:
+                    return "exceeded-cap", "coordinate-guard"
+                seen.add(w)
+                if len(seen) > cap:
+                    return "exceeded-cap", "visited-cap"
+                nxt.append(w)
+        frontier = nxt
+    return "finite", len(seen)
+
+
+def reference_cross_validate(action, norm_bound, cap):
+    """The counts and failures of cross_validate, walking every box
+    character's whole orbit breadth-first on its own."""
+    maps = [d.matvec for d in action.dual_generators]
+    fixed = finite_orbit_subspace(action)
+    finite = exceeded = 0
+    failures = []
+    for chi in itertools.product(range(-norm_bound, norm_bound + 1), repeat=action.dim):
+        if not any(chi):
+            continue
+        status, detail = reference_orbit(maps, chi, cap, 1 << 64)
+        inside = fixed.contains(chi)
+        if status == "finite":
+            finite += 1
+            if not inside:
+                failures.append({"character": list(chi),
+                                 "kind": "finite-orbit-outside-subspace",
+                                 "orbit_size": detail})
+        else:
+            exceeded += 1
+            if inside:
+                failures.append({"character": list(chi),
+                                 "kind": "enumeration-gave-up-inside-subspace",
+                                 "reason": detail})
+    return finite, exceeded, failures
+
+
+def assert_matches_reference(action, norm_bound, cap):
+    report = cross_validate(action, norm_bound, cap)
+    finite, exceeded, failures = reference_cross_validate(action, norm_bound, cap)
+    assert (report["finite_orbits"], report["exceeded"]) == (finite, exceeded)
+    assert report["failures"] == failures
+    return report
 
 
 class TestOrbitBfs:
@@ -91,6 +153,80 @@ class TestCrossValidate:
             assert report["consistent"]
             if finite_orbit_subspace(act).is_zero:
                 assert report["finite_orbits"] == 0
+
+
+class TestCycleTest:
+    """Finiteness is decided by per-generator cycle walks; the results
+    must be those of walking every orbit breadth-first."""
+
+    def test_fuzzed_mixed_families(self):
+        rng = random.Random(131)
+        for _ in range(8):
+            act = toral_action(commuting_mixed_family(rng, max_dim=3))
+            assert_matches_reference(act, 2, 200)
+
+    def test_unipotent_generator_listed_before_a_hyperbolic_one(self):
+        i2 = Matrix.identity(2)
+        act = toral_action([Matrix.block_diag(SHEAR, i2),
+                            Matrix.block_diag(i2, fibonacci_matrix())])
+        report = assert_matches_reference(act, 1, 200)
+        assert report["failures"] == []
+
+    @pytest.mark.parametrize("cap", [3, 4, 8, 16])
+    def test_commuting_finite_order_generators(self, cap):
+        # Each cycle has length at most 4; orbits of characters with both
+        # blocks nonzero have 16 points, so caps 4 and 8 give up on them
+        # inside the finite-orbit subspace while every cycle closes.
+        i2 = Matrix.identity(2)
+        act = toral_action([Matrix.block_diag(QUARTER_TURN, i2),
+                            Matrix.block_diag(i2, QUARTER_TURN)])
+        report = assert_matches_reference(act, 1, cap)
+        assert report["consistent"] == (cap == 16)
+
+    @pytest.mark.parametrize("cap,finite", [(3, 0), (4, 24)])
+    def test_single_cycle_of_length_cap(self, cap, finite):
+        act = toral_action([QUARTER_TURN])
+        report = assert_matches_reference(act, 2, cap)
+        assert report["finite_orbits"] == finite
+
+    def test_shear(self):
+        act = toral_action([SHEAR])
+        report = assert_matches_reference(act, 2, 50)
+        assert report["finite_orbits"] == 4
+
+    def test_block_pair_map_applications(self, monkeypatch):
+        # Breadth-first search over both generators at once visits the
+        # whole cap from every infinite orbit: 1,209,883 map applications.
+        count = [0]
+        compile_map = oracle._compile_map
+
+        def counted(rows):
+            apply_map = compile_map(rows)
+
+            def step(v):
+                count[0] += 1
+                return apply_map(v)
+            return step
+
+        monkeypatch.setattr(oracle, "_compile_map", counted)
+        f = Matrix.from_rows([[2, 1], [1, 1]])
+        i2 = Matrix.identity(2)
+        act = toral_action([Matrix.block_diag(f, i2), Matrix.block_diag(i2, f)])
+        report = cross_validate(act, 3, 100_000)
+        assert report["exceeded"] == 2400 and report["failures"] == []
+        assert count[0] <= 150_000
+
+
+class TestBoxLimit:
+    def test_box_above_the_limit_is_a_resource_limit(self):
+        act = toral_action([Matrix.identity(12)])
+        with pytest.raises(ValidationError) as info:
+            cross_validate(act, 3, 100)
+        assert [issue.code for issue in info.value.issues] == ["resource-limit"]
+
+    def test_box_at_the_limit_is_allowed(self):
+        assert oracle.box_limit_issue(2, 499) is None  # 999^2 - 1 characters
+        assert oracle.box_limit_issue(2, 500) is not None
 
 
 class TestProductDemo:

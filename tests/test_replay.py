@@ -212,3 +212,11 @@ def test_tampered_derived_field_fails_replay(tmp_path, capsys, command, doc, fla
     assert replay_report(report)["failures"] == []
     tamper(report["results"])
     assert replay_report(report)["failures"]
+
+
+def test_forged_oracle_box_past_the_limit_fails_without_enumerating(tmp_path, capsys):
+    report = fresh_report(tmp_path, capsys, "oracle-check", SHEAR, *ORACLE_FLAGS)
+    # a box of about 4e12 characters, stated in both the flags and the results
+    report["flags"]["norm-bound"] = report["results"]["norm_bound"] = 10 ** 6
+    failures = replay_report(report)["failures"]
+    assert any("above the limit" in failure for failure in failures)
