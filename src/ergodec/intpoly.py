@@ -216,6 +216,26 @@ def orders_with_totient_at_most(r: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
+def max_torsion_order(r: int) -> int:
+    """M(r), the largest order of a finite-order element of GL_r(Z): the
+    largest lcm of a set of distinct d with sum of euler_phi(d) <= r
+    (Levitt-Nicolas, J. Algebra 208 (1998)).
+
+    A 0/1 knapsack over orders_with_totient_at_most(r) that keeps the
+    least totient sum reaching each lcm; the lcm of a set depends only on
+    the lcm of its part already chosen, so the least sum per lcm is exact.
+    """
+    cost = {1: 0}
+    for d in orders_with_totient_at_most(r):
+        phi = euler_phi(d)
+        for l, c in list(cost.items()):
+            m, s = math.lcm(l, d), c + phi
+            if s < cost.get(m, r + 1):
+                cost[m] = s
+    return max(cost)
+
+
+@functools.lru_cache(maxsize=None)
 def cyclotomic(d: int) -> Polynomial:
     """The d-th cyclotomic polynomial, by iterated exact division of
     x^d - 1 by the cyclotomic polynomials of the proper divisors of d."""

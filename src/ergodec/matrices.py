@@ -301,7 +301,7 @@ class Subspace:
             if c != 0:
                 for j in range(self.ambient):
                     w[j] -= c * row[j]
-        return tuple(_norm_scalar(Fraction(x)) for x in w)
+        return tuple(_norm_scalar(x) for x in w)
 
     def contains(self, v) -> bool:
         return all(x == 0 for x in self.reduce(v))

@@ -21,6 +21,17 @@ measure their size against the cap.  Cross-validation covers a whole box
 of characters, shares work between characters that turn out to lie on
 the same orbit, and flags any disagreement with the engine as a hard
 failure.
+
+A cycle also ends once it has taken M(r) = intpoly.max_torsion_order(r)
+steps without coming back ("period-bound"), for no finite cycle is
+longer: if a dual generator D returns chi after n steps, D^n is the
+identity on W = span{D^i chi}, so D has finite order on W, which is n
+because chi is a cyclic vector.  Its minimal polynomial on W is then a
+product of distinct cyclotomic Phi_d of total degree dim W <= r, and n,
+the lcm of those d, is at most M(r).  An infinite orbit thus costs at
+most M(r) steps per generator whatever the cap, and every character is
+classified finite or exceeded exactly as a walk to the cap would
+classify it.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import Issue, ValidationError
+from .intpoly import max_torsion_order
 from .matrices import walk_orbit
 from .toral import finite_orbit_subspace
 
@@ -130,14 +142,18 @@ def box_limit_issue(dim: int, norm_bound: int) -> Issue | None:
                  f"characters, above the limit of {MAX_BOX_CHARACTERS}")
 
 
-def _cycle_walks(maps, start, cap: int, guard: int, known):
+def _cycle_walks(maps, start, cap: int, guard: int, known, period_bound: int):
     """Walk each generator's cycle through start, all in lockstep.
 
     Returns (points, stop, last) as matrices.walk_orbit does: stop is
     None when every cycle came back to start, and otherwise "known",
-    "coordinate-guard" or "visited-cap" for the first walk to reach a
-    point of known, a coordinate of absolute value at least guard, or
-    more than cap points.  points lists every point walked.
+    "coordinate-guard", "visited-cap" or "period-bound" for the first
+    walk to reach a point of known, a coordinate of absolute value at
+    least guard, more than cap points, or period_bound steps without
+    returning.  With period_bound = M(r) the last stop loses no finite
+    cycle: a cycle of length n makes its generator an element of order n
+    on the span of the cycle, and no such order exceeds M(r).  points
+    lists every point walked.
     """
     points = [start]
     walks = [(apply_map, start) for apply_map in maps]
@@ -156,6 +172,8 @@ def _cycle_walks(maps, start, cap: int, guard: int, known):
             points.append(w)
             if length > cap:
                 return points, "visited-cap", w
+            if length > period_bound:
+                return points, "period-bound", w
             still_open.append((apply_map, w))
         walks = still_open
     return points, None, None
@@ -179,13 +197,14 @@ def cross_validate(action, norm_bound: int, cap: int,
     fixed = finite_orbit_subspace(action)
     maps = _orbit_maps(action)
     guard = 1 << max_coord_bits
+    period_bound = max_torsion_order(action.dim)
     class_of: dict = {}
     class_status: list = []
 
     def classify(start):
         if start in class_of:
             return class_of[start]
-        seen, stop, last = _cycle_walks(maps, start, cap, guard, class_of)
+        seen, stop, last = _cycle_walks(maps, start, cap, guard, class_of, period_bound)
         if stop is None and len(maps) > 1:
             # Every cycle closed, so the orbit is finite; size it.
             seen, stop, last = walk_orbit(maps, start, cap, guard, class_of)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodec.intpoly import (Polynomial, cyclotomic, cyclotomic_product,
-                             cyclotomic_split, euler_phi,
+                             cyclotomic_split, euler_phi, max_torsion_order,
                              orders_with_totient_at_most, poly_gcd)
 from factories import root_of_unity_lcm
 
@@ -56,6 +56,32 @@ class TestRootOfUnityLcm:
             assert orders_with_totient_at_most(r) == [
                 d for d in wide if d <= 2 * r * r + 1]
             assert math.lcm(*wide) == root_of_unity_lcm(r)
+
+
+def largest_lcm_by_subsets(r):
+    """Largest lcm over every set of distinct candidate orders whose
+    totients sum to at most r, by walking all such sets."""
+    orders = orders_with_totient_at_most(r)
+
+    def best(i, budget, acc):
+        if i == len(orders):
+            return acc
+        skip = best(i + 1, budget, acc)
+        phi = phi_by_counting(orders[i])
+        if phi > budget:
+            return skip
+        return max(skip, best(i + 1, budget - phi, math.lcm(acc, orders[i])))
+    return best(0, r, 1)
+
+
+class TestMaxTorsionOrder:
+    def test_levitt_nicolas_sequence(self):
+        assert [max_torsion_order(r) for r in range(1, 13)] == [
+            2, 6, 6, 12, 12, 30, 30, 60, 60, 120, 120, 210]
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_against_subset_enumeration(self, r):
+        assert max_torsion_order(r) == largest_lcm_by_subsets(r)
 
 
 class TestCyclotomic:

@@ -7,6 +7,7 @@ from ergodec import (Matrix, ValidationError, VerdictKind, cross_validate, eleme
                      find_ergodic_exponents, finite_orbit_subspace, is_ergodic_element,
                      is_ergodic_group, oracle, orbit_bfs, product_counterexample,
                      solenoid_action, toral_action)
+from ergodec.intpoly import max_torsion_order
 from factories import commuting_mixed_family, fibonacci_matrix
 
 QUARTER_TURN = Matrix.from_rows([[0, -1], [1, 0]])
@@ -60,6 +61,24 @@ def reference_cross_validate(action, norm_bound, cap):
                                  "kind": "enumeration-gave-up-inside-subspace",
                                  "reason": detail})
     return finite, exceeded, failures
+
+
+def count_map_applications(monkeypatch):
+    """Count every dual generator application made by the oracle; the
+    returned one-element list holds the running total."""
+    count = [0]
+    compile_map = oracle._compile_map
+
+    def counted(rows):
+        apply_map = compile_map(rows)
+
+        def step(v):
+            count[0] += 1
+            return apply_map(v)
+        return step
+
+    monkeypatch.setattr(oracle, "_compile_map", counted)
+    return count
 
 
 def assert_matches_reference(action, norm_bound, cap):
@@ -197,24 +216,50 @@ class TestCycleTest:
     def test_block_pair_map_applications(self, monkeypatch):
         # Breadth-first search over both generators at once visits the
         # whole cap from every infinite orbit: 1,209,883 map applications.
-        count = [0]
-        compile_map = oracle._compile_map
-
-        def counted(rows):
-            apply_map = compile_map(rows)
-
-            def step(v):
-                count[0] += 1
-                return apply_map(v)
-            return step
-
-        monkeypatch.setattr(oracle, "_compile_map", counted)
+        # Cycle walks cut that to 62,441, and ending each at M(4) = 12
+        # steps to 16,861.
+        count = count_map_applications(monkeypatch)
         f = Matrix.from_rows([[2, 1], [1, 1]])
         i2 = Matrix.identity(2)
         act = toral_action([Matrix.block_diag(f, i2), Matrix.block_diag(i2, f)])
         report = cross_validate(act, 3, 100_000)
         assert report["exceeded"] == 2400 and report["failures"] == []
-        assert count[0] <= 150_000
+        assert count[0] <= 20_000
+
+
+class TestPeriodBound:
+    """A cycle that has not closed after M(r) steps never will."""
+
+    def test_cycles_of_length_exactly_the_bound_close(self):
+        # Phi_3 + Phi_4 blocks: a character nonzero on both has period
+        # lcm(3, 4) = 12 = M(4), the longest cycle GL_4(Z) allows.
+        c3 = Matrix.from_rows([[0, -1], [1, -1]])
+        act = toral_action([Matrix.block_diag(c3, QUARTER_TURN)])
+        maps = oracle._orbit_maps(act)
+        chi = (1, 0, 1, 0)
+        assert max_torsion_order(4) == 12
+        assert oracle._cycle_walks(maps, chi, 100, 1 << 64, {}, 12)[1] is None
+        assert oracle._cycle_walks(maps, chi, 100, 1 << 64, {}, 11)[1] == "period-bound"
+        report = cross_validate(act, 1, 100)
+        fixed = finite_orbit_subspace(act)
+        inside = sum(fixed.contains(chi) for chi in
+                     itertools.product(range(-1, 2), repeat=4) if any(chi))
+        assert (report["finite_orbits"], report["exceeded"]) == (inside, 0) == (80, 0)
+        assert report["failures"] == []
+
+    def test_shear_cost_does_not_grow_with_the_cap(self, monkeypatch):
+        # The shear never reaches the coordinate guard; before the period
+        # bound every walk ran to the cap.  Now each of the 8 box
+        # characters costs at most M(2) = 6 steps.
+        act = toral_action([SHEAR])
+        count = count_map_applications(monkeypatch)
+        counts = []
+        for cap in (10 ** 3, 10 ** 6):
+            count[0] = 0
+            report = cross_validate(act, 1, cap)
+            assert (report["finite_orbits"], report["failures"]) == (2, [])
+            counts.append(count[0])
+        assert counts[0] == counts[1] <= 8 * max_torsion_order(2)
 
 
 class TestBoxLimit:
