@@ -5,42 +5,55 @@ variables and g = 1 + u1 + u2.  The translation group of the full
 two-parameter lattice is ergodic, exactly, because a class with finite
 group orbit would have to absorb two coprime axis identities at once.
 
-Along a coordinate axis the question is exact too: divisors of
-u^k - 1 live in one variable, and g has trivial univariate content, so
-both axis translations are ergodic.  For mixed directions the scan is
-honest about being bounded.  A one-variable presenter, by contrast, has
-a finite module, so no translation is ever ergodic there.
+Every single direction is decided exactly too.  Write the direction as
+n = m*n0 with n0 primitive.  A common factor of g and u^(k*n) - 1 is a
+polynomial in u^n0, so the direction is ergodic exactly when g's content
+along n0 is 1.  Ledrappier's g has trivial content along every
+direction.  Multiplying it by 1 + u1*u2 plants a factor in u^(1, 1), which
+makes the diagonal non-ergodic, with witness power 1.  A one-variable
+presenter, by contrast, has a finite module, so no translation is ever
+ergodic there.
 """
 
-from ergodec import (LaurentPoly, VerdictKind, direction_is_ergodic,
+from ergodec import (LaurentPoly, content_along, direction_is_ergodic,
                      find_ergodic_direction, group_is_ergodic, laurent_cyclic_action,
                      orbit_probe)
 
+DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 2), (2, -1))
 
-def tag(verdict):
-    """Every verdict kind is exact except the bounded mixed-direction one."""
-    if verdict.kind == VerdictKind.ERGODIC_UP_TO:
-        return f"searched up to k={verdict.certificate.data['k_max']}"
-    return "exact"
+
+def show(action, directions):
+    for direction in directions:
+        verdict = direction_is_ergodic(action, direction)
+        m, n0, content = content_along(action.presenter, direction)
+        extra = ""
+        if not verdict.is_ergodic:
+            extra = f", witness power {verdict.certificate.data['power']}"
+        print(f"  direction {direction} = {m}*{n0}: content {content}, "
+              f"{verdict.kind.value}{extra}")
 
 
 def main():
     g = LaurentPoly.from_terms(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
     action = laurent_cyclic_action(2, 2, g)
     print(f"presenter g = {g} over F_2")
+    print(f"group verdict: {group_is_ergodic(action).kind.value}")
+    show(action, DIRECTIONS)
+    found, _ = find_ergodic_direction(action, search_box=3)
+    print(f"first ergodic direction in the box: {found}")
 
-    group = group_is_ergodic(action)
-    print(f"group verdict: {group.kind.value} ({tag(group)})")
+    probe = orbit_probe(action, LaurentPoly.one(2, 2), (1, 1), cap=64)
+    print(f"orbit probe of the class of 1 along (1, 1): {probe}")
 
-    for direction in ((1, 0), (0, 1), (1, 1), (2, -1)):
-        verdict = direction_is_ergodic(action, direction)
-        print(f"direction {direction}: {verdict.kind.value} ({tag(verdict)})")
-
-    found, verdict = find_ergodic_direction(action, search_box=3)
-    print(f"first certified ergodic direction in the box: {found}")
-
-    probe = orbit_probe(action, LaurentPoly.one(2, 2), (1, 0), cap=64)
-    print(f"orbit probe of the class of 1 along (1, 0): {probe}")
+    print()
+    planted = g * LaurentPoly.from_terms(2, 2, {(0, 0): 1, (1, 1): 1})
+    act2 = laurent_cyclic_action(2, 2, planted)
+    print(f"planted presenter (1 + u1*u2) * g = {planted}")
+    show(act2, DIRECTIONS)
+    found, _ = find_ergodic_direction(act2, search_box=3)
+    print(f"first ergodic direction in the box: {found}")
+    probe = orbit_probe(act2, g, (1, 1), cap=64)
+    print(f"orbit probe of the class of g along (1, 1): {probe}")
 
     print()
     g1 = LaurentPoly.from_terms(2, 1, {(0,): 1, (1,): 1, (2,): 1})

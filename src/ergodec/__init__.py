@@ -10,8 +10,8 @@ from .errors import (InternalCheckError, Issue, NotErgodicGroupError,
                      SearchExhaustedError, ValidationError)
 from .intpoly import (Polynomial, cyclotomic, euler_phi,
                       orders_with_totient_at_most, poly_gcd)
-from .laurent import (LaurentPoly, bivar_gcd, content_in, default_k_max,
-                      direction_power_minus_one, laurent_divides)
+from .laurent import (LaurentPoly, content_along, direction_power_minus_one,
+                      laurent_divides)
 from .laurent_engine import (direction_is_ergodic, find_ergodic_direction,
                              group_is_ergodic, orbit_probe)
 from .matrices import Matrix, Subspace, kernel
@@ -29,8 +29,8 @@ __all__ = [
     "LaurentCyclicAction", "LaurentPoly", "Matrix", "NotErgodicGroupError",
     "OrbitResult", "Polynomial", "SearchExhaustedError",
     "SolenoidAction", "Subspace", "ToralAction", "ValidationError", "Verdict",
-    "VerdictKind", "bivar_gcd", "build_action", "content_in", "cross_validate",
-    "cyclotomic", "default_k_max", "direction_is_ergodic",
+    "VerdictKind", "build_action", "content_along", "cross_validate",
+    "cyclotomic", "direction_is_ergodic",
     "direction_power_minus_one", "dual_element", "element",
     "ergodic_distal_filtration", "euler_phi", "find_ergodic_direction",
     "find_ergodic_exponents", "finite_orbit_subspace", "group_is_ergodic",

@@ -24,14 +24,14 @@ from . import encoding, laurent_engine, oracle, replay, toral
 from .actions import build_action, element
 from .errors import (InternalCheckError, NotErgodicGroupError, SearchExhaustedError,
                      ValidationError)
-from .laurent import KMAX_CAP, axis_directions
+from .laurent import axis_directions
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         sys.stdout.write(_render_text(report))
 
@@ -123,13 +123,13 @@ def cmd_analyze(args) -> dict:
             "largest_ergodic_subgroup": sub_report,
         }
     else:
-        directions = []
-        for direction in axis_directions(action.nvars):
-            verdict = laurent_engine.direction_is_ergodic(action, direction, args.kmax)
-            directions.append({"direction": list(direction),
-                               "verdict": verdict.to_payload()})
-        group = laurent_engine.group_is_ergodic(action, args.kmax)
-        results = {"directions": directions, "group": group.to_payload()}
+        verdicts = [(direction, laurent_engine.direction_is_ergodic(action, direction))
+                    for direction in axis_directions(action.nvars)]
+        # a one-variable group is generated by u alone: its verdict is the axis's
+        group = verdicts[0][1] if action.nvars == 1 else laurent_engine.group_is_ergodic(action)
+        results = {"directions": [{"direction": list(direction), "verdict": verdict.to_payload()}
+                                  for direction, verdict in verdicts],
+                   "group": group.to_payload()}
     return _report("analyze", doc, args, results)
 
 
@@ -145,12 +145,11 @@ def cmd_find_ergodic(args) -> dict:
                 "group": toral.is_ergodic_group(action).to_payload(),
             }
         else:
-            direction, verdict = laurent_engine.find_ergodic_direction(
-                action, args.search_box, args.kmax)
+            direction, verdict = laurent_engine.find_ergodic_direction(action, args.search_box)
             results = {
                 "direction": list(direction),
                 "verdict": verdict.to_payload(),
-                "group": laurent_engine.group_is_ergodic(action, args.kmax).to_payload(),
+                "group": laurent_engine.group_is_ergodic(action).to_payload(),
             }
     except NotErgodicGroupError as exc:
         raise _CliExit(3, "the group action is not ergodic: witness "
@@ -199,20 +198,15 @@ def _report(command: str, input_echo: dict, args, results: dict) -> dict:
     }
 
 
-def _positive_int(text: str, cap: int | None = None) -> int:
+def _positive_int(text: str) -> int:
     """The type of every integer flag: anything else exits 2."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1 or (cap is not None and value > cap):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a positive integer" + (f" up to {cap}" if cap else ""))
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value
-
-
-def _kmax(text: str) -> int:
-    return _positive_int(text, KMAX_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,10 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("analyze", cmd_analyze, "validate and run all verdicts")
-    p.add_argument("--kmax", type=_kmax, default=None)
+    command("analyze", cmd_analyze, "validate and run all verdicts")
     p = command("find-ergodic", cmd_find_ergodic, "search for an ergodic element")
-    p.add_argument("--kmax", type=_kmax, default=None)
     p.add_argument("--search-box", type=_positive_int, default=3)
     command("filtration", cmd_filtration, "build the ergodic-distal chain")
     p = command("oracle-check", cmd_oracle_check, "cross-validate against orbit enumeration")

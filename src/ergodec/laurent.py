@@ -65,13 +65,6 @@ def _fp_divmod(a, b, p):
     return _fp_trim(quo), _fp_trim(rem)
 
 
-def _fp_exact_div(a, b, p):
-    q, r = _fp_divmod(a, b, p)
-    if r:
-        raise ArithmeticError("inexact univariate division")
-    return q
-
-
 def _fp_monic(a, p):
     if not a:
         return a
@@ -205,31 +198,10 @@ class LaurentPoly:
         return out
 
     @staticmethod
-    def from_univariate(p: int, nvars: int, var: int, coeffs) -> "LaurentPoly":
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c % p:
-                e = [0] * nvars
-                e[var] = i
-                terms[tuple(e)] = c % p
-        return LaurentPoly.from_terms(p, nvars, terms)
-
-    def coefficients_along(self, var: int) -> dict:
-        """For two-variable polynomials: map from exponent of the other
-        variable to the univariate coefficient list in `var`."""
-        if self.nvars != 2:
-            raise ValueError("defined for two-variable polynomials")
-        other = 1 - var
-        groups = {}
-        for e, c in self.terms:
-            groups.setdefault(e[other], {})[e[var]] = c
-        out = {}
-        for j, d in groups.items():
-            coeffs = [0] * (max(d) + 1)
-            for i, c in d.items():
-                coeffs[i] = c
-            out[j] = coeffs
-        return out
+    def along(p: int, direction, coeffs) -> "LaurentPoly":
+        """The image of a coefficient list in t under t -> u^direction."""
+        return LaurentPoly.from_terms(p, len(direction), {
+            tuple(i * x for x in direction): c for i, c in enumerate(coeffs) if c % p})
 
     def _compatible(self, other: "LaurentPoly") -> None:
         if self.p != other.p or self.nvars != other.nvars:
@@ -266,14 +238,13 @@ def axis_directions(nvars: int) -> list:
     return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
 
 
-# The largest power a bounded scan of a mixed direction may reach.
-KMAX_CAP = 64
-
-
-def default_k_max(action) -> int:
-    """The bounded scan's reach when no --kmax is given."""
-    deg = action.presenter.total_degree()
-    return min(action.p ** (2 * max(deg, 1)), KMAX_CAP)
+def directions_in_shell(nvars: int, shell: int) -> list:
+    """Directions with sup-norm equal to shell, in descending
+    lexicographic order."""
+    if nvars == 1:
+        return [(shell,), (-shell,)]
+    span = range(shell, -shell - 1, -1)
+    return [(a, b) for a in span for b in span if max(abs(a), abs(b)) == shell]
 
 
 def _grlex_key(e):
@@ -325,126 +296,49 @@ def laurent_divides(g: LaurentPoly, h: LaurentPoly):
         tuple(e[i] + shift[i] for i in range(g.nvars)): c for e, c in quo.items()})
 
 
-def content_in(f: LaurentPoly, var: int):
-    """Monic gcd over F_p[u_var] of the coefficients of the canonical form
-    of f, grouped by the exponent of the other variable.
+def _ext_gcd(a: int, b: int):
+    """(x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (x0, y0, a) if a >= 0 else (-x0, -y0, -a)
 
-    A nonzero univariate polynomial in u_var divides f exactly when it
-    divides this content.
+
+def content_along(f: LaurentPoly, direction):
+    """(m, n0, content) for direction = m*n0 with n0 primitive and m > 0.
+
+    With w chosen by extended Euclid so that <n0, w> = 1, every exponent
+    splits as e = (e - <e, w>*n0) + <e, w>*n0, and the first part is
+    constant on the cosets of Z*n0.  Grouping f's monomials by it writes
+    f as a sum of coset monomials times polynomials in t = u^n0.  The
+    content is the monic gcd over F_p[t] of those polynomials, with
+    powers of t removed, so a polynomial in t divides f exactly when it
+    divides the content.
     """
     if f.is_zero:
         raise ValueError("content of the zero polynomial is undefined")
-    fc = f.canonical()
-    if fc.nvars == 1:
-        return _fp_monic(fc.univariate_in(0), fc.p)
-    gcd = []
-    for coeffs in fc.coefficients_along(var).values():
-        gcd = _fp_gcd(gcd, coeffs, fc.p)
-        if gcd == [1]:
+    direction = tuple(int(x) for x in direction)
+    if len(direction) != f.nvars or not any(direction):
+        raise ValueError("direction must be nonzero with one entry per variable")
+    m, w = 0, []
+    for x in direction:
+        a, b, m = _ext_gcd(m, x)
+        w = [a * y for y in w] + [b]
+    n0 = tuple(x // m for x in direction)
+    groups = {}
+    for e, c in f.terms:
+        s = sum(x * y for x, y in zip(e, w))
+        key = tuple(x - s * y for x, y in zip(e, n0))
+        groups.setdefault(key, {})[s] = c
+    content = []
+    for group in groups.values():
+        low = min(group)
+        coeffs = [0] * (max(group) - low + 1)
+        for s, c in group.items():
+            coeffs[s - low] = c
+        content = _fp_gcd(content, coeffs, f.p)
+        if content == [1]:
             break
-    return gcd
-
-
-def _to_var2_coeffs(f: LaurentPoly):
-    """Canonical two-variable polynomial as a dense list over the second
-    variable's exponent, entries univariate in the first variable."""
-    by_e2 = f.coefficients_along(0)
-    out = [[] for _ in range(max(by_e2) + 1)]
-    for j, coeffs in by_e2.items():
-        out[j] = coeffs
-    return out
-
-
-def _primitive_part_var2(f: LaurentPoly) -> LaurentPoly:
-    """Divide out the gcd of the F_p[u1]-coefficients of a canonical
-    two-variable polynomial."""
-    cont = content_in(f, 0)
-    if len(cont) <= 1:
-        return f
-    divisor = LaurentPoly.from_univariate(f.p, 2, 0, cont)
-    q = laurent_divides(divisor, f)
-    if q is None:
-        raise ArithmeticError("content does not divide its polynomial")
-    return q.canonical()
-
-
-def _prem_var2(a, b, p):
-    """Pseudo-remainder of dense var2-coefficient lists over F_p[u1]."""
-    ra = [list(c) for c in a]
-    db, lb = len(b) - 1, b[-1]
-    while len(ra) - 1 >= db and any(ra):
-        while ra and not ra[-1]:
-            ra.pop()
-        if len(ra) - 1 < db:
-            break
-        da = len(ra) - 1
-        top = ra[-1]
-        ra = [_fp_mul(c, lb, p) for c in ra]
-        shift = da - db
-        for j, c in enumerate(b):
-            ra[shift + j] = _fp_sub(ra[shift + j], _fp_mul(top, c, p), p)
-        ra.pop()
-    while ra and not ra[-1]:
-        ra.pop()
-    return ra
-
-
-def bivar_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """A gcd in F_p[u1,u2] of the canonical forms, normalized to leading
-    coefficient one in the graded lexicographic order.  Computed from the
-    univariate content gcd and a primitive pseudo-remainder sequence."""
-    f._compatible(g)
-    if f.nvars != 2:
-        raise ValueError("two-variable polynomials expected")
-    fc, gc = f.canonical(), g.canonical()
-    if fc.is_zero or gc.is_zero:
-        raise ValueError("nonzero polynomials expected")
-    if fc.degree_in(1) == 0 and gc.degree_in(1) == 0:
-        gcd = _fp_gcd(fc.univariate_in(0), gc.univariate_in(0), fc.p)
-        return LaurentPoly.from_univariate(fc.p, 2, 0, gcd)
-    if fc.degree_in(0) == 0 and gc.degree_in(0) == 0:
-        gcd = _fp_gcd(fc.univariate_in(1), gc.univariate_in(1), fc.p)
-        return LaurentPoly.from_univariate(fc.p, 2, 1, gcd)
-    if fc.degree_in(1) == 0:
-        gcd = _fp_gcd(fc.univariate_in(0), content_in(gc, 0), fc.p)
-        return LaurentPoly.from_univariate(fc.p, 2, 0, gcd)
-    if gc.degree_in(1) == 0:
-        gcd = _fp_gcd(gc.univariate_in(0), content_in(fc, 0), fc.p)
-        return LaurentPoly.from_univariate(fc.p, 2, 0, gcd)
-    cont = _fp_gcd(content_in(fc, 0), content_in(gc, 0), fc.p)
-    a = _to_var2_coeffs(_primitive_part_var2(fc))
-    b = _to_var2_coeffs(_primitive_part_var2(gc))
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = _prem_var2(a, b, fc.p)
-        if not r:
-            pp = b
-            break
-        if len(r) == 1:
-            pp = None
-            break
-        cont_r = []
-        for c in r:
-            cont_r = _fp_gcd(cont_r, c, fc.p)
-        r = [_fp_exact_div(c, cont_r, fc.p) for c in r]
-        a, b = b, r
-    result = LaurentPoly.from_univariate(fc.p, 2, 0, cont)
-    if pp is not None:
-        cont_pp = []
-        for c in pp:
-            cont_pp = _fp_gcd(cont_pp, c, fc.p)
-        pp = [_fp_exact_div(c, cont_pp, fc.p) for c in pp]
-        terms = {}
-        for j, coeffs in enumerate(pp):
-            for i, c in enumerate(coeffs):
-                if c:
-                    terms[(i, j)] = c
-        result = result * LaurentPoly.from_terms(fc.p, 2, terms)
-    lead = max(result.terms, key=lambda t: _grlex_key(t[0]))
-    scale = pow(lead[1], fc.p - 2, fc.p)
-    result = LaurentPoly(fc.p, 2, tuple((e, (c * scale) % fc.p) for e, c in result.terms))
-    for side in (fc, gc):
-        if laurent_divides(result, side) is None:
-            raise ArithmeticError("gcd candidate fails the divisibility check")
-    return result
+    return m, n0, content

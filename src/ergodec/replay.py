@@ -15,8 +15,8 @@ import math
 from . import encoding
 from .actions import build_action, dual_element, element, positive_vectors
 from .intpoly import cyclotomic_product
-from .laurent import (KMAX_CAP, axis_directions, bivar_gcd, content_in, default_k_max,
-                      direction_power_minus_one, laurent_divides)
+from .laurent import (axis_directions, content_along, direction_power_minus_one,
+                      directions_in_shell, laurent_divides)
 from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
                        stage_quotient, walk_orbit)
 from .oracle import box_limit_issue
@@ -34,7 +34,6 @@ _PROVES = {
     "finite-quotient-witness": "not-ergodic",
     "trivial-univariate-content": "ergodic",
     "coprime-axis-powers": "ergodic",
-    "bounded-scan": "ergodic-up-to",
 }
 
 
@@ -46,8 +45,6 @@ def _check(condition: bool, failures: list, what: str) -> None:
 # The verdict kinds each report slot may hold.
 _ERGODIC_SLOT = ("ergodic", "not-ergodic")
 _DISTAL_SLOT = ("distal", "not-distal")
-_DIRECTION_SLOT = ("ergodic", "not-ergodic", "ergodic-up-to")
-_FOUND_SLOT = ("ergodic", "ergodic-up-to")
 
 
 def _check_kind(payload: dict, slot: tuple, failures: list) -> None:
@@ -232,66 +229,65 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
            "cross-validation recorded failures")
 
 
-def replay_laurent_verdict(action, direction, payload: dict, slot: tuple, flags: dict,
+def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
                            failures: list) -> None:
     """Replay a Laurent verdict in a slot about the translation by
-    u^direction; direction is None for a two-variable group slot, whose
-    certificate names no direction.  A bounded scan must reach exactly
-    the report's --kmax, or the default when the flag is absent."""
+    u^direction; direction is None for a two-variable group slot, the one
+    slot whose certificate names no direction."""
     _check_kind(payload, slot, failures)
     cert = payload["certificate"]
     kind = cert["kind"]
     data = cert["data"]
     g = action.presenter
     stated = data.get("direction")
-    if stated != (None if direction is None else list(direction)) or (
-            stated is not None and (len(stated) != action.nvars or not any(stated))):
+    if ((direction is None) != (kind == "coprime-axis-powers")
+            or stated != (None if direction is None else list(direction))
+            or (stated is not None and (len(stated) != action.nvars or not any(stated)))):
         failures.append("certificate direction is not its slot's nonzero direction")
         return  # every identity below is about that direction
     if kind == "finite-quotient-witness":
-        if data["power"] < 1:
-            failures.append("witness power is not positive")
-            return
-        witness = encoding.decode_laurent(data["witness"])
-        quotient = encoding.decode_laurent(data["quotient"])
         factor = encoding.decode_laurent(data["common_factor"])
+        if data["power"] < 1 or factor.is_zero or factor.is_unit:
+            failures.append("witness power is not positive or common factor is trivial")
+            return
+        # h | g and h | u^(k*direction) - 1 with h not a unit: then
+        # (u^(k*direction) - 1)*(g/h) lies in (g), and g/h does not
         w = direction_power_minus_one(action.p, action.nvars, direction, data["power"])
-        _check(w * witness == quotient * g, failures,
-               "witness identity does not hold exactly")
-        _check(laurent_divides(g, witness) is None, failures,
-               "witness class is zero in the module")
-        _check(not factor.is_unit and not factor.is_zero, failures,
-               "common factor is trivial")
         _check(laurent_divides(factor, g) is not None, failures,
                "common factor does not divide the presenter")
         _check(laurent_divides(factor, w) is not None, failures,
                "common factor does not divide the power identity")
     elif kind == "trivial-univariate-content":
-        axis = [i for i, x in enumerate(direction or ()) if x]
-        _check(axis == [data["variable"]], failures,
-               "content variable is not the direction's one axis")
-        _check(len(axis) == 1 and content_in(g, axis[0]) == list(data["content"]), failures,
+        _check(content_along(g, direction)[2] == data["content"], failures,
                "stored content differs")
-        _check(len(data["content"]) == 1, failures, "content is not constant")
+        _check(data["content"] == [1], failures, "content is not constant")
     elif kind == "coprime-axis-powers":
         _check(action.nvars == 2, failures, "closure argument needs two variables")
         _check(not g.is_zero and not g.is_unit, failures,
                "presenter must be a nonzero non-unit")
-    elif kind == "bounded-scan":
-        if action.nvars != 2:
-            failures.append("bounded scan needs two variables")
-            return
-        # the scan's reach is fixed by the flags, and capped, before any gcd runs
-        bound = flags.get("kmax", default_k_max(action))
-        if data["k_max"] != bound or bound not in range(1, KMAX_CAP + 1):
-            failures.append("scan bound is not the one the flags fix")
-            return
-        for k in range(1, data["k_max"] + 1):
-            w = direction_power_minus_one(action.p, 2, direction, k).canonical()
-            _check(bivar_gcd(g, w).is_unit, failures,
-                   f"scan missed a common factor at power {k}")
     else:
         failures.append(f"unknown Laurent certificate kind {kind!r}")
+
+
+def _replay_first_direction(action, direction: tuple, search_box: int,
+                            failures: list) -> None:
+    """Every direction before the found one, in the search's shell order,
+    has a non-unit content along it, so it is not ergodic.  The found
+    direction lies in the search box, and its shell is at most one more
+    than g's smaller width: a non-ergodic line n0 = (a, b) puts a factor
+    of g in u^n0 alone, whose Newton segment is a Minkowski summand of
+    g's, so shells 1..s without an ergodic line make both widths at least
+    s.  That also keeps a forged direction from stalling the scan."""
+    g = action.presenter
+    shell = max((abs(x) for x in direction), default=0)
+    widths = [g.canonical().degree_in(v) for v in range(action.nvars)]
+    if shell > search_box or shell > min(widths) + 1:
+        failures.append("direction lies outside the search box or past the width bound")
+        return
+    earlier = itertools.takewhile(lambda d: d != direction, itertools.chain.from_iterable(
+        directions_in_shell(action.nvars, s) for s in range(1, shell + 1)))
+    _check(all(len(content_along(g, d)[2]) > 1 for d in earlier), failures,
+           "an earlier direction in the box is ergodic")
 
 
 def _group_direction(action):
@@ -339,10 +335,10 @@ def replay_report(report: dict) -> dict:
                    failures, "directions are not the coordinate axes in order")
             for entry in entries:
                 replay_laurent_verdict(action, tuple(entry["direction"]), entry["verdict"],
-                                       _DIRECTION_SLOT, flags, failures)
+                                       _ERGODIC_SLOT, failures)
                 checked += 1
             replay_laurent_verdict(action, _group_direction(action), results["group"],
-                                   _ERGODIC_SLOT, flags, failures)
+                                   _ERGODIC_SLOT, failures)
             checked += 1
     elif command == "find-ergodic":
         if action.kind in ("toral", "solenoid"):
@@ -355,13 +351,13 @@ def replay_report(report: dict) -> dict:
             _replay_first_ergodic(action, exps, failures)
             checked += 1
         else:
-            # the claim that the direction is the first one found stays on
-            # trust: checking it would re-run every earlier bounded scan
             replay_laurent_verdict(action, _group_direction(action), results["group"],
-                                   _ERGODIC_SLOT, flags, failures)
+                                   _ERGODIC_SLOT, failures)
             checked += 1
-            replay_laurent_verdict(action, tuple(results["direction"]), results["verdict"],
-                                   _FOUND_SLOT, flags, failures)
+            direction = tuple(results["direction"])
+            replay_laurent_verdict(action, direction, results["verdict"], ("ergodic",),
+                                   failures)
+            _replay_first_direction(action, direction, flags.get("search-box", 0), failures)
             checked += 1
     elif command == "filtration":
         replay_filtration(action, results, failures)

@@ -34,7 +34,6 @@ class VerdictKind(str, Enum):
     NOT_ERGODIC = "not-ergodic"
     DISTAL = "distal"
     NOT_DISTAL = "not-distal"
-    ERGODIC_UP_TO = "ergodic-up-to"  # Laurent mixed directions: no factor up to k_max
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ergodec import Verdict, cli, matrices, toral
+from ergodec import Verdict, cli, laurent_engine, matrices, toral
 from ergodec.cli import main
 from factories import counterexample_doc
 
@@ -29,6 +30,9 @@ LEDRAPPIER = {"type": "laurent", "p": 2, "d": 2, "g": [
     {"exponents": [0, 0], "coefficient": 1},
     {"exponents": [1, 0], "coefficient": 1},
     {"exponents": [0, 1], "coefficient": 1}]}
+TRINOMIAL = {"type": "laurent", "p": 2, "d": 1, "g": [
+    {"exponents": [0], "coefficient": 1}, {"exponents": [1], "coefficient": 1},
+    {"exponents": [2], "coefficient": 1}]}
 
 
 def write(tmp_path, name, doc):
@@ -123,6 +127,29 @@ class TestAnalyze:
                  for d in report["results"]["directions"]}
         assert kinds == {(1, 0): "ergodic", (0, 1): "ergodic"}
 
+    def test_one_variable_group_reuses_the_axis_verdict(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the group of u alone has the verdict of direction (1,): one search
+        calls = []
+        real = laurent_engine._univariate_witness_power
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(laurent_engine, "_univariate_witness_power", counted)
+        assert main(["analyze", write(tmp_path, "tri.json", TRINOMIAL), "--verify-report"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert len(calls) == 1
+        assert results["group"] == results["directions"][0]["verdict"]
+        assert results["group"]["certificate"]["data"]["power"] == 3
+
+    def test_json_is_one_compact_line(self, tmp_path):
+        res = run("analyze", write(tmp_path, "led.json", LEDRAPPIER))
+        assert res.returncode == 0
+        report = json.loads(res.stdout)
+        assert res.stdout == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
     def test_text_format(self, tmp_path):
         res = run("analyze", write(tmp_path, "fib.json", FIB), "--format", "text")
         assert res.returncode == 0
@@ -140,8 +167,10 @@ class TestFindErgodic:
         res = run("find-ergodic", write(tmp_path, "led.json", LEDRAPPIER))
         assert res.returncode == 0
         report = json.loads(res.stdout)
-        assert report["results"]["direction"] == [1, 0]
-        assert report["results"]["verdict"]["kind"] == "ergodic"
+        assert report["results"]["direction"] == [1, 1]  # first in shell 1, exactly
+        assert report["results"]["verdict"] == {"kind": "ergodic", "certificate": {
+            "kind": "trivial-univariate-content",
+            "data": {"direction": [1, 1], "content": [1]}}}
 
     def test_identity_exits_3(self, tmp_path):
         res = run("find-ergodic", write(tmp_path, "id.json", IDENTITY))
@@ -225,8 +254,7 @@ def _integer_options():
 
 class TestFlagValidation:
     def test_integer_flags_are_found(self):
-        assert {("analyze", "--kmax"), ("find-ergodic", "--kmax"),
-                ("find-ergodic", "--search-box"), ("oracle-check", "--cap"),
+        assert {("find-ergodic", "--search-box"), ("oracle-check", "--cap"),
                 ("oracle-check", "--norm-bound")} <= set(_integer_options())
 
     @pytest.mark.parametrize("value", ["0", "-1"])
@@ -239,11 +267,42 @@ class TestFlagValidation:
         assert f"argument {flag}: '{value}' is not a positive integer" in err
         assert "Traceback" not in err
 
-    def test_kmax_past_the_scan_cap_exits_2(self, tmp_path):
-        res = run("find-ergodic", write(tmp_path, "led.json", LEDRAPPIER), "--kmax", "65")
-        assert res.returncode == 2
-        assert "'65' is not a positive integer up to 64" in res.stderr
-        assert "Traceback" not in res.stderr
+
+SHEAR = {"type": "toral", "r": 2, "generators": [[[1, 1], [0, 1]]]}
+HALVES = {"type": "solenoid", "r": 1, "generators": [[["3/2"]]]}
+PINNED_DOCS = {"fib": FIB, "identity": IDENTITY, "block_pair": BLOCK_PAIR, "shear": SHEAR,
+               "halves": HALVES, "product_r1": counterexample_doc(1)}
+
+
+class TestPinnedReports:
+    """Toral, solenoid and oracle reports, with their replay, digested as
+    parsed objects without `schema_version`: a schema bump for the Laurent
+    certificates or the JSON layout leaves every one of them as it was."""
+
+    @pytest.mark.parametrize("args,digest", [
+        (("analyze", "fib"), "dac21e1db8d141fb"),
+        (("analyze", "identity"), "ae9058a942d5747f"),
+        (("analyze", "block_pair"), "0cf773109f92b3d8"),
+        (("analyze", "shear"), "3c476f9e4d3aae84"),
+        (("analyze", "halves"), "bc228a77758449e6"),
+        (("find-ergodic", "fib"), "1cd0270b57427acd"),
+        (("find-ergodic", "block_pair"), "f608cf6e8bfc1b71"),
+        (("find-ergodic", "halves"), "77cf62ef7fba8c88"),
+        (("find-ergodic", "product_r1"), "bd3c2dd06fb54cff"),
+        (("filtration", "block_pair"), "29b06a4895080047"),
+        (("filtration", "shear"), "73a869384ed3562c"),
+        (("filtration", "halves"), "2fdb86f7b800858d"),
+        (("oracle-check", "block_pair", "--norm-bound", "1"), "d9f95ab2dc5c0044"),
+        (("oracle-check", "shear", "--norm-bound", "2", "--cap", "200"), "cdc8398a95a8aa34"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else "")
+    def test_report_object_is_unchanged(self, tmp_path, capsys, args, digest):
+        command, name, *flags = args
+        path = write(tmp_path, f"{name}.json", PINNED_DOCS[name])
+        assert main([command, path, *flags, "--verify-report"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("schema_version") == cli.SCHEMA_VERSION
+        blob = json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
 class TestDeterminismAndVerification:

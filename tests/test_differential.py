@@ -1,16 +1,19 @@
 """Differential tests against sympy: the cyclotomic split of a
 characteristic polynomial against sympy's factorization, the finite-orbit
 kernel and the largest ergodic subgroup's dual subspace against sympy's
-nullspace, and the Laurent gcds over GF(p) against sympy's gcd."""
+nullspace, the Laurent gcds and contents over GF(p) against sympy's gcd,
+and the exact Laurent direction verdicts against a bounded gcd scan."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from ergodec import (LaurentPoly, Matrix, Subspace, bivar_gcd, content_in,
-                     largest_ergodic_subgroup, orders_with_totient_at_most,
-                     solenoid_action)
+from ergodec import (LaurentPoly, Matrix, Subspace, content_along, direction_is_ergodic,
+                     laurent_cyclic_action, largest_ergodic_subgroup,
+                     orders_with_totient_at_most, solenoid_action)
+from ergodec.encoding import decode_laurent
 from ergodec.intpoly import cyclotomic_split
 from ergodec.laurent import _fp_gcd
 from ergodec.matrices import fixed_by_power, singular_cyclotomic_orders
@@ -164,8 +167,7 @@ def test_fp_gcd_matches_sympy(p):
     for f, g in planted_pairs(p, 1):
         ours = _fp_gcd(f.canonical().univariate_in(0), g.canonical().univariate_in(0), p)
         theirs = sympy_poly(f, U[:1]).gcd(sympy_poly(g, U[:1]))
-        assert same_up_to_unit(sympy_poly(LaurentPoly.from_univariate(p, 1, 0, ours), U[:1]),
-                               theirs)
+        assert same_up_to_unit(sympy_poly(LaurentPoly.along(p, (1,), ours), U[:1]), theirs)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -176,16 +178,64 @@ def test_content_in_matches_sympy(p):
     for f, _ in planted_pairs(p, 2):
         for var in (0, 1):
             side = random_laurent(rng, p, 1).canonical().univariate_in(0)
-            h = f * LaurentPoly.from_univariate(p, 2, var, side)  # a univariate factor
+            axis = (1, 0) if var == 0 else (0, 1)
+            h = f * LaurentPoly.along(p, axis, side)  # a univariate factor
             ring = sp.GF(p)[U[var]]
             over_ring = sp.Poly(sympy_poly(h).as_expr(), U[1 - var], domain=ring)
             theirs = sp.Poly(ring.to_sympy(over_ring.content()), U[var], modulus=p)
-            ours = LaurentPoly.from_univariate(p, 1, 0, content_in(h, var))
+            ours = LaurentPoly.along(p, (1,), content_along(h, axis)[2])
             assert same_up_to_unit(sympy_poly(ours, U[var:var + 1]), theirs)
 
 
+MIXED = [(1, 1), (1, -1), (2, 1), (1, -2), (2, 2), (3, -2), (5, 2), (4, -3)]
+SCAN_REACH = 16
+
+
+def to_second_axis(f, n0):
+    """f under the monomial automorphism u^e -> u^(A e), A in GL2(Z) with
+    A n0 = (0, 1).  It maps u^(k*m*n0) - 1 to u2^(k*m) - 1 and keeps
+    every gcd, up to a unit."""
+    a, b = n0
+    x, y = next((x, y) for x in range(-6, 7) for y in range(-6, 7) if x * a + y * b == 1)
+    return LaurentPoly.from_terms(f.p, 2, {(a * e2 - b * e1, x * e1 + y * e2): c
+                                           for (e1, e2), c in f.terms})
+
+
 @pytest.mark.parametrize("p", PRIMES)
-def test_bivar_gcd_matches_sympy(p):
-    for f, g in planted_pairs(p, 2):
-        theirs = sympy_poly(f).gcd(sympy_poly(g))
-        assert same_up_to_unit(sympy_poly(bivar_gcd(f, g)), theirs)
+def test_bounded_scan_hits_are_exact_verdicts(p):
+    """The bounded scan the exact verdicts replace: the least k up to
+    SCAN_REACH at which sympy's GF(p) gcd of g and u^(k*n) - 1 is not a
+    unit.  A hit is a not-ergodic verdict with the same least power and
+    the same common factor; no hit is an ergodic verdict, or a witness
+    power past the reach.  The scan runs in coordinates where n points
+    along u2, which keeps sympy's bivariate gcd fast."""
+    rng = random.Random(7 * p)
+    for i in range(8):
+        g = random_laurent(rng, p, 2)
+        if i % 2:
+            n0 = rng.choice(MIXED)
+            n0 = tuple(x // math.gcd(*n0) for x in n0)
+            g = g * LaurentPoly.along(p, n0, [rng.randint(1, p - 1)]
+                                      + [rng.randint(0, p - 1) for _ in range(rng.randint(0, 1))]
+                                      + [1])
+        if g.is_unit:
+            continue
+        action = laurent_cyclic_action(p, 2, g)
+        for n in MIXED:
+            m = math.gcd(*n)
+            n0 = tuple(x // m for x in n)
+            moved = sympy_poly(to_second_axis(g, n0))
+            scan = ((k, moved.gcd(sp.Poly(U[1] ** (k * m) - 1, *U, modulus=p)))
+                    for k in range(1, SCAN_REACH + 1))
+            hit = next(((k, common) for k, common in scan if common.total_degree() > 0), None)
+            verdict = direction_is_ergodic(action, n)
+            if verdict.is_ergodic:
+                assert hit is None
+                continue
+            data = verdict.certificate.data
+            if data["power"] > SCAN_REACH:
+                assert hit is None
+                continue
+            assert hit is not None and hit[0] == data["power"]
+            factor = decode_laurent(data["common_factor"])
+            assert same_up_to_unit(sympy_poly(to_second_axis(factor, n0)), hit[1])

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from ergodec.laurent import (LaurentPoly, ModulusMismatchError, _fp_gcd,
-                             bivar_gcd, content_in, direction_power_minus_one,
-                             laurent_divides)
+from ergodec import VerdictKind, direction_is_ergodic, laurent_cyclic_action
+from ergodec.laurent import (LaurentPoly, ModulusMismatchError, _fp_gcd, _fp_monic,
+                             content_along, direction_power_minus_one,
+                             directions_in_shell, laurent_divides)
 
 
 def lp(p, nvars, terms):
@@ -98,7 +99,7 @@ def coefficients(f):
 
 
 def gcd_1d(f, g):
-    return LaurentPoly.from_univariate(f.p, 1, 0, _fp_gcd(coefficients(f), coefficients(g), f.p))
+    return LaurentPoly.along(f.p, (1,), _fp_gcd(coefficients(f), coefficients(g), f.p))
 
 
 class TestUnivariateGcd:
@@ -125,57 +126,87 @@ class TestUnivariateGcd:
             assert laurent_divides(h, g) is not None
 
 
+def random_t_poly(rng, p, deg):
+    """Coefficient list of degree deg with a nonzero constant term."""
+    return [rng.randint(1, p - 1)] + [rng.randint(0, p - 1) for _ in range(deg - 1)] \
+        + [rng.randint(1, p - 1)]
+
+
 class TestBivariate:
-    # sympy's gcd over GF(p) is the oracle in tests/test_differential.py;
-    # these check examples and the divisibility properties of any gcd
-    def test_equal_inputs_share_factor(self):
-        assert not bivar_gcd(ledrappier(), ledrappier()).is_unit
+    # content along a direction; sympy's gcd over GF(p) is the oracle in
+    # tests/test_differential.py, and these check examples and the
+    # divisibility properties of the content
+    def test_polynomial_in_the_direction_is_its_own_content(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            p = rng.choice([2, 3, 5])
+            n0 = rng.choice([(1, 0), (1, 1), (2, -1), (-3, 2)])
+            coeffs = random_t_poly(rng, p, rng.randint(1, 3))
+            f = LaurentPoly.along(p, n0, coeffs) * LaurentPoly.monomial(p, 2, (1, -2))
+            assert content_along(f, n0) == (1, n0, _fp_monic(coeffs, p))
+            assert content_along(f, tuple(3 * x for x in n0)) == (3, n0, _fp_monic(coeffs, p))
+            back = tuple(-x for x in n0)
+            assert content_along(f, back) == (1, back, _fp_monic(coeffs[::-1], p))
 
     def test_ledrappier_coprime_to_univariate(self):
-        h = lp(2, 2, {(3, 0): 1, (0, 0): 1})
-        assert bivar_gcd(ledrappier(), h).is_unit
+        # no polynomial in a single monomial u^n0 divides 1 + u1 + u2
+        for shell in (1, 2, 3):
+            for n in directions_in_shell(2, shell):
+                assert content_along(ledrappier(), n)[2] == [1]
 
     def test_constructed_common_factor(self):
         f = lp(3, 2, {(1, 1): 1, (1, 0): 2, (0, 1): 2, (0, 0): 1})  # (u1-1)(u2-1)
-        g = lp(3, 2, {(5, 0): 1, (0, 0): 2})  # u1^5 - 1
-        assert bivar_gcd(f, g) == lp(3, 2, {(1, 0): 1, (0, 0): 2})  # u1 - 1
+        assert content_along(f, (1, 0)) == (1, (1, 0), [2, 1])  # u1 - 1
+        assert content_along(f, (0, -2)) == (2, (0, -1), [2, 1])  # u2^-1 - 1, monic
+        assert content_along(f, (1, 1))[2] == [1]
+        planted = ledrappier() * lp(2, 2, {(0, 0): 1, (1, 1): 1})  # times 1 + u1*u2
+        assert content_along(planted, (1, 1)) == (1, (1, 1), [1, 1])
+        assert content_along(planted, (-2, -2)) == (2, (-1, -1), [1, 1])
+        assert content_along(planted, (1, -1))[2] == [1]
 
     def test_agrees_with_univariate_gcd_when_one_variable_absent(self):
+        # f = a(u1) + u2*b(u1): its content along u1 is gcd(a, b)
         rng = random.Random(43)
         for _ in range(30):
             p = rng.choice([2, 3])
             a = random_poly(rng, p, 1)
             b = random_poly(rng, p, 1)
-            f = lp(p, 2, {(e[0], 0): c for e, c in a.terms})
-            g = lp(p, 2, {(e[0], 0): c for e, c in b.terms})
+            f = lp(p, 2, {(e[0], 0): c for e, c in a.terms}) \
+                + lp(p, 2, {(e[0], 1): c for e, c in b.terms})
             expected = _fp_gcd(coefficients(a), coefficients(b), p)
-            assert bivar_gcd(f, g) == LaurentPoly.from_univariate(p, 2, 0, expected)
+            assert content_along(f, (1, 0))[2] == expected
 
     def test_gcd_route_matches_decision_route(self):
-        # the gcd divides both inputs, and a planted common factor divides it
+        # the content divides f along the direction, a planted factor in
+        # u^n0 divides the content, and the engine's verdict follows it
         rng = random.Random(47)
         for _ in range(50):
             p = rng.choice([2, 3])
+            n, n0 = rng.choice([((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 1), (1, 1)),
+                                ((2, -1), (2, -1)), ((2, 4), (1, 2))])
             f = random_poly(rng, p, 2)
-            g = random_poly(rng, p, 2)
             common = LaurentPoly.one(p, 2)
             if rng.random() < 0.5:
-                common = random_poly(rng, p, 2, max_terms=2)
+                common = LaurentPoly.along(p, n0, random_t_poly(rng, p, 1))
                 f = f * common
-                g = g * common
-            gcd = bivar_gcd(f, g)
-            assert laurent_divides(gcd, f) is not None
-            assert laurent_divides(gcd, g) is not None
-            assert laurent_divides(common, gcd) is not None
+            if f.is_unit:
+                continue
+            m, found, content = content_along(f, n)
+            assert (m, found) == (max(abs(x) for x in n) // max(abs(x) for x in n0), n0)
+            along = LaurentPoly.along(p, n0, content)
+            assert laurent_divides(along, f) is not None
+            assert laurent_divides(common, along) is not None
+            verdict = direction_is_ergodic(laurent_cyclic_action(p, 2, f), n)
+            assert (verdict.kind == VerdictKind.ERGODIC) == (content == [1])
 
     def test_content_of_ledrappier_is_trivial(self):
-        assert content_in(ledrappier(), 0) == [1]
-        assert content_in(ledrappier(), 1) == [1]
+        assert content_along(ledrappier(), (1, 0))[2] == [1]
+        assert content_along(ledrappier(), (0, 1))[2] == [1]
 
     def test_content_detects_univariate_factor(self):
         f = lp(3, 2, {(1, 1): 1, (1, 0): 1, (0, 1): 2, (0, 0): 2})  # (u1-1)(u2+1)
-        assert content_in(f, 0) == [2, 1]  # u1 - 1, monic
-        assert content_in(f, 1) == [1, 1]  # u2 + 1
+        assert content_along(f, (1, 0))[2] == [2, 1]  # u1 - 1, monic
+        assert content_along(f, (0, 1))[2] == [1, 1]  # u2 + 1
 
 
 class TestDirectionPower:

@@ -4,10 +4,11 @@ import pytest
 
 from ergodec import laurent_engine
 from ergodec import (LaurentPoly, NotErgodicGroupError, VerdictKind,
-                     default_k_max, direction_is_ergodic,
-                     direction_power_minus_one, find_ergodic_direction,
-                     group_is_ergodic, laurent_cyclic_action, laurent_divides,
-                     orbit_probe)
+                     direction_is_ergodic, direction_power_minus_one,
+                     find_ergodic_direction, group_is_ergodic, laurent_cyclic_action,
+                     laurent_divides, orbit_probe)
+from ergodec.encoding import decode_laurent
+from ergodec.laurent import directions_in_shell
 
 
 def lp(p, nvars, terms):
@@ -23,14 +24,22 @@ def trinomial_action():
     return laurent_cyclic_action(2, 1, lp(2, 1, {(0,): 1, (1,): 1, (2,): 1}))
 
 
+def witness_of(action, verdict):
+    """The class g/h that the common factor h of a not-ergodic
+    certificate names."""
+    factor = decode_laurent(verdict.certificate.data["common_factor"])
+    assert not factor.is_unit
+    return laurent_divides(factor, action.presenter)
+
+
 def replay_witness(action, verdict):
+    """The identity (u^(k*direction) - 1)*witness = quotient*g, with the
+    witness nonzero in the module."""
     data = verdict.certificate.data
-    from ergodec.encoding import decode_laurent
-    witness = decode_laurent(data["witness"])
-    quotient = decode_laurent(data["quotient"])
+    witness = witness_of(action, verdict)
     w = direction_power_minus_one(action.p, action.nvars,
                                   tuple(data["direction"]), data["power"])
-    assert w * witness == quotient * action.presenter
+    assert laurent_divides(action.presenter, w * witness) is not None
     assert laurent_divides(action.presenter, witness) is None
 
 
@@ -65,8 +74,7 @@ class TestOneVariable:
             assert v.kind == VerdictKind.NOT_ERGODIC
             k = v.certificate.data["power"]
             assert k <= p ** g.degree_in(0) - 1
-            from ergodec.encoding import decode_laurent
-            witness = decode_laurent(v.certificate.data["witness"])
+            witness = witness_of(act, v)
             probe = orbit_probe(act, witness, (1,), cap=k + 5)
             assert probe == {"status": "finite", "power": k}
 
@@ -89,11 +97,17 @@ class TestLedrappier:
             assert v.kind == VerdictKind.ERGODIC
             assert v.certificate.kind == "trivial-univariate-content"
 
-    def test_diagonal_is_bounded(self):
+    def test_diagonal_is_exactly_ergodic(self):
         act = ledrappier_action()
         v = direction_is_ergodic(act, (1, 1))
-        assert v.kind == VerdictKind.ERGODIC_UP_TO
-        assert v.certificate.data["k_max"] == default_k_max(act)
+        assert v.kind == VerdictKind.ERGODIC
+        assert v.certificate.kind == "trivial-univariate-content"
+        assert v.certificate.data == {"direction": [1, 1], "content": [1]}
+        for shell in (1, 2, 3):
+            for n in directions_in_shell(2, shell):
+                assert direction_is_ergodic(act, n).kind == VerdictKind.ERGODIC
+        # so the search returns (1, 1), which leads shell 1
+        assert find_ergodic_direction(act, 3) == ((1, 1), v)
 
     def test_group_exactly_ergodic(self):
         v = group_is_ergodic(ledrappier_action())
@@ -101,9 +115,13 @@ class TestLedrappier:
         assert v.certificate.kind == "coprime-axis-powers"
 
     def test_find_direction_returns_first_axis(self):
-        direction, verdict = find_ergodic_direction(ledrappier_action(), 3)
+        # with a factor 1 + u1*u2 planted, (1, 1), which leads shell 1,
+        # fails, and the first axis comes next
+        g = ledrappier_action().presenter * lp(2, 2, {(0, 0): 1, (1, 1): 1})
+        direction, verdict = find_ergodic_direction(laurent_cyclic_action(2, 2, g), 3)
         assert direction == (1, 0)
         assert verdict.kind == VerdictKind.ERGODIC
+        assert verdict.certificate.data == {"direction": [1, 0], "content": [1]}
 
     def test_orbit_probe_of_one_never_closes(self):
         act = ledrappier_action()
@@ -160,24 +178,40 @@ class TestTwoVariableWitnesses:
         assert v.kind == VerdictKind.NOT_ERGODIC
         assert v.certificate.data["power"] == 1
         replay_witness(act, v)
-        # but the opposite diagonal never meets it within the bound
-        v2 = direction_is_ergodic(act, (1, -1), k_max=8)
-        assert v2.kind == VerdictKind.ERGODIC_UP_TO
+        # the opposite diagonal never meets it: g has no factor in u1/u2
+        v2 = direction_is_ergodic(act, (1, -1))
+        assert v2.kind == VerdictKind.ERGODIC
+        assert v2.certificate.data == {"direction": [1, -1], "content": [1]}
+
+    def test_planted_factor_caught_in_every_multiple_of_its_line(self):
+        # (1 + u1*u2)(1 + u1 + u2) over F2 fails along +-(1, 1) and its
+        # multiples, and nowhere else in the box
+        g = lp(2, 2, {(0, 0): 1, (1, 1): 1}) * ledrappier_action().presenter
+        act = laurent_cyclic_action(2, 2, g)
+        for shell in (1, 2, 3):
+            for n in directions_in_shell(2, shell):
+                v = direction_is_ergodic(act, n)
+                assert v.is_ergodic == (n[0] != n[1])
+                if not v.is_ergodic:
+                    assert v.certificate.data["power"] == 1
+                    replay_witness(act, v)
 
     def test_scan_continues_past_failing_directions(self):
-        # (u1+1)*(1+u1+u2) over F2: directions with a u1 power fail at
-        # once, the second axis is exactly ergodic.
-        h = lp(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
-        g = lp(2, 2, {(1, 0): 1, (0, 0): 1}) * h
+        # (1+u1)(1+u1*u2)(u1+u2)(1+u1+u2) over F2: the three directions
+        # of shell 1 with a u1 power fail, the second axis is ergodic
+        g = ledrappier_action().presenter
+        for factor in ({(1, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): 1}):
+            g = g * lp(2, 2, factor)
         act = laurent_cyclic_action(2, 2, g)
-        assert direction_is_ergodic(act, (1, 0)).kind == VerdictKind.NOT_ERGODIC
+        for n in ((1, 1), (1, 0), (1, -1)):
+            assert direction_is_ergodic(act, n).kind == VerdictKind.NOT_ERGODIC
         direction, verdict = find_ergodic_direction(act, 3)
         assert direction == (0, 1)
         assert verdict.kind == VerdictKind.ERGODIC
 
-    def test_scan_stops_after_the_first_shell_with_a_bounded_hit(self, monkeypatch):
-        # (u1-1)(u2-1) over F3: both axes fail, so shell 1 ends with only
-        # a bounded hit, and no later shell can hold an exact verdict.
+    def test_scan_past_failing_axes_stops_at_first_hit(self, monkeypatch):
+        # (u1-1)(u2-1) over F3: both axes fail, and (1, 1), the first
+        # direction of shell 1, is exactly ergodic
         g = lp(3, 2, {(1, 1): 1, (1, 0): 2, (0, 1): 2, (0, 0): 1})
         act = laurent_cyclic_action(3, 2, g)
         calls = []
@@ -189,9 +223,9 @@ class TestTwoVariableWitnesses:
 
         monkeypatch.setattr(laurent_engine, "direction_is_ergodic", counted)
         direction, verdict = find_ergodic_direction(act, 3)
-        assert len(calls) <= 8
+        assert calls == [(1, 1)]
         assert direction == (1, 1)
-        assert verdict.kind == VerdictKind.ERGODIC_UP_TO
+        assert verdict.kind == VerdictKind.ERGODIC
 
 
 class TestInvariances:
@@ -212,8 +246,8 @@ class TestInvariances:
         act = laurent_cyclic_action(3, 2, g)
         act_swapped = laurent_cyclic_action(3, 2, swapped)
         for n in ((1, 0), (0, 1), (1, 1), (2, -1)):
-            v1 = direction_is_ergodic(act, n, k_max=6)
-            v2 = direction_is_ergodic(act_swapped, (n[1], n[0]), k_max=6)
+            v1 = direction_is_ergodic(act, n)
+            v2 = direction_is_ergodic(act_swapped, (n[1], n[0]))
             assert v1.kind == v2.kind
 
     def test_zero_direction_rejected(self):

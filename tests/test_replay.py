@@ -27,12 +27,17 @@ REDUCIBLE = {"type": "laurent", "p": 3, "d": 2, "g": [
     {"exponents": [1, 0], "coefficient": 1},
     {"exponents": [0, 1], "coefficient": 2},
     {"exponents": [0, 0], "coefficient": 2}]}
-# (u1 - 1)(u2 - 1) over F_3: both axes fail, (1, 1) is ergodic up to k_max 64
+# (u1 - 1)(u2 - 1) over F_3: both axes fail, (1, 1) is ergodic
 AXES_ONLY = {"type": "laurent", "p": 3, "d": 2, "g": [
     {"exponents": [1, 1], "coefficient": 1},
     {"exponents": [1, 0], "coefficient": 2},
     {"exponents": [0, 1], "coefficient": 2},
     {"exponents": [0, 0], "coefficient": 1}]}
+# (1 + u1*u2)(1 + u1 + u2) over F_2: (1, 1) fails, (1, 0) is the first ergodic
+PLANTED_DIAGONAL = {"type": "laurent", "p": 2, "d": 2, "g": [
+    {"exponents": [0, 0], "coefficient": 1}, {"exponents": [1, 0], "coefficient": 1},
+    {"exponents": [0, 1], "coefficient": 1}, {"exponents": [1, 1], "coefficient": 1},
+    {"exponents": [2, 1], "coefficient": 1}, {"exponents": [1, 2], "coefficient": 1}]}
 TRINOMIAL = {"type": "laurent", "p": 2, "d": 1, "g": [
     {"exponents": [0], "coefficient": 1}, {"exponents": [1], "coefficient": 1},
     {"exponents": [2], "coefficient": 1}]}
@@ -147,9 +152,39 @@ def _later_ergodic_vector(results):
     results["element_matrix"] = encode_matrix(element(action, (2, 1)))
 
 
-def _one_variable_bounded_scan(results):
-    results["directions"][0]["verdict"] = {"kind": "ergodic-up-to", "certificate": {
-        "kind": "bounded-scan", "data": {"direction": [1], "k_max": 4}}}
+def _one_variable_trivial_content(results):
+    results["directions"][0]["verdict"] = {"kind": "ergodic", "certificate": {
+        "kind": "trivial-univariate-content", "data": {"direction": [1], "content": [1]}}}
+
+
+def _direction_free_witness_in_group(results):
+    # a two-variable group slot names no direction, so a witness there
+    # has nothing to be about
+    results["group"] = {"kind": "not-ergodic", "certificate": {
+        "kind": "finite-quotient-witness", "data": {"power": 1, "common_factor": {
+            "p": 2, "vars": 2, "terms": [[[0, 0], 1], [[1, 0], 1]]}}}}
+
+
+def _laurent_factor(*terms):
+    def tamper(results):
+        data = results["directions"][0]["verdict"]["certificate"]["data"]
+        data["common_factor"]["terms"] = [list(t) for t in terms]
+    return tamper
+
+
+def _later_ergodic_direction(results):
+    # (1, 0) comes first; (0, 1) is ergodic too, with its own certificate
+    assert results["direction"] == [1, 0]
+    results["direction"] = [0, 1]
+    results["verdict"]["certificate"]["data"]["direction"] = [0, 1]
+
+
+def _found_direction(direction):
+    # Ledrappier is ergodic along every direction, in the box or past it
+    def tamper(results):
+        results["direction"] = direction
+        results["verdict"]["certificate"]["data"]["direction"] = direction
+    return tamper
 
 
 def _zero_found_direction(results):
@@ -185,17 +220,26 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("analyze", REDUCIBLE, (), _set("directions", 0, "verdict", "kind", "ergodic")),
     ("analyze", LEDRAPPIER, (), _set("directions", 0, "direction", [1, 1])),
     ("analyze", LEDRAPPIER, (),
-     _set("directions", 0, "verdict", "certificate", "data", "variable", 1)),
-    ("analyze", LEDRAPPIER, (), _set("group", "kind", "ergodic-up-to")),
+     _set("directions", 0, "verdict", "certificate", "data", "direction", [0, 1])),
+    ("analyze", LEDRAPPIER, (), _set("group", "kind", "not-ergodic")),
     ("find-ergodic", LEDRAPPIER, (), _set("direction", [0, 1])),
     ("find-ergodic", LEDRAPPIER, (), _set("verdict", "kind", "not-ergodic")),
-    ("analyze", TRINOMIAL, (), _one_variable_bounded_scan),
+    ("analyze", TRINOMIAL, (), _one_variable_trivial_content),
     ("find-ergodic", LEDRAPPIER, (), _zero_found_direction),
     ("analyze", TRINOMIAL, (), _set("group", "certificate", "data", "power", 0)),
-    ("find-ergodic", AXES_ONLY, ("--search-box", "1"),
-     _set("verdict", "certificate", "data", "k_max", 640)),
-    ("find-ergodic", AXES_ONLY, ("--search-box", "1", "--kmax", "8"),
-     _set("verdict", "certificate", "data", "k_max", 64)),
+    ("analyze", TRINOMIAL, (), _set("group", "certificate", "data", "power", 2)),
+    ("analyze", TRINOMIAL, (), _set("directions", 0, "verdict", "certificate", "data",
+                                    "power", 2)),
+    ("analyze", REDUCIBLE, (), _laurent_factor([[0, 0], 1])),
+    ("analyze", REDUCIBLE, (), _laurent_factor([[0, 0], 1], [[1, 0], 1])),
+    ("analyze", REDUCIBLE, (),
+     _set("directions", 0, "verdict", "certificate", "data", "direction", [0, 1])),
+    ("find-ergodic", LEDRAPPIER, (), _set("verdict", "certificate", "data", "content", [1, 1])),
+    ("find-ergodic", AXES_ONLY, (), _set("verdict", "certificate", "data", "content", [2, 1])),
+    ("find-ergodic", LEDRAPPIER, (), _found_direction([4, 1])),
+    ("find-ergodic", LEDRAPPIER, ("--search-box", "1"), _found_direction([2, 1])),
+    ("find-ergodic", PLANTED_DIAGONAL, (), _later_ergodic_direction),
+    ("analyze", LEDRAPPIER, (), _direction_free_witness_in_group),
 ], ids=["mixing-flag", "verdict-kind", "verdict-slot", "generator-index", "generator-count",
         "not-distal-generator", "distal-group-kind", "group-orbit", "element-matrix",
         "first-vector",
@@ -204,9 +248,12 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
         "attribution-dim-to", "attribution-ergodic", "finite-orbits", "exceeded",
         "characters-checked", "norm-bound", "cap", "laurent-direction-kind",
         "laurent-direction-slot", "laurent-content-variable", "laurent-group-kind",
-        "laurent-found-direction", "laurent-found-kind", "laurent-one-variable-scan",
-        "laurent-zero-direction", "laurent-witness-power-zero", "laurent-scan-past-default",
-        "laurent-scan-past-flag"])
+        "laurent-found-direction", "laurent-found-kind", "laurent-one-variable-content",
+        "laurent-zero-direction", "laurent-witness-power-zero", "laurent-group-power-below",
+        "laurent-witness-power-below", "laurent-unit-factor", "laurent-factor-not-dividing",
+        "laurent-swapped-direction", "laurent-mixed-content", "laurent-axes-only-content",
+        "laurent-scan-past-default", "laurent-scan-past-flag", "laurent-later-direction",
+        "laurent-group-witness"])
 def test_tampered_derived_field_fails_replay(tmp_path, capsys, command, doc, flags, tamper):
     report = fresh_report(tmp_path, capsys, command, doc, *flags)
     assert replay_report(report)["failures"] == []
