@@ -148,6 +148,26 @@ class TestBivariate:
             back = tuple(-x for x in n0)
             assert content_along(f, back) == (1, back, _fp_monic(coeffs[::-1], p))
 
+    def test_equal_inputs_share_factor(self):
+        # every coset group of h(u^n0) * q is a unit times h(t) when q has
+        # one monomial in each of several cosets of Z*n0, so the gcd of
+        # equal groups is h itself
+        rng = random.Random(53)
+        for _ in range(30):
+            p = rng.choice([2, 3, 5, 7])
+            n0, v = rng.choice([((1, 0), (0, 1)), ((1, 1), (1, -1)),
+                                ((2, -1), (1, 1)), ((-3, 2), (1, 0))])
+            coeffs = random_t_poly(rng, p, rng.randint(1, 3))
+            q = LaurentPoly.zero(p, 2)
+            for j in range(rng.randint(2, 4)):
+                s = rng.randint(-2, 2)
+                q = q + LaurentPoly.monomial(p, 2, tuple(j * a + s * b for a, b in zip(v, n0)),
+                                             rng.randint(1, p - 1))
+            g = LaurentPoly.along(p, n0, coeffs) * q
+            assert content_along(g, n0) == (1, n0, _fp_monic(coeffs, p))
+            assert content_along(g, tuple(2 * x for x in n0)) == (2, n0, _fp_monic(coeffs, p))
+            assert content_along(q, n0)[2] == [1]
+
     def test_ledrappier_coprime_to_univariate(self):
         # no polynomial in a single monomial u^n0 divides 1 + u1 + u2
         for shell in (1, 2, 3):
