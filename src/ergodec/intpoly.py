@@ -20,6 +20,8 @@ Scalar = "int | Fraction"
 
 def _norm_scalar(x):
     """Collapse integral Fractions to plain ints."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
@@ -100,11 +102,14 @@ class Polynomial:
         return Polynomial.from_coeffs(out)
 
     def __divmod__(self, other: "Polynomial"):
-        """Exact rational division with remainder."""
+        """Exact rational division with remainder.  A divisor with leading
+        coefficient 1 or -1, such as every cyclotomic polynomial, needs no
+        division, so integer operands stay in ints."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        lead = Fraction(other.leading)
+        lead = other.leading
+        unit = lead in (1, -1)  # then top / lead == top * lead
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Polynomial.zero(), self
@@ -113,7 +118,7 @@ class Polynomial:
             top = rem[k + other.degree]
             if top == 0:
                 continue
-            q = _norm_scalar(Fraction(top) / lead)
+            q = top * lead if unit else _norm_scalar(Fraction(top) / lead)
             quo[k] = q
             for j, y in enumerate(other.coeffs):
                 rem[k + j] -= q * y
@@ -212,7 +217,12 @@ def orders_with_totient_at_most(r: int) -> list[int]:
     """
     if r < 1:
         raise ValueError("rank must be positive")
-    return [d for d in range(1, 2 * r * r + 2) if euler_phi(d) <= r]
+    return list(_orders_with_totient_at_most(r))
+
+
+@functools.lru_cache(maxsize=None)
+def _orders_with_totient_at_most(r: int) -> tuple:
+    return tuple(d for d in range(1, 2 * r * r + 2) if euler_phi(d) <= r)
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,8 +266,11 @@ def cyclotomic_split(f: Polynomial, orders):
     for d in orders:
         phi = cyclotomic(d)
         count = 0
-        while not rest.is_one and phi.divides(rest):
-            rest = rest.exact_div(phi)
+        while not rest.is_one:
+            quo, rem = divmod(rest, phi)
+            if not rem.is_zero:
+                break
+            rest = quo
             count += 1
         if count:
             factors.append((d, count))

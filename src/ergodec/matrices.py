@@ -5,6 +5,12 @@ fractions.Fraction.  Determinants use fraction-free Bareiss elimination,
 characteristic polynomials use the division-free Berkowitz recursion, and
 subspaces are kept in reduced row echelon form so that equality of
 subspaces is equality of representations.
+
+Elimination is integer-first: rref scales each row to integers and
+eliminates by cross-multiplication, and only the emitted rows are divided
+by their pivots, so a Fraction appears only in an entry that is not an
+integer.  Products, determinants and matrix polynomials of integer
+matrices stay in ints and skip per-entry normalization.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from .intpoly import (Polynomial, _norm_scalar, cyclotomic, cyclotomic_product,
                       cyclotomic_split, euler_phi, orders_with_totient_at_most)
@@ -68,7 +75,7 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    @property
+    @cached_property
     def is_integral(self) -> bool:
         return all(isinstance(x, int) for row in self.rows for x in row)
 
@@ -94,6 +101,9 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionError("inner dimensions do not match")
         cols = tuple(zip(*other.rows))
+        if self.is_integral and other.is_integral:
+            return Matrix(tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                                for row in self.rows))
         return Matrix(tuple(
             tuple(_norm_scalar(sum(a * b for a, b in zip(row, col))) for col in cols)
             for row in self.rows
@@ -130,8 +140,12 @@ class Matrix:
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
         n = self.nrows
-        den = lcm(*(x.denominator for row in self.rows for x in row))
-        m = [[int(x * den) for x in row] for row in self.rows]
+        if self.is_integral:
+            den = 1
+            m = [list(row) for row in self.rows]
+        else:
+            den = lcm(*(x.denominator for row in self.rows for x in row))
+            m = [[int(x * den) for x in row] for row in self.rows]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -143,14 +157,19 @@ class Matrix:
                         break
                 else:
                     return 0
-            for i in range(k + 1, n):
+            top = m[k]
+            p = top[k]
+            for row in m[k + 1:]:
+                f = row[k]
                 for j in range(k + 1, n):
-                    q, r = divmod(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                    q, r = divmod(row[j] * p - f * top[j], prev)
                     if r:
                         raise ArithmeticError("inexact division in fraction-free elimination")
-                    m[i][j] = q
-                m[i][k] = 0
-            prev = m[k][k]
+                    row[j] = q
+                row[k] = 0
+            prev = p
+        if den == 1:
+            return sign * m[n - 1][n - 1]
         return _norm_scalar(Fraction(sign * m[n - 1][n - 1], den ** n))
 
     def inverse(self) -> "Matrix":
@@ -225,9 +244,15 @@ def rref(rows):
     """Reduced row echelon form over the rationals.
 
     Returns (rows, pivot_columns) with zero rows dropped and pivots
-    normalized to 1.
+    normalized to 1.  The elimination is fraction-free: each row is
+    scaled to integers by the lcm of its denominators, a row is cleared
+    by cross-multiplication with the pivot row and then divided by the
+    gcd of its entries, and each pivot row is divided by its pivot only
+    when it is emitted.  None of these steps changes the row space, and
+    the reduced row echelon form is unique, so the result is the one
+    Gauss-Jordan elimination over the rationals gives.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
+    work = [_integer_row(row) for row in rows]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -238,18 +263,28 @@ def rref(rows):
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
+        prow = work[r]
+        p = prow[c]
         for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            f = work[i][c]
+            if i != r and f != 0:
+                row = [p * a - f * b for a, b in zip(work[i], prow)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    out = [tuple(_norm_scalar(x) for x in row) for row in work[:r]]
+    out = [tuple(x // row[c] if x % row[c] == 0 else Fraction(x, row[c]) for x in row)
+           for row, c in zip(work, pivots)]
     return out, pivots
+
+
+def _integer_row(row) -> list:
+    """The row times the lcm of its denominators: integers with the same
+    span."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 @dataclass(frozen=True)
@@ -363,7 +398,7 @@ def kernel(m: Matrix) -> Subspace:
         v = [0] * ncols
         v[f] = 1
         for row, p in zip(rows, pivots):
-            v[p] = _norm_scalar(-Fraction(row[f]))
+            v[p] = -row[f]
         vectors.append(tuple(v))
     return Subspace.span(ncols, vectors)
 
@@ -426,10 +461,12 @@ def _poly_at(p: Polynomial, powers) -> Matrix:
     """p(x) from the powers [I, x, x**2, ...] of a square x."""
     n = powers[0].nrows
     rows = [[0] * n for _ in range(n)]
-    for c, pw in zip(p.coeffs, powers):
-        for row, prow in zip(rows, pw.rows):
-            for j, y in enumerate(prow):
-                row[j] += c * y
+    terms = [(c, pw) for c, pw in zip(p.coeffs, powers) if c != 0]
+    for c, pw in terms:
+        for i, prow in enumerate(pw.rows):
+            rows[i] = [a + c * y for a, y in zip(rows[i], prow)]
+    if all(type(c) is int and pw.is_integral for c, pw in terms):
+        return Matrix(tuple(map(tuple, rows)))
     return Matrix.from_rows(rows)
 
 

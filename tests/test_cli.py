@@ -270,8 +270,18 @@ class TestFlagValidation:
 
 SHEAR = {"type": "toral", "r": 2, "generators": [[[1, 1], [0, 1]]]}
 HALVES = {"type": "solenoid", "r": 1, "generators": [[["3/2"]]]}
+# the block pair conjugated by diag(1/2, 3, 2/5, 1), and by that matrix
+# with 1 added at (1, 3) and (3, 2), which mixes the blocks: the second's
+# witness characters and filtration chain have rational rows
+RATIONAL_PAIR = {"type": "solenoid", "r": 4, "generators": [
+    [[0, "1/6", 0, 0], [6, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, "2/5"], [0, 0, "5/2", 1]]]}
+MIXED_PAIR = {"type": "solenoid", "r": 4, "generators": [
+    [[0, "-2/3", "5/2", 0], [6, 6, -15, 0], [2, "5/3", -4, 0], [0, 0, 0, 1]],
+    [[1, "5/6", "-5/2", 1], [0, 1, 0, 0], [0, "1/3", 0, "2/5"], [0, "-5/6", "5/2", 1]]]}
 PINNED_DOCS = {"fib": FIB, "identity": IDENTITY, "block_pair": BLOCK_PAIR, "shear": SHEAR,
-               "halves": HALVES, "product_r1": counterexample_doc(1)}
+               "halves": HALVES, "product_r1": counterexample_doc(1),
+               "rational_pair": RATIONAL_PAIR, "mixed_pair": MIXED_PAIR}
 
 
 class TestPinnedReports:
@@ -285,13 +295,19 @@ class TestPinnedReports:
         (("analyze", "block_pair"), "0cf773109f92b3d8"),
         (("analyze", "shear"), "3c476f9e4d3aae84"),
         (("analyze", "halves"), "bc228a77758449e6"),
+        (("analyze", "rational_pair"), "e0118ef7690afce3"),
+        (("analyze", "mixed_pair"), "b4dd0f39a3817ff4"),
         (("find-ergodic", "fib"), "1cd0270b57427acd"),
         (("find-ergodic", "block_pair"), "f608cf6e8bfc1b71"),
         (("find-ergodic", "halves"), "77cf62ef7fba8c88"),
         (("find-ergodic", "product_r1"), "bd3c2dd06fb54cff"),
+        (("find-ergodic", "rational_pair"), "b82abb6e507a9bde"),
+        (("find-ergodic", "mixed_pair"), "6cfdfda8ed2c9028"),
         (("filtration", "block_pair"), "29b06a4895080047"),
         (("filtration", "shear"), "73a869384ed3562c"),
         (("filtration", "halves"), "2fdb86f7b800858d"),
+        (("filtration", "rational_pair"), "3e3bef801c5fd1fb"),
+        (("filtration", "mixed_pair"), "3ccb68ceee40444b"),
         (("oracle-check", "block_pair", "--norm-bound", "1"), "d9f95ab2dc5c0044"),
         (("oracle-check", "shear", "--norm-bound", "2", "--cap", "200"), "cdc8398a95a8aa34"),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else "")

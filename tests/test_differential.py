@@ -1,8 +1,10 @@
 """Differential tests against sympy: the cyclotomic split of a
 characteristic polynomial against sympy's factorization, the finite-orbit
 kernel and the largest ergodic subgroup's dual subspace against sympy's
-nullspace, the Laurent gcds and contents over GF(p) against sympy's gcd,
-and the exact Laurent direction verdicts against a bounded gcd scan."""
+nullspace, the fraction-free rref against sympy's rref and a Fraction
+Gauss-Jordan reference, the Laurent gcds and contents over GF(p) against
+sympy's gcd, and the exact Laurent direction verdicts against a bounded
+gcd scan."""
 
 import math
 import random
@@ -16,7 +18,7 @@ from ergodec import (LaurentPoly, Matrix, Subspace, content_along, direction_is_
 from ergodec.encoding import decode_laurent
 from ergodec.intpoly import cyclotomic_split
 from ergodec.laurent import _fp_gcd
-from ergodec.matrices import fixed_by_power, singular_cyclotomic_orders
+from ergodec.matrices import fixed_by_power, rref, singular_cyclotomic_orders
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, ergodic_distal_pair, random_unimodular)
 
@@ -126,6 +128,68 @@ def test_largest_ergodic_subgroup_matches_sympy_nullspace(gens):
     w, _ = largest_ergodic_subgroup(action)
     assert w == sympy_common_kernel(action.dual_generators, action.dim) \
         == sympy_common_kernel(inverse_transposes(gens), action.dim)
+
+
+def fraction_rref(rows):
+    """Reference: Gauss-Jordan elimination in Fractions, each pivot row
+    scaled to pivot 1 before it clears its column."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(work[i]) for i in range(r)], pivots
+
+
+def rref_inputs():
+    """Random integer and rational matrices: tall, wide and square, of
+    full rank and rank-deficient, some with zero and repeated rows and
+    some with entries of 2^64 and more."""
+    rng = random.Random(8128)
+    out = []
+    for i in range(48):
+        nrows, ncols = rng.choice([(6, 3), (3, 6), (4, 4), (1, 5), (5, 1), (7, 5)])
+        rank = rng.randint(0, min(nrows, ncols)) if i % 3 == 0 else min(nrows, ncols)
+        big = 2 ** 64 if i % 4 == 1 else 1
+
+        def entry():
+            x = rng.randint(-5, 5) * big + rng.randint(-3, 3)
+            return Fraction(x, rng.choice([1, 2, 3, 7, 12])) if i % 2 else x
+
+        basis = [[entry() for _ in range(ncols)] for _ in range(max(rank, 1))]
+        rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(ncols)]
+                if rank < min(nrows, ncols) else [entry() for _ in range(ncols)]
+                for _ in range(nrows)]
+        if i % 5 == 2:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        if i % 5 == 3:
+            rows.append(list(rows[rng.randrange(nrows)]))
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("rows", rref_inputs())
+def test_rref_matches_sympy_and_fraction_reference(rows):
+    ours, pivots = rref(rows)
+    assert (ours, pivots) == fraction_rref(rows)
+    theirs, their_pivots = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row]
+                                      for row in rows]).rref()
+    assert pivots == list(their_pivots)
+    assert ours == [tuple(Fraction(int(x.p), int(x.q)) for x in theirs.row(i))
+                    for i in range(len(pivots))]
+    for row in ours:
+        for x in row:
+            assert type(x) is (int if x.denominator == 1 else Fraction)
 
 
 U = sp.symbols("u1 u2")

@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodec.intpoly import (Polynomial, cyclotomic, cyclotomic_product,
+from ergodec.intpoly import (Polynomial, _norm_scalar, cyclotomic, cyclotomic_product,
                              cyclotomic_split, euler_phi, max_torsion_order,
                              orders_with_totient_at_most, poly_gcd)
 from factories import root_of_unity_lcm
@@ -46,6 +47,11 @@ class TestRootOfUnityLcm:
         assert orders_with_totient_at_most(1) == [1, 2]
         assert orders_with_totient_at_most(2) == [1, 2, 3, 4, 6]
         assert orders_with_totient_at_most(4) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+
+    def test_order_list_is_fresh_per_call(self):
+        orders = orders_with_totient_at_most(2)
+        orders.append(7)
+        assert orders_with_totient_at_most(2) == [1, 2, 3, 4, 6]
 
     def test_against_wide_scan_oracle(self):
         # Scan far beyond the implementation's cutoff to confirm no order
@@ -137,6 +143,54 @@ class TestPolyGcd:
             h = poly_gcd(f, g)
             assert h.divides(f) and h.divides(g)
             assert c.monic().divides(h)
+
+
+def fraction_divmod(f, g):
+    """Reference: long division with every quotient coefficient a
+    Fraction divided by the divisor's leading coefficient."""
+    rem = [Fraction(x) for x in f.coeffs]
+    quo = [Fraction(0)] * max(len(rem) - g.degree, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + g.degree] / g.leading
+        for j, y in enumerate(g.coeffs):
+            rem[k + j] -= quo[k] * y
+    return Polynomial.from_coeffs(quo), Polynomial.from_coeffs(rem)
+
+
+class TestIntegerFastPaths:
+    def test_unit_leading_divisor_keeps_ints(self):
+        rng = random.Random(31)
+        for i in range(40):
+            f = poly(*(rng.randint(-9, 9) * 2 ** rng.choice([0, 70])
+                       for _ in range(rng.randint(1, 12))))
+            g = (cyclotomic(rng.randint(1, 30)) if i % 2 else
+                 poly(*(rng.randint(-4, 4) for _ in range(rng.randint(0, 5))),
+                      rng.choice([1, -1])))
+            q, r = divmod(f, g)
+            assert (q, r) == fraction_divmod(f, g)
+            assert all(type(c) is int for c in q.coeffs + r.coeffs)
+
+    def test_unit_leading_divisor_of_a_rational_dividend(self):
+        f = poly(Fraction(1, 2), 3, Fraction(-2, 3), 1)
+        for g in (poly(1, 1), poly(-2, 0, -1), cyclotomic(3)):
+            assert divmod(f, g) == fraction_divmod(f, g)
+
+    def test_other_leading_coefficients_divide_in_fractions(self):
+        q, r = divmod(poly(1, 0, 1), poly(1, 2))
+        assert q == poly(Fraction(-1, 4), Fraction(1, 2))
+        assert r == poly(Fraction(5, 4))
+        rng = random.Random(37)
+        for _ in range(20):
+            f = poly(*(rng.randint(-9, 9) for _ in range(rng.randint(1, 8))))
+            g = poly(*(rng.randint(-4, 4) for _ in range(rng.randint(0, 3))),
+                     rng.choice([2, -3, Fraction(1, 2)]))
+            assert divmod(f, g) == fraction_divmod(f, g)
+
+    def test_norm_scalar(self):
+        assert type(_norm_scalar(Fraction(4, 2))) is int
+        assert _norm_scalar(Fraction(1, 2)) == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            _norm_scalar(0.5)
 
 
 @settings(max_examples=60, derandomize=True)

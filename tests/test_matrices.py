@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ergodec.intpoly import Polynomial
-from ergodec.matrices import (DimensionError, Matrix, Subspace, express_in,
-                              fixed_by_power, kernel, quotient_matrix,
+from ergodec.matrices import (DimensionError, Matrix, Subspace, _poly_at, _powers,
+                              express_in, fixed_by_power, kernel, quotient_matrix,
                               restrict_matrix, singular_cyclotomic_orders,
                               stage_quotient, unipotent_power, walk_orbit)
 from factories import fibonacci_matrix, random_unimodular
@@ -119,6 +119,41 @@ class TestDeterminantAndInverse:
     def test_singular_inverse_rejected(self):
         with pytest.raises(ValueError):
             Matrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
+def list_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestIntegerFastPaths:
+    def test_integral_results_are_ints(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            a, b = ([[rng.randint(-9, 9) * 2 ** rng.choice([0, 64]) for _ in range(n)]
+                     for _ in range(n)] for _ in range(2))
+            coeffs = [rng.randint(-3, 3) for _ in range(4)]
+            powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+            for _ in coeffs[1:]:
+                powers.append(list_product(powers[-1], a))
+            at = [[sum(c * pw[i][j] for c, pw in zip(coeffs, powers)) for j in range(n)]
+                  for i in range(n)]
+            product = Matrix.from_rows(a) * Matrix.from_rows(b)
+            value = _poly_at(poly(*coeffs), _powers(Matrix.from_rows(a), 3))
+            assert product.rows == tuple(map(tuple, list_product(a, b)))
+            assert value.rows == tuple(map(tuple, at))
+            for m in (product, value):
+                assert all(type(x) is int for row in m.rows for x in row)
+            assert type(Matrix.from_rows(a).det()) is int
+
+    def test_integral_rational_results_collapse_to_ints(self):
+        product = Matrix.from_rows([[Fraction(1, 2)]]) * Matrix.from_rows([[2]])
+        assert product.rows == ((1,),) and type(product.rows[0][0]) is int
+        assert product.is_integral
+        half = Matrix.from_rows([[Fraction(1, 2), 1], [0, 2]])
+        assert type(half.det()) is int and half.det() == 1
+        value = _poly_at(poly(0, 2), _powers(half, 1))
+        assert value.rows == ((1, 2), (0, 4)) and value.is_integral
 
 
 class TestKernel:
