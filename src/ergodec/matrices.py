@@ -9,8 +9,7 @@ subspaces is equality of representations.
 Elimination is integer-first: rref scales each row to integers and
 eliminates by cross-multiplication, and only the emitted rows are divided
 by their pivots, so a Fraction appears only in an entry that is not an
-integer.  Products, determinants and matrix polynomials of integer
-matrices stay in ints and skip per-entry normalization.
+integer.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .intpoly import (Polynomial, _norm_scalar, cyclotomic, cyclotomic_product,
-                      cyclotomic_split, euler_phi, orders_with_totient_at_most)
+                      cyclotomic_split, euler_phi, _orders_with_totient_at_most)
 
 
 class DimensionError(ValueError):
@@ -75,7 +74,7 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    @cached_property
+    @property
     def is_integral(self) -> bool:
         return all(isinstance(x, int) for row in self.rows for x in row)
 
@@ -101,11 +100,8 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionError("inner dimensions do not match")
         cols = tuple(zip(*other.rows))
-        if self.is_integral and other.is_integral:
-            return Matrix(tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                                for row in self.rows))
         return Matrix(tuple(
-            tuple(_norm_scalar(sum(a * b for a, b in zip(row, col))) for col in cols)
+            tuple(_norm_scalar(sum(map(mul, row, col))) for col in cols)
             for row in self.rows
         ))
 
@@ -140,12 +136,8 @@ class Matrix:
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
         n = self.nrows
-        if self.is_integral:
-            den = 1
-            m = [list(row) for row in self.rows]
-        else:
-            den = lcm(*(x.denominator for row in self.rows for x in row))
-            m = [[int(x * den) for x in row] for row in self.rows]
+        den = lcm(*(x.denominator for row in self.rows for x in row))
+        m = [[int(x * den) for x in row] for row in self.rows]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -168,8 +160,6 @@ class Matrix:
                     row[j] = q
                 row[k] = 0
             prev = p
-        if den == 1:
-            return sign * m[n - 1][n - 1]
         return _norm_scalar(Fraction(sign * m[n - 1][n - 1], den ** n))
 
     def inverse(self) -> "Matrix":
@@ -204,7 +194,7 @@ class Matrix:
     def spectrum(self) -> "Spectrum":
         """Root-of-unity eigenvalues, computed at most once per matrix."""
         cp = self.char_poly()
-        orders = tuple(orders_with_totient_at_most(self.nrows))
+        orders = _orders_with_totient_at_most(self.nrows)
         factors, rest = cyclotomic_split(cp, orders)
         return Spectrum(self, cp, orders, tuple(factors), rest)
 
@@ -375,11 +365,7 @@ class Subspace:
         """Basis with denominators cleared and integer gcd one per vector."""
         out = []
         for v in self.basis:
-            den = 1
-            for x in v:
-                if isinstance(x, Fraction):
-                    den = den * x.denominator // gcd(den, x.denominator)
-            w = [int(x * den) for x in v]
+            w = _integer_row(v)
             g = gcd(*w)
             if g > 1:
                 w = [x // g for x in w]
@@ -461,12 +447,10 @@ def _poly_at(p: Polynomial, powers) -> Matrix:
     """p(x) from the powers [I, x, x**2, ...] of a square x."""
     n = powers[0].nrows
     rows = [[0] * n for _ in range(n)]
-    terms = [(c, pw) for c, pw in zip(p.coeffs, powers) if c != 0]
-    for c, pw in terms:
-        for i, prow in enumerate(pw.rows):
-            rows[i] = [a + c * y for a, y in zip(rows[i], prow)]
-    if all(type(c) is int and pw.is_integral for c, pw in terms):
-        return Matrix(tuple(map(tuple, rows)))
+    for c, pw in zip(p.coeffs, powers):
+        if c != 0:
+            for i, prow in enumerate(pw.rows):
+                rows[i] = [a + c * y for a, y in zip(rows[i], prow)]
     return Matrix.from_rows(rows)
 
 

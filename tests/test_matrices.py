@@ -125,7 +125,7 @@ def list_product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-class TestIntegerFastPaths:
+class TestIntegerResults:
     def test_integral_results_are_ints(self):
         rng = random.Random(29)
         for _ in range(20):
