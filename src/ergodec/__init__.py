@@ -3,9 +3,9 @@ generated commuting automorphism groups of compact abelian groups:
 integer matrix actions on tori, rational matrix actions on solenoids, and
 coordinate translations on duals of cyclic Laurent quotient modules."""
 
-from .actions import (LaurentCyclicAction, SolenoidAction, ToralAction, build_action,
-                      dual_element, element, laurent_cyclic_action,
-                      product_counterexample, solenoid_action, toral_action)
+from .actions import (LaurentCyclicAction, MatrixAction, build_action, dual_element,
+                      element, laurent_cyclic_action, product_counterexample,
+                      solenoid_action, toral_action)
 from .errors import (InternalCheckError, Issue, NotErgodicGroupError,
                      SearchExhaustedError, ValidationError)
 from .intpoly import (Polynomial, cyclotomic, euler_phi,
@@ -26,9 +26,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate", "FiltrationReport", "InternalCheckError", "Issue",
-    "LaurentCyclicAction", "LaurentPoly", "Matrix", "NotErgodicGroupError",
-    "OrbitResult", "Polynomial", "SearchExhaustedError",
-    "SolenoidAction", "Subspace", "ToralAction", "ValidationError", "Verdict",
+    "LaurentCyclicAction", "LaurentPoly", "Matrix", "MatrixAction",
+    "NotErgodicGroupError", "OrbitResult", "Polynomial", "SearchExhaustedError",
+    "Subspace", "ValidationError", "Verdict",
     "VerdictKind", "build_action", "content_along", "cross_validate",
     "cyclotomic", "direction_is_ergodic",
     "direction_power_minus_one", "dual_element", "element",

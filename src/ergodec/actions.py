@@ -24,35 +24,15 @@ from .matrices import Matrix
 
 
 @dataclass(frozen=True)
-class ToralAction:
-    """Commuting unimodular integer matrices acting on the torus of the
-    given dimension."""
+class MatrixAction:
+    """Commuting matrices acting on a torus (kind "toral": unimodular
+    integer matrices) or a solenoid (kind "solenoid": invertible rational
+    matrices) of the given dimension."""
 
+    kind: str
     dim: int
     generators: tuple
     dual_generators: tuple
-
-    @property
-    def kind(self) -> str:
-        return "toral"
-
-    @property
-    def n_generators(self) -> int:
-        return len(self.generators)
-
-
-@dataclass(frozen=True)
-class SolenoidAction:
-    """Commuting invertible rational matrices acting on the solenoid of
-    the given rational dimension."""
-
-    dim: int
-    generators: tuple
-    dual_generators: tuple
-
-    @property
-    def kind(self) -> str:
-        return "solenoid"
 
     @property
     def n_generators(self) -> int:
@@ -117,22 +97,27 @@ def _matrix_issues(mats, dim, unimodular):
     return issues
 
 
-def toral_action(generators) -> ToralAction:
+def _matrix_action(kind: str, generators, unimodular: bool) -> MatrixAction:
     mats = tuple(g if isinstance(g, Matrix) else Matrix.from_rows(g) for g in generators)
-    issues = []
     if not mats:
-        issues.append(Issue("no-generators", (), "at least one generator is required"))
-        raise ValidationError(issues)
+        raise ValidationError([Issue("no-generators", (),
+                                     "at least one generator is required")])
     dim = mats[0].nrows
-    if dim < 1:
-        issues.append(Issue("bad-dimension", (), "dimension must be positive"))
-    issues.extend(_matrix_issues(mats, dim, unimodular=True))
+    issues = _matrix_issues(mats, dim, unimodular)
     if issues:
         raise ValidationError(issues)
-    return ToralAction(dim, mats, tuple(m.transpose() for m in mats))
+    return MatrixAction(kind, dim, mats, tuple(m.transpose() for m in mats))
 
 
-def product_counterexample(radius: int) -> ToralAction:
+def toral_action(generators) -> MatrixAction:
+    return _matrix_action("toral", generators, unimodular=True)
+
+
+def solenoid_action(generators) -> MatrixAction:
+    return _matrix_action("solenoid", generators, unimodular=False)
+
+
+def product_counterexample(radius: int) -> MatrixAction:
     """Finite truncation of the product action of Z^2 that is ergodic as
     a group while no element is ergodic: one 2-torus factor for each
     primitive (i, j) with i > 0, or i = 0 and j > 0, and max(|i|, |j|)
@@ -148,23 +133,11 @@ def product_counterexample(radius: int) -> ToralAction:
                          Matrix.block_diag(*(f ** i for i, _ in factors))])
 
 
-def solenoid_action(generators) -> SolenoidAction:
-    mats = tuple(g if isinstance(g, Matrix) else Matrix.from_rows(g) for g in generators)
-    if not mats:
-        raise ValidationError([Issue("no-generators", (),
-                                     "at least one generator is required")])
-    dim = mats[0].nrows
-    issues = _matrix_issues(mats, dim, unimodular=False)
-    if issues:
-        raise ValidationError(issues)
-    return SolenoidAction(dim, mats, tuple(m.transpose() for m in mats))
-
-
 def laurent_cyclic_action(p: int, nvars: int, presenter: LaurentPoly) -> LaurentCyclicAction:
     issues = []
     if not (type(p) is int and p < _MAX_MODULUS and _is_prime(p)):
         issues.append(Issue("bad-modulus", (), f"{p} is not a prime below 2**31"))
-    if nvars not in (1, 2):
+    if not (type(nvars) is int and nvars in (1, 2)):
         issues.append(Issue("bad-variable-count", (), "one or two variables supported"))
     if not issues:
         if presenter.p != p or presenter.nvars != nvars:
@@ -208,6 +181,15 @@ def positive_vectors(n: int, total: int):
             yield (first,) + rest
 
 
+def _presenter_term(term) -> tuple:
+    """(exponents, coefficient) of one presenter term of a document: a
+    list of plain ints and a plain int, neither holding a bool."""
+    exps, c = term["exponents"], term["coefficient"]
+    if not (isinstance(exps, list) and all(type(x) is int for x in exps) and type(c) is int):
+        raise ValueError("exponents and coefficient must be integers")
+    return tuple(exps), c
+
+
 def build_action(doc: dict):
     """Build and validate an action from a parsed input document."""
     if not isinstance(doc, dict) or "type" not in doc:
@@ -230,8 +212,7 @@ def build_action(doc: dict):
             if key not in doc:
                 raise ValidationError([Issue("schema", (), f"missing field {key!r}")])
         try:
-            g = LaurentPoly.from_terms(doc["p"], doc["d"], [
-                (tuple(t["exponents"]), t["coefficient"]) for t in doc["g"]])
+            g = LaurentPoly.from_terms(doc["p"], doc["d"], [_presenter_term(t) for t in doc["g"]])
         except (TypeError, KeyError, ValueError) as exc:
             raise ValidationError([Issue("schema", (), f"bad presenter: {exc}")])
         return laurent_cyclic_action(doc["p"], doc["d"], g)

@@ -160,28 +160,6 @@ class Polynomial:
             y = y * x + c
         return y
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if i == 0:
-                body = f"{mag}"
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (f"-{first_body}" if first_sign == "-" else first_body)
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd over the rationals, by the Euclidean algorithm."""

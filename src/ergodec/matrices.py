@@ -163,24 +163,17 @@ class Matrix:
         return _norm_scalar(Fraction(sign * m[n - 1][n - 1], den ** n))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse via Gauss-Jordan elimination."""
+        """Exact inverse: the right half of the reduced row echelon form
+        of [A | I], which has a pivot past column n exactly when A is
+        singular."""
         if not self.is_square:
             raise DimensionError("inverse of a non-square matrix")
         n = self.nrows
-        aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-        return Matrix.from_rows([row[n:] for row in aug])
+        rows, pivots = rref([row + tuple(int(i == j) for j in range(n))
+                             for i, row in enumerate(self.rows)])
+        if pivots[-1] >= n:
+            raise ValueError("matrix is singular")
+        return Matrix(tuple(row[n:] for row in rows))
 
     def char_poly(self) -> Polynomial:
         """Monic characteristic polynomial det(xI - A), by the
@@ -509,11 +502,6 @@ def fixed_by_power(mats) -> Subspace:
     of x's spectrum divide."""
     return kernel(Matrix.from_rows(
         [row for x in mats for row in x.spectrum.cyclotomic_at.rows]))
-
-
-def unipotent_power(x: Matrix) -> Matrix:
-    """c(x)**n for an n-by-n x; see Spectrum.unipotent_power."""
-    return x.spectrum.unipotent_power
 
 
 def quasi_unipotent_on(x: Matrix, sub: Subspace) -> bool:

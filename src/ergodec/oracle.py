@@ -10,17 +10,18 @@ visited, or coordinates past the size guard) certifies nothing; only
 the analytic side can assert an orbit is infinite.
 
 Cross-validation first walks each generator's cycle through a
-character, all generators in lockstep.  The generators commute, so an
-orbit is finite if and only if every cyclic orbit closes: if each
-generator g_i returns chi after n_i steps, then g_i^n_i fixes every
-point g_1^m_1 ... g_d^m_d chi of the orbit, so the orbit holds only the
-points with 0 <= m_i < n_i.  A cycle that passes the visited cap or
-the coordinate guard ends the walk at once, and only the orbits whose
-cycles all close are walked breadth-first (matrices.walk_orbit) to
-measure their size against the cap.  Cross-validation covers a whole box
-of characters, shares work between characters that turn out to lie on
-the same orbit, and flags any disagreement with the engine as a hard
-failure.
+character, one generator at a time, with matrices.walk_orbit over that
+generator alone: a one-map walk is exactly its forward cycle.  The
+generators commute, so an orbit is finite if and only if every cyclic
+orbit closes: if each generator g_i returns chi after n_i steps, then
+g_i^n_i fixes every point g_1^m_1 ... g_d^m_d chi of the orbit, so the
+orbit holds only the points with 0 <= m_i < n_i.  A cycle that passes
+the visited cap or the coordinate guard ends the check at once, and
+only the orbits whose cycles all close are walked breadth-first over
+all the generators to measure their size against the cap.
+Cross-validation covers a whole box of characters, shares work between
+characters that turn out to lie on the same orbit, and flags any
+disagreement with the engine as a hard failure.
 
 A cycle also ends once it has taken M(r) = intpoly.max_torsion_order(r)
 steps without coming back ("period-bound"), for no finite cycle is
@@ -36,6 +37,7 @@ classify it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import mul
 
@@ -120,15 +122,11 @@ def orbit_bfs(action, chi, cap: int,
     return OrbitResult("finite", len(seen), len(seen), max_abs, None)
 
 
-def _box_characters(dim: int, norm_bound: int):
-    def rec(prefix, k):
-        if k == 0:
-            if any(prefix):
-                yield tuple(prefix)
-            return
-        for x in range(-norm_bound, norm_bound + 1):
-            yield from rec(prefix + [x], k - 1)
-    yield from rec([], dim)
+def box_characters(dim: int, norm_bound: int):
+    """The nonzero integer characters with every coordinate in
+    [-norm_bound, norm_bound], in lexicographic order."""
+    side = range(-norm_bound, norm_bound + 1)
+    return (chi for chi in itertools.product(side, repeat=dim) if any(chi))
 
 
 def box_limit_issue(dim: int, norm_bound: int) -> Issue | None:
@@ -140,43 +138,6 @@ def box_limit_issue(dim: int, norm_bound: int) -> Issue | None:
     return Issue("resource-limit", (),
                  f"the norm-bound {norm_bound} box in dimension {dim} holds {count} "
                  f"characters, above the limit of {MAX_BOX_CHARACTERS}")
-
-
-def _cycle_walks(maps, start, cap: int, guard: int, known, period_bound: int):
-    """Walk each generator's cycle through start, all in lockstep.
-
-    Returns (points, stop, last) as matrices.walk_orbit does: stop is
-    None when every cycle came back to start, and otherwise "known",
-    "coordinate-guard", "visited-cap" or "period-bound" for the first
-    walk to reach a point of known, a coordinate of absolute value at
-    least guard, more than cap points, or period_bound steps without
-    returning.  With period_bound = M(r) the last stop loses no finite
-    cycle: a cycle of length n makes its generator an element of order n
-    on the span of the cycle, and no such order exceeds M(r).  points
-    lists every point walked.
-    """
-    points = [start]
-    walks = [(apply_map, start) for apply_map in maps]
-    length = 1
-    while walks:
-        length += 1
-        still_open = []
-        for apply_map, v in walks:
-            w = apply_map(v)
-            if w == start:
-                continue
-            if w in known:
-                return points, "known", w
-            if max(map(abs, w)) >= guard:
-                return points, "coordinate-guard", w
-            points.append(w)
-            if length > cap:
-                return points, "visited-cap", w
-            if length > period_bound:
-                return points, "period-bound", w
-            still_open.append((apply_map, w))
-        walks = still_open
-    return points, None, None
 
 
 def cross_validate(action, norm_bound: int, cap: int,
@@ -198,14 +159,22 @@ def cross_validate(action, norm_bound: int, cap: int,
     maps = _orbit_maps(action)
     guard = 1 << max_coord_bits
     period_bound = max_torsion_order(action.dim)
+    cycle_cap = min(cap, period_bound)
     class_of: dict = {}
     class_status: list = []
 
     def classify(start):
         if start in class_of:
             return class_of[start]
-        seen, stop, last = _cycle_walks(maps, start, cap, guard, class_of, period_bound)
-        if stop is None and len(maps) > 1:
+        seen = set()
+        for apply_map in maps:
+            cycle, stop, last = walk_orbit([apply_map], start, cycle_cap, guard, class_of)
+            seen |= cycle
+            if stop is not None:
+                break
+        if stop == "visited-cap" and period_bound < cap:
+            stop = "period-bound"
+        elif stop is None and len(maps) > 1:
             # Every cycle closed, so the orbit is finite; size it.
             seen, stop, last = walk_orbit(maps, start, cap, guard, class_of)
         if stop is None:
@@ -225,7 +194,7 @@ def cross_validate(action, norm_bound: int, cap: int,
     finite_count = 0
     exceeded_count = 0
     failures = []
-    for chi in _box_characters(action.dim, norm_bound):
+    for chi in box_characters(action.dim, norm_bound):
         checked += 1
         cid = classify(chi)
         status = class_status[cid]

@@ -19,7 +19,7 @@ from .laurent import (axis_directions, content_along, direction_power_minus_one,
                       directions_in_shell, laurent_divides)
 from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
                        stage_quotient, walk_orbit)
-from .oracle import box_limit_issue
+from .oracle import box_characters, box_limit_issue
 
 
 # The verdict each certificate kind proves.
@@ -208,8 +208,7 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
         return
     fixed = fixed_by_power(action.dual_generators)
     maps = [d.matvec for d in action.dual_generators]
-    box = [chi for chi in itertools.product(range(-bound, bound + 1), repeat=action.dim)
-           if any(chi)]
+    box = list(box_characters(action.dim, bound))
     inside = [chi for chi in box if fixed.contains(chi)]
     closed: set = set()
     for chi in inside:

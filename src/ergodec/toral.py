@@ -24,7 +24,7 @@ from . import encoding
 from .actions import dual_element, positive_vectors
 from .errors import InternalCheckError, NotErgodicGroupError
 from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, kernel,
-                       quasi_unipotent_on, stage_quotient, unipotent_power, walk_orbit)
+                       quasi_unipotent_on, stage_quotient, walk_orbit)
 
 _ORBIT_ENUMERATION_CAP = 200_000
 
@@ -205,7 +205,8 @@ def largest_ergodic_subgroup(action):
     duals = action.dual_generators
     w = finite_orbit_subspace(action)
     if not w.is_zero:
-        w = kernel(Matrix.from_rows([row for d in duals for row in unipotent_power(d).rows]))
+        w = kernel(Matrix.from_rows(
+            [row for d in duals for row in d.spectrum.unipotent_power.rows]))
     for d in duals:
         if not w.is_invariant(d):
             raise InternalCheckError("common kernel is not invariant")
@@ -229,17 +230,20 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
     chain = [w_prev]
     attributions = []
     for i, d in enumerate(duals, start=1):
-        w_i = kernel(unipotent_power(d)).intersect(w_prev)
+        w_i = kernel(d.spectrum.unipotent_power).intersect(w_prev)
         for other in duals:
             if not w_i.is_invariant(other):
                 raise InternalCheckError("stage subspace is not invariant")
-        certified = _certify_stage_ergodic(d, w_prev, w_i)
+        # no nonzero character of the stage quotient has a finite d-orbit
+        if (w_prev.dim != w_i.dim
+                and not fixed_by_power([stage_quotient(d, w_prev, w_i)]).is_zero):
+            raise InternalCheckError("stage quotient carries a finite-orbit character")
         attributions.append({
             "stage": i,
             "generator": i,
             "dim_from": w_prev.dim,
             "dim_to": w_i.dim,
-            "ergodic_on_quotient": certified,
+            "ergodic_on_quotient": True,
         })
         chain.append(w_i)
         w_prev = w_i
@@ -253,16 +257,6 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
             "residual vanishing disagrees with the independent group verdict")
     return FiltrationReport(tuple(chain), tuple(attributions), residual,
                             group_verdict.is_ergodic)
-
-
-def _certify_stage_ergodic(d: Matrix, w_outer: Subspace, w_inner: Subspace) -> bool:
-    """No nonzero character of the quotient w_outer/w_inner has a finite
-    orbit under d."""
-    if w_outer.dim == w_inner.dim:
-        return True  # trivial quotient
-    if not fixed_by_power([stage_quotient(d, w_outer, w_inner)]).is_zero:
-        raise InternalCheckError("stage quotient carries a finite-orbit character")
-    return True
 
 
 def find_ergodic_exponents(action):

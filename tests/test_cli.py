@@ -97,6 +97,28 @@ class TestAnalyze:
         assert "bad-modulus" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("change,code", [
+        ({"g": [{"exponents": [0], "coefficient": 1.5}]}, "schema"),
+        ({"g": [{"exponents": [0.7], "coefficient": 1}]}, "schema"),
+        ({"g": [{"exponents": [1.9], "coefficient": 1}]}, "schema"),
+        ({"g": [{"exponents": "1", "coefficient": 1}]}, "schema"),
+        ({"g": [{"exponents": ["0"], "coefficient": 1}]}, "schema"),
+        ({"g": [{"exponents": [True], "coefficient": 1}]}, "schema"),
+        ({"g": [{"exponents": [0], "coefficient": True}]}, "schema"),
+        ({"d": True}, "bad-variable-count"),
+        ({"d": 1.0}, "bad-variable-count"),
+    ], ids=["float-coefficient", "exponent-0.7", "exponent-1.9", "string-exponents",
+            "string-exponent", "bool-exponent", "bool-coefficient", "bool-d", "float-d"])
+    def test_non_integer_laurent_input_exits_2(self, tmp_path, capsys, change, code):
+        # the first term of the presenter x^2 + x + 1 over F_2 is replaced
+        doc = dict(TRINOMIAL, **change)
+        if "g" in change:
+            doc["g"] = change["g"] + TRINOMIAL["g"][1:]
+        assert main(["analyze", write(tmp_path, "g.json", doc), "--verify-report"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{code}: " in captured.err and "Traceback" not in captured.err
+
     def test_internal_check_failure_exits_5(self, tmp_path, capsys, monkeypatch):
         # the determinant route claims order 1, which the division route rules out
         monkeypatch.setattr(matrices, "singular_cyclotomic_orders", lambda x, orders: [1])
@@ -279,9 +301,18 @@ RATIONAL_PAIR = {"type": "solenoid", "r": 4, "generators": [
 MIXED_PAIR = {"type": "solenoid", "r": 4, "generators": [
     [[0, "-2/3", "5/2", 0], [6, 6, -15, 0], [2, "5/3", -4, 0], [0, 0, 0, 1]],
     [[1, "5/6", "-5/2", 1], [0, 1, 0, 0], [0, "1/3", 0, "2/5"], [0, "-5/6", "5/2", 1]]]}
+# Phi_3 + Phi_4 blocks: every cycle has length at most lcm(3, 4) = 12 = M(4)
+PHI3_PHI4 = {"type": "toral", "r": 4, "generators": [
+    [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]]}
+# a quarter turn, a hyperbolic block and -1: finite cycles beside infinite ones
+TRIPLE = {"type": "toral", "r": 4, "generators": [
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]],
+    [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]]}
 PINNED_DOCS = {"fib": FIB, "identity": IDENTITY, "block_pair": BLOCK_PAIR, "shear": SHEAR,
                "halves": HALVES, "product_r1": counterexample_doc(1),
-               "rational_pair": RATIONAL_PAIR, "mixed_pair": MIXED_PAIR}
+               "rational_pair": RATIONAL_PAIR, "mixed_pair": MIXED_PAIR,
+               "phi3_phi4": PHI3_PHI4, "triple": TRIPLE}
 
 
 class TestPinnedReports:
@@ -310,6 +341,8 @@ class TestPinnedReports:
         (("filtration", "mixed_pair"), "3ccb68ceee40444b"),
         (("oracle-check", "block_pair", "--norm-bound", "1"), "d9f95ab2dc5c0044"),
         (("oracle-check", "shear", "--norm-bound", "2", "--cap", "200"), "cdc8398a95a8aa34"),
+        (("oracle-check", "phi3_phi4", "--norm-bound", "1", "--cap", "100"), "a966c6fb028f132f"),
+        (("oracle-check", "triple", "--norm-bound", "1", "--cap", "200"), "2bf9e1fa4f3007d8"),
     ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else "")
     def test_report_object_is_unchanged(self, tmp_path, capsys, args, digest):
         command, name, *flags = args

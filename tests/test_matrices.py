@@ -7,7 +7,7 @@ from ergodec.intpoly import Polynomial
 from ergodec.matrices import (DimensionError, Matrix, Subspace, _poly_at, _powers,
                               express_in, fixed_by_power, kernel, quotient_matrix,
                               restrict_matrix, singular_cyclotomic_orders,
-                              stage_quotient, unipotent_power, walk_orbit)
+                              stage_quotient, walk_orbit)
 from factories import fibonacci_matrix, random_unimodular
 
 
@@ -115,10 +115,35 @@ class TestDeterminantAndInverse:
             p = random_unimodular(rng, n)
             assert p * p.inverse() == Matrix.identity(n)
             assert p ** -2 == (p.inverse()) ** 2
+            assert (p ** -3).is_integral and p ** -3 * p ** 3 == Matrix.identity(n)
+        checked = 0
+        while checked < 20:
+            n = rng.randint(1, 4)
+            m = Matrix.from_rows([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                   for _ in range(n)] for _ in range(n)])
+            if m.det() == 0:
+                continue
+            inv = m.inverse()
+            assert m * inv == inv * m == Matrix.identity(n)
+            assert m ** -2 == inv ** 2 and m ** -3 * m ** 3 == Matrix.identity(n)
+            checked += 1
 
     def test_singular_inverse_rejected(self):
-        with pytest.raises(ValueError):
-            Matrix.from_rows([[1, 2], [2, 4]]).inverse()
+        singular = [Matrix.from_rows([[Fraction(x) for x in row] for row in rows]) for rows in (
+            [[1, 2], [2, 4]], [[0]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+            [[1, 0, 2], [0, 1, 3], [4, 5, 23]], [[2, 1, "7/2"], [1, 3, "17/4"], [0, 1, 1]])]
+        # the first n - 1 columns are independent and the last one is a
+        # rational combination of them
+        rng = random.Random(37)
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 1)]
+            singular.append(Matrix.from_rows(
+                [row[:-1] + (sum(w * x for w, x in zip(weights, row[:-1])),)
+                 for row in random_unimodular(rng, n).rows]))
+        for m in singular:
+            with pytest.raises(ValueError):
+                m.inverse()
 
 
 def list_product(a, b):
@@ -250,9 +275,9 @@ class TestFiniteOrbitPrimitives:
     def test_unipotent_power(self):
         rot = Matrix.from_rows([[0, -1], [1, 0]])
         shear = Matrix.from_rows([[1, 1], [0, 1]])
-        assert unipotent_power(rot).is_zero
-        assert unipotent_power(shear).is_zero
-        assert not unipotent_power(fibonacci_matrix()).is_zero
+        assert rot.spectrum.unipotent_power.is_zero
+        assert shear.spectrum.unipotent_power.is_zero
+        assert not fibonacci_matrix().spectrum.unipotent_power.is_zero
 
     def test_cyclotomic_orders_by_both_routes(self):
         rot = Matrix.from_rows([[0, -1], [1, 0]])

@@ -8,6 +8,7 @@ from ergodec import (Matrix, ValidationError, VerdictKind, cross_validate, eleme
                      is_ergodic_group, oracle, orbit_bfs, product_counterexample,
                      solenoid_action, toral_action)
 from ergodec.intpoly import max_torsion_order
+from ergodec.matrices import Subspace, walk_orbit
 from factories import commuting_mixed_family, fibonacci_matrix
 
 QUARTER_TURN = Matrix.from_rows([[0, -1], [1, 0]])
@@ -217,7 +218,7 @@ class TestCycleTest:
         # Breadth-first search over both generators at once visits the
         # whole cap from every infinite orbit: 1,209,883 map applications.
         # Cycle walks cut that to 62,441, and ending each at M(4) = 12
-        # steps to 16,861.
+        # steps to 15,085, one generator at a time.
         count = count_map_applications(monkeypatch)
         f = Matrix.from_rows([[2, 1], [1, 1]])
         i2 = Matrix.identity(2)
@@ -238,8 +239,8 @@ class TestPeriodBound:
         maps = oracle._orbit_maps(act)
         chi = (1, 0, 1, 0)
         assert max_torsion_order(4) == 12
-        assert oracle._cycle_walks(maps, chi, 100, 1 << 64, {}, 12)[1] is None
-        assert oracle._cycle_walks(maps, chi, 100, 1 << 64, {}, 11)[1] == "period-bound"
+        assert walk_orbit(maps, chi, 12, 1 << 64)[1] is None
+        assert walk_orbit(maps, chi, 11, 1 << 64)[1] == "visited-cap"
         report = cross_validate(act, 1, 100)
         fixed = finite_orbit_subspace(act)
         inside = sum(fixed.contains(chi) for chi in
@@ -260,6 +261,33 @@ class TestPeriodBound:
             assert (report["finite_orbits"], report["failures"]) == (2, [])
             counts.append(count[0])
         assert counts[0] == counts[1] <= 8 * max_torsion_order(2)
+
+
+class TestGiveUpReasons:
+    """With the finite-orbit subspace forced to the whole space, every
+    walk that gives up is a failure that records why it gave up."""
+
+    @staticmethod
+    def reasons(monkeypatch, action, cap, **kwargs):
+        monkeypatch.setattr(oracle, "finite_orbit_subspace",
+                            lambda act: Subspace.full(act.dim))
+        report = cross_validate(action, 1, cap, **kwargs)
+        assert len(report["failures"]) == report["exceeded"] > 0
+        return {f["reason"] for f in report["failures"]}
+
+    def test_period_bound_below_the_cap(self, monkeypatch):
+        # M(2) = 6 < 100: the cycle ends at the period bound
+        act = toral_action([fibonacci_matrix()])
+        assert self.reasons(monkeypatch, act, 100) == {"period-bound"}
+
+    def test_visited_cap_below_the_period_bound(self, monkeypatch):
+        act = toral_action([fibonacci_matrix()])
+        assert self.reasons(monkeypatch, act, 5) == {"visited-cap"}
+
+    def test_coordinate_guard(self, monkeypatch):
+        # the shear's cycles grow by one per step and reach 4 in four steps
+        act = toral_action([SHEAR])
+        assert self.reasons(monkeypatch, act, 100, max_coord_bits=2) == {"coordinate-guard"}
 
 
 class TestBoxLimit:

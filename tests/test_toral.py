@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ergodec import (Matrix, NotErgodicGroupError, Subspace, ToralAction, VerdictKind,
+from ergodec import (Matrix, MatrixAction, NotErgodicGroupError, Subspace, VerdictKind,
                      cyclotomic, dual_element, ergodic_distal_filtration,
                      find_ergodic_exponents, finite_orbit_subspace,
                      is_distal_element, is_distal_group, is_ergodic_element,
@@ -302,8 +302,8 @@ class TestInvariances:
 def inverse_transpose_action(act):
     """The same group with the contragredient duals (A^T)^-1 in place of
     the transposes."""
-    return ToralAction(act.dim, act.generators,
-                       tuple(g.transpose().inverse() for g in act.generators))
+    return MatrixAction("toral", act.dim, act.generators,
+                        tuple(g.transpose().inverse() for g in act.generators))
 
 
 def transpose_dual_families():
