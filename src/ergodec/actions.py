@@ -133,12 +133,19 @@ def product_counterexample(radius: int) -> MatrixAction:
                          Matrix.block_diag(*(f ** i for i, _ in factors))])
 
 
+_BAD_VARIABLE_COUNT = Issue("bad-variable-count", (), "one or two variables supported")
+
+
+def _is_variable_count(nvars) -> bool:
+    return type(nvars) is int and nvars in (1, 2)
+
+
 def laurent_cyclic_action(p: int, nvars: int, presenter: LaurentPoly) -> LaurentCyclicAction:
     issues = []
     if not (type(p) is int and p < _MAX_MODULUS and _is_prime(p)):
         issues.append(Issue("bad-modulus", (), f"{p} is not a prime below 2**31"))
-    if not (type(nvars) is int and nvars in (1, 2)):
-        issues.append(Issue("bad-variable-count", (), "one or two variables supported"))
+    if not _is_variable_count(nvars):
+        issues.append(_BAD_VARIABLE_COUNT)
     if not issues:
         if presenter.p != p or presenter.nvars != nvars:
             issues.append(Issue("bad-modulus", (),
@@ -211,6 +218,8 @@ def build_action(doc: dict):
         for key in ("p", "d", "g"):
             if key not in doc:
                 raise ValidationError([Issue("schema", (), f"missing field {key!r}")])
+        if not _is_variable_count(doc["d"]):
+            raise ValidationError([_BAD_VARIABLE_COUNT])
         try:
             g = LaurentPoly.from_terms(doc["p"], doc["d"], [_presenter_term(t) for t in doc["g"]])
         except (TypeError, KeyError, ValueError) as exc:

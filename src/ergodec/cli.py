@@ -7,15 +7,18 @@ report body.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure
 (including a resource-limit issue: an oracle-check box too large to
-enumerate), 3 hypothesis failure (the group is not ergodic, or no
-Laurent direction in --search-box is ergodic), 4 certificate replay
-failure under --verify-report, 5 internal check failure (two routes
-that must agree did not; this is a bug).
+enumerate, or a Laurent content whose witness search would factor a
+p^d - 1 above laurent.MAX_UNIT_GROUP_ORDER), 3 hypothesis failure (the
+group is not ergodic, or no Laurent direction in --search-box is
+ergodic), 4 certificate replay failure under --verify-report, 5
+internal check failure (two routes that must agree did not; this is a
+bug).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -86,18 +89,9 @@ class _CliExit(Exception):
         super().__init__(message)
 
 
-def _validation_exit(path: str, exc: ValidationError) -> _CliExit:
-    details = "; ".join(
-        f"{i.code}{list(i.where) if i.where else ''}: {i.message}" for i in exc.issues)
-    return _CliExit(2, f"{path}: validation failed: {details}")
-
-
 def _action_from_file(path: str):
     doc = _load_document(path)
-    try:
-        return doc, build_action(doc)
-    except ValidationError as exc:
-        raise _validation_exit(path, exc)
+    return doc, build_action(doc)
 
 
 def cmd_analyze(args) -> dict:
@@ -171,10 +165,7 @@ def cmd_oracle_check(args) -> dict:
     doc, action = _action_from_file(args.file)
     if action.kind != "toral":
         raise _CliExit(2, "oracle enumeration runs on toral actions only")
-    try:
-        results = oracle.cross_validate(action, args.norm_bound, args.cap)
-    except ValidationError as exc:
-        raise _validation_exit(args.file, exc)
+    results = oracle.cross_validate(action, args.norm_bound, args.cap)
     return _report("oracle-check", doc, args, results)
 
 
@@ -209,7 +200,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: parsing
+    returns a fresh namespace each time, so no flag carries over."""
     parser = argparse.ArgumentParser(
         prog="ergodec",
         description="Exact ergodicity and distality decisions for commuting "
@@ -241,6 +235,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report = args.func(args)
+    except ValidationError as exc:  # the input, or a resource limit met on it
+        details = "; ".join(
+            f"{i.code}{list(i.where) if i.where else ''}: {i.message}" for i in exc.issues)
+        sys.stderr.write(f"{args.file}: validation failed: {details}\n")
+        return 2
     except _CliExit as exc:
         sys.stderr.write(exc.message + "\n")
         return exc.code

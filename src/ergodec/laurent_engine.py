@@ -8,42 +8,27 @@ g and u^(k*n) - 1 = t^(k*m) - 1 is, up to a unit, a polynomial in t, and
 a polynomial in t divides g exactly when it divides g's content along n0.
 A content of 1 therefore makes the direction ergodic.  A non-unit
 content has a nonzero constant term, so t has finite order modulo each of
-its factors, and the least power k with a common factor is the witness.
-Every direction is decided exactly this way.
+its factors, and the least power k with a common factor is the witness,
+found by multiplicative order (`laurent.witness_power`).  Every direction
+is decided exactly this way.
 """
 
 from __future__ import annotations
 
 from . import encoding
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
-from .laurent import (LaurentPoly, _fp_divmod, _fp_gcd, _fp_mul, _fp_sub, content_along,
-                      direction_power_minus_one, directions_in_shell, laurent_divides)
+from .laurent import (LaurentPoly, content_along, direction_power_minus_one,
+                      directions_in_shell, laurent_divides, witness_power)
 from .toral import Certificate, Verdict, VerdictKind
-
-
-def _univariate_witness_power(content, step: int, p: int):
-    """Least k with a non-unit common divisor of the content and
-    t^(k*step) - 1, found by tracking t^(k*step) modulo the content.
-    The content is coprime to t, so a witness exists within the size of
-    the multiplicative group of the quotient ring."""
-    bound = p ** (len(content) - 1) - 1
-    step_poly = [0] * step + [1]
-    _, t = _fp_divmod(step_poly, content, p)
-    power = list(t)
-    for k in range(1, bound + 1):
-        shifted = _fp_sub(power, [1], p)
-        common = _fp_gcd(content, shifted, p)
-        if len(common) > 1:
-            return k, common
-        power = _fp_divmod(_fp_mul(power, t, p), content, p)[1]
-    raise InternalCheckError("no witness power within the certified bound")
 
 
 def direction_is_ergodic(action, direction) -> Verdict:
     """Ergodicity of the translation by u^direction on the dual of S/(g),
     decided by g's content along the direction.  A negative verdict
     carries the least witness power k and the common factor of g and
-    u^(k*direction) - 1, mapped back from t to u^n0."""
+    u^(k*direction) - 1, mapped back from t to u^n0.  A content whose
+    witness search would pass `laurent.MAX_UNIT_GROUP_ORDER` raises
+    ValidationError with a resource-limit issue."""
     direction = tuple(int(x) for x in direction)
     if len(direction) != action.nvars:
         raise ValueError("direction length must match the variable count")
@@ -56,7 +41,7 @@ def direction_is_ergodic(action, direction) -> Verdict:
             "direction": list(direction),
             "content": content,
         }))
-    k, common = _univariate_witness_power(content, m, p)
+    k, common = witness_power(content, m, p)
     return Verdict(VerdictKind.NOT_ERGODIC, Certificate("finite-quotient-witness", {
         "direction": list(direction),
         "power": k,
@@ -87,7 +72,9 @@ def group_is_ergodic(action) -> Verdict:
 
 def find_ergodic_direction(action, search_box: int):
     """First direction, scanning sup-norm shells up to search_box in
-    descending lexicographic order, whose translation is ergodic.
+    descending lexicographic order, whose translation is ergodic.  The
+    scan reads only the content along each direction: the directions it
+    passes are not reported, so it looks for no witness power.
 
     Returns (direction, verdict).
     """
@@ -96,9 +83,8 @@ def find_ergodic_direction(action, search_box: int):
         raise NotErgodicGroupError(group.to_payload())
     for shell in range(1, search_box + 1):
         for direction in directions_in_shell(action.nvars, shell):
-            verdict = direction_is_ergodic(action, direction)
-            if verdict.is_ergodic:
-                return direction, verdict
+            if content_along(action.presenter, direction)[2] == [1]:
+                return direction, direction_is_ergodic(action, direction)
     raise SearchExhaustedError(search_box)
 
 

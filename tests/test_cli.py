@@ -151,15 +151,16 @@ class TestAnalyze:
 
     def test_one_variable_group_reuses_the_axis_verdict(self, tmp_path, capsys,
                                                         monkeypatch):
-        # the group of u alone has the verdict of direction (1,): one search
+        # the group of u alone has the verdict of direction (1,): one
+        # engine search; replay's re-derivation calls its own binding
         calls = []
-        real = laurent_engine._univariate_witness_power
+        real = laurent_engine.witness_power
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(laurent_engine, "_univariate_witness_power", counted)
+        monkeypatch.setattr(laurent_engine, "witness_power", counted)
         assert main(["analyze", write(tmp_path, "tri.json", TRINOMIAL), "--verify-report"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert len(calls) == 1
@@ -238,6 +239,15 @@ class TestOracleCheckAndDemo:
         assert report["results"]["characters_checked"] == 48
         assert report["results"]["failures"] == []
 
+    def test_laurent_witness_past_the_limit_exits_2(self, tmp_path, capsys):
+        # u^2 - 2 is irreducible over F_1000003, and 1000003^2 - 1 > 10^12
+        doc = {"type": "laurent", "p": 1000003, "d": 1, "g": [
+            {"exponents": [0], "coefficient": 1000001}, {"exponents": [2], "coefficient": 1}]}
+        assert main(["analyze", write(tmp_path, "big.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation failed: resource-limit: " in captured.err
+
     def test_box_past_the_limit_exits_2(self, tmp_path):
         identity_12 = {"type": "toral", "r": 12, "generators": [
             [[int(i == j) for j in range(12)] for i in range(12)]]}
@@ -272,6 +282,37 @@ def _integer_options():
                       if isinstance(a, argparse._SubParsersAction))
     return [(name, a.option_strings[0]) for name, sub in subparsers.choices.items()
             for a in sub._actions if a.option_strings and a.type is not None]
+
+
+class TestParserReuse:
+    def test_each_call_parses_afresh(self, tmp_path, capsys):
+        # one parser serves every call of main in a process: a rejected
+        # flag, then each command with non-default flags and with none
+        fib = write(tmp_path, "fib.json", FIB)
+        led = write(tmp_path, "led.json", LEDRAPPIER)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", fib, "--cap", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        calls = [
+            (["analyze", fib, "--format", "text", "--verify-report"], None),
+            (["analyze", fib], {}),
+            (["find-ergodic", led, "--search-box", "5", "--verify-report"], {"search-box": 5}),
+            (["find-ergodic", led], {"search-box": 3}),
+            (["filtration", fib, "--verify-report"], {}),
+            (["filtration", fib], {}),
+            (["oracle-check", fib, "--norm-bound", "1", "--cap", "50"],
+             {"norm-bound": 1, "cap": 50}),
+            (["oracle-check", fib], {"norm-bound": 3, "cap": 100_000}),
+        ]
+        for argv, flags in calls:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == run(*argv).stdout
+            if flags is not None:
+                report = json.loads(out)
+                assert report["flags"] == flags
+                assert ("verification" in report) == ("--verify-report" in argv)
 
 
 class TestFlagValidation:

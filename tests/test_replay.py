@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ergodec import Subspace, build_action, element, is_ergodic_element
+from ergodec import Subspace, build_action, element, is_ergodic_element, laurent
 from ergodec.cli import main
 from ergodec.encoding import encode_matrix, encode_subspace
 from ergodec.replay import replay_report
@@ -267,3 +267,31 @@ def test_forged_oracle_box_past_the_limit_fails_without_enumerating(tmp_path, ca
     report["flags"]["norm-bound"] = report["results"]["norm_bound"] = 10 ** 6
     failures = replay_report(report)["failures"]
     assert any("above the limit" in failure for failure in failures)
+
+
+def test_witness_power_that_is_not_the_least_fails_replay(tmp_path, capsys):
+    # 1 + u + u^2 divides u^6 - 1 as well as u^3 - 1
+    report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
+    results = report["results"]
+    for verdict in (results["directions"][0]["verdict"], results["group"]):
+        assert verdict["certificate"]["data"]["power"] == 3
+        verdict["certificate"]["data"]["power"] = 6
+    assert replay_report(report)["failures"] == ["witness power is not the least one"] * 2
+
+
+def test_common_factor_must_be_a_polynomial_along_the_direction(tmp_path, capsys):
+    # (u1 - 1)(u2 + 1) over F_3 divides itself, and its content u1 - 1
+    # along (1, 0) has t^1 = 1, but it does not divide u1 - 1
+    report = fresh_report(tmp_path, capsys, "analyze", REDUCIBLE)
+    data = report["results"]["directions"][0]["verdict"]["certificate"]["data"]
+    assert data["power"] == 1
+    data["common_factor"]["terms"] = [[[0, 0], 2], [[0, 1], 2], [[1, 0], 1], [[1, 1], 1]]
+    assert replay_report(report)["failures"] == [
+        "common factor is not a polynomial in u^n0 up to a unit"]
+
+
+def test_witness_past_the_limit_is_a_replay_failure(tmp_path, capsys, monkeypatch):
+    report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
+    monkeypatch.setattr(laurent, "MAX_UNIT_GROUP_ORDER", 2)
+    failures = replay_report(report)["failures"]
+    assert len(failures) == 2 and all("above the limit of 2" in f for f in failures)
