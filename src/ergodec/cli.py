@@ -7,12 +7,10 @@ report body.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure
 (including a resource-limit issue: an oracle-check box too large to
-enumerate, or a Laurent content whose witness search would factor a
-p^d - 1 above laurent.MAX_UNIT_GROUP_ORDER), 3 hypothesis failure (the
-group is not ergodic, or no Laurent direction in --search-box is
-ergodic), 4 certificate replay failure under --verify-report, 5
-internal check failure (two routes that must agree did not; this is a
-bug).
+enumerate), 3 hypothesis failure (the group is not ergodic, or no
+Laurent direction in --search-box is ergodic), 4 certificate replay
+failure under --verify-report, 5 internal check failure (two routes
+that must agree did not; this is a bug).
 """
 
 from __future__ import annotations
@@ -89,9 +87,18 @@ class _CliExit(Exception):
         super().__init__(message)
 
 
+def _validation_exit(path: str, exc: ValidationError) -> _CliExit:
+    details = "; ".join(
+        f"{i.code}{list(i.where) if i.where else ''}: {i.message}" for i in exc.issues)
+    return _CliExit(2, f"{path}: validation failed: {details}")
+
+
 def _action_from_file(path: str):
     doc = _load_document(path)
-    return doc, build_action(doc)
+    try:
+        return doc, build_action(doc)
+    except ValidationError as exc:
+        raise _validation_exit(path, exc)
 
 
 def cmd_analyze(args) -> dict:
@@ -165,7 +172,10 @@ def cmd_oracle_check(args) -> dict:
     doc, action = _action_from_file(args.file)
     if action.kind != "toral":
         raise _CliExit(2, "oracle enumeration runs on toral actions only")
-    results = oracle.cross_validate(action, args.norm_bound, args.cap)
+    try:
+        results = oracle.cross_validate(action, args.norm_bound, args.cap)
+    except ValidationError as exc:
+        raise _validation_exit(args.file, exc)
     return _report("oracle-check", doc, args, results)
 
 
@@ -235,11 +245,6 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report = args.func(args)
-    except ValidationError as exc:  # the input, or a resource limit met on it
-        details = "; ".join(
-            f"{i.code}{list(i.where) if i.where else ''}: {i.message}" for i in exc.issues)
-        sys.stderr.write(f"{args.file}: validation failed: {details}\n")
-        return 2
     except _CliExit as exc:
         sys.stderr.write(exc.message + "\n")
         return exc.code

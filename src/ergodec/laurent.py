@@ -11,10 +11,9 @@ head, so a zero remainder is equivalent to ideal membership.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, Issue, ValidationError
+from .errors import InternalCheckError
 
 
 class ModulusMismatchError(ValueError):
@@ -83,113 +82,22 @@ def _fp_gcd(a, b, p):
     return _fp_monic(a, p)
 
 
-def _fp_powmod(a, e, mod, p):
-    """a^e modulo mod, by square-and-multiply."""
-    result = _fp_divmod([1], mod, p)[1]
-    a = _fp_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_divmod(_fp_mul(result, a, p), mod, p)[1]
-        e >>= 1
-        if e:
-            a = _fp_divmod(_fp_mul(a, a, p), mod, p)[1]
-    return result
-
-
-def _fp_factor_degrees(c, p):
-    """The degrees of the distinct irreducible factors of c, a monic
-    polynomial with c(0) != 0, by distinct-degree splitting: once the
-    factors of degree below i are gone, the gcd of the rest with
-    x^(p^i) - x is the product of those of degree i, and every power of
-    them is divided out."""
-    degrees = []
-    rest, x_power, i = c, [0, 1], 0
-    while len(rest) > 1:
-        i += 1
-        if len(rest) - 1 < 2 * i:
-            # every factor left has degree at least i, so there is one
-            degrees.append(len(rest) - 1)
-            break
-        x_power = _fp_powmod(x_power, p, rest, p)
-        part = _fp_gcd(rest, _fp_sub(x_power, [0, 1], p), p)
-        if len(part) > 1:
-            degrees.append(i)
-            while len(part) > 1:
-                rest = _fp_divmod(rest, part, p)[0]
-                part = _fp_gcd(rest, part, p)
-            x_power = _fp_divmod(x_power, rest, p)[1]
-    return degrees
-
-
-# Largest p^d - 1 that the witness search factors, for d the degree of an
-# irreducible factor of a content.  Each cyclotomic value Phi_j(p), j | d,
-# divides p^j - 1 <= p^d - 1, so trial division stops below 10^6.
-MAX_UNIT_GROUP_ORDER = 10 ** 12
-
-
-def _prime_factors(n):
-    """The primes dividing n >= 1, by trial division."""
-    primes, q = set(), 2
-    while q * q <= n:
-        if n % q == 0:
-            primes.add(q)
-            while n % q == 0:
-                n //= q
-        q += 1 if q == 2 else 2
-    if n > 1:
-        primes.add(n)
-    return primes
-
-
-def _unit_group_divisors(p, d):
-    """The divisors of p^d - 1, from the primes of its factors Phi_j(p)
-    for j | d, each got from p^j - 1 by dividing out the Phi_i(p) of the
-    proper divisors i of j."""
-    values, primes = {}, set()
-    for j in range(1, d + 1):
-        if d % j == 0:
-            value = p ** j - 1
-            for i, phi in values.items():
-                if j % i == 0:
-                    value //= phi
-            values[j] = value
-            primes |= _prime_factors(value)
-    n, divisors = p ** d - 1, [1]
-    for q in sorted(primes):
-        power, more = q, []
-        while n % power == 0:
-            more += [x * power for x in divisors]
-            power *= q
-        divisors += more
-    return divisors
-
-
 def witness_power(content, step: int, p: int):
-    """(k, gcd(content, t^(k*step) - 1)) for the least k with a non-unit
-    gcd; content is monic, of positive degree, with c(0) != 0.
-
-    t has an order e modulo each irreducible factor, dividing p^d - 1 for
-    d its degree, and t^(k*step) = 1 modulo that factor exactly when
-    e/gcd(e, step) divides k.  So the least k is one of the quotients
-    e/gcd(e, step) over the divisors e of the p^d - 1; they are tested in
-    increasing order, each by one square-and-multiply.  A content with a
-    p^d - 1 above MAX_UNIT_GROUP_ORDER raises ValidationError with a
-    resource-limit issue before any factoring."""
-    degrees = _fp_factor_degrees(content, p)
-    top = max(degrees)
-    if p ** top - 1 > MAX_UNIT_GROUP_ORDER:
-        raise ValidationError([Issue(
-            "resource-limit", (),
-            f"the content has an irreducible factor of degree {top} over F_{p}, and "
-            f"{p}^{top} - 1 is above the limit of {MAX_UNIT_GROUP_ORDER}")])
-    candidates = {e // math.gcd(e, step)
-                  for d in degrees for e in _unit_group_divisors(p, d)}
-    for k in sorted(candidates):
-        power = _fp_powmod([0, 1], k * step, content, p)
-        common = _fp_gcd(content, _fp_sub(power, [1], p), p)
+    """Least k with a non-unit common divisor of the content and
+    t^(k*step) - 1, found by tracking t^(k*step) modulo the content.
+    The content is coprime to t, so a witness exists within the size of
+    the multiplicative group of the quotient ring."""
+    bound = p ** (len(content) - 1) - 1
+    step_poly = [0] * step + [1]
+    _, t = _fp_divmod(step_poly, content, p)
+    power = list(t)
+    for k in range(1, bound + 1):
+        shifted = _fp_sub(power, [1], p)
+        common = _fp_gcd(content, shifted, p)
         if len(common) > 1:
             return k, common
-    raise InternalCheckError("no witness power among the divisors of the unit group orders")
+        power = _fp_divmod(_fp_mul(power, t, p), content, p)[1]
+    raise InternalCheckError("no witness power within the certified bound")
 
 
 # ---------------------------------------------------------------------------

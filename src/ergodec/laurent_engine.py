@@ -8,9 +8,8 @@ g and u^(k*n) - 1 = t^(k*m) - 1 is, up to a unit, a polynomial in t, and
 a polynomial in t divides g exactly when it divides g's content along n0.
 A content of 1 therefore makes the direction ergodic.  A non-unit
 content has a nonzero constant term, so t has finite order modulo each of
-its factors, and the least power k with a common factor is the witness,
-found by multiplicative order (`laurent.witness_power`).  Every direction
-is decided exactly this way.
+its factors, and the least power k with a common factor is the witness.
+Every direction is decided exactly this way.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ def direction_is_ergodic(action, direction) -> Verdict:
     """Ergodicity of the translation by u^direction on the dual of S/(g),
     decided by g's content along the direction.  A negative verdict
     carries the least witness power k and the common factor of g and
-    u^(k*direction) - 1, mapped back from t to u^n0.  A content whose
-    witness search would pass `laurent.MAX_UNIT_GROUP_ORDER` raises
-    ValidationError with a resource-limit issue."""
+    u^(k*direction) - 1, mapped back from t to u^n0."""
     direction = tuple(int(x) for x in direction)
     if len(direction) != action.nvars:
         raise ValueError("direction length must match the variable count")

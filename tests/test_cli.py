@@ -239,15 +239,6 @@ class TestOracleCheckAndDemo:
         assert report["results"]["characters_checked"] == 48
         assert report["results"]["failures"] == []
 
-    def test_laurent_witness_past_the_limit_exits_2(self, tmp_path, capsys):
-        # u^2 - 2 is irreducible over F_1000003, and 1000003^2 - 1 > 10^12
-        doc = {"type": "laurent", "p": 1000003, "d": 1, "g": [
-            {"exponents": [0], "coefficient": 1000001}, {"exponents": [2], "coefficient": 1}]}
-        assert main(["analyze", write(tmp_path, "big.json", doc)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "validation failed: resource-limit: " in captured.err
-
     def test_box_past_the_limit_exits_2(self, tmp_path):
         identity_12 = {"type": "toral", "r": 12, "generators": [
             [[int(i == j) for j in range(12)] for i in range(12)]]}

@@ -1,13 +1,10 @@
-import itertools
 import random
 
 import pytest
 
-from ergodec import (ValidationError, VerdictKind, direction_is_ergodic, laurent,
-                     laurent_cyclic_action)
-from ergodec.laurent import (LaurentPoly, ModulusMismatchError, _fp_divmod, _fp_gcd,
-                             _fp_monic, _fp_mul, _fp_sub, content_along,
-                             direction_power_minus_one, directions_in_shell,
+from ergodec import VerdictKind, direction_is_ergodic, laurent_cyclic_action
+from ergodec.laurent import (LaurentPoly, ModulusMismatchError, _fp_gcd, _fp_monic, _fp_mul,
+                             content_along, direction_power_minus_one, directions_in_shell,
                              laurent_divides, witness_power)
 
 
@@ -265,103 +262,14 @@ class TestDirectionPower:
             direction_power_minus_one(2, 2, (0, 0), 1)
 
 
-def linear_witness_power(content, step, p):
-    """The reference for laurent.witness_power: step k = 1, 2, ... with
-    t^(k*step) tracked modulo the content, one gcd per step."""
-    bound = p ** (len(content) - 1) - 1
-    _, t = _fp_divmod([0] * step + [1], content, p)
-    power = list(t)
-    for k in range(1, bound + 1):
-        common = _fp_gcd(content, _fp_sub(power, [1], p), p)
-        if len(common) > 1:
-            return k, common
-        power = _fp_divmod(_fp_mul(power, t, p), content, p)[1]
-    raise AssertionError("no witness power within p^deg - 1")
-
-
-STEPS = (1, 2, 3, 4, 6)
-
-
-def random_content(rng, p, deg):
-    """A monic content of degree deg, half the time with a squared
-    factor."""
-    if deg < 2 or rng.random() < 0.5:
-        return _fp_monic(random_t_poly(rng, p, deg), p)
-    half = _fp_monic(random_t_poly(rng, p, deg // 2), p)
-    rest = _fp_monic(random_t_poly(rng, p, 1), p) if deg % 2 else [1]
-    return _fp_mul(_fp_mul(half, half, p), rest, p)
-
-
 class TestWitnessPower:
-    @pytest.mark.parametrize("step", STEPS)
-    def test_every_f2_content_up_to_degree_10(self, step):
-        for deg in range(1, 11):
-            for middle in itertools.product((0, 1), repeat=deg - 1):
-                content = [1, *middle, 1]
-                assert witness_power(content, step, 2) == linear_witness_power(content, step, 2)
+    def test_primitive_content_has_the_full_order(self):
+        # 1 + t + t^6 is primitive over F_2, so t has order 63 modulo it
+        content = [1, 1, 0, 0, 0, 0, 1]
+        assert witness_power(content, 1, 2) == (63, content)
+        assert witness_power(content, 3, 2) == (21, content)
 
-    @pytest.mark.parametrize("step", STEPS)
-    def test_sampled_contents(self, step):
-        rng = random.Random(300 + step)
-        cases = [(2, deg) for deg in (11, 12) for _ in range(4)] + [
-            (p, rng.randint(1, top)) for p, top in ((3, 7), (5, 5), (7, 4)) for _ in range(15)]
-        for p, deg in cases:
-            content = random_content(rng, p, deg)
-            assert witness_power(content, step, p) == linear_witness_power(content, step, p)
-
-    @pytest.mark.parametrize("exponents,divisors", [
-        ((0, 2, 3, 5, 16), 16),  # 2^16 - 1 = 3*5*17*257
-        ((0, 3, 20), 48),        # 2^20 - 1 = 3*5^2*11*31*41
-    ], ids=["degree-16", "degree-20"])
-    def test_primitive_presenters_cost_a_few_hundred_products(self, monkeypatch, exponents,
-                                                              divisors):
-        # the walk takes one product and one gcd per power, 2^d - 1 of each
-        d = exponents[-1]
-        content = [int(i in exponents) for i in range(d + 1)]
-        counts = {"mul": 0, "gcd": 0}
-
-        def counted(name, real):
-            def call(*args):
-                counts[name] += 1
-                return real(*args)
-            return call
-
-        monkeypatch.setattr(laurent, "_fp_mul", counted("mul", laurent._fp_mul))
-        monkeypatch.setattr(laurent, "_fp_gcd", counted("gcd", laurent._fp_gcd))
-        assert witness_power(content, 1, 2) == (2 ** d - 1, content)
-        # d/2 distinct-degree steps and one candidate per divisor of
-        # 2^d - 1, each one gcd and one square-and-multiply of an
-        # exponent below 2^d, so at most 2d products
-        powers = d // 2 + divisors
-        assert counts["gcd"] <= powers
-        assert counts["mul"] <= 2 * d * powers
-
-    def test_largest_factor_degree_sets_the_limit(self, monkeypatch):
-        monkeypatch.setattr(laurent, "MAX_UNIT_GROUP_ORDER", 2 ** 4 - 1)
-        assert witness_power([1, 1, 0, 0, 1], 1, 2)[0] == 15  # 1 + t + t^4, primitive
-
-        def no_factoring(p, d):
-            raise AssertionError("factoring started past the limit")
-
-        monkeypatch.setattr(laurent, "_unit_group_divisors", no_factoring)
-        # (1 + t)(1 + t^2 + t^5): the linear factor would give k = 1, but
-        # the irreducible quintic's 2^5 - 1 is past the limit
-        for content in ([1, 0, 1, 0, 0, 1], _fp_mul([1, 1], [1, 0, 1, 0, 0, 1], 2)):
-            with pytest.raises(ValidationError) as info:
-                witness_power(content, 1, 2)
-            assert [issue.code for issue in info.value.issues] == ["resource-limit"]
-
-    @pytest.mark.parametrize("p,limited", [(999983, False), (1000003, True)],
-                             ids=["below", "above"])
-    def test_quadratic_at_the_real_limit(self, p, limited):
-        # t^2 - a with a a non-residue is irreducible, so its p^2 - 1
-        # straddles 10^12 between the two primes
-        a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
-        content = [(-a) % p, 0, 1]
-        assert (p ** 2 - 1 > laurent.MAX_UNIT_GROUP_ORDER) is limited
-        if limited:
-            with pytest.raises(ValidationError):
-                witness_power(content, 1, p)
-        else:
-            k, common = witness_power(content, 1, p)
-            assert (p ** 2 - 1) % k == 0 and common == content
+    def test_a_small_factor_gives_the_least_power(self):
+        # (1 + t)(1 + t^3 + t^41): the linear factor gives k = 1 at once
+        content = _fp_mul([1, 1], [1, 0, 0, 1] + [0] * 37 + [1], 2)
+        assert witness_power(content, 1, 2) == (1, [1, 1])

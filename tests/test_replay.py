@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ergodec import Subspace, build_action, element, is_ergodic_element, laurent
+from ergodec import Subspace, build_action, element, is_ergodic_element
 from ergodec.cli import main
 from ergodec.encoding import encode_matrix, encode_subspace
 from ergodec.replay import replay_report
@@ -276,10 +276,17 @@ def test_witness_power_that_is_not_the_least_fails_replay(tmp_path, capsys):
     for verdict in (results["directions"][0]["verdict"], results["group"]):
         assert verdict["certificate"]["data"]["power"] == 3
         verdict["certificate"]["data"]["power"] = 6
-    assert replay_report(report)["failures"] == ["witness power is not the least one"] * 2
+    # the group of u alone is checked equal to the verdict of u
+    assert replay_report(report)["failures"] == ["witness power is not the least one"]
 
 
-def test_common_factor_must_be_a_polynomial_along_the_direction(tmp_path, capsys):
+def test_one_variable_group_must_be_the_verdict_of_u(tmp_path, capsys):
+    report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
+    report["results"]["group"]["certificate"]["data"]["power"] = 6
+    assert replay_report(report)["failures"] == ["group verdict differs from the verdict of u"]
+
+
+def test_common_factor_must_divide_the_power_identity(tmp_path, capsys):
     # (u1 - 1)(u2 + 1) over F_3 divides itself, and its content u1 - 1
     # along (1, 0) has t^1 = 1, but it does not divide u1 - 1
     report = fresh_report(tmp_path, capsys, "analyze", REDUCIBLE)
@@ -287,11 +294,13 @@ def test_common_factor_must_be_a_polynomial_along_the_direction(tmp_path, capsys
     assert data["power"] == 1
     data["common_factor"]["terms"] = [[[0, 0], 2], [[0, 1], 2], [[1, 0], 1], [[1, 1], 1]]
     assert replay_report(report)["failures"] == [
-        "common factor is not a polynomial in u^n0 up to a unit"]
+        "common factor does not divide the power identity"]
 
 
-def test_witness_past_the_limit_is_a_replay_failure(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("exponent", [0.5, "1", None])
+def test_malformed_common_factor_is_a_failure(tmp_path, capsys, exponent):
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
-    monkeypatch.setattr(laurent, "MAX_UNIT_GROUP_ORDER", 2)
-    failures = replay_report(report)["failures"]
-    assert len(failures) == 2 and all("above the limit of 2" in f for f in failures)
+    results = report["results"]
+    for verdict in (results["directions"][0]["verdict"], results["group"]):
+        verdict["certificate"]["data"]["common_factor"]["terms"][0][0] = [exponent]
+    assert replay_report(report)["failures"] == ["common factor is not a Laurent polynomial"]
