@@ -15,8 +15,8 @@ import math
 from . import encoding
 from .actions import build_action, dual_element, element, positive_vectors
 from .intpoly import cyclotomic_product
-from .laurent import (axis_directions, content_along, direction_power_minus_one,
-                      directions_in_shell, laurent_divides, witness_power)
+from .laurent import (LaurentPoly, axis_directions, content_along, directions_in_shell,
+                      laurent_divides, witness_power)
 from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
                        stage_quotient, walk_orbit)
 from .oracle import box_characters, box_limit_issue
@@ -255,18 +255,19 @@ def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
                 or (factor.p, factor.nvars) != (action.p, action.nvars)):
             failures.append("witness power is not positive or common factor is trivial")
             return
-        m, _, content = content_along(g, direction)
-        least = witness_power(content, m, action.p)[0] if len(content) > 1 else None
+        m, n0, content = content_along(g, direction)
+        least, common = witness_power(content, m, action.p) if len(content) > 1 else (None, None)
         if least != k:
             failures.append("witness power is not the least one")
-            return  # and a forged power may be too large to expand below
+            return
         # h | g and h | u^(k*direction) - 1 with h not a unit: then
-        # (u^(k*direction) - 1)*(g/h) lies in (g), and g/h does not
-        w = direction_power_minus_one(action.p, action.nvars, direction, k)
+        # (u^(k*direction) - 1)*(g/h) lies in (g), and g/h does not.  The
+        # common factors of g and u^(k*direction) - 1 = t^(k*m) - 1 are
+        # those of gcd(content, t^(k*m) - 1), mapped back through t -> u^n0.
         _check(laurent_divides(factor, g) is not None, failures,
                "common factor does not divide the presenter")
-        _check(laurent_divides(factor, w) is not None, failures,
-               "common factor does not divide the power identity")
+        _check(laurent_divides(factor, LaurentPoly.along(action.p, n0, common)) is not None,
+               failures, "common factor does not divide the power identity")
     elif kind == "trivial-univariate-content":
         _check(content_along(g, direction)[2] == data["content"], failures,
                "stored content differs")

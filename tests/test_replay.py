@@ -269,13 +269,15 @@ def test_forged_oracle_box_past_the_limit_fails_without_enumerating(tmp_path, ca
     assert any("above the limit" in failure for failure in failures)
 
 
-def test_witness_power_that_is_not_the_least_fails_replay(tmp_path, capsys):
-    # 1 + u + u^2 divides u^6 - 1 as well as u^3 - 1
+@pytest.mark.parametrize("power", [6, 3 * 10 ** 12])
+def test_witness_power_that_is_not_the_least_fails_replay(tmp_path, capsys, power):
+    # 1 + u + u^2 divides u^6 - 1 as well as u^3 - 1; replay never
+    # expands u^power - 1, so a huge power costs no more
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     results = report["results"]
     for verdict in (results["directions"][0]["verdict"], results["group"]):
         assert verdict["certificate"]["data"]["power"] == 3
-        verdict["certificate"]["data"]["power"] = 6
+        verdict["certificate"]["data"]["power"] = power
     # the group of u alone is checked equal to the verdict of u
     assert replay_report(report)["failures"] == ["witness power is not the least one"]
 
