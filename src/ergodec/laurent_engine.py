@@ -69,9 +69,7 @@ def group_is_ergodic(action) -> Verdict:
 
 def find_ergodic_direction(action, search_box: int):
     """First direction, scanning sup-norm shells up to search_box in
-    descending lexicographic order, whose translation is ergodic.  The
-    scan reads only the content along each direction: the directions it
-    passes are not reported, so it looks for no witness power.
+    descending lexicographic order, whose translation is ergodic.
 
     Returns (direction, verdict).
     """
@@ -80,8 +78,9 @@ def find_ergodic_direction(action, search_box: int):
         raise NotErgodicGroupError(group.to_payload())
     for shell in range(1, search_box + 1):
         for direction in directions_in_shell(action.nvars, shell):
-            if content_along(action.presenter, direction)[2] == [1]:
-                return direction, direction_is_ergodic(action, direction)
+            verdict = direction_is_ergodic(action, direction)
+            if verdict.is_ergodic:
+                return direction, verdict
     raise SearchExhaustedError(search_box)
 
 
