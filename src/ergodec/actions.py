@@ -8,6 +8,12 @@ every failure before reporting, and each validated action carries the
 dual generators the engines actually compute with: the transposes of
 the generators, since a character chi composed with the matrix A is the
 character A^T chi.
+
+An action also caches what is derived from it: dual products by
+exponent vector, the finite-orbit subspace, and Laurent contents and
+witness powers by direction.  These are pure functions of the immutable
+action, so the engines and in-process replay share them, and the caches
+die with the action.
 """
 
 from __future__ import annotations
@@ -15,12 +21,17 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .encoding import decode_scalar
 from .errors import Issue, ValidationError
-from .laurent import LaurentPoly
-from .matrices import Matrix
+from .laurent import LaurentPoly, content_along, witness_power
+from .matrices import Matrix, Subspace, fixed_by_power
+
+# Largest torus or solenoid dimension a document may declare: route B
+# takes one determinant per candidate order, and already at r = 64 one
+# spectrum costs seconds.  Library constructors are not capped.
+MAX_DIMENSION = 64
 
 
 @dataclass(frozen=True)
@@ -33,10 +44,18 @@ class MatrixAction:
     dim: int
     generators: tuple
     dual_generators: tuple
+    dual_products: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     @property
     def n_generators(self) -> int:
         return len(self.generators)
+
+    @functools.cached_property
+    def finite_orbit_subspace(self) -> Subspace:
+        """Characters of the dual space whose group orbit is finite: the
+        common kernel of the cyclotomic parts of the dual generators."""
+        return fixed_by_power(self.dual_generators)
 
 
 @dataclass(frozen=True)
@@ -48,10 +67,29 @@ class LaurentCyclicAction:
     p: int
     nvars: int
     presenter: LaurentPoly
+    contents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    witnesses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def kind(self) -> str:
         return "laurent"
+
+    def content(self, direction) -> tuple:
+        """laurent.content_along of the presenter, (m, n0, content),
+        computed once per direction."""
+        key = tuple(direction)
+        if key not in self.contents:
+            self.contents[key] = content_along(self.presenter, key)
+        return self.contents[key]
+
+    def witness(self, direction) -> tuple:
+        """laurent.witness_power of the non-unit content along a
+        direction, (k, common), computed once per direction."""
+        key = tuple(direction)
+        if key not in self.witnesses:
+            m, _, content = self.content(key)
+            self.witnesses[key] = witness_power(content, m, self.p)
+        return self.witnesses[key]
 
 
 # Primality is decided by trial division, so the modulus is capped.
@@ -173,8 +211,13 @@ def element(action, exponents) -> Matrix:
 
 
 def dual_element(action, exponents) -> Matrix:
-    """Dual matrix of the product of generator powers."""
-    return _product_of_powers(action.dual_generators, exponents, action.dim)
+    """Dual matrix of the product of generator powers, formed once per
+    exponent vector, so its spectrum is split once."""
+    key = tuple(exponents)
+    if key not in action.dual_products:
+        action.dual_products[key] = _product_of_powers(action.dual_generators, key,
+                                                       action.dim)
+    return action.dual_products[key]
 
 
 def positive_vectors(n: int, total: int):
@@ -213,6 +256,10 @@ def build_action(doc: dict):
         if "r" in doc and mats and mats[0].nrows != doc["r"]:
             raise ValidationError([Issue("schema", (),
                                          "declared dimension does not match generators")])
+        if mats and mats[0].nrows > MAX_DIMENSION:
+            raise ValidationError([Issue(
+                "resource-limit", (), f"dimension {mats[0].nrows} is above the limit "
+                                      f"of {MAX_DIMENSION}")])
         return toral_action(mats) if kind == "toral" else solenoid_action(mats)
     if kind == "laurent":
         for key in ("p", "d", "g"):

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-One action per input file, one canonical report per run.  Reports are
+One action per input file, built once per run and shared by the command
+and the replay of its report; one canonical report per run.  Reports are
 deterministic byte for byte for a fixed input and flag set: keys are
 sorted, orderings are canonical, and timing goes to stderr instead of the
 report body.
@@ -101,8 +102,7 @@ def _action_from_file(path: str):
         raise _validation_exit(path, exc)
 
 
-def cmd_analyze(args) -> dict:
-    doc, action = _action_from_file(args.file)
+def cmd_analyze(args, doc: dict, action) -> dict:
     if action.kind in ("toral", "solenoid"):
         generators = []
         for i in range(action.n_generators):
@@ -134,8 +134,7 @@ def cmd_analyze(args) -> dict:
     return _report("analyze", doc, args, results)
 
 
-def cmd_find_ergodic(args) -> dict:
-    doc, action = _action_from_file(args.file)
+def cmd_find_ergodic(args, doc: dict, action) -> dict:
     try:
         if action.kind in ("toral", "solenoid"):
             exps, verdict = toral.find_ergodic_exponents(action)
@@ -160,16 +159,14 @@ def cmd_find_ergodic(args) -> dict:
     return _report("find-ergodic", doc, args, results)
 
 
-def cmd_filtration(args) -> dict:
-    doc, action = _action_from_file(args.file)
+def cmd_filtration(args, doc: dict, action) -> dict:
     if action.kind == "laurent":
         raise _CliExit(2, "filtration is defined for toral and solenoid actions")
     results = toral.ergodic_distal_filtration(action).to_payload()
     return _report("filtration", doc, args, results)
 
 
-def cmd_oracle_check(args) -> dict:
-    doc, action = _action_from_file(args.file)
+def cmd_oracle_check(args, doc: dict, action) -> dict:
     if action.kind != "toral":
         raise _CliExit(2, "oracle enumeration runs on toral actions only")
     try:
@@ -240,11 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        report = args.func(args)
+        # one action per call: the command and the replay of its report
+        # share it, and with it every value it caches
+        doc, action = _action_from_file(args.file)
+        report = args.func(args, doc, action)
     except _CliExit as exc:
         sys.stderr.write(exc.message + "\n")
         return exc.code
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
         return 5
     if args.verify_report:
         round_tripped = json.loads(json.dumps(report, sort_keys=True))
-        verification = replay.replay_report(round_tripped)
+        verification = replay.replay_report(round_tripped, action)
         report["verification"] = verification
         if verification["failures"]:
             _emit(report, args.format)

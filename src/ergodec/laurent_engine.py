@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from . import encoding
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
-from .laurent import (LaurentPoly, content_along, direction_power_minus_one,
-                      directions_in_shell, laurent_divides, witness_power)
+from .laurent import (LaurentPoly, direction_power_minus_one, directions_in_shell,
+                      laurent_divides)
 from .toral import Certificate, Verdict, VerdictKind
 
 
@@ -31,18 +31,17 @@ def direction_is_ergodic(action, direction) -> Verdict:
         raise ValueError("direction length must match the variable count")
     if all(x == 0 for x in direction):
         raise ValueError("direction must be nonzero")
-    p = action.p
-    m, n0, content = content_along(action.presenter, direction)
+    _, n0, content = action.content(direction)
     if len(content) == 1:
         return Verdict(VerdictKind.ERGODIC, Certificate("trivial-univariate-content", {
             "direction": list(direction),
             "content": content,
         }))
-    k, common = witness_power(content, m, p)
+    k, common = action.witness(direction)
     return Verdict(VerdictKind.NOT_ERGODIC, Certificate("finite-quotient-witness", {
         "direction": list(direction),
         "power": k,
-        "common_factor": encoding.encode_laurent(LaurentPoly.along(p, n0, common)),
+        "common_factor": encoding.encode_laurent(LaurentPoly.along(action.p, n0, common)),
     }))
 
 

@@ -191,6 +191,11 @@ class Matrix:
         factors, rest = cyclotomic_split(cp, orders)
         return Spectrum(self, cp, orders, tuple(factors), rest)
 
+    @cached_property
+    def _power_list(self) -> list:
+        """[I, x, x**2, ...] as far as _powers has needed them."""
+        return [Matrix.identity(self.nrows)]
+
     def _same_shape(self, other: "Matrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionError("shapes do not match")
@@ -429,9 +434,11 @@ def stage_quotient(m: Matrix, outer: Subspace, inner: Subspace) -> Matrix:
 
 
 def _powers(x: Matrix, k: int) -> list:
-    """[I, x, x**2, ..., x**k]."""
-    out = [Matrix.identity(x.nrows)]
-    for _ in range(k):
+    """[I, x, x**2, ...] through at least x**k: one list per matrix,
+    grown on demand, so the determinant route and c(x) share the powers
+    both need."""
+    out = x._power_list
+    while len(out) <= k:
         out.append(out[-1] * x)
     return out
 

@@ -5,6 +5,13 @@ Replay works on the serialized report, so a report that round-trips
 through JSON carries everything needed to re-derive its own verdicts.
 Each check returns silently or records a failure entry; nothing here
 consults the engines' verdict logic beyond shared exact primitives.
+
+A saved report replays against a fresh action built from its input
+echo.  The CLI replays against the action it computed the report from,
+and so shares the values that action caches: dual products and their
+spectra, the finite-orbit subspace, and Laurent contents and witness
+powers.  Each is a pure function of the input that the same code would
+recompute bit for bit, so every check still runs on the report's claims.
 """
 
 from __future__ import annotations
@@ -15,8 +22,7 @@ import math
 from . import encoding
 from .actions import build_action, dual_element, element, positive_vectors
 from .intpoly import cyclotomic_product
-from .laurent import (LaurentPoly, axis_directions, content_along, directions_in_shell,
-                      laurent_divides, witness_power)
+from .laurent import LaurentPoly, axis_directions, directions_in_shell, laurent_divides
 from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
                        stage_quotient, walk_orbit)
 from .oracle import box_characters, box_limit_issue
@@ -116,7 +122,7 @@ def replay_group_verdict(action, payload: dict, slot: tuple, failures: list) -> 
     data = cert["data"]
     duals = action.dual_generators
     if kind == "zero-finite-orbit-subspace":
-        _check(fixed_by_power(duals).is_zero, failures,
+        _check(action.finite_orbit_subspace.is_zero, failures,
                "finite-orbit subspace is not zero")
     elif kind == "witness-character":
         chi = encoding.decode_vector(data["character"])
@@ -156,10 +162,12 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
     _check(payload["generators_quasi_unipotent_on_subspace"] is True
            and all(quasi_unipotent_on(d, sub) for d in duals), failures,
            "a generator is not quasi-unipotent on the subspace")
-    # the quotient by W = 0 is the space itself, whose spectra are cached
+    # the quotient by W = 0 is the space itself, whose finite-orbit
+    # subspace the action holds
     _check(payload["quotient_has_no_finite_orbit"] is True
-           and (sub.is_full or fixed_by_power(
-               duals if sub.is_zero else [quotient_matrix(d, sub) for d in duals]).is_zero),
+           and (sub.is_full
+                or (action.finite_orbit_subspace if sub.is_zero
+                    else fixed_by_power([quotient_matrix(d, sub) for d in duals])).is_zero),
            failures, "quotient has a finite-orbit character")
 
 
@@ -206,7 +214,7 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
     if issue is not None:
         failures.append(issue.message)
         return
-    fixed = fixed_by_power(action.dual_generators)
+    fixed = action.finite_orbit_subspace
     maps = [d.matvec for d in action.dual_generators]
     box = list(box_characters(action.dim, bound))
     inside = [chi for chi in box if fixed.contains(chi)]
@@ -255,8 +263,8 @@ def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
                 or (factor.p, factor.nvars) != (action.p, action.nvars)):
             failures.append("witness power is not positive or common factor is trivial")
             return
-        m, n0, content = content_along(g, direction)
-        least, common = witness_power(content, m, action.p) if len(content) > 1 else (None, None)
+        _, n0, content = action.content(direction)
+        least, common = action.witness(direction) if len(content) > 1 else (None, None)
         if least != k:
             failures.append("witness power is not the least one")
             return
@@ -269,7 +277,7 @@ def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
         _check(laurent_divides(factor, LaurentPoly.along(action.p, n0, common)) is not None,
                failures, "common factor does not divide the power identity")
     elif kind == "trivial-univariate-content":
-        _check(content_along(g, direction)[2] == data["content"], failures,
+        _check(action.content(direction)[2] == data["content"], failures,
                "stored content differs")
         _check(data["content"] == [1], failures, "content is not constant")
     elif kind == "coprime-axis-powers":
@@ -297,7 +305,7 @@ def _replay_first_direction(action, direction: tuple, search_box: int,
         return
     earlier = itertools.takewhile(lambda d: d != direction, itertools.chain.from_iterable(
         directions_in_shell(action.nvars, s) for s in range(1, shell + 1)))
-    _check(all(len(content_along(g, d)[2]) > 1 for d in earlier), failures,
+    _check(all(len(action.content(d)[2]) > 1 for d in earlier), failures,
            "an earlier direction in the box is ergodic")
 
 
@@ -307,8 +315,10 @@ def _group_direction(action):
     return (1,) if action.nvars == 1 else None
 
 
-def replay_report(report: dict) -> dict:
-    """Re-check every certificate in a serialized report.
+def replay_report(report: dict, action=None) -> dict:
+    """Re-check every certificate in a serialized report, against the
+    action the report was computed from when it is given, and otherwise
+    against one built afresh from the report's input echo.
 
     Returns {"checked": n, "failures": [...]}.
     """
@@ -317,8 +327,8 @@ def replay_report(report: dict) -> dict:
     command = report["command"]
     flags = report["flags"]
     results = report["results"]
-    action = None
-    if command in ("analyze", "find-ergodic", "filtration", "oracle-check"):
+    if action is None and command in ("analyze", "find-ergodic", "filtration",
+                                      "oracle-check"):
         action = build_action(report["input"])
     if command == "analyze":
         if action.kind in ("toral", "solenoid"):

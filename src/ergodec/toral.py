@@ -144,8 +144,9 @@ def is_distal_element(action, exponents) -> Verdict:
 
 def finite_orbit_subspace(action) -> Subspace:
     """Characters of the dual space whose group orbit is finite: the
-    common kernel of the cyclotomic parts of the dual generators."""
-    return fixed_by_power(action.dual_generators)
+    common kernel of the cyclotomic parts of the dual generators,
+    computed once per action."""
+    return action.finite_orbit_subspace
 
 
 def _enumerate_finite_orbit(action, chi):

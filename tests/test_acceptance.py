@@ -16,8 +16,9 @@ from ergodec import (LaurentPoly, Matrix, VerdictKind, cross_validate, cyclotomi
                      laurent_cyclic_action, laurent_divides,
                      direction_power_minus_one, orders_with_totient_at_most,
                      poly_gcd, product_counterexample, toral_action)
+from ergodec.cli import main
 from ergodec.encoding import decode_laurent
-from ergodec.replay import replay_filtration
+from ergodec.replay import replay_filtration, replay_report
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, counterexample_doc, ergodic_distal_pair, fibonacci_matrix,
                        random_ergodic_2x2, random_unimodular, root_of_unity_lcm)
@@ -305,3 +306,17 @@ def test_criterion_10_report_determinism_and_replay(tmp_path):
     elapsed = budget.check()
     print(f"PASS criterion 10: {commands_run} golden commands byte-identical "
           f"with clean certificate replay ({elapsed:.1f}s)")
+
+
+def test_in_process_replay_equals_replay_on_a_fresh_action(tmp_path, capsys):
+    # --verify-report replays against the engine's action; a saved report
+    # replays against one built from its input echo, with the same result
+    for name, doc in GOLDEN_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    for command, doc_name, *flags in GOLDEN_COMMANDS:
+        args = [command, str(tmp_path / doc_name)] + list(flags) + ["--verify-report"]
+        assert main(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        verification = report.pop("verification")
+        assert verification["failures"] == []
+        assert verification == replay_report(report), args

@@ -5,8 +5,14 @@ import pytest
 
 from ergodec import (LaurentPoly, Matrix, ValidationError, build_action,
                      dual_element, element, laurent_cyclic_action,
-                     solenoid_action, toral_action)
+                     product_counterexample, solenoid_action, toral_action)
+from ergodec.actions import MAX_DIMENSION
 from factories import fibonacci_matrix
+
+
+def identity_doc(r):
+    return {"type": "toral", "r": r,
+            "generators": [[[int(i == j) for j in range(r)] for i in range(r)]]}
 
 
 class TestValidation:
@@ -89,6 +95,20 @@ class TestElement:
             assert dual_element(act, total) == dual_element(act, e1) * dual_element(act, e2)
 
 
+class TestCaches:
+    def test_dual_product_formed_once_per_vector(self):
+        act = toral_action([fibonacci_matrix(), fibonacci_matrix() ** 2])
+        assert dual_element(act, (1, 2)) is dual_element(act, [1, 2])
+        assert dual_element(act, (1, 0)) is act.dual_generators[0]
+
+    def test_caches_do_not_change_equality(self):
+        gens = [fibonacci_matrix()]
+        used = toral_action(gens)
+        dual_element(used, (3,))
+        assert used.finite_orbit_subspace.is_zero
+        assert used == toral_action(gens) and hash(used) == hash(toral_action(gens))
+
+
 class TestBuildAction:
     def test_toral_document(self):
         act = build_action({"type": "toral", "r": 2,
@@ -108,6 +128,13 @@ class TestBuildAction:
             {"exponents": [0, 1], "coefficient": 1}]})
         assert act.kind == "laurent"
         assert act.presenter.terms == (((0, 0), 1), ((0, 1), 1), ((1, 0), 1))
+
+    def test_dimension_at_the_limit_is_accepted(self):
+        act = build_action(identity_doc(MAX_DIMENSION))
+        assert act.dim == MAX_DIMENSION == 64
+
+    def test_library_constructors_are_not_capped(self):
+        assert product_counterexample(5).dim == 80 > MAX_DIMENSION
 
     def test_schema_errors(self):
         for doc in ({}, {"type": "nope"}, {"type": "toral"},

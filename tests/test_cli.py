@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ergodec import Verdict, cli, laurent_engine, matrices, toral
+from ergodec import Verdict, actions, cli, matrices, toral
 from ergodec.cli import main
 from factories import counterexample_doc
 
@@ -127,7 +127,8 @@ class TestAnalyze:
         assert err.startswith("internal check failed: ") and err.count("\n") == 1
 
     def test_one_char_poly_per_generator(self, tmp_path, capsys, monkeypatch):
-        # each dual generator's spectrum is split once; replay splits its own
+        # each dual generator's spectrum is split once, and in-process
+        # replay reads the same spectra on the same action
         calls = []
         char_poly = matrices.Matrix.char_poly
         monkeypatch.setattr(matrices.Matrix, "char_poly",
@@ -137,8 +138,45 @@ class TestAnalyze:
         assert len(calls) == 2
         calls.clear()
         assert main(["analyze", path, "--verify-report"]) == 0
-        assert len(calls) == 4
+        assert len(calls) == 2
         capsys.readouterr()
+
+    def test_no_cache_outlives_a_call(self, tmp_path, capsys, monkeypatch):
+        # every call builds its own action, so each splits its own spectra
+        calls = []
+        char_poly = matrices.Matrix.char_poly
+        monkeypatch.setattr(matrices.Matrix, "char_poly",
+                            lambda m: calls.append(m) or char_poly(m))
+        path = write(tmp_path, "pair.json", BLOCK_PAIR)
+        for _ in range(2):
+            calls.clear()
+            assert main(["analyze", path, "--verify-report"]) == 0
+            assert len(calls) == 2
+        capsys.readouterr()
+
+    def test_engine_certificate_fault_is_caught(self, tmp_path, capsys, monkeypatch):
+        # replay shares the engine's action, yet re-checks each claim: a
+        # witness the generator does not fix fails it
+        monkeypatch.setattr(toral, "_witness_vector", lambda action, subspace: (1, 1, 1, 1))
+        assert main(["analyze", write(tmp_path, "pair.json", BLOCK_PAIR),
+                     "--verify-report"]) == 4
+        captured = capsys.readouterr()
+        assert ("witness character is not fixed by the stated power"
+                in json.loads(captured.out)["verification"]["failures"])
+        assert captured.err == "certificate replay failed\n"
+
+    def test_dimension_past_the_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # refused before validation computes any determinant
+        calls = []
+        monkeypatch.setattr(matrices.Matrix, "det", lambda m: calls.append(m))
+        identity_65 = {"type": "toral", "r": 65, "generators": [
+            [[int(i == j) for j in range(65)] for i in range(65)]]}
+        assert main(["analyze", write(tmp_path, "id65.json", identity_65),
+                     "--verify-report"]) == 2
+        captured = capsys.readouterr()
+        assert "resource-limit: dimension 65 is above the limit of 64" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert calls == []
 
     def test_laurent_analyze(self, tmp_path):
         res = run("analyze", write(tmp_path, "led.json", LEDRAPPIER))
@@ -152,15 +190,15 @@ class TestAnalyze:
     def test_one_variable_group_reuses_the_axis_verdict(self, tmp_path, capsys,
                                                         monkeypatch):
         # the group of u alone has the verdict of direction (1,): one
-        # engine search; replay's re-derivation calls its own binding
+        # witness search, cached on the action, serves the engine and replay
         calls = []
-        real = laurent_engine.witness_power
+        real = actions.witness_power
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(laurent_engine, "witness_power", counted)
+        monkeypatch.setattr(actions, "witness_power", counted)
         assert main(["analyze", write(tmp_path, "tri.json", TRINOMIAL), "--verify-report"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert len(calls) == 1
