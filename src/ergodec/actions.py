@@ -33,6 +33,11 @@ from .matrices import Matrix, Subspace, fixed_by_power
 # spectrum costs seconds.  Library constructors are not capped.
 MAX_DIMENSION = 64
 
+# Largest width, in any variable, of a Laurent presenter a document may
+# declare.  It bounds the degree of every content, and with it the cost of
+# each step of the witness search (laurent.MAX_WITNESS_STEPS).
+MAX_PRESENTER_WIDTH = 64
+
 
 @dataclass(frozen=True)
 class MatrixAction:
@@ -271,5 +276,10 @@ def build_action(doc: dict):
             g = LaurentPoly.from_terms(doc["p"], doc["d"], [_presenter_term(t) for t in doc["g"]])
         except (TypeError, KeyError, ValueError) as exc:
             raise ValidationError([Issue("schema", (), f"bad presenter: {exc}")])
+        width = 0 if g.is_zero else max(g.canonical().degree_in(v) for v in range(g.nvars))
+        if width > MAX_PRESENTER_WIDTH:
+            raise ValidationError([Issue(
+                "resource-limit", (), f"presenter width {width} is above the limit "
+                                      f"of {MAX_PRESENTER_WIDTH}")])
         return laurent_cyclic_action(doc["p"], doc["d"], g)
     raise ValidationError([Issue("schema", (), f"unknown action type {kind!r}")])

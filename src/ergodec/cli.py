@@ -7,11 +7,12 @@ sorted, orderings are canonical, and timing goes to stderr instead of the
 report body.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure
-(including a resource-limit issue: an oracle-check box too large to
-enumerate), 3 hypothesis failure (the group is not ergodic, or no
-Laurent direction in --search-box is ergodic), 4 certificate replay
-failure under --verify-report, 5 internal check failure (two routes
-that must agree did not; this is a bug).
+(including a resource-limit issue: a torus or presenter too large, an
+oracle-check box too large to enumerate, or a Laurent witness power
+past the search budget), 3 hypothesis failure (the group is not
+ergodic, or no Laurent direction in --search-box is ergodic), 4
+certificate replay failure under --verify-report, 5 internal check
+failure (two routes that must agree did not; this is a bug).
 """
 
 from __future__ import annotations
@@ -88,18 +89,10 @@ class _CliExit(Exception):
         super().__init__(message)
 
 
-def _validation_exit(path: str, exc: ValidationError) -> _CliExit:
+def _validation_message(path: str, exc: ValidationError) -> str:
     details = "; ".join(
         f"{i.code}{list(i.where) if i.where else ''}: {i.message}" for i in exc.issues)
-    return _CliExit(2, f"{path}: validation failed: {details}")
-
-
-def _action_from_file(path: str):
-    doc = _load_document(path)
-    try:
-        return doc, build_action(doc)
-    except ValidationError as exc:
-        raise _validation_exit(path, exc)
+    return f"{path}: validation failed: {details}"
 
 
 def cmd_analyze(args, doc: dict, action) -> dict:
@@ -169,10 +162,7 @@ def cmd_filtration(args, doc: dict, action) -> dict:
 def cmd_oracle_check(args, doc: dict, action) -> dict:
     if action.kind != "toral":
         raise _CliExit(2, "oracle enumeration runs on toral actions only")
-    try:
-        results = oracle.cross_validate(action, args.norm_bound, args.cap)
-    except ValidationError as exc:
-        raise _validation_exit(args.file, exc)
+    results = oracle.cross_validate(action, args.norm_bound, args.cap)
     return _report("oracle-check", doc, args, results)
 
 
@@ -242,11 +232,16 @@ def main(argv=None) -> int:
     try:
         # one action per call: the command and the replay of its report
         # share it, and with it every value it caches
-        doc, action = _action_from_file(args.file)
+        doc = _load_document(args.file)
+        action = build_action(doc)
         report = args.func(args, doc, action)
     except _CliExit as exc:
         sys.stderr.write(exc.message + "\n")
         return exc.code
+    except ValidationError as exc:
+        # an invalid document, or a resource limit a command ran into
+        sys.stderr.write(_validation_message(args.file, exc) + "\n")
+        return 2
     except InternalCheckError as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
         return 5

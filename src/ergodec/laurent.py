@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalCheckError
+from .errors import Issue, ValidationError
 
 
 class ModulusMismatchError(ValueError):
@@ -82,22 +82,66 @@ def _fp_gcd(a, b, p):
     return _fp_monic(a, p)
 
 
+def _fp_powmod(base, e: int, modulus, p):
+    """base**e modulo the modulus, by square and multiply."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _fp_divmod(_fp_mul(out, base, p), modulus, p)[1]
+        e >>= 1
+        if e:
+            base = _fp_divmod(_fp_mul(base, base, p), modulus, p)[1]
+    return out
+
+
+# Steps the witness search may take.  Telling whether a power k is a
+# candidate takes at most D small-integer steps, for a content of degree
+# D.  A candidate's jump and gcd test count 4*D^2 steps per bit of the
+# jump, which on a dense content over a large field takes about as long.
+# The count depends only on p, D and the least power: over F_2, D = 20
+# and the power 2^20 - 1 of a primitive content take 12,267,089 steps.
+MAX_WITNESS_STEPS = 2 ** 24
+
+
 def witness_power(content, step: int, p: int):
     """Least k with a non-unit common divisor of the content and
-    t^(k*step) - 1, found by tracking t^(k*step) modulo the content.
-    The content is coprime to t, so a witness exists within the size of
-    the multiplicative group of the quotient ring."""
-    bound = p ** (len(content) - 1) - 1
-    step_poly = [0] * step + [1]
-    _, t = _fp_divmod(step_poly, content, p)
-    power = list(t)
-    for k in range(1, bound + 1):
-        shifted = _fp_sub(power, [1], p)
-        common = _fp_gcd(content, shifted, p)
+    t^(k*step) - 1, and that divisor.
+
+    With T = t^step modulo the content, the least k is the least order of
+    T modulo an irreducible factor h of the content: the content is
+    coprime to t, so T is a unit modulo h, and its order divides
+    p^(deg h) - 1, where deg h is at most the content's degree D.  The
+    search walks k = 1, 2, ... but gcd-tests only the candidates, the k
+    that divide p^d - 1 for some d <= D, which it tells by iterating
+    x <- x*p mod k at most D times.  T's power moves from one candidate
+    to the next by square and multiply.  Past MAX_WITNESS_STEPS the
+    search raises a resource-limit ValidationError.
+    """
+    degree = len(content) - 1
+    if degree < 1 or not content[0]:
+        raise ValueError("content must be a non-unit coprime to t")
+    _, t = _fp_divmod([0] * step + [1], content, p)
+    power, at, steps, k = [1], 0, 0, 0
+    while steps <= MAX_WITNESS_STEPS:
+        k += 1
+        # a candidate is 1, or coprime to p with p of order at most D mod k
+        x, d = p % k, 1
+        if k % p:
+            while x != 1 and d < degree:
+                x = x * p % k
+                d += 1
+        steps += d
+        if x != 1 and k > 1:
+            continue
+        steps += 4 * degree * degree * (k - at).bit_length()
+        power = _fp_divmod(_fp_mul(power, _fp_powmod(t, k - at, content, p), p),
+                           content, p)[1]
+        at = k
+        common = _fp_gcd(content, _fp_sub(power, [1], p), p)
         if len(common) > 1:
             return k, common
-        power = _fp_divmod(_fp_mul(power, t, p), content, p)[1]
-    raise InternalCheckError("no witness power within the certified bound")
+    raise ValidationError([Issue("resource-limit", (), (
+        f"no witness power up to {k} within {MAX_WITNESS_STEPS} search steps"))])
 
 
 # ---------------------------------------------------------------------------

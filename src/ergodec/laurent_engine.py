@@ -8,8 +8,12 @@ g and u^(k*n) - 1 = t^(k*m) - 1 is, up to a unit, a polynomial in t, and
 a polynomial in t divides g exactly when it divides g's content along n0.
 A content of 1 therefore makes the direction ergodic.  A non-unit
 content has a nonzero constant term, so t has finite order modulo each of
-its factors, and the least power k with a common factor is the witness.
-Every direction is decided exactly this way.
+its factors, and the least power k with a common factor is the witness:
+the least order of t^m modulo an irreducible factor h of the content.
+That order divides p^(deg h) - 1, so laurent.witness_power gcd-tests only
+the k that divide p^d - 1 for some d up to the content's degree.  Every
+direction is decided exactly this way, within the search budget
+laurent.MAX_WITNESS_STEPS.
 """
 
 from __future__ import annotations

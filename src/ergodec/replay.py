@@ -21,6 +21,7 @@ import math
 
 from . import encoding
 from .actions import build_action, dual_element, element, positive_vectors
+from .errors import ValidationError
 from .intpoly import cyclotomic_product
 from .laurent import LaurentPoly, axis_directions, directions_in_shell, laurent_divides
 from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
@@ -264,7 +265,11 @@ def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
             failures.append("witness power is not positive or common factor is trivial")
             return
         _, n0, content = action.content(direction)
-        least, common = action.witness(direction) if len(content) > 1 else (None, None)
+        try:
+            least, common = action.witness(direction) if len(content) > 1 else (None, None)
+        except ValidationError as exc:
+            failures.append(f"least witness power not re-derived: {exc}")
+            return
         if least != k:
             failures.append("witness power is not the least one")
             return
@@ -370,11 +375,18 @@ def replay_report(report: dict, action=None) -> dict:
         if action.kind in ("toral", "solenoid"):
             replay_group_verdict(action, results["group"], _ERGODIC_SLOT, failures)
             checked += 1
-            exps = tuple(results["exponents"])
-            _check(results["element_matrix"] == encoding.encode_matrix(element(action, exps)),
-                   failures, "element matrix is not the product of generator powers")
-            replay_element_verdict(action, exps, results["verdict"], ("ergodic",), failures)
-            _replay_first_ergodic(action, exps, failures)
+            exps = results["exponents"]
+            if not (isinstance(exps, list) and len(exps) == action.n_generators
+                    and all(type(x) is int for x in exps)):
+                failures.append("exponents are not one integer per generator")
+            else:
+                exps = tuple(exps)
+                _check(results["element_matrix"]
+                       == encoding.encode_matrix(element(action, exps)), failures,
+                       "element matrix is not the product of generator powers")
+                replay_element_verdict(action, exps, results["verdict"], ("ergodic",),
+                                       failures)
+                _replay_first_ergodic(action, exps, failures)
             checked += 1
         else:
             replay_laurent_verdict(action, _group_direction(action), results["group"],

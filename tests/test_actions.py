@@ -6,7 +6,7 @@ import pytest
 from ergodec import (LaurentPoly, Matrix, ValidationError, build_action,
                      dual_element, element, laurent_cyclic_action,
                      product_counterexample, solenoid_action, toral_action)
-from ergodec.actions import MAX_DIMENSION
+from ergodec.actions import MAX_DIMENSION, MAX_PRESENTER_WIDTH
 from factories import fibonacci_matrix
 
 
@@ -132,6 +132,26 @@ class TestBuildAction:
     def test_dimension_at_the_limit_is_accepted(self):
         act = build_action(identity_doc(MAX_DIMENSION))
         assert act.dim == MAX_DIMENSION == 64
+
+    @pytest.mark.parametrize("exponents,width", [
+        ([[0, 0], [MAX_PRESENTER_WIDTH, 0], [0, 1]], MAX_PRESENTER_WIDTH),
+        ([[-3, 2], [MAX_PRESENTER_WIDTH - 3, 0], [0, 0]], MAX_PRESENTER_WIDTH)])
+    def test_presenter_width_at_the_limit_is_accepted(self, exponents, width):
+        act = build_action({"type": "laurent", "p": 2, "d": 2, "g": [
+            {"exponents": e, "coefficient": 1} for e in exponents]})
+        assert act.presenter.degree_in(0) == width == 64
+
+    @pytest.mark.parametrize("exponents", [
+        [[0], [1], [MAX_PRESENTER_WIDTH + 1]],
+        [[0, 0], [1, 0], [0, MAX_PRESENTER_WIDTH + 1]],
+        [[0, -40], [1, 0], [0, 25]]])
+    def test_presenter_past_the_width_limit_is_a_resource_limit(self, exponents):
+        doc = {"type": "laurent", "p": 3, "d": len(exponents[0]), "g": [
+            {"exponents": e, "coefficient": 1} for e in exponents]}
+        with pytest.raises(ValidationError) as info:
+            build_action(doc)
+        assert [issue.code for issue in info.value.issues] == ["resource-limit"]
+        assert "presenter width 65 is above the limit of 64" in str(info.value)
 
     def test_library_constructors_are_not_capped(self):
         assert product_counterexample(5).dim == 80 > MAX_DIMENSION

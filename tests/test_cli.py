@@ -3,10 +3,11 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from ergodec import Verdict, actions, cli, matrices, toral
+from ergodec import Verdict, actions, cli, laurent, matrices, toral
 from ergodec.cli import main
 from factories import counterexample_doc
 
@@ -177,6 +178,42 @@ class TestAnalyze:
         assert "resource-limit: dimension 65 is above the limit of 64" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert calls == []
+
+    def test_presenter_past_the_width_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 1 + u + u^1000000 is refused before any content is computed
+        calls = []
+        monkeypatch.setattr(actions, "content_along", lambda *args: calls.append(args))
+        doc = {"type": "laurent", "p": 2, "d": 1, "g": [
+            {"exponents": [e], "coefficient": 1} for e in (0, 1, 10 ** 6)]}
+        started = time.monotonic()
+        assert main(["analyze", write(tmp_path, "wide.json", doc), "--verify-report"]) == 2
+        assert time.monotonic() - started < 1
+        captured = capsys.readouterr()
+        assert ("resource-limit: presenter width 1000000 is above the limit of 64"
+                in captured.err)
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["analyze", "find-ergodic"])
+    def test_witness_search_past_its_budget_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # 1 + u + u^6 is primitive over F_2: its least power is 63
+        monkeypatch.setattr(laurent, "MAX_WITNESS_STEPS", 100)
+        doc = {"type": "laurent", "p": 2, "d": 1, "g": [
+            {"exponents": [e], "coefficient": 1} for e in (0, 1, 6)]}
+        assert main([command, write(tmp_path, "sextic.json", doc), "--verify-report"]) == 2
+        captured = capsys.readouterr()
+        assert "resource-limit: no witness power up to" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_degree_16_primitive_is_decided(self, tmp_path, capsys):
+        # x^16 + x^14 + x^13 + x^11 + 1 is primitive over F_2
+        doc = {"type": "laurent", "p": 2, "d": 1, "g": [
+            {"exponents": [e], "coefficient": 1} for e in (0, 11, 13, 14, 16)]}
+        assert main(["analyze", write(tmp_path, "deg16.json", doc), "--verify-report"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["group"]["certificate"]["data"]["power"] == 65535
+        assert report["verification"]["failures"] == []
 
     def test_laurent_analyze(self, tmp_path):
         res = run("analyze", write(tmp_path, "led.json", LEDRAPPIER))

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from ergodec import VerdictKind, direction_is_ergodic, laurent_cyclic_action
-from ergodec.laurent import (LaurentPoly, ModulusMismatchError, _fp_gcd, _fp_monic, _fp_mul,
-                             content_along, direction_power_minus_one, directions_in_shell,
-                             laurent_divides, witness_power)
+from ergodec import ValidationError, VerdictKind, direction_is_ergodic, laurent, \
+    laurent_cyclic_action
+from ergodec.laurent import (LaurentPoly, ModulusMismatchError, _fp_divmod, _fp_gcd, _fp_monic,
+                             _fp_mul, _fp_sub, content_along, direction_power_minus_one,
+                             directions_in_shell, laurent_divides, witness_power)
 
 
 def lp(p, nvars, terms):
@@ -273,3 +274,76 @@ class TestWitnessPower:
         # (1 + t)(1 + t^3 + t^41): the linear factor gives k = 1 at once
         content = _fp_mul([1, 1], [1, 0, 0, 1] + [0] * 37 + [1], 2)
         assert witness_power(content, 1, 2) == (1, [1, 1])
+
+    def test_only_candidate_powers_are_gcd_tested(self, monkeypatch):
+        # below 63, the k dividing some 2^d - 1 with d <= 6 are 1, 3, 5, 7,
+        # 9, 15, 21 and 31; the walk tested all 63
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _fp_gcd(*args)
+
+        monkeypatch.setattr(laurent, "_fp_gcd", counted)
+        assert witness_power([1, 1, 0, 0, 0, 0, 1], 1, 2)[0] == 63
+        assert len(calls) <= 18
+
+    def test_degree_16_primitive_has_the_full_order(self):
+        # x^16 + x^14 + x^13 + x^11 + 1 is primitive over F_2
+        content = [1] + [0] * 10 + [1, 0, 1, 1, 0, 1]
+        assert witness_power(content, 1, 2) == (65535, content)
+
+    def test_degree_20_primitive_is_within_the_step_budget(self):
+        # 1 + t^3 + t^20 is primitive over F_2, so its least power is 2^20 - 1
+        content = [1, 0, 0, 1] + [0] * 16 + [1]
+        assert witness_power(content, 1, 2) == (2 ** 20 - 1, content)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_agrees_with_the_walk_over_every_power(self, p):
+        rng = random.Random(f"witness:{p}")
+        for i in range(520):
+            content, step = _random_content(rng, p), (1, 2, 3, 4, 6)[i % 5]
+            assert witness_power(content, step, p) == _walk_witness_power(content, step, p)
+
+    def test_past_the_step_budget_is_a_resource_limit(self, monkeypatch):
+        monkeypatch.setattr(laurent, "MAX_WITNESS_STEPS", 100)
+        with pytest.raises(ValidationError) as info:
+            witness_power([1, 1, 0, 0, 0, 0, 1], 1, 2)
+        assert [issue.code for issue in info.value.issues] == ["resource-limit"]
+
+    @pytest.mark.parametrize("content", [[1], [0, 1], [0, 1, 1]])
+    def test_unit_content_or_content_divisible_by_t_is_refused(self, content):
+        with pytest.raises(ValueError):
+            witness_power(content, 1, 2)
+
+
+def _walk_witness_power(content, step, p):
+    """The plain search over k = 1, 2, ...: one product, one division and
+    one gcd per power."""
+    _, t = _fp_divmod([0] * step + [1], content, p)
+    power = t
+    for k in range(1, p ** (len(content) - 1)):
+        common = _fp_gcd(content, _fp_sub(power, [1], p), p)
+        if len(common) > 1:
+            return k, common
+        power = _fp_divmod(_fp_mul(power, t, p), content, p)[1]
+    raise AssertionError("no witness power below p^deg")
+
+
+# Largest factor degree per p: with p^deg - 1 <= 1023 the walk stays short.
+_FACTOR_DEGREE = {2: 10, 3: 6, 5: 4, 7: 3}
+
+
+def _random_content(rng, p):
+    """Monic product of one to three random factors coprime to t, some of
+    them squared, of degree at most 12."""
+    content = [1]
+    while len(content) == 1:
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, _FACTOR_DEGREE[p])
+            factor = [rng.randint(1, p - 1)] + [rng.randrange(p) for _ in range(deg - 1)] + [1]
+            if rng.random() < 0.25:
+                factor = _fp_mul(factor, factor, p)
+            if len(content) + len(factor) - 2 <= 12:
+                content = _fp_mul(content, factor, p)
+    return _fp_monic(content, p)

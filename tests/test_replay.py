@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ergodec import Subspace, build_action, element, is_ergodic_element
+from ergodec import Subspace, build_action, element, is_ergodic_element, laurent
 from ergodec.cli import main
 from ergodec.encoding import encode_matrix, encode_subspace
 from ergodec.replay import replay_report
@@ -306,3 +306,19 @@ def test_malformed_common_factor_is_a_failure(tmp_path, capsys, exponent):
     for verdict in (results["directions"][0]["verdict"], results["group"]):
         verdict["certificate"]["data"]["common_factor"]["terms"][0][0] = [exponent]
     assert replay_report(report)["failures"] == ["common factor is not a Laurent polynomial"]
+
+
+@pytest.mark.parametrize("exponents", [[2.0, 1], ["1", 1], [1, 1, 1], [1], "11", None])
+def test_malformed_exponents_are_a_failure(tmp_path, capsys, exponents):
+    report = fresh_report(tmp_path, capsys, "find-ergodic", BLOCK_PAIR)
+    assert report["results"]["exponents"] == [1, 1]
+    report["results"]["exponents"] = exponents
+    assert replay_report(report)["failures"] == ["exponents are not one integer per generator"]
+
+
+def test_witness_search_past_its_budget_is_a_failure(tmp_path, capsys, monkeypatch):
+    report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
+    monkeypatch.setattr(laurent, "MAX_WITNESS_STEPS", 0)
+    failures = replay_report(report)["failures"]
+    assert failures and all(f.startswith("least witness power not re-derived: no witness "
+                                         "power up to") for f in failures)
