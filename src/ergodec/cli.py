@@ -89,12 +89,6 @@ class _CliExit(Exception):
         super().__init__(message)
 
 
-def _validation_message(path: str, exc: ValidationError) -> str:
-    details = "; ".join(
-        f"{i.code}{list(i.where) if i.where else ''}: {i.message}" for i in exc.issues)
-    return f"{path}: validation failed: {details}"
-
-
 def cmd_analyze(args, doc: dict, action) -> dict:
     if action.kind in ("toral", "solenoid"):
         generators = []
@@ -240,7 +234,9 @@ def main(argv=None) -> int:
         return exc.code
     except ValidationError as exc:
         # an invalid document, or a resource limit a command ran into
-        sys.stderr.write(_validation_message(args.file, exc) + "\n")
+        details = "; ".join(
+            f"{i.code}{list(i.where) if i.where else ''}: {i.message}" for i in exc.issues)
+        sys.stderr.write(f"{args.file}: validation failed: {details}\n")
         return 2
     except InternalCheckError as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
