@@ -14,8 +14,7 @@ rank r with d generators has an ergodic element whose exponents sum to
 at most r(d - 1) + 2 (Berend's argument).
 """
 
-from ergodec import (Matrix, element, find_ergodic_exponents,
-                     finite_orbit_subspace, is_ergodic_element,
+from ergodec import (Matrix, element, find_ergodic_exponents, is_ergodic_element,
                      is_ergodic_group, toral_action)
 
 
@@ -31,7 +30,7 @@ def main():
 
     group = is_ergodic_group(action)
     print(f"group verdict: {group.kind.value} "
-          f"(finite-orbit subspace dimension {finite_orbit_subspace(action).dim})")
+          f"(finite-orbit subspace dimension {action.finite_orbit_subspace.dim})")
 
     exps, verdict = find_ergodic_exponents(action)
     bound = action.dim * (action.n_generators - 1) + 2

@@ -9,8 +9,7 @@ no finite orbit outside the engine's finite-orbit subspace, no failed
 enumeration inside it.
 """
 
-from ergodec import (cross_validate, finite_orbit_subspace, orbit_bfs,
-                     toral_action)
+from ergodec import cross_validate, orbit_bfs, toral_action
 
 
 def main():
@@ -25,7 +24,7 @@ def main():
 
     for name, action in (("fibonacci", fib),
                          ("shear", toral_action([[[1, 1], [0, 1]]]))):
-        fixed = finite_orbit_subspace(action)
+        fixed = action.finite_orbit_subspace
         report = cross_validate(action, norm_bound=3, cap=100_000)
         print(f"{name}: finite-orbit subspace dim {fixed.dim}; "
               f"{report['characters_checked']} characters checked, "

@@ -225,6 +225,12 @@ def dual_element(action, exponents) -> Matrix:
     return action.dual_products[key]
 
 
+def ergodic_search_bound(action) -> int:
+    """Berend's bound r*(n - 1) + 2 for n generators of rank r: the largest
+    coordinate sum toral.find_ergodic_exponents searches and reports."""
+    return action.dim * (action.n_generators - 1) + 2
+
+
 def positive_vectors(n: int, total: int):
     """All-positive integer vectors with the given coordinate sum, in
     lexicographic order."""

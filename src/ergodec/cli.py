@@ -99,7 +99,8 @@ def cmd_analyze(args, doc: dict, action) -> dict:
                 "index": i + 1,
                 "ergodic": ergodic.to_payload(),
                 "distal": toral.is_distal_element(action, exps).to_payload(),
-                "mixing_of_all_orders": toral.mixing_flag(ergodic),
+                # a single ergodic automorphism is mixing of all orders
+                "mixing_of_all_orders": ergodic.is_ergodic,
             })
         group_ergodic = toral.is_ergodic_group(action)
         group_distal = toral.is_distal_group(action)

@@ -188,18 +188,14 @@ def euler_phi(d: int) -> int:
     return result
 
 
-def orders_with_totient_at_most(r: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def orders_with_totient_at_most(r: int) -> tuple:
     """All d >= 1 with euler_phi(d) <= r, in increasing order.
 
     phi(d) >= sqrt(d/2), so scanning d up to 2*r*r + 1 is exhaustive.
     """
     if r < 1:
         raise ValueError("rank must be positive")
-    return list(_orders_with_totient_at_most(r))
-
-
-@functools.lru_cache(maxsize=None)
-def _orders_with_totient_at_most(r: int) -> tuple:
     return tuple(d for d in range(1, 2 * r * r + 2) if euler_phi(d) <= r)
 
 

@@ -188,13 +188,9 @@ class LaurentPoly:
         return not self.terms
 
     @property
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    @property
     def is_unit(self) -> bool:
         # Monomials are the units of the Laurent ring.
-        return self.is_monomial
+        return len(self.terms) == 1
 
     @property
     def is_one(self) -> bool:

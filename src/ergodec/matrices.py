@@ -4,7 +4,8 @@ Everything here is arbitrary precision: entries are Python ints or
 fractions.Fraction.  Determinants use fraction-free Bareiss elimination,
 characteristic polynomials use the division-free Berkowitz recursion, and
 subspaces are kept in reduced row echelon form so that equality of
-subspaces is equality of representations.
+subspaces is equality of representations.  One primitive, induced, maps
+a matrix to a quotient of nested invariant subspaces, restrictions included.
 
 Elimination is integer-first: rref scales each row to integers and
 eliminates by cross-multiplication, and only the emitted rows are divided
@@ -21,7 +22,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .intpoly import (Polynomial, _norm_scalar, cyclotomic, cyclotomic_product,
-                      cyclotomic_split, euler_phi, _orders_with_totient_at_most)
+                      cyclotomic_split, euler_phi, orders_with_totient_at_most)
 
 
 class DimensionError(ValueError):
@@ -187,7 +188,7 @@ class Matrix:
     def spectrum(self) -> "Spectrum":
         """Root-of-unity eigenvalues, computed at most once per matrix."""
         cp = self.char_poly()
-        orders = _orders_with_totient_at_most(self.nrows)
+        orders = orders_with_totient_at_most(self.nrows)
         factors, rest = cyclotomic_split(cp, orders)
         return Spectrum(self, cp, orders, tuple(factors), rest)
 
@@ -332,12 +333,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
-    def coordinates(self, v) -> tuple:
-        """Coordinates of v in the echelon basis; v must lie in the span."""
-        if not self.contains(v):
-            raise ValueError("vector is not in the subspace")
-        return tuple(v[p] for p in self.pivots)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionError("ambient dimensions differ")
@@ -387,50 +382,19 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace.span(ncols, vectors)
 
 
-def restrict_matrix(m: Matrix, sub: Subspace) -> Matrix:
-    """Matrix of m restricted to an m-invariant subspace, in the
-    canonical echelon basis of the subspace."""
-    if sub.is_zero:
-        raise DimensionError("cannot restrict to the zero subspace")
-    cols = []
-    for v in sub.basis:
-        w = m.matvec(v)
-        if not sub.contains(w):
-            raise ValueError("subspace is not invariant under the matrix")
-        cols.append(sub.coordinates(w))
-    return Matrix.from_rows(list(zip(*cols)))
-
-
-def express_in(sub_outer: Subspace, sub_inner: Subspace) -> Subspace:
-    """Rewrite a subspace contained in sub_outer in the coordinates of
-    sub_outer's echelon basis."""
-    vecs = [sub_outer.coordinates(v) for v in sub_inner.basis]
-    return Subspace.span(sub_outer.dim, vecs)
-
-
-def quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
-    """Matrix induced by m on the quotient of the ambient space by an
-    m-invariant subspace, in the non-pivot coordinates."""
-    n = m.nrows
-    if not sub.is_invariant(m):
-        raise ValueError("subspace is not invariant under the matrix")
-    if sub.is_full:
-        raise DimensionError("quotient by the full space is zero-dimensional")
-    pivot_set = set(sub.pivots)
-    coords = [c for c in range(n) if c not in pivot_set]
-    cols = []
-    for c in coords:
-        e = tuple(1 if j == c else 0 for j in range(n))
-        w = sub.reduce(m.matvec(e))
-        cols.append(tuple(w[j] for j in coords))
-    return Matrix.from_rows(list(zip(*cols)))
-
-
-def stage_quotient(m: Matrix, outer: Subspace, inner: Subspace) -> Matrix:
-    """Matrix induced by m on outer/inner, for m-invariant subspaces
-    inner strictly inside outer, in the coordinates of outer's echelon
-    basis."""
-    return quotient_matrix(restrict_matrix(m, outer), express_in(outer, inner))
+def induced(m: Matrix, outer: Subspace, inner: Subspace) -> Matrix:
+    """Matrix induced by m on outer/inner, for m-invariant subspaces inner
+    inside outer, in the coordinates of outer's echelon basis that are not
+    pivots of inner.  Those basis vectors span the quotient, and an image
+    reduced by inner is zero at inner's pivots, which are outer's too."""
+    if not (outer.contains_subspace(inner) and outer.is_invariant(m)
+            and inner.is_invariant(m)):
+        raise ValueError("subspaces are not nested and invariant under the matrix")
+    basis = [(v, p) for v, p in zip(outer.basis, outer.pivots) if p not in inner.pivots]
+    if not basis:
+        raise DimensionError("the quotient is zero-dimensional")
+    images = [inner.reduce(m.matvec(v)) for v, _ in basis]
+    return Matrix.from_rows([[w[p] for w in images] for _, p in basis])
 
 
 def _powers(x: Matrix, k: int) -> list:
@@ -517,7 +481,7 @@ def quasi_unipotent_on(x: Matrix, sub: Subspace) -> bool:
     cyclotomic factors."""
     if sub.is_zero:
         return True
-    return restrict_matrix(x, sub).spectrum.rest.is_one
+    return induced(x, sub, Subspace.zero(sub.ambient)).spectrum.rest.is_one
 
 
 def walk_orbit(maps, start, cap: int, guard=None, known=None):

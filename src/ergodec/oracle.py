@@ -4,10 +4,11 @@ Orbits are walked character by character over the dual generators
 alone, and finiteness means the walk closed: a generator permutes any
 finite set it maps into itself, so a finite closure under the
 generators is the group orbit.  The oracle decides finiteness only by
-walking: it never consults the analytic finite-orbit subspace, except
-to compare against it.  A walk that gives up (too many characters
-visited, or coordinates past the size guard) certifies nothing; only
-the analytic side can assert an orbit is infinite.
+walking: it never consults the analytic finite-orbit subspace, the
+action's MatrixAction.finite_orbit_subspace, except to compare against
+it.  A walk that gives up (too many characters visited, or coordinates
+past the size guard) certifies nothing; only the analytic side can
+assert an orbit is infinite.
 
 Cross-validation first walks each generator's cycle through a
 character, one generator at a time, with matrices.walk_orbit over that
@@ -44,7 +45,6 @@ from operator import mul
 from .errors import Issue, ValidationError
 from .intpoly import max_torsion_order
 from .matrices import walk_orbit
-from .toral import finite_orbit_subspace
 
 DEFAULT_COORD_BITS = 64
 # Most nonzero characters a cross-validation box may hold: (2b+1)^r - 1
@@ -155,7 +155,7 @@ def cross_validate(action, norm_bound: int, cap: int,
     issue = box_limit_issue(action.dim, norm_bound)
     if issue is not None:
         raise ValidationError([issue])
-    fixed = finite_orbit_subspace(action)
+    fixed = action.finite_orbit_subspace
     maps = _orbit_maps(action)
     guard = 1 << max_coord_bits
     period_bound = max_torsion_order(action.dim)

@@ -20,12 +20,13 @@ import itertools
 import math
 
 from . import encoding
-from .actions import build_action, dual_element, element, positive_vectors
+from .actions import (build_action, dual_element, element, ergodic_search_bound,
+                      positive_vectors)
 from .errors import ValidationError
 from .intpoly import cyclotomic_product
 from .laurent import LaurentPoly, axis_directions, directions_in_shell, laurent_divides
-from .matrices import (Matrix, fixed_by_power, quasi_unipotent_on, quotient_matrix,
-                       stage_quotient, walk_orbit)
+from .matrices import (Matrix, Subspace, fixed_by_power, induced, quasi_unipotent_on,
+                       walk_orbit)
 from .oracle import box_characters, box_limit_issue
 
 
@@ -68,6 +69,19 @@ def _power_fixes(vector, matrix: Matrix, power: int) -> bool:
     return power > 0 and stop is None and power % len(seen) == 0
 
 
+def _witness_character(action, data: dict, failures: list):
+    """The certificate's witness character, or None with a failure
+    recorded unless it is a nonzero dual vector of exact scalars."""
+    try:
+        chi = encoding.decode_vector(data["character"])
+    except (TypeError, ValueError):
+        chi = ()
+    if not (isinstance(data["character"], list) and len(chi) == action.dim and any(chi)):
+        failures.append("witness character is not a nonzero character of the dual")
+        return None
+    return chi
+
+
 def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
                            failures: list) -> None:
     _check_kind(payload, slot, failures)
@@ -84,12 +98,15 @@ def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
         _check(not spectrum.singular_orders, failures,
                "a cyclotomic polynomial is singular at the matrix")
     elif kind == "witness-character":
-        chi = encoding.decode_vector(data["character"])
-        _check(any(x != 0 for x in chi), failures, "witness character is zero")
-        _check(data["power"] == math.lcm(*data["shared_orders"]), failures,
+        chi = _witness_character(action, data, failures)
+        _check(data["shared_orders"] == spectrum.orders, failures,
+               "shared orders are not the orders of the root-of-unity eigenvalues")
+        power = math.lcm(*spectrum.orders)
+        _check(data["power"] == power, failures,
                "stated power is not the lcm of the shared orders")
-        _check(_power_fixes(chi, b, data["power"]), failures,
-               "witness character is not fixed by the stated power")
+        if chi is not None:
+            _check(_power_fixes(chi, b, power), failures,
+                   "witness character is not fixed by the stated power")
     elif kind == "cyclotomic-char-poly":
         _check(cyclotomic_product(data["factors"]) == spectrum.char_poly, failures,
                "cyclotomic factors do not multiply to the characteristic polynomial")
@@ -109,7 +126,6 @@ def _replay_first_ergodic(action, exponents: tuple, failures: list) -> None:
     lexicographic order, has a dual element with a root-of-unity
     eigenvalue, so its element is not ergodic."""
     n = action.n_generators
-    _check(min(exponents) > 0, failures, "exponents are not all positive")
     earlier = itertools.takewhile(lambda v: v != exponents, itertools.chain.from_iterable(
         positive_vectors(n, total) for total in range(n, sum(exponents) + 1)))
     _check(all(dual_element(action, v).spectrum.orders for v in earlier), failures,
@@ -126,10 +142,14 @@ def replay_group_verdict(action, payload: dict, slot: tuple, failures: list) -> 
         _check(action.finite_orbit_subspace.is_zero, failures,
                "finite-orbit subspace is not zero")
     elif kind == "witness-character":
-        chi = encoding.decode_vector(data["character"])
-        _check(any(x != 0 for x in chi), failures, "witness character is zero")
+        power = math.lcm(*(o for d in duals for o in d.spectrum.orders))
+        _check(data["power"] == power, failures,
+               "stated power is not the lcm of the generators' root-of-unity orders")
+        chi = _witness_character(action, data, failures)
+        if chi is None:
+            return  # the orbit checks walk from it
         for d in duals:
-            _check(_power_fixes(chi, d, data["power"]), failures,
+            _check(_power_fixes(chi, d, power), failures,
                    "witness character is not fixed by a generator power")
         orbit = {encoding.decode_vector(v) for v in data["orbit"]}
         _check(len(orbit) == data["orbit_size"], failures, "orbit size mismatch")
@@ -168,7 +188,8 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
     _check(payload["quotient_has_no_finite_orbit"] is True
            and (sub.is_full
                 or (action.finite_orbit_subspace if sub.is_zero
-                    else fixed_by_power([quotient_matrix(d, sub) for d in duals])).is_zero),
+                    else fixed_by_power([induced(d, Subspace.full(action.dim), sub)
+                                         for d in duals])).is_zero),
            failures, "quotient has a finite-orbit character")
 
 
@@ -197,7 +218,7 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
     for d, (prev, cur) in zip(duals, zip(chain, chain[1:])):
         if prev.dim == cur.dim:
             continue
-        _check(fixed_by_power([stage_quotient(d, prev, cur)]).is_zero, failures,
+        _check(fixed_by_power([induced(d, prev, cur)]).is_zero, failures,
                "stage quotient has a finite-orbit character")
     _check(all(quasi_unipotent_on(d, chain[-1]) for d in duals), failures,
            "a generator is not quasi-unipotent on the residual")
@@ -357,11 +378,11 @@ def replay_report(report: dict, action=None) -> dict:
             checked += 1
         else:
             entries = results["directions"]
-            _check([tuple(e["direction"]) for e in entries] == axis_directions(action.nvars),
+            axes = axis_directions(action.nvars)
+            _check([e["direction"] for e in entries] == [list(a) for a in axes],
                    failures, "directions are not the coordinate axes in order")
-            for entry in entries:
-                replay_laurent_verdict(action, tuple(entry["direction"]), entry["verdict"],
-                                       _ERGODIC_SLOT, failures)
+            for axis, entry in zip(axes, entries):
+                replay_laurent_verdict(action, axis, entry["verdict"], _ERGODIC_SLOT, failures)
                 checked += 1
             if action.nvars == 1 and entries:
                 # the group of u alone is the translation by u, replayed above
@@ -379,6 +400,10 @@ def replay_report(report: dict, action=None) -> dict:
             if not (isinstance(exps, list) and len(exps) == action.n_generators
                     and all(type(x) is int for x in exps)):
                 failures.append("exponents are not one integer per generator")
+            elif min(exps) < 1 or sum(exps) > ergodic_search_bound(action):
+                # checked before any power is formed: a huge exponent
+                # would make the element's entries huge
+                failures.append("exponents are not positive within the search bound")
             else:
                 exps = tuple(exps)
                 _check(results["element_matrix"]
@@ -392,10 +417,16 @@ def replay_report(report: dict, action=None) -> dict:
             replay_laurent_verdict(action, _group_direction(action), results["group"],
                                    _ERGODIC_SLOT, failures)
             checked += 1
-            direction = tuple(results["direction"])
-            replay_laurent_verdict(action, direction, results["verdict"], ("ergodic",),
-                                   failures)
-            _replay_first_direction(action, direction, flags.get("search-box", 0), failures)
+            direction = results["direction"]
+            if not (isinstance(direction, list) and len(direction) == action.nvars
+                    and all(type(x) is int for x in direction)):
+                failures.append("direction is not one integer per variable")
+            else:
+                direction = tuple(direction)
+                replay_laurent_verdict(action, direction, results["verdict"], ("ergodic",),
+                                       failures)
+                _replay_first_direction(action, direction, flags.get("search-box", 0),
+                                        failures)
             checked += 1
     elif command == "filtration":
         replay_filtration(action, results, failures)

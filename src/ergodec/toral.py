@@ -11,7 +11,9 @@ quasi-unipotent exactly when c(X)**r = 0.  Every operation returns a
 verdict with a certificate that can be replayed by exact linear algebra
 alone, and each order d is detected by two independent routes asserted
 to agree: cyclotomic(d) divides the characteristic polynomial, and
-cyclotomic(d) at X is singular.
+cyclotomic(d) at X is singular.  The group's finite-orbit subspace is
+the action's own MatrixAction.finite_orbit_subspace, and each filtration
+stage is checked on the map matrices.induced gives on its quotient.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import encoding
-from .actions import dual_element, positive_vectors
+from .actions import dual_element, ergodic_search_bound, positive_vectors
 from .errors import InternalCheckError, NotErgodicGroupError
-from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, kernel,
-                       quasi_unipotent_on, stage_quotient, walk_orbit)
+from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, induced, kernel,
+                       quasi_unipotent_on, walk_orbit)
 
 _ORBIT_ENUMERATION_CAP = 200_000
 
@@ -142,13 +144,6 @@ def is_distal_element(action, exponents) -> Verdict:
     return Verdict(VerdictKind.NOT_DISTAL, cert)
 
 
-def finite_orbit_subspace(action) -> Subspace:
-    """Characters of the dual space whose group orbit is finite: the
-    common kernel of the cyclotomic parts of the dual generators,
-    computed once per action."""
-    return action.finite_orbit_subspace
-
-
 def _enumerate_finite_orbit(action, chi):
     """Full group orbit of a character known to be finite: the closed
     walk over the dual generators.  Each generator permutes a finite
@@ -162,7 +157,7 @@ def _enumerate_finite_orbit(action, chi):
 
 def is_ergodic_group(action) -> Verdict:
     """Group ergodicity: no nonzero character with a finite orbit."""
-    fixed = finite_orbit_subspace(action)
+    fixed = action.finite_orbit_subspace
     if fixed.is_zero:
         return Verdict(VerdictKind.ERGODIC, Certificate("zero-finite-orbit-subspace", {}))
     witness = _witness_vector(action, fixed)
@@ -204,7 +199,7 @@ def largest_ergodic_subgroup(action):
     Returns (subspace, report).
     """
     duals = action.dual_generators
-    w = finite_orbit_subspace(action)
+    w = action.finite_orbit_subspace
     if not w.is_zero:
         w = kernel(Matrix.from_rows(
             [row for d in duals for row in d.spectrum.unipotent_power.rows]))
@@ -237,7 +232,7 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
                 raise InternalCheckError("stage subspace is not invariant")
         # no nonzero character of the stage quotient has a finite d-orbit
         if (w_prev.dim != w_i.dim
-                and not fixed_by_power([stage_quotient(d, w_prev, w_i)]).is_zero):
+                and not fixed_by_power([induced(d, w_prev, w_i)]).is_zero):
             raise InternalCheckError("stage quotient carries a finite-orbit character")
         attributions.append({
             "stage": i,
@@ -277,16 +272,10 @@ def find_ergodic_exponents(action):
     if not group.is_ergodic:
         raise NotErgodicGroupError(group.to_payload())
     n = action.n_generators
-    bound = action.dim * (n - 1) + 2
+    bound = ergodic_search_bound(action)
     for total in range(n, bound + 1):
         for exps in positive_vectors(n, total):
             v = is_ergodic_element(action, exps)
             if v.is_ergodic:
                 return exps, v
     raise InternalCheckError(f"no ergodic element within coordinate sum {bound}")
-
-
-def mixing_flag(verdict: Verdict) -> bool:
-    """A single ergodic automorphism of a compact group is mixing of all
-    orders; this flag only reflects the ergodicity verdict."""
-    return verdict.is_ergodic

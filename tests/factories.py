@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import random
 
-from ergodec import Matrix, orders_with_totient_at_most, product_counterexample
+from ergodec import Matrix, product_counterexample
 from ergodec.encoding import encode_matrix
+from ergodec.intpoly import orders_with_totient_at_most
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 5) -> Matrix:

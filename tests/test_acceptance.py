@@ -10,14 +10,14 @@ import time
 
 from ergodec import (LaurentPoly, Matrix, VerdictKind, cross_validate, cyclotomic, dual_element,
                      ergodic_distal_filtration, find_ergodic_direction,
-                     find_ergodic_exponents, finite_orbit_subspace,
-                     direction_is_ergodic, group_is_ergodic, is_distal_element,
-                     is_distal_group, is_ergodic_element, is_ergodic_group,
-                     laurent_cyclic_action, laurent_divides,
-                     direction_power_minus_one, orders_with_totient_at_most,
-                     poly_gcd, product_counterexample, toral_action)
+                     find_ergodic_exponents, direction_is_ergodic, group_is_ergodic,
+                     is_distal_element, is_distal_group, is_ergodic_element,
+                     is_ergodic_group, laurent_cyclic_action, product_counterexample,
+                     toral_action)
 from ergodec.cli import main
 from ergodec.encoding import decode_laurent
+from ergodec.intpoly import orders_with_totient_at_most, poly_gcd
+from ergodec.laurent import direction_power_minus_one, laurent_divides
 from ergodec.replay import replay_filtration, replay_report
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, counterexample_doc, ergodic_distal_pair, fibonacci_matrix,
@@ -170,7 +170,7 @@ def test_criterion_06_commuting_unipotent_distality():
         gens = commuting_unipotent_family(rng, max_dim=6)
         act = toral_action(gens)
         assert is_distal_group(act).kind == VerdictKind.DISTAL
-        assert not finite_orbit_subspace(act).is_zero
+        assert not act.finite_orbit_subspace.is_zero
     elapsed = budget.check()
     print(f"PASS criterion 6: 100 commuting unipotent families distal with "
           f"nonzero finite-orbit subspace ({elapsed:.1f}s)")

@@ -13,10 +13,9 @@ from fractions import Fraction
 import pytest
 
 from ergodec import (LaurentPoly, Matrix, Subspace, content_along, direction_is_ergodic,
-                     laurent_cyclic_action, largest_ergodic_subgroup,
-                     orders_with_totient_at_most, solenoid_action)
+                     laurent_cyclic_action, largest_ergodic_subgroup, solenoid_action)
 from ergodec.encoding import decode_laurent
-from ergodec.intpoly import cyclotomic_split
+from ergodec.intpoly import cyclotomic_split, orders_with_totient_at_most
 from ergodec.laurent import _fp_gcd
 from ergodec.matrices import fixed_by_power, rref, singular_cyclotomic_orders
 from factories import (commuting_mixed_family, commuting_unipotent_family,

@@ -44,14 +44,15 @@ class TestRootOfUnityLcm:
         assert root_of_unity_lcm(4) == 120
 
     def test_order_lists(self):
-        assert orders_with_totient_at_most(1) == [1, 2]
-        assert orders_with_totient_at_most(2) == [1, 2, 3, 4, 6]
-        assert orders_with_totient_at_most(4) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+        assert orders_with_totient_at_most(1) == (1, 2)
+        assert orders_with_totient_at_most(2) == (1, 2, 3, 4, 6)
+        assert orders_with_totient_at_most(4) == (1, 2, 3, 4, 5, 6, 8, 10, 12)
 
-    def test_order_list_is_fresh_per_call(self):
+    def test_cached_order_list_cannot_be_altered(self):
         orders = orders_with_totient_at_most(2)
-        orders.append(7)
-        assert orders_with_totient_at_most(2) == [1, 2, 3, 4, 6]
+        with pytest.raises(AttributeError):
+            orders.append(7)
+        assert orders_with_totient_at_most(2) == (1, 2, 3, 4, 6)
 
     def test_against_wide_scan_oracle(self):
         # Scan far beyond the implementation's cutoff to confirm no order
@@ -59,8 +60,8 @@ class TestRootOfUnityLcm:
         for r in range(1, 8):
             wide = [d for d in range(1, 10 * r * r + 10)
                     if phi_by_counting(d) <= r]
-            assert orders_with_totient_at_most(r) == [
-                d for d in wide if d <= 2 * r * r + 1]
+            assert orders_with_totient_at_most(r) == tuple(
+                d for d in wide if d <= 2 * r * r + 1)
             assert math.lcm(*wide) == root_of_unity_lcm(r)
 
 

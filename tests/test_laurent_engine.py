@@ -4,11 +4,10 @@ import pytest
 
 from ergodec import laurent_engine
 from ergodec import (LaurentPoly, NotErgodicGroupError, VerdictKind,
-                     direction_is_ergodic, direction_power_minus_one,
-                     find_ergodic_direction, group_is_ergodic, laurent_cyclic_action,
-                     laurent_divides, orbit_probe)
+                     direction_is_ergodic, find_ergodic_direction, group_is_ergodic,
+                     laurent_cyclic_action, orbit_probe)
 from ergodec.encoding import decode_laurent
-from ergodec.laurent import directions_in_shell
+from ergodec.laurent import direction_power_minus_one, directions_in_shell, laurent_divides
 
 
 def lp(p, nvars, terms):

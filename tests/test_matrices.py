@@ -5,9 +5,8 @@ import pytest
 
 from ergodec.intpoly import Polynomial
 from ergodec.matrices import (DimensionError, Matrix, Subspace, _poly_at, _powers,
-                              express_in, fixed_by_power, kernel, quotient_matrix,
-                              restrict_matrix, singular_cyclotomic_orders,
-                              stage_quotient, walk_orbit)
+                              fixed_by_power, induced, kernel,
+                              singular_cyclotomic_orders, walk_orbit)
 from factories import fibonacci_matrix, random_unimodular
 
 
@@ -243,23 +242,39 @@ class TestQuotients:
     def test_restriction_in_invariant_plane(self):
         m = Matrix.block_diag(fibonacci_matrix(), Matrix.identity(2))
         plane = Subspace.span(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-        assert restrict_matrix(m, plane) == fibonacci_matrix()
+        assert induced(m, plane, Subspace.zero(4)) == fibonacci_matrix()
 
     def test_restriction_requires_invariance(self):
         m = fibonacci_matrix()
         line = Subspace.span(2, [(1, 0)])
         with pytest.raises(ValueError):
-            restrict_matrix(m, line)
+            induced(m, line, Subspace.zero(2))
 
     def test_quotient_of_block_matrix(self):
         m = Matrix.block_diag(Matrix.identity(2), fibonacci_matrix())
         plane = Subspace.span(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-        assert quotient_matrix(m, plane) == fibonacci_matrix()
+        assert induced(m, Subspace.full(4), plane) == fibonacci_matrix()
 
-    def test_express_in_coordinates(self):
+    def test_inner_in_outer_coordinates(self):
+        # the swap of the first two coordinates keeps (1, 1, 0) and the
+        # plane z = 0; on their quotient e2 = -e1, so e2 maps to e1 = -e2
+        swap = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         outer = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
         inner = Subspace.span(3, [(1, 1, 0)])
-        assert express_in(outer, inner).basis == ((1, 1),)
+        assert induced(swap, outer, inner) == Matrix.from_rows([[-1]])
+
+    def test_nesting_and_dimension_are_checked(self):
+        swap = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        plane = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
+        axis = Subspace.span(3, [(0, 0, 1)])
+        with pytest.raises(ValueError):
+            induced(swap, plane, axis)  # not nested
+        with pytest.raises(ValueError):
+            induced(swap, plane, Subspace.span(3, [(1, 0, 0)]))  # not invariant
+        with pytest.raises(DimensionError):
+            induced(swap, plane, plane)
+        with pytest.raises(DimensionError):
+            induced(swap, Subspace.zero(3), Subspace.zero(3))
 
 
 class TestFiniteOrbitPrimitives:
@@ -292,10 +307,10 @@ class TestFiniteOrbitPrimitives:
     def test_stage_quotient_of_block_matrix(self):
         m = Matrix.block_diag(Matrix.identity(2), fibonacci_matrix())
         plane = Subspace.span(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-        assert stage_quotient(m, Subspace.full(4), plane) == fibonacci_matrix()
-        assert stage_quotient(m, Subspace.full(4), Subspace.zero(4)) == m
+        assert induced(m, Subspace.full(4), plane) == fibonacci_matrix()
+        assert induced(m, Subspace.full(4), Subspace.zero(4)) == m
         line = Subspace.span(4, [(1, 0, 0, 0)])
-        assert stage_quotient(m, plane, line) == Matrix.identity(1)
+        assert induced(m, plane, line) == Matrix.identity(1)
 
     def test_walk_orbit_stops(self):
         rot = Matrix.from_rows([[0, -1], [1, 0]]).matvec

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ergodec import (Matrix, ValidationError, VerdictKind, cross_validate, element,
-                     find_ergodic_exponents, finite_orbit_subspace, is_ergodic_element,
+                     find_ergodic_exponents, is_ergodic_element,
                      is_ergodic_group, oracle, orbit_bfs, product_counterexample,
                      solenoid_action, toral_action)
 from ergodec.intpoly import max_torsion_order
@@ -41,7 +41,7 @@ def reference_cross_validate(action, norm_bound, cap):
     """The counts and failures of cross_validate, walking every box
     character's whole orbit breadth-first on its own."""
     maps = [d.matvec for d in action.dual_generators]
-    fixed = finite_orbit_subspace(action)
+    fixed = action.finite_orbit_subspace
     finite = exceeded = 0
     failures = []
     for chi in itertools.product(range(-norm_bound, norm_bound + 1), repeat=action.dim):
@@ -171,7 +171,7 @@ class TestCrossValidate:
             report = cross_validate(act, 2, 50_000)
             assert report["failures"] == []
             assert report["consistent"]
-            if finite_orbit_subspace(act).is_zero:
+            if act.finite_orbit_subspace.is_zero:
                 assert report["finite_orbits"] == 0
 
 
@@ -242,7 +242,7 @@ class TestPeriodBound:
         assert walk_orbit(maps, chi, 12, 1 << 64)[1] is None
         assert walk_orbit(maps, chi, 11, 1 << 64)[1] == "visited-cap"
         report = cross_validate(act, 1, 100)
-        fixed = finite_orbit_subspace(act)
+        fixed = act.finite_orbit_subspace
         inside = sum(fixed.contains(chi) for chi in
                      itertools.product(range(-1, 2), repeat=4) if any(chi))
         assert (report["finite_orbits"], report["exceeded"]) == (inside, 0) == (80, 0)
@@ -269,8 +269,7 @@ class TestGiveUpReasons:
 
     @staticmethod
     def reasons(monkeypatch, action, cap, **kwargs):
-        monkeypatch.setattr(oracle, "finite_orbit_subspace",
-                            lambda act: Subspace.full(act.dim))
+        monkeypatch.setitem(vars(action), "finite_orbit_subspace", Subspace.full(action.dim))
         report = cross_validate(action, 1, cap, **kwargs)
         assert len(report["failures"]) == report["exceeded"] > 0
         return {f["reason"] for f in report["failures"]}

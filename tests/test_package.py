@@ -27,6 +27,25 @@ def test_library_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module binds by import is read somewhere in it; the
+    package's __init__ imports only to re-export."""
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert unused == []
+
+
 def test_every_export_resolves():
     assert [name for name in ergodec.__all__ if not hasattr(ergodec, name)] == []
 

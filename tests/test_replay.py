@@ -187,6 +187,14 @@ def _found_direction(direction):
     return tamper
 
 
+def _rotation_shared_orders(orders, power):
+    def tamper(results):
+        data = results["generators"][0]["ergodic"]["certificate"]["data"]
+        assert (data["shared_orders"], data["power"]) == ([4], 4)
+        data["shared_orders"], data["power"] = orders, power
+    return tamper
+
+
 def _zero_found_direction(results):
     results["direction"] = [0, 0]
     results["verdict"]["certificate"]["data"]["direction"] = [0, 0]
@@ -204,6 +212,10 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("analyze", FIB_TWICE, (), _set("group", "distal", "certificate", "data", "generator", 2)),
     ("analyze", FIB, (), _forged_distal_group),
     ("analyze", IDENTITY, (), _group_orbit_superset),
+    # each power below fixes the rotation's witness, so only the orders are wrong
+    ("analyze", ROTATION, (), _rotation_shared_orders([8], 8)),
+    ("analyze", ROTATION, (), _rotation_shared_orders([1, 4], 4)),
+    ("analyze", ROTATION, (), _set("group", "ergodic", "certificate", "data", "power", 12)),
     ("find-ergodic", FIB, (), _set("element_matrix", [[1, 1], [1, 2]])),
     ("find-ergodic", BLOCK_PAIR, (), _later_ergodic_vector),
     ("filtration", FIB_TWICE, (), _set("dims", [2, 1, 0])),
@@ -241,7 +253,9 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("find-ergodic", PLANTED_DIAGONAL, (), _later_ergodic_direction),
     ("analyze", LEDRAPPIER, (), _direction_free_witness_in_group),
 ], ids=["mixing-flag", "verdict-kind", "verdict-slot", "generator-index", "generator-count",
-        "not-distal-generator", "distal-group-kind", "group-orbit", "element-matrix",
+        "not-distal-generator", "distal-group-kind", "group-orbit",
+        "element-shared-orders-multiple", "element-shared-orders-extra", "group-power-multiple",
+        "element-matrix",
         "first-vector",
         "filtration-dims",
         "attribution-stage", "attribution-generator", "attribution-dim-from",
@@ -314,6 +328,40 @@ def test_malformed_exponents_are_a_failure(tmp_path, capsys, exponents):
     assert report["results"]["exponents"] == [1, 1]
     report["results"]["exponents"] = exponents
     assert replay_report(report)["failures"] == ["exponents are not one integer per generator"]
+
+
+@pytest.mark.parametrize("exponents", [[10 ** 6, 1], [-10 ** 6, 1], [0, 1]])
+def test_exponents_past_the_search_bound_are_one_failure(tmp_path, capsys, exponents):
+    # refused before any power is formed: 10**6 would take minutes
+    report = fresh_report(tmp_path, capsys, "find-ergodic", BLOCK_PAIR)
+    report["results"]["exponents"] = exponents
+    assert replay_report(report)["failures"] == [
+        "exponents are not positive within the search bound"]
+
+
+@pytest.mark.parametrize("direction", ["x", [1.5, 0], ["1", 0], 5, None])
+def test_malformed_direction_is_a_failure(tmp_path, capsys, direction):
+    report = fresh_report(tmp_path, capsys, "find-ergodic", LEDRAPPIER)
+    report["results"]["direction"] = direction
+    assert replay_report(report)["failures"] == ["direction is not one integer per variable"]
+
+
+@pytest.mark.parametrize("direction", [5, None, "x"])
+def test_malformed_axis_direction_is_a_failure(tmp_path, capsys, direction):
+    report = fresh_report(tmp_path, capsys, "analyze", LEDRAPPIER)
+    report["results"]["directions"][0]["direction"] = direction
+    assert replay_report(report)["failures"] == [
+        "directions are not the coordinate axes in order"]
+
+
+@pytest.mark.parametrize("character", [["a", 1], 5, None, [1, 2, 3]])
+def test_malformed_witness_character_is_a_failure(tmp_path, capsys, character):
+    report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
+    results = report["results"]
+    for verdict in (results["generators"][0]["ergodic"], results["group"]["ergodic"]):
+        verdict["certificate"]["data"]["character"] = character
+    assert replay_report(report)["failures"] == [
+        "witness character is not a nonzero character of the dual"] * 2
 
 
 def test_witness_search_past_its_budget_is_a_failure(tmp_path, capsys, monkeypatch):
