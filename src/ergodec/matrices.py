@@ -6,6 +6,9 @@ characteristic polynomials use the division-free Berkowitz recursion, and
 subspaces are kept in reduced row echelon form so that equality of
 subspaces is equality of representations.  One primitive, induced, maps
 a matrix to a quotient of nested invariant subspaces, restrictions included.
+The whole space modulo zero is the matrix itself, so that quotient reads
+the spectrum the matrix caches; zero and the whole space are invariant
+under every matrix of their size without a product.
 
 Elimination is integer-first: rref scales each row to integers and
 eliminates by cross-multiplication, and only the emitted rows are divided
@@ -303,7 +306,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace.span(ambient, Matrix.identity(ambient).rows)
+        return Subspace(ambient, Matrix.identity(ambient).rows, tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -336,8 +339,10 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionError("ambient dimensions differ")
-        if self.is_zero or other.is_zero:
-            return Subspace.zero(self.ambient)
+        if self.is_full or other.is_zero:
+            return other
+        if other.is_full or self.is_zero:
+            return self
         cols = [list(v) for v in self.basis] + [[-x for x in v] for v in other.basis]
         system = Matrix.from_rows(list(zip(*cols)))
         sol = kernel(system)
@@ -352,7 +357,9 @@ class Subspace:
         return Subspace.span(self.ambient, vectors)
 
     def is_invariant(self, m: Matrix) -> bool:
-        return all(self.contains(m.matvec(v)) for v in self.basis)
+        if m.nrows != self.ambient or m.ncols != self.ambient:
+            raise DimensionError("matrix does not act on the ambient space")
+        return self.is_full or all(self.contains(m.matvec(v)) for v in self.basis)
 
     def integral_basis(self) -> tuple:
         """Basis with denominators cleared and integer gcd one per vector."""
@@ -386,10 +393,16 @@ def induced(m: Matrix, outer: Subspace, inner: Subspace) -> Matrix:
     """Matrix induced by m on outer/inner, for m-invariant subspaces inner
     inside outer, in the coordinates of outer's echelon basis that are not
     pivots of inner.  Those basis vectors span the quotient, and an image
-    reduced by inner is zero at inner's pivots, which are outer's too."""
+    reduced by inner is zero at inner's pivots, which are outer's too.
+
+    The whole space modulo zero gives m itself, not a copy: the echelon
+    basis of the whole space is the identity, and returning m keeps the
+    values m caches, its spectrum first."""
     if not (outer.contains_subspace(inner) and outer.is_invariant(m)
             and inner.is_invariant(m)):
         raise ValueError("subspaces are not nested and invariant under the matrix")
+    if outer.is_full and inner.is_zero:
+        return m
     basis = [(v, p) for v, p in zip(outer.basis, outer.pivots) if p not in inner.pivots]
     if not basis:
         raise DimensionError("the quotient is zero-dimensional")

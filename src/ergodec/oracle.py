@@ -79,6 +79,12 @@ def _compile_map(rows):
         return lambda v: (a * v[0] + b * v[1] + c * v[2],
                           d * v[0] + e * v[1] + f * v[2],
                           g * v[0] + h * v[1] + i * v[2])
+    if n == 4:
+        (a, b, c, d), (e, f, g, h), (i, j, k, m), (o, p, q, r) = rows
+        return lambda v: (a * v[0] + b * v[1] + c * v[2] + d * v[3],
+                          e * v[0] + f * v[1] + g * v[2] + h * v[3],
+                          i * v[0] + j * v[1] + k * v[2] + m * v[3],
+                          o * v[0] + p * v[1] + q * v[2] + r * v[3])
     return lambda v: tuple([sum(map(mul, row, v)) for row in rows])
 
 

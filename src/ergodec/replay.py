@@ -82,6 +82,17 @@ def _witness_character(action, data: dict, failures: list):
     return chi
 
 
+def _dual_subspace(action, encoded):
+    """The encoded subspace, or None unless it decodes to a subspace of
+    the dual: its ambient dimension is checked before any matrix acts on
+    it."""
+    try:
+        sub = encoding.decode_subspace(encoded)
+    except (TypeError, ValueError, KeyError):
+        return None
+    return sub if type(sub.ambient) is int and sub.ambient == action.dim else None
+
+
 def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
                            failures: list) -> None:
     _check_kind(payload, slot, failures)
@@ -151,7 +162,11 @@ def replay_group_verdict(action, payload: dict, slot: tuple, failures: list) -> 
         for d in duals:
             _check(_power_fixes(chi, d, power), failures,
                    "witness character is not fixed by a generator power")
-        orbit = {encoding.decode_vector(v) for v in data["orbit"]}
+        try:
+            orbit = {encoding.decode_vector(v) for v in data["orbit"]}
+        except (TypeError, ValueError):
+            failures.append("orbit is not a list of characters")
+            return
         _check(len(orbit) == data["orbit_size"], failures, "orbit size mismatch")
         seen, stop, _ = walk_orbit([d.matvec for d in duals], chi, len(orbit))
         _check(stop is None and seen == orbit, failures,
@@ -174,9 +189,12 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
     on W, so W lies in the common kernel of the c(D)**n, and (c) the
     quotient by W has no finite-orbit character, as it would if W were
     strictly inside that kernel."""
-    sub = encoding.decode_subspace(payload["subspace"])
+    sub = _dual_subspace(action, payload["subspace"])
+    if sub is None:
+        failures.append("subspace is not a subspace of the dual")
+        return
     duals = action.dual_generators
-    invariant = sub.ambient == action.dim and all(sub.is_invariant(d) for d in duals)
+    invariant = all(sub.is_invariant(d) for d in duals)
     _check(invariant, failures, "subspace is not invariant")
     if not invariant:
         return  # the restrictions and the quotient need it
@@ -194,9 +212,16 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
 
 
 def replay_filtration(action, payload: dict, failures: list) -> None:
-    chain = [encoding.decode_subspace(w) for w in payload["chain"]]
+    encoded = payload["chain"]
+    chain = [_dual_subspace(action, w) for w in encoded] if isinstance(encoded, list) else None
+    residual = _dual_subspace(action, payload["residual"])
+    if chain is None or None in chain or residual is None:
+        failures.append("chain or residual is not made of subspaces of the dual")
+        return  # every check below reads them
     duals = action.dual_generators
-    _check(len(chain) == len(duals) + 1, failures, "chain does not have one stage per generator")
+    if len(chain) != len(duals) + 1:
+        failures.append("chain does not have one stage per generator")
+        return  # stage i pairs with generator i
     _check(payload["dims"] == [w.dim for w in chain], failures,
            "dims differ from the chain's dimensions")
     _check(payload["attributions"] == [
@@ -209,7 +234,6 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
     _check(nested, failures, "chain is not decreasing")
     invariant = all(w.is_invariant(d) for w in chain for d in duals)
     _check(invariant, failures, "chain member is not invariant")
-    residual = encoding.decode_subspace(payload["residual"])
     _check(residual == chain[-1], failures, "residual differs from the chain tail")
     _check(payload["group_ergodic"] == residual.is_zero, failures,
            "group flag disagrees with the residual")

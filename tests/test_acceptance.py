@@ -2,6 +2,7 @@
 and enforcing its time budget.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -281,6 +282,32 @@ GOLDEN_COMMANDS = [
     ("find-ergodic", "product_r2.json"),
 ]
 
+# sha256 of each golden command's stdout, without and with --verify-report.
+# A change that keeps every report byte-identical keeps these digests.
+GOLDEN_SHA256 = {
+    ("analyze", "fib.json"): (
+        "c3aa06232d70aaf3932679a2d71dc7f8ee030860bcf9636393784e98711d1a58",
+        "fa0e64393c12380f61fc924d32be4d70fe17c1a9a5c889dbd6650681010ed004"),
+    ("analyze", "ledrappier.json"): (
+        "ee44ec98b5777b1cc25357555283254917dea8a9ef0887e2eac59c34e25a9dbd",
+        "63f912ab89a08a5f32525c23da86251e01afe371df83c9d50e5cd0d9ae078dc0"),
+    ("find-ergodic", "blockpair.json"): (
+        "6229420da435ca6765f024e425cd2e1b225e3e48e05273980271dd934d4dea77",
+        "12aed8cbf92cf6e68b0da37177de71c5a8b28660206ab0ff53434a217e1e03fd"),
+    ("find-ergodic", "ledrappier.json"): (
+        "35b78048d8a3128ad2c5e650f248682e1ee09ff50eee0577b347ea05c2d4bb3c",
+        "506ece5020faa3b699a170a5ff5b587addac513fe81e41c86579b9d2112a0ba8"),
+    ("filtration", "blockpair.json"): (
+        "f69eacc19bfaad00ba0b53c7953bb76bb329fc335bcec4853313dd2c8823d469",
+        "45a51b0cd17ea9f22d42523897b172e67dea307e9cafc93da5607f42340aa7e6"),
+    ("oracle-check", "fib.json"): (
+        "8c5d7de7cfc31a59eadb5b61067b8d0ded09a8bdda4f63cec83957b10f08921e",
+        "eb1878933fbef6ee238dc54f1cc7ff2d805d95cd1feb9c44b159080751fbb932"),
+    ("find-ergodic", "product_r2.json"): (
+        "a9ed837f8a36f29b5f4bf8329365dfc4ec28591ce2aefea49f5b1d4f5d3c20c2",
+        "2780eb03d368273143b1b995620827e6406d12a8ca35014facbf92b2b8dafd0a"),
+}
+
 
 def test_criterion_10_report_determinism_and_replay(tmp_path):
     budget = Budget(60.0)
@@ -320,3 +347,14 @@ def test_in_process_replay_equals_replay_on_a_fresh_action(tmp_path, capsys):
         verification = report.pop("verification")
         assert verification["failures"] == []
         assert verification == replay_report(report), args
+
+
+def test_golden_reports_are_pinned(tmp_path, capsys):
+    for name, doc in GOLDEN_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    for command, doc_name, *flags in GOLDEN_COMMANDS:
+        digests = []
+        for verify in ([], ["--verify-report"]):
+            assert main([command, str(tmp_path / doc_name), *flags, *verify]) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert tuple(digests) == GOLDEN_SHA256[command, doc_name], (command, doc_name)

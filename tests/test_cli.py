@@ -15,6 +15,9 @@ CLI = [sys.executable, "-m", "ergodec.cli"]
 
 FIB = {"type": "toral", "r": 2, "generators": [[[0, 1], [1, 1]]]}
 IDENTITY = {"type": "toral", "r": 2, "generators": [[[1, 0], [0, 1]]]}
+ROTATION = {"type": "toral", "r": 2, "generators": [[[0, -1], [1, 0]]]}
+ROTATION_AND_MINUS_I = {"type": "toral", "r": 2,
+                        "generators": [[[0, -1], [1, 0]], [[-1, 0], [0, -1]]]}
 NONCOMMUTING = {"type": "toral", "r": 2,
                 "generators": [[[1, 1], [0, 1]], [[0, 1], [1, 1]]]}
 BLOCK_PAIR = {"type": "toral", "r": 4, "generators": [
@@ -129,17 +132,23 @@ class TestAnalyze:
 
     def test_one_char_poly_per_generator(self, tmp_path, capsys, monkeypatch):
         # each dual generator's spectrum is split once, and in-process
-        # replay reads the same spectra on the same action
+        # replay reads the same spectra on the same action.  On a
+        # finite-order action the largest ergodic subgroup and the
+        # filtration's residual are the whole dual, and the restriction
+        # to the whole dual is the generator itself
         calls = []
         char_poly = matrices.Matrix.char_poly
         monkeypatch.setattr(matrices.Matrix, "char_poly",
                             lambda m: calls.append(m) or char_poly(m))
-        path = write(tmp_path, "pair.json", BLOCK_PAIR)
-        assert main(["analyze", path]) == 0
-        assert len(calls) == 2
-        calls.clear()
-        assert main(["analyze", path, "--verify-report"]) == 0
-        assert len(calls) == 2
+        for doc, commands in [(BLOCK_PAIR, ["analyze"]),
+                              (ROTATION, ["analyze", "filtration"]),
+                              (ROTATION_AND_MINUS_I, ["analyze", "filtration"])]:
+            path = write(tmp_path, "action.json", doc)
+            for command in commands:
+                for flags in ([], ["--verify-report"]):
+                    calls.clear()
+                    assert main([command, path, *flags]) == 0
+                    assert len(calls) == len(doc["generators"]), (doc, command, flags)
         capsys.readouterr()
 
     def test_no_cache_outlives_a_call(self, tmp_path, capsys, monkeypatch):

@@ -233,6 +233,16 @@ class TestSubspace:
             assert v.contains_subspace(w)
             assert u.contains_subspace(u.intersect(u))
 
+    def test_whole_space_is_the_identity_echelon_basis(self):
+        for n in (1, 2, 5):
+            assert Subspace.full(n) == Subspace.span(n, Matrix.identity(n).rows)
+
+    def test_intersection_with_the_whole_space_is_the_other_operand(self):
+        whole = Subspace.full(3)
+        for other in (Subspace.span(3, [(1, 2, 0), (0, 0, 1)]), Subspace.zero(3)):
+            assert whole.intersect(other) is other
+            assert other.intersect(whole) is other
+
     def test_integral_basis_clears_denominators(self):
         s = Subspace.span(2, [(Fraction(1, 3), Fraction(1, 6))])
         assert s.integral_basis() == ((2, 1),)
@@ -276,6 +286,17 @@ class TestQuotients:
         with pytest.raises(DimensionError):
             induced(swap, Subspace.zero(3), Subspace.zero(3))
 
+    @pytest.mark.parametrize("m", [Matrix.identity(2), Matrix.from_rows([[1, 0, 0]] * 2)],
+                             ids=["smaller", "non-square"])
+    def test_zero_and_whole_space_check_the_matrix_size(self, m):
+        # the whole space and zero are invariant without any matvec, but
+        # only under a matrix that acts on their ambient space
+        for sub in (Subspace.zero(3), Subspace.full(3)):
+            with pytest.raises(DimensionError):
+                sub.is_invariant(m)
+        with pytest.raises(DimensionError):
+            induced(m, Subspace.full(3), Subspace.zero(3))
+
 
 class TestFiniteOrbitPrimitives:
     def test_fixed_by_power_is_common_fixed_space(self):
@@ -308,7 +329,7 @@ class TestFiniteOrbitPrimitives:
         m = Matrix.block_diag(Matrix.identity(2), fibonacci_matrix())
         plane = Subspace.span(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
         assert induced(m, Subspace.full(4), plane) == fibonacci_matrix()
-        assert induced(m, Subspace.full(4), Subspace.zero(4)) == m
+        assert induced(m, Subspace.full(4), Subspace.zero(4)) is m
         line = Subspace.span(4, [(1, 0, 0, 0)])
         assert induced(m, plane, line) == Matrix.identity(1)
 

@@ -90,6 +90,16 @@ def assert_matches_reference(action, norm_bound, cap):
     return report
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_compiled_map_is_the_matvec(n):
+    rng = random.Random(n)
+    m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    apply_map = oracle._compile_map(m.rows)
+    for _ in range(20):
+        v = tuple(rng.randint(-5, 5) for _ in range(n))
+        assert apply_map(v) == m.matvec(v)
+
+
 class TestOrbitBfs:
     def test_identity_fixes_everything(self):
         act = toral_action([Matrix.identity(2)])

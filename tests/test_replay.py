@@ -370,3 +370,52 @@ def test_witness_search_past_its_budget_is_a_failure(tmp_path, capsys, monkeypat
     failures = replay_report(report)["failures"]
     assert failures and all(f.startswith("least witness power not re-derived: no witness "
                                          "power up to") for f in failures)
+
+
+@pytest.mark.parametrize("orbit", [5, None, [["a", 1]]])
+def test_malformed_group_orbit_is_a_failure(tmp_path, capsys, orbit):
+    report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
+    report["results"]["group"]["ergodic"]["certificate"]["data"]["orbit"] = orbit
+    assert replay_report(report)["failures"] == ["orbit is not a list of characters"]
+
+
+@pytest.mark.parametrize("subspace", [5, {"ambient": 2}, {"ambient": 3, "basis": []},
+                                      {"ambient": 2.0, "basis": []}])
+def test_malformed_largest_subgroup_is_a_failure(tmp_path, capsys, subspace):
+    report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
+    report["results"]["largest_ergodic_subgroup"]["subspace"] = subspace
+    assert replay_report(report)["failures"] == ["subspace is not a subspace of the dual"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("chain", 5), ("chain", [5, 5, 5]), ("residual", 5),
+    ("chain", [{"ambient": 2, "basis": ["a"]}] * 3),
+    ("residual", {"ambient": 2, "basis": [["a", 1]]}),
+], ids=["chain-scalar", "chain-of-scalars", "residual-scalar", "chain-basis",
+        "residual-basis"])
+def test_malformed_filtration_subspace_is_a_failure(tmp_path, capsys, key, value):
+    report = fresh_report(tmp_path, capsys, "filtration", FIB_TWICE)
+    report["results"][key] = value
+    assert replay_report(report)["failures"] == [
+        "chain or residual is not made of subspaces of the dual"]
+
+
+def test_filtration_in_the_wrong_dimension_is_a_failure(tmp_path, capsys):
+    # the whole space and zero of Q^3 pass every check on their own
+    # terms, and the zero and whole-space shortcuts act on neither, but
+    # they are not subspaces of the 2-torus's dual
+    report = fresh_report(tmp_path, capsys, "filtration", FIB)
+    results = report["results"]
+    assert results["dims"] == [2, 0]
+    results["chain"] = [encode_subspace(Subspace.full(3)), encode_subspace(Subspace.zero(3))]
+    results["residual"] = encode_subspace(Subspace.zero(3))
+    results["dims"] = [3, 0]
+    results["attributions"][0]["dim_from"] = 3
+    assert replay_report(report)["failures"] == [
+        "chain or residual is not made of subspaces of the dual"]
+
+
+def test_filtration_with_an_empty_chain_is_a_failure(tmp_path, capsys):
+    report = fresh_report(tmp_path, capsys, "filtration", FIB)
+    report["results"]["chain"] = []
+    assert replay_report(report)["failures"] == ["chain does not have one stage per generator"]
