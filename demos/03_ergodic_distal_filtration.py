@@ -18,7 +18,7 @@ from ergodec import (Matrix, ergodic_distal_filtration,
 def describe(name, generators):
     action = toral_action(generators)
     print(f"{name} (dimension {action.dim})")
-    w, _ = largest_ergodic_subgroup(action)
+    w = largest_ergodic_subgroup(action)
     print(f"  largest ergodic subgroup: dual annihilator dimension {w.dim}")
     chain = ergodic_distal_filtration(action)
     print(f"  filtration dims: {list(chain.dims())}")

@@ -29,7 +29,7 @@ from .errors import (InternalCheckError, NotErgodicGroupError, SearchExhaustedEr
                      ValidationError)
 from .laurent import axis_directions
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -104,12 +104,12 @@ def cmd_analyze(args, doc: dict, action) -> dict:
             })
         group_ergodic = toral.is_ergodic_group(action)
         group_distal = toral.is_distal_group(action)
-        subspace, sub_report = toral.largest_ergodic_subgroup(action)
         results = {
             "generators": generators,
             "group": {"ergodic": group_ergodic.to_payload(),
                       "distal": group_distal.to_payload()},
-            "largest_ergodic_subgroup": sub_report,
+            "largest_ergodic_subgroup": {
+                "subspace": encoding.encode_subspace(toral.largest_ergodic_subgroup(action))},
         }
     else:
         verdicts = [(direction, laurent_engine.direction_is_ergodic(action, direction))

@@ -12,6 +12,17 @@ and so shares the values that action caches: dual products and their
 spectra, the finite-orbit subspace, and Laurent contents and witness
 powers.  Each is a pure function of the input that the same code would
 recompute bit for bit, so every check still runs on the report's claims.
+
+Every finite-orbit and quasi-unipotence claim about a toral or solenoid
+report is checked with a generator's own c(D) and c(D)**r, c the
+product of D's distinct cyclotomic factors, which the spectrum caches:
+a character has a finite D-orbit exactly when c(D) kills it, and D is
+quasi-unipotent on an invariant subspace exactly when c(D)**r kills it.
+On a quotient of invariant subspaces the map c(D) induces has the same
+kernel as the quotient map's own cyclotomic part, since the other
+factors of c have no root there.  So replay walks no orbit and splits
+no characteristic polynomial beyond the generators' own, while the
+engine checks the same claims through the subquotients' spectra.
 """
 
 from __future__ import annotations
@@ -25,8 +36,7 @@ from .actions import (build_action, dual_element, element, ergodic_search_bound,
 from .errors import ValidationError
 from .intpoly import cyclotomic_product
 from .laurent import LaurentPoly, axis_directions, directions_in_shell, laurent_divides
-from .matrices import (Matrix, Subspace, fixed_by_power, induced, quasi_unipotent_on,
-                       walk_orbit)
+from .matrices import Matrix, Subspace, induced, kernel, walk_orbit
 from .oracle import box_characters, box_limit_issue
 
 
@@ -61,12 +71,28 @@ def _check_kind(payload: dict, slot: tuple, failures: list) -> None:
            "verdict kind is not the one its certificate proves")
 
 
-def _power_fixes(vector, matrix: Matrix, power: int) -> bool:
-    """matrix**power fixes vector: its cyclic orbit closes within the lcm
-    of the matrix's root-of-unity orders, and its length divides power."""
-    cap = math.lcm(*matrix.spectrum.orders)
-    seen, stop, _ = walk_orbit([matrix.matvec], tuple(vector), cap)
-    return power > 0 and stop is None and power % len(seen) == 0
+def _kills(m: Matrix, vectors) -> bool:
+    """m sends every one of the vectors to zero."""
+    return all(not any(m.matvec(v)) for v in vectors)
+
+
+def _fixed_by_lcm(vector, duals) -> bool:
+    """Each D**L fixes vector, L the lcm of D's orders: c(D) kills it.
+    The two are the same, as c divides x**L - 1 and every other factor
+    of x**L - 1 is invertible at D."""
+    return all(_kills(d.spectrum.cyclotomic_at, [vector]) for d in duals)
+
+
+def _all_quasi_unipotent(duals, sub: Subspace) -> bool:
+    """Every D is quasi-unipotent on the D-invariant sub: c(D)**r kills
+    it, so it lies in D's generalized eigenspaces for roots of unity."""
+    return sub.is_zero or all(_kills(d.spectrum.unipotent_power, sub.basis) for d in duals)
+
+
+def _check_two_routes(duals, failures: list) -> None:
+    """c(D) rests on orders the determinant route finds as well."""
+    _check(all(d.spectrum.singular_orders == d.spectrum.orders for d in duals), failures,
+           "cyclotomic division route and determinant route disagree")
 
 
 def _witness_character(action, data: dict, failures: list):
@@ -112,11 +138,11 @@ def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
         chi = _witness_character(action, data, failures)
         _check(data["shared_orders"] == spectrum.orders, failures,
                "shared orders are not the orders of the root-of-unity eigenvalues")
-        power = math.lcm(*spectrum.orders)
-        _check(data["power"] == power, failures,
+        _check_two_routes([b], failures)
+        _check(data["power"] == math.lcm(*spectrum.orders), failures,
                "stated power is not the lcm of the shared orders")
         if chi is not None:
-            _check(_power_fixes(chi, b, power), failures,
+            _check(_fixed_by_lcm(chi, [b]), failures,
                    "witness character is not fixed by the stated power")
     elif kind == "cyclotomic-char-poly":
         _check(cyclotomic_product(data["factors"]) == spectrum.char_poly, failures,
@@ -156,21 +182,12 @@ def replay_group_verdict(action, payload: dict, slot: tuple, failures: list) -> 
         power = math.lcm(*(o for d in duals for o in d.spectrum.orders))
         _check(data["power"] == power, failures,
                "stated power is not the lcm of the generators' root-of-unity orders")
+        _check_two_routes(duals, failures)
         chi = _witness_character(action, data, failures)
-        if chi is None:
-            return  # the orbit checks walk from it
-        for d in duals:
-            _check(_power_fixes(chi, d, power), failures,
+        if chi is not None:
+            # the power fixes chi under every generator, so its orbit is finite
+            _check(_fixed_by_lcm(chi, duals), failures,
                    "witness character is not fixed by a generator power")
-        try:
-            orbit = {encoding.decode_vector(v) for v in data["orbit"]}
-        except (TypeError, ValueError):
-            failures.append("orbit is not a list of characters")
-            return
-        _check(len(orbit) == data["orbit_size"], failures, "orbit size mismatch")
-        seen, stop, _ = walk_orbit([d.matvec for d in duals], chi, len(orbit))
-        _check(stop is None and seen == orbit, failures,
-               "orbit is not the witness's orbit under the generators")
     elif kind in ("all-generators-quasi-unipotent", "non-quasi-unipotent-generator"):
         distal = [d.spectrum.rest.is_one for d in duals]
         if kind == "all-generators-quasi-unipotent":
@@ -188,7 +205,8 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
     subspace W: (a) W is invariant, (b) every generator is quasi-unipotent
     on W, so W lies in the common kernel of the c(D)**n, and (c) the
     quotient by W has no finite-orbit character, as it would if W were
-    strictly inside that kernel."""
+    strictly inside that kernel: the maps the c(D) induce on it have no
+    common kernel."""
     sub = _dual_subspace(action, payload["subspace"])
     if sub is None:
         failures.append("subspace is not a subspace of the dual")
@@ -198,17 +216,16 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
     _check(invariant, failures, "subspace is not invariant")
     if not invariant:
         return  # the restrictions and the quotient need it
-    _check(payload["generators_quasi_unipotent_on_subspace"] is True
-           and all(quasi_unipotent_on(d, sub) for d in duals), failures,
+    _check(_all_quasi_unipotent(duals, sub), failures,
            "a generator is not quasi-unipotent on the subspace")
-    # the quotient by W = 0 is the space itself, whose finite-orbit
-    # subspace the action holds
-    _check(payload["quotient_has_no_finite_orbit"] is True
-           and (sub.is_full
-                or (action.finite_orbit_subspace if sub.is_zero
-                    else fixed_by_power([induced(d, Subspace.full(action.dim), sub)
-                                         for d in duals])).is_zero),
-           failures, "quotient has a finite-orbit character")
+    if sub.is_full:
+        return  # the quotient is zero
+    # the quotient by W = 0 is the space itself, and the action holds the
+    # common kernel of the c(D) there
+    common = action.finite_orbit_subspace if sub.is_zero else kernel(Matrix.from_rows(
+        [row for d in duals
+         for row in induced(d.spectrum.cyclotomic_at, Subspace.full(action.dim), sub).rows]))
+    _check(common.is_zero, failures, "quotient has a finite-orbit character")
 
 
 def replay_filtration(action, payload: dict, failures: list) -> None:
@@ -225,8 +242,7 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
     _check(payload["dims"] == [w.dim for w in chain], failures,
            "dims differ from the chain's dimensions")
     _check(payload["attributions"] == [
-        {"stage": i, "generator": i, "dim_from": prev.dim, "dim_to": cur.dim,
-         "ergodic_on_quotient": True}
+        {"stage": i, "generator": i, "dim_from": prev.dim, "dim_to": cur.dim}
         for i, (prev, cur) in enumerate(zip(chain, chain[1:]), start=1)], failures,
         "attributions do not match the chain stage by stage")
     _check(chain[0].is_full, failures, "chain does not start at the full space")
@@ -239,12 +255,10 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
            "group flag disagrees with the residual")
     if not (nested and invariant):
         return  # the stage quotients and the restriction to the tail need both
-    for d, (prev, cur) in zip(duals, zip(chain, chain[1:])):
-        if prev.dim == cur.dim:
-            continue
-        _check(fixed_by_power([induced(d, prev, cur)]).is_zero, failures,
-               "stage quotient has a finite-orbit character")
-    _check(all(quasi_unipotent_on(d, chain[-1]) for d in duals), failures,
+    _check(all(kernel(induced(d.spectrum.cyclotomic_at, prev, cur)).is_zero
+               for d, (prev, cur) in zip(duals, zip(chain, chain[1:])) if prev.dim != cur.dim),
+           failures, "stage quotient has a finite-orbit character")
+    _check(_all_quasi_unipotent(duals, chain[-1]), failures,
            "a generator is not quasi-unipotent on the residual")
 
 

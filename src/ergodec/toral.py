@@ -26,9 +26,7 @@ from . import encoding
 from .actions import dual_element, ergodic_search_bound, positive_vectors
 from .errors import InternalCheckError, NotErgodicGroupError
 from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, induced, kernel,
-                       quasi_unipotent_on, walk_orbit)
-
-_ORBIT_ENUMERATION_CAP = 200_000
+                       quasi_unipotent_on)
 
 
 class VerdictKind(str, Enum):
@@ -144,29 +142,17 @@ def is_distal_element(action, exponents) -> Verdict:
     return Verdict(VerdictKind.NOT_DISTAL, cert)
 
 
-def _enumerate_finite_orbit(action, chi):
-    """Full group orbit of a character known to be finite: the closed
-    walk over the dual generators.  Each generator permutes a finite
-    invariant set, so the set is closed under the inverses as well."""
-    maps = [d.matvec for d in action.dual_generators]
-    seen, stop, _ = walk_orbit(maps, chi, _ORBIT_ENUMERATION_CAP)
-    if stop is not None:
-        raise InternalCheckError("orbit enumeration exceeded the safety cap")
-    return sorted(seen)
-
-
 def is_ergodic_group(action) -> Verdict:
-    """Group ergodicity: no nonzero character with a finite orbit."""
+    """Group ergodicity: no nonzero character with a finite orbit.  The
+    witness lies in the kernel of every c(D), so the stated power, the
+    lcm of all the generators' orders, fixes it under each generator and
+    its orbit has at most power**n points."""
     fixed = action.finite_orbit_subspace
     if fixed.is_zero:
         return Verdict(VerdictKind.ERGODIC, Certificate("zero-finite-orbit-subspace", {}))
-    witness = _witness_vector(action, fixed)
-    orbit = _enumerate_finite_orbit(action, witness)
     cert = Certificate("witness-character", {
-        "character": encoding.encode_vector(witness),
+        "character": encoding.encode_vector(_witness_vector(action, fixed)),
         "power": math.lcm(*(d for x in action.dual_generators for d in x.spectrum.orders)),
-        "orbit_size": len(orbit),
-        "orbit": [encoding.encode_vector(v) for v in orbit],
     })
     return Verdict(VerdictKind.NOT_ERGODIC, cert)
 
@@ -195,8 +181,6 @@ def largest_ergodic_subgroup(action):
     zero exactly when no character has a finite orbit: on a nonzero
     invariant subquotient, commuting quasi-unipotent matrices always
     share a vector with a finite orbit.
-
-    Returns (subspace, report).
     """
     duals = action.dual_generators
     w = action.finite_orbit_subspace
@@ -208,12 +192,7 @@ def largest_ergodic_subgroup(action):
             raise InternalCheckError("common kernel is not invariant")
         if not quasi_unipotent_on(d, w):
             raise InternalCheckError("generator is not quasi-unipotent on the result")
-    report = {
-        "subspace": encoding.encode_subspace(w),
-        "quotient_has_no_finite_orbit": True,
-        "generators_quasi_unipotent_on_subspace": True,
-    }
-    return w, report
+    return w
 
 
 def ergodic_distal_filtration(action) -> FiltrationReport:
@@ -239,7 +218,6 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
             "generator": i,
             "dim_from": w_prev.dim,
             "dim_to": w_i.dim,
-            "ergodic_on_quotient": True,
         })
         chain.append(w_i)
         w_prev = w_i

@@ -14,7 +14,7 @@ import random
 
 from ergodec import Matrix, product_counterexample
 from ergodec.encoding import encode_matrix
-from ergodec.intpoly import orders_with_totient_at_most
+from ergodec.intpoly import cyclotomic, orders_with_totient_at_most
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 5) -> Matrix:
@@ -154,3 +154,22 @@ def counterexample_doc(radius: int) -> dict:
     action = product_counterexample(radius)
     return {"type": "toral", "r": action.dim,
             "generators": [encode_matrix(g) for g in action.generators]}
+
+
+def cyclotomic_blocks_doc(orders) -> dict:
+    """Action document of one finite-order generator: the block diagonal
+    of the companion matrices of the cyclotomic polynomials of the given
+    orders, conjugated by P = I with ones across the first row.  The
+    witness character e1 of the dual (P A P^-1)^T is carried by P^T to
+    the all-ones vector, which meets every block, so its orbit has
+    lcm(orders) points."""
+    blocks = []
+    for d in orders:
+        coeffs = cyclotomic(d).coeffs
+        n = len(coeffs) - 1
+        blocks.append(Matrix.from_rows(
+            [[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]))
+    a = Matrix.block_diag(*blocks)
+    p = Matrix.from_rows([[int(i == 0 or i == j) for j in range(a.nrows)]
+                          for i in range(a.nrows)])
+    return {"type": "toral", "r": a.nrows, "generators": [encode_matrix(conjugate(a, p))]}

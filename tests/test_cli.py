@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from ergodec import Verdict, actions, cli, laurent, matrices, toral
+from ergodec import Verdict, actions, build_action, cli, laurent, matrices, replay, toral
 from ergodec.cli import main
-from factories import counterexample_doc
+from factories import counterexample_doc, cyclotomic_blocks_doc
 
 CLI = [sys.executable, "-m", "ergodec.cli"]
 
@@ -30,6 +30,13 @@ F_CUBED = {"type": "toral", "r": 6, "generators": [
 COMPANION_16 = {"type": "toral", "r": 16, "generators": [
     [[1 if i == j + 1 else 0 for j in range(15)] + [{0: 1, 1: 3}.get(i, 0)]
      for i in range(16)]]}
+# the Fibonacci block beside a 2x2 identity
+FIB_IDENTITY = {"type": "toral", "r": 4, "generators": [
+    [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}
+# one finite-order generator whose witness orbit has lcm(5, ..., 16) =
+# 720720 points, and one of rank 26 with lcm(5, 7, 9, 11) = 3465
+FINITE_ORDER_46 = cyclotomic_blocks_doc((5, 7, 9, 11, 13, 16))
+FINITE_ORDER_26 = cyclotomic_blocks_doc((5, 7, 9, 11))
 LEDRAPPIER = {"type": "laurent", "p": 2, "d": 2, "g": [
     {"exponents": [0, 0], "coefficient": 1},
     {"exponents": [1, 0], "coefficient": 1},
@@ -135,20 +142,24 @@ class TestAnalyze:
         # replay reads the same spectra on the same action.  On a
         # finite-order action the largest ergodic subgroup and the
         # filtration's residual are the whole dual, and the restriction
-        # to the whole dual is the generator itself
+        # to the whole dual is the generator itself.  On fib + I the
+        # engine also splits the restriction to the identity block and,
+        # in filtration, the stage quotient; replay checks both through
+        # c(D) and splits neither
         calls = []
         char_poly = matrices.Matrix.char_poly
         monkeypatch.setattr(matrices.Matrix, "char_poly",
                             lambda m: calls.append(m) or char_poly(m))
-        for doc, commands in [(BLOCK_PAIR, ["analyze"]),
-                              (ROTATION, ["analyze", "filtration"]),
-                              (ROTATION_AND_MINUS_I, ["analyze", "filtration"])]:
+        for doc, counts in [(BLOCK_PAIR, {"analyze": 2}),
+                            (ROTATION, {"analyze": 1, "filtration": 1}),
+                            (ROTATION_AND_MINUS_I, {"analyze": 2, "filtration": 2}),
+                            (FIB_IDENTITY, {"analyze": 2, "filtration": 3})]:
             path = write(tmp_path, "action.json", doc)
-            for command in commands:
+            for command, count in counts.items():
                 for flags in ([], ["--verify-report"]):
                     calls.clear()
                     assert main([command, path, *flags]) == 0
-                    assert len(calls) == len(doc["generators"]), (doc, command, flags)
+                    assert len(calls) == count, (doc, command, flags)
         capsys.readouterr()
 
     def test_no_cache_outlives_a_call(self, tmp_path, capsys, monkeypatch):
@@ -437,24 +448,24 @@ class TestPinnedReports:
     certificates or the JSON layout leaves every one of them as it was."""
 
     @pytest.mark.parametrize("args,digest", [
-        (("analyze", "fib"), "dac21e1db8d141fb"),
-        (("analyze", "identity"), "ae9058a942d5747f"),
-        (("analyze", "block_pair"), "0cf773109f92b3d8"),
-        (("analyze", "shear"), "3c476f9e4d3aae84"),
-        (("analyze", "halves"), "bc228a77758449e6"),
-        (("analyze", "rational_pair"), "e0118ef7690afce3"),
-        (("analyze", "mixed_pair"), "b4dd0f39a3817ff4"),
+        (("analyze", "fib"), "3747f967dc27ce71"),
+        (("analyze", "identity"), "901b03f4e0895778"),
+        (("analyze", "block_pair"), "915688a4a710e616"),
+        (("analyze", "shear"), "879bb16d6e9d1370"),
+        (("analyze", "halves"), "adc882d6ad45c94e"),
+        (("analyze", "rational_pair"), "2742bd2e34345cdf"),
+        (("analyze", "mixed_pair"), "ce3b6910f142335c"),
         (("find-ergodic", "fib"), "1cd0270b57427acd"),
         (("find-ergodic", "block_pair"), "f608cf6e8bfc1b71"),
         (("find-ergodic", "halves"), "77cf62ef7fba8c88"),
         (("find-ergodic", "product_r1"), "bd3c2dd06fb54cff"),
         (("find-ergodic", "rational_pair"), "b82abb6e507a9bde"),
         (("find-ergodic", "mixed_pair"), "6cfdfda8ed2c9028"),
-        (("filtration", "block_pair"), "29b06a4895080047"),
-        (("filtration", "shear"), "73a869384ed3562c"),
-        (("filtration", "halves"), "2fdb86f7b800858d"),
-        (("filtration", "rational_pair"), "3e3bef801c5fd1fb"),
-        (("filtration", "mixed_pair"), "3ccb68ceee40444b"),
+        (("filtration", "block_pair"), "06afd7c81081cbaa"),
+        (("filtration", "shear"), "aee2dc7e538c1015"),
+        (("filtration", "halves"), "8dc4f0c92d7ef9c6"),
+        (("filtration", "rational_pair"), "ee7338bf43ed5516"),
+        (("filtration", "mixed_pair"), "8036e76e74d67708"),
         (("oracle-check", "block_pair", "--norm-bound", "1"), "d9f95ab2dc5c0044"),
         (("oracle-check", "shear", "--norm-bound", "2", "--cap", "200"), "cdc8398a95a8aa34"),
         (("oracle-check", "phi3_phi4", "--norm-bound", "1", "--cap", "100"), "a966c6fb028f132f"),
@@ -516,10 +527,33 @@ class TestRankWall:
         assert report["results"]["generators"][0]["ergodic"]["kind"] == "ergodic"
         assert report["verification"]["failures"] == []
 
+    def test_finite_order_rank_46_replays_without_walking_the_orbit(self, tmp_path, capsys):
+        # the witness orbit has 720720 points; replay checks c(D) chi = 0,
+        # and still checks the power
+        started = time.monotonic()
+        assert main(["analyze", write(tmp_path, "r46.json", FINITE_ORDER_46),
+                     "--verify-report"]) == 0
+        assert time.monotonic() - started < 5
+        report = json.loads(capsys.readouterr().out)
+        data = report["results"]["group"]["ergodic"]["certificate"]["data"]
+        assert data == {"character": [1] + [0] * 45, "power": 720720}
+        assert report.pop("verification")["failures"] == []
+        action = build_action(FINITE_ORDER_46)
+        for power in (360360, 1441440):
+            data["power"] = power
+            assert replay.replay_report(report, action)["failures"] == [
+                "stated power is not the lcm of the generators' root-of-unity orders"]
+
+    def test_finite_order_rank_26_report_is_small(self, tmp_path, capsys):
+        # the witness is one character, not its 3465-point orbit
+        assert main(["analyze", write(tmp_path, "r26.json", FINITE_ORDER_26)]) == 0
+        assert len(capsys.readouterr().out) < 10_000
+
     def test_rank_16_companion_filtration(self, tmp_path):
         res = run("filtration", write(tmp_path, "c16.json", COMPANION_16), "--verify-report")
         assert res.returncode == 0
         report = json.loads(res.stdout)
         assert report["results"]["dims"] == [16, 0]
-        assert report["results"]["attributions"][0]["ergodic_on_quotient"] is True
+        assert report["results"]["attributions"] == [
+            {"stage": 1, "generator": 1, "dim_from": 16, "dim_to": 0}]
         assert report["verification"]["failures"] == []

@@ -124,7 +124,7 @@ def test_finite_orbit_kernel_matches_sympy_nullspace(gens):
                                   if all(a * b == b * a for a in gens for b in gens)])
 def test_largest_ergodic_subgroup_matches_sympy_nullspace(gens):
     action = solenoid_action(gens)
-    w, _ = largest_ergodic_subgroup(action)
+    w = largest_ergodic_subgroup(action)
     assert w == sympy_common_kernel(action.dual_generators, action.dim) \
         == sympy_common_kernel(inverse_transposes(gens), action.dim)
 

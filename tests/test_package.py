@@ -66,3 +66,44 @@ def test_readme_matches_the_command_line():
     actual = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
               for name, sub in subparsers.choices.items()}
     assert documented == actual
+
+
+def _readme_table(readme: str, heading: str) -> list:
+    """The cells of the first table under heading, header rows dropped."""
+    section = readme.split(heading, 1)[1].lstrip("\n").split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines()[2:]]
+
+
+def _keys(cell: str) -> set:
+    """The data keys a table cell names: its backticked identifiers."""
+    return set(re.findall(r"`([a-z_]+)`", cell))
+
+
+def test_readme_certificate_tables_list_the_emitted_keys():
+    """Each certificate-table row names exactly the data keys the engine
+    puts into that certificate."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    emitted = {}
+    for generators in ([[[0, 1], [1, 1]]], [[[0, -1], [1, 0]]]):
+        action = ergodec.toral_action(generators)
+        for scope, verdict in [("element", ergodec.is_ergodic_element(action, (1,))),
+                               ("element", ergodec.is_distal_element(action, (1,))),
+                               ("group", ergodec.is_ergodic_group(action)),
+                               ("group", ergodec.is_distal_group(action))]:
+            emitted[f"{verdict.kind.value} {scope}"] = (verdict.certificate.kind,
+                                                        set(verdict.certificate.data))
+    documented = {verdict: (kind.strip("`"), _keys(data))
+                  for verdict, kind, data in _readme_table(
+                      readme, "### Toral and solenoid certificates")}
+    assert documented == emitted
+
+    # x + 1 over F_2 in one variable, and 1 + u1 + u2 over F_2 in two
+    terms = {1: [((0,), 1), ((1,), 1)], 2: [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)]}
+    one, two = (ergodec.laurent_cyclic_action(2, n, ergodec.LaurentPoly.from_terms(2, n, t))
+                for n, t in terms.items())
+    laurent = [ergodec.direction_is_ergodic(one, (1,)), ergodec.direction_is_ergodic(two, (1, 0)),
+               ergodec.group_is_ergodic(two)]
+    documented = {kind.strip("`"): _keys(data) for kind, _, data in _readme_table(
+        readme, "### Laurent certificates")}
+    assert documented == {v.certificate.kind: set(v.certificate.data) for v in laurent}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ergodec import Subspace, build_action, element, is_ergodic_element, laurent
+from ergodec import Subspace, build_action, element, is_ergodic_element, laurent, matrices
 from ergodec.cli import main
 from ergodec.encoding import encode_matrix, encode_subspace
 from ergodec.replay import replay_report
@@ -131,12 +131,6 @@ def _forged_distal_group(results):
     verdict["certificate"]["kind"] = "all-generators-quasi-unipotent"
 
 
-def _group_orbit_superset(results):
-    data = results["group"]["ergodic"]["certificate"]["data"]
-    assert data["orbit"] == [[1, 0]]
-    data["orbit"], data["orbit_size"] = [[0, 1], [1, 0]], 2  # closed, but two orbits
-
-
 def _distal_verdict_in_ergodic_slot(results):
     entry = results["generators"][0]
     entry["ergodic"] = entry["distal"]
@@ -211,7 +205,6 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("analyze", FIB_TWICE, (), _drop_second_generator),
     ("analyze", FIB_TWICE, (), _set("group", "distal", "certificate", "data", "generator", 2)),
     ("analyze", FIB, (), _forged_distal_group),
-    ("analyze", IDENTITY, (), _group_orbit_superset),
     # each power below fixes the rotation's witness, so only the orders are wrong
     ("analyze", ROTATION, (), _rotation_shared_orders([8], 8)),
     ("analyze", ROTATION, (), _rotation_shared_orders([1, 4], 4)),
@@ -253,7 +246,7 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("find-ergodic", PLANTED_DIAGONAL, (), _later_ergodic_direction),
     ("analyze", LEDRAPPIER, (), _direction_free_witness_in_group),
 ], ids=["mixing-flag", "verdict-kind", "verdict-slot", "generator-index", "generator-count",
-        "not-distal-generator", "distal-group-kind", "group-orbit",
+        "not-distal-generator", "distal-group-kind",
         "element-shared-orders-multiple", "element-shared-orders-extra", "group-power-multiple",
         "element-matrix",
         "first-vector",
@@ -372,11 +365,25 @@ def test_witness_search_past_its_budget_is_a_failure(tmp_path, capsys, monkeypat
                                          "power up to") for f in failures)
 
 
-@pytest.mark.parametrize("orbit", [5, None, [["a", 1]]])
-def test_malformed_group_orbit_is_a_failure(tmp_path, capsys, orbit):
+def test_witness_outside_the_kernel_of_c_fails_replay(tmp_path, capsys):
+    # fib + I fixes e3 and e4; e1 is moved by the Fibonacci block, so
+    # c(D) = D - I does not kill it
+    report = fresh_report(tmp_path, capsys, "analyze", FIB_IDENTITY)
+    results = report["results"]
+    witnesses = [results["generators"][0]["ergodic"], results["group"]["ergodic"]]
+    for verdict in witnesses:
+        assert verdict["certificate"]["data"]["character"] == [0, 0, 1, 0]
+        verdict["certificate"]["data"]["character"] = [1, 0, 0, 0]
+    assert replay_report(report)["failures"] == [
+        "witness character is not fixed by the stated power",
+        "witness character is not fixed by a generator power"]
+
+
+def test_witness_orders_must_agree_with_the_determinant_route(tmp_path, capsys, monkeypatch):
     report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
-    report["results"]["group"]["ergodic"]["certificate"]["data"]["orbit"] = orbit
-    assert replay_report(report)["failures"] == ["orbit is not a list of characters"]
+    monkeypatch.setattr(matrices, "singular_cyclotomic_orders", lambda x, orders: [])
+    assert replay_report(report)["failures"] == [
+        "cyclotomic division route and determinant route disagree"] * 2
 
 
 @pytest.mark.parametrize("subspace", [5, {"ambient": 2}, {"ambient": 3, "basis": []},
@@ -413,6 +420,24 @@ def test_filtration_in_the_wrong_dimension_is_a_failure(tmp_path, capsys):
     results["attributions"][0]["dim_from"] = 3
     assert replay_report(report)["failures"] == [
         "chain or residual is not made of subspaces of the dual"]
+
+
+@pytest.mark.parametrize("chain,failure", [
+    ([Subspace.full(4), Subspace.zero(4)], "stage quotient has a finite-orbit character"),
+    ([Subspace.full(4), Subspace.full(4)], "a generator is not quasi-unipotent on the residual"),
+], ids=["stage-quotient", "residual"])
+def test_forged_filtration_chain_fails_replay(tmp_path, capsys, chain, failure):
+    # fib + I: the whole dual modulo zero keeps the identity block's fixed
+    # characters, and the Fibonacci block is not quasi-unipotent
+    report = fresh_report(tmp_path, capsys, "filtration", FIB_IDENTITY)
+    results = report["results"]
+    assert results["dims"] == [4, 2]
+    results["chain"] = [encode_subspace(w) for w in chain]
+    results["residual"] = encode_subspace(chain[-1])
+    results["dims"] = [w.dim for w in chain]
+    results["attributions"][0]["dim_to"] = chain[-1].dim
+    results["group_ergodic"] = chain[-1].is_zero
+    assert replay_report(report)["failures"] == [failure]
 
 
 def test_filtration_with_an_empty_chain_is_a_failure(tmp_path, capsys):

@@ -10,7 +10,6 @@ from ergodec import (Matrix, MatrixAction, NotErgodicGroupError, Subspace, Verdi
                      is_ergodic_element, is_ergodic_group, largest_ergodic_subgroup,
                      solenoid_action, toral_action)
 from ergodec.actions import positive_vectors
-from ergodec.encoding import encode_subspace
 from ergodec.intpoly import orders_with_totient_at_most, poly_gcd
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, ergodic_distal_pair, fibonacci_matrix,
@@ -119,14 +118,13 @@ class TestGroupVerdicts:
     def test_rotation_group_not_ergodic(self):
         v = is_ergodic_group(rotation_action())
         assert v.kind == VerdictKind.NOT_ERGODIC
-        assert v.certificate.data["orbit_size"] <= 4
+        assert v.certificate.data == {"character": [1, 0], "power": 4}
 
     def test_identity_group_not_ergodic_with_witness(self):
         act = toral_action([Matrix.identity(2)])
         v = is_ergodic_group(act)
         assert v.kind == VerdictKind.NOT_ERGODIC
-        assert v.certificate.data["character"] == [1, 0]
-        assert v.certificate.data["orbit_size"] == 1
+        assert v.certificate.data == {"character": [1, 0], "power": 1}
 
     def test_commuting_shears_distal(self):
         act = toral_action([[[1, 2], [0, 1]], [[1, 3], [0, 1]]])
@@ -142,19 +140,14 @@ class TestGroupVerdicts:
 
 class TestLargestErgodicSubgroup:
     def test_fibonacci_whole_torus(self):
-        w, report = largest_ergodic_subgroup(fib_action())
-        assert w.is_zero
-        assert report["subspace"] == encode_subspace(w)
+        assert largest_ergodic_subgroup(fib_action()).is_zero
 
     def test_shear_trivial_subgroup(self):
-        w, report = largest_ergodic_subgroup(shear_action())
-        assert w.is_full
-        assert report["subspace"] == encode_subspace(w)
+        assert largest_ergodic_subgroup(shear_action()).is_full
 
     def test_block_with_identity(self):
         act = toral_action([Matrix.block_diag(fibonacci_matrix(), Matrix.identity(2))])
-        w, _ = largest_ergodic_subgroup(act)
-        assert w == Subspace.span(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+        assert largest_ergodic_subgroup(act) == Subspace.span(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
 
     @pytest.mark.parametrize("action,basis", [
         (toral_action([Matrix.block_diag(fibonacci_matrix(), rotation_action().generators[0])]),
@@ -162,9 +155,7 @@ class TestLargestErgodicSubgroup:
         (block_pair_action(), []),
     ], ids=["fibonacci-rotation", "block-pair"])
     def test_common_root_of_unity_kernel(self, action, basis):
-        w, report = largest_ergodic_subgroup(action)
-        assert w == Subspace.span(4, basis)
-        assert report["subspace"] == encode_subspace(w)
+        assert largest_ergodic_subgroup(action) == Subspace.span(4, basis)
 
     def test_equals_filtration_residual(self):
         rng = random.Random(2024)
@@ -179,8 +170,7 @@ class TestLargestErgodicSubgroup:
             ]
             for gens in families:
                 act = toral_action(gens)
-                w, _ = largest_ergodic_subgroup(act)
-                assert w == ergodic_distal_filtration(act).residual
+                assert largest_ergodic_subgroup(act) == ergodic_distal_filtration(act).residual
 
 
 class TestFiltration:
@@ -193,7 +183,6 @@ class TestFiltration:
         report = ergodic_distal_filtration(block_pair_action())
         assert report.dims() == (4, 2, 0)
         assert [a["generator"] for a in report.attributions] == [1, 2]
-        assert all(a["ergodic_on_quotient"] for a in report.attributions)
         assert report.group_ergodic
 
     def test_identity_chain_residual_full(self):
@@ -325,14 +314,12 @@ class TestTransposeDual:
         act = toral_action(gens)
         old = inverse_transpose_action(act)
         assert act.finite_orbit_subspace == old.finite_orbit_subspace
-        assert largest_ergodic_subgroup(act)[0] == largest_ergodic_subgroup(old)[0]
+        assert largest_ergodic_subgroup(act) == largest_ergodic_subgroup(old)
         assert ergodic_distal_filtration(act).chain == ergodic_distal_filtration(old).chain
         group, old_group = is_ergodic_group(act), is_ergodic_group(old)
         assert group.kind == old_group.kind
         if not group.is_ergodic:
-            data, old_data = group.certificate.data, old_group.certificate.data
-            assert data["character"] == old_data["character"]
-            assert set(map(tuple, data["orbit"])) == set(map(tuple, old_data["orbit"]))
+            assert group.certificate.data == old_group.certificate.data
         n = act.n_generators
         for exps in [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)] \
                 + [(1,) * n, tuple(range(1, n + 1))]:
