@@ -6,9 +6,10 @@ kernel of the unipotent powers c(D)**n of the dual generators D.
 
 Then the per-generator chain: a weakly decreasing sequence of invariant
 dual subspaces, one stage per generator, with generator i certified
-ergodic on stage quotient i, every generator quasi-unipotent on the
-residual, and residual zero exactly when the group is ergodic.  The
-residual is the largest subgroup's dual subspace again.
+ergodic on stage quotient i and every generator quasi-unipotent on the
+residual, the chain's last member.  The chain fixes the rest: the
+residual is the largest subgroup's dual subspace again, and it is zero
+exactly when the group is ergodic.
 """
 
 from ergodec import (Matrix, ergodic_distal_filtration,
@@ -21,14 +22,14 @@ def describe(name, generators):
     w = largest_ergodic_subgroup(action)
     print(f"  largest ergodic subgroup: dual annihilator dimension {w.dim}")
     chain = ergodic_distal_filtration(action)
-    print(f"  filtration dims: {list(chain.dims())}")
-    for entry in chain.attributions:
-        print(f"    stage {entry['stage']}: generator {entry['generator']} "
-              f"ergodic on a quotient of dimension "
-              f"{entry['dim_from'] - entry['dim_to']}")
-    print(f"  residual dimension {chain.residual.dim}; "
-          f"group ergodic: {chain.group_ergodic}; "
-          f"residual is the largest subgroup's: {chain.residual == w}")
+    print(f"  filtration dims: {[w.dim for w in chain]}")
+    for i, (prev, cur) in enumerate(zip(chain, chain[1:]), start=1):
+        print(f"    stage {i}: generator {i} ergodic on a quotient of dimension "
+              f"{prev.dim - cur.dim}")
+    residual = chain[-1]
+    print(f"  residual dimension {residual.dim}; "
+          f"group ergodic: {residual.is_zero}; "
+          f"residual is the largest subgroup's: {residual == w}")
     print()
 
 

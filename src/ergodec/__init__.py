@@ -14,16 +14,15 @@ from .laurent_engine import (direction_is_ergodic, find_ergodic_direction,
                              group_is_ergodic, orbit_probe)
 from .matrices import Matrix, Subspace, kernel
 from .oracle import OrbitResult, cross_validate, orbit_bfs
-from .toral import (Certificate, FiltrationReport, Verdict, VerdictKind,
-                    ergodic_distal_filtration, find_ergodic_exponents,
-                    is_distal_element, is_distal_group, is_ergodic_element,
-                    is_ergodic_group, largest_ergodic_subgroup)
+from .toral import (Certificate, Verdict, VerdictKind, ergodic_distal_filtration,
+                    find_ergodic_exponents, is_distal_element, is_distal_group,
+                    is_ergodic_element, is_ergodic_group, largest_ergodic_subgroup)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate", "FiltrationReport", "InternalCheckError", "Issue",
-    "LaurentCyclicAction", "LaurentPoly", "Matrix", "MatrixAction",
+    "Certificate", "InternalCheckError", "Issue", "LaurentCyclicAction",
+    "LaurentPoly", "Matrix", "MatrixAction",
     "NotErgodicGroupError", "OrbitResult", "Polynomial", "SearchExhaustedError",
     "Subspace", "ValidationError", "Verdict", "VerdictKind", "build_action",
     "content_along", "cross_validate", "cyclotomic", "direction_is_ergodic",

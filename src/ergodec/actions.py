@@ -89,11 +89,13 @@ class LaurentCyclicAction:
 
     def witness(self, direction) -> tuple:
         """laurent.witness_power of the non-unit content along a
-        direction, (k, common), computed once per direction."""
+        direction, computed once per direction: (k, h), with the common
+        factor h mapped back from t to u^n0."""
         key = tuple(direction)
         if key not in self.witnesses:
-            m, _, content = self.content(key)
-            self.witnesses[key] = witness_power(content, m, self.p)
+            m, n0, content = self.content(key)
+            k, common = witness_power(content, m, self.p)
+            self.witnesses[key] = (k, LaurentPoly.along(self.p, n0, common))
         return self.witnesses[key]
 
 

@@ -28,8 +28,7 @@ from .actions import build_action, element
 from .errors import (InternalCheckError, NotErgodicGroupError, SearchExhaustedError,
                      ValidationError)
 from .laurent import axis_directions
-
-SCHEMA_VERSION = 9
+from .replay import SCHEMA_VERSION
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -112,13 +111,11 @@ def cmd_analyze(args, doc: dict, action) -> dict:
                 "subspace": encoding.encode_subspace(toral.largest_ergodic_subgroup(action))},
         }
     else:
-        verdicts = [(direction, laurent_engine.direction_is_ergodic(action, direction))
-                    for direction in axis_directions(action.nvars)]
-        # a one-variable group is generated by u alone: its verdict is the axis's
-        group = verdicts[0][1] if action.nvars == 1 else laurent_engine.group_is_ergodic(action)
-        results = {"directions": [{"direction": list(direction), "verdict": verdict.to_payload()}
-                                  for direction, verdict in verdicts],
-                   "group": group.to_payload()}
+        results = {"directions": [
+            {"direction": list(direction),
+             "verdict": laurent_engine.direction_is_ergodic(action, direction).to_payload()}
+            for direction in axis_directions(action.nvars)],
+            "group": laurent_engine.group_is_ergodic(action).to_payload()}
     return _report("analyze", doc, args, results)
 
 
@@ -130,15 +127,10 @@ def cmd_find_ergodic(args, doc: dict, action) -> dict:
                 "exponents": list(exps),
                 "verdict": verdict.to_payload(),
                 "element_matrix": encoding.encode_matrix(element(action, exps)),
-                "group": toral.is_ergodic_group(action).to_payload(),
             }
         else:
             direction, verdict = laurent_engine.find_ergodic_direction(action, args.search_box)
-            results = {
-                "direction": list(direction),
-                "verdict": verdict.to_payload(),
-                "group": laurent_engine.group_is_ergodic(action).to_payload(),
-            }
+            results = {"direction": list(direction), "verdict": verdict.to_payload()}
     except NotErgodicGroupError as exc:
         raise _CliExit(3, "the group action is not ergodic: witness "
                           f"{json.dumps(exc.witness_payload, sort_keys=True)}")
@@ -150,7 +142,8 @@ def cmd_find_ergodic(args, doc: dict, action) -> dict:
 def cmd_filtration(args, doc: dict, action) -> dict:
     if action.kind == "laurent":
         raise _CliExit(2, "filtration is defined for toral and solenoid actions")
-    results = toral.ergodic_distal_filtration(action).to_payload()
+    results = {"chain": [encoding.encode_subspace(w)
+                         for w in toral.ergodic_distal_filtration(action)]}
     return _report("filtration", doc, args, results)
 
 

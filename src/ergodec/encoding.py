@@ -2,7 +2,8 @@
 
 Certificates and reports carry only plain data: ints stay ints, proper
 fractions become "num/den" strings, and structured values become lists and
-dicts with deterministic ordering.  Decoding inverts the encoding exactly.
+dicts with deterministic ordering.  Decoding inverts the encoding exactly,
+and refuses a dict whose keys are not the encoding's.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def encode_subspace(s: Subspace) -> dict:
 
 
 def decode_subspace(d) -> Subspace:
+    if not (isinstance(d, dict) and d.keys() == {"ambient", "basis"}):
+        raise ValueError("not an encoded subspace")
     return Subspace.span(d["ambient"], [decode_vector(v) for v in d["basis"]])
 
 
@@ -75,5 +78,7 @@ def encode_laurent(f: LaurentPoly) -> dict:
 
 
 def decode_laurent(d) -> LaurentPoly:
+    if not (isinstance(d, dict) and d.keys() == {"p", "vars", "terms"}):
+        raise ValueError("not an encoded Laurent polynomial")
     return LaurentPoly.from_terms(d["p"], d["vars"],
                                   {tuple(e): c for e, c in d["terms"]})

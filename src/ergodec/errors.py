@@ -14,9 +14,6 @@ class Issue:
     where: tuple
     message: str
 
-    def to_payload(self) -> dict:
-        return {"code": self.code, "where": list(self.where), "message": self.message}
-
 
 class ValidationError(ValueError):
     """Raised with the full list of validation failures."""

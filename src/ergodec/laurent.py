@@ -11,6 +11,7 @@ head, so a zero remainder is equivalent to ideal membership.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import Issue, ValidationError
@@ -303,10 +304,8 @@ def axis_directions(nvars: int) -> list:
 def directions_in_shell(nvars: int, shell: int) -> list:
     """Directions with sup-norm equal to shell, in descending
     lexicographic order."""
-    if nvars == 1:
-        return [(shell,), (-shell,)]
     span = range(shell, -shell - 1, -1)
-    return [(a, b) for a in span for b in span if max(abs(a), abs(b)) == shell]
+    return [d for d in itertools.product(span, repeat=nvars) if max(map(abs, d)) == shell]
 
 
 def _grlex_key(e):

@@ -35,17 +35,15 @@ def direction_is_ergodic(action, direction) -> Verdict:
         raise ValueError("direction length must match the variable count")
     if all(x == 0 for x in direction):
         raise ValueError("direction must be nonzero")
-    _, n0, content = action.content(direction)
-    if len(content) == 1:
+    if len(action.content(direction)[2]) == 1:
         return Verdict(VerdictKind.ERGODIC, Certificate("trivial-univariate-content", {
             "direction": list(direction),
-            "content": content,
         }))
     k, common = action.witness(direction)
     return Verdict(VerdictKind.NOT_ERGODIC, Certificate("finite-quotient-witness", {
         "direction": list(direction),
         "power": k,
-        "common_factor": encoding.encode_laurent(LaurentPoly.along(action.p, n0, common)),
+        "common_factor": encoding.encode_laurent(common),
     }))
 
 
@@ -63,11 +61,7 @@ def group_is_ergodic(action) -> Verdict:
     g = action.presenter
     if g.is_zero or g.is_unit:
         raise InternalCheckError("validated presenter must be a nonzero non-unit")
-    cert = Certificate("coprime-axis-powers", {
-        "reason": "a simultaneous finite-orbit witness divides both axis "
-                  "power identities, whose gcd is a unit",
-    })
-    return Verdict(VerdictKind.ERGODIC, cert)
+    return Verdict(VerdictKind.ERGODIC, Certificate("coprime-axis-powers", {}))
 
 
 def find_ergodic_direction(action, search_box: int):

@@ -60,10 +60,6 @@ class OrbitResult:
     max_coordinate: int
     reason: str | None  # "visited-cap" | "coordinate-guard" for exceeded-cap
 
-    def to_payload(self) -> dict:
-        return {"status": self.status, "size": self.size, "visited": self.visited,
-                "max_coordinate": self.max_coordinate, "reason": self.reason}
-
 
 def _compile_map(rows):
     """Unrolled matrix-vector closure; the orbit walk is the hot path."""
@@ -222,12 +218,9 @@ def cross_validate(action, norm_bound: int, cap: int,
                     "reason": status[1],
                 })
     return {
-        "norm_bound": norm_bound,
-        "cap": cap,
         "characters_checked": checked,
         "finite_orbits": finite_count,
         "exceeded": exceeded_count,
         "failures": failures,
-        "consistent": not failures,
     }
 

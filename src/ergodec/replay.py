@@ -23,6 +23,12 @@ kernel as the quotient map's own cyclotomic part, since the other
 factors of c have no root there.  So replay walks no orbit and splits
 no characteristic polynomial beyond the generators' own, while the
 engine checks the same claims through the subquotients' spectra.
+
+A report states each claim once.  Replay reads schema version
+SCHEMA_VERSION only, and it records a failure for any results key,
+generator or direction entry key, certificate data key, or key of an
+encoded subspace or Laurent polynomial that the CLI does not emit: a key
+replay does not read would be taken on trust.
 """
 
 from __future__ import annotations
@@ -35,24 +41,50 @@ from .actions import (build_action, dual_element, element, ergodic_search_bound,
                       positive_vectors)
 from .errors import ValidationError
 from .intpoly import cyclotomic_product
-from .laurent import LaurentPoly, axis_directions, directions_in_shell, laurent_divides
+from .laurent import axis_directions, directions_in_shell, laurent_divides
 from .matrices import Matrix, Subspace, induced, kernel, walk_orbit
 from .oracle import box_characters, box_limit_issue
 
+SCHEMA_VERSION = 10
 
-# The verdict each certificate kind proves.
+# The verdict each certificate kind proves, and the keys of its data.
 _PROVES = {
-    "no-root-of-unity-eigenvalue": "ergodic",
-    "zero-finite-orbit-subspace": "ergodic",
-    "witness-character": "not-ergodic",
-    "cyclotomic-char-poly": "distal",
-    "all-generators-quasi-unipotent": "distal",
-    "non-cyclotomic-factor": "not-distal",
-    "non-quasi-unipotent-generator": "not-distal",
-    "finite-quotient-witness": "not-ergodic",
-    "trivial-univariate-content": "ergodic",
-    "coprime-axis-powers": "ergodic",
+    "no-root-of-unity-eigenvalue": ("ergodic", {"char_poly"}),
+    "zero-finite-orbit-subspace": ("ergodic", set()),
+    "witness-character": ("not-ergodic", {"character", "power"}),
+    "cyclotomic-char-poly": ("distal", {"factors"}),
+    "all-generators-quasi-unipotent": ("distal", set()),
+    "non-cyclotomic-factor": ("not-distal", {"factor", "cyclotomic_part"}),
+    "non-quasi-unipotent-generator": ("not-distal", {"generator"}),
+    "finite-quotient-witness": ("not-ergodic", {"direction", "power", "common_factor"}),
+    "trivial-univariate-content": ("ergodic", {"direction"}),
+    "coprime-axis-powers": ("ergodic", set()),
 }
+
+# The results the CLI emits, by command and whether the action is a
+# Laurent one: a dict fixes its keys, a one-item list each entry's, and
+# None admits any value (a verdict's shape is its certificate kind's).
+_RESULTS = {
+    ("analyze", False): {
+        "generators": [dict.fromkeys(("index", "ergodic", "distal", "mixing_of_all_orders"))],
+        "group": dict.fromkeys(("ergodic", "distal")),
+        "largest_ergodic_subgroup": {"subspace": None}},
+    ("analyze", True): {"directions": [dict.fromkeys(("direction", "verdict"))], "group": None},
+    ("find-ergodic", False): dict.fromkeys(("exponents", "verdict", "element_matrix")),
+    ("find-ergodic", True): dict.fromkeys(("direction", "verdict")),
+    ("filtration", False): {"chain": None},
+    ("oracle-check", False): dict.fromkeys(
+        ("characters_checked", "finite_orbits", "exceeded", "failures")),
+}
+
+
+def _fits(value, template) -> bool:
+    if isinstance(template, dict):
+        return (isinstance(value, dict) and value.keys() == template.keys()
+                and all(_fits(value[k], t) for k, t in template.items()))
+    if isinstance(template, list):
+        return isinstance(value, list) and all(_fits(v, template[0]) for v in value)
+    return True
 
 
 def _check(condition: bool, failures: list, what: str) -> None:
@@ -65,22 +97,28 @@ _ERGODIC_SLOT = ("ergodic", "not-ergodic")
 _DISTAL_SLOT = ("distal", "not-distal")
 
 
-def _check_kind(payload: dict, slot: tuple, failures: list) -> None:
+def _check_kind(payload, slot: tuple, failures: list):
+    """The verdict's certificate kind and data, or None with one failure
+    recorded unless the verdict is shaped {kind, certificate: {kind,
+    data}} and the data has exactly its certificate kind's keys."""
+    cert = payload.get("certificate") if isinstance(payload, dict) else None
+    kind = cert.get("kind") if isinstance(cert, dict) else None
+    proves, keys = _PROVES.get(kind, (None, None)) if isinstance(kind, str) else (None, None)
+    if not (proves and payload.keys() == {"kind", "certificate"}
+            and cert.keys() == {"kind", "data"}
+            and isinstance(cert["data"], dict) and cert["data"].keys() == keys):
+        failures.append("verdict is not shaped {kind, certificate: {kind, data}} "
+                        "with its certificate kind's data keys")
+        return None
     _check(payload["kind"] in slot, failures, "verdict kind does not belong in its slot")
-    _check(payload["kind"] == _PROVES.get(payload["certificate"]["kind"]), failures,
+    _check(payload["kind"] == proves, failures,
            "verdict kind is not the one its certificate proves")
+    return kind, cert["data"]
 
 
 def _kills(m: Matrix, vectors) -> bool:
     """m sends every one of the vectors to zero."""
     return all(not any(m.matvec(v)) for v in vectors)
-
-
-def _fixed_by_lcm(vector, duals) -> bool:
-    """Each D**L fixes vector, L the lcm of D's orders: c(D) kills it.
-    The two are the same, as c divides x**L - 1 and every other factor
-    of x**L - 1 is invertible at D."""
-    return all(_kills(d.spectrum.cyclotomic_at, [vector]) for d in duals)
 
 
 def _all_quasi_unipotent(duals, sub: Subspace) -> bool:
@@ -89,23 +127,25 @@ def _all_quasi_unipotent(duals, sub: Subspace) -> bool:
     return sub.is_zero or all(_kills(d.spectrum.unipotent_power, sub.basis) for d in duals)
 
 
-def _check_two_routes(duals, failures: list) -> None:
-    """c(D) rests on orders the determinant route finds as well."""
+def _replay_witness(action, duals, data: dict, failures: list) -> None:
+    """A witness character of the group the duals generate: power is the
+    lcm of their root-of-unity orders, which the determinant route finds
+    as well, and c(D) kills the character for each D.  Then each D**power
+    fixes it, as c divides x**power - 1 and every other factor of
+    x**power - 1 is invertible at D."""
+    _check(data["power"] == math.lcm(*(o for d in duals for o in d.spectrum.orders)),
+           failures, "stated power is not the lcm of the root-of-unity orders")
     _check(all(d.spectrum.singular_orders == d.spectrum.orders for d in duals), failures,
            "cyclotomic division route and determinant route disagree")
-
-
-def _witness_character(action, data: dict, failures: list):
-    """The certificate's witness character, or None with a failure
-    recorded unless it is a nonzero dual vector of exact scalars."""
     try:
         chi = encoding.decode_vector(data["character"])
     except (TypeError, ValueError):
         chi = ()
     if not (isinstance(data["character"], list) and len(chi) == action.dim and any(chi)):
         failures.append("witness character is not a nonzero character of the dual")
-        return None
-    return chi
+        return
+    _check(all(_kills(d.spectrum.cyclotomic_at, [chi]) for d in duals), failures,
+           "witness character is not fixed by the stated power")
 
 
 def _dual_subspace(action, encoded):
@@ -119,12 +159,13 @@ def _dual_subspace(action, encoded):
     return sub if type(sub.ambient) is int and sub.ambient == action.dim else None
 
 
-def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
-                           failures: list) -> None:
-    _check_kind(payload, slot, failures)
-    cert = payload["certificate"]
-    kind = cert["kind"]
-    data = cert["data"]
+def replay_element_verdict(action, exponents, payload: dict, slot: tuple, failures: list):
+    """Replay the verdict on one element; returns its kind, or None when
+    it is not shaped as its certificate kind's."""
+    shaped = _check_kind(payload, slot, failures)
+    if shaped is None:
+        return None
+    kind, data = shaped
     b = dual_element(action, exponents)
     spectrum = b.spectrum
     if kind == "no-root-of-unity-eigenvalue":
@@ -135,15 +176,7 @@ def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
         _check(not spectrum.singular_orders, failures,
                "a cyclotomic polynomial is singular at the matrix")
     elif kind == "witness-character":
-        chi = _witness_character(action, data, failures)
-        _check(data["shared_orders"] == spectrum.orders, failures,
-               "shared orders are not the orders of the root-of-unity eigenvalues")
-        _check_two_routes([b], failures)
-        _check(data["power"] == math.lcm(*spectrum.orders), failures,
-               "stated power is not the lcm of the shared orders")
-        if chi is not None:
-            _check(_fixed_by_lcm(chi, [b]), failures,
-                   "witness character is not fixed by the stated power")
+        _replay_witness(action, [b], data, failures)
     elif kind == "cyclotomic-char-poly":
         _check(cyclotomic_product(data["factors"]) == spectrum.char_poly, failures,
                "cyclotomic factors do not multiply to the characteristic polynomial")
@@ -156,6 +189,7 @@ def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
         _check(rest == spectrum.rest, failures, "residual factor has a cyclotomic factor")
     else:
         failures.append(f"unknown element certificate kind {kind!r}")
+    return payload["kind"]
 
 
 def _replay_first_ergodic(action, exponents: tuple, failures: list) -> None:
@@ -170,24 +204,16 @@ def _replay_first_ergodic(action, exponents: tuple, failures: list) -> None:
 
 
 def replay_group_verdict(action, payload: dict, slot: tuple, failures: list) -> None:
-    _check_kind(payload, slot, failures)
-    cert = payload["certificate"]
-    kind = cert["kind"]
-    data = cert["data"]
+    shaped = _check_kind(payload, slot, failures)
+    if shaped is None:
+        return
+    kind, data = shaped
     duals = action.dual_generators
     if kind == "zero-finite-orbit-subspace":
         _check(action.finite_orbit_subspace.is_zero, failures,
                "finite-orbit subspace is not zero")
     elif kind == "witness-character":
-        power = math.lcm(*(o for d in duals for o in d.spectrum.orders))
-        _check(data["power"] == power, failures,
-               "stated power is not the lcm of the generators' root-of-unity orders")
-        _check_two_routes(duals, failures)
-        chi = _witness_character(action, data, failures)
-        if chi is not None:
-            # the power fixes chi under every generator, so its orbit is finite
-            _check(_fixed_by_lcm(chi, duals), failures,
-                   "witness character is not fixed by a generator power")
+        _replay_witness(action, duals, data, failures)
     elif kind in ("all-generators-quasi-unipotent", "non-quasi-unipotent-generator"):
         distal = [d.spectrum.rest.is_one for d in duals]
         if kind == "all-generators-quasi-unipotent":
@@ -229,30 +255,25 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
 
 
 def replay_filtration(action, payload: dict, failures: list) -> None:
+    """The chain is the whole claim: generator i has no finite-orbit
+    character on stage quotient i, and every generator is quasi-unipotent
+    on the tail.  Then a character with a finite group orbit modulo the
+    tail lies in every stage in turn, so the tail is the largest ergodic
+    subgroup's dual subspace, zero exactly when the group is ergodic."""
     encoded = payload["chain"]
     chain = [_dual_subspace(action, w) for w in encoded] if isinstance(encoded, list) else None
-    residual = _dual_subspace(action, payload["residual"])
-    if chain is None or None in chain or residual is None:
-        failures.append("chain or residual is not made of subspaces of the dual")
-        return  # every check below reads them
+    if chain is None or None in chain:
+        failures.append("chain is not made of subspaces of the dual")
+        return  # every check below reads it
     duals = action.dual_generators
     if len(chain) != len(duals) + 1:
         failures.append("chain does not have one stage per generator")
         return  # stage i pairs with generator i
-    _check(payload["dims"] == [w.dim for w in chain], failures,
-           "dims differ from the chain's dimensions")
-    _check(payload["attributions"] == [
-        {"stage": i, "generator": i, "dim_from": prev.dim, "dim_to": cur.dim}
-        for i, (prev, cur) in enumerate(zip(chain, chain[1:]), start=1)], failures,
-        "attributions do not match the chain stage by stage")
     _check(chain[0].is_full, failures, "chain does not start at the full space")
     nested = all(prev.contains_subspace(cur) for prev, cur in zip(chain, chain[1:]))
     _check(nested, failures, "chain is not decreasing")
     invariant = all(w.is_invariant(d) for w in chain for d in duals)
     _check(invariant, failures, "chain member is not invariant")
-    _check(residual == chain[-1], failures, "residual differs from the chain tail")
-    _check(payload["group_ergodic"] == residual.is_zero, failures,
-           "group flag disagrees with the residual")
     if not (nested and invariant):
         return  # the stage quotients and the restriction to the tail need both
     _check(all(kernel(induced(d.spectrum.cyclotomic_at, prev, cur)).is_zero
@@ -263,13 +284,15 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
 
 
 def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> None:
-    """Re-derive the cross-validation counts.  Every box character in the
-    finite-orbit subspace must close its orbit within the cap, and every
-    other one counts as exceeded without a walk: the analytic side
-    already proves its orbit infinite."""
-    bound, cap = results["norm_bound"], results["cap"]
-    _check(bound == flags.get("norm-bound") and cap == flags.get("cap"), failures,
-           "norm bound or cap differs from the flags")
+    """Re-derive the cross-validation counts for the box and cap the
+    flags state.  Every box character in the finite-orbit subspace must
+    close its orbit within the cap, and every other one counts as
+    exceeded without a walk: the analytic side already proves its orbit
+    infinite."""
+    bound, cap = flags.get("norm-bound"), flags.get("cap")
+    if not all(type(x) is int and x >= 1 for x in (bound, cap)):
+        failures.append("norm bound or cap flag is not a positive integer")
+        return
     issue = box_limit_issue(action.dim, bound)
     if issue is not None:
         failures.append(issue.message)
@@ -292,8 +315,7 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
     _check(results["finite_orbits"] == len(inside)
            and results["exceeded"] == len(box) - len(inside), failures,
            "finite and exceeded counts differ from the finite-orbit subspace")
-    _check(results["consistent"] is True and not results["failures"], failures,
-           "cross-validation recorded failures")
+    _check(results["failures"] == [], failures, "cross-validation recorded failures")
 
 
 def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
@@ -301,10 +323,10 @@ def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
     """Replay a Laurent verdict in a slot about the translation by
     u^direction; direction is None for a two-variable group slot, the one
     slot whose certificate names no direction."""
-    _check_kind(payload, slot, failures)
-    cert = payload["certificate"]
-    kind = cert["kind"]
-    data = cert["data"]
+    shaped = _check_kind(payload, slot, failures)
+    if shaped is None:
+        return
+    kind, data = shaped
     g = action.presenter
     stated = data.get("direction")
     if ((direction is None) != (kind == "coprime-axis-powers")
@@ -323,9 +345,9 @@ def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
                 or (factor.p, factor.nvars) != (action.p, action.nvars)):
             failures.append("witness power is not positive or common factor is trivial")
             return
-        _, n0, content = action.content(direction)
         try:
-            least, common = action.witness(direction) if len(content) > 1 else (None, None)
+            least, common = (action.witness(direction) if len(action.content(direction)[2]) > 1
+                             else (None, None))
         except ValidationError as exc:
             failures.append(f"least witness power not re-derived: {exc}")
             return
@@ -338,12 +360,10 @@ def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
         # those of gcd(content, t^(k*m) - 1), mapped back through t -> u^n0.
         _check(laurent_divides(factor, g) is not None, failures,
                "common factor does not divide the presenter")
-        _check(laurent_divides(factor, LaurentPoly.along(action.p, n0, common)) is not None,
-               failures, "common factor does not divide the power identity")
+        _check(laurent_divides(factor, common) is not None, failures,
+               "common factor does not divide the power identity")
     elif kind == "trivial-univariate-content":
-        _check(action.content(direction)[2] == data["content"], failures,
-               "stored content differs")
-        _check(data["content"] == [1], failures, "content is not constant")
+        _check(action.content(direction)[2] == [1], failures, "content is not constant")
     elif kind == "coprime-axis-powers":
         _check(action.nvars == 2, failures, "closure argument needs two variables")
         _check(not g.is_zero and not g.is_unit, failures,
@@ -373,47 +393,45 @@ def _replay_first_direction(action, direction: tuple, search_box: int,
            "an earlier direction in the box is ergodic")
 
 
-def _group_direction(action):
-    """A one-variable group is generated by u alone; a two-variable group
-    verdict is about no single direction."""
-    return (1,) if action.nvars == 1 else None
-
-
 def replay_report(report: dict, action=None) -> dict:
     """Re-check every certificate in a serialized report, against the
     action the report was computed from when it is given, and otherwise
-    against one built afresh from the report's input echo.
+    against one built afresh from the report's input echo.  A report of
+    another schema version, or whose results have keys the CLI does not
+    emit, records one failure and is read no further.
 
     Returns {"checked": n, "failures": [...]}.
     """
     failures: list = []
-    checked = 0
-    command = report["command"]
-    flags = report["flags"]
-    results = report["results"]
-    if action is None and command in ("analyze", "find-ergodic", "filtration",
-                                      "oracle-check"):
+    checked = 1  # find-ergodic, filtration and oracle-check make one claim
+    command, flags, results = (report.get(k) for k in ("command", "flags", "results"))
+    if report.get("schema_version") != SCHEMA_VERSION:
+        return {"checked": 0, "failures": [f"schema version is not {SCHEMA_VERSION}"]}
+    if command not in ("analyze", "find-ergodic", "filtration", "oracle-check"):
+        return {"checked": 0, "failures": [f"unknown command {command!r}"]}
+    if action is None:
         action = build_action(report["input"])
+    laurent = action.kind == "laurent"
+    template = _RESULTS.get((command, laurent))
+    if template is None or not (isinstance(flags, dict) and _fits(results, template)):
+        return {"checked": 0, "failures": [
+            "flags or results are not shaped as the CLI emits them for this command"]}
     if command == "analyze":
-        if action.kind in ("toral", "solenoid"):
+        if not laurent:
             entries = results["generators"]
             _check([e["index"] for e in entries] == list(range(1, action.n_generators + 1)),
                    failures, "generator entries are not one per generator in order")
-            for entry in entries:
-                _check(entry["mixing_of_all_orders"] == (entry["ergodic"]["kind"] == "ergodic"),
+            for i, entry in enumerate(entries):
+                exps = tuple(int(j == i) for j in range(action.n_generators))
+                kind = replay_element_verdict(action, exps, entry["ergodic"], _ERGODIC_SLOT,
+                                              failures)
+                _check(kind is None or entry["mixing_of_all_orders"] == (kind == "ergodic"),
                        failures, "mixing flag differs from the ergodic verdict")
-                exps = tuple(1 if j == entry["index"] - 1 else 0
-                             for j in range(action.n_generators))
-                replay_element_verdict(action, exps, entry["ergodic"], _ERGODIC_SLOT, failures)
-                checked += 1
                 replay_element_verdict(action, exps, entry["distal"], _DISTAL_SLOT, failures)
-                checked += 1
             replay_group_verdict(action, results["group"]["ergodic"], _ERGODIC_SLOT, failures)
-            checked += 1
             replay_group_verdict(action, results["group"]["distal"], _DISTAL_SLOT, failures)
-            checked += 1
             replay_largest_subgroup(action, results["largest_ergodic_subgroup"], failures)
-            checked += 1
+            checked = 2 * len(entries) + 3
         else:
             entries = results["directions"]
             axes = axis_directions(action.nvars)
@@ -421,19 +439,14 @@ def replay_report(report: dict, action=None) -> dict:
                    failures, "directions are not the coordinate axes in order")
             for axis, entry in zip(axes, entries):
                 replay_laurent_verdict(action, axis, entry["verdict"], _ERGODIC_SLOT, failures)
-                checked += 1
-            if action.nvars == 1 and entries:
-                # the group of u alone is the translation by u, replayed above
-                _check(results["group"] == entries[0]["verdict"], failures,
-                       "group verdict differs from the verdict of u")
-            else:
-                replay_laurent_verdict(action, _group_direction(action), results["group"],
-                                       _ERGODIC_SLOT, failures)
-            checked += 1
+            # a one-variable group is generated by u alone; a two-variable
+            # group verdict is about no single direction
+            replay_laurent_verdict(action, (1,) if action.nvars == 1 else None,
+                                   results["group"], _ERGODIC_SLOT, failures)
+            checked = len(axes) + 1
     elif command == "find-ergodic":
-        if action.kind in ("toral", "solenoid"):
-            replay_group_verdict(action, results["group"], _ERGODIC_SLOT, failures)
-            checked += 1
+        # the ergodic element or direction found proves the group ergodic
+        if not laurent:
             exps = results["exponents"]
             if not (isinstance(exps, list) and len(exps) == action.n_generators
                     and all(type(x) is int for x in exps)):
@@ -450,11 +463,7 @@ def replay_report(report: dict, action=None) -> dict:
                 replay_element_verdict(action, exps, results["verdict"], ("ergodic",),
                                        failures)
                 _replay_first_ergodic(action, exps, failures)
-            checked += 1
         else:
-            replay_laurent_verdict(action, _group_direction(action), results["group"],
-                                   _ERGODIC_SLOT, failures)
-            checked += 1
             direction = results["direction"]
             if not (isinstance(direction, list) and len(direction) == action.nvars
                     and all(type(x) is int for x in direction)):
@@ -465,13 +474,8 @@ def replay_report(report: dict, action=None) -> dict:
                                        failures)
                 _replay_first_direction(action, direction, flags.get("search-box", 0),
                                         failures)
-            checked += 1
     elif command == "filtration":
         replay_filtration(action, results, failures)
-        checked += 1
-    elif command == "oracle-check":
-        replay_oracle_check(action, flags, results, failures)
-        checked += 1
     else:
-        failures.append(f"unknown command {command!r}")
+        replay_oracle_check(action, flags, results, failures)
     return {"checked": checked, "failures": failures}

@@ -64,29 +64,6 @@ class Verdict:
         return {"kind": self.kind.value, "certificate": self.certificate.to_payload()}
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
-    """Weakly decreasing chain of invariant dual subspaces with one
-    generator certified ergodic on each successive quotient."""
-
-    chain: tuple
-    attributions: tuple
-    residual: Subspace
-    group_ergodic: bool
-
-    def dims(self) -> tuple:
-        return tuple(w.dim for w in self.chain)
-
-    def to_payload(self) -> dict:
-        return {
-            "chain": [encoding.encode_subspace(w) for w in self.chain],
-            "dims": list(self.dims()),
-            "attributions": list(self.attributions),
-            "residual": encoding.encode_subspace(self.residual),
-            "group_ergodic": self.group_ergodic,
-        }
-
-
 def _checked_spectrum(b: Matrix) -> Spectrum:
     """The spectrum of a dual matrix, with its cyclotomic division route
     and cyclotomic determinant route asserted to agree order by order."""
@@ -110,7 +87,6 @@ def is_ergodic_element(action, exponents) -> Verdict:
     cert = Certificate("witness-character", {
         "character": encoding.encode_vector(witness),
         "power": math.lcm(*spectrum.orders),
-        "shared_orders": spectrum.orders,
     })
     return Verdict(VerdictKind.NOT_ERGODIC, cert)
 
@@ -195,16 +171,17 @@ def largest_ergodic_subgroup(action):
     return w
 
 
-def ergodic_distal_filtration(action) -> FiltrationReport:
+def ergodic_distal_filtration(action) -> tuple:
     """Chain of invariant dual subspaces, one stage per generator, with
     generator i certified ergodic on the stage quotient and every
-    generator quasi-unipotent on the residual."""
-    rank = action.dim
+    generator quasi-unipotent on the residual, the chain's last member.
+    The chain fixes the rest: the residual is the largest ergodic
+    subgroup's dual subspace, and it is zero exactly when the group is
+    ergodic."""
     duals = action.dual_generators
-    w_prev = Subspace.full(rank)
-    chain = [w_prev]
-    attributions = []
-    for i, d in enumerate(duals, start=1):
+    chain = [Subspace.full(action.dim)]
+    for d in duals:
+        w_prev = chain[-1]
         w_i = kernel(d.spectrum.unipotent_power).intersect(w_prev)
         for other in duals:
             if not w_i.is_invariant(other):
@@ -213,24 +190,15 @@ def ergodic_distal_filtration(action) -> FiltrationReport:
         if (w_prev.dim != w_i.dim
                 and not fixed_by_power([induced(d, w_prev, w_i)]).is_zero):
             raise InternalCheckError("stage quotient carries a finite-orbit character")
-        attributions.append({
-            "stage": i,
-            "generator": i,
-            "dim_from": w_prev.dim,
-            "dim_to": w_i.dim,
-        })
         chain.append(w_i)
-        w_prev = w_i
     residual = chain[-1]
     for d in duals:
         if not quasi_unipotent_on(d, residual):
             raise InternalCheckError("generator is not quasi-unipotent on the residual")
-    group_verdict = is_ergodic_group(action)
-    if residual.is_zero != group_verdict.is_ergodic:
+    if residual.is_zero != is_ergodic_group(action).is_ergodic:
         raise InternalCheckError(
             "residual vanishing disagrees with the independent group verdict")
-    return FiltrationReport(tuple(chain), tuple(attributions), residual,
-                            group_verdict.is_ergodic)
+    return tuple(chain)
 
 
 def find_ergodic_exponents(action):

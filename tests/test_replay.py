@@ -148,14 +148,15 @@ def _later_ergodic_vector(results):
 
 def _one_variable_trivial_content(results):
     results["directions"][0]["verdict"] = {"kind": "ergodic", "certificate": {
-        "kind": "trivial-univariate-content", "data": {"direction": [1], "content": [1]}}}
+        "kind": "trivial-univariate-content", "data": {"direction": [1]}}}
 
 
 def _direction_free_witness_in_group(results):
     # a two-variable group slot names no direction, so a witness there
     # has nothing to be about
     results["group"] = {"kind": "not-ergodic", "certificate": {
-        "kind": "finite-quotient-witness", "data": {"power": 1, "common_factor": {
+        "kind": "finite-quotient-witness", "data": {"direction": [1, 0], "power": 1,
+                                                    "common_factor": {
             "p": 2, "vars": 2, "terms": [[[0, 0], 1], [[1, 0], 1]]}}}}
 
 
@@ -181,11 +182,13 @@ def _found_direction(direction):
     return tamper
 
 
-def _rotation_shared_orders(orders, power):
+def _rotation_shared_orders(orders):
+    # schema 9 listed the orders beside their lcm, the power; a report
+    # that still states them is refused, whatever they are
     def tamper(results):
         data = results["generators"][0]["ergodic"]["certificate"]["data"]
-        assert (data["shared_orders"], data["power"]) == ([4], 4)
-        data["shared_orders"], data["power"] = orders, power
+        assert data == {"character": [1, 0], "power": 4}
+        data["shared_orders"] = orders
     return tamper
 
 
@@ -205,18 +208,17 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("analyze", FIB_TWICE, (), _drop_second_generator),
     ("analyze", FIB_TWICE, (), _set("group", "distal", "certificate", "data", "generator", 2)),
     ("analyze", FIB, (), _forged_distal_group),
-    # each power below fixes the rotation's witness, so only the orders are wrong
-    ("analyze", ROTATION, (), _rotation_shared_orders([8], 8)),
-    ("analyze", ROTATION, (), _rotation_shared_orders([1, 4], 4)),
+    ("analyze", ROTATION, (), _rotation_shared_orders([8])),
+    ("analyze", ROTATION, (), _rotation_shared_orders([1, 4])),
+    # each power below fixes the rotation's witness, so only the lcm is wrong
+    ("analyze", ROTATION, (),
+     _set("generators", 0, "ergodic", "certificate", "data", "power", 8)),
     ("analyze", ROTATION, (), _set("group", "ergodic", "certificate", "data", "power", 12)),
     ("find-ergodic", FIB, (), _set("element_matrix", [[1, 1], [1, 2]])),
     ("find-ergodic", BLOCK_PAIR, (), _later_ergodic_vector),
+    # a field another field or the flags fix is not stated, and a report
+    # that states one anyway is refused
     ("filtration", FIB_TWICE, (), _set("dims", [2, 1, 0])),
-    ("filtration", FIB_TWICE, (), _set("attributions", 0, "stage", 2)),
-    ("filtration", FIB_TWICE, (), _set("attributions", 0, "generator", 2)),
-    ("filtration", FIB_TWICE, (), _set("attributions", 0, "dim_from", 1)),
-    ("filtration", FIB_TWICE, (), _set("attributions", 0, "dim_to", 1)),
-    ("filtration", FIB_TWICE, (), _set("attributions", 1, "ergodic_on_quotient", False)),
     ("oracle-check", SHEAR, ORACLE_FLAGS, _set("finite_orbits", 5)),
     ("oracle-check", SHEAR, ORACLE_FLAGS, _set("exceeded", 19)),
     ("oracle-check", SHEAR, ORACLE_FLAGS, _set("characters_checked", 25)),
@@ -247,12 +249,11 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("analyze", LEDRAPPIER, (), _direction_free_witness_in_group),
 ], ids=["mixing-flag", "verdict-kind", "verdict-slot", "generator-index", "generator-count",
         "not-distal-generator", "distal-group-kind",
-        "element-shared-orders-multiple", "element-shared-orders-extra", "group-power-multiple",
+        "element-shared-orders-multiple", "element-shared-orders-extra",
+        "element-power-multiple", "group-power-multiple",
         "element-matrix",
         "first-vector",
-        "filtration-dims",
-        "attribution-stage", "attribution-generator", "attribution-dim-from",
-        "attribution-dim-to", "attribution-ergodic", "finite-orbits", "exceeded",
+        "filtration-dims", "finite-orbits", "exceeded",
         "characters-checked", "norm-bound", "cap", "laurent-direction-kind",
         "laurent-direction-slot", "laurent-content-variable", "laurent-group-kind",
         "laurent-found-direction", "laurent-found-kind", "laurent-one-variable-content",
@@ -270,8 +271,8 @@ def test_tampered_derived_field_fails_replay(tmp_path, capsys, command, doc, fla
 
 def test_forged_oracle_box_past_the_limit_fails_without_enumerating(tmp_path, capsys):
     report = fresh_report(tmp_path, capsys, "oracle-check", SHEAR, *ORACLE_FLAGS)
-    # a box of about 4e12 characters, stated in both the flags and the results
-    report["flags"]["norm-bound"] = report["results"]["norm_bound"] = 10 ** 6
+    # a box of about 4e12 characters
+    report["flags"]["norm-bound"] = 10 ** 6
     failures = replay_report(report)["failures"]
     assert any("above the limit" in failure for failure in failures)
 
@@ -285,14 +286,15 @@ def test_witness_power_that_is_not_the_least_fails_replay(tmp_path, capsys, powe
     for verdict in (results["directions"][0]["verdict"], results["group"]):
         assert verdict["certificate"]["data"]["power"] == 3
         verdict["certificate"]["data"]["power"] = power
-    # the group of u alone is checked equal to the verdict of u
-    assert replay_report(report)["failures"] == ["witness power is not the least one"]
+    # the group of u alone is replayed as the translation by u
+    assert replay_report(report)["failures"] == ["witness power is not the least one"] * 2
 
 
 def test_one_variable_group_must_be_the_verdict_of_u(tmp_path, capsys):
+    # the group slot is replayed as a verdict about the direction (1,)
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     report["results"]["group"]["certificate"]["data"]["power"] = 6
-    assert replay_report(report)["failures"] == ["group verdict differs from the verdict of u"]
+    assert replay_report(report)["failures"] == ["witness power is not the least one"]
 
 
 def test_common_factor_must_divide_the_power_identity(tmp_path, capsys):
@@ -312,7 +314,8 @@ def test_malformed_common_factor_is_a_failure(tmp_path, capsys, exponent):
     results = report["results"]
     for verdict in (results["directions"][0]["verdict"], results["group"]):
         verdict["certificate"]["data"]["common_factor"]["terms"][0][0] = [exponent]
-    assert replay_report(report)["failures"] == ["common factor is not a Laurent polynomial"]
+    assert replay_report(report)["failures"] == [
+        "common factor is not a Laurent polynomial"] * 2
 
 
 @pytest.mark.parametrize("exponents", [[2.0, 1], ["1", 1], [1, 1, 1], [1], "11", None])
@@ -375,8 +378,7 @@ def test_witness_outside_the_kernel_of_c_fails_replay(tmp_path, capsys):
         assert verdict["certificate"]["data"]["character"] == [0, 0, 1, 0]
         verdict["certificate"]["data"]["character"] = [1, 0, 0, 0]
     assert replay_report(report)["failures"] == [
-        "witness character is not fixed by the stated power",
-        "witness character is not fixed by a generator power"]
+        "witness character is not fixed by the stated power"] * 2
 
 
 def test_witness_orders_must_agree_with_the_determinant_route(tmp_path, capsys, monkeypatch):
@@ -394,17 +396,23 @@ def test_malformed_largest_subgroup_is_a_failure(tmp_path, capsys, subspace):
     assert replay_report(report)["failures"] == ["subspace is not a subspace of the dual"]
 
 
-@pytest.mark.parametrize("key,value", [
-    ("chain", 5), ("chain", [5, 5, 5]), ("residual", 5),
-    ("chain", [{"ambient": 2, "basis": ["a"]}] * 3),
-    ("residual", {"ambient": 2, "basis": [["a", 1]]}),
+MALFORMED_CHAIN = "chain is not made of subspaces of the dual"
+RESULTS_SHAPE = "flags or results are not shaped as the CLI emits them for this command"
+
+
+@pytest.mark.parametrize("key,value,failure", [
+    ("chain", 5, MALFORMED_CHAIN), ("chain", [5, 5, 5], MALFORMED_CHAIN),
+    ("residual", 5, RESULTS_SHAPE),
+    ("chain", [{"ambient": 2, "basis": ["a"]}] * 3, MALFORMED_CHAIN),
+    ("residual", {"ambient": 2, "basis": [["a", 1]]}, RESULTS_SHAPE),
 ], ids=["chain-scalar", "chain-of-scalars", "residual-scalar", "chain-basis",
         "residual-basis"])
-def test_malformed_filtration_subspace_is_a_failure(tmp_path, capsys, key, value):
+def test_malformed_filtration_subspace_is_a_failure(tmp_path, capsys, key, value, failure):
+    # the chain is the whole report: a residual, which its last member
+    # fixes, is a key replay does not read and is refused
     report = fresh_report(tmp_path, capsys, "filtration", FIB_TWICE)
     report["results"][key] = value
-    assert replay_report(report)["failures"] == [
-        "chain or residual is not made of subspaces of the dual"]
+    assert replay_report(report)["failures"] == [failure]
 
 
 def test_filtration_in_the_wrong_dimension_is_a_failure(tmp_path, capsys):
@@ -412,14 +420,9 @@ def test_filtration_in_the_wrong_dimension_is_a_failure(tmp_path, capsys):
     # terms, and the zero and whole-space shortcuts act on neither, but
     # they are not subspaces of the 2-torus's dual
     report = fresh_report(tmp_path, capsys, "filtration", FIB)
-    results = report["results"]
-    assert results["dims"] == [2, 0]
-    results["chain"] = [encode_subspace(Subspace.full(3)), encode_subspace(Subspace.zero(3))]
-    results["residual"] = encode_subspace(Subspace.zero(3))
-    results["dims"] = [3, 0]
-    results["attributions"][0]["dim_from"] = 3
-    assert replay_report(report)["failures"] == [
-        "chain or residual is not made of subspaces of the dual"]
+    report["results"]["chain"] = [encode_subspace(Subspace.full(3)),
+                                  encode_subspace(Subspace.zero(3))]
+    assert replay_report(report)["failures"] == [MALFORMED_CHAIN]
 
 
 @pytest.mark.parametrize("chain,failure", [
@@ -431,12 +434,8 @@ def test_forged_filtration_chain_fails_replay(tmp_path, capsys, chain, failure):
     # characters, and the Fibonacci block is not quasi-unipotent
     report = fresh_report(tmp_path, capsys, "filtration", FIB_IDENTITY)
     results = report["results"]
-    assert results["dims"] == [4, 2]
+    assert [len(w["basis"]) for w in results["chain"]] == [4, 2]
     results["chain"] = [encode_subspace(w) for w in chain]
-    results["residual"] = encode_subspace(chain[-1])
-    results["dims"] = [w.dim for w in chain]
-    results["attributions"][0]["dim_to"] = chain[-1].dim
-    results["group_ergodic"] = chain[-1].is_zero
     assert replay_report(report)["failures"] == [failure]
 
 
@@ -444,3 +443,134 @@ def test_filtration_with_an_empty_chain_is_a_failure(tmp_path, capsys):
     report = fresh_report(tmp_path, capsys, "filtration", FIB)
     report["results"]["chain"] = []
     assert replay_report(report)["failures"] == ["chain does not have one stage per generator"]
+
+
+SHAPE = ("verdict is not shaped {kind, certificate: {kind, data}} "
+         "with its certificate kind's data keys")
+# A schema-8 analyze report of the 2-torus identity, as that schema
+# emitted it, with the group witness's orbit, orbit size and quotient
+# flag forged: schema 9 replay read none of the three and passed it.
+SCHEMA_8_FORGED_ORBIT = (
+    '{"command":"analyze","flags":{},"input":{"generators":[[[1,0],[0,1]]],"r":2,'
+    '"type":"toral"},"results":{"generators":[{"distal":{"certificate":{"data":'
+    '{"factors":[[1,2]]},"kind":"cyclotomic-char-poly"},"kind":"distal"},"ergodic":'
+    '{"certificate":{"data":{"character":[1,0],"power":1,"shared_orders":[1]},'
+    '"kind":"witness-character"},"kind":"not-ergodic"},"index":1,'
+    '"mixing_of_all_orders":false}],"group":{"distal":{"certificate":{"data":{},'
+    '"kind":"all-generators-quasi-unipotent"},"kind":"distal"},"ergodic":{"certificate":'
+    '{"data":{"character":[1,0],"orbit":[[5,5]],"orbit_size":7,"power":1},'
+    '"kind":"witness-character"},"kind":"not-ergodic"}},"largest_ergodic_subgroup":'
+    '{"generators_quasi_unipotent_on_subspace":true,"quotient_has_no_finite_orbit":false,'
+    '"subspace":{"ambient":2,"basis":[[1,0],[0,1]]}}},"schema_version":8}')
+# The schema-9 filtration report of the same action.
+SCHEMA_9_FILTRATION = (
+    '{"command":"filtration","flags":{},"input":{"generators":[[[1,0],[0,1]]],"r":2,'
+    '"type":"toral"},"results":{"attributions":[{"dim_from":2,"dim_to":2,"generator":1,'
+    '"stage":1}],"chain":[{"ambient":2,"basis":[[1,0],[0,1]]},{"ambient":2,"basis":'
+    '[[1,0],[0,1]]}],"dims":[2,2],"group_ergodic":false,"residual":{"ambient":2,'
+    '"basis":[[1,0],[0,1]]}},"schema_version":9}')
+
+
+@pytest.mark.parametrize("text", [SCHEMA_8_FORGED_ORBIT, SCHEMA_9_FILTRATION],
+                         ids=["schema-8-forged-orbit", "schema-9-filtration"])
+def test_report_of_an_earlier_schema_fails_replay(text):
+    report = json.loads(text)
+    assert replay_report(report) == {"checked": 0, "failures": ["schema version is not 10"]}
+    # read as schema 10, its extra fields are keys replay does not check
+    report["schema_version"] = 10
+    assert replay_report(report) == {"checked": 0, "failures": [RESULTS_SHAPE]}
+
+
+def _certificates(node, kind):
+    """Every certificate of the kind in a report's results, depth first."""
+    if isinstance(node, dict):
+        if node.get("kind") == kind and "data" in node:
+            yield node
+        for value in node.values():
+            yield from _certificates(value, kind)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _certificates(value, kind)
+
+
+@pytest.mark.parametrize("kind,command,doc", [
+    ("no-root-of-unity-eigenvalue", "analyze", FIB),
+    ("non-cyclotomic-factor", "analyze", FIB),
+    ("zero-finite-orbit-subspace", "analyze", FIB),
+    ("non-quasi-unipotent-generator", "analyze", FIB),
+    ("witness-character", "analyze", ROTATION),
+    ("cyclotomic-char-poly", "analyze", ROTATION),
+    ("all-generators-quasi-unipotent", "analyze", ROTATION),
+    ("trivial-univariate-content", "analyze", LEDRAPPIER),
+    ("coprime-axis-powers", "analyze", LEDRAPPIER),
+    ("finite-quotient-witness", "analyze", TRINOMIAL),
+    ("no-root-of-unity-eigenvalue", "find-ergodic", BLOCK_PAIR),
+    ("trivial-univariate-content", "find-ergodic", LEDRAPPIER),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_unknown_certificate_data_key_is_one_failure(tmp_path, capsys, kind, command, doc):
+    report = fresh_report(tmp_path, capsys, command, doc)
+    data = next(_certificates(report["results"], kind))["data"]
+    assert replay_report(report)["failures"] == []
+    data["unchecked"] = 1
+    assert replay_report(report)["failures"] == [SHAPE]
+    del data["unchecked"]
+    if data:
+        # a missing key is refused as well
+        data.pop(sorted(data)[0])
+        assert replay_report(report)["failures"] == [SHAPE]
+
+
+@pytest.mark.parametrize("strip", ["certificate", "kind"])
+@pytest.mark.parametrize("command,doc,path", [
+    ("analyze", FIB, ("generators", 0, "ergodic")),
+    ("analyze", FIB, ("group", "distal")),
+    ("analyze", LEDRAPPIER, ("group",)),
+    ("find-ergodic", LEDRAPPIER, ("verdict",)),
+], ids=["element", "group", "laurent-group", "found-direction"])
+def test_verdict_without_certificate_or_kind_is_one_failure(tmp_path, capsys, command, doc,
+                                                            path, strip):
+    report = fresh_report(tmp_path, capsys, command, doc)
+    verdict = report["results"]
+    for step in path:
+        verdict = verdict[step]
+    del verdict[strip]
+    assert replay_report(report)["failures"] == [SHAPE]
+
+
+@pytest.mark.parametrize("command,doc,flags,path,failure", [
+    ("analyze", FIB, (), (), RESULTS_SHAPE),
+    ("analyze", FIB, (), ("generators", 0), RESULTS_SHAPE),
+    ("analyze", FIB, (), ("group",), RESULTS_SHAPE),
+    ("analyze", FIB, (), ("largest_ergodic_subgroup",), RESULTS_SHAPE),
+    ("analyze", LEDRAPPIER, (), (), RESULTS_SHAPE),
+    ("analyze", LEDRAPPIER, (), ("directions", 1), RESULTS_SHAPE),
+    ("find-ergodic", BLOCK_PAIR, (), (), RESULTS_SHAPE),
+    ("find-ergodic", LEDRAPPIER, (), (), RESULTS_SHAPE),
+    ("filtration", BLOCK_PAIR, (), (), RESULTS_SHAPE),
+    ("oracle-check", FIB, ORACLE_FLAGS, (), RESULTS_SHAPE),
+    # encoded values refuse keys of their own
+    ("analyze", ROTATION, (), ("largest_ergodic_subgroup", "subspace"),
+     "subspace is not a subspace of the dual"),
+    ("filtration", FIB_TWICE, (), ("chain", 1), MALFORMED_CHAIN),
+    ("analyze", TRINOMIAL, (), ("group", "certificate", "data", "common_factor"),
+     "common factor is not a Laurent polynomial"),
+], ids=["analyze", "generator-entry", "group", "largest-subgroup", "laurent-analyze",
+        "direction-entry", "find-ergodic", "laurent-find-ergodic", "filtration",
+        "oracle-check", "subspace", "chain-member", "common-factor"])
+def test_unknown_results_key_is_one_failure(tmp_path, capsys, command, doc, flags, path,
+                                            failure):
+    report = fresh_report(tmp_path, capsys, command, doc, *flags)
+    target = report["results"]
+    for step in path:
+        target = target[step]
+    target["unchecked"] = True
+    assert replay_report(report)["failures"] == [failure]
+
+
+def test_found_element_replaces_the_group_verdict(tmp_path, capsys):
+    # find-ergodic states no group verdict: a non-ergodic group exits 3,
+    # and the ergodic element found proves the group ergodic
+    for doc in (BLOCK_PAIR, LEDRAPPIER):
+        report = fresh_report(tmp_path, capsys, "find-ergodic", doc)
+        assert "group" not in report["results"]
+        assert replay_report(report) == {"checked": 1, "failures": []}

@@ -7,8 +7,8 @@ import pytest
 from ergodec import (Matrix, MatrixAction, NotErgodicGroupError, Subspace, VerdictKind,
                      cyclotomic, dual_element, ergodic_distal_filtration,
                      find_ergodic_exponents, is_distal_element, is_distal_group,
-                     is_ergodic_element, is_ergodic_group, largest_ergodic_subgroup,
-                     solenoid_action, toral_action)
+                     is_ergodic_element, is_ergodic_group, kernel,
+                     largest_ergodic_subgroup, solenoid_action, toral_action)
 from ergodec.actions import positive_vectors
 from ergodec.intpoly import orders_with_totient_at_most, poly_gcd
 from factories import (commuting_mixed_family, commuting_unipotent_family,
@@ -170,36 +170,35 @@ class TestLargestErgodicSubgroup:
             ]
             for gens in families:
                 act = toral_action(gens)
-                assert largest_ergodic_subgroup(act) == ergodic_distal_filtration(act).residual
+                assert largest_ergodic_subgroup(act) == ergodic_distal_filtration(act)[-1]
 
 
 class TestFiltration:
     def test_fibonacci_chain(self):
-        report = ergodic_distal_filtration(fib_action())
-        assert report.dims() == (2, 0)
-        assert report.group_ergodic
+        chain = ergodic_distal_filtration(fib_action())
+        assert [w.dim for w in chain] == [2, 0]
 
     def test_block_pair_chain_and_attribution(self):
-        report = ergodic_distal_filtration(block_pair_action())
-        assert report.dims() == (4, 2, 0)
-        assert [a["generator"] for a in report.attributions] == [1, 2]
-        assert report.group_ergodic
+        act = block_pair_action()
+        chain = ergodic_distal_filtration(act)
+        assert [w.dim for w in chain] == [4, 2, 0]
+        # stage i is the part of stage i - 1 where generator i is quasi-unipotent
+        assert chain[1] == kernel(act.dual_generators[0].spectrum.unipotent_power)
 
     def test_identity_chain_residual_full(self):
         act = toral_action([Matrix.identity(3)])
-        report = ergodic_distal_filtration(act)
-        assert report.dims() == (3, 3)
-        assert not report.group_ergodic
-        assert report.residual.is_full
+        chain = ergodic_distal_filtration(act)
+        assert [w.dim for w in chain] == [3, 3]
+        assert chain[-1].is_full
 
     def test_chain_members_invariant_and_decreasing(self):
         rng = random.Random(71)
         for _ in range(10):
             act = toral_action(commuting_mixed_family(rng, max_dim=4))
-            report = ergodic_distal_filtration(act)
-            for prev, cur in zip(report.chain, report.chain[1:]):
+            chain = ergodic_distal_filtration(act)
+            for prev, cur in zip(chain, chain[1:]):
                 assert prev.contains_subspace(cur)
-            for w in report.chain:
+            for w in chain:
                 for d in act.dual_generators:
                     assert w.is_invariant(d)
 
@@ -315,7 +314,7 @@ class TestTransposeDual:
         old = inverse_transpose_action(act)
         assert act.finite_orbit_subspace == old.finite_orbit_subspace
         assert largest_ergodic_subgroup(act) == largest_ergodic_subgroup(old)
-        assert ergodic_distal_filtration(act).chain == ergodic_distal_filtration(old).chain
+        assert ergodic_distal_filtration(act) == ergodic_distal_filtration(old)
         group, old_group = is_ergodic_group(act), is_ergodic_group(old)
         assert group.kind == old_group.kind
         if not group.is_ergodic:
@@ -381,6 +380,5 @@ class TestSolenoid:
 
     def test_filtration_on_solenoid(self):
         act = solenoid_action([[[2, 0], [0, 1]]])
-        report = ergodic_distal_filtration(act)
-        assert report.dims() == (2, 1)
-        assert not report.group_ergodic
+        chain = ergodic_distal_filtration(act)
+        assert [w.dim for w in chain] == [2, 1]
