@@ -10,14 +10,17 @@ n = m*n0 with n0 primitive.  A common factor of g and u^(k*n) - 1 is a
 polynomial in u^n0, so the direction is ergodic exactly when g's content
 along n0 is 1.  Ledrappier's g has trivial content along every
 direction.  Multiplying it by 1 + u1*u2 plants a factor in u^(1, 1), which
-makes the diagonal non-ergodic, with witness power 1.  A one-variable
+makes the diagonal non-ergodic: the exact verdict names the least
+witness power k = 1 and the common factor h of g and u^(k*(1, 1)) - 1,
+so the class of g/h is a nonzero character with a finite orbit along
+the diagonal.  A one-variable
 presenter, by contrast, has a finite module, so no translation is ever
 ergodic there.
 """
 
 from ergodec import (LaurentPoly, content_along, direction_is_ergodic,
-                     find_ergodic_direction, group_is_ergodic, laurent_cyclic_action,
-                     orbit_probe)
+                     find_ergodic_direction, group_is_ergodic, laurent_cyclic_action)
+from ergodec.encoding import decode_laurent
 
 DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 2), (2, -1))
 
@@ -42,9 +45,6 @@ def main():
     found, _ = find_ergodic_direction(action, search_box=3)
     print(f"first ergodic direction in the box: {found}")
 
-    probe = orbit_probe(action, LaurentPoly.one(2, 2), (1, 1), cap=64)
-    print(f"orbit probe of the class of 1 along (1, 1): {probe}")
-
     print()
     planted = g * LaurentPoly.from_terms(2, 2, {(0, 0): 1, (1, 1): 1})
     act2 = laurent_cyclic_action(2, 2, planted)
@@ -52,8 +52,9 @@ def main():
     show(act2, DIRECTIONS)
     found, _ = find_ergodic_direction(act2, search_box=3)
     print(f"first ergodic direction in the box: {found}")
-    probe = orbit_probe(act2, g, (1, 1), cap=64)
-    print(f"orbit probe of the class of g along (1, 1): {probe}")
+    data = direction_is_ergodic(act2, (1, 1)).certificate.data
+    print(f"along (1, 1): least witness power {data['power']}, common factor "
+          f"h = {decode_laurent(data['common_factor'])}")
 
     print()
     g1 = LaurentPoly.from_terms(2, 1, {(0,): 1, (1,): 1, (2,): 1})

@@ -24,10 +24,10 @@ import sys
 import time
 
 from . import encoding, laurent_engine, oracle, replay, toral
-from .actions import build_action, element
+from .actions import build_action
 from .errors import (InternalCheckError, NotErgodicGroupError, SearchExhaustedError,
                      ValidationError)
-from .laurent import axis_directions
+from .laurent import stated_axes
 from .replay import SCHEMA_VERSION
 
 
@@ -90,17 +90,11 @@ class _CliExit(Exception):
 
 def cmd_analyze(args, doc: dict, action) -> dict:
     if action.kind in ("toral", "solenoid"):
-        generators = []
-        for i in range(action.n_generators):
-            exps = tuple(1 if j == i else 0 for j in range(action.n_generators))
-            ergodic = toral.is_ergodic_element(action, exps)
-            generators.append({
-                "index": i + 1,
-                "ergodic": ergodic.to_payload(),
-                "distal": toral.is_distal_element(action, exps).to_payload(),
-                # a single ergodic automorphism is mixing of all orders
-                "mixing_of_all_orders": ergodic.is_ergodic,
-            })
+        n = action.n_generators
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        generators = [{"ergodic": toral.is_ergodic_element(action, exps).to_payload(),
+                       "distal": toral.is_distal_element(action, exps).to_payload()}
+                      for exps in units]
         group_ergodic = toral.is_ergodic_group(action)
         group_distal = toral.is_distal_group(action)
         results = {
@@ -114,7 +108,7 @@ def cmd_analyze(args, doc: dict, action) -> dict:
         results = {"directions": [
             {"direction": list(direction),
              "verdict": laurent_engine.direction_is_ergodic(action, direction).to_payload()}
-            for direction in axis_directions(action.nvars)],
+            for direction in stated_axes(action.nvars)],
             "group": laurent_engine.group_is_ergodic(action).to_payload()}
     return _report("analyze", doc, args, results)
 
@@ -123,11 +117,7 @@ def cmd_find_ergodic(args, doc: dict, action) -> dict:
     try:
         if action.kind in ("toral", "solenoid"):
             exps, verdict = toral.find_ergodic_exponents(action)
-            results = {
-                "exponents": list(exps),
-                "verdict": verdict.to_payload(),
-                "element_matrix": encoding.encode_matrix(element(action, exps)),
-            }
+            results = {"exponents": list(exps), "verdict": verdict.to_payload()}
         else:
             direction, verdict = laurent_engine.find_ergodic_direction(action, args.search_box)
             results = {"direction": list(direction), "verdict": verdict.to_payload()}

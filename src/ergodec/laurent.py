@@ -288,16 +288,12 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def direction_power_minus_one(p: int, nvars: int, direction, k: int) -> LaurentPoly:
-    """The Laurent polynomial u^(k*direction) - 1."""
-    exps = tuple(k * n for n in direction)
-    if all(x == 0 for x in exps):
-        raise ValueError("direction must be nonzero")
-    return LaurentPoly.from_terms(p, nvars, {exps: 1, (0,) * nvars: p - 1})
-
-
-def axis_directions(nvars: int) -> list:
-    """The coordinate directions e_1, ..., e_nvars."""
+def stated_axes(nvars: int) -> list:
+    """The coordinate directions an analyze report states a verdict for:
+    e_1, ..., e_nvars, or none in one variable, where u alone generates
+    the group and the group verdict is the verdict of u."""
+    if nvars == 1:
+        return []
     return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
 
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from . import encoding
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
-from .laurent import (LaurentPoly, direction_power_minus_one, directions_in_shell,
-                      laurent_divides)
+from .laurent import directions_in_shell
 from .toral import Certificate, Verdict, VerdictKind
 
 
@@ -29,19 +28,17 @@ def direction_is_ergodic(action, direction) -> Verdict:
     """Ergodicity of the translation by u^direction on the dual of S/(g),
     decided by g's content along the direction.  A negative verdict
     carries the least witness power k and the common factor of g and
-    u^(k*direction) - 1, mapped back from t to u^n0."""
+    u^(k*direction) - 1, mapped back from t to u^n0.  The certificate
+    names no direction: the report slot that holds it does."""
     direction = tuple(int(x) for x in direction)
     if len(direction) != action.nvars:
         raise ValueError("direction length must match the variable count")
     if all(x == 0 for x in direction):
         raise ValueError("direction must be nonzero")
     if len(action.content(direction)[2]) == 1:
-        return Verdict(VerdictKind.ERGODIC, Certificate("trivial-univariate-content", {
-            "direction": list(direction),
-        }))
+        return Verdict(VerdictKind.ERGODIC, Certificate("trivial-univariate-content", {}))
     k, common = action.witness(direction)
     return Verdict(VerdictKind.NOT_ERGODIC, Certificate("finite-quotient-witness", {
-        "direction": list(direction),
         "power": k,
         "common_factor": encoding.encode_laurent(common),
     }))
@@ -79,19 +76,3 @@ def find_ergodic_direction(action, search_box: int):
             if verdict.is_ergodic:
                 return direction, verdict
     raise SearchExhaustedError(search_box)
-
-
-def orbit_probe(action, element: LaurentPoly, direction, cap: int) -> dict:
-    """Brute-force orbit finiteness probe: the least power k at most cap
-    with (u^(k*direction) - 1) * element in the ideal."""
-    direction = tuple(int(x) for x in direction)
-    if all(x == 0 for x in direction):
-        raise ValueError("direction must be nonzero")
-    g = action.presenter
-    if laurent_divides(g, element) is not None:
-        raise ValueError("element lies in the ideal; its class is zero")
-    for k in range(1, cap + 1):
-        w = direction_power_minus_one(action.p, action.nvars, direction, k)
-        if laurent_divides(g, w * element) is not None:
-            return {"status": "finite", "power": k}
-    return {"status": "no-finite-orbit-up-to", "cap": cap}

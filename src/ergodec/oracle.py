@@ -4,11 +4,11 @@ Orbits are walked character by character over the dual generators
 alone, and finiteness means the walk closed: a generator permutes any
 finite set it maps into itself, so a finite closure under the
 generators is the group orbit.  The oracle decides finiteness only by
-walking: it never consults the analytic finite-orbit subspace, the
-action's MatrixAction.finite_orbit_subspace, except to compare against
-it.  A walk that gives up (too many characters visited, or coordinates
-past the size guard) certifies nothing; only the analytic side can
-assert an orbit is infinite.
+walking: it consults the analytic finite-orbit subspace, the action's
+MatrixAction.finite_orbit_subspace, only to compare against it and to
+choose which disagreements to walk again.  A walk that gives up (too
+many characters visited, or coordinates past the size guard) certifies
+nothing; only the analytic side can assert an orbit is infinite.
 
 Cross-validation first walks each generator's cycle through a
 character, one generator at a time, with matrices.walk_orbit over that
@@ -34,12 +34,19 @@ the lcm of those d, is at most M(r).  An infinite orbit thus costs at
 most M(r) steps per generator whatever the cap, and every character is
 classified finite or exceeded exactly as a walk to the cap would
 classify it.
+
+The coordinate guard (DEFAULT_COORD_BITS) only saves time on orbits
+whose coordinates grow without bound.  A finite orbit can have large
+points too, so a character inside the finite-orbit subspace whose walk
+stopped at the guard is walked again without it, each cycle still
+bounded by M(r) steps and the orbit by the cap, and only a failure of
+that walk is a disagreement.  Characters outside the subspace keep the
+guard.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import Issue, ValidationError
@@ -50,15 +57,6 @@ DEFAULT_COORD_BITS = 64
 # Most nonzero characters a cross-validation box may hold: (2b+1)^r - 1
 # grows past any run time long before r or b look large.
 MAX_BOX_CHARACTERS = 10 ** 6
-
-
-@dataclass(frozen=True)
-class OrbitResult:
-    status: str  # "finite" | "exceeded-cap"
-    size: int | None
-    visited: int
-    max_coordinate: int
-    reason: str | None  # "visited-cap" | "coordinate-guard" for exceeded-cap
 
 
 def _compile_map(rows):
@@ -91,37 +89,6 @@ def _orbit_maps(action):
 def _require_toral(action):
     if action.kind != "toral":
         raise ValueError("orbit enumeration runs on integer characters only")
-
-
-def orbit_bfs(action, chi, cap: int,
-              max_coord_bits: int = DEFAULT_COORD_BITS) -> OrbitResult:
-    """Breadth-first walk of the group orbit of an integer character.
-
-    Finite status is re-verified on output: the enumerated set must be
-    closed under every dual generator.  The walk gives up
-    once more than cap characters are visited or a coordinate outgrows
-    the bit guard; both outcomes are reported as exceeded-cap with the
-    reason recorded, and certify nothing.
-    """
-    _require_toral(action)
-    chi = tuple(int(x) for x in chi)
-    if all(x == 0 for x in chi):
-        raise ValueError("the zero character is fixed by everything")
-    maps = _orbit_maps(action)
-    guard = 1 << max_coord_bits
-    big = max(map(abs, chi))
-    if big >= guard:
-        return OrbitResult("exceeded-cap", None, 1, big, "coordinate-guard")
-    seen, stop, last = walk_orbit(maps, chi, cap, guard)
-    max_abs = max(max(map(abs, v)) for v in seen)
-    if stop is not None:
-        max_abs = max(max_abs, max(map(abs, last)))
-        return OrbitResult("exceeded-cap", None, len(seen), max_abs, stop)
-    for v in seen:
-        for apply_map in maps:
-            if apply_map(v) not in seen:
-                raise AssertionError("finite orbit is not closed; enumeration bug")
-    return OrbitResult("finite", len(seen), len(seen), max_abs, None)
 
 
 def box_characters(dim: int, norm_bound: int):
@@ -165,20 +132,25 @@ def cross_validate(action, norm_bound: int, cap: int,
     class_of: dict = {}
     class_status: list = []
 
+    def walk(start, guard, known):
+        """The cycles through start, one generator at a time, and then,
+        when every cycle closed, the orbit they make finite."""
+        seen = set()
+        for apply_map in maps:
+            cycle, stop, last = walk_orbit([apply_map], start, cycle_cap, guard, known)
+            seen |= cycle
+            if stop == "visited-cap" and period_bound < cap:
+                return seen, "period-bound", last
+            if stop is not None:
+                return seen, stop, last
+        if len(maps) > 1:
+            return walk_orbit(maps, start, cap, guard, known)
+        return seen, None, None
+
     def classify(start):
         if start in class_of:
             return class_of[start]
-        seen = set()
-        for apply_map in maps:
-            cycle, stop, last = walk_orbit([apply_map], start, cycle_cap, guard, class_of)
-            seen |= cycle
-            if stop is not None:
-                break
-        if stop == "visited-cap" and period_bound < cap:
-            stop = "period-bound"
-        elif stop is None and len(maps) > 1:
-            # Every cycle closed, so the orbit is finite; size it.
-            seen, stop, last = walk_orbit(maps, start, cap, guard, class_of)
+        seen, stop, last = walk(start, guard, class_of)
         if stop is None:
             status = ("finite", len(seen))
         elif stop == "known":
@@ -201,6 +173,14 @@ def cross_validate(action, norm_bound: int, cap: int,
         cid = classify(chi)
         status = class_status[cid]
         inside = fixed.contains(chi)
+        if inside and status == ("exceeded-cap", "coordinate-guard"):
+            # The guard only saves time on orbits that grow without
+            # bound; a cycle inside the subspace closes within M(r)
+            # steps however large its coordinates, so walk it again
+            # without the guard before calling it a disagreement.
+            seen, stop, _ = walk(chi, None, None)
+            status = ("finite", len(seen)) if stop is None else ("exceeded-cap", stop)
+            class_status[cid] = status
         if status[0] == "finite":
             finite_count += 1
             if not inside:

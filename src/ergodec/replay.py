@@ -37,15 +37,14 @@ import itertools
 import math
 
 from . import encoding
-from .actions import (build_action, dual_element, element, ergodic_search_bound,
-                      positive_vectors)
+from .actions import build_action, dual_element, ergodic_search_bound, positive_vectors
 from .errors import ValidationError
-from .intpoly import cyclotomic_product
-from .laurent import axis_directions, directions_in_shell, laurent_divides
+from .intpoly import cyclotomic_product, euler_phi, orders_with_totient_at_most
+from .laurent import directions_in_shell, laurent_divides, stated_axes
 from .matrices import Matrix, Subspace, induced, kernel, walk_orbit
 from .oracle import box_characters, box_limit_issue
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 # The verdict each certificate kind proves, and the keys of its data.
 _PROVES = {
@@ -56,8 +55,8 @@ _PROVES = {
     "all-generators-quasi-unipotent": ("distal", set()),
     "non-cyclotomic-factor": ("not-distal", {"factor", "cyclotomic_part"}),
     "non-quasi-unipotent-generator": ("not-distal", {"generator"}),
-    "finite-quotient-witness": ("not-ergodic", {"direction", "power", "common_factor"}),
-    "trivial-univariate-content": ("ergodic", {"direction"}),
+    "finite-quotient-witness": ("not-ergodic", {"power", "common_factor"}),
+    "trivial-univariate-content": ("ergodic", set()),
     "coprime-axis-powers": ("ergodic", set()),
 }
 
@@ -66,11 +65,11 @@ _PROVES = {
 # None admits any value (a verdict's shape is its certificate kind's).
 _RESULTS = {
     ("analyze", False): {
-        "generators": [dict.fromkeys(("index", "ergodic", "distal", "mixing_of_all_orders"))],
+        "generators": [dict.fromkeys(("ergodic", "distal"))],
         "group": dict.fromkeys(("ergodic", "distal")),
         "largest_ergodic_subgroup": {"subspace": None}},
     ("analyze", True): {"directions": [dict.fromkeys(("direction", "verdict"))], "group": None},
-    ("find-ergodic", False): dict.fromkeys(("exponents", "verdict", "element_matrix")),
+    ("find-ergodic", False): dict.fromkeys(("exponents", "verdict")),
     ("find-ergodic", True): dict.fromkeys(("direction", "verdict")),
     ("filtration", False): {"chain": None},
     ("oracle-check", False): dict.fromkeys(
@@ -91,6 +90,8 @@ def _check(condition: bool, failures: list, what: str) -> None:
     if not condition:
         failures.append(what)
 
+
+MALFORMED_CYCLOTOMIC = "cyclotomic factors are not [order, count] pairs within the rank"
 
 # The verdict kinds each report slot may hold.
 _ERGODIC_SLOT = ("ergodic", "not-ergodic")
@@ -159,12 +160,26 @@ def _dual_subspace(action, encoded):
     return sub if type(sub.ambient) is int and sub.ambient == action.dim else None
 
 
-def replay_element_verdict(action, exponents, payload: dict, slot: tuple, failures: list):
-    """Replay the verdict on one element; returns its kind, or None when
-    it is not shaped as its certificate kind's."""
+def _checked_cyclotomic_product(pairs, rank: int):
+    """The product of the [d, count] pairs' cyclotomic powers, or None
+    unless every pair is two positive ints and their degrees
+    count*phi(d) sum to at most rank: checked before any cyclotomic
+    polynomial is formed, so a huge order or count costs nothing."""
+    orders = orders_with_totient_at_most(rank)
+    if not (isinstance(pairs, list)
+            and all(isinstance(f, list) and len(f) == 2
+                    and all(type(x) is int for x in f) and f[0] in orders and f[1] >= 1
+                    for f in pairs)
+            and sum(c * euler_phi(d) for d, c in pairs) <= rank):
+        return None
+    return cyclotomic_product(pairs)
+
+
+def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
+                           failures: list) -> None:
     shaped = _check_kind(payload, slot, failures)
     if shaped is None:
-        return None
+        return
     kind, data = shaped
     b = dual_element(action, exponents)
     spectrum = b.spectrum
@@ -178,18 +193,30 @@ def replay_element_verdict(action, exponents, payload: dict, slot: tuple, failur
     elif kind == "witness-character":
         _replay_witness(action, [b], data, failures)
     elif kind == "cyclotomic-char-poly":
-        _check(cyclotomic_product(data["factors"]) == spectrum.char_poly, failures,
-               "cyclotomic factors do not multiply to the characteristic polynomial")
+        product = _checked_cyclotomic_product(data["factors"], action.dim)
+        if product is None:
+            failures.append(MALFORMED_CYCLOTOMIC)
+        else:
+            _check(product == spectrum.char_poly, failures,
+                   "cyclotomic factors do not multiply to the characteristic polynomial")
     elif kind == "non-cyclotomic-factor":
-        rest = encoding.decode_poly(data["factor"])
-        prod = cyclotomic_product(data["cyclotomic_part"]) * rest
-        _check(prod == spectrum.char_poly, failures,
+        part = _checked_cyclotomic_product(data["cyclotomic_part"], action.dim)
+        try:
+            rest = encoding.decode_poly(data["factor"])
+        except (TypeError, ValueError):
+            rest = None
+        if part is None:
+            failures.append(MALFORMED_CYCLOTOMIC)
+        if rest is None:
+            failures.append("residual factor is not a polynomial")
+        if part is None or rest is None:
+            return
+        _check(part * rest == spectrum.char_poly, failures,
                "factorization does not multiply back")
         _check(rest.degree >= 1, failures, "residual factor is constant")
         _check(rest == spectrum.rest, failures, "residual factor has a cyclotomic factor")
     else:
         failures.append(f"unknown element certificate kind {kind!r}")
-    return payload["kind"]
 
 
 def _replay_first_ergodic(action, exponents: tuple, failures: list) -> None:
@@ -321,19 +348,17 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
 def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
                            failures: list) -> None:
     """Replay a Laurent verdict in a slot about the translation by
-    u^direction; direction is None for a two-variable group slot, the one
-    slot whose certificate names no direction."""
+    u^direction, a nonzero direction the slot fixes; direction is None
+    for a two-variable group slot, which holds coprime-axis-powers and
+    which no other slot may hold."""
     shaped = _check_kind(payload, slot, failures)
     if shaped is None:
         return
     kind, data = shaped
     g = action.presenter
-    stated = data.get("direction")
-    if ((direction is None) != (kind == "coprime-axis-powers")
-            or stated != (None if direction is None else list(direction))
-            or (stated is not None and (len(stated) != action.nvars or not any(stated)))):
-        failures.append("certificate direction is not its slot's nonzero direction")
-        return  # every identity below is about that direction
+    if (direction is None) != (kind == "coprime-axis-powers"):
+        failures.append("coprime-axis-powers is not the verdict of a two-variable group slot")
+        return  # every identity below is about the slot's direction
     if kind == "finite-quotient-witness":
         try:
             factor = encoding.decode_laurent(data["common_factor"])
@@ -365,7 +390,6 @@ def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
     elif kind == "trivial-univariate-content":
         _check(action.content(direction)[2] == [1], failures, "content is not constant")
     elif kind == "coprime-axis-powers":
-        _check(action.nvars == 2, failures, "closure argument needs two variables")
         _check(not g.is_zero and not g.is_unit, failures,
                "presenter must be a nonzero non-unit")
     else:
@@ -418,29 +442,24 @@ def replay_report(report: dict, action=None) -> dict:
             "flags or results are not shaped as the CLI emits them for this command"]}
     if command == "analyze":
         if not laurent:
+            n = action.n_generators
             entries = results["generators"]
-            _check([e["index"] for e in entries] == list(range(1, action.n_generators + 1)),
-                   failures, "generator entries are not one per generator in order")
-            for i, entry in enumerate(entries):
-                exps = tuple(int(j == i) for j in range(action.n_generators))
-                kind = replay_element_verdict(action, exps, entry["ergodic"], _ERGODIC_SLOT,
-                                              failures)
-                _check(kind is None or entry["mixing_of_all_orders"] == (kind == "ergodic"),
-                       failures, "mixing flag differs from the ergodic verdict")
+            _check(len(entries) == n, failures, "generator entries are not one per generator")
+            for i, entry in zip(range(n), entries):
+                exps = tuple(int(j == i) for j in range(n))
+                replay_element_verdict(action, exps, entry["ergodic"], _ERGODIC_SLOT, failures)
                 replay_element_verdict(action, exps, entry["distal"], _DISTAL_SLOT, failures)
             replay_group_verdict(action, results["group"]["ergodic"], _ERGODIC_SLOT, failures)
             replay_group_verdict(action, results["group"]["distal"], _DISTAL_SLOT, failures)
             replay_largest_subgroup(action, results["largest_ergodic_subgroup"], failures)
-            checked = 2 * len(entries) + 3
+            checked = 2 * n + 3
         else:
             entries = results["directions"]
-            axes = axis_directions(action.nvars)
+            axes = stated_axes(action.nvars)
             _check([e["direction"] for e in entries] == [list(a) for a in axes],
                    failures, "directions are not the coordinate axes in order")
             for axis, entry in zip(axes, entries):
                 replay_laurent_verdict(action, axis, entry["verdict"], _ERGODIC_SLOT, failures)
-            # a one-variable group is generated by u alone; a two-variable
-            # group verdict is about no single direction
             replay_laurent_verdict(action, (1,) if action.nvars == 1 else None,
                                    results["group"], _ERGODIC_SLOT, failures)
             checked = len(axes) + 1
@@ -457,9 +476,6 @@ def replay_report(report: dict, action=None) -> dict:
                 failures.append("exponents are not positive within the search bound")
             else:
                 exps = tuple(exps)
-                _check(results["element_matrix"]
-                       == encoding.encode_matrix(element(action, exps)), failures,
-                       "element matrix is not the product of generator powers")
                 replay_element_verdict(action, exps, results["verdict"], ("ergodic",),
                                        failures)
                 _replay_first_ergodic(action, exps, failures)
@@ -468,6 +484,8 @@ def replay_report(report: dict, action=None) -> dict:
             if not (isinstance(direction, list) and len(direction) == action.nvars
                     and all(type(x) is int for x in direction)):
                 failures.append("direction is not one integer per variable")
+            elif not any(direction):
+                failures.append("direction is zero")
             else:
                 direction = tuple(direction)
                 replay_laurent_verdict(action, direction, results["verdict"], ("ergodic",),

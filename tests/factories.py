@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 
-from ergodec import Matrix, product_counterexample
+from ergodec import LaurentPoly, Matrix, product_counterexample
 from ergodec.encoding import encode_matrix
 from ergodec.intpoly import cyclotomic, orders_with_totient_at_most
 
@@ -173,3 +173,13 @@ def cyclotomic_blocks_doc(orders) -> dict:
     p = Matrix.from_rows([[int(i == 0 or i == j) for j in range(a.nrows)]
                           for i in range(a.nrows)])
     return {"type": "toral", "r": a.nrows, "generators": [encode_matrix(conjugate(a, p))]}
+
+
+def power_minus_one(p: int, nvars: int, direction, k: int) -> LaurentPoly:
+    """The Laurent polynomial u^(k*direction) - 1, expanded: the identity
+    a finite-quotient witness is about, which the engine and replay never
+    form."""
+    exps = tuple(k * n for n in direction)
+    if all(x == 0 for x in exps):
+        raise ValueError("direction must be nonzero")
+    return LaurentPoly.from_terms(p, nvars, {exps: 1, (0,) * nvars: p - 1})

@@ -18,11 +18,12 @@ from ergodec import (LaurentPoly, Matrix, VerdictKind, cross_validate, cyclotomi
 from ergodec.cli import main
 from ergodec.encoding import decode_laurent, encode_subspace
 from ergodec.intpoly import orders_with_totient_at_most, poly_gcd
-from ergodec.laurent import direction_power_minus_one, laurent_divides
+from ergodec.laurent import laurent_divides
 from ergodec.replay import replay_filtration, replay_report
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, counterexample_doc, ergodic_distal_pair, fibonacci_matrix,
-                       random_ergodic_2x2, random_unimodular, root_of_unity_lcm)
+                       power_minus_one, random_ergodic_2x2, random_unimodular,
+                       root_of_unity_lcm)
 
 
 class Budget:
@@ -216,7 +217,7 @@ def test_criterion_08_laurent_engine():
     factor = decode_laurent(v.certificate.data["common_factor"])
     assert not factor.is_unit
     witness = laurent_divides(factor, trinomial.presenter)
-    w = direction_power_minus_one(2, 1, (1,), 3)
+    w = power_minus_one(2, 1, (1,), 3)
     assert laurent_divides(trinomial.presenter, w * witness) is not None
     assert laurent_divides(trinomial.presenter, witness) is None
 
@@ -285,26 +286,26 @@ GOLDEN_COMMANDS = [
 # A change that keeps every report byte-identical keeps these digests.
 GOLDEN_SHA256 = {
     ("analyze", "fib.json"): (
-        "704a5593097b37fbd78d1a142caee556cabd10e8c0800157ffce1a4756bf06bd",
-        "d50c1dc059a784c57c6252b941dcb7e9472383abde197e04e12046b7b4d929fc"),
+        "a590ddcef9d41b8c20ed631ecdb30272b23a34ce61308af295a7baa86496ce2f",
+        "bbf4a43b13f8d0ab90bbafc0a61ec11c533731cf397ca06c5e3ad0ae721f7850"),
     ("analyze", "ledrappier.json"): (
-        "ec9f30f402a0f2afa32905edb0698b1c92518941a04d339149bf459c2a41c97d",
-        "1363dcc144761a916016f29dcb1213dffa6ac5268295e9c500d9d6714004bb12"),
+        "81b3f019941c5d45957c3ab9e1e99c5ef1d0167c806e78e5e52212aade891d5f",
+        "dfd84d79c3b3d70933b324de3d08e9a1f264ec53ab851716fde0e28fb228e761"),
     ("find-ergodic", "blockpair.json"): (
-        "04ffd11dd7993666f474fbaef0fea672d4ecbd09b65a1c3b5ed793f7584dffac",
-        "42fa1b8f0a4e7069e2b0a04699398174bc052b4a5e354c93f406e5ecfd64187c"),
+        "5ec0c8bd049e666747a8b4835e4ce2e719513fb2f6fb894ed920ffbf8cc942bc",
+        "2b38997b3e006b14159140d33ea359c2ee34e0650ba2c4e11448bbf89d487d1f"),
     ("find-ergodic", "ledrappier.json"): (
-        "43512115fbe425c4743487746cfab343709b7de21fb390ca438debe7bf99e162",
-        "5278af0dbebbb98eed6b968b4cdac3ef0344983368cdbd0e67f3488ed1badc30"),
+        "4111492cdfc028862bf79245c6df34043a7e2d31d52672d18838c43d2f9655bf",
+        "64793be75045a32f812c041a94735f5d15f291697e43155804ad9c228afc0fca"),
     ("filtration", "blockpair.json"): (
-        "19a4ca672ee7864acf2bca1400673e966d26199889e6d0f09279611731f202d9",
-        "4a46b20ddf0f81198c91bd4471cd9172c8dd2bad40414ec9acfda7fc11e2a8d1"),
+        "6f9469907454b6955173c4e5414c7004c6c6147ed8ef345644c755d74f3e610a",
+        "1391baa42a3dd5707a822d42d11b14c6235d55d898e968501b32d203e3047168"),
     ("oracle-check", "fib.json"): (
-        "88785d6d7edc942647fe382752ad3ab1da852bf011fed5143c263e2804082a07",
-        "0f30c6aa03544d50752d65f72c4614f215441f0a9e680ff5e479804fcaa6c4d7"),
+        "e0ec96bd9095075e700ec08d36e75d83f2d4e18d5dde21d05b79fd25cf1a2483",
+        "52328c105c3eeed9ff03690b5565b6859aae6c1fe64f9751420938a69409667e"),
     ("find-ergodic", "product_r2.json"): (
-        "7b5ee8955b254947aa29dc405e9ab4186c00101f56b74b1291ebfbee2794ffcb",
-        "13fe7423da19cea85d8ae84825f2a373ef330a6de7f00cd035e5728d329dbef0"),
+        "791e83738f99474ae3892ca537a535160219c0e1c163aef6c52a5cfa79ae895f",
+        "b33c5ae2806de96e287f0b8daf37ee4e31cba9458f02e5975dc424a861cdb6e3"),
 }
 
 

@@ -5,8 +5,9 @@ import pytest
 from ergodec import ValidationError, VerdictKind, direction_is_ergodic, laurent, \
     laurent_cyclic_action
 from ergodec.laurent import (LaurentPoly, ModulusMismatchError, _fp_divmod, _fp_gcd, _fp_monic,
-                             _fp_mul, _fp_sub, content_along, direction_power_minus_one,
-                             directions_in_shell, laurent_divides, witness_power)
+                             _fp_mul, _fp_sub, content_along, directions_in_shell,
+                             laurent_divides, witness_power)
+from factories import power_minus_one
 
 
 def lp(p, nvars, terms):
@@ -250,17 +251,20 @@ class TestBivariate:
 
 
 class TestDirectionPower:
+    """The tests' own u^(k*direction) - 1, which witness identities are
+    checked with."""
+
     def test_positive_direction(self):
-        w = direction_power_minus_one(2, 2, (1, 0), 3)
+        w = power_minus_one(2, 2, (1, 0), 3)
         assert w == lp(2, 2, {(3, 0): 1, (0, 0): 1})
 
     def test_mixed_signs_canonicalize(self):
-        w = direction_power_minus_one(3, 2, (1, -1), 2).canonical()
+        w = power_minus_one(3, 2, (1, -1), 2).canonical()
         assert w == lp(3, 2, {(2, 0): 1, (0, 2): 2})
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            direction_power_minus_one(2, 2, (0, 0), 1)
+            power_minus_one(2, 2, (0, 0), 1)
 
 
 class TestWitnessPower:

@@ -1,12 +1,14 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from ergodec import (Matrix, ValidationError, VerdictKind, cross_validate, element,
                      find_ergodic_exponents, is_ergodic_element,
-                     is_ergodic_group, oracle, orbit_bfs, product_counterexample,
+                     is_ergodic_group, oracle, product_counterexample,
                      solenoid_action, toral_action)
+from ergodec.cli import main
 from ergodec.intpoly import max_torsion_order
 from ergodec.matrices import Subspace, walk_orbit
 from factories import commuting_mixed_family, fibonacci_matrix
@@ -101,53 +103,46 @@ def test_compiled_map_is_the_matvec(n):
 
 
 class TestOrbitBfs:
+    """The breadth-first walk cross_validate sizes orbits with:
+    matrices.walk_orbit over the action's compiled dual maps, under the
+    oracle's coordinate guard."""
+
+    @staticmethod
+    def walk(action, chi, cap):
+        return walk_orbit(oracle._orbit_maps(action), chi, cap,
+                          1 << oracle.DEFAULT_COORD_BITS)
+
     def test_identity_fixes_everything(self):
-        act = toral_action([Matrix.identity(2)])
-        r = orbit_bfs(act, (1, 0), 100)
-        assert r.status == "finite"
-        assert r.size == 1
+        seen, stop, _ = self.walk(toral_action([Matrix.identity(2)]), (1, 0), 100)
+        assert (len(seen), stop) == (1, None)
 
     def test_rotation_orbit_of_four(self):
-        act = toral_action([[[0, -1], [1, 0]]])
-        r = orbit_bfs(act, (1, 0), 100_000)
-        assert r.status == "finite"
-        assert r.size == 4
+        seen, stop, _ = self.walk(toral_action([QUARTER_TURN]), (1, 0), 100_000)
+        assert (len(seen), stop) == (4, None)
 
     def test_hyperbolic_orbit_never_closes(self):
-        act = toral_action([fibonacci_matrix()])
-        r = orbit_bfs(act, (1, 0), 100_000)
-        assert r.status == "exceeded-cap"
-        assert r.reason in ("visited-cap", "coordinate-guard")
+        _, stop, _ = self.walk(toral_action([fibonacci_matrix()]), (1, 0), 100_000)
+        assert stop in ("visited-cap", "coordinate-guard")
 
     def test_visited_cap_path(self):
-        act = toral_action([[[1, 1], [0, 1]]])
-        r = orbit_bfs(act, (1, 0), 50)
-        assert r.status == "exceeded-cap"
-        assert r.reason == "visited-cap"
-
-    def test_zero_character_rejected(self):
-        act = toral_action([Matrix.identity(2)])
-        with pytest.raises(ValueError):
-            orbit_bfs(act, (0, 0), 10)
+        _, stop, _ = self.walk(toral_action([SHEAR]), (1, 0), 50)
+        assert stop == "visited-cap"
 
     def test_solenoid_rejected(self):
-        act = solenoid_action([[[2]]])
         with pytest.raises(ValueError):
-            orbit_bfs(act, (1,), 10)
+            cross_validate(solenoid_action([[[2]]]), 1, 10)
 
     def test_finite_orbits_are_closed(self):
         rng = random.Random(113)
-        act = toral_action([[[0, -1], [1, 0]], [[-1, 0], [0, -1]]])
-        maps = []
-        for d in act.dual_generators:
-            maps.append(d)
-            maps.append(d.inverse())
+        act = toral_action([QUARTER_TURN, [[-1, 0], [0, -1]]])
+        maps = oracle._orbit_maps(act)
         for _ in range(10):
             chi = (rng.randint(-3, 3), rng.randint(-3, 3))
             if chi == (0, 0):
                 continue
-            r = orbit_bfs(act, chi, 1000)
-            assert r.status == "finite"
+            seen, stop, _ = self.walk(act, chi, 1000)
+            assert stop is None
+            assert all(apply_map(v) in seen for v in seen for apply_map in maps)
 
 
 class TestCrossValidate:
@@ -292,9 +287,55 @@ class TestGiveUpReasons:
         assert self.reasons(monkeypatch, act, 5) == {"visited-cap"}
 
     def test_coordinate_guard(self, monkeypatch):
-        # the shear's cycles grow by one per step and reach 4 in four steps
+        # the shear's cycles grow by one per step and reach 4 in four
+        # steps; a walk the guard stops inside the subspace is walked again
+        # without it, and the failure records why that walk gave up
         act = toral_action([SHEAR])
-        assert self.reasons(monkeypatch, act, 100, max_coord_bits=2) == {"coordinate-guard"}
+        assert self.reasons(monkeypatch, act, 100, max_coord_bits=2) == {"period-bound"}
+        assert self.reasons(monkeypatch, act, 5, max_coord_bits=2) == {"visited-cap"}
+
+
+# An order-4 automorphism of the 2-torus whose box characters reach
+# coordinates near 2^80 within one step: finite orbits past the guard.
+ORDER_4_LARGE = [[2 ** 40, -(2 ** 80 + 1)], [1, -2 ** 40]]
+
+
+class TestGuardRewalk:
+    """A character inside the finite-orbit subspace that the coordinate
+    guard stopped is walked again without it; outside, the guard holds."""
+
+    def test_large_finite_orbits_close(self):
+        act = toral_action([ORDER_4_LARGE])
+        assert act.finite_orbit_subspace.is_full
+        report = cross_validate(act, 1, 100_000)
+        assert report == {"characters_checked": 8, "finite_orbits": 8, "exceeded": 0,
+                          "failures": []}
+
+    def test_oracle_check_replays_clean(self, tmp_path, capsys):
+        path = tmp_path / "order4.json"
+        path.write_text(json.dumps({"type": "toral", "r": 2, "generators": [ORDER_4_LARGE]}),
+                        encoding="utf-8")
+        assert main(["oracle-check", str(path), "--norm-bound", "1", "--verify-report"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verification"]["failures"] == []
+
+    def test_rewalk_stays_inside_the_subspace(self, monkeypatch):
+        # fib + I: the identity block's characters are inside and close at
+        # once; the Fibonacci block's leave the subspace and stop at a tiny
+        # guard, which no walk without it follows
+        unguarded = []
+        real = oracle.walk_orbit
+
+        def spy(maps, start, cap, guard=None, known=None):
+            if guard is None:
+                unguarded.append(start)
+            return real(maps, start, cap, guard, known)
+
+        monkeypatch.setattr(oracle, "walk_orbit", spy)
+        act = toral_action([Matrix.block_diag(fibonacci_matrix(), Matrix.identity(2))])
+        report = cross_validate(act, 1, 100, max_coord_bits=1)
+        assert report["failures"] == [] and report["exceeded"] > 0
+        assert unguarded == []
 
 
 class TestBoxLimit:

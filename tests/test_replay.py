@@ -1,11 +1,13 @@
+import contextlib
 import json
+import signal
 
 import pytest
 
 from ergodec import Subspace, build_action, element, is_ergodic_element, laurent, matrices
 from ergodec.cli import main
 from ergodec.encoding import encode_matrix, encode_subspace
-from ergodec.replay import replay_report
+from ergodec.replay import MALFORMED_CYCLOTOMIC, replay_report
 
 ROTATION = {"type": "toral", "r": 2, "generators": [[[0, -1], [1, 0]]]}
 FIB = {"type": "toral", "r": 2, "generators": [[[0, 1], [1, 1]]]}
@@ -41,6 +43,21 @@ PLANTED_DIAGONAL = {"type": "laurent", "p": 2, "d": 2, "g": [
 TRINOMIAL = {"type": "laurent", "p": 2, "d": 1, "g": [
     {"exponents": [0], "coefficient": 1}, {"exponents": [1], "coefficient": 1},
     {"exponents": [2], "coefficient": 1}]}
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once seconds have passed, so that a
+    replay that stalls fails its test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"replay took more than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def fresh_report(tmp_path, capsys, command, doc, *flags):
@@ -117,8 +134,15 @@ def _set(*path_and_value):
 
 
 def _swap_generator_indices(results):
+    # schema 10 numbered the entries; an index is their position, and a
+    # report that states one is refused, swapped or not
     first, second = results["generators"]
     first["index"], second["index"] = 2, 1
+
+
+def _restated_generator_indices(results):
+    for i, entry in enumerate(results["generators"]):
+        entry["index"] = i + 1
 
 
 def _drop_second_generator(results):
@@ -138,26 +162,51 @@ def _distal_verdict_in_ergodic_slot(results):
 
 def _later_ergodic_vector(results):
     # (1, 1) comes first and is ergodic; (2, 1) is ergodic too, with its own
-    # verdict and element matrix, so only the "first" claim is false
+    # verdict, so only the "first" claim is false
     assert results["exponents"] == [1, 1]
     action = build_action(BLOCK_PAIR)
     results["exponents"] = [2, 1]
     results["verdict"] = is_ergodic_element(action, (2, 1)).to_payload()
-    results["element_matrix"] = encode_matrix(element(action, (2, 1)))
+
+
+def _restated_element_matrix(results):
+    # schema 10 stated the product the input and the exponents fix
+    action = build_action(BLOCK_PAIR)
+    results["element_matrix"] = encode_matrix(element(action, tuple(results["exponents"])))
 
 
 def _one_variable_trivial_content(results):
-    results["directions"][0]["verdict"] = {"kind": "ergodic", "certificate": {
-        "kind": "trivial-univariate-content", "data": {"direction": [1]}}}
+    results["group"] = {"kind": "ergodic", "certificate": {
+        "kind": "trivial-univariate-content", "data": {}}}
 
 
 def _direction_free_witness_in_group(results):
-    # a two-variable group slot names no direction, so a witness there
-    # has nothing to be about
+    # a two-variable group slot is about no single direction, so it holds
+    # coprime-axis-powers and a witness there has nothing to be about
     results["group"] = {"kind": "not-ergodic", "certificate": {
-        "kind": "finite-quotient-witness", "data": {"direction": [1, 0], "power": 1,
-                                                    "common_factor": {
+        "kind": "finite-quotient-witness", "data": {"power": 1, "common_factor": {
             "p": 2, "vars": 2, "terms": [[[0, 0], 1], [[1, 0], 1]]}}}}
+
+
+def _coprime_axes_in_a_direction(results):
+    # and no other slot may hold coprime-axis-powers
+    results["directions"][0]["verdict"] = {"kind": "ergodic", "certificate": {
+        "kind": "coprime-axis-powers", "data": {}}}
+
+
+def _swapped_direction_verdicts(results):
+    # each entry's direction names what its certificate is about, so
+    # swapping two certificates swaps their claims
+    first, second = results["directions"]
+    first["verdict"], second["verdict"] = second["verdict"], first["verdict"]
+
+
+def _cyclotomic_factors(value):
+    def tamper(results):
+        data = results["generators"][0]["distal"]["certificate"]["data"]
+        assert data == {"factors": [[1, 2]]}
+        data["factors"] = value
+    return tamper
 
 
 def _laurent_factor(*terms):
@@ -168,17 +217,15 @@ def _laurent_factor(*terms):
 
 
 def _later_ergodic_direction(results):
-    # (1, 0) comes first; (0, 1) is ergodic too, with its own certificate
+    # (1, 0) comes first; (0, 1) is ergodic too, with the same certificate
     assert results["direction"] == [1, 0]
     results["direction"] = [0, 1]
-    results["verdict"]["certificate"]["data"]["direction"] = [0, 1]
 
 
 def _found_direction(direction):
     # Ledrappier is ergodic along every direction, in the box or past it
     def tamper(results):
         results["direction"] = direction
-        results["verdict"]["certificate"]["data"]["direction"] = direction
     return tamper
 
 
@@ -194,7 +241,6 @@ def _rotation_shared_orders(orders):
 
 def _zero_found_direction(results):
     results["direction"] = [0, 0]
-    results["verdict"]["certificate"]["data"]["direction"] = [0, 0]
 
 
 ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
@@ -202,9 +248,12 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
 
 @pytest.mark.parametrize("command,doc,flags,tamper", [
     ("analyze", FIB, (), _set("generators", 0, "mixing_of_all_orders", False)),
+    # schema 10 stated the mixing flag, which the ergodic verdict fixes
+    ("analyze", FIB, (), _set("generators", 0, "mixing_of_all_orders", True)),
     ("analyze", FIB, (), _set("generators", 0, "ergodic", "kind", "not-ergodic")),
     ("analyze", SHEAR, (), _distal_verdict_in_ergodic_slot),
     ("analyze", FIB_TWICE, (), _swap_generator_indices),
+    ("analyze", FIB_TWICE, (), _restated_generator_indices),
     ("analyze", FIB_TWICE, (), _drop_second_generator),
     ("analyze", FIB_TWICE, (), _set("group", "distal", "certificate", "data", "generator", 2)),
     ("analyze", FIB, (), _forged_distal_group),
@@ -215,6 +264,7 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
      _set("generators", 0, "ergodic", "certificate", "data", "power", 8)),
     ("analyze", ROTATION, (), _set("group", "ergodic", "certificate", "data", "power", 12)),
     ("find-ergodic", FIB, (), _set("element_matrix", [[1, 1], [1, 2]])),
+    ("find-ergodic", BLOCK_PAIR, (), _restated_element_matrix),
     ("find-ergodic", BLOCK_PAIR, (), _later_ergodic_vector),
     # a field another field or the flags fix is not stated, and a report
     # that states one anyway is refused
@@ -235,23 +285,32 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("find-ergodic", LEDRAPPIER, (), _zero_found_direction),
     ("analyze", TRINOMIAL, (), _set("group", "certificate", "data", "power", 0)),
     ("analyze", TRINOMIAL, (), _set("group", "certificate", "data", "power", 2)),
-    ("analyze", TRINOMIAL, (), _set("directions", 0, "verdict", "certificate", "data",
-                                    "power", 2)),
+    ("analyze", TRINOMIAL, (), _set("group", "certificate", "data", "power", 1)),
     ("analyze", REDUCIBLE, (), _laurent_factor([[0, 0], 1])),
     ("analyze", REDUCIBLE, (), _laurent_factor([[0, 0], 1], [[1, 0], 1])),
-    ("analyze", REDUCIBLE, (),
-     _set("directions", 0, "verdict", "certificate", "data", "direction", [0, 1])),
+    ("analyze", REDUCIBLE, (), _swapped_direction_verdicts),
     ("find-ergodic", LEDRAPPIER, (), _set("verdict", "certificate", "data", "content", [1, 1])),
     ("find-ergodic", AXES_ONLY, (), _set("verdict", "certificate", "data", "content", [2, 1])),
     ("find-ergodic", LEDRAPPIER, (), _found_direction([4, 1])),
     ("find-ergodic", LEDRAPPIER, ("--search-box", "1"), _found_direction([2, 1])),
     ("find-ergodic", PLANTED_DIAGONAL, (), _later_ergodic_direction),
     ("analyze", LEDRAPPIER, (), _direction_free_witness_in_group),
-], ids=["mixing-flag", "verdict-kind", "verdict-slot", "generator-index", "generator-count",
+    ("analyze", REDUCIBLE, (), _coprime_axes_in_a_direction),
+    # schema 10 repeated the slot's direction in its certificate
+    ("analyze", LEDRAPPIER, (),
+     _set("directions", 0, "verdict", "certificate", "data", "direction", [1, 0])),
+    ("analyze", TRINOMIAL, (), _set("group", "certificate", "data", "direction", [1])),
+    ("find-ergodic", LEDRAPPIER, (), _set("verdict", "certificate", "data", "direction", [1, 1])),
+    ("analyze", SHEAR, (), _cyclotomic_factors(None)),
+    ("analyze", SHEAR, (), _cyclotomic_factors([None])),
+    ("analyze", SHEAR, (), _cyclotomic_factors([[1000000000, 1]])),
+    ("analyze", SHEAR, (), _cyclotomic_factors([[1, 10 ** 30]])),
+], ids=["mixing-flag", "restated-mixing-flag", "verdict-kind", "verdict-slot",
+        "generator-index", "restated-generator-index", "generator-count",
         "not-distal-generator", "distal-group-kind",
         "element-shared-orders-multiple", "element-shared-orders-extra",
         "element-power-multiple", "group-power-multiple",
-        "element-matrix",
+        "element-matrix", "restated-element-matrix",
         "first-vector",
         "filtration-dims", "finite-orbits", "exceeded",
         "characters-checked", "norm-bound", "cap", "laurent-direction-kind",
@@ -261,12 +320,18 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
         "laurent-witness-power-below", "laurent-unit-factor", "laurent-factor-not-dividing",
         "laurent-swapped-direction", "laurent-mixed-content", "laurent-axes-only-content",
         "laurent-scan-past-default", "laurent-scan-past-flag", "laurent-later-direction",
-        "laurent-group-witness"])
+        "laurent-group-witness", "laurent-coprime-axes-in-a-direction",
+        "restated-direction-in-entry", "restated-direction-in-group",
+        "restated-direction-in-found", "cyclotomic-factors-null",
+        "cyclotomic-factors-null-pair", "cyclotomic-factors-huge-order",
+        "cyclotomic-factors-huge-count"])
 def test_tampered_derived_field_fails_replay(tmp_path, capsys, command, doc, flags, tamper):
     report = fresh_report(tmp_path, capsys, command, doc, *flags)
     assert replay_report(report)["failures"] == []
     tamper(report["results"])
-    assert replay_report(report)["failures"]
+    # every value's shape is checked before any arithmetic on it
+    with within(1.0):
+        assert replay_report(report)["failures"]
 
 
 def test_forged_oracle_box_past_the_limit_fails_without_enumerating(tmp_path, capsys):
@@ -282,12 +347,11 @@ def test_witness_power_that_is_not_the_least_fails_replay(tmp_path, capsys, powe
     # 1 + u + u^2 divides u^6 - 1 as well as u^3 - 1; replay never
     # expands u^power - 1, so a huge power costs no more
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
-    results = report["results"]
-    for verdict in (results["directions"][0]["verdict"], results["group"]):
-        assert verdict["certificate"]["data"]["power"] == 3
-        verdict["certificate"]["data"]["power"] = power
+    data = report["results"]["group"]["certificate"]["data"]
+    assert data["power"] == 3
+    data["power"] = power
     # the group of u alone is replayed as the translation by u
-    assert replay_report(report)["failures"] == ["witness power is not the least one"] * 2
+    assert replay_report(report)["failures"] == ["witness power is not the least one"]
 
 
 def test_one_variable_group_must_be_the_verdict_of_u(tmp_path, capsys):
@@ -311,11 +375,29 @@ def test_common_factor_must_divide_the_power_identity(tmp_path, capsys):
 @pytest.mark.parametrize("exponent", [0.5, "1", None])
 def test_malformed_common_factor_is_a_failure(tmp_path, capsys, exponent):
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
-    results = report["results"]
-    for verdict in (results["directions"][0]["verdict"], results["group"]):
-        verdict["certificate"]["data"]["common_factor"]["terms"][0][0] = [exponent]
-    assert replay_report(report)["failures"] == [
-        "common factor is not a Laurent polynomial"] * 2
+    report["results"]["group"]["certificate"]["data"]["common_factor"]["terms"][0][0] = [
+        exponent]
+    assert replay_report(report)["failures"] == ["common factor is not a Laurent polynomial"]
+
+
+@pytest.mark.parametrize("key,value,failure", [
+    ("factor", None, "residual factor is not a polynomial"),
+    ("factor", [1, None], "residual factor is not a polynomial"),
+    ("factor", {"x": 1}, "residual factor is not a polynomial"),
+    ("cyclotomic_part", None, MALFORMED_CYCLOTOMIC),
+    ("cyclotomic_part", [[1000000000, 1]], MALFORMED_CYCLOTOMIC),
+    ("cyclotomic_part", [[1, 3]], MALFORMED_CYCLOTOMIC),
+])
+def test_malformed_non_cyclotomic_factor_is_one_failure(tmp_path, capsys, key, value,
+                                                        failure):
+    # Fibonacci's characteristic polynomial has no cyclotomic part; [[1, 3]]
+    # has degree 3, past the rank
+    report = fresh_report(tmp_path, capsys, "analyze", FIB)
+    data = report["results"]["generators"][0]["distal"]["certificate"]["data"]
+    assert data == {"factor": [-1, -1, 1], "cyclotomic_part": []}
+    data[key] = value
+    with within(1.0):
+        assert replay_report(report)["failures"] == [failure]
 
 
 @pytest.mark.parametrize("exponents", [[2.0, 1], ["1", 1], [1, 1, 1], [1], "11", None])
@@ -469,15 +551,24 @@ SCHEMA_9_FILTRATION = (
     '"stage":1}],"chain":[{"ambient":2,"basis":[[1,0],[0,1]]},{"ambient":2,"basis":'
     '[[1,0],[0,1]]}],"dims":[2,2],"group_ergodic":false,"residual":{"ambient":2,'
     '"basis":[[1,0],[0,1]]}},"schema_version":9}')
+# The schema-10 find-ergodic report of the Fibonacci torus, which states
+# the element matrix the exponents fix.
+SCHEMA_10_ELEMENT_MATRIX = (
+    '{"command":"find-ergodic","flags":{"search-box":3},"input":{"generators":'
+    '[[[0,1],[1,1]]],"r":2,"type":"toral"},"results":{"element_matrix":[[0,1],[1,1]],'
+    '"exponents":[1],"verdict":{"certificate":{"data":{"char_poly":[-1,-1,1]},'
+    '"kind":"no-root-of-unity-eigenvalue"},"kind":"ergodic"}},"schema_version":10}')
 
 
-@pytest.mark.parametrize("text", [SCHEMA_8_FORGED_ORBIT, SCHEMA_9_FILTRATION],
-                         ids=["schema-8-forged-orbit", "schema-9-filtration"])
+@pytest.mark.parametrize("text", [SCHEMA_8_FORGED_ORBIT, SCHEMA_9_FILTRATION,
+                                  SCHEMA_10_ELEMENT_MATRIX],
+                         ids=["schema-8-forged-orbit", "schema-9-filtration",
+                              "schema-10-element-matrix"])
 def test_report_of_an_earlier_schema_fails_replay(text):
     report = json.loads(text)
-    assert replay_report(report) == {"checked": 0, "failures": ["schema version is not 10"]}
-    # read as schema 10, its extra fields are keys replay does not check
-    report["schema_version"] = 10
+    assert replay_report(report) == {"checked": 0, "failures": ["schema version is not 11"]}
+    # read as schema 11, its extra fields are keys replay does not check
+    report["schema_version"] = 11
     assert replay_report(report) == {"checked": 0, "failures": [RESULTS_SHAPE]}
 
 
