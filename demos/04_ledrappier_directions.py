@@ -11,9 +11,9 @@ polynomial in u^n0, so the direction is ergodic exactly when g's content
 along n0 is 1.  Ledrappier's g has trivial content along every
 direction.  Multiplying it by 1 + u1*u2 plants a factor in u^(1, 1), which
 makes the diagonal non-ergodic: the exact verdict names the least
-witness power k = 1 and the common factor h of g and u^(k*(1, 1)) - 1,
-so the class of g/h is a nonzero character with a finite orbit along
-the diagonal.  A one-variable
+witness power k = 1 and the common factor h = 1 + u1*u2 of the planted
+presenter and u^(k*(1, 1)) - 1, so the class of the presenter divided by
+h, which is g, has a finite orbit along the diagonal.  A one-variable
 presenter, by contrast, has a finite module, so no translation is ever
 ergodic there.
 """

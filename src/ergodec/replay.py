@@ -177,6 +177,7 @@ def _checked_cyclotomic_product(pairs, rank: int):
 
 def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
                            failures: list) -> None:
+    """Replay the verdict on the element with the given exponents."""
     shaped = _check_kind(payload, slot, failures)
     if shaped is None:
         return
