@@ -37,11 +37,11 @@ classify it.
 
 The coordinate guard (DEFAULT_COORD_BITS) only saves time on orbits
 whose coordinates grow without bound.  A finite orbit can have large
-points too, so a character inside the finite-orbit subspace whose walk
-stopped at the guard is walked again without it, each cycle still
-bounded by M(r) steps and the orbit by the cap, and only a failure of
-that walk is a disagreement.  Characters outside the subspace keep the
-guard.
+points too, so a character inside the finite-orbit subspace is walked
+without it, each cycle still bounded by M(r) steps and the orbit by the
+cap.  Characters outside the subspace keep the guard.  The subspace is
+invariant, so no orbit crosses its boundary and the two kinds of walk
+never meet.
 """
 
 from __future__ import annotations
@@ -132,25 +132,21 @@ def cross_validate(action, norm_bound: int, cap: int,
     class_of: dict = {}
     class_status: list = []
 
-    def walk(start, guard, known):
-        """The cycles through start, one generator at a time, and then,
-        when every cycle closed, the orbit they make finite."""
-        seen = set()
-        for apply_map in maps:
-            cycle, stop, last = walk_orbit([apply_map], start, cycle_cap, guard, known)
-            seen |= cycle
-            if stop == "visited-cap" and period_bound < cap:
-                return seen, "period-bound", last
-            if stop is not None:
-                return seen, stop, last
-        if len(maps) > 1:
-            return walk_orbit(maps, start, cap, guard, known)
-        return seen, None, None
-
-    def classify(start):
+    def classify(start, guard):
+        """The class of start's orbit: its cycles, one generator at a time,
+        and then, when every cycle closed, the orbit they make finite."""
         if start in class_of:
             return class_of[start]
-        seen, stop, last = walk(start, guard, class_of)
+        seen, stop, last = set(), None, None
+        for apply_map in maps:
+            cycle, stop, last = walk_orbit([apply_map], start, cycle_cap, guard, class_of)
+            seen |= cycle
+            if stop == "visited-cap" and period_bound < cap:
+                stop = "period-bound"
+            if stop is not None:
+                break
+        if stop is None and len(maps) > 1:
+            seen, stop, last = walk_orbit(maps, start, cap, guard, class_of)
         if stop is None:
             status = ("finite", len(seen))
         elif stop == "known":
@@ -170,17 +166,12 @@ def cross_validate(action, norm_bound: int, cap: int,
     failures = []
     for chi in box_characters(action.dim, norm_bound):
         checked += 1
-        cid = classify(chi)
-        status = class_status[cid]
+        # The guard only saves time on orbits that grow without bound; a
+        # cycle inside the subspace closes within M(r) steps however large
+        # its coordinates, so characters there are walked without it.  The
+        # subspace is invariant, so an orbit never crosses its boundary.
         inside = fixed.contains(chi)
-        if inside and status == ("exceeded-cap", "coordinate-guard"):
-            # The guard only saves time on orbits that grow without
-            # bound; a cycle inside the subspace closes within M(r)
-            # steps however large its coordinates, so walk it again
-            # without the guard before calling it a disagreement.
-            seen, stop, _ = walk(chi, None, None)
-            status = ("finite", len(seen)) if stop is None else ("exceeded-cap", stop)
-            class_status[cid] = status
+        status = class_status[classify(chi, None if inside else guard)]
         if status[0] == "finite":
             finite_count += 1
             if not inside:

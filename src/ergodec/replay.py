@@ -39,7 +39,7 @@ import math
 from . import encoding
 from .actions import build_action, dual_element, ergodic_search_bound, positive_vectors
 from .errors import ValidationError
-from .intpoly import cyclotomic_product, euler_phi, orders_with_totient_at_most
+from .intpoly import cyclotomic_product, euler_phi
 from .laurent import directions_in_shell, laurent_divides, stated_axes
 from .matrices import Matrix, Subspace, induced, kernel, walk_orbit
 from .oracle import box_characters, box_limit_issue
@@ -164,11 +164,13 @@ def _checked_cyclotomic_product(pairs, rank: int):
     """The product of the [d, count] pairs' cyclotomic powers, or None
     unless every pair is two positive ints and their degrees
     count*phi(d) sum to at most rank: checked before any cyclotomic
-    polynomial is formed, so a huge order or count costs nothing."""
-    orders = orders_with_totient_at_most(rank)
+    polynomial is formed, so a huge order or count costs nothing.  An
+    order above 2*rank*rank + 1 has phi(d) > rank, so the bound on d
+    only keeps euler_phi cheap; the sum decides."""
+    bound = 2 * rank * rank + 1
     if not (isinstance(pairs, list)
             and all(isinstance(f, list) and len(f) == 2
-                    and all(type(x) is int for x in f) and f[0] in orders and f[1] >= 1
+                    and all(type(x) is int for x in f) and 1 <= f[0] <= bound and f[1] >= 1
                     for f in pairs)
             and sum(c * euler_phi(d) for d, c in pairs) <= rank):
         return None
