@@ -29,11 +29,11 @@ def main():
         ergodic = is_ergodic_element(action, (1,))
         distal = is_distal_element(action, (1,))
         print(f"{name}  {rows}")
-        print(f"  ergodic: {ergodic.kind.value:13s}  certificate: {ergodic.certificate.kind}")
-        print(f"  distal:  {distal.kind.value:13s}  certificate: {distal.certificate.kind}")
+        print(f"  ergodic: {ergodic.kind:13s}  certificate: {ergodic.certificate}")
+        print(f"  distal:  {distal.kind:13s}  certificate: {distal.certificate}")
         # a single ergodic automorphism of a compact group is mixing of all orders
         print(f"  mixing of all orders: {ergodic.is_ergodic}")
-        print(f"  certificate data: {json.dumps(ergodic.certificate.data)}")
+        print(f"  certificate data: {json.dumps(ergodic.data)}")
         print()
 
 

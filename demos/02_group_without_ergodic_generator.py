@@ -26,10 +26,10 @@ def main():
     for i, label in ((0, "diag(F, I)"), (1, "diag(I, F)")):
         exps = tuple(1 if j == i else 0 for j in range(2))
         verdict = is_ergodic_element(action, exps)
-        print(f"generator {label}: {verdict.kind.value}")
+        print(f"generator {label}: {verdict.kind}")
 
     group = is_ergodic_group(action)
-    print(f"group verdict: {group.kind.value} "
+    print(f"group verdict: {group.kind} "
           f"(finite-orbit subspace dimension {action.finite_orbit_subspace.dim})")
 
     exps, verdict = find_ergodic_exponents(action)
@@ -39,8 +39,7 @@ def main():
     print("its element:")
     for row in element(action, exps).rows:
         print(f"   {list(row)}")
-    print(f"element verdict: {verdict.kind.value}, "
-          f"certificate {verdict.certificate.kind}")
+    print(f"element verdict: {verdict.kind}, certificate {verdict.certificate}")
 
 
 if __name__ == "__main__":

@@ -31,16 +31,16 @@ def show(action, directions):
         m, n0, content = content_along(action.presenter, direction)
         extra = ""
         if not verdict.is_ergodic:
-            extra = f", witness power {verdict.certificate.data['power']}"
+            extra = f", witness power {verdict.data['power']}"
         print(f"  direction {direction} = {m}*{n0}: content {content}, "
-              f"{verdict.kind.value}{extra}")
+              f"{verdict.kind}{extra}")
 
 
 def main():
     g = LaurentPoly.from_terms(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
     action = laurent_cyclic_action(2, 2, g)
     print(f"presenter g = {g} over F_2")
-    print(f"group verdict: {group_is_ergodic(action).kind.value}")
+    print(f"group verdict: {group_is_ergodic(action).kind}")
     show(action, DIRECTIONS)
     found, _ = find_ergodic_direction(action, search_box=3)
     print(f"first ergodic direction in the box: {found}")
@@ -52,7 +52,7 @@ def main():
     show(act2, DIRECTIONS)
     found, _ = find_ergodic_direction(act2, search_box=3)
     print(f"first ergodic direction in the box: {found}")
-    data = direction_is_ergodic(act2, (1, 1)).certificate.data
+    data = direction_is_ergodic(act2, (1, 1)).data
     print(f"along (1, 1): least witness power {data['power']}, common factor "
           f"h = {decode_laurent(data['common_factor'])}")
 
@@ -60,8 +60,8 @@ def main():
     g1 = LaurentPoly.from_terms(2, 1, {(0,): 1, (1,): 1, (2,): 1})
     act1 = laurent_cyclic_action(2, 1, g1)
     v = direction_is_ergodic(act1, (1,))
-    print(f"one variable, g = {g1}: {v.kind.value} with witness power "
-          f"{v.certificate.data['power']} (the module is finite)")
+    print(f"one variable, g = {g1}: {v.kind} with witness power "
+          f"{v.data['power']} (the module is finite)")
 
 
 if __name__ == "__main__":

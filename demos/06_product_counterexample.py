@@ -25,7 +25,7 @@ def main():
         action = product_counterexample(radius)
         group = is_ergodic_group(action)
         row = [f"radius {radius}: {action.dim // 2} factors", f"rank {action.dim}",
-               f"group {group.kind.value} ({group.certificate.kind})"]
+               f"group {group.kind} ({group.certificate})"]
         if radius <= 2:
             box = range(-radius, radius + 1)
             ergodic = [(n, m) for n in box for m in box if (n, m) != (0, 0)

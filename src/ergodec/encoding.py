@@ -4,15 +4,66 @@ Certificates and reports carry only plain data: ints stay ints, proper
 fractions become "num/den" strings, and structured values become lists and
 dicts with deterministic ordering.  Decoding inverts the encoding exactly,
 and refuses a dict whose keys are not the encoding's.
+
+A verdict is its certificate: CERTIFICATES maps each certificate kind to
+the verdict it proves and the keys of its data, for the engines that
+build verdicts and for replay, which checks them.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InternalCheckError
 from .intpoly import Polynomial
 from .laurent import LaurentPoly
 from .matrices import Matrix, Subspace
+
+# The verdict each certificate kind proves, and the keys of its data.
+CERTIFICATES = {
+    "no-root-of-unity-eigenvalue": ("ergodic", {"char_poly"}),
+    "zero-finite-orbit-subspace": ("ergodic", set()),
+    "witness-character": ("not-ergodic", {"character", "power"}),
+    "cyclotomic-char-poly": ("distal", {"factors"}),
+    "all-generators-quasi-unipotent": ("distal", set()),
+    "non-cyclotomic-factor": ("not-distal", {"factor", "cyclotomic_part"}),
+    "non-quasi-unipotent-generator": ("not-distal", {"generator"}),
+    "finite-quotient-witness": ("not-ergodic", {"power", "common_factor"}),
+    "trivial-univariate-content": ("ergodic", set()),
+    "coprime-axis-powers": ("ergodic", set()),
+}
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A certificate kind from CERTIFICATES and its JSON-ready data; the
+    kind fixes the verdict."""
+
+    certificate: str
+    data: dict
+
+    def __post_init__(self):
+        proves = CERTIFICATES.get(self.certificate)
+        if proves is None or self.data.keys() != proves[1]:
+            raise InternalCheckError(
+                f"not a certificate: {self.certificate!r} with data keys {sorted(self.data)}")
+
+    @property
+    def kind(self) -> str:
+        return CERTIFICATES[self.certificate][0]
+
+    @property
+    def is_ergodic(self) -> bool:
+        return self.kind == "ergodic"
+
+    @property
+    def is_distal(self) -> bool:
+        return self.kind == "distal"
+
+    def to_payload(self) -> dict:
+        return {"kind": self.kind, "certificate": {"kind": self.certificate, "data": self.data}}
 
 
 def encode_scalar(x):
@@ -23,13 +74,17 @@ def encode_scalar(x):
     raise TypeError(f"cannot encode {type(x).__name__}")
 
 
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def decode_scalar(v):
-    """Exact scalar from an int, a "num/den" string or a [num, den] pair
-    of ints.  Raises TypeError for any other value, booleans included,
-    and ValueError for a malformed string or a zero denominator."""
+    """Exact scalar from an int, a "num" or "num/den" string of decimal
+    digits with an optional leading minus, or a [num, den] pair of ints.
+    Raises TypeError for any other value, booleans and other strings
+    included, and ValueError for a zero denominator."""
     if type(v) is int:
         return v
-    if isinstance(v, str):
+    if isinstance(v, str) and _SCALAR.fullmatch(v):
         args = (v,)
     elif isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v):
         args = tuple(v)
@@ -78,7 +133,14 @@ def encode_laurent(f: LaurentPoly) -> dict:
 
 
 def decode_laurent(d) -> LaurentPoly:
-    if not (isinstance(d, dict) and d.keys() == {"p", "vars", "terms"}):
+    """Laurent polynomial from its encoding.  Raises ValueError, before
+    any arithmetic, unless p is an int of at least 2 and every term is
+    [list of ints, int]."""
+    if not (isinstance(d, dict) and d.keys() == {"p", "vars", "terms"}
+            and type(d["p"]) is int and d["p"] >= 2 and isinstance(d["terms"], list)
+            and all(isinstance(t, list) and len(t) == 2 and isinstance(t[0], list)
+                    and all(type(x) is int for x in t[0]) and type(t[1]) is int
+                    for t in d["terms"])):
         raise ValueError("not an encoded Laurent polynomial")
     return LaurentPoly.from_terms(d["p"], d["vars"],
                                   {tuple(e): c for e, c in d["terms"]})

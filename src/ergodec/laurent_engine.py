@@ -19,9 +19,9 @@ laurent.MAX_WITNESS_STEPS.
 from __future__ import annotations
 
 from . import encoding
+from .encoding import Verdict
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
 from .laurent import directions_in_shell
-from .toral import Certificate, Verdict, VerdictKind
 
 
 def direction_is_ergodic(action, direction) -> Verdict:
@@ -36,12 +36,12 @@ def direction_is_ergodic(action, direction) -> Verdict:
     if all(x == 0 for x in direction):
         raise ValueError("direction must be nonzero")
     if len(action.content(direction)[2]) == 1:
-        return Verdict(VerdictKind.ERGODIC, Certificate("trivial-univariate-content", {}))
+        return Verdict("trivial-univariate-content", {})
     k, common = action.witness(direction)
-    return Verdict(VerdictKind.NOT_ERGODIC, Certificate("finite-quotient-witness", {
+    return Verdict("finite-quotient-witness", {
         "power": k,
         "common_factor": encoding.encode_laurent(common),
-    }))
+    })
 
 
 def group_is_ergodic(action) -> Verdict:
@@ -58,7 +58,7 @@ def group_is_ergodic(action) -> Verdict:
     g = action.presenter
     if g.is_zero or g.is_unit:
         raise InternalCheckError("validated presenter must be a nonzero non-unit")
-    return Verdict(VerdictKind.ERGODIC, Certificate("coprime-axis-powers", {}))
+    return Verdict("coprime-axis-powers", {})
 
 
 def find_ergodic_direction(action, search_box: int):

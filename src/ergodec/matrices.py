@@ -336,26 +336,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise DimensionError("ambient dimensions differ")
-        if self.is_full or other.is_zero:
-            return other
-        if other.is_full or self.is_zero:
-            return self
-        cols = [list(v) for v in self.basis] + [[-x for x in v] for v in other.basis]
-        system = Matrix.from_rows(list(zip(*cols)))
-        sol = kernel(system)
-        vectors = []
-        for s in sol.basis:
-            vec = [0] * self.ambient
-            for coef, bvec in zip(s[: self.dim], self.basis):
-                if coef != 0:
-                    for j in range(self.ambient):
-                        vec[j] += coef * bvec[j]
-            vectors.append(tuple(vec))
-        return Subspace.span(self.ambient, vectors)
-
     def is_invariant(self, m: Matrix) -> bool:
         if m.nrows != self.ambient or m.ncols != self.ambient:
             raise DimensionError("matrix does not act on the ambient space")

@@ -46,20 +46,6 @@ from .oracle import box_characters, box_limit_issue
 
 SCHEMA_VERSION = 11
 
-# The verdict each certificate kind proves, and the keys of its data.
-_PROVES = {
-    "no-root-of-unity-eigenvalue": ("ergodic", {"char_poly"}),
-    "zero-finite-orbit-subspace": ("ergodic", set()),
-    "witness-character": ("not-ergodic", {"character", "power"}),
-    "cyclotomic-char-poly": ("distal", {"factors"}),
-    "all-generators-quasi-unipotent": ("distal", set()),
-    "non-cyclotomic-factor": ("not-distal", {"factor", "cyclotomic_part"}),
-    "non-quasi-unipotent-generator": ("not-distal", {"generator"}),
-    "finite-quotient-witness": ("not-ergodic", {"power", "common_factor"}),
-    "trivial-univariate-content": ("ergodic", set()),
-    "coprime-axis-powers": ("ergodic", set()),
-}
-
 # The results the CLI emits, by command and whether the action is a
 # Laurent one: a dict fixes its keys, a one-item list each entry's, and
 # None admits any value (a verdict's shape is its certificate kind's).
@@ -104,7 +90,8 @@ def _check_kind(payload, slot: tuple, failures: list):
     data}} and the data has exactly its certificate kind's keys."""
     cert = payload.get("certificate") if isinstance(payload, dict) else None
     kind = cert.get("kind") if isinstance(cert, dict) else None
-    proves, keys = _PROVES.get(kind, (None, None)) if isinstance(kind, str) else (None, None)
+    proves, keys = (encoding.CERTIFICATES.get(kind, (None, None)) if isinstance(kind, str)
+                    else (None, None))
     if not (proves and payload.keys() == {"kind", "certificate"}
             and cert.keys() == {"kind", "data"}
             and isinstance(cert["data"], dict) and cert["data"].keys() == keys):

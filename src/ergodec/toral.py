@@ -19,49 +19,13 @@ stage is checked on the map matrices.induced gives on its quotient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from . import encoding
 from .actions import dual_element, ergodic_search_bound, positive_vectors
+from .encoding import Verdict
 from .errors import InternalCheckError, NotErgodicGroupError
 from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, induced, kernel,
                        quasi_unipotent_on)
-
-
-class VerdictKind(str, Enum):
-    ERGODIC = "ergodic"
-    NOT_ERGODIC = "not-ergodic"
-    DISTAL = "distal"
-    NOT_DISTAL = "not-distal"
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Replayable evidence for a verdict; data is JSON-ready."""
-
-    kind: str
-    data: dict
-
-    def to_payload(self) -> dict:
-        return {"kind": self.kind, "data": self.data}
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: VerdictKind
-    certificate: Certificate
-
-    @property
-    def is_ergodic(self) -> bool:
-        return self.kind == VerdictKind.ERGODIC
-
-    @property
-    def is_distal(self) -> bool:
-        return self.kind == VerdictKind.DISTAL
-
-    def to_payload(self) -> dict:
-        return {"kind": self.kind.value, "certificate": self.certificate.to_payload()}
 
 
 def _checked_spectrum(b: Matrix) -> Spectrum:
@@ -79,16 +43,14 @@ def is_ergodic_element(action, exponents) -> Verdict:
     b = dual_element(action, exponents)
     spectrum = _checked_spectrum(b)
     if not spectrum.orders:
-        cert = Certificate("no-root-of-unity-eigenvalue", {
+        return Verdict("no-root-of-unity-eigenvalue", {
             "char_poly": encoding.encode_poly(spectrum.char_poly),
         })
-        return Verdict(VerdictKind.ERGODIC, cert)
     witness = _witness_vector(action, fixed_by_power([b]))
-    cert = Certificate("witness-character", {
+    return Verdict("witness-character", {
         "character": encoding.encode_vector(witness),
         "power": math.lcm(*spectrum.orders),
     })
-    return Verdict(VerdictKind.NOT_ERGODIC, cert)
 
 
 def _witness_vector(action, subspace: Subspace):
@@ -108,14 +70,11 @@ def is_distal_element(action, exponents) -> Verdict:
             "cyclotomic factorization route and nilpotency route disagree")
     factors = [[d, c] for d, c in spectrum.factors]
     if spectrum.rest.is_one:
-        return Verdict(VerdictKind.DISTAL, Certificate("cyclotomic-char-poly", {
-            "factors": factors,
-        }))
-    cert = Certificate("non-cyclotomic-factor", {
+        return Verdict("cyclotomic-char-poly", {"factors": factors})
+    return Verdict("non-cyclotomic-factor", {
         "factor": encoding.encode_poly(spectrum.rest),
         "cyclotomic_part": factors,
     })
-    return Verdict(VerdictKind.NOT_DISTAL, cert)
 
 
 def is_ergodic_group(action) -> Verdict:
@@ -125,12 +84,11 @@ def is_ergodic_group(action) -> Verdict:
     its orbit has at most power**n points."""
     fixed = action.finite_orbit_subspace
     if fixed.is_zero:
-        return Verdict(VerdictKind.ERGODIC, Certificate("zero-finite-orbit-subspace", {}))
-    cert = Certificate("witness-character", {
+        return Verdict("zero-finite-orbit-subspace", {})
+    return Verdict("witness-character", {
         "character": encoding.encode_vector(_witness_vector(action, fixed)),
         "power": math.lcm(*(d for x in action.dual_generators for d in x.spectrum.orders)),
     })
-    return Verdict(VerdictKind.NOT_ERGODIC, cert)
 
 
 def is_distal_group(action) -> Verdict:
@@ -140,10 +98,8 @@ def is_distal_group(action) -> Verdict:
     distal = [is_distal_element(action, tuple(1 if j == i else 0 for j in range(n))).is_distal
               for i in range(n)]
     if all(distal):
-        return Verdict(VerdictKind.DISTAL, Certificate("all-generators-quasi-unipotent", {}))
-    return Verdict(VerdictKind.NOT_DISTAL, Certificate("non-quasi-unipotent-generator", {
-        "generator": distal.index(False) + 1,
-    }))
+        return Verdict("all-generators-quasi-unipotent", {})
+    return Verdict("non-quasi-unipotent-generator", {"generator": distal.index(False) + 1})
 
 
 def largest_ergodic_subgroup(action):
@@ -180,9 +136,12 @@ def ergodic_distal_filtration(action) -> tuple:
     ergodic."""
     duals = action.dual_generators
     chain = [Subspace.full(action.dim)]
+    rows = []
     for d in duals:
         w_prev = chain[-1]
-        w_i = kernel(d.spectrum.unipotent_power).intersect(w_prev)
+        # stage i is the common kernel of the c(D)**r of generators 1..i
+        rows += d.spectrum.unipotent_power.rows
+        w_i = kernel(Matrix.from_rows(rows))
         for other in duals:
             if not w_i.is_invariant(other):
                 raise InternalCheckError("stage subspace is not invariant")

@@ -90,8 +90,10 @@ class TestAnalyze:
         assert res.returncode == 2
         assert "invalid JSON" in res.stderr
 
-    @pytest.mark.parametrize("entry", [True, "1/0", [1, 0], [True, 1]],
-                             ids=["bool", "string-zero-den", "pair-zero-den", "pair-bool"])
+    @pytest.mark.parametrize(
+        "entry", [True, "1/0", [1, 0], [True, 1], "1e200000", "0.5", " 1", "1_0"],
+        ids=["bool", "string-zero-den", "pair-zero-den", "pair-bool", "exponent", "decimal",
+             "space", "underscore"])
     def test_bad_scalar_exits_2(self, tmp_path, entry):
         doc = {"type": "toral", "r": 1, "generators": [[[entry]]]}
         res = run("analyze", write(tmp_path, "bad.json", doc))
@@ -297,7 +299,7 @@ class TestFindErgodic:
 
     def test_exhausted_bound_is_an_internal_failure(self, tmp_path, capsys, monkeypatch):
         # an ergodic group always has an ergodic element within the bound
-        never = Verdict(toral.VerdictKind.NOT_ERGODIC, toral.Certificate("forged", {}))
+        never = Verdict("witness-character", {"character": [1, 0, 0, 0], "power": 1})
         monkeypatch.setattr(toral, "is_ergodic_element", lambda action, exps: never)
         assert main(["find-ergodic", write(tmp_path, "bp.json", BLOCK_PAIR)]) == 5
         assert "no ergodic element within coordinate sum 6" in capsys.readouterr().err

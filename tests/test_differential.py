@@ -295,7 +295,7 @@ def test_bounded_scan_hits_are_exact_verdicts(p):
             if verdict.is_ergodic:
                 assert hit is None
                 continue
-            data = verdict.certificate.data
+            data = verdict.data
             if data["power"] > SCAN_REACH:
                 assert hit is None
                 continue

@@ -213,35 +213,9 @@ class TestSubspace:
         b = Subspace.span(3, [(2, 4, 2), (0, 0, -3), (1, 2, 1)])
         assert a == b
 
-    def test_sum_and_intersection(self):
-        e1 = Subspace.span(3, [(1, 0, 0)])
-        e12 = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
-        e23 = Subspace.span(3, [(0, 1, 0), (0, 0, 1)])
-        assert e12.intersect(e23).basis == ((0, 1, 0),)
-        assert e1.intersect(e23).is_zero
-
-    def test_intersection_is_contained_in_both(self):
-        rng = random.Random(29)
-        for _ in range(20):
-            n = rng.randint(2, 5)
-            u = Subspace.span(n, [[rng.randint(-3, 3) for _ in range(n)]
-                                  for _ in range(rng.randint(1, n))])
-            v = Subspace.span(n, [[rng.randint(-3, 3) for _ in range(n)]
-                                  for _ in range(rng.randint(1, n))])
-            w = u.intersect(v)
-            assert u.contains_subspace(w)
-            assert v.contains_subspace(w)
-            assert u.contains_subspace(u.intersect(u))
-
     def test_whole_space_is_the_identity_echelon_basis(self):
         for n in (1, 2, 5):
             assert Subspace.full(n) == Subspace.span(n, Matrix.identity(n).rows)
-
-    def test_intersection_with_the_whole_space_is_the_other_operand(self):
-        whole = Subspace.full(3)
-        for other in (Subspace.span(3, [(1, 2, 0), (0, 0, 1)]), Subspace.zero(3)):
-            assert whole.intersect(other) is other
-            assert other.intersect(whole) is other
 
     def test_integral_basis_clears_denominators(self):
         s = Subspace.span(2, [(Fraction(1, 3), Fraction(1, 6))])

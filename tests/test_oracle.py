@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ergodec import (Matrix, ValidationError, VerdictKind, cross_validate, element,
+from ergodec import (Matrix, ValidationError, cross_validate, element,
                      find_ergodic_exponents, is_ergodic_element,
                      is_ergodic_group, oracle, product_counterexample,
                      solenoid_action, toral_action)
@@ -358,7 +358,7 @@ class TestProductDemo:
     def test_group_ergodic_and_hit_outside_the_box(self, radius, rank):
         act = product_counterexample(radius)
         assert act.dim == rank
-        assert is_ergodic_group(act).certificate.kind == "zero-finite-orbit-subspace"
+        assert is_ergodic_group(act).certificate == "zero-finite-orbit-subspace"
         exps, verdict = find_ergodic_exponents(act)
         assert exps == (1, radius + 1) and verdict.is_ergodic
         assert sum(exps) <= rank * (act.n_generators - 1) + 2
@@ -367,7 +367,7 @@ class TestProductDemo:
     def test_box_elements_not_ergodic(self, radius):
         act = product_counterexample(radius)
         box = range(-radius, radius + 1)
-        assert all(is_ergodic_element(act, (n, m)).kind == VerdictKind.NOT_ERGODIC
+        assert all(is_ergodic_element(act, (n, m)).kind == "not-ergodic"
                    for n in box for m in box if (n, m) != (0, 0))
 
     def test_element_acts_on_each_factor_by_its_exponent(self):

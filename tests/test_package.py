@@ -91,8 +91,8 @@ def test_readme_certificate_tables_list_the_emitted_keys():
                                ("element", ergodec.is_distal_element(action, (1,))),
                                ("group", ergodec.is_ergodic_group(action)),
                                ("group", ergodec.is_distal_group(action))]:
-            emitted[f"{verdict.kind.value} {scope}"] = (verdict.certificate.kind,
-                                                        set(verdict.certificate.data))
+            emitted[f"{verdict.kind} {scope}"] = (verdict.certificate,
+                                                        set(verdict.data))
     documented = {verdict: (kind.strip("`"), _keys(data))
                   for verdict, kind, data in _readme_table(
                       readme, "### Toral and solenoid certificates")}
@@ -106,4 +106,4 @@ def test_readme_certificate_tables_list_the_emitted_keys():
                ergodec.group_is_ergodic(two)]
     documented = {kind.strip("`"): _keys(data) for kind, _, data in _readme_table(
         readme, "### Laurent certificates")}
-    assert documented == {v.certificate.kind: set(v.certificate.data) for v in laurent}
+    assert documented == {v.certificate: set(v.data) for v in laurent}

@@ -377,6 +377,17 @@ def test_malformed_common_factor_is_a_failure(tmp_path, capsys, exponent):
     assert replay_report(report)["failures"] == ["common factor is not a Laurent polynomial"]
 
 
+@pytest.mark.parametrize("key,value", [
+    ("p", 0), ("p", 1), ("p", 2.0), ("p", True), ("terms", [[[0], 1.0]])])
+def test_malformed_common_factor_shape_is_refused_before_arithmetic(tmp_path, capsys, key,
+                                                                    value):
+    # refused before any arithmetic: reducing modulo p = 0 divides by
+    # zero, and a float is not a coefficient modulo p
+    report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
+    report["results"]["group"]["certificate"]["data"]["common_factor"][key] = value
+    assert replay_report(report)["failures"] == ["common factor is not a Laurent polynomial"]
+
+
 @pytest.mark.parametrize("key,value,failure", [
     ("factor", None, "residual factor is not a polynomial"),
     ("factor", [1, None], "residual factor is not a polynomial"),

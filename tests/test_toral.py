@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ergodec import (Matrix, MatrixAction, NotErgodicGroupError, Subspace, VerdictKind,
-                     cyclotomic, dual_element, ergodic_distal_filtration,
+from ergodec import (InternalCheckError, Matrix, MatrixAction, NotErgodicGroupError,
+                     Subspace, Verdict, cyclotomic, dual_element, ergodic_distal_filtration,
                      find_ergodic_exponents, is_distal_element, is_distal_group,
                      is_ergodic_element, is_ergodic_group, kernel,
                      largest_ergodic_subgroup, solenoid_action, toral_action)
@@ -37,51 +37,51 @@ def rotation_action():
 class TestErgodicElement:
     def test_fibonacci_ergodic(self):
         v = is_ergodic_element(fib_action(), (1,))
-        assert v.kind == VerdictKind.ERGODIC
-        assert v.certificate.kind == "no-root-of-unity-eigenvalue"
+        assert v.kind == "ergodic"
+        assert v.certificate == "no-root-of-unity-eigenvalue"
 
     def test_identity_not_ergodic_with_witness(self):
         act = toral_action([Matrix.identity(2)])
         v = is_ergodic_element(act, (1,))
-        assert v.kind == VerdictKind.NOT_ERGODIC
-        chi = v.certificate.data["character"]
+        assert v.kind == "not-ergodic"
+        chi = v.data["character"]
         assert chi == [1, 0]
 
     def test_rotation_not_ergodic(self):
         v = is_ergodic_element(rotation_action(), (1,))
-        assert v.kind == VerdictKind.NOT_ERGODIC
+        assert v.kind == "not-ergodic"
         # order four: the witness is fixed by the uniform power
-        chi = tuple(v.certificate.data["character"])
+        chi = tuple(v.data["character"])
         b = dual_element(rotation_action(), (1,))
-        assert (b ** v.certificate.data["power"]).matvec(chi) == chi
+        assert (b ** v.data["power"]).matvec(chi) == chi
 
     def test_witness_replay_for_shear(self):
         v = is_ergodic_element(shear_action(), (1,))
-        assert v.kind == VerdictKind.NOT_ERGODIC
-        chi = tuple(v.certificate.data["character"])
+        assert v.kind == "not-ergodic"
+        chi = tuple(v.data["character"])
         b = dual_element(shear_action(), (1,))
-        assert (b ** v.certificate.data["power"]).matvec(chi) == chi
+        assert (b ** v.data["power"]).matvec(chi) == chi
 
 
 class TestDistalElement:
     def test_shear_distal_with_factors(self):
         v = is_distal_element(shear_action(), (1,))
-        assert v.kind == VerdictKind.DISTAL
-        assert v.certificate.data["factors"] == [[1, 2]]
+        assert v.kind == "distal"
+        assert v.data["factors"] == [[1, 2]]
 
     def test_fibonacci_not_distal(self):
         v = is_distal_element(fib_action(), (1,))
-        assert v.kind == VerdictKind.NOT_DISTAL
-        assert v.certificate.data["cyclotomic_part"] == []
+        assert v.kind == "not-distal"
+        assert v.data["cyclotomic_part"] == []
 
     def test_identity_distal(self):
         act = toral_action([Matrix.identity(2)])
-        assert is_distal_element(act, (1,)).kind == VerdictKind.DISTAL
+        assert is_distal_element(act, (1,)).kind == "distal"
 
     def test_rotation_distal(self):
         v = is_distal_element(rotation_action(), (1,))
-        assert v.kind == VerdictKind.DISTAL
-        assert v.certificate.data["factors"] == [[4, 1]]
+        assert v.kind == "distal"
+        assert v.data["factors"] == [[4, 1]]
 
 
 class TestFiniteOrbitSubspace:
@@ -111,31 +111,44 @@ class TestFiniteOrbitSubspace:
 class TestGroupVerdicts:
     def test_block_pair_group_ergodic_without_ergodic_generator(self):
         act = block_pair_action()
-        assert is_ergodic_element(act, (1, 0)).kind == VerdictKind.NOT_ERGODIC
-        assert is_ergodic_element(act, (0, 1)).kind == VerdictKind.NOT_ERGODIC
-        assert is_ergodic_group(act).kind == VerdictKind.ERGODIC
+        assert is_ergodic_element(act, (1, 0)).kind == "not-ergodic"
+        assert is_ergodic_element(act, (0, 1)).kind == "not-ergodic"
+        assert is_ergodic_group(act).kind == "ergodic"
 
     def test_rotation_group_not_ergodic(self):
         v = is_ergodic_group(rotation_action())
-        assert v.kind == VerdictKind.NOT_ERGODIC
-        assert v.certificate.data == {"character": [1, 0], "power": 4}
+        assert v.kind == "not-ergodic"
+        assert v.data == {"character": [1, 0], "power": 4}
 
     def test_identity_group_not_ergodic_with_witness(self):
         act = toral_action([Matrix.identity(2)])
         v = is_ergodic_group(act)
-        assert v.kind == VerdictKind.NOT_ERGODIC
-        assert v.certificate.data == {"character": [1, 0], "power": 1}
+        assert v.kind == "not-ergodic"
+        assert v.data == {"character": [1, 0], "power": 1}
 
     def test_commuting_shears_distal(self):
         act = toral_action([[[1, 2], [0, 1]], [[1, 3], [0, 1]]])
-        assert is_distal_group(act).kind == VerdictKind.DISTAL
+        assert is_distal_group(act).kind == "distal"
 
     def test_fibonacci_group_not_distal(self):
-        assert is_distal_group(fib_action()).kind == VerdictKind.NOT_DISTAL
+        assert is_distal_group(fib_action()).kind == "not-distal"
 
     def test_plus_minus_identity_distal(self):
         act = toral_action([Matrix.identity(2), [[-1, 0], [0, -1]]])
-        assert is_distal_group(act).kind == VerdictKind.DISTAL
+        assert is_distal_group(act).kind == "distal"
+
+
+class TestVerdict:
+    """A verdict is its certificate: the certificate kind fixes the
+    verdict, and its data must have exactly that kind's keys."""
+
+    @pytest.mark.parametrize("kind,data", [("witness-character", {}),
+                                           ("witness-character", {"character": [1], "power": 1,
+                                                                  "orbit": []}),
+                                           ("no-such-kind", {})])
+    def test_unknown_kind_or_wrong_data_keys_is_an_internal_failure(self, kind, data):
+        with pytest.raises(InternalCheckError):
+            Verdict(kind, data)
 
 
 class TestLargestErgodicSubgroup:
@@ -207,12 +220,12 @@ class TestFindErgodicExponents:
     def test_single_generator(self):
         exps, v = find_ergodic_exponents(fib_action())
         assert exps == (1,)
-        assert v.kind == VerdictKind.ERGODIC
+        assert v.kind == "ergodic"
 
     def test_block_pair(self):
         exps, v = find_ergodic_exponents(block_pair_action())
         assert exps == (1, 1)
-        assert v.kind == VerdictKind.ERGODIC
+        assert v.kind == "ergodic"
 
     def test_identity_rejected(self):
         act = toral_action([Matrix.identity(2)])
@@ -318,7 +331,7 @@ class TestTransposeDual:
         group, old_group = is_ergodic_group(act), is_ergodic_group(old)
         assert group.kind == old_group.kind
         if not group.is_ergodic:
-            assert group.certificate.data == old_group.certificate.data
+            assert group.data == old_group.data
         n = act.n_generators
         for exps in [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)] \
                 + [(1,) * n, tuple(range(1, n + 1))]:
@@ -332,7 +345,7 @@ class TestKolchinProperty:
         for _ in range(15):
             gens = commuting_unipotent_family(rng, max_dim=5)
             act = toral_action(gens)
-            assert is_distal_group(act).kind == VerdictKind.DISTAL
+            assert is_distal_group(act).kind == "distal"
             assert not act.finite_orbit_subspace.is_zero
 
 
@@ -344,7 +357,7 @@ class TestErgodicDistalProducts:
             act = toral_action([alpha, beta])
             for i in (-2, -1, 1, 2):
                 for j in (-2, 0, 2):
-                    assert is_ergodic_element(act, (i, j)).kind == VerdictKind.ERGODIC
+                    assert is_ergodic_element(act, (i, j)).kind == "ergodic"
 
     def test_shifted_products_fail_only_finitely_often(self):
         rng = random.Random(101)
@@ -361,22 +374,22 @@ class TestErgodicDistalProducts:
 class TestSolenoid:
     def test_doubling_map_ergodic(self):
         act = solenoid_action([[[2]]])
-        assert is_ergodic_element(act, (1,)).kind == VerdictKind.ERGODIC
-        assert is_distal_element(act, (1,)).kind == VerdictKind.NOT_DISTAL
+        assert is_ergodic_element(act, (1,)).kind == "ergodic"
+        assert is_distal_element(act, (1,)).kind == "not-distal"
 
     def test_half_map_ergodic(self):
         act = solenoid_action([[[Fraction(1, 2)]]])
-        assert is_ergodic_element(act, (1,)).kind == VerdictKind.ERGODIC
+        assert is_ergodic_element(act, (1,)).kind == "ergodic"
 
     def test_eigenvalue_one_blocks_ergodicity(self):
         act = solenoid_action([[[2, 0], [0, 1]]])
         v = is_ergodic_element(act, (1,))
-        assert v.kind == VerdictKind.NOT_ERGODIC
+        assert v.kind == "not-ergodic"
 
     def test_rational_witness_kept_rational(self):
         act = solenoid_action([[[Fraction(1, 2), 0], [0, 1]]])
         v = is_ergodic_group(act)
-        assert v.kind == VerdictKind.NOT_ERGODIC
+        assert v.kind == "not-ergodic"
 
     def test_filtration_on_solenoid(self):
         act = solenoid_action([[[2, 0], [0, 1]]])
