@@ -29,8 +29,10 @@ from .laurent import LaurentPoly, content_along, witness_power
 from .matrices import Matrix, Subspace, fixed_by_power
 
 # Largest torus or solenoid dimension a document may declare: route B
-# takes one determinant per candidate order, and already at r = 64 one
-# spectrum costs seconds.  Library constructors are not capped.
+# takes one determinant per candidate order, and in-process `analyze
+# --verify-report` on the companion of x^r - 3x - 1 takes about 0.33 s at
+# r = 32, 1.3 s at r = 48 and 3.8 s at r = 64 on a 2-CPU x86 host.
+# Library constructors are not capped.
 MAX_DIMENSION = 64
 
 # Largest width, in any variable, of a Laurent presenter a document may

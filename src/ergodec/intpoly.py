@@ -102,26 +102,10 @@ class Polynomial:
         return Polynomial.from_coeffs(out)
 
     def __divmod__(self, other: "Polynomial"):
-        """Exact rational division with remainder.  A divisor with leading
-        coefficient 1 or -1, such as every cyclotomic polynomial, needs no
-        division, so integer operands stay in ints."""
+        """Exact rational division with remainder."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead = other.leading
-        unit = lead in (1, -1)  # then top / lead == top * lead
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial.zero(), self
-        quo = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top == 0:
-                continue
-            q = top * lead if unit else _norm_scalar(Fraction(top) / lead)
-            quo[k] = q
-            for j, y in enumerate(other.coeffs):
-                rem[k + j] -= q * y
+        quo, rem = _divmod_coeffs(self.coeffs, other.coeffs)
         return Polynomial.from_coeffs(quo), Polynomial.from_coeffs(rem)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
@@ -232,23 +216,41 @@ def cyclotomic(d: int) -> Polynomial:
     return f
 
 
+def _divmod_coeffs(num, den):
+    """Quotient and remainder coefficient lists of num by the nonzero den,
+    lowest degree first.  A divisor with leading coefficient 1 or -1,
+    such as every cyclotomic polynomial, needs no division, so integer
+    operands stay in ints."""
+    rem = list(num)
+    lead = den[-1]
+    unit = lead in (1, -1)  # then top / lead == top * lead
+    n = len(den) - 1
+    quo = [0] * max(len(rem) - n, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        top = rem[k + n]
+        if top != 0:
+            q = quo[k] = top * lead if unit else _norm_scalar(Fraction(top) / lead)
+            rem[k:k + n] = [a - q * y for a, y in zip(rem[k:k + n], den)]
+    return quo, rem[:n]
+
+
 def cyclotomic_split(f: Polynomial, orders):
     """Strip cyclotomic factors from a monic polynomial by exact division
     by each cyclotomic(d), d in orders; returns the factor multiset as
-    (d, count) pairs in the order of orders, and the cofactor."""
-    factors, rest = [], f
+    (d, count) pairs in the order of orders, and the cofactor.  The
+    divisions run on coefficient lists, and only the cofactor becomes a
+    Polynomial."""
+    factors, rest = [], list(f.coeffs)
     for d in orders:
-        phi = cyclotomic(d)
+        phi = cyclotomic(d).coeffs
         count = 0
-        while not rest.is_one:
-            quo, rem = divmod(rest, phi)
-            if not rem.is_zero:
-                break
-            rest = quo
-            count += 1
+        quo, rem = _divmod_coeffs(rest, phi)
+        while quo and not any(rem):
+            rest, count = quo, count + 1
+            quo, rem = _divmod_coeffs(rest, phi)
         if count:
             factors.append((d, count))
-    return factors, rest
+    return factors, Polynomial.from_coeffs(rest)
 
 
 def cyclotomic_product(factors) -> Polynomial:

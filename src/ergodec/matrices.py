@@ -13,7 +13,11 @@ under every matrix of their size without a product.
 Elimination is integer-first: rref scales each row to integers and
 eliminates by cross-multiplication, and only the emitted rows are divided
 by their pivots, so a Fraction appears only in an entry that is not an
-integer.
+integer.  A square matrix x keeps one integer scaling x = A/L and one list
+of the powers of A as int rows, grown on demand: the determinant route
+takes the Bareiss determinant of L**phi(d) * cyclotomic(d)(x) and c(x) is
+read from the same list, with no Matrix per power and no Fraction when L
+is 1.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .intpoly import (Polynomial, _norm_scalar, cyclotomic, cyclotomic_product,
-                      cyclotomic_split, euler_phi, orders_with_totient_at_most)
+                      cyclotomic_split, orders_with_totient_at_most)
 
 
 class DimensionError(ValueError):
@@ -135,36 +139,12 @@ class Matrix:
 
     def det(self):
         """Exact determinant by fraction-free Bareiss elimination on the
-        matrix scaled to integer entries: det A = det(LA) / L**n, with L
-        the common denominator of the entries."""
+        matrix scaled to integer entries: det x = det A / L**n for x = A/L."""
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
-        n = self.nrows
-        den = lcm(*(x.denominator for row in self.rows for x in row))
-        m = [[int(x * den) for x in row] for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            top = m[k]
-            p = top[k]
-            for row in m[k + 1:]:
-                f = row[k]
-                for j in range(k + 1, n):
-                    q, r = divmod(row[j] * p - f * top[j], prev)
-                    if r:
-                        raise ArithmeticError("inexact division in fraction-free elimination")
-                    row[j] = q
-                row[k] = 0
-            prev = p
-        return _norm_scalar(Fraction(sign * m[n - 1][n - 1], den ** n))
+        den, a = self._scaled
+        d = _bareiss([row[:] for row in a])
+        return d if den == 1 else _norm_scalar(Fraction(d, den ** self.nrows))
 
     def inverse(self) -> "Matrix":
         """Exact inverse: the right half of the reduced row echelon form
@@ -196,9 +176,18 @@ class Matrix:
         return Spectrum(self, cp, orders, tuple(factors), rest)
 
     @cached_property
-    def _power_list(self) -> list:
-        """[I, x, x**2, ...] as far as _powers has needed them."""
-        return [Matrix.identity(self.nrows)]
+    def _scaled(self) -> tuple:
+        """(L, A) with x = A/L, A of int rows and L the least common
+        denominator of the entries."""
+        den = lcm(*(x.denominator for row in self.rows for x in row))
+        return den, [[x.numerator * (den // x.denominator) for x in row] for row in self.rows]
+
+    @cached_property
+    def _int_powers(self) -> list:
+        """[I, A, A**2, ...] as int rows, as far as _scaled_poly_at has
+        grown it: one list of powers per matrix."""
+        n = self.nrows
+        return [[[int(i == j) for j in range(n)] for i in range(n)], self._scaled[1]]
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -218,18 +207,40 @@ def _berkowitz(rows) -> list:
     v = [1, -a]
     w = left
     for _ in range(n - 1):
-        v.append(-sum(x * y for x, y in zip(top, w)))
-        w = [sum(r[j] * w[j] for j in range(n - 1)) for r in minor]
+        v.append(-sum(map(mul, top, w)))
+        w = [sum(map(mul, r, w)) for r in minor]
     q = _berkowitz(minor)
-    out = []
-    for i in range(n + 1):
-        s = 0
-        for j in range(len(q)):
-            k = i - j
-            if 0 <= k < len(v):
-                s += v[k] * q[j]
-        out.append(s)
-    return out
+    v.reverse()
+    return [sum(map(mul, q, v[n - i:])) for i in range(n + 1)]
+
+
+def _bareiss(m) -> int:
+    """Determinant of a square matrix of ints, given as a list of row
+    lists that it overwrites, by fraction-free Bareiss elimination."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top = m[k]
+        p = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                q, r = divmod(row[j] * p - f * top[j], prev)
+                if r:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+                row[j] = q
+            row[k] = 0
+        prev = p
+    return sign * m[n - 1][n - 1]
 
 
 def rref(rows):
@@ -390,33 +401,39 @@ def induced(m: Matrix, outer: Subspace, inner: Subspace) -> Matrix:
     return Matrix.from_rows([[w[p] for w in images] for _, p in basis])
 
 
-def _powers(x: Matrix, k: int) -> list:
-    """[I, x, x**2, ...] through at least x**k: one list per matrix,
-    grown on demand, so the determinant route and c(x) share the powers
-    both need."""
-    out = x._power_list
-    while len(out) <= k:
-        out.append(out[-1] * x)
-    return out
-
-
-def _poly_at(p: Polynomial, powers) -> Matrix:
-    """p(x) from the powers [I, x, x**2, ...] of a square x."""
-    n = powers[0].nrows
-    rows = [[0] * n for _ in range(n)]
-    for c, pw in zip(p.coeffs, powers):
+def _scaled_poly_at(p: Polynomial, x: Matrix) -> tuple:
+    """(rows, L**k) with rows the ints of L**k * p(x), for an integer p
+    of degree k and x = A/L: the sum of p's coefficients times
+    L**(k - i) * A**i, read from x's one power list, grown on demand, so
+    the determinant route and c(x) share the powers both need.  The
+    rows are new lists, never the cached powers."""
+    k = p.degree
+    den, powers = x._scaled[0], x._int_powers
+    if len(powers) <= k:
+        cols = list(zip(*powers[1]))
+        while len(powers) <= k:
+            powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
+    rows = [[0] * x.nrows for _ in range(x.nrows)]
+    for i, (c, pw) in enumerate(zip(p.coeffs, powers)):
         if c != 0:
-            for i, prow in enumerate(pw.rows):
-                rows[i] = [a + c * y for a, y in zip(rows[i], prow)]
-    return Matrix.from_rows(rows)
+            c *= den ** (k - i)
+            rows = [[a + c * y for a, y in zip(row, prow)] for row, prow in zip(rows, pw)]
+    return rows, den ** k
+
+
+def _matrix_over(rows, den: int) -> Matrix:
+    """The matrix of int rows divided by den: ints where an entry is
+    integral, and no Fraction at all when den is 1."""
+    if den == 1:
+        return Matrix(tuple(map(tuple, rows)))
+    return Matrix(tuple(tuple(_norm_scalar(Fraction(y, den)) for y in row) for row in rows))
 
 
 def singular_cyclotomic_orders(x: Matrix, orders) -> list:
     """The d in orders with cyclotomic(d) at x singular: the orders of
     the root-of-unity eigenvalues of x, by determinants instead of the
     characteristic polynomial."""
-    powers = _powers(x, max(map(euler_phi, orders), default=0))
-    return [d for d in orders if _poly_at(cyclotomic(d), powers).det() == 0]
+    return [d for d in orders if _bareiss(_scaled_poly_at(cyclotomic(d), x)[0]) == 0]
 
 
 @dataclass(frozen=True)
@@ -450,7 +467,7 @@ class Spectrum:
     def cyclotomic_at(self) -> Matrix:
         """c(x): its kernel is the characters with a finite x-orbit."""
         c = cyclotomic_product((d, 1) for d in self.orders)
-        return _poly_at(c, _powers(self.matrix, c.degree))
+        return _matrix_over(*_scaled_poly_at(c, self.matrix))
 
     @cached_property
     def unipotent_power(self) -> Matrix:

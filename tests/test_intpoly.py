@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodec.intpoly import (Polynomial, _norm_scalar, cyclotomic, cyclotomic_product,
@@ -217,3 +217,35 @@ def test_product_is_divisible_by_factors(a, b):
         return
     assert f.divides(f * g)
     assert (f * g).exact_div(f) == g
+
+
+def split_by_divmod(f, orders):
+    """The cyclotomic split as a loop of Polynomial divmods."""
+    factors, rest = [], f
+    for d in orders:
+        count = 0
+        while not rest.is_one:
+            quo, rem = divmod(rest, cyclotomic(d))
+            if not rem.is_zero:
+                break
+            rest, count = quo, count + 1
+        if count:
+            factors.append((d, count))
+    return factors, rest
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(orders_with_totient_at_most(4)), st.integers(1, 3)),
+                max_size=3),
+       st.lists(st.one_of(st.integers(-5, 5),
+                          st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+                max_size=4))
+# (x - 1)(x**2 + x/2 + 1): the division passes through the integral Fraction 1
+@example([(1, 1)], [1, Fraction(1, 2)])
+def test_list_split_matches_a_divmod_loop(cyclotomic_part, cofactor):
+    f = cyclotomic_product(cyclotomic_part) * Polynomial.from_coeffs([*cofactor, 1])
+    orders = orders_with_totient_at_most(8)
+    factors, rest = cyclotomic_split(f, orders)
+    assert (factors, rest) == split_by_divmod(f, orders)
+    assert cyclotomic_product(factors) * rest == f
+    assert all(type(c) is int for c in rest.coeffs if Fraction(c).denominator == 1)

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ergodec.intpoly import Polynomial
-from ergodec.matrices import (DimensionError, Matrix, Subspace, _poly_at, _powers,
-                              fixed_by_power, induced, kernel,
+from ergodec.intpoly import Polynomial, cyclotomic, orders_with_totient_at_most
+from ergodec.matrices import (DimensionError, Matrix, Subspace, _bareiss, _matrix_over,
+                              _scaled_poly_at, fixed_by_power, induced, kernel,
                               singular_cyclotomic_orders, walk_orbit)
 from factories import fibonacci_matrix, random_unimodular
 
@@ -163,7 +165,7 @@ class TestIntegerResults:
             at = [[sum(c * pw[i][j] for c, pw in zip(coeffs, powers)) for j in range(n)]
                   for i in range(n)]
             product = Matrix.from_rows(a) * Matrix.from_rows(b)
-            value = _poly_at(poly(*coeffs), _powers(Matrix.from_rows(a), 3))
+            value = _matrix_over(*_scaled_poly_at(poly(*coeffs), Matrix.from_rows(a)))
             assert product.rows == tuple(map(tuple, list_product(a, b)))
             assert value.rows == tuple(map(tuple, at))
             for m in (product, value):
@@ -176,7 +178,7 @@ class TestIntegerResults:
         assert product.is_integral
         half = Matrix.from_rows([[Fraction(1, 2), 1], [0, 2]])
         assert type(half.det()) is int and half.det() == 1
-        value = _poly_at(poly(0, 2), _powers(half, 1))
+        value = _matrix_over(*_scaled_poly_at(poly(0, 2), half))
         assert value.rows == ((1, 2), (0, 4)) and value.is_integral
 
 
@@ -318,3 +320,72 @@ class TestFiniteOrbitPrimitives:
         assert (seen, stop, last) == ({(0, 1), (1, 1), (2, 1)}, "coordinate-guard", (3, 1))
         seen, stop, last = walk_orbit([shear], (0, 1), cap=100, known={(2, 1)})
         assert (seen, stop, last) == ({(0, 1), (1, 1)}, "known", (2, 1))
+
+
+def companion(coeffs):
+    """Companion matrix of the monic polynomial with the given
+    coefficients, lowest degree first."""
+    n = len(coeffs) - 1
+    return Matrix.from_rows([[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]]
+                             for i in range(n)])
+
+
+def poly_at_in_fractions(p, x):
+    """p(x) by Matrix products and sums, entries in Fractions."""
+    n = x.nrows
+    value = Matrix.from_rows([[0] * n for _ in range(n)])
+    power = Matrix.identity(n)
+    for c in p.coeffs:
+        value = value + Matrix.from_rows([[c * y for y in row] for row in power.rows])
+        power = power * x
+    return value
+
+
+@st.composite
+def conjugated_blocks(draw):
+    """D B D^-1, B the block diagonal of companions of cyclotomic and of
+    random monic polynomials, D diagonal with entries up to 2**64: a
+    rational matrix with root-of-unity eigenvalues and denominators up
+    to 2**64."""
+    blocks = draw(st.lists(st.one_of(
+        st.sampled_from([cyclotomic(d).coeffs for d in (1, 2, 3, 4, 6)]),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(lambda c: (*c, 1))),
+        min_size=1, max_size=3))
+    b = Matrix.block_diag(*map(companion, blocks))
+    scale = draw(st.lists(st.integers(1, 2 ** 64), min_size=b.nrows, max_size=b.nrows,
+                          unique=True))
+    return Matrix.from_rows([[Fraction(y * scale[i], scale[j]) for j, y in enumerate(row)]
+                             for i, row in enumerate(b.rows)])
+
+
+class TestIntegerRoute:
+    @settings(max_examples=40, derandomize=True)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_bareiss_is_the_cofactor_determinant(self, rows):
+        n = len(rows)
+        sign = 1 if n % 2 == 0 else -1
+        expected = sign * char_poly_by_cofactors(Matrix.from_rows(rows))(0)
+        assert _bareiss([list(row) for row in rows]) == expected
+        if n > 1:
+            assert _bareiss([list(row) for row in rows[:-1]] + [list(rows[0])]) == 0
+
+    @settings(max_examples=40, derandomize=True)
+    @given(conjugated_blocks())
+    def test_singular_orders_of_rational_matrices(self, x):
+        orders = orders_with_totient_at_most(x.nrows)
+        expected = [d for d in orders if poly_at_in_fractions(cyclotomic(d), x).det() == 0]
+        assert singular_cyclotomic_orders(x, orders) == expected == x.spectrum.orders
+
+    def test_one_power_list_shared_and_never_overwritten(self):
+        # the companion of x**8 - 1, a rank-8 dual of finite order
+        x = companion((-1, 0, 0, 0, 0, 0, 0, 0, 1))
+        spectrum = x.spectrum
+        expected = [[list(row) for row in (x ** k).rows] for k in range(9)]
+        assert spectrum.singular_orders == [1, 2, 4, 8]
+        assert x.det() == -1 and x._scaled[0] == 1
+        assert x._int_powers == expected
+        assert spectrum.cyclotomic_at.is_zero
+        assert x._int_powers == expected
+        assert spectrum.cyclotomic_at == Matrix(x.rows).spectrum.cyclotomic_at
