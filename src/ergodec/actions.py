@@ -180,19 +180,18 @@ def product_counterexample(radius: int) -> MatrixAction:
                          Matrix.block_diag(*(f ** i for i, _ in factors))])
 
 
-_BAD_VARIABLE_COUNT = Issue("bad-variable-count", (), "one or two variables supported")
-
-
-def _is_variable_count(nvars) -> bool:
-    return type(nvars) is int and nvars in (1, 2)
-
-
-def laurent_cyclic_action(p: int, nvars: int, presenter: LaurentPoly) -> LaurentCyclicAction:
+def _ring_issues(p, nvars) -> list:
+    """The issues of p and nvars, checked before any arithmetic mod p."""
     issues = []
     if not (type(p) is int and p < _MAX_MODULUS and _is_prime(p)):
         issues.append(Issue("bad-modulus", (), f"{p} is not a prime below 2**31"))
-    if not _is_variable_count(nvars):
-        issues.append(_BAD_VARIABLE_COUNT)
+    if not (type(nvars) is int and nvars in (1, 2)):
+        issues.append(Issue("bad-variable-count", (), "one or two variables supported"))
+    return issues
+
+
+def laurent_cyclic_action(p: int, nvars: int, presenter: LaurentPoly) -> LaurentCyclicAction:
+    issues = _ring_issues(p, nvars)
     if not issues:
         if presenter.p != p or presenter.nvars != nvars:
             issues.append(Issue("bad-modulus", (),
@@ -280,8 +279,9 @@ def build_action(doc: dict):
         for key in ("p", "d", "g"):
             if key not in doc:
                 raise ValidationError([Issue("schema", (), f"missing field {key!r}")])
-        if not _is_variable_count(doc["d"]):
-            raise ValidationError([_BAD_VARIABLE_COUNT])
+        issues = _ring_issues(doc["p"], doc["d"])
+        if issues:
+            raise ValidationError(issues)
         try:
             g = LaurentPoly.from_terms(doc["p"], doc["d"], [_presenter_term(t) for t in doc["g"]])
         except (TypeError, KeyError, ValueError) as exc:

@@ -7,12 +7,13 @@ sorted, orderings are canonical, and timing goes to stderr instead of the
 report body.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure
-(including a resource-limit issue: a torus or presenter too large, an
-oracle-check box too large to enumerate, or a Laurent witness power
-past the search budget), 3 hypothesis failure (the group is not
-ergodic, or no Laurent direction in --search-box is ergodic), 4
-certificate replay failure under --verify-report, 5 internal check
-failure (two routes that must agree did not; this is a bug).
+(including oracle-check on an action that is not toral, and a
+resource-limit issue: a torus or presenter too large, an oracle-check
+box too large to enumerate, or a Laurent witness power past the search
+budget), 3 hypothesis failure (the group is not ergodic, or no Laurent
+direction in --search-box is ergodic), 4 certificate replay failure
+under --verify-report, 5 internal check failure (two routes that must
+agree did not; this is a bug).
 """
 
 from __future__ import annotations
@@ -138,8 +139,6 @@ def cmd_filtration(args, doc: dict, action) -> dict:
 
 
 def cmd_oracle_check(args, doc: dict, action) -> dict:
-    if action.kind != "toral":
-        raise _CliExit(2, "oracle enumeration runs on toral actions only")
     results = oracle.cross_validate(action, args.norm_bound, args.cap)
     return _report("oracle-check", doc, args, results)
 

@@ -18,6 +18,10 @@ of the powers of A as int rows, grown on demand: the determinant route
 takes the Bareiss determinant of L**phi(d) * cyclotomic(d)(x) and c(x) is
 read from the same list, with no Matrix per power and no Fraction when L
 is 1.
+
+Subspace.reduce leaves its residual as elimination made it: contains
+only tests it for zero, and induced normalizes it through
+Matrix.from_rows.  Orbit walks live in oracle, on compiled maps.
 """
 
 from __future__ import annotations
@@ -332,17 +336,18 @@ class Subspace:
         return self.dim == self.ambient
 
     def reduce(self, v) -> tuple:
-        """Residual of v after eliminating pivot coordinates."""
+        """Residual of v after eliminating pivot coordinates, not
+        normalized: an integral entry may be a Fraction."""
         w = list(v)
         for row, p in zip(self.basis, self.pivots):
             c = w[p]
             if c != 0:
                 for j in range(self.ambient):
                     w[j] -= c * row[j]
-        return tuple(_norm_scalar(x) for x in w)
+        return tuple(w)
 
     def contains(self, v) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -493,33 +498,3 @@ def quasi_unipotent_on(x: Matrix, sub: Subspace) -> bool:
         return True
     return induced(x, sub, Subspace.zero(sub.ambient)).spectrum.rest.is_one
 
-
-def walk_orbit(maps, start, cap: int, guard=None, known=None):
-    """Breadth-first walk of the orbit of start under the given maps.
-
-    The walk gives up when it reaches a point of the container known,
-    when a new point has a coordinate of absolute value at least guard,
-    or once more than cap points are seen.  Returns (seen, stop, last):
-    seen is the set of points reached, stop is None when the orbit closed
-    and otherwise "known", "coordinate-guard" or "visited-cap", and last
-    is the point that stopped the walk.
-    """
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for apply_map in maps:
-                w = apply_map(v)
-                if w in seen:
-                    continue
-                if known is not None and w in known:
-                    return seen, "known", w
-                if guard is not None and max(map(abs, w)) >= guard:
-                    return seen, "coordinate-guard", w
-                seen.add(w)
-                nxt.append(w)
-                if len(seen) > cap:
-                    return seen, "visited-cap", w
-        frontier = nxt
-    return seen, None, None

@@ -10,13 +10,16 @@ choose which disagreements to walk again.  A walk that gives up (too
 many characters visited, or coordinates past the size guard) certifies
 nothing; only the analytic side can assert an orbit is infinite.
 
+Every walk, here and in replay's oracle-check, is walk_orbit over
+orbit_maps(action), the dual generators compiled to closures;
+Matrix.matvec is only the reference the tests check those maps against.
 Cross-validation first walks each generator's cycle through a
-character, one generator at a time, with matrices.walk_orbit over that
-generator alone: a one-map walk is exactly its forward cycle.  The
-generators commute, so an orbit is finite if and only if every cyclic
-orbit closes: if each generator g_i returns chi after n_i steps, then
-g_i^n_i fixes every point g_1^m_1 ... g_d^m_d chi of the orbit, so the
-orbit holds only the points with 0 <= m_i < n_i.  A cycle that passes
+character, one generator at a time, with walk_orbit over that generator
+alone: a one-map walk is exactly its forward cycle.  The generators
+commute, so an orbit is finite if and only if every cyclic orbit
+closes: if each generator g_i returns chi after n_i steps, then g_i^n_i
+fixes every point g_1^m_1 ... g_d^m_d chi of the orbit, so the orbit
+holds only the points with 0 <= m_i < n_i.  A cycle that passes
 the visited cap or the coordinate guard ends the check at once, and
 only the orbits whose cycles all close are walked breadth-first over
 all the generators to measure their size against the cap.
@@ -35,8 +38,8 @@ most M(r) steps per generator whatever the cap, and every character is
 classified finite or exceeded exactly as a walk to the cap would
 classify it.
 
-The coordinate guard (DEFAULT_COORD_BITS) only saves time on orbits
-whose coordinates grow without bound.  A finite orbit can have large
+The coordinate guard, 2**COORD_BITS, only saves time on orbits whose
+coordinates grow without bound.  A finite orbit can have large
 points too, so a character inside the finite-orbit subspace is walked
 without it, each cycle still bounded by M(r) steps and the orbit by the
 cap.  Characters outside the subspace keep the guard.  The subspace is
@@ -51,9 +54,8 @@ from operator import mul
 
 from .errors import Issue, ValidationError
 from .intpoly import max_torsion_order
-from .matrices import walk_orbit
 
-DEFAULT_COORD_BITS = 64
+COORD_BITS = 64
 # Most nonzero characters a cross-validation box may hold: (2b+1)^r - 1
 # grows past any run time long before r or b look large.
 MAX_BOX_CHARACTERS = 10 ** 6
@@ -82,13 +84,40 @@ def _compile_map(rows):
     return lambda v: tuple([sum(map(mul, row, v)) for row in rows])
 
 
-def _orbit_maps(action):
+def orbit_maps(action):
+    """The dual generators of a toral action as compiled maps."""
     return [_compile_map(d.rows) for d in action.dual_generators]
 
 
-def _require_toral(action):
-    if action.kind != "toral":
-        raise ValueError("orbit enumeration runs on integer characters only")
+def walk_orbit(maps, start, cap: int, guard=None, known=None):
+    """Breadth-first walk of the orbit of start under the given maps.
+
+    The walk gives up when it reaches a point of the container known,
+    when a new point has a coordinate of absolute value at least guard,
+    or once more than cap points are seen.  Returns (seen, stop, last):
+    seen is the set of points reached, stop is None when the orbit closed
+    and otherwise "known", "coordinate-guard" or "visited-cap", and last
+    is the point that stopped the walk.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for apply_map in maps:
+                w = apply_map(v)
+                if w in seen:
+                    continue
+                if known is not None and w in known:
+                    return seen, "known", w
+                if guard is not None and max(map(abs, w)) >= guard:
+                    return seen, "coordinate-guard", w
+                seen.add(w)
+                nxt.append(w)
+                if len(seen) > cap:
+                    return seen, "visited-cap", w
+        frontier = nxt
+    return seen, None, None
 
 
 def box_characters(dim: int, norm_bound: int):
@@ -109,60 +138,57 @@ def box_limit_issue(dim: int, norm_bound: int) -> Issue | None:
                  f"characters, above the limit of {MAX_BOX_CHARACTERS}")
 
 
-def cross_validate(action, norm_bound: int, cap: int,
-                   max_coord_bits: int = DEFAULT_COORD_BITS) -> dict:
+def cross_validate(action, norm_bound: int, cap: int) -> dict:
     """Differential test of the finite-orbit subspace against orbit
     enumeration, over every nonzero integer character in the box.
 
     Hard failures: a finite enumerated orbit whose character lies outside
     the engine's finite-orbit subspace, or a character inside it whose
     enumeration did not close.  Exceeded-cap outside the subspace is
-    consistent by construction.  A box of more than MAX_BOX_CHARACTERS
-    characters raises ValidationError with a resource-limit issue.
+    consistent by construction.  An action that is not toral raises
+    ValidationError with a schema issue, and a box of more than
+    MAX_BOX_CHARACTERS characters with a resource-limit issue.
     """
-    _require_toral(action)
+    if action.kind != "toral":
+        raise ValidationError([Issue("schema", (), "orbits are enumerated on tori only")])
     issue = box_limit_issue(action.dim, norm_bound)
     if issue is not None:
         raise ValidationError([issue])
     fixed = action.finite_orbit_subspace
-    maps = _orbit_maps(action)
-    guard = 1 << max_coord_bits
+    maps = orbit_maps(action)
+    guard = 1 << COORD_BITS
     period_bound = max_torsion_order(action.dim)
     cycle_cap = min(cap, period_bound)
-    class_of: dict = {}
-    class_status: list = []
+    status_of: dict = {}
 
     def classify(start, guard):
-        """The class of start's orbit: its cycles, one generator at a time,
-        and then, when every cycle closed, the orbit they make finite."""
-        if start in class_of:
-            return class_of[start]
+        """("finite", size) or ("exceeded-cap", reason) for start's orbit,
+        from its cycles, one generator at a time, and then, when every
+        cycle closed, the orbit they make finite."""
+        if start in status_of:
+            return status_of[start]
         seen, stop, last = set(), None, None
         for apply_map in maps:
-            cycle, stop, last = walk_orbit([apply_map], start, cycle_cap, guard, class_of)
+            cycle, stop, last = walk_orbit([apply_map], start, cycle_cap, guard, status_of)
             seen |= cycle
             if stop == "visited-cap" and period_bound < cap:
                 stop = "period-bound"
             if stop is not None:
                 break
         if stop is None and len(maps) > 1:
-            seen, stop, last = walk_orbit(maps, start, cap, guard, class_of)
+            seen, stop, last = walk_orbit(maps, start, cap, guard, status_of)
         if stop is None:
             status = ("finite", len(seen))
         elif stop == "known":
-            # Same orbit as an already-walked class; inherit.
-            status = class_status[class_of[last]]
+            # Same orbit as an already-walked point; inherit its status.
+            status = status_of[last]
         else:
             status = ("exceeded-cap", stop)
-        cid = len(class_status)
-        class_status.append(status)
         for v in seen:
-            class_of.setdefault(v, cid)
-        return cid
+            status_of.setdefault(v, status)
+        return status
 
-    checked = 0
-    finite_count = 0
-    exceeded_count = 0
+    checked = finite_count = 0
     failures = []
     for chi in box_characters(action.dim, norm_bound):
         checked += 1
@@ -171,27 +197,18 @@ def cross_validate(action, norm_bound: int, cap: int,
         # its coordinates, so characters there are walked without it.  The
         # subspace is invariant, so an orbit never crosses its boundary.
         inside = fixed.contains(chi)
-        status = class_status[classify(chi, None if inside else guard)]
-        if status[0] == "finite":
-            finite_count += 1
-            if not inside:
-                failures.append({
-                    "character": list(chi),
-                    "kind": "finite-orbit-outside-subspace",
-                    "orbit_size": status[1],
-                })
-        else:
-            exceeded_count += 1
-            if inside:
-                failures.append({
-                    "character": list(chi),
-                    "kind": "enumeration-gave-up-inside-subspace",
-                    "reason": status[1],
-                })
+        status, detail = classify(chi, None if inside else guard)
+        finite = status == "finite"
+        finite_count += finite
+        if finite and not inside:
+            failures.append({"character": list(chi), "kind": "finite-orbit-outside-subspace",
+                             "orbit_size": detail})
+        elif inside and not finite:
+            failures.append({"character": list(chi),
+                             "kind": "enumeration-gave-up-inside-subspace", "reason": detail})
     return {
         "characters_checked": checked,
         "finite_orbits": finite_count,
-        "exceeded": exceeded_count,
+        "exceeded": checked - finite_count,
         "failures": failures,
     }
-

@@ -20,9 +20,13 @@ a character has a finite D-orbit exactly when c(D) kills it, and D is
 quasi-unipotent on an invariant subspace exactly when c(D)**r kills it.
 On a quotient of invariant subspaces the map c(D) induces has the same
 kernel as the quotient map's own cyclotomic part, since the other
-factors of c have no root there.  So replay walks no orbit and splits
-no characteristic polynomial beyond the generators' own, while the
-engine checks the same claims through the subquotients' spectra.
+factors of c have no root there.  So replay walks no orbit for these
+claims and splits no characteristic polynomial beyond the generators'
+own, while the engine checks the same claims through the subquotients'
+spectra.  Only the oracle-check counts take a walk: each box character
+in the finite-orbit subspace must close its orbit within the cap, under
+oracle.walk_orbit over oracle.orbit_maps, the compiled maps
+cross-validation walks, and without the coordinate guard.
 
 A report states each claim once.  Replay reads schema version
 SCHEMA_VERSION only, and it records a failure for any results key,
@@ -41,8 +45,8 @@ from .actions import build_action, dual_element, ergodic_search_bound, positive_
 from .errors import ValidationError
 from .intpoly import cyclotomic_product, euler_phi
 from .laurent import directions_in_shell, laurent_divides, stated_axes
-from .matrices import Matrix, Subspace, induced, kernel, walk_orbit
-from .oracle import box_characters, box_limit_issue
+from .matrices import Matrix, Subspace, induced, kernel
+from .oracle import box_characters, box_limit_issue, orbit_maps, walk_orbit
 
 SCHEMA_VERSION = 11
 
@@ -315,7 +319,7 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
         failures.append(issue.message)
         return
     fixed = action.finite_orbit_subspace
-    maps = [d.matvec for d in action.dual_generators]
+    maps = orbit_maps(action)
     box = list(box_characters(action.dim, bound))
     inside = [chi for chi in box if fixed.contains(chi)]
     closed: set = set()

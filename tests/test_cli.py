@@ -101,9 +101,12 @@ class TestAnalyze:
         assert "schema" in res.stderr
         assert "Traceback" not in res.stderr
 
-    @pytest.mark.parametrize("p", [10 ** 30 + 57, 7.0, "7"], ids=["past-cap", "float", "string"])
+    @pytest.mark.parametrize("p", [10 ** 30 + 57, 7.0, "7", 0],
+                             ids=["past-cap", "float", "string", "zero"])
     def test_bad_modulus_exits_2(self, tmp_path, p):
-        doc = dict(LEDRAPPIER, p=p, g=[])
+        # with Ledrappier's presenter, so the modulus is checked before
+        # any arithmetic mod p
+        doc = dict(LEDRAPPIER, p=p)
         res = subprocess.run(CLI + ["analyze", write(tmp_path, "p.json", doc)],
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 2
@@ -339,6 +342,14 @@ class TestOracleCheckAndDemo:
         report = json.loads(res.stdout)
         assert report["results"]["characters_checked"] == 48
         assert report["results"]["failures"] == []
+
+    @pytest.mark.parametrize("doc", [{"type": "solenoid", "r": 1, "generators": [[[2]]]},
+                                     LEDRAPPIER], ids=["solenoid", "laurent"])
+    def test_action_that_is_not_toral_exits_2(self, tmp_path, capsys, doc):
+        assert main(["oracle-check", write(tmp_path, "action.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schema: " in captured.err and "Traceback" not in captured.err
 
     def test_box_past_the_limit_exits_2(self, tmp_path):
         identity_12 = {"type": "toral", "r": 12, "generators": [

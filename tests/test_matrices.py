@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ergodec.intpoly import Polynomial, cyclotomic, orders_with_totient_at_most
 from ergodec.matrices import (DimensionError, Matrix, Subspace, _bareiss, _matrix_over,
                               _scaled_poly_at, fixed_by_power, induced, kernel,
-                              singular_cyclotomic_orders, walk_orbit)
+                              singular_cyclotomic_orders)
+from ergodec.oracle import walk_orbit
 from factories import fibonacci_matrix, random_unimodular
 
 
@@ -222,6 +223,10 @@ class TestSubspace:
     def test_integral_basis_clears_denominators(self):
         s = Subspace.span(2, [(Fraction(1, 3), Fraction(1, 6))])
         assert s.integral_basis() == ((2, 1),)
+        # the echelon basis is (1, 1/2): the residual of (2, 1) is
+        # computed in Fractions, and it is zero
+        assert s.basis == ((1, Fraction(1, 2)),)
+        assert s.contains((2, 1)) and not s.contains((2, 2))
 
 
 class TestQuotients:
@@ -248,6 +253,15 @@ class TestQuotients:
         outer = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
         inner = Subspace.span(3, [(1, 1, 0)])
         assert induced(swap, outer, inner) == Matrix.from_rows([[-1]])
+        # modulo (2, 2, 1), echelon (1, 1, 1/2), the residuals of twice the
+        # swap are computed in Fractions; the integral entries of the
+        # induced matrix are ints all the same
+        double = Matrix.from_rows([[0, 2, 0], [2, 0, 0], [0, 0, 2]])
+        inner = Subspace.span(3, [(2, 2, 1)])
+        assert type(inner.reduce(double.matvec((0, 1, 0)))[2]) is Fraction
+        q = induced(double, Subspace.full(3), inner)
+        assert q == Matrix.from_rows([[-2, 0], [-1, 2]])
+        assert all(type(x) is int for row in q.rows for x in row)
 
     def test_nesting_and_dimension_are_checked(self):
         swap = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])

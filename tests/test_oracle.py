@@ -10,7 +10,8 @@ from ergodec import (Matrix, ValidationError, cross_validate, element,
                      solenoid_action, toral_action)
 from ergodec.cli import main
 from ergodec.intpoly import max_torsion_order
-from ergodec.matrices import Subspace, walk_orbit
+from ergodec.matrices import Subspace
+from ergodec.oracle import walk_orbit
 from factories import commuting_mixed_family, fibonacci_matrix
 
 QUARTER_TURN = Matrix.from_rows([[0, -1], [1, 0]])
@@ -104,13 +105,12 @@ def test_compiled_map_is_the_matvec(n):
 
 class TestOrbitBfs:
     """The breadth-first walk cross_validate sizes orbits with:
-    matrices.walk_orbit over the action's compiled dual maps, under the
+    oracle.walk_orbit over the action's compiled dual maps, under the
     oracle's coordinate guard."""
 
     @staticmethod
     def walk(action, chi, cap):
-        return walk_orbit(oracle._orbit_maps(action), chi, cap,
-                          1 << oracle.DEFAULT_COORD_BITS)
+        return walk_orbit(oracle.orbit_maps(action), chi, cap, 1 << oracle.COORD_BITS)
 
     def test_identity_fixes_everything(self):
         seen, stop, _ = self.walk(toral_action([Matrix.identity(2)]), (1, 0), 100)
@@ -129,13 +129,14 @@ class TestOrbitBfs:
         assert stop == "visited-cap"
 
     def test_solenoid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             cross_validate(solenoid_action([[[2]]]), 1, 10)
+        assert [issue.code for issue in info.value.issues] == ["schema"]
 
     def test_finite_orbits_are_closed(self):
         rng = random.Random(113)
         act = toral_action([QUARTER_TURN, [[-1, 0], [0, -1]]])
-        maps = oracle._orbit_maps(act)
+        maps = oracle.orbit_maps(act)
         for _ in range(10):
             chi = (rng.randint(-3, 3), rng.randint(-3, 3))
             if chi == (0, 0):
@@ -239,7 +240,7 @@ class TestPeriodBound:
         # lcm(3, 4) = 12 = M(4), the longest cycle GL_4(Z) allows.
         c3 = Matrix.from_rows([[0, -1], [1, -1]])
         act = toral_action([Matrix.block_diag(c3, QUARTER_TURN)])
-        maps = oracle._orbit_maps(act)
+        maps = oracle.orbit_maps(act)
         chi = (1, 0, 1, 0)
         assert max_torsion_order(4) == 12
         assert walk_orbit(maps, chi, 12, 1 << 64)[1] is None
@@ -271,9 +272,9 @@ class TestGiveUpReasons:
     walk that gives up is a failure that records why it gave up."""
 
     @staticmethod
-    def reasons(monkeypatch, action, cap, **kwargs):
+    def reasons(monkeypatch, action, cap):
         monkeypatch.setitem(vars(action), "finite_orbit_subspace", Subspace.full(action.dim))
-        report = cross_validate(action, 1, cap, **kwargs)
+        report = cross_validate(action, 1, cap)
         assert len(report["failures"]) == report["exceeded"] > 0
         return {f["reason"] for f in report["failures"]}
 
@@ -291,8 +292,9 @@ class TestGiveUpReasons:
         # steps, but characters inside the subspace are walked without the
         # guard, and the failure records why that walk gave up
         act = toral_action([SHEAR])
-        assert self.reasons(monkeypatch, act, 100, max_coord_bits=2) == {"period-bound"}
-        assert self.reasons(monkeypatch, act, 5, max_coord_bits=2) == {"visited-cap"}
+        monkeypatch.setattr(oracle, "COORD_BITS", 2)
+        assert self.reasons(monkeypatch, act, 100) == {"period-bound"}
+        assert self.reasons(monkeypatch, act, 5) == {"visited-cap"}
 
 
 # An order-4 automorphism of the 2-torus whose box characters reach
@@ -333,7 +335,8 @@ class TestGuardOutsideSubspaceOnly:
 
         monkeypatch.setattr(oracle, "walk_orbit", spy)
         act = toral_action([Matrix.block_diag(fibonacci_matrix(), Matrix.identity(2))])
-        report = cross_validate(act, 1, 100, max_coord_bits=1)
+        monkeypatch.setattr(oracle, "COORD_BITS", 1)
+        report = cross_validate(act, 1, 100)
         assert report["failures"] == [] and report["exceeded"] > 0
         assert unguarded and all(act.finite_orbit_subspace.contains(chi) for chi in unguarded)
 
