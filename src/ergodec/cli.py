@@ -7,13 +7,13 @@ sorted, orderings are canonical, and timing goes to stderr instead of the
 report body.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure
-(including oracle-check on an action that is not toral, and a
-resource-limit issue: a torus or presenter too large, an oracle-check
-box too large to enumerate, or a Laurent witness power past the search
-budget), 3 hypothesis failure (the group is not ergodic, or no Laurent
-direction in --search-box is ergodic), 4 certificate replay failure
-under --verify-report, 5 internal check failure (two routes that must
-agree did not; this is a bug).
+(including a file that is not UTF-8 JSON, oracle-check on an action that
+is not toral, and a resource-limit issue: a torus or presenter too
+large, an oracle-check box too large to enumerate, or a Laurent witness
+power past the search budget), 3 hypothesis failure (the group is not
+ergodic, or no Laurent direction in --search-box is ergodic), 4
+certificate replay failure under --verify-report, 5 internal check
+failure (two routes that must agree did not; this is a bug).
 """
 
 from __future__ import annotations
@@ -72,14 +72,16 @@ def _scalar_text(v) -> str:
 
 def _load_document(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise _CliExit(1, f"cannot read {path}: {exc.strerror}")
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise _CliExit(2, f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
+        raise _CliExit(2, f"{path}: invalid JSON: {exc}")
 
 
 class _CliExit(Exception):

@@ -2,68 +2,20 @@
 
 Certificates and reports carry only plain data: ints stay ints, proper
 fractions become "num/den" strings, and structured values become lists and
-dicts with deterministic ordering.  Decoding inverts the encoding exactly,
-and refuses a dict whose keys are not the encoding's.
-
-A verdict is its certificate: CERTIFICATES maps each certificate kind to
-the verdict it proves and the keys of its data, for the engines that
-build verdicts and for replay, which checks them.
+dicts with deterministic ordering.  Each encoding is the canonical one.
+Decoding inverts it exactly, but also reads other spellings of a value,
+such as a "num" string or a [num, den] pair; replay reads a value only if
+encoding it again gives the report's JSON back.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalCheckError
 from .intpoly import Polynomial
 from .laurent import LaurentPoly
 from .matrices import Matrix, Subspace
-
-# The verdict each certificate kind proves, and the keys of its data.
-CERTIFICATES = {
-    "no-root-of-unity-eigenvalue": ("ergodic", {"char_poly"}),
-    "zero-finite-orbit-subspace": ("ergodic", set()),
-    "witness-character": ("not-ergodic", {"character", "power"}),
-    "cyclotomic-char-poly": ("distal", {"factors"}),
-    "all-generators-quasi-unipotent": ("distal", set()),
-    "non-cyclotomic-factor": ("not-distal", {"factor", "cyclotomic_part"}),
-    "non-quasi-unipotent-generator": ("not-distal", {"generator"}),
-    "finite-quotient-witness": ("not-ergodic", {"power", "common_factor"}),
-    "trivial-univariate-content": ("ergodic", set()),
-    "coprime-axis-powers": ("ergodic", set()),
-}
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """A certificate kind from CERTIFICATES and its JSON-ready data; the
-    kind fixes the verdict."""
-
-    certificate: str
-    data: dict
-
-    def __post_init__(self):
-        proves = CERTIFICATES.get(self.certificate)
-        if proves is None or self.data.keys() != proves[1]:
-            raise InternalCheckError(
-                f"not a certificate: {self.certificate!r} with data keys {sorted(self.data)}")
-
-    @property
-    def kind(self) -> str:
-        return CERTIFICATES[self.certificate][0]
-
-    @property
-    def is_ergodic(self) -> bool:
-        return self.kind == "ergodic"
-
-    @property
-    def is_distal(self) -> bool:
-        return self.kind == "distal"
-
-    def to_payload(self) -> dict:
-        return {"kind": self.kind, "certificate": {"kind": self.certificate, "data": self.data}}
 
 
 def encode_scalar(x):
@@ -113,18 +65,14 @@ def encode_poly(f: Polynomial) -> list:
     return encode_vector(f.coeffs)
 
 
-def decode_poly(coeffs) -> Polynomial:
-    return Polynomial.from_coeffs(decode_vector(coeffs))
+def encode_factors(factors) -> list:
+    """[d, count] pairs in increasing order of d, from (d, count) pairs
+    with distinct d or a {d: count} map."""
+    return [[d, c] for d, c in sorted(dict(factors).items())]
 
 
 def encode_subspace(s: Subspace) -> dict:
     return {"ambient": s.ambient, "basis": [encode_vector(v) for v in s.basis]}
-
-
-def decode_subspace(d) -> Subspace:
-    if not (isinstance(d, dict) and d.keys() == {"ambient", "basis"}):
-        raise ValueError("not an encoded subspace")
-    return Subspace.span(d["ambient"], [decode_vector(v) for v in d["basis"]])
 
 
 def encode_laurent(f: LaurentPoly) -> dict:

@@ -19,9 +19,9 @@ laurent.MAX_WITNESS_STEPS.
 from __future__ import annotations
 
 from . import encoding
-from .encoding import Verdict
 from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
 from .laurent import directions_in_shell
+from .replay import Verdict
 
 
 def direction_is_ergodic(action, direction) -> Verdict:

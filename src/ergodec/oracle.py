@@ -127,14 +127,17 @@ def box_characters(dim: int, norm_bound: int):
     return (chi for chi in itertools.product(side, repeat=dim) if any(chi))
 
 
-def box_limit_issue(dim: int, norm_bound: int) -> Issue | None:
-    """The resource-limit issue of a box with more than
-    MAX_BOX_CHARACTERS nonzero characters, or None."""
-    count = (2 * norm_bound + 1) ** dim - 1
+def box_issue(action, norm_bound: int) -> Issue | None:
+    """The issue that stops a cross-validation box, or None: a schema
+    issue for an action that is not toral, and a resource-limit issue for
+    a box of more than MAX_BOX_CHARACTERS nonzero characters."""
+    if action.kind != "toral":
+        return Issue("schema", (), "orbits are enumerated on tori only")
+    count = (2 * norm_bound + 1) ** action.dim - 1
     if count <= MAX_BOX_CHARACTERS:
         return None
     return Issue("resource-limit", (),
-                 f"the norm-bound {norm_bound} box in dimension {dim} holds {count} "
+                 f"the norm-bound {norm_bound} box in dimension {action.dim} holds {count} "
                  f"characters, above the limit of {MAX_BOX_CHARACTERS}")
 
 
@@ -145,13 +148,10 @@ def cross_validate(action, norm_bound: int, cap: int) -> dict:
     Hard failures: a finite enumerated orbit whose character lies outside
     the engine's finite-orbit subspace, or a character inside it whose
     enumeration did not close.  Exceeded-cap outside the subspace is
-    consistent by construction.  An action that is not toral raises
-    ValidationError with a schema issue, and a box of more than
-    MAX_BOX_CHARACTERS characters with a resource-limit issue.
+    consistent by construction.  The box_issue of the action and box, if
+    any, raises ValidationError.
     """
-    if action.kind != "toral":
-        raise ValidationError([Issue("schema", (), "orbits are enumerated on tori only")])
-    issue = box_limit_issue(action.dim, norm_bound)
+    issue = box_issue(action, norm_bound)
     if issue is not None:
         raise ValidationError([issue])
     fixed = action.finite_orbit_subspace

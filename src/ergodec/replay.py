@@ -1,17 +1,25 @@
 """Certificate replay: re-check every claim in a report using only the
-exact-arithmetic core.
+exact-arithmetic core.  A report that round-trips through JSON carries
+everything needed to re-derive its own verdicts, and each check records
+a failure entry or nothing, with no engine verdict logic beyond shared
+exact primitives.
 
-Replay works on the serialized report, so a report that round-trips
-through JSON carries everything needed to re-derive its own verdicts.
-Each check returns silently or records a failure entry; nothing here
-consults the engines' verdict logic beyond shared exact primitives.
+CERTIFICATES has one row per certificate kind, which Verdict and
+replay_verdict read: the verdict it proves, the slots that may hold it
+(element-ergodic, element-distal, group-ergodic, group-distal, found,
+direction, found-direction, laurent-group), its data keys and its check.
+Each data key has one decoder, which bounds the arithmetic before any is
+done, and one encoder.  A value, subspace or flag is read only in its
+canonical encoding: encoding it again must give the report's JSON back,
+type for type, so 4.0 and true are no power.  Anything else records the
+key's one failure and skips the kind's check.
 
 A saved report replays against a fresh action built from its input
-echo.  The CLI replays against the action it computed the report from,
-and so shares the values that action caches: dual products and their
-spectra, the finite-orbit subspace, and Laurent contents and witness
-powers.  Each is a pure function of the input that the same code would
-recompute bit for bit, so every check still runs on the report's claims.
+echo, and the CLI against the action it computed the report from, whose
+cached dual products and spectra, finite-orbit subspace, and Laurent
+contents and witness powers are pure functions of the input that the
+same code would recompute bit for bit: every check still runs on the
+report's claims.
 
 Every finite-orbit and quasi-unipotence claim about a toral or solenoid
 report is checked with a generator's own c(D) and c(D)**r, c the
@@ -29,24 +37,24 @@ oracle.walk_orbit over oracle.orbit_maps, the compiled maps
 cross-validation walks, and without the coordinate guard.
 
 A report states each claim once.  Replay reads schema version
-SCHEMA_VERSION only, and it records a failure for any results key,
-generator or direction entry key, certificate data key, or key of an
-encoded subspace or Laurent polynomial that the CLI does not emit: a key
-replay does not read would be taken on trust.
+SCHEMA_VERSION only, and records a failure for any key of the results,
+their entries, certificate data, subspaces or Laurent polynomials that
+the CLI does not emit: a key replay does not read would be taken on trust.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from . import encoding
 from .actions import build_action, dual_element, ergodic_search_bound, positive_vectors
-from .errors import ValidationError
-from .intpoly import cyclotomic_product, euler_phi
+from .errors import InternalCheckError, ValidationError
+from .intpoly import Polynomial, cyclotomic_product, euler_phi
 from .laurent import directions_in_shell, laurent_divides, stated_axes
 from .matrices import Matrix, Subspace, induced, kernel
-from .oracle import box_characters, box_limit_issue, orbit_maps, walk_orbit
+from .oracle import box_characters, box_issue, orbit_maps, walk_orbit
 
 SCHEMA_VERSION = 11
 
@@ -81,31 +89,83 @@ def _check(condition: bool, failures: list, what: str) -> None:
         failures.append(what)
 
 
+def _same(value, canonical) -> bool:
+    """value is canonical type for type, as JSON spells it: == takes 4.0 and true for 4."""
+    if type(canonical) is list:
+        return (type(value) is list and len(value) == len(canonical)
+                and all(map(_same, value, canonical)))
+    if type(canonical) is dict:
+        return (type(value) is dict and value.keys() == canonical.keys()
+                and all(_same(value[k], canonical[k]) for k in canonical))
+    return type(value) is type(canonical) and value == canonical
+
+
+def _decoded(raw, decode, encode, action):
+    """raw decoded against the action, or None unless encode gives it back."""
+    try:
+        value = decode(raw, action)
+        return value if _same(raw, encode(value)) else None
+    except (TypeError, ValueError, KeyError):
+        return None
+
+
+def _positive(raw, action) -> int:
+    if type(raw) is not int or raw < 1:
+        raise ValueError("not a positive integer")
+    return int(str(raw))  # str() raises past the digit limit within which the CLI reads flags
+
+
+def _character(raw, action) -> tuple:
+    chi = encoding.decode_vector(raw)
+    if len(chi) != action.dim or not any(chi):
+        raise ValueError("not a nonzero character of the dual")
+    return chi
+
+
+def _cyclotomic(raw, action) -> dict:
+    """{order: count} from [order, count] pairs whose degrees sum to at
+    most the rank, checked before any cyclotomic polynomial is formed."""
+    if not (all(isinstance(f, list) and len(f) == 2 and all(type(x) is int for x in f)
+                and 1 <= f[0] <= 2 * action.dim ** 2 + 1 and f[1] >= 1 for f in raw)
+            and sum(c * euler_phi(d) for d, c in raw) <= action.dim):
+        raise ValueError("not [order, count] pairs within the rank")
+    return dict(raw)  # a repeated order re-encodes as one pair
+
+
+def _poly(raw, action) -> Polynomial:
+    return Polynomial.from_coeffs(encoding.decode_vector(raw))
+
+
+def _laurent(raw, action):
+    """Over the action's field and variables, checked before any term."""
+    if not _same([raw["p"], raw["vars"]], [action.p, action.nvars]):
+        raise ValueError("not a Laurent polynomial over the action's ring")
+    return encoding.decode_laurent(raw)
+
+
+def _subspace(raw, action) -> Subspace:
+    """In the dual's dimension, checked before any row is reduced."""
+    if not _same(raw["ambient"], action.dim):
+        raise ValueError("not a subspace of the dual")
+    return Subspace.span(action.dim, [encoding.decode_vector(v) for v in raw["basis"]])
+
+
 MALFORMED_CYCLOTOMIC = "cyclotomic factors are not [order, count] pairs within the rank"
 
-# The verdict kinds each report slot may hold.
-_ERGODIC_SLOT = ("ergodic", "not-ergodic")
-_DISTAL_SLOT = ("distal", "not-distal")
-
-
-def _check_kind(payload, slot: tuple, failures: list):
-    """The verdict's certificate kind and data, or None with one failure
-    recorded unless the verdict is shaped {kind, certificate: {kind,
-    data}} and the data has exactly its certificate kind's keys."""
-    cert = payload.get("certificate") if isinstance(payload, dict) else None
-    kind = cert.get("kind") if isinstance(cert, dict) else None
-    proves, keys = (encoding.CERTIFICATES.get(kind, (None, None)) if isinstance(kind, str)
-                    else (None, None))
-    if not (proves and payload.keys() == {"kind", "certificate"}
-            and cert.keys() == {"kind", "data"}
-            and isinstance(cert["data"], dict) and cert["data"].keys() == keys):
-        failures.append("verdict is not shaped {kind, certificate: {kind, data}} "
-                        "with its certificate kind's data keys")
-        return None
-    _check(payload["kind"] in slot, failures, "verdict kind does not belong in its slot")
-    _check(payload["kind"] == proves, failures,
-           "verdict kind is not the one its certificate proves")
-    return kind, cert["data"]
+# Each certificate data key's decoder and encoder, and the one failure a
+# value records that does not decode or is not in its canonical encoding.
+_DATA = {
+    "char_poly": (_poly, encoding.encode_poly, "characteristic polynomial is not a polynomial"),
+    "factor": (_poly, encoding.encode_poly, "residual factor is not a polynomial"),
+    "factors": (_cyclotomic, encoding.encode_factors, MALFORMED_CYCLOTOMIC),
+    "cyclotomic_part": (_cyclotomic, encoding.encode_factors, MALFORMED_CYCLOTOMIC),
+    "character": (_character, encoding.encode_vector,
+                  "witness character is not a nonzero character of the dual"),
+    "power": (_positive, int, "power is not a positive integer"),
+    "generator": (_positive, int, "generator is not a positive integer"),
+    "common_factor": (_laurent, encoding.encode_laurent,
+                      "common factor is not a Laurent polynomial"),
+}
 
 
 def _kills(m: Matrix, vectors) -> bool:
@@ -119,98 +179,155 @@ def _all_quasi_unipotent(duals, sub: Subspace) -> bool:
     return sub.is_zero or all(_kills(d.spectrum.unipotent_power, sub.basis) for d in duals)
 
 
-def _replay_witness(action, duals, data: dict, failures: list) -> None:
+def _no_root_of_unity(action, about, data, failures) -> None:
+    spectrum = about[0].spectrum
+    _check(data["char_poly"] == spectrum.char_poly, failures,
+           "stored characteristic polynomial differs")
+    _check(not spectrum.orders, failures,
+           "a cyclotomic polynomial divides the characteristic polynomial")
+    _check(not spectrum.singular_orders, failures,
+           "a cyclotomic polynomial is singular at the matrix")
+
+
+def _witness(action, duals, data, failures) -> None:
     """A witness character of the group the duals generate: power is the
     lcm of their root-of-unity orders, which the determinant route finds
     as well, and c(D) kills the character for each D.  Then each D**power
-    fixes it, as c divides x**power - 1 and every other factor of
-    x**power - 1 is invertible at D."""
+    fixes it, as c divides x**power - 1 and its cofactor is invertible at D."""
     _check(data["power"] == math.lcm(*(o for d in duals for o in d.spectrum.orders)),
            failures, "stated power is not the lcm of the root-of-unity orders")
     _check(all(d.spectrum.singular_orders == d.spectrum.orders for d in duals), failures,
            "cyclotomic division route and determinant route disagree")
-    try:
-        chi = encoding.decode_vector(data["character"])
-    except (TypeError, ValueError):
-        chi = ()
-    if not (isinstance(data["character"], list) and len(chi) == action.dim and any(chi)):
-        failures.append("witness character is not a nonzero character of the dual")
-        return
-    _check(all(_kills(d.spectrum.cyclotomic_at, [chi]) for d in duals), failures,
+    _check(all(_kills(d.spectrum.cyclotomic_at, [data["character"]]) for d in duals), failures,
            "witness character is not fixed by the stated power")
 
 
-def _dual_subspace(action, encoded):
-    """The encoded subspace, or None unless it decodes to a subspace of
-    the dual: its ambient dimension is checked before any matrix acts on
-    it."""
-    try:
-        sub = encoding.decode_subspace(encoded)
-    except (TypeError, ValueError, KeyError):
-        return None
-    return sub if type(sub.ambient) is int and sub.ambient == action.dim else None
+def _non_cyclotomic_factor(action, about, data, failures) -> None:
+    spectrum, rest = about[0].spectrum, data["factor"]
+    _check(cyclotomic_product(data["cyclotomic_part"].items()) * rest == spectrum.char_poly,
+           failures, "factorization does not multiply back")
+    _check(rest.degree >= 1, failures, "residual factor is constant")
+    _check(rest == spectrum.rest, failures, "residual factor has a cyclotomic factor")
 
 
-def _checked_cyclotomic_product(pairs, rank: int):
-    """The product of the [d, count] pairs' cyclotomic powers, or None
-    unless every pair is two positive ints and their degrees
-    count*phi(d) sum to at most rank: checked before any cyclotomic
-    polynomial is formed, so a huge order or count costs nothing.  An
-    order above 2*rank*rank + 1 has phi(d) > rank, so the bound on d
-    only keeps euler_phi cheap; the sum decides."""
-    bound = 2 * rank * rank + 1
-    if not (isinstance(pairs, list)
-            and all(isinstance(f, list) and len(f) == 2
-                    and all(type(x) is int for x in f) and 1 <= f[0] <= bound and f[1] >= 1
-                    for f in pairs)
-            and sum(c * euler_phi(d) for d, c in pairs) <= rank):
-        return None
-    return cyclotomic_product(pairs)
+def _first_non_distal(action, duals, data, failures) -> None:
+    distal = [d.spectrum.rest.is_one for d in duals]
+    first = distal.index(False) + 1 if not all(distal) else None
+    _check(data["generator"] == first, failures,
+           "stated generator is not the first non-distal one")
 
 
-def replay_element_verdict(action, exponents, payload: dict, slot: tuple,
-                           failures: list) -> None:
-    """Replay the verdict on the element with the given exponents."""
-    shaped = _check_kind(payload, slot, failures)
-    if shaped is None:
+def _finite_quotient(action, direction, data, failures) -> None:
+    """The stated power k is the least with a common factor of g and
+    u^(k*direction) - 1, and the stated common factor is one."""
+    factor = data["common_factor"]
+    if factor.is_zero or factor.is_unit:
+        failures.append("common factor is trivial")
         return
-    kind, data = shaped
-    b = dual_element(action, exponents)
-    spectrum = b.spectrum
-    if kind == "no-root-of-unity-eigenvalue":
-        _check(encoding.encode_poly(spectrum.char_poly) == data["char_poly"], failures,
-               "stored characteristic polynomial differs")
-        _check(not spectrum.orders, failures,
-               "a cyclotomic polynomial divides the characteristic polynomial")
-        _check(not spectrum.singular_orders, failures,
-               "a cyclotomic polynomial is singular at the matrix")
-    elif kind == "witness-character":
-        _replay_witness(action, [b], data, failures)
-    elif kind == "cyclotomic-char-poly":
-        product = _checked_cyclotomic_product(data["factors"], action.dim)
-        if product is None:
-            failures.append(MALFORMED_CYCLOTOMIC)
-        else:
-            _check(product == spectrum.char_poly, failures,
-                   "cyclotomic factors do not multiply to the characteristic polynomial")
-    elif kind == "non-cyclotomic-factor":
-        part = _checked_cyclotomic_product(data["cyclotomic_part"], action.dim)
-        try:
-            rest = encoding.decode_poly(data["factor"])
-        except (TypeError, ValueError):
-            rest = None
-        if part is None:
-            failures.append(MALFORMED_CYCLOTOMIC)
-        if rest is None:
-            failures.append("residual factor is not a polynomial")
-        if part is None or rest is None:
-            return
-        _check(part * rest == spectrum.char_poly, failures,
-               "factorization does not multiply back")
-        _check(rest.degree >= 1, failures, "residual factor is constant")
-        _check(rest == spectrum.rest, failures, "residual factor has a cyclotomic factor")
-    else:
-        failures.append(f"unknown element certificate kind {kind!r}")
+    try:
+        least, common = (action.witness(direction) if len(action.content(direction)[2]) > 1
+                         else (None, None))
+    except ValidationError as exc:
+        failures.append(f"least witness power not re-derived: {exc}")
+        return
+    if least != data["power"]:
+        failures.append("witness power is not the least one")
+        return
+    # h | g and h | u^(k*direction) - 1 with h not a unit: then
+    # (u^(k*direction) - 1)*(g/h) lies in (g), and g/h does not.  The
+    # common factors of g and u^(k*direction) - 1 = t^(k*m) - 1 are
+    # those of gcd(content, t^(k*m) - 1), mapped back through t -> u^n0.
+    _check(laurent_divides(factor, action.presenter) is not None, failures,
+           "common factor does not divide the presenter")
+    _check(laurent_divides(factor, common) is not None, failures,
+           "common factor does not divide the power identity")
+
+
+# One row per certificate kind: the verdict it proves, the slots that may
+# hold it, its data keys, and its check.
+CERTIFICATES = {
+    "no-root-of-unity-eigenvalue": (
+        "ergodic", ("element-ergodic", "found"), ("char_poly",), _no_root_of_unity),
+    "zero-finite-orbit-subspace": (
+        "ergodic", ("group-ergodic",), (), lambda action, duals, data, failures: _check(
+            action.finite_orbit_subspace.is_zero, failures, "finite-orbit subspace is not zero")),
+    "witness-character": (
+        "not-ergodic", ("element-ergodic", "group-ergodic"), ("character", "power"), _witness),
+    "cyclotomic-char-poly": (
+        "distal", ("element-distal",), ("factors",), lambda action, about, data, failures: _check(
+            cyclotomic_product(data["factors"].items()) == about[0].spectrum.char_poly, failures,
+            "cyclotomic factors do not multiply to the characteristic polynomial")),
+    "all-generators-quasi-unipotent": (
+        "distal", ("group-distal",), (), lambda action, duals, data, failures: _check(
+            all(d.spectrum.rest.is_one for d in duals), failures, "a generator is not distal")),
+    "non-cyclotomic-factor": (
+        "not-distal", ("element-distal",), ("factor", "cyclotomic_part"), _non_cyclotomic_factor),
+    "non-quasi-unipotent-generator": (
+        "not-distal", ("group-distal",), ("generator",), _first_non_distal),
+    "finite-quotient-witness": (
+        "not-ergodic", ("direction",), ("power", "common_factor"), _finite_quotient),
+    "trivial-univariate-content": (
+        "ergodic", ("direction", "found-direction"), (), lambda action, direction, data, failures:
+        _check(action.content(direction)[2] == [1], failures, "content is not constant")),
+    "coprime-axis-powers": (
+        "ergodic", ("laurent-group",), (), lambda action, about, data, failures: _check(
+            not action.presenter.is_zero and not action.presenter.is_unit, failures,
+            "presenter must be a nonzero non-unit")),
+}
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A certificate kind and its JSON-ready data; the kind fixes the verdict."""
+
+    certificate: str
+    data: dict
+
+    def __post_init__(self):
+        row = CERTIFICATES.get(self.certificate)
+        if row is None or self.data.keys() != set(row[2]):
+            raise InternalCheckError(
+                f"not a certificate: {self.certificate!r} with data keys {sorted(self.data)}")
+
+    @property
+    def kind(self) -> str:
+        return CERTIFICATES[self.certificate][0]
+
+    @property
+    def is_ergodic(self) -> bool:
+        return self.kind == "ergodic"
+
+    @property
+    def is_distal(self) -> bool:
+        return self.kind == "distal"
+
+    def to_payload(self) -> dict:
+        return {"kind": self.kind, "certificate": {"kind": self.certificate, "data": self.data}}
+
+
+def replay_verdict(action, slot: str, about, payload, failures: list) -> None:
+    """Replay the verdict in the named slot through its kind's row, about
+    the element's dual matrix in a one-item list, the dual generators, a
+    direction, or nothing (None) for the two-variable group."""
+    cert = payload.get("certificate") if isinstance(payload, dict) else None
+    kind = cert.get("kind") if isinstance(cert, dict) else None
+    row = CERTIFICATES.get(kind) if isinstance(kind, str) else None
+    if not (row and payload.keys() == {"kind", "certificate"}
+            and cert.keys() == {"kind", "data"}
+            and isinstance(cert["data"], dict) and cert["data"].keys() == set(row[2])):
+        failures.append("verdict is not shaped {kind, certificate: {kind, data}} "
+                        "with its certificate kind's data keys")
+        return
+    proves, slots, keys, check = row
+    if slot not in slots:
+        failures.append(f"a {kind} certificate does not belong in the {slot} slot")
+        return  # its check would read the slot's subject as another kind of thing
+    _check(payload["kind"] == proves, failures,
+           "verdict kind is not the one its certificate proves")
+    data = {key: _decoded(cert["data"][key], *_DATA[key][:2], action) for key in keys}
+    failures += [_DATA[key][2] for key in keys if data[key] is None]
+    if None not in data.values():
+        check(action, about, data, failures)
 
 
 def _replay_first_ergodic(action, exponents: tuple, failures: list) -> None:
@@ -224,29 +341,6 @@ def _replay_first_ergodic(action, exponents: tuple, failures: list) -> None:
            "an earlier all-positive vector has an ergodic element")
 
 
-def replay_group_verdict(action, payload: dict, slot: tuple, failures: list) -> None:
-    shaped = _check_kind(payload, slot, failures)
-    if shaped is None:
-        return
-    kind, data = shaped
-    duals = action.dual_generators
-    if kind == "zero-finite-orbit-subspace":
-        _check(action.finite_orbit_subspace.is_zero, failures,
-               "finite-orbit subspace is not zero")
-    elif kind == "witness-character":
-        _replay_witness(action, duals, data, failures)
-    elif kind in ("all-generators-quasi-unipotent", "non-quasi-unipotent-generator"):
-        distal = [d.spectrum.rest.is_one for d in duals]
-        if kind == "all-generators-quasi-unipotent":
-            _check(all(distal), failures, "a generator is not distal")
-        else:
-            first = distal.index(False) + 1 if not all(distal) else None
-            _check(data["generator"] == first, failures,
-                   "stated generator is not the first non-distal one")
-    else:
-        failures.append(f"unknown group certificate kind {kind!r}")
-
-
 def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
     """The three properties that fix the largest ergodic subgroup's dual
     subspace W: (a) W is invariant, (b) every generator is quasi-unipotent
@@ -254,7 +348,7 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
     quotient by W has no finite-orbit character, as it would if W were
     strictly inside that kernel: the maps the c(D) induce on it have no
     common kernel."""
-    sub = _dual_subspace(action, payload["subspace"])
+    sub = _decoded(payload["subspace"], _subspace, encoding.encode_subspace, action)
     if sub is None:
         failures.append("subspace is not a subspace of the dual")
         return
@@ -282,7 +376,8 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
     tail lies in every stage in turn, so the tail is the largest ergodic
     subgroup's dual subspace, zero exactly when the group is ergodic."""
     encoded = payload["chain"]
-    chain = [_dual_subspace(action, w) for w in encoded] if isinstance(encoded, list) else None
+    chain = ([_decoded(w, _subspace, encoding.encode_subspace, action) for w in encoded]
+             if isinstance(encoded, list) else None)
     if chain is None or None in chain:
         failures.append("chain is not made of subspaces of the dual")
         return  # every check below reads it
@@ -306,15 +401,16 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
 
 def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> None:
     """Re-derive the cross-validation counts for the box and cap the
-    flags state.  Every box character in the finite-orbit subspace must
-    close its orbit within the cap, and every other one counts as
-    exceeded without a walk: the analytic side already proves its orbit
-    infinite."""
-    bound, cap = flags.get("norm-bound"), flags.get("cap")
-    if not all(type(x) is int and x >= 1 for x in (bound, cap)):
+    flags state, on a torus only, as cross-validation runs.  Every box
+    character in the finite-orbit subspace must close its orbit within
+    the cap, and every other one counts as exceeded without a walk: the
+    analytic side already proves its orbit infinite."""
+    # a flag is a positive int the CLI's type can read, as a power is
+    bound, cap = (_decoded(flags.get(k), _positive, int, action) for k in ("norm-bound", "cap"))
+    if bound is None or cap is None:
         failures.append("norm bound or cap flag is not a positive integer")
         return
-    issue = box_limit_issue(action.dim, bound)
+    issue = box_issue(action, bound)
     if issue is not None:
         failures.append(issue.message)
         return
@@ -331,67 +427,15 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
             failures.append("a finite-orbit character's orbit does not close within the cap")
             break
         closed |= seen
-    _check(results["characters_checked"] == len(box), failures,
+    _check(_same(results["characters_checked"], len(box)), failures,
            "characters checked is not the size of the box")
-    _check(results["finite_orbits"] == len(inside)
-           and results["exceeded"] == len(box) - len(inside), failures,
+    _check(_same([results["finite_orbits"], results["exceeded"]],
+                 [len(inside), len(box) - len(inside)]), failures,
            "finite and exceeded counts differ from the finite-orbit subspace")
     _check(results["failures"] == [], failures, "cross-validation recorded failures")
 
 
-def replay_laurent_verdict(action, direction, payload: dict, slot: tuple,
-                           failures: list) -> None:
-    """Replay a Laurent verdict in a slot about the translation by
-    u^direction, a nonzero direction the slot fixes; direction is None
-    for a two-variable group slot, which holds coprime-axis-powers and
-    which no other slot may hold."""
-    shaped = _check_kind(payload, slot, failures)
-    if shaped is None:
-        return
-    kind, data = shaped
-    g = action.presenter
-    if (direction is None) != (kind == "coprime-axis-powers"):
-        failures.append("coprime-axis-powers is not the verdict of a two-variable group slot")
-        return  # every identity below is about the slot's direction
-    if kind == "finite-quotient-witness":
-        try:
-            factor = encoding.decode_laurent(data["common_factor"])
-        except (ValueError, TypeError, KeyError):
-            failures.append("common factor is not a Laurent polynomial")
-            return
-        k = data["power"]
-        if (type(k) is not int or k < 1 or factor.is_zero or factor.is_unit
-                or (factor.p, factor.nvars) != (action.p, action.nvars)):
-            failures.append("witness power is not positive or common factor is trivial")
-            return
-        try:
-            least, common = (action.witness(direction) if len(action.content(direction)[2]) > 1
-                             else (None, None))
-        except ValidationError as exc:
-            failures.append(f"least witness power not re-derived: {exc}")
-            return
-        if least != k:
-            failures.append("witness power is not the least one")
-            return
-        # h | g and h | u^(k*direction) - 1 with h not a unit: then
-        # (u^(k*direction) - 1)*(g/h) lies in (g), and g/h does not.  The
-        # common factors of g and u^(k*direction) - 1 = t^(k*m) - 1 are
-        # those of gcd(content, t^(k*m) - 1), mapped back through t -> u^n0.
-        _check(laurent_divides(factor, g) is not None, failures,
-               "common factor does not divide the presenter")
-        _check(laurent_divides(factor, common) is not None, failures,
-               "common factor does not divide the power identity")
-    elif kind == "trivial-univariate-content":
-        _check(action.content(direction)[2] == [1], failures, "content is not constant")
-    elif kind == "coprime-axis-powers":
-        _check(not g.is_zero and not g.is_unit, failures,
-               "presenter must be a nonzero non-unit")
-    else:
-        failures.append(f"unknown Laurent certificate kind {kind!r}")
-
-
-def _replay_first_direction(action, direction: tuple, search_box: int,
-                            failures: list) -> None:
+def _replay_first_direction(action, direction: tuple, flags: dict, failures: list) -> None:
     """Every direction before the found one, in the search's shell order,
     has a non-unit content along it, so it is not ergodic.  The found
     direction lies in the search box, and its shell is at most one more
@@ -399,6 +443,10 @@ def _replay_first_direction(action, direction: tuple, search_box: int,
     of g in u^n0 alone, whose Newton segment is a Minkowski summand of
     g's, so shells 1..s without an ergodic line make both widths at least
     s.  That also keeps a forged direction from stalling the scan."""
+    search_box = _decoded(flags.get("search-box"), _positive, int, action)
+    if search_box is None:
+        failures.append("search box flag is not a positive integer")
+        return
     g = action.presenter
     shell = max((abs(x) for x in direction), default=0)
     widths = [g.canonical().degree_in(v) for v in range(action.nvars)]
@@ -423,7 +471,7 @@ def replay_report(report: dict, action=None) -> dict:
     failures: list = []
     checked = 1  # find-ergodic, filtration and oracle-check make one claim
     command, flags, results = (report.get(k) for k in ("command", "flags", "results"))
-    if report.get("schema_version") != SCHEMA_VERSION:
+    if not _same(report.get("schema_version"), SCHEMA_VERSION):
         return {"checked": 0, "failures": [f"schema version is not {SCHEMA_VERSION}"]}
     if command not in ("analyze", "find-ergodic", "filtration", "oracle-check"):
         return {"checked": 0, "failures": [f"unknown command {command!r}"]}
@@ -440,22 +488,24 @@ def replay_report(report: dict, action=None) -> dict:
             entries = results["generators"]
             _check(len(entries) == n, failures, "generator entries are not one per generator")
             for i, entry in zip(range(n), entries):
-                exps = tuple(int(j == i) for j in range(n))
-                replay_element_verdict(action, exps, entry["ergodic"], _ERGODIC_SLOT, failures)
-                replay_element_verdict(action, exps, entry["distal"], _DISTAL_SLOT, failures)
-            replay_group_verdict(action, results["group"]["ergodic"], _ERGODIC_SLOT, failures)
-            replay_group_verdict(action, results["group"]["distal"], _DISTAL_SLOT, failures)
+                about = [dual_element(action, tuple(int(j == i) for j in range(n)))]
+                for key in ("ergodic", "distal"):
+                    replay_verdict(action, f"element-{key}", about, entry[key], failures)
+            for key in ("ergodic", "distal"):
+                replay_verdict(action, f"group-{key}", action.dual_generators,
+                               results["group"][key], failures)
             replay_largest_subgroup(action, results["largest_ergodic_subgroup"], failures)
             checked = 2 * n + 3
         else:
             entries = results["directions"]
             axes = stated_axes(action.nvars)
-            _check([e["direction"] for e in entries] == [list(a) for a in axes],
+            _check(_same([e["direction"] for e in entries], [list(a) for a in axes]),
                    failures, "directions are not the coordinate axes in order")
             for axis, entry in zip(axes, entries):
-                replay_laurent_verdict(action, axis, entry["verdict"], _ERGODIC_SLOT, failures)
-            replay_laurent_verdict(action, (1,) if action.nvars == 1 else None,
-                                   results["group"], _ERGODIC_SLOT, failures)
+                replay_verdict(action, "direction", axis, entry["verdict"], failures)
+            # u alone generates a one-variable group
+            slot, about = ("direction", (1,)) if action.nvars == 1 else ("laurent-group", None)
+            replay_verdict(action, slot, about, results["group"], failures)
             checked = len(axes) + 1
     elif command == "find-ergodic":
         # the ergodic element or direction found proves the group ergodic
@@ -470,8 +520,8 @@ def replay_report(report: dict, action=None) -> dict:
                 failures.append("exponents are not positive within the search bound")
             else:
                 exps = tuple(exps)
-                replay_element_verdict(action, exps, results["verdict"], ("ergodic",),
-                                       failures)
+                replay_verdict(action, "found", [dual_element(action, exps)],
+                               results["verdict"], failures)
                 _replay_first_ergodic(action, exps, failures)
         else:
             direction = results["direction"]
@@ -482,10 +532,9 @@ def replay_report(report: dict, action=None) -> dict:
                 failures.append("direction is zero")
             else:
                 direction = tuple(direction)
-                replay_laurent_verdict(action, direction, results["verdict"], ("ergodic",),
-                                       failures)
-                _replay_first_direction(action, direction, flags.get("search-box", 0),
-                                        failures)
+                replay_verdict(action, "found-direction", direction, results["verdict"],
+                               failures)
+                _replay_first_direction(action, direction, flags, failures)
     elif command == "filtration":
         replay_filtration(action, results, failures)
     else:

@@ -22,10 +22,10 @@ import math
 
 from . import encoding
 from .actions import dual_element, ergodic_search_bound, positive_vectors
-from .encoding import Verdict
 from .errors import InternalCheckError, NotErgodicGroupError
 from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, induced, kernel,
                        quasi_unipotent_on)
+from .replay import Verdict
 
 
 def _checked_spectrum(b: Matrix) -> Spectrum:
@@ -68,7 +68,7 @@ def is_distal_element(action, exponents) -> Verdict:
     if spectrum.rest.is_one != spectrum.unipotent_power.is_zero:
         raise InternalCheckError(
             "cyclotomic factorization route and nilpotency route disagree")
-    factors = [[d, c] for d, c in spectrum.factors]
+    factors = encoding.encode_factors(spectrum.factors)
     if spectrum.rest.is_one:
         return Verdict("cyclotomic-char-poly", {"factors": factors})
     return Verdict("non-cyclotomic-factor", {

@@ -90,6 +90,22 @@ class TestAnalyze:
         assert res.returncode == 2
         assert "invalid JSON" in res.stderr
 
+    @pytest.mark.parametrize("content", [
+        b"[" + b"1" * 5000 + b"]",
+        b"[" * 200_000,
+        b'{"type": "toral", "r": 1, "generators": [[[\xff]]]}',
+    ], ids=["5000-digit-integer", "nested-200000", "not-utf-8"])
+    def test_unparseable_file_exits_2(self, tmp_path, content):
+        # each error json.loads raises on a readable file is an invalid
+        # document: past the int-from-str digit limit, past the recursion
+        # limit, or not UTF-8
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        res = run("analyze", str(path))
+        assert res.returncode == 2
+        assert "invalid JSON" in res.stderr
+        assert "Traceback" not in res.stderr
+
     @pytest.mark.parametrize(
         "entry", [True, "1/0", [1, 0], [True, 1], "1e200000", "0.5", " 1", "1_0"],
         ids=["bool", "string-zero-den", "pair-zero-den", "pair-bool", "exponent", "decimal",

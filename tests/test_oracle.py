@@ -340,6 +340,25 @@ class TestGuardOutsideSubspaceOnly:
         assert report["failures"] == [] and report["exceeded"] > 0
         assert unguarded and all(act.finite_orbit_subspace.contains(chi) for chi in unguarded)
 
+    def test_real_guard_stops_a_walk_outside_the_subspace(self, monkeypatch):
+        # an entry of 2^40 takes a box character past 2^64 within two
+        # steps, long before the visited cap or the period bound; with the
+        # guard at 100000 bits every such walk stops at the cap instead
+        stops = []
+        real = oracle.walk_orbit
+
+        def spy(maps, start, cap, guard=None, known=None):
+            seen, stop, last = real(maps, start, cap, guard, known)
+            stops.append((guard, stop))
+            return seen, stop, last
+
+        monkeypatch.setattr(oracle, "walk_orbit", spy)
+        act = toral_action([[[0, 1], [1, 2 ** 40]]])
+        assert act.finite_orbit_subspace.is_zero
+        report = cross_validate(act, 1, 100)
+        assert report["failures"] == [] and report["exceeded"] == 8
+        assert (1 << oracle.COORD_BITS, "coordinate-guard") in stops
+
 
 class TestBoxLimit:
     def test_box_above_the_limit_is_a_resource_limit(self):
@@ -349,8 +368,9 @@ class TestBoxLimit:
         assert [issue.code for issue in info.value.issues] == ["resource-limit"]
 
     def test_box_at_the_limit_is_allowed(self):
-        assert oracle.box_limit_issue(2, 499) is None  # 999^2 - 1 characters
-        assert oracle.box_limit_issue(2, 500) is not None
+        act = toral_action([Matrix.identity(2)])
+        assert oracle.box_issue(act, 499) is None  # 999^2 - 1 characters
+        assert oracle.box_issue(act, 500).code == "resource-limit"
 
 
 class TestProductDemo:

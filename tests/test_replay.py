@@ -318,6 +318,122 @@ def test_tampered_derived_field_fails_replay(tmp_path, capsys, command, doc, fla
     assert replay_report(report)["failures"]
 
 
+def _trinomial_factor_terms(terms):
+    def tamper(results):
+        factor = results["group"]["certificate"]["data"]["common_factor"]
+        assert factor["terms"] == [[[0], 1], [[1], 1], [[2], 1]]
+        factor["terms"] = terms
+    return tamper
+
+
+def _chain_start(basis):
+    def tamper(results):
+        assert results["chain"][0] == {"ambient": 2, "basis": [[1, 0], [0, 1]]}
+        results["chain"][0]["basis"] = basis
+    return tamper
+
+
+ELEMENT_WITNESS = ("generators", 0, "ergodic", "certificate", "data")
+GROUP_WITNESS = ("group", "ergodic", "certificate", "data")
+POWER = "power is not a positive integer"
+CHARACTER = "witness character is not a nonzero character of the dual"
+COMMON_FACTOR = "common factor is not a Laurent polynomial"
+
+
+@pytest.mark.parametrize("command,doc,tamper,failure", [
+    ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "power", 4.0), POWER),
+    ("analyze", ROTATION, _set(*GROUP_WITNESS, "power", 4.0), POWER),
+    ("analyze", IDENTITY, _set(*GROUP_WITNESS, "power", True), POWER),
+    ("analyze", FIB_TWICE, _set("group", "distal", "certificate", "data", "generator", True),
+     "generator is not a positive integer"),
+    ("analyze", FIB_TWICE, _set("group", "distal", "certificate", "data", "generator", 1.0),
+     "generator is not a positive integer"),
+    ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "character", ["1", 0]), CHARACTER),
+    ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "character", [[1, 1], 0]), CHARACTER),
+    ("analyze", FIB, _set(*ELEMENT_WITNESS, "char_poly", [-1.0, -1, 1]),
+     "characteristic polynomial is not a polynomial"),
+    ("analyze", SHEAR, _set("generators", 0, "distal", "certificate", "data", "factors",
+                            [[1, 1], [1, 1]]), MALFORMED_CYCLOTOMIC),
+    ("analyze", TRINOMIAL, _trinomial_factor_terms([[[0], 3], [[1], 1], [[2], 1]]),
+     COMMON_FACTOR),
+    ("analyze", TRINOMIAL, _trinomial_factor_terms([[[2], 1], [[1], 1], [[0], 1]]),
+     COMMON_FACTOR),
+    ("analyze", IDENTITY, _set("largest_ergodic_subgroup", "subspace", "basis", [[2, 0], [0, 3]]),
+     "subspace is not a subspace of the dual"),
+    ("filtration", FIB, _chain_start([[2, 0], [0, 1]]), "chain is not made of subspaces of the dual"),
+    ("analyze", LEDRAPPIER, _set("directions", 0, "direction", [1.0, 0]),
+     "directions are not the coordinate axes in order"),
+    ("analyze", LEDRAPPIER, _set("directions", 1, "direction", [0, True]),
+     "directions are not the coordinate axes in order"),
+    ("analyze", FIB, _set("generators", 0, "ergodic", {"kind": "ergodic", "certificate": {
+        "kind": "trivial-univariate-content", "data": {}}}),
+     "a trivial-univariate-content certificate does not belong in the element-ergodic slot"),
+], ids=["element-power-float", "group-power-float", "group-power-true", "generator-true",
+        "generator-float", "character-string", "character-pair", "char-poly-float",
+        "repeated-cyclotomic-order", "coefficient-past-p", "reversed-terms",
+        "scaled-largest-subgroup", "scaled-chain-start", "axis-float", "axis-true",
+        "laurent-kind-in-toral-slot"])
+def test_non_canonical_value_is_one_failure(tmp_path, capsys, command, doc, tamper, failure):
+    # each value is true but not in the encoding the CLI emits: replay
+    # reads a value only if encoding it again gives the report's JSON back,
+    # type for type, and a certificate only in a slot its kind may hold
+    report = fresh_report(tmp_path, capsys, command, doc)
+    assert replay_report(report)["failures"] == []
+    tamper(report["results"])
+    assert replay_report(report)["failures"] == [failure]
+
+
+ORACLE_BOX = "norm bound or cap flag is not a positive integer"
+SEARCH_BOX = "search box flag is not a positive integer"
+
+
+@pytest.mark.parametrize("command,doc,flags,key,value,failure", [
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 10 ** 5000, ORACLE_BOX),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 2.0, ORACLE_BOX),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", True, ORACLE_BOX),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", None, ORACLE_BOX),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", None, SEARCH_BOX),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", "3", SEARCH_BOX),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", 2.5, SEARCH_BOX),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", True, SEARCH_BOX),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", 0, SEARCH_BOX),
+], ids=["norm-bound-5000-digits", "norm-bound-float", "cap-true", "cap-null",
+        "search-box-null", "search-box-string", "search-box-float", "search-box-true",
+        "search-box-zero"])
+def test_malformed_flag_is_one_failure(tmp_path, capsys, command, doc, flags, key, value,
+                                       failure):
+    # a flag replays only as the CLI's integer type reads it: a positive
+    # int, short enough for str() to write
+    report = fresh_report(tmp_path, capsys, command, doc, *flags)
+    report["flags"][key] = value
+    with within(1.0):
+        assert replay_report(report)["failures"] == [failure]
+
+
+def test_oracle_check_on_a_solenoid_fails_replay():
+    # the CLI refuses oracle-check on a solenoid, and so does replay, by
+    # the check cross-validation runs
+    report = {"schema_version": 11, "command": "oracle-check",
+              "input": {"type": "solenoid", "r": 1, "generators": [[[2]]]},
+              "flags": {"cap": 200, "norm-bound": 1},
+              "results": {"characters_checked": 2, "finite_orbits": 0, "exceeded": 2,
+                          "failures": []}}
+    assert replay_report(report) == {"checked": 1, "failures": [
+        "orbits are enumerated on tori only"]}
+
+
+@pytest.mark.parametrize("key,failure", [
+    ("characters_checked", "characters checked is not the size of the box"),
+    ("finite_orbits", "finite and exceeded counts differ from the finite-orbit subspace"),
+    ("exceeded", "finite and exceeded counts differ from the finite-orbit subspace"),
+], ids=["characters-checked", "finite-orbits", "exceeded"])
+def test_float_oracle_count_fails_replay(tmp_path, capsys, key, failure):
+    report = fresh_report(tmp_path, capsys, "oracle-check", SHEAR, *ORACLE_FLAGS)
+    results = report["results"]
+    results[key] = float(results[key])
+    assert replay_report(report)["failures"] == [failure]
+
+
 @pytest.mark.parametrize("factors", [None, [None], [[1000000000, 1]], [[1, 10 ** 30]]],
                          ids=["null", "null-pair", "huge-order", "huge-count"])
 def test_malformed_cyclotomic_factors_is_one_failure(tmp_path, capsys, factors):
@@ -578,6 +694,13 @@ def test_report_of_an_earlier_schema_fails_replay(text):
     # read as schema 11, its extra fields are keys replay does not check
     report["schema_version"] = 11
     assert replay_report(report) == {"checked": 0, "failures": [RESULTS_SHAPE]}
+
+
+@pytest.mark.parametrize("version", [11.0, "11", [11]])
+def test_schema_version_is_the_int(tmp_path, capsys, version):
+    report = fresh_report(tmp_path, capsys, "analyze", FIB)
+    report["schema_version"] = version
+    assert replay_report(report) == {"checked": 0, "failures": ["schema version is not 11"]}
 
 
 def _certificates(node, kind):
