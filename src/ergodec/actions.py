@@ -64,6 +64,13 @@ class MatrixAction:
         common kernel of the cyclotomic parts of the dual generators."""
         return fixed_by_power(self.dual_generators)
 
+    def witness_character(self, fixed: Subspace) -> tuple:
+        """The witness a nonzero subspace of finite-orbit characters
+        gives, the one the engine reports and replay requires: its first
+        integral basis vector on a torus, whose characters are integer
+        vectors, and its first echelon basis vector on a solenoid."""
+        return fixed.integral_basis()[0] if self.kind == "toral" else fixed.basis[0]
+
 
 @dataclass(frozen=True)
 class LaurentCyclicAction:

@@ -475,6 +475,11 @@ class Spectrum:
         return _matrix_over(*_scaled_poly_at(c, self.matrix))
 
     @cached_property
+    def finite_orbit_subspace(self) -> Subspace:
+        """The kernel of c(x): the characters with a finite x-orbit."""
+        return kernel(self.cyclotomic_at)
+
+    @cached_property
     def unipotent_power(self) -> Matrix:
         """c(x)**n: zero exactly when x is quasi-unipotent, and its kernel
         is the sum of the generalized eigenspaces of x for roots of unity."""
@@ -485,7 +490,9 @@ def fixed_by_power(mats) -> Subspace:
     """Characters with a finite orbit under square matrices of one size:
     the kernel of every c(x) stacked.  As x**m - 1 is squarefree, this
     is the common fixed space of the x**m for any m that all the orders
-    of x's spectrum divide."""
+    of x's spectrum divide.  One matrix's is the one its spectrum caches."""
+    if len(mats) == 1:
+        return mats[0].spectrum.finite_orbit_subspace
     return kernel(Matrix.from_rows(
         [row for x in mats for row in x.spectrum.cyclotomic_at.rows]))
 

@@ -25,7 +25,13 @@ only the orbits whose cycles all close are walked breadth-first over
 all the generators to measure their size against the cap.
 Cross-validation covers a whole box of characters, shares work between
 characters that turn out to lie on the same orbit, and flags any
-disagreement with the engine as a hard failure.
+disagreement with the engine as a hard failure.  It also answers -chi
+from chi's walk: the maps are linear, so the walk from -chi is the walk
+from chi negated point by point, and since the coordinate guard tests
+|coordinate| it closes with the same orbit size or gives up at the same
+step for the same reason.  The box is symmetric under chi -> -chi, so
+about half its walks are saved this way; only the start is mirrored,
+not every point a walk visits.
 
 A cycle also ends once it has taken M(r) = intpoly.max_torsion_order(r)
 steps without coming back ("period-bound"), for no finite cycle is
@@ -50,6 +56,7 @@ never meet.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import mul
 
 from .errors import Issue, ValidationError
@@ -59,6 +66,8 @@ COORD_BITS = 64
 # Most nonzero characters a cross-validation box may hold: (2b+1)^r - 1
 # grows past any run time long before r or b look large.
 MAX_BOX_CHARACTERS = 10 ** 6
+# A box issue prints a norm bound or a character count in full below this.
+_SHORT = 10 ** 18
 
 
 def _compile_map(rows):
@@ -127,23 +136,46 @@ def box_characters(dim: int, norm_bound: int):
     return (chi for chi in itertools.product(side, repeat=dim) if any(chi))
 
 
+def _digit_count(n: int) -> int:
+    """Decimal digits of a positive int, without str(): log10 is off by at
+    most one either way, which the powers of ten settle."""
+    d = int(math.log10(n))
+    if 10 ** d > n:
+        d -= 1
+    elif 10 ** (d + 1) <= n:
+        d += 1
+    return d + 1
+
+
 def box_issue(action, norm_bound: int) -> Issue | None:
     """The issue that stops a cross-validation box, or None: a schema
     issue for an action that is not toral, and a resource-limit issue for
     a box of more than MAX_BOX_CHARACTERS nonzero characters."""
     if action.kind != "toral":
         return Issue("schema", (), "orbits are enumerated on tori only")
-    count = (2 * norm_bound + 1) ** action.dim - 1
-    if count <= MAX_BOX_CHARACTERS:
-        return None
+    if norm_bound < _SHORT:
+        count = (2 * norm_bound + 1) ** action.dim - 1
+        if count <= MAX_BOX_CHARACTERS:
+            return None
+        bound = norm_bound
+    else:
+        # past the limit in any dimension, and given by its digit count:
+        # str() refuses an int past sys.get_int_max_str_digits()
+        count, bound = None, f"({_digit_count(norm_bound)}-digit)"
+    held = count if count is not None and count < _SHORT else f"more than {MAX_BOX_CHARACTERS}"
     return Issue("resource-limit", (),
-                 f"the norm-bound {norm_bound} box in dimension {action.dim} holds {count} "
+                 f"the norm-bound {bound} box in dimension {action.dim} holds {held} "
                  f"characters, above the limit of {MAX_BOX_CHARACTERS}")
 
 
 def cross_validate(action, norm_bound: int, cap: int) -> dict:
     """Differential test of the finite-orbit subspace against orbit
-    enumeration, over every nonzero integer character in the box.
+    enumeration, over every nonzero integer character in the box.  Work
+    is shared between characters that turn out to lie on the same orbit,
+    and -chi takes chi's status without a walk: the maps are linear and
+    the guard tests |coordinate|, so -chi's walk would be chi's negated.
+    Whether a character lies in the subspace is decided for each one, so
+    a failure is recorded for -chi as for chi, in box order.
 
     Hard failures: a finite enumerated orbit whose character lies outside
     the engine's finite-orbit subspace, or a character inside it whose
@@ -186,6 +218,10 @@ def cross_validate(action, norm_bound: int, cap: int) -> dict:
             status = ("exceeded-cap", stop)
         for v in seen:
             status_of.setdefault(v, status)
+        # The maps are linear, so the walk from -start is this one negated
+        # point by point, and the guard tests |coordinate|: it would stop
+        # at the same step for the same reason, or close at the same size.
+        status_of.setdefault(tuple([-x for x in start]), status)
         return status
 
     checked = finite_count = 0

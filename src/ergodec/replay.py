@@ -193,13 +193,21 @@ def _witness(action, duals, data, failures) -> None:
     """A witness character of the group the duals generate: power is the
     lcm of their root-of-unity orders, which the determinant route finds
     as well, and c(D) kills the character for each D.  Then each D**power
-    fixes it, as c divides x**power - 1 and its cofactor is invertible at D."""
+    fixes it, as c divides x**power - 1 and its cofactor is invertible at D.
+    Of the characters c(D) kills, it must be the one the engine reports,
+    MatrixAction.witness_character of their common kernel: the element's
+    spectrum caches it, and the action caches the group's."""
     _check(data["power"] == math.lcm(*(o for d in duals for o in d.spectrum.orders)),
            failures, "stated power is not the lcm of the root-of-unity orders")
     _check(all(d.spectrum.singular_orders == d.spectrum.orders for d in duals), failures,
            "cyclotomic division route and determinant route disagree")
-    _check(all(_kills(d.spectrum.cyclotomic_at, [data["character"]]) for d in duals), failures,
-           "witness character is not fixed by the stated power")
+    if not all(_kills(d.spectrum.cyclotomic_at, [data["character"]]) for d in duals):
+        failures.append("witness character is not fixed by the stated power")
+        return  # the kernel may be zero and have no first vector
+    fixed = (duals[0].spectrum.finite_orbit_subspace if len(duals) == 1
+             else action.finite_orbit_subspace)
+    _check(data["character"] == action.witness_character(fixed), failures,
+           "witness character is not the first basis vector of the finite-orbit subspace")
 
 
 def _non_cyclotomic_factor(action, about, data, failures) -> None:

@@ -46,7 +46,7 @@ def is_ergodic_element(action, exponents) -> Verdict:
         return Verdict("no-root-of-unity-eigenvalue", {
             "char_poly": encoding.encode_poly(spectrum.char_poly),
         })
-    witness = _witness_vector(action, fixed_by_power([b]))
+    witness = _witness_vector(action, b.spectrum.finite_orbit_subspace)
     return Verdict("witness-character", {
         "character": encoding.encode_vector(witness),
         "power": math.lcm(*spectrum.orders),
@@ -56,9 +56,7 @@ def is_ergodic_element(action, exponents) -> Verdict:
 def _witness_vector(action, subspace: Subspace):
     if subspace.is_zero:
         raise InternalCheckError("expected a nonzero fixed subspace")
-    if action.kind == "toral":
-        return subspace.integral_basis()[0]
-    return subspace.basis[0]
+    return action.witness_character(subspace)
 
 
 def is_distal_element(action, exponents) -> Verdict:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -221,15 +222,16 @@ class TestCycleTest:
     def test_block_pair_map_applications(self, monkeypatch):
         # Breadth-first search over both generators at once visits the
         # whole cap from every infinite orbit: 1,209,883 map applications.
-        # Cycle walks cut that to 62,441, and ending each at M(4) = 12
-        # steps to 15,085, one generator at a time.
+        # Cycle walks cut that to 62,441, ending each at M(4) = 12 steps
+        # to 15,085, one generator at a time, and answering -chi from
+        # chi's walk, which halves the walks, to 7,973.
         count = count_map_applications(monkeypatch)
         f = Matrix.from_rows([[2, 1], [1, 1]])
         i2 = Matrix.identity(2)
         act = toral_action([Matrix.block_diag(f, i2), Matrix.block_diag(i2, f)])
         report = cross_validate(act, 3, 100_000)
         assert report["exceeded"] == 2400 and report["failures"] == []
-        assert count[0] <= 20_000
+        assert count[0] <= 7_973
 
 
 class TestPeriodBound:
@@ -360,6 +362,61 @@ class TestGuardOutsideSubspaceOnly:
         assert (1 << oracle.COORD_BITS, "coordinate-guard") in stops
 
 
+class TestNegationSharing:
+    """-chi takes chi's status without a walk.  The results must be those
+    of walking every character on its own, whether -chi lies on chi's
+    orbit (the quarter turn, -I, the quarter turn + Fibonacci) or never
+    does (Fibonacci, the block pair, Fibonacci + I)."""
+
+    ACTIONS = {
+        "quarter-turn": toral_action([QUARTER_TURN]),
+        "minus-identity": toral_action([[[-1, 0], [0, -1]]]),
+        "quarter-turn-fib": toral_action([Matrix.block_diag(QUARTER_TURN, fibonacci_matrix())]),
+        "fib": toral_action([fibonacci_matrix()]),
+        "block-pair": toral_action([Matrix.block_diag(fibonacci_matrix(), Matrix.identity(2)),
+                                    Matrix.block_diag(Matrix.identity(2), fibonacci_matrix())]),
+        "fib-identity": toral_action([Matrix.block_diag(fibonacci_matrix(),
+                                                        Matrix.identity(2))]),
+    }
+
+    @staticmethod
+    def norm_bound(action):
+        return 2 if action.dim == 2 else 1
+
+    @pytest.mark.parametrize("name", ACTIONS)
+    @pytest.mark.parametrize("below", [1, 3])
+    def test_matches_reference_with_a_cap_below_the_period_bound(self, name, below):
+        action = self.ACTIONS[name]
+        assert_matches_reference(action, self.norm_bound(action),
+                                 max_torsion_order(action.dim) - below)
+
+    @pytest.mark.parametrize("name", ACTIONS)
+    def test_each_mirrored_character_is_its_own_failure(self, monkeypatch, name):
+        # with the subspace forced to the whole space every walk that gives
+        # up is a failure, -chi's with its own entry and reason, in box order
+        action = self.ACTIONS[name]
+        monkeypatch.setitem(vars(action), "finite_orbit_subspace", Subspace.full(action.dim))
+        cap = max_torsion_order(action.dim) - 1
+        report = assert_matches_reference(action, self.norm_bound(action), cap)
+        failed = {tuple(f["character"]) for f in report["failures"]}
+        assert len(failed) == report["exceeded"]
+        assert failed == {tuple(-x for x in chi) for chi in failed}
+
+    def test_no_walk_starts_at_the_negation_of_an_earlier_start(self, monkeypatch):
+        starts = []
+        real = oracle.walk_orbit
+
+        def spy(maps, start, cap, guard=None, known=None):
+            starts.append(start)
+            return real(maps, start, cap, guard, known)
+
+        monkeypatch.setattr(oracle, "walk_orbit", spy)
+        report = cross_validate(toral_action([fibonacci_matrix()]), 3, 100)
+        assert report["exceeded"] == 48 and report["failures"] == []
+        assert starts and not any(tuple(-x for x in chi) in starts[:i]
+                                  for i, chi in enumerate(starts))
+
+
 class TestBoxLimit:
     def test_box_above_the_limit_is_a_resource_limit(self):
         act = toral_action([Matrix.identity(12)])
@@ -371,6 +428,18 @@ class TestBoxLimit:
         act = toral_action([Matrix.identity(2)])
         assert oracle.box_issue(act, 499) is None  # 999^2 - 1 characters
         assert oracle.box_issue(act, 500).code == "resource-limit"
+
+    def test_huge_norm_bound_is_a_resource_limit(self):
+        # str() refuses an int of more than 4300 digits, so the issue gives
+        # the bound's digit count instead of the bound and the box's size
+        act = toral_action([Matrix.identity(2)])
+        start = time.perf_counter()
+        issue = oracle.box_issue(act, 10 ** 5000)
+        with pytest.raises(ValidationError) as info:
+            cross_validate(act, 10 ** 5000, 10)
+        assert time.perf_counter() - start < 1
+        assert issue.code == "resource-limit" and "5001-digit" in issue.message
+        assert [i.code for i in info.value.issues] == ["resource-limit"]
 
 
 class TestProductDemo:

@@ -587,6 +587,19 @@ def test_witness_outside_the_kernel_of_c_fails_replay(tmp_path, capsys):
         "witness character is not fixed by the stated power"] * 2
 
 
+@pytest.mark.parametrize("slot", [ELEMENT_WITNESS, GROUP_WITNESS], ids=["element", "group"])
+@pytest.mark.parametrize("character", [[-2, 0], [1000000001, 0], [0, 1]])
+def test_witness_other_than_the_first_basis_vector_fails_replay(tmp_path, capsys, slot,
+                                                                character):
+    # the rotation's c(D) = D^2 + I is zero, so it kills every character;
+    # the engine's witness is the first integral basis vector of the kernel
+    report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
+    assert replay_report(report)["failures"] == []
+    _set(*slot, "character", character)(report["results"])
+    assert replay_report(report)["failures"] == [
+        "witness character is not the first basis vector of the finite-orbit subspace"]
+
+
 def test_witness_orders_must_agree_with_the_determinant_route(tmp_path, capsys, monkeypatch):
     report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
     monkeypatch.setattr(matrices, "singular_cyclotomic_orders", lambda x, orders: [])
