@@ -4,8 +4,8 @@ Certificates and reports carry only plain data: ints stay ints, proper
 fractions become "num/den" strings, and structured values become lists and
 dicts with deterministic ordering.  Each encoding is the canonical one.
 Decoding inverts it exactly, but also reads other spellings of a value,
-such as a "num" string or a [num, den] pair; replay reads a value only if
-encoding it again gives the report's JSON back.
+such as a "num" string or a [num, den] pair; replay reads a subspace only
+if encoding it again gives the report's JSON back.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ laurent.MAX_WITNESS_STEPS.
 
 from __future__ import annotations
 
-from . import encoding
-from .errors import InternalCheckError, NotErgodicGroupError, SearchExhaustedError
+from .errors import NotErgodicGroupError, SearchExhaustedError
 from .laurent import directions_in_shell
 from .replay import Verdict
 
@@ -35,13 +34,9 @@ def direction_is_ergodic(action, direction) -> Verdict:
         raise ValueError("direction length must match the variable count")
     if all(x == 0 for x in direction):
         raise ValueError("direction must be nonzero")
-    if len(action.content(direction)[2]) == 1:
-        return Verdict("trivial-univariate-content", {})
-    k, common = action.witness(direction)
-    return Verdict("finite-quotient-witness", {
-        "power": k,
-        "common_factor": encoding.encode_laurent(common),
-    })
+    kind = ("trivial-univariate-content" if len(action.content(direction)[2]) == 1
+            else "finite-quotient-witness")
+    return Verdict.of(kind, action, direction)
 
 
 def group_is_ergodic(action) -> Verdict:
@@ -55,10 +50,7 @@ def group_is_ergodic(action) -> Verdict:
     """
     if action.nvars == 1:
         return direction_is_ergodic(action, (1,))
-    g = action.presenter
-    if g.is_zero or g.is_unit:
-        raise InternalCheckError("validated presenter must be a nonzero non-unit")
-    return Verdict("coprime-axis-powers", {})
+    return Verdict.of("coprime-axis-powers", action, None)
 
 
 def find_ergodic_direction(action, search_box: int):

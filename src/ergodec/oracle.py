@@ -147,12 +147,15 @@ def _digit_count(n: int) -> int:
     return d + 1
 
 
-def box_issue(action, norm_bound: int) -> Issue | None:
+def box_issue(action, norm_bound: int, cap: int) -> Issue | None:
     """The issue that stops a cross-validation box, or None: a schema
-    issue for an action that is not toral, and a resource-limit issue for
-    a box of more than MAX_BOX_CHARACTERS nonzero characters."""
+    issue for an action that is not toral or a norm bound or cap that is
+    not a positive int, and a resource-limit issue for a box of more than
+    MAX_BOX_CHARACTERS nonzero characters."""
     if action.kind != "toral":
         return Issue("schema", (), "orbits are enumerated on tori only")
+    if not all(type(x) is int and x >= 1 for x in (norm_bound, cap)):
+        return Issue("schema", (), "the norm bound and the cap must be positive integers")
     if norm_bound < _SHORT:
         count = (2 * norm_bound + 1) ** action.dim - 1
         if count <= MAX_BOX_CHARACTERS:
@@ -180,10 +183,10 @@ def cross_validate(action, norm_bound: int, cap: int) -> dict:
     Hard failures: a finite enumerated orbit whose character lies outside
     the engine's finite-orbit subspace, or a character inside it whose
     enumeration did not close.  Exceeded-cap outside the subspace is
-    consistent by construction.  The box_issue of the action and box, if
-    any, raises ValidationError.
+    consistent by construction.  The box_issue of the action, box and
+    cap, if any, raises ValidationError.
     """
-    issue = box_issue(action, norm_bound)
+    issue = box_issue(action, norm_bound, cap)
     if issue is not None:
         raise ValidationError([issue])
     fixed = action.finite_orbit_subspace

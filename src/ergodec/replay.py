@@ -1,25 +1,27 @@
 """Certificate replay: re-check every claim in a report using only the
 exact-arithmetic core.  A report that round-trips through JSON carries
 everything needed to re-derive its own verdicts, and each check records
-a failure entry or nothing, with no engine verdict logic beyond shared
-exact primitives.
+a failure entry or nothing.  Each kind's certificate data is derived in
+one place, here, for the engines and replay alike.
 
 CERTIFICATES has one row per certificate kind, which Verdict and
 replay_verdict read: the verdict it proves, the slots that may hold it
 (element-ergodic, element-distal, group-ergodic, group-distal, found,
-direction, found-direction, laurent-group), its data keys and its check.
-Each data key has one decoder, which bounds the arithmetic before any is
-done, and one encoder.  A value, subspace or flag is read only in its
-canonical encoding: encoding it again must give the report's JSON back,
-type for type, so 4.0 and true are no power.  Anything else records the
-key's one failure and skips the kind's check.
+direction, found-direction, laurent-group), its data keys, its
+derivation of the data from the action and the slot's subject, which the
+engines build each verdict with (Verdict.of), and its check of what the
+derivation does not fix: route A against route B, c(D) against the
+witness, the factors against the characteristic polynomial, the common
+factor against the presenter.  The report's data must equal the
+derivation key by key, type for type, so 4.0 and true are no power and a
+hostile value costs one structural compare.  A subspace or flag is read
+only in its canonical encoding: encoding it again must give it back.
 
 A saved report replays against a fresh action built from its input
 echo, and the CLI against the action it computed the report from, whose
-cached dual products and spectra, finite-orbit subspace, and Laurent
-contents and witness powers are pure functions of the input that the
-same code would recompute bit for bit: every check still runs on the
-report's claims.
+caches (dual products and spectra, finite-orbit subspace, Laurent
+contents and witness powers) are pure functions of the input: there the
+derivations are the engine's own, and the checks catch an engine fault.
 
 Every finite-orbit and quasi-unipotence claim about a toral or solenoid
 report is checked with a generator's own c(D) and c(D)**r, c the
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from . import encoding
 from .actions import build_action, dual_element, ergodic_search_bound, positive_vectors
 from .errors import InternalCheckError, ValidationError
-from .intpoly import Polynomial, cyclotomic_product, euler_phi
+from .intpoly import cyclotomic_product
 from .laurent import directions_in_shell, laurent_divides, stated_axes
 from .matrices import Matrix, Subspace, induced, kernel
 from .oracle import box_characters, box_issue, orbit_maps, walk_orbit
@@ -73,6 +75,9 @@ _RESULTS = {
     ("oracle-check", False): dict.fromkeys(
         ("characters_checked", "finite_orbits", "exceeded", "failures")),
 }
+# The flags the CLI emits, by command: each is a positive int.
+_FLAGS = {"analyze": (), "find-ergodic": ("search-box",), "filtration": (),
+          "oracle-check": ("norm-bound", "cap")}
 
 
 def _fits(value, template) -> bool:
@@ -115,57 +120,11 @@ def _positive(raw, action) -> int:
     return int(str(raw))  # str() raises past the digit limit within which the CLI reads flags
 
 
-def _character(raw, action) -> tuple:
-    chi = encoding.decode_vector(raw)
-    if len(chi) != action.dim or not any(chi):
-        raise ValueError("not a nonzero character of the dual")
-    return chi
-
-
-def _cyclotomic(raw, action) -> dict:
-    """{order: count} from [order, count] pairs whose degrees sum to at
-    most the rank, checked before any cyclotomic polynomial is formed."""
-    if not (all(isinstance(f, list) and len(f) == 2 and all(type(x) is int for x in f)
-                and 1 <= f[0] <= 2 * action.dim ** 2 + 1 and f[1] >= 1 for f in raw)
-            and sum(c * euler_phi(d) for d, c in raw) <= action.dim):
-        raise ValueError("not [order, count] pairs within the rank")
-    return dict(raw)  # a repeated order re-encodes as one pair
-
-
-def _poly(raw, action) -> Polynomial:
-    return Polynomial.from_coeffs(encoding.decode_vector(raw))
-
-
-def _laurent(raw, action):
-    """Over the action's field and variables, checked before any term."""
-    if not _same([raw["p"], raw["vars"]], [action.p, action.nvars]):
-        raise ValueError("not a Laurent polynomial over the action's ring")
-    return encoding.decode_laurent(raw)
-
-
 def _subspace(raw, action) -> Subspace:
     """In the dual's dimension, checked before any row is reduced."""
     if not _same(raw["ambient"], action.dim):
         raise ValueError("not a subspace of the dual")
     return Subspace.span(action.dim, [encoding.decode_vector(v) for v in raw["basis"]])
-
-
-MALFORMED_CYCLOTOMIC = "cyclotomic factors are not [order, count] pairs within the rank"
-
-# Each certificate data key's decoder and encoder, and the one failure a
-# value records that does not decode or is not in its canonical encoding.
-_DATA = {
-    "char_poly": (_poly, encoding.encode_poly, "characteristic polynomial is not a polynomial"),
-    "factor": (_poly, encoding.encode_poly, "residual factor is not a polynomial"),
-    "factors": (_cyclotomic, encoding.encode_factors, MALFORMED_CYCLOTOMIC),
-    "cyclotomic_part": (_cyclotomic, encoding.encode_factors, MALFORMED_CYCLOTOMIC),
-    "character": (_character, encoding.encode_vector,
-                  "witness character is not a nonzero character of the dual"),
-    "power": (_positive, int, "power is not a positive integer"),
-    "generator": (_positive, int, "generator is not a positive integer"),
-    "common_factor": (_laurent, encoding.encode_laurent,
-                      "common factor is not a Laurent polynomial"),
-}
 
 
 def _kills(m: Matrix, vectors) -> bool:
@@ -179,108 +138,117 @@ def _all_quasi_unipotent(duals, sub: Subspace) -> bool:
     return sub.is_zero or all(_kills(d.spectrum.unipotent_power, sub.basis) for d in duals)
 
 
-def _no_root_of_unity(action, about, data, failures) -> None:
+def _no_root_of_unity(action, about):
     spectrum = about[0].spectrum
-    _check(data["char_poly"] == spectrum.char_poly, failures,
-           "stored characteristic polynomial differs")
-    _check(not spectrum.orders, failures,
-           "a cyclotomic polynomial divides the characteristic polynomial")
-    _check(not spectrum.singular_orders, failures,
-           "a cyclotomic polynomial is singular at the matrix")
+    return None if spectrum.orders else {"char_poly": encoding.encode_poly(spectrum.char_poly)}
 
 
-def _witness(action, duals, data, failures) -> None:
-    """A witness character of the group the duals generate: power is the
-    lcm of their root-of-unity orders, which the determinant route finds
-    as well, and c(D) kills the character for each D.  Then each D**power
-    fixes it, as c divides x**power - 1 and its cofactor is invertible at D.
-    Of the characters c(D) kills, it must be the one the engine reports,
-    MatrixAction.witness_character of their common kernel: the element's
-    spectrum caches it, and the action caches the group's."""
-    _check(data["power"] == math.lcm(*(o for d in duals for o in d.spectrum.orders)),
-           failures, "stated power is not the lcm of the root-of-unity orders")
+def _routes_agree(action, duals, failures) -> None:
     _check(all(d.spectrum.singular_orders == d.spectrum.orders for d in duals), failures,
            "cyclotomic division route and determinant route disagree")
-    if not all(_kills(d.spectrum.cyclotomic_at, [data["character"]]) for d in duals):
-        failures.append("witness character is not fixed by the stated power")
-        return  # the kernel may be zero and have no first vector
-    fixed = (duals[0].spectrum.finite_orbit_subspace if len(duals) == 1
-             else action.finite_orbit_subspace)
-    _check(data["character"] == action.witness_character(fixed), failures,
-           "witness character is not the first basis vector of the finite-orbit subspace")
 
 
-def _non_cyclotomic_factor(action, about, data, failures) -> None:
-    spectrum, rest = about[0].spectrum, data["factor"]
-    _check(cyclotomic_product(data["cyclotomic_part"].items()) * rest == spectrum.char_poly,
-           failures, "factorization does not multiply back")
-    _check(rest.degree >= 1, failures, "residual factor is constant")
-    _check(rest == spectrum.rest, failures, "residual factor has a cyclotomic factor")
+def _fixed(action, duals) -> Subspace:
+    """The characters with a finite orbit under the duals: an element's
+    spectrum caches its own, and the action caches the group's."""
+    return (duals[0].spectrum.finite_orbit_subspace if len(duals) == 1
+            else action.finite_orbit_subspace)
 
 
-def _first_non_distal(action, duals, data, failures) -> None:
+def _witness(action, duals):
+    """The witness character of the group the duals generate,
+    MatrixAction.witness_character of their finite-orbit subspace, and
+    the lcm of their root-of-unity orders as the power that fixes it."""
+    fixed = _fixed(action, duals)
+    return None if fixed.is_zero else {
+        "character": encoding.encode_vector(action.witness_character(fixed)),
+        "power": math.lcm(*(o for d in duals for o in d.spectrum.orders))}
+
+
+def _witness_fixed(action, duals, failures) -> None:
+    """c(D) kills the witness for each D.  Then each D**power fixes it, as
+    c divides x**power - 1 and its cofactor is invertible at D."""
+    _routes_agree(action, duals, failures)
+    chi = action.witness_character(_fixed(action, duals))
+    _check(all(_kills(d.spectrum.cyclotomic_at, [chi]) for d in duals), failures,
+           "witness character is not fixed by the stated power")
+
+
+def _cyclotomic_char_poly(action, about):
+    spectrum = about[0].spectrum
+    return {"factors": encoding.encode_factors(spectrum.factors)} if spectrum.rest.is_one else None
+
+
+def _non_cyclotomic_factor(action, about):
+    spectrum = about[0].spectrum
+    return None if spectrum.rest.is_one else {
+        "factor": encoding.encode_poly(spectrum.rest),
+        "cyclotomic_part": encoding.encode_factors(spectrum.factors)}
+
+
+def _multiplies_back(action, about, failures) -> None:
+    spectrum = about[0].spectrum
+    _check(cyclotomic_product(spectrum.factors) * spectrum.rest == spectrum.char_poly,
+           failures, "cyclotomic factors do not multiply back to the characteristic polynomial")
+
+
+def _first_non_distal(action, duals):
     distal = [d.spectrum.rest.is_one for d in duals]
-    first = distal.index(False) + 1 if not all(distal) else None
-    _check(data["generator"] == first, failures,
-           "stated generator is not the first non-distal one")
+    return None if all(distal) else {"generator": distal.index(False) + 1}
 
 
-def _finite_quotient(action, direction, data, failures) -> None:
-    """The stated power k is the least with a common factor of g and
-    u^(k*direction) - 1, and the stated common factor is one."""
-    factor = data["common_factor"]
-    if factor.is_zero or factor.is_unit:
-        failures.append("common factor is trivial")
-        return
-    try:
-        least, common = (action.witness(direction) if len(action.content(direction)[2]) > 1
-                         else (None, None))
-    except ValidationError as exc:
-        failures.append(f"least witness power not re-derived: {exc}")
-        return
-    if least != data["power"]:
-        failures.append("witness power is not the least one")
-        return
+def _finite_quotient(action, direction):
+    """The least power k with a common factor of g and u^(k*direction) - 1,
+    and that factor, from g's content along the direction."""
+    if len(action.content(direction)[2]) == 1:
+        return None
+    k, common = action.witness(direction)
+    return {"power": k, "common_factor": encoding.encode_laurent(common)}
+
+
+def _divides_presenter(action, direction, failures) -> None:
     # h | g and h | u^(k*direction) - 1 with h not a unit: then
-    # (u^(k*direction) - 1)*(g/h) lies in (g), and g/h does not.  The
-    # common factors of g and u^(k*direction) - 1 = t^(k*m) - 1 are
-    # those of gcd(content, t^(k*m) - 1), mapped back through t -> u^n0.
-    _check(laurent_divides(factor, action.presenter) is not None, failures,
-           "common factor does not divide the presenter")
-    _check(laurent_divides(factor, common) is not None, failures,
-           "common factor does not divide the power identity")
+    # (u^(k*direction) - 1)*(g/h) lies in (g), and g/h does not
+    _check(laurent_divides(action.witness(direction)[1], action.presenter) is not None,
+           failures, "common factor does not divide the presenter")
 
 
 # One row per certificate kind: the verdict it proves, the slots that may
-# hold it, its data keys, and its check.
+# hold it, its data keys, its derivation and its independent check (None
+# when the derivation is the whole claim).  A derivation returns the
+# kind's JSON-ready data about the slot's subject, or None when the kind
+# does not hold of it.
 CERTIFICATES = {
     "no-root-of-unity-eigenvalue": (
-        "ergodic", ("element-ergodic", "found"), ("char_poly",), _no_root_of_unity),
+        "ergodic", ("element-ergodic", "found"), ("char_poly",), _no_root_of_unity,
+        _routes_agree),
     "zero-finite-orbit-subspace": (
-        "ergodic", ("group-ergodic",), (), lambda action, duals, data, failures: _check(
-            action.finite_orbit_subspace.is_zero, failures, "finite-orbit subspace is not zero")),
+        "ergodic", ("group-ergodic",), (),
+        lambda action, duals: {} if action.finite_orbit_subspace.is_zero else None, None),
     "witness-character": (
-        "not-ergodic", ("element-ergodic", "group-ergodic"), ("character", "power"), _witness),
+        "not-ergodic", ("element-ergodic", "group-ergodic"), ("character", "power"), _witness,
+        _witness_fixed),
     "cyclotomic-char-poly": (
-        "distal", ("element-distal",), ("factors",), lambda action, about, data, failures: _check(
-            cyclotomic_product(data["factors"].items()) == about[0].spectrum.char_poly, failures,
-            "cyclotomic factors do not multiply to the characteristic polynomial")),
+        "distal", ("element-distal",), ("factors",), _cyclotomic_char_poly, _multiplies_back),
     "all-generators-quasi-unipotent": (
-        "distal", ("group-distal",), (), lambda action, duals, data, failures: _check(
-            all(d.spectrum.rest.is_one for d in duals), failures, "a generator is not distal")),
+        "distal", ("group-distal",), (),
+        lambda action, duals: {} if all(d.spectrum.rest.is_one for d in duals) else None,
+        None),
     "non-cyclotomic-factor": (
-        "not-distal", ("element-distal",), ("factor", "cyclotomic_part"), _non_cyclotomic_factor),
+        "not-distal", ("element-distal",), ("factor", "cyclotomic_part"), _non_cyclotomic_factor,
+        _multiplies_back),
     "non-quasi-unipotent-generator": (
-        "not-distal", ("group-distal",), ("generator",), _first_non_distal),
+        "not-distal", ("group-distal",), ("generator",), _first_non_distal, None),
     "finite-quotient-witness": (
-        "not-ergodic", ("direction",), ("power", "common_factor"), _finite_quotient),
+        "not-ergodic", ("direction",), ("power", "common_factor"), _finite_quotient,
+        _divides_presenter),
     "trivial-univariate-content": (
-        "ergodic", ("direction", "found-direction"), (), lambda action, direction, data, failures:
-        _check(action.content(direction)[2] == [1], failures, "content is not constant")),
+        "ergodic", ("direction", "found-direction"), (),
+        lambda action, direction: {} if len(action.content(direction)[2]) == 1 else None,
+        None),
     "coprime-axis-powers": (
-        "ergodic", ("laurent-group",), (), lambda action, about, data, failures: _check(
-            not action.presenter.is_zero and not action.presenter.is_unit, failures,
-            "presenter must be a nonzero non-unit")),
+        "ergodic", ("laurent-group",), (), lambda action, about: (
+            None if action.presenter.is_zero or action.presenter.is_unit else {}), None),
 }
 
 
@@ -296,6 +264,15 @@ class Verdict:
         if row is None or self.data.keys() != set(row[2]):
             raise InternalCheckError(
                 f"not a certificate: {self.certificate!r} with data keys {sorted(self.data)}")
+
+    @classmethod
+    def of(cls, certificate: str, action, about) -> "Verdict":
+        """The kind's verdict with its row's data about the subject, as
+        replay_verdict takes it; InternalCheckError if the kind fails it."""
+        data = CERTIFICATES[certificate][3](action, about)
+        if data is None:
+            raise InternalCheckError(f"a {certificate} certificate does not hold of its subject")
+        return cls(certificate, data)
 
     @property
     def kind(self) -> str:
@@ -326,16 +303,23 @@ def replay_verdict(action, slot: str, about, payload, failures: list) -> None:
         failures.append("verdict is not shaped {kind, certificate: {kind, data}} "
                         "with its certificate kind's data keys")
         return
-    proves, slots, keys, check = row
+    proves, slots, keys, derive, check = row
     if slot not in slots:
         failures.append(f"a {kind} certificate does not belong in the {slot} slot")
-        return  # its check would read the slot's subject as another kind of thing
+        return  # its derivation would read the slot's subject as another kind of thing
     _check(payload["kind"] == proves, failures,
            "verdict kind is not the one its certificate proves")
-    data = {key: _decoded(cert["data"][key], *_DATA[key][:2], action) for key in keys}
-    failures += [_DATA[key][2] for key in keys if data[key] is None]
-    if None not in data.values():
-        check(action, about, data, failures)
+    try:
+        data = derive(action, about)
+    except ValidationError as exc:
+        failures.append(f"certificate data not re-derived: {exc}")
+        return
+    if data is None:
+        failures.append(f"a {kind} certificate does not hold of its subject")
+        return
+    failures += [f"stored {key} differs" for key in keys if not _same(cert["data"][key], data[key])]
+    if check is not None:
+        check(action, about, failures)
 
 
 def _replay_first_ergodic(action, exponents: tuple, failures: list) -> None:
@@ -379,10 +363,14 @@ def replay_largest_subgroup(action, payload: dict, failures: list) -> None:
 
 def replay_filtration(action, payload: dict, failures: list) -> None:
     """The chain is the whole claim: generator i has no finite-orbit
-    character on stage quotient i, and every generator is quasi-unipotent
-    on the tail.  Then a character with a finite group orbit modulo the
-    tail lies in every stage in turn, so the tail is the largest ergodic
-    subgroup's dual subspace, zero exactly when the group is ergodic."""
+    character on stage quotient i, and generators 1..i are quasi-unipotent
+    on stage i.  By induction on i, stage i is then the common kernel of
+    the c(D_j)**r for j <= i, the one the engine builds: it lies in that
+    kernel, and the kernel modulo stage i would be a nonzero quotient
+    inside stage quotient i on which generator i is quasi-unipotent, so
+    it would hold a finite-orbit character.  The tail is the largest
+    ergodic subgroup's dual subspace, zero exactly when the group is
+    ergodic."""
     encoded = payload["chain"]
     chain = ([_decoded(w, _subspace, encoding.encode_subspace, action) for w in encoded]
              if isinstance(encoded, list) else None)
@@ -403,8 +391,8 @@ def replay_filtration(action, payload: dict, failures: list) -> None:
     _check(all(kernel(induced(d.spectrum.cyclotomic_at, prev, cur)).is_zero
                for d, (prev, cur) in zip(duals, zip(chain, chain[1:])) if prev.dim != cur.dim),
            failures, "stage quotient has a finite-orbit character")
-    _check(_all_quasi_unipotent(duals, chain[-1]), failures,
-           "a generator is not quasi-unipotent on the residual")
+    _check(all(_all_quasi_unipotent(duals[:i], w) for i, w in enumerate(chain)), failures,
+           "a generator is not quasi-unipotent on its stage or a later one")
 
 
 def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> None:
@@ -413,12 +401,8 @@ def replay_oracle_check(action, flags: dict, results: dict, failures: list) -> N
     character in the finite-orbit subspace must close its orbit within
     the cap, and every other one counts as exceeded without a walk: the
     analytic side already proves its orbit infinite."""
-    # a flag is a positive int the CLI's type can read, as a power is
-    bound, cap = (_decoded(flags.get(k), _positive, int, action) for k in ("norm-bound", "cap"))
-    if bound is None or cap is None:
-        failures.append("norm bound or cap flag is not a positive integer")
-        return
-    issue = box_issue(action, bound)
+    bound, cap = flags["norm-bound"], flags["cap"]
+    issue = box_issue(action, bound, cap)
     if issue is not None:
         failures.append(issue.message)
         return
@@ -451,14 +435,10 @@ def _replay_first_direction(action, direction: tuple, flags: dict, failures: lis
     of g in u^n0 alone, whose Newton segment is a Minkowski summand of
     g's, so shells 1..s without an ergodic line make both widths at least
     s.  That also keeps a forged direction from stalling the scan."""
-    search_box = _decoded(flags.get("search-box"), _positive, int, action)
-    if search_box is None:
-        failures.append("search box flag is not a positive integer")
-        return
     g = action.presenter
     shell = max((abs(x) for x in direction), default=0)
     widths = [g.canonical().degree_in(v) for v in range(action.nvars)]
-    if shell > search_box or shell > min(widths) + 1:
+    if shell > flags["search-box"] or shell > min(widths) + 1:
         failures.append("direction lies outside the search box or past the width bound")
         return
     earlier = itertools.takewhile(lambda d: d != direction, itertools.chain.from_iterable(
@@ -471,8 +451,9 @@ def replay_report(report: dict, action=None) -> dict:
     """Re-check every certificate in a serialized report, against the
     action the report was computed from when it is given, and otherwise
     against one built afresh from the report's input echo.  A report of
-    another schema version, or whose results have keys the CLI does not
-    emit, records one failure and is read no further.
+    another schema version, with an input echo that is not a valid action
+    document, or whose flags or results are not the ones the CLI emits,
+    records one failure and is read no further.
 
     Returns {"checked": n, "failures": [...]}.
     """
@@ -481,13 +462,19 @@ def replay_report(report: dict, action=None) -> dict:
     command, flags, results = (report.get(k) for k in ("command", "flags", "results"))
     if not _same(report.get("schema_version"), SCHEMA_VERSION):
         return {"checked": 0, "failures": [f"schema version is not {SCHEMA_VERSION}"]}
-    if command not in ("analyze", "find-ergodic", "filtration", "oracle-check"):
+    if not (isinstance(command, str) and command in _FLAGS):
         return {"checked": 0, "failures": [f"unknown command {command!r}"]}
     if action is None:
-        action = build_action(report["input"])
+        try:
+            action = build_action(report.get("input"))
+        except ValueError as exc:  # a ValidationError, or an int str() refuses
+            return {"checked": 0, "failures": [f"input is not a valid action document: {exc}"]}
     laurent = action.kind == "laurent"
     template = _RESULTS.get((command, laurent))
-    if template is None or not (isinstance(flags, dict) and _fits(results, template)):
+    if template is None or not (
+            isinstance(flags, dict) and flags.keys() == set(_FLAGS[command])
+            and all(_decoded(v, _positive, int, action) for v in flags.values())
+            and _fits(results, template)):
         return {"checked": 0, "failures": [
             "flags or results are not shaped as the CLI emits them for this command"]}
     if command == "analyze":

@@ -18,9 +18,6 @@ stage is checked on the map matrices.induced gives on its quotient.
 
 from __future__ import annotations
 
-import math
-
-from . import encoding
 from .actions import dual_element, ergodic_search_bound, positive_vectors
 from .errors import InternalCheckError, NotErgodicGroupError
 from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, induced, kernel,
@@ -41,38 +38,20 @@ def _checked_spectrum(b: Matrix) -> Spectrum:
 def is_ergodic_element(action, exponents) -> Verdict:
     """Ergodicity of a single product of generator powers."""
     b = dual_element(action, exponents)
-    spectrum = _checked_spectrum(b)
-    if not spectrum.orders:
-        return Verdict("no-root-of-unity-eigenvalue", {
-            "char_poly": encoding.encode_poly(spectrum.char_poly),
-        })
-    witness = _witness_vector(action, b.spectrum.finite_orbit_subspace)
-    return Verdict("witness-character", {
-        "character": encoding.encode_vector(witness),
-        "power": math.lcm(*spectrum.orders),
-    })
-
-
-def _witness_vector(action, subspace: Subspace):
-    if subspace.is_zero:
-        raise InternalCheckError("expected a nonzero fixed subspace")
-    return action.witness_character(subspace)
+    kind = "witness-character" if _checked_spectrum(b).orders else "no-root-of-unity-eigenvalue"
+    return Verdict.of(kind, action, [b])
 
 
 def is_distal_element(action, exponents) -> Verdict:
     """Distality of a single product of generator powers: the dual matrix
     must be quasi-unipotent."""
-    spectrum = _checked_spectrum(dual_element(action, exponents))
+    b = dual_element(action, exponents)
+    spectrum = _checked_spectrum(b)
     if spectrum.rest.is_one != spectrum.unipotent_power.is_zero:
         raise InternalCheckError(
             "cyclotomic factorization route and nilpotency route disagree")
-    factors = encoding.encode_factors(spectrum.factors)
-    if spectrum.rest.is_one:
-        return Verdict("cyclotomic-char-poly", {"factors": factors})
-    return Verdict("non-cyclotomic-factor", {
-        "factor": encoding.encode_poly(spectrum.rest),
-        "cyclotomic_part": factors,
-    })
+    kind = "cyclotomic-char-poly" if spectrum.rest.is_one else "non-cyclotomic-factor"
+    return Verdict.of(kind, action, [b])
 
 
 def is_ergodic_group(action) -> Verdict:
@@ -80,24 +59,19 @@ def is_ergodic_group(action) -> Verdict:
     witness lies in the kernel of every c(D), so the stated power, the
     lcm of all the generators' orders, fixes it under each generator and
     its orbit has at most power**n points."""
-    fixed = action.finite_orbit_subspace
-    if fixed.is_zero:
-        return Verdict("zero-finite-orbit-subspace", {})
-    return Verdict("witness-character", {
-        "character": encoding.encode_vector(_witness_vector(action, fixed)),
-        "power": math.lcm(*(d for x in action.dual_generators for d in x.spectrum.orders)),
-    })
+    kind = ("zero-finite-orbit-subspace" if action.finite_orbit_subspace.is_zero
+            else "witness-character")
+    return Verdict.of(kind, action, action.dual_generators)
 
 
 def is_distal_group(action) -> Verdict:
     """Group distality is equivalent to distality of every generator for
     commuting automorphisms."""
     n = action.n_generators
-    distal = [is_distal_element(action, tuple(1 if j == i else 0 for j in range(n))).is_distal
+    distal = [is_distal_element(action, tuple(int(j == i) for j in range(n))).is_distal
               for i in range(n)]
-    if all(distal):
-        return Verdict("all-generators-quasi-unipotent", {})
-    return Verdict("non-quasi-unipotent-generator", {"generator": distal.index(False) + 1})
+    kind = "all-generators-quasi-unipotent" if all(distal) else "non-quasi-unipotent-generator"
+    return Verdict.of(kind, action, action.dual_generators)
 
 
 def largest_ergodic_subgroup(action):

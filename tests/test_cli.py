@@ -199,7 +199,8 @@ class TestAnalyze:
     def test_engine_certificate_fault_is_caught(self, tmp_path, capsys, monkeypatch):
         # replay shares the engine's action, yet re-checks each claim: a
         # witness the generator does not fix fails it
-        monkeypatch.setattr(toral, "_witness_vector", lambda action, subspace: (1, 1, 1, 1))
+        monkeypatch.setattr(actions.MatrixAction, "witness_character",
+                            lambda action, subspace: (1, 1, 1, 1))
         assert main(["analyze", write(tmp_path, "pair.json", BLOCK_PAIR),
                      "--verify-report"]) == 4
         captured = capsys.readouterr()
@@ -573,7 +574,7 @@ class TestRankWall:
         for power in (360360, 1441440):
             data["power"] = power
             assert replay.replay_report(report, action)["failures"] == [
-                "stated power is not the lcm of the root-of-unity orders"]
+                "stored power differs"]
 
     def test_finite_order_rank_26_report_is_small(self, tmp_path, capsys):
         # the witness is one character, not its 3465-point orbit

@@ -426,15 +426,26 @@ class TestBoxLimit:
 
     def test_box_at_the_limit_is_allowed(self):
         act = toral_action([Matrix.identity(2)])
-        assert oracle.box_issue(act, 499) is None  # 999^2 - 1 characters
-        assert oracle.box_issue(act, 500).code == "resource-limit"
+        assert oracle.box_issue(act, 499, 100) is None  # 999^2 - 1 characters
+        assert oracle.box_issue(act, 500, 100).code == "resource-limit"
+
+    @pytest.mark.parametrize("norm_bound,cap", [(1, 0), (1, -5), (0, 100), (-1, 100),
+                                                (2.5, 100), (1, 2.0), (True, 100)])
+    def test_bound_or_cap_that_is_not_a_positive_int_is_refused(self, norm_bound, cap):
+        # a cap below one would call every one-point orbit finite, and a
+        # norm bound below one would check an empty box
+        act = toral_action([Matrix.identity(2)])
+        with pytest.raises(ValidationError) as info:
+            cross_validate(act, norm_bound, cap)
+        assert [(i.code, i.message) for i in info.value.issues] == [
+            ("schema", "the norm bound and the cap must be positive integers")]
 
     def test_huge_norm_bound_is_a_resource_limit(self):
         # str() refuses an int of more than 4300 digits, so the issue gives
         # the bound's digit count instead of the bound and the box's size
         act = toral_action([Matrix.identity(2)])
         start = time.perf_counter()
-        issue = oracle.box_issue(act, 10 ** 5000)
+        issue = oracle.box_issue(act, 10 ** 5000, 100)
         with pytest.raises(ValidationError) as info:
             cross_validate(act, 10 ** 5000, 10)
         assert time.perf_counter() - start < 1

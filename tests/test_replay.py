@@ -7,7 +7,8 @@ import pytest
 from ergodec import Subspace, build_action, element, is_ergodic_element, laurent, matrices
 from ergodec.cli import main
 from ergodec.encoding import encode_matrix, encode_subspace
-from ergodec.replay import MALFORMED_CYCLOTOMIC, replay_report
+from ergodec.replay import replay_report
+from test_acceptance import GOLDEN_COMMANDS, GOLDEN_DOCS
 
 ROTATION = {"type": "toral", "r": 2, "generators": [[[0, -1], [1, 0]]]}
 FIB = {"type": "toral", "r": 2, "generators": [[[0, 1], [1, 1]]]}
@@ -335,9 +336,11 @@ def _chain_start(basis):
 
 ELEMENT_WITNESS = ("generators", 0, "ergodic", "certificate", "data")
 GROUP_WITNESS = ("group", "ergodic", "certificate", "data")
-POWER = "power is not a positive integer"
-CHARACTER = "witness character is not a nonzero character of the dual"
-COMMON_FACTOR = "common factor is not a Laurent polynomial"
+POWER = "stored power differs"
+CHARACTER = "stored character differs"
+COMMON_FACTOR = "stored common_factor differs"
+FACTORS = "stored factors differs"
+RESULTS_SHAPE = "flags or results are not shaped as the CLI emits them for this command"
 
 
 @pytest.mark.parametrize("command,doc,tamper,failure", [
@@ -345,15 +348,15 @@ COMMON_FACTOR = "common factor is not a Laurent polynomial"
     ("analyze", ROTATION, _set(*GROUP_WITNESS, "power", 4.0), POWER),
     ("analyze", IDENTITY, _set(*GROUP_WITNESS, "power", True), POWER),
     ("analyze", FIB_TWICE, _set("group", "distal", "certificate", "data", "generator", True),
-     "generator is not a positive integer"),
+     "stored generator differs"),
     ("analyze", FIB_TWICE, _set("group", "distal", "certificate", "data", "generator", 1.0),
-     "generator is not a positive integer"),
+     "stored generator differs"),
     ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "character", ["1", 0]), CHARACTER),
     ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "character", [[1, 1], 0]), CHARACTER),
     ("analyze", FIB, _set(*ELEMENT_WITNESS, "char_poly", [-1.0, -1, 1]),
-     "characteristic polynomial is not a polynomial"),
+     "stored char_poly differs"),
     ("analyze", SHEAR, _set("generators", 0, "distal", "certificate", "data", "factors",
-                            [[1, 1], [1, 1]]), MALFORMED_CYCLOTOMIC),
+                            [[1, 1], [1, 1]]), FACTORS),
     ("analyze", TRINOMIAL, _trinomial_factor_terms([[[0], 3], [[1], 1], [[2], 1]]),
      COMMON_FACTOR),
     ("analyze", TRINOMIAL, _trinomial_factor_terms([[[2], 1], [[1], 1], [[0], 1]]),
@@ -375,33 +378,33 @@ COMMON_FACTOR = "common factor is not a Laurent polynomial"
         "laurent-kind-in-toral-slot"])
 def test_non_canonical_value_is_one_failure(tmp_path, capsys, command, doc, tamper, failure):
     # each value is true but not in the encoding the CLI emits: replay
-    # reads a value only if encoding it again gives the report's JSON back,
-    # type for type, and a certificate only in a slot its kind may hold
+    # compares each data value with its kind's derivation type for type,
+    # reads a subspace only if encoding it again gives the report's JSON
+    # back, and reads a certificate only in a slot its kind may hold
     report = fresh_report(tmp_path, capsys, command, doc)
     assert replay_report(report)["failures"] == []
     tamper(report["results"])
     assert replay_report(report)["failures"] == [failure]
 
 
-ORACLE_BOX = "norm bound or cap flag is not a positive integer"
-SEARCH_BOX = "search box flag is not a positive integer"
-
-
 @pytest.mark.parametrize("command,doc,flags,key,value,failure", [
-    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 10 ** 5000, ORACLE_BOX),
-    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 2.0, ORACLE_BOX),
-    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", True, ORACLE_BOX),
-    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", None, ORACLE_BOX),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", None, SEARCH_BOX),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", "3", SEARCH_BOX),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", 2.5, SEARCH_BOX),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", True, SEARCH_BOX),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", 0, SEARCH_BOX),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 10 ** 5000, RESULTS_SHAPE),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 2.0, RESULTS_SHAPE),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", True, RESULTS_SHAPE),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", None, RESULTS_SHAPE),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", None, RESULTS_SHAPE),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", "3", RESULTS_SHAPE),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", 2.5, RESULTS_SHAPE),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", True, RESULTS_SHAPE),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", 0, RESULTS_SHAPE),
+    ("find-ergodic", BLOCK_PAIR, (), "search-box", "junk", RESULTS_SHAPE),
+    ("analyze", FIB, (), "bogus", 7, RESULTS_SHAPE),
 ], ids=["norm-bound-5000-digits", "norm-bound-float", "cap-true", "cap-null",
         "search-box-null", "search-box-string", "search-box-float", "search-box-true",
-        "search-box-zero"])
+        "search-box-zero", "toral-search-box-string", "analyze-flag"])
 def test_malformed_flag_is_one_failure(tmp_path, capsys, command, doc, flags, key, value,
                                        failure):
+    # a report states exactly the flags the CLI emits for its command, and
     # a flag replays only as the CLI's integer type reads it: a positive
     # int, short enough for str() to write
     report = fresh_report(tmp_path, capsys, command, doc, *flags)
@@ -444,7 +447,7 @@ def test_malformed_cyclotomic_factors_is_one_failure(tmp_path, capsys, factors):
     assert data == {"factors": [[1, 2]]}
     data["factors"] = factors
     with within(1.0):
-        assert replay_report(report)["failures"] == [MALFORMED_CYCLOTOMIC]
+        assert replay_report(report)["failures"] == [FACTORS]
 
 
 def test_forged_oracle_box_past_the_limit_fails_without_enumerating(tmp_path, capsys):
@@ -464,25 +467,25 @@ def test_witness_power_that_is_not_the_least_fails_replay(tmp_path, capsys, powe
     assert data["power"] == 3
     data["power"] = power
     # the group of u alone is replayed as the translation by u
-    assert replay_report(report)["failures"] == ["witness power is not the least one"]
+    assert replay_report(report)["failures"] == [POWER]
 
 
 def test_one_variable_group_must_be_the_verdict_of_u(tmp_path, capsys):
     # the group slot is replayed as a verdict about the direction (1,)
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     report["results"]["group"]["certificate"]["data"]["power"] = 6
-    assert replay_report(report)["failures"] == ["witness power is not the least one"]
+    assert replay_report(report)["failures"] == [POWER]
 
 
 def test_common_factor_must_divide_the_power_identity(tmp_path, capsys):
     # (u1 - 1)(u2 + 1) over F_3 divides itself, and its content u1 - 1
-    # along (1, 0) has t^1 = 1, but it does not divide u1 - 1
+    # along (1, 0) has t^1 = 1, but it does not divide u1 - 1: it is not
+    # the common factor the engine derives
     report = fresh_report(tmp_path, capsys, "analyze", REDUCIBLE)
     data = report["results"]["directions"][0]["verdict"]["certificate"]["data"]
     assert data["power"] == 1
     data["common_factor"]["terms"] = [[[0, 0], 2], [[0, 1], 2], [[1, 0], 1], [[1, 1], 1]]
-    assert replay_report(report)["failures"] == [
-        "common factor does not divide the power identity"]
+    assert replay_report(report)["failures"] == [COMMON_FACTOR]
 
 
 @pytest.mark.parametrize("exponent", [0.5, "1", None])
@@ -490,7 +493,7 @@ def test_malformed_common_factor_is_a_failure(tmp_path, capsys, exponent):
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     report["results"]["group"]["certificate"]["data"]["common_factor"]["terms"][0][0] = [
         exponent]
-    assert replay_report(report)["failures"] == ["common factor is not a Laurent polynomial"]
+    assert replay_report(report)["failures"] == [COMMON_FACTOR]
 
 
 @pytest.mark.parametrize("key,value", [
@@ -501,17 +504,19 @@ def test_malformed_common_factor_shape_is_refused_before_arithmetic(tmp_path, ca
     # zero, and a float is not a coefficient modulo p
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     report["results"]["group"]["certificate"]["data"]["common_factor"][key] = value
-    assert replay_report(report)["failures"] == ["common factor is not a Laurent polynomial"]
+    assert replay_report(report)["failures"] == [COMMON_FACTOR]
 
 
 @pytest.mark.parametrize("key,value,failure", [
-    ("factor", None, "residual factor is not a polynomial"),
-    ("factor", [1, None], "residual factor is not a polynomial"),
-    ("factor", {"x": 1}, "residual factor is not a polynomial"),
-    ("cyclotomic_part", None, MALFORMED_CYCLOTOMIC),
-    ("cyclotomic_part", [[1000000000, 1]], MALFORMED_CYCLOTOMIC),
-    ("cyclotomic_part", [[1, 3]], MALFORMED_CYCLOTOMIC),
-])
+    ("factor", None, "stored factor differs"),
+    ("factor", [1, None], "stored factor differs"),
+    ("factor", {"x": 1}, "stored factor differs"),
+    ("cyclotomic_part", None, "stored cyclotomic_part differs"),
+    ("cyclotomic_part", [[1000000000, 1]], "stored cyclotomic_part differs"),
+    ("cyclotomic_part", [[1, 3]], "stored cyclotomic_part differs"),
+], ids=[f"factor-{v}-residual factor is not a polynomial" for v in ("None", "value1", "value2")]
+    + [f"cyclotomic_part-{v}-cyclotomic factors are not [order, count] pairs within the rank"
+       for v in ("None", "value4", "value5")])
 def test_malformed_non_cyclotomic_factor_is_one_failure(tmp_path, capsys, key, value,
                                                         failure):
     # Fibonacci's characteristic polynomial has no cyclotomic part; [[1, 3]]
@@ -562,29 +567,27 @@ def test_malformed_witness_character_is_a_failure(tmp_path, capsys, character):
     results = report["results"]
     for verdict in (results["generators"][0]["ergodic"], results["group"]["ergodic"]):
         verdict["certificate"]["data"]["character"] = character
-    assert replay_report(report)["failures"] == [
-        "witness character is not a nonzero character of the dual"] * 2
+    assert replay_report(report)["failures"] == [CHARACTER] * 2
 
 
 def test_witness_search_past_its_budget_is_a_failure(tmp_path, capsys, monkeypatch):
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     monkeypatch.setattr(laurent, "MAX_WITNESS_STEPS", 0)
     failures = replay_report(report)["failures"]
-    assert failures and all(f.startswith("least witness power not re-derived: no witness "
+    assert failures and all(f.startswith("certificate data not re-derived: no witness "
                                          "power up to") for f in failures)
 
 
 def test_witness_outside_the_kernel_of_c_fails_replay(tmp_path, capsys):
     # fib + I fixes e3 and e4; e1 is moved by the Fibonacci block, so
-    # c(D) = D - I does not kill it
+    # c(D) = D - I does not kill it, and it is not the engine's witness
     report = fresh_report(tmp_path, capsys, "analyze", FIB_IDENTITY)
     results = report["results"]
     witnesses = [results["generators"][0]["ergodic"], results["group"]["ergodic"]]
     for verdict in witnesses:
         assert verdict["certificate"]["data"]["character"] == [0, 0, 1, 0]
         verdict["certificate"]["data"]["character"] = [1, 0, 0, 0]
-    assert replay_report(report)["failures"] == [
-        "witness character is not fixed by the stated power"] * 2
+    assert replay_report(report)["failures"] == [CHARACTER] * 2
 
 
 @pytest.mark.parametrize("slot", [ELEMENT_WITNESS, GROUP_WITNESS], ids=["element", "group"])
@@ -596,8 +599,7 @@ def test_witness_other_than_the_first_basis_vector_fails_replay(tmp_path, capsys
     report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
     assert replay_report(report)["failures"] == []
     _set(*slot, "character", character)(report["results"])
-    assert replay_report(report)["failures"] == [
-        "witness character is not the first basis vector of the finite-orbit subspace"]
+    assert replay_report(report)["failures"] == [CHARACTER]
 
 
 def test_witness_orders_must_agree_with_the_determinant_route(tmp_path, capsys, monkeypatch):
@@ -616,7 +618,6 @@ def test_malformed_largest_subgroup_is_a_failure(tmp_path, capsys, subspace):
 
 
 MALFORMED_CHAIN = "chain is not made of subspaces of the dual"
-RESULTS_SHAPE = "flags or results are not shaped as the CLI emits them for this command"
 
 
 @pytest.mark.parametrize("key,value,failure", [
@@ -646,7 +647,8 @@ def test_filtration_in_the_wrong_dimension_is_a_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("chain,failure", [
     ([Subspace.full(4), Subspace.zero(4)], "stage quotient has a finite-orbit character"),
-    ([Subspace.full(4), Subspace.full(4)], "a generator is not quasi-unipotent on the residual"),
+    ([Subspace.full(4), Subspace.full(4)],
+     "a generator is not quasi-unipotent on its stage or a later one"),
 ], ids=["stage-quotient", "residual"])
 def test_forged_filtration_chain_fails_replay(tmp_path, capsys, chain, failure):
     # fib + I: the whole dual modulo zero keeps the identity block's fixed
@@ -788,7 +790,7 @@ def test_verdict_without_certificate_or_kind_is_one_failure(tmp_path, capsys, co
      "subspace is not a subspace of the dual"),
     ("filtration", FIB_TWICE, (), ("chain", 1), MALFORMED_CHAIN),
     ("analyze", TRINOMIAL, (), ("group", "certificate", "data", "common_factor"),
-     "common factor is not a Laurent polynomial"),
+     COMMON_FACTOR),
 ], ids=["analyze", "generator-entry", "group", "largest-subgroup", "laurent-analyze",
         "direction-entry", "find-ergodic", "laurent-find-ergodic", "filtration",
         "oracle-check", "subspace", "chain-member", "common-factor"])
@@ -809,3 +811,94 @@ def test_found_element_replaces_the_group_verdict(tmp_path, capsys):
         report = fresh_report(tmp_path, capsys, "find-ergodic", doc)
         assert "group" not in report["results"]
         assert replay_report(report) == {"checked": 1, "failures": []}
+
+
+# (F + 1, F + 1) with F the Fibonacci matrix: both generators fix e3
+FIB_PLUS_ONE_TWICE = {"type": "toral", "r": 3, "generators": [
+    [[0, 1, 0], [1, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 1, 0], [0, 0, 1]]]}
+
+
+def test_filtration_stage_must_be_the_common_kernel(tmp_path, capsys):
+    # stage 1 = Q^3 keeps every stage quotient free of finite-orbit
+    # characters and the tail <e3> quasi-unipotent, but generator 1 is not
+    # quasi-unipotent on its own stage
+    report = fresh_report(tmp_path, capsys, "filtration", FIB_PLUS_ONE_TWICE)
+    chain = report["results"]["chain"]
+    e3 = encode_subspace(Subspace.span(3, [(0, 0, 1)]))
+    assert chain == [encode_subspace(Subspace.full(3)), e3, e3]
+    chain[1] = encode_subspace(Subspace.full(3))
+    assert replay_report(report)["failures"] == [
+        "a generator is not quasi-unipotent on its stage or a later one"]
+
+
+# (1 + u + u^4)(1 + u^3 + u^4) over F_2: both factors are primitive, so the
+# least power is 15 and the common factor is the whole degree-8 presenter
+TWO_PRIMITIVE_QUARTICS = {"type": "laurent", "p": 2, "d": 1, "g": [
+    {"exponents": [e], "coefficient": 1} for e in (0, 1, 3, 4, 5, 7, 8)]}
+
+
+def test_common_factor_must_be_the_engines(tmp_path, capsys):
+    # 1 + u + u^4 divides the presenter and u^15 - 1 as well, so only the
+    # derivation tells it from the engine's
+    report = fresh_report(tmp_path, capsys, "analyze", TWO_PRIMITIVE_QUARTICS)
+    data = report["results"]["group"]["certificate"]["data"]
+    assert data["power"] == 15
+    assert [e for (e,), _ in data["common_factor"]["terms"]] == [0, 1, 3, 4, 5, 7, 8]
+    data["common_factor"]["terms"] = [[[0], 1], [[1], 1], [[4], 1]]
+    assert replay_report(report)["failures"] == [COMMON_FACTOR]
+
+
+@pytest.mark.parametrize("edit,failure", [
+    (lambda report: report.pop("input"), "document must declare a type"),
+    (lambda report: report.update(input={"type": "toral", "r": 1, "generators": [[[2]]]}),
+     "generator 1 has determinant 2"),
+], ids=["missing", "not-unimodular"])
+def test_invalid_input_echo_is_one_failure(tmp_path, capsys, edit, failure):
+    report = fresh_report(tmp_path, capsys, "analyze", FIB)
+    edit(report)
+    assert replay_report(report) == {"checked": 0, "failures": [
+        f"input is not a valid action document: {failure}"]}
+
+
+def _mutations(node):
+    """Every single edit of a report's results, as (path, value): each
+    leaf set to null, a string, 10**9*x + 1, -x - 1, 10**5000 and 0, each
+    list emptied, with its last item repeated and with its first two items
+    swapped, and each dict emptied."""
+    if isinstance(node, dict):
+        yield (), {}
+        for key, value in node.items():
+            yield from (((key,) + path, new) for path, new in _mutations(value))
+    elif isinstance(node, list):
+        yield from (((), []), ((), node + node[-1:]), ((), node[1::-1] + node[2:]))
+        for i, value in enumerate(node):
+            yield from (((i,) + path, new) for path, new in _mutations(value))
+    else:
+        yield from (((), new) for new in (None, "x", 0, 10 ** 5000))
+        if type(node) is int:
+            yield from (((), 10 ** 9 * node + 1), ((), -node - 1))
+
+
+def _mutant(report, path, value):
+    mutant = json.loads(json.dumps(report))
+    *steps, last = ("results",) + path
+    target = mutant
+    for step in steps:
+        target = target[step]
+    target[last] = value
+    return mutant
+
+
+@pytest.mark.parametrize("golden", GOLDEN_COMMANDS, ids=lambda g: f"{g[0]}-{g[1]}")
+def test_every_golden_mutant_fails_replay(tmp_path, capsys, golden):
+    command, name, *flags = golden
+    report = fresh_report(tmp_path, capsys, command, GOLDEN_DOCS[name], *flags)
+    mutants = 0
+    for path, value in _mutations(report["results"]):
+        mutant = _mutant(report, path, value)
+        if mutant == report:
+            continue  # the edit changed nothing, such as 0 set to 0
+        mutants += 1
+        with within(1.0):
+            assert replay_report(mutant)["failures"], (path, type(value))
+    assert mutants
