@@ -6,6 +6,7 @@ coordinate translations on duals of cyclic Laurent quotient modules."""
 from .actions import (LaurentCyclicAction, MatrixAction, build_action, dual_element,
                       element, laurent_cyclic_action, product_counterexample,
                       solenoid_action, toral_action)
+from .certificates import Verdict
 from .errors import (InternalCheckError, Issue, NotErgodicGroupError,
                      SearchExhaustedError, ValidationError)
 from .intpoly import Polynomial, cyclotomic
@@ -13,7 +14,6 @@ from .laurent import LaurentPoly, content_along
 from .laurent_engine import direction_is_ergodic, find_ergodic_direction, group_is_ergodic
 from .matrices import Matrix, Subspace, kernel
 from .oracle import cross_validate
-from .replay import Verdict
 from .toral import (ergodic_distal_filtration, find_ergodic_exponents, is_distal_element,
                     is_distal_group, is_ergodic_element, is_ergodic_group,
                     largest_ergodic_subgroup)

@@ -10,8 +10,9 @@ the generators, since a character chi composed with the matrix A is the
 character A^T chi.
 
 An action also caches what is derived from it: dual products by
-exponent vector, the finite-orbit subspace, and Laurent contents and
-witness powers by direction.  These are pure functions of the immutable
+exponent vector, the finite-orbit subspace, Laurent contents and witness
+powers by direction, and each command's results by flags
+(replay.report_results).  These are pure functions of the immutable
 action, so the engines and in-process replay share them, and the caches
 die with the action.
 """
@@ -35,6 +36,14 @@ from .matrices import Matrix, Subspace, fixed_by_power
 # Library constructors are not capped.
 MAX_DIMENSION = 64
 
+# Largest bit length of a numerator or denominator of a generator entry a
+# document may declare: route B evaluates cyclotomic polynomials of degree
+# up to the dimension at each dual matrix, so the entries' size multiplies
+# its cost.  In-process find-ergodic on the rank-16 product counterexample
+# of radius 2, with one entry set to 2**128 + 1, takes about 0.27 s, and
+# with 10**1000 about 94 s, on a 2-CPU x86 host.
+MAX_ENTRY_BITS = 128
+
 # Largest width, in any variable, of a Laurent presenter a document may
 # declare.  It bounds the degree of every content, and with it the cost of
 # each step of the witness search (laurent.MAX_WITNESS_STEPS).
@@ -53,6 +62,7 @@ class MatrixAction:
     dual_generators: tuple
     dual_products: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
+    results: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_generators(self) -> int:
@@ -83,6 +93,7 @@ class LaurentCyclicAction:
     presenter: LaurentPoly
     contents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     witnesses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    results: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def kind(self) -> str:
@@ -281,6 +292,12 @@ def build_action(doc: dict):
             raise ValidationError([Issue(
                 "resource-limit", (), f"dimension {mats[0].nrows} is above the limit "
                                       f"of {MAX_DIMENSION}")])
+        bits = max((max(x.numerator.bit_length(), x.denominator.bit_length())
+                    for m in mats for row in m.rows for x in row), default=0)
+        if bits > MAX_ENTRY_BITS:
+            raise ValidationError([Issue(
+                "resource-limit", (), f"a generator entry of {bits} bits is above the limit "
+                                      f"of {MAX_ENTRY_BITS}")])
         return toral_action(mats) if kind == "toral" else solenoid_action(mats)
     if kind == "laurent":
         for key in ("p", "d", "g"):

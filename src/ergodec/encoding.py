@@ -3,9 +3,10 @@
 Certificates and reports carry only plain data: ints stay ints, proper
 fractions become "num/den" strings, and structured values become lists and
 dicts with deterministic ordering.  Each encoding is the canonical one.
-Decoding inverts it exactly, but also reads other spellings of a value,
-such as a "num" string or a [num, den] pair; replay reads a subspace only
-if encoding it again gives the report's JSON back.
+Decoding inverts it exactly, but also reads other spellings of a scalar
+in an input document, such as a "num" string or a [num, den] pair.
+Replay decodes nothing from a report's results: it compares them with
+the encoding of the engine's own derivation.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ def decode_scalar(v):
 
 def encode_vector(v) -> list:
     return [encode_scalar(x) for x in v]
-
-
-def decode_vector(v) -> tuple:
-    return tuple(decode_scalar(x) for x in v)
 
 
 def encode_matrix(m: Matrix) -> list:

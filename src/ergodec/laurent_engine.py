@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import NotErgodicGroupError, SearchExhaustedError
 from .laurent import directions_in_shell
-from .replay import Verdict
+from .certificates import Verdict
 
 
 def direction_is_ergodic(action, direction) -> Verdict:
@@ -28,7 +28,7 @@ def direction_is_ergodic(action, direction) -> Verdict:
     decided by g's content along the direction.  A negative verdict
     carries the least witness power k and the common factor of g and
     u^(k*direction) - 1, mapped back from t to u^n0.  The certificate
-    names no direction: the report slot that holds it does."""
+    names no direction: the report entry that holds it does."""
     direction = tuple(int(x) for x in direction)
     if len(direction) != action.nvars:
         raise ValueError("direction length must match the variable count")

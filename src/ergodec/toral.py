@@ -22,7 +22,7 @@ from .actions import dual_element, ergodic_search_bound, positive_vectors
 from .errors import InternalCheckError, NotErgodicGroupError
 from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, induced, kernel,
                        quasi_unipotent_on)
-from .replay import Verdict
+from .certificates import Verdict
 
 
 def _checked_spectrum(b: Matrix) -> Spectrum:

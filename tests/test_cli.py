@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from ergodec import Verdict, actions, build_action, cli, laurent, matrices, replay, toral
+from ergodec import (LaurentPoly, Polynomial, Subspace, Verdict, actions, build_action, cli,
+                     laurent, laurent_engine, matrices, replay, toral)
 from ergodec.cli import main
 from factories import counterexample_doc, cyclotomic_blocks_doc
 
@@ -44,6 +45,9 @@ LEDRAPPIER = {"type": "laurent", "p": 2, "d": 2, "g": [
 TRINOMIAL = {"type": "laurent", "p": 2, "d": 1, "g": [
     {"exponents": [0], "coefficient": 1}, {"exponents": [1], "coefficient": 1},
     {"exponents": [2], "coefficient": 1}]}
+# (F + 1, F + 1) with F the Fibonacci matrix: the chain is [Q^3, <e3>, <e3>]
+FIB_PLUS_ONE_TWICE = {"type": "toral", "r": 3, "generators": [
+    [[0, 1, 0], [1, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 1, 0], [0, 0, 1]]]}
 
 
 def write(tmp_path, name, doc):
@@ -208,6 +212,67 @@ class TestAnalyze:
                 in json.loads(captured.out)["verification"]["failures"])
         assert captured.err == "certificate replay failed\n"
 
+    @pytest.mark.parametrize("command,doc,flags,target,name,fake,failure", [
+        # fib + I: the largest ergodic subgroup's dual subspace is <e3, e4>
+        ("analyze", FIB_IDENTITY, (), toral, "largest_ergodic_subgroup",
+         lambda action: Subspace.zero(4), "quotient has a finite-orbit character"),
+        ("analyze", FIB_IDENTITY, (), toral, "largest_ergodic_subgroup",
+         lambda action: Subspace.full(4), "a generator is not quasi-unipotent on the subspace"),
+        ("analyze", FIB_IDENTITY, (), toral, "largest_ergodic_subgroup",
+         lambda action: Subspace.span(4, [(1, 0, 0, 0)]), "subspace is not invariant"),
+        # a stage that is not the common kernel
+        ("filtration", FIB_PLUS_ONE_TWICE, (), toral, "ergodic_distal_filtration",
+         lambda action: (Subspace.full(3), Subspace.full(3), Subspace.span(3, [(0, 0, 1)])),
+         "a generator is not quasi-unipotent on its stage or a later one"),
+        ("filtration", FIB_PLUS_ONE_TWICE, (), toral, "ergodic_distal_filtration",
+         lambda action: (Subspace.full(3), Subspace.span(3, [(0, 0, 1)])),
+         "chain does not have one stage per generator"),
+        ("filtration", FIB_PLUS_ONE_TWICE, (), toral, "ergodic_distal_filtration",
+         lambda action: (Subspace.span(3, [(0, 0, 1)]),) * 3,
+         "chain does not start at the full space"),
+        ("filtration", FIB_PLUS_ONE_TWICE, (), toral, "ergodic_distal_filtration",
+         lambda action: (Subspace.full(3), Subspace.span(3, [(0, 0, 1)]), Subspace.full(3)),
+         "chain is not decreasing"),
+        ("filtration", FIB_PLUS_ONE_TWICE, (), toral, "ergodic_distal_filtration",
+         lambda action: (Subspace.full(3),) + (Subspace.span(3, [(1, 0, 0)]),) * 2,
+         "chain member is not invariant"),
+        ("filtration", FIB_PLUS_ONE_TWICE, (), toral, "ergodic_distal_filtration",
+         lambda action: (Subspace.full(3),) + (Subspace.zero(3),) * 2,
+         "stage quotient has a finite-orbit character"),
+        # Fibonacci's residual factor x^2 - x - 1 split as x^2 - x
+        ("analyze", FIB, (), matrices, "cyclotomic_split",
+         lambda f, orders, split=matrices.cyclotomic_split: (
+             split(f, orders)[0], split(f, orders)[1] + Polynomial.one()),
+         "cyclotomic factors do not multiply back to the characteristic polynomial"),
+        # 1 + u does not divide 1 + u + u^2 over F_2
+        ("analyze", TRINOMIAL, (), actions.LaurentCyclicAction, "witness",
+         lambda action, direction: (3, LaurentPoly.from_terms(2, 1, {(0,): 1, (1,): 1})),
+         "common factor does not divide the presenter"),
+        # Ledrappier's widths are 1, so its first ergodic direction lies in
+        # shell 1 or 2
+        ("find-ergodic", LEDRAPPIER, ("--search-box", "5"), laurent_engine,
+         "find_ergodic_direction",
+         lambda action, box: ((3, 1), laurent_engine.direction_is_ergodic(action, (3, 1))),
+         "found direction lies past the width bound"),
+        # every Fibonacci character taken for one with a finite orbit
+        ("oracle-check", FIB, ("--norm-bound", "1", "--cap", "50"), actions.MatrixAction,
+         "finite_orbit_subspace", property(lambda action: Subspace.full(action.dim)),
+         "a finite-orbit character's orbit does not close within the cap"),
+    ], ids=["subgroup-zero", "subgroup-full", "subgroup-not-invariant", "stage-not-kernel",
+            "chain-length", "chain-start", "chain-not-decreasing", "chain-not-invariant",
+            "stage-quotient", "multiplies-back", "common-factor", "width-bound",
+            "orbit-not-closing"])
+    def test_engine_fault_fails_replay(self, tmp_path, capsys, monkeypatch, command, doc,
+                                       flags, target, name, fake, failure):
+        # the report's results equal the derivation they were built from,
+        # so only the independent checks catch a faulty engine
+        monkeypatch.setattr(target, name, fake)
+        assert main([command, write(tmp_path, "action.json", doc), *flags,
+                     "--verify-report"]) == 4
+        captured = capsys.readouterr()
+        assert failure in json.loads(captured.out)["verification"]["failures"]
+        assert captured.err == "certificate replay failed\n"
+
     def test_dimension_past_the_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         # refused before validation computes any determinant
         calls = []
@@ -218,6 +283,22 @@ class TestAnalyze:
                      "--verify-report"]) == 2
         captured = capsys.readouterr()
         assert "resource-limit: dimension 65 is above the limit of 64" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert calls == []
+
+    @pytest.mark.parametrize("doc", [
+        {"type": "toral", "r": 2, "generators": [[[0, 1], [1, 2 ** 128]]]},
+        {"type": "solenoid", "r": 1, "generators": [[[f"1/{2 ** 128}"]]]},
+    ], ids=["toral-entry", "solenoid-denominator"])
+    def test_entry_past_the_bit_limit_exits_2(self, tmp_path, capsys, monkeypatch, doc):
+        # refused before validation computes any determinant: route B's
+        # cost grows with the entries' size
+        calls = []
+        monkeypatch.setattr(matrices.Matrix, "det", lambda m: calls.append(m))
+        assert main(["find-ergodic", write(tmp_path, "big.json", doc), "--verify-report"]) == 2
+        captured = capsys.readouterr()
+        assert ("resource-limit: a generator entry of 129 bits is above the limit of 128"
+                in captured.err)
         assert "Traceback" not in captured.err and captured.out == ""
         assert calls == []
 
@@ -574,7 +655,8 @@ class TestRankWall:
         for power in (360360, 1441440):
             data["power"] = power
             assert replay.replay_report(report, action)["failures"] == [
-                "stored power differs"]
+                "results differ from the engine's at "
+                "/results/group/ergodic/certificate/data/power"]
 
     def test_finite_order_rank_26_report_is_small(self, tmp_path, capsys):
         # the witness is one character, not its 3465-point orbit

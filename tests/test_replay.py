@@ -4,10 +4,11 @@ import signal
 
 import pytest
 
-from ergodec import Subspace, build_action, element, is_ergodic_element, laurent, matrices
+from ergodec import (Subspace, build_action, element, is_ergodic_element, laurent, matrices,
+                     toral)
 from ergodec.cli import main
 from ergodec.encoding import encode_matrix, encode_subspace
-from ergodec.replay import replay_report
+from ergodec.replay import encoded, replay_report, report_results
 from test_acceptance import GOLDEN_COMMANDS, GOLDEN_DOCS
 
 ROTATION = {"type": "toral", "r": 2, "generators": [[[0, -1], [1, 0]]]}
@@ -68,12 +69,25 @@ def fresh_report(tmp_path, capsys, command, doc, *flags):
     return json.loads(capsys.readouterr().out)
 
 
+def differs(*pointers):
+    """The failures replay records where a report's results differ from
+    the engine's, at JSON Pointers below /results."""
+    return [f"results differ from the engine's at /results{p}" for p in pointers]
+
+
+def pointer(*path):
+    return "".join(f"/{step}" for step in path)
+
+
 def test_non_invariant_chain_member_is_a_failure(tmp_path, capsys):
+    # stage 1 is <e3, e4>; each entry of the stated basis that is not the
+    # engine's is one failure
     report = fresh_report(tmp_path, capsys, "filtration", BLOCK_PAIR)
     assert replay_report(report)["failures"] == []
     report["results"]["chain"][1] = encode_subspace(
         Subspace.span(4, [(1, 0, 0, 0), (0, 0, 1, 0)]))
-    assert "chain member is not invariant" in replay_report(report)["failures"]
+    assert replay_report(report)["failures"] == differs(
+        "/chain/1/basis/0/0", "/chain/1/basis/0/2", "/chain/1/basis/1/2", "/chain/1/basis/1/3")
 
 
 def _forged_not_distal_rotation(results):
@@ -108,19 +122,19 @@ def test_tampered_certificate_fails_replay(tmp_path, capsys, doc, tamper):
     assert replay_report(report)["failures"]
 
 
-@pytest.mark.parametrize("forged,failure", [
-    (Subspace.zero(4), "quotient has a finite-orbit character"),
-    (Subspace.span(4, [(0, 0, 1, 0)]), "quotient has a finite-orbit character"),
-    (Subspace.full(4), "a generator is not quasi-unipotent on the subspace"),
+@pytest.mark.parametrize("forged", [
+    Subspace.zero(4), Subspace.span(4, [(0, 0, 1, 0)]), Subspace.full(4),
 ], ids=["zero", "span-e3", "full"])
-def test_forged_largest_subgroup_fails_replay(tmp_path, capsys, forged, failure):
+def test_forged_largest_subgroup_fails_replay(tmp_path, capsys, forged):
+    # each basis has another length than the engine's two vectors
     report = fresh_report(tmp_path, capsys, "analyze", FIB_IDENTITY)
     results = report["results"]
     assert results["largest_ergodic_subgroup"]["subspace"] == encode_subspace(
         Subspace.span(4, [(0, 0, 1, 0), (0, 0, 0, 1)]))
     assert replay_report(report)["failures"] == []
     results["largest_ergodic_subgroup"]["subspace"] = encode_subspace(forged)
-    assert replay_report(report)["failures"] == [failure]
+    assert replay_report(report)["failures"] == differs(
+        "/largest_ergodic_subgroup/subspace/basis")
 
 
 def _set(*path_and_value):
@@ -182,7 +196,7 @@ def _one_variable_trivial_content(results):
 
 
 def _direction_free_witness_in_group(results):
-    # a two-variable group slot is about no single direction, so it holds
+    # a two-variable group is about no single direction, so its verdict is
     # coprime-axis-powers and a witness there has nothing to be about
     results["group"] = {"kind": "not-ergodic", "certificate": {
         "kind": "finite-quotient-witness", "data": {"power": 1, "common_factor": {
@@ -190,7 +204,7 @@ def _direction_free_witness_in_group(results):
 
 
 def _coprime_axes_in_a_direction(results):
-    # and no other slot may hold coprime-axis-powers
+    # and no other entry holds coprime-axis-powers
     results["directions"][0]["verdict"] = {"kind": "ergodic", "certificate": {
         "kind": "coprime-axis-powers", "data": {}}}
 
@@ -289,7 +303,7 @@ ORACLE_FLAGS = ("--norm-bound", "2", "--cap", "200")
     ("find-ergodic", PLANTED_DIAGONAL, (), _later_ergodic_direction),
     ("analyze", LEDRAPPIER, (), _direction_free_witness_in_group),
     ("analyze", REDUCIBLE, (), _coprime_axes_in_a_direction),
-    # schema 10 repeated the slot's direction in its certificate
+    # schema 10 repeated the entry's direction in its certificate
     ("analyze", LEDRAPPIER, (),
      _set("directions", 0, "verdict", "certificate", "data", "direction", [1, 0])),
     ("analyze", TRINOMIAL, (), _set("group", "certificate", "data", "direction", [1])),
@@ -336,77 +350,84 @@ def _chain_start(basis):
 
 ELEMENT_WITNESS = ("generators", 0, "ergodic", "certificate", "data")
 GROUP_WITNESS = ("group", "ergodic", "certificate", "data")
-POWER = "stored power differs"
-CHARACTER = "stored character differs"
-COMMON_FACTOR = "stored common_factor differs"
-FACTORS = "stored factors differs"
-RESULTS_SHAPE = "flags or results are not shaped as the CLI emits them for this command"
+FLAGS = "flags are not the command's positive integers"
 
 
-@pytest.mark.parametrize("command,doc,tamper,failure", [
-    ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "power", 4.0), POWER),
-    ("analyze", ROTATION, _set(*GROUP_WITNESS, "power", 4.0), POWER),
-    ("analyze", IDENTITY, _set(*GROUP_WITNESS, "power", True), POWER),
+@pytest.mark.parametrize("command,doc,tamper,places", [
+    ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "power", 4.0),
+     [pointer(*ELEMENT_WITNESS, "power")]),
+    ("analyze", ROTATION, _set(*GROUP_WITNESS, "power", 4.0), [pointer(*GROUP_WITNESS, "power")]),
+    ("analyze", IDENTITY, _set(*GROUP_WITNESS, "power", True), [pointer(*GROUP_WITNESS, "power")]),
     ("analyze", FIB_TWICE, _set("group", "distal", "certificate", "data", "generator", True),
-     "stored generator differs"),
+     ["/group/distal/certificate/data/generator"]),
     ("analyze", FIB_TWICE, _set("group", "distal", "certificate", "data", "generator", 1.0),
-     "stored generator differs"),
-    ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "character", ["1", 0]), CHARACTER),
-    ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "character", [[1, 1], 0]), CHARACTER),
+     ["/group/distal/certificate/data/generator"]),
+    ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "character", ["1", 0]),
+     [pointer(*ELEMENT_WITNESS, "character", 0)]),
+    ("analyze", ROTATION, _set(*ELEMENT_WITNESS, "character", [[1, 1], 0]),
+     [pointer(*ELEMENT_WITNESS, "character", 0)]),
     ("analyze", FIB, _set(*ELEMENT_WITNESS, "char_poly", [-1.0, -1, 1]),
-     "stored char_poly differs"),
+     [pointer(*ELEMENT_WITNESS, "char_poly", 0)]),
     ("analyze", SHEAR, _set("generators", 0, "distal", "certificate", "data", "factors",
-                            [[1, 1], [1, 1]]), FACTORS),
+                            [[1, 1], [1, 1]]), ["/generators/0/distal/certificate/data/factors"]),
     ("analyze", TRINOMIAL, _trinomial_factor_terms([[[0], 3], [[1], 1], [[2], 1]]),
-     COMMON_FACTOR),
+     ["/group/certificate/data/common_factor/terms/0/1"]),
+    # reversing the terms edits the first and the last
     ("analyze", TRINOMIAL, _trinomial_factor_terms([[[2], 1], [[1], 1], [[0], 1]]),
-     COMMON_FACTOR),
+     ["/group/certificate/data/common_factor/terms/0/0/0",
+      "/group/certificate/data/common_factor/terms/2/0/0"]),
     ("analyze", IDENTITY, _set("largest_ergodic_subgroup", "subspace", "basis", [[2, 0], [0, 3]]),
-     "subspace is not a subspace of the dual"),
-    ("filtration", FIB, _chain_start([[2, 0], [0, 1]]), "chain is not made of subspaces of the dual"),
+     ["/largest_ergodic_subgroup/subspace/basis/0/0",
+      "/largest_ergodic_subgroup/subspace/basis/1/1"]),
+    ("filtration", FIB, _chain_start([[2, 0], [0, 1]]), ["/chain/0/basis/0/0"]),
     ("analyze", LEDRAPPIER, _set("directions", 0, "direction", [1.0, 0]),
-     "directions are not the coordinate axes in order"),
+     ["/directions/0/direction/0"]),
     ("analyze", LEDRAPPIER, _set("directions", 1, "direction", [0, True]),
-     "directions are not the coordinate axes in order"),
+     ["/directions/1/direction/1"]),
+    # a certificate of another kind states another kind and other data
     ("analyze", FIB, _set("generators", 0, "ergodic", {"kind": "ergodic", "certificate": {
         "kind": "trivial-univariate-content", "data": {}}}),
-     "a trivial-univariate-content certificate does not belong in the element-ergodic slot"),
+     ["/generators/0/ergodic/certificate/kind", "/generators/0/ergodic/certificate/data"]),
 ], ids=["element-power-float", "group-power-float", "group-power-true", "generator-true",
         "generator-float", "character-string", "character-pair", "char-poly-float",
         "repeated-cyclotomic-order", "coefficient-past-p", "reversed-terms",
         "scaled-largest-subgroup", "scaled-chain-start", "axis-float", "axis-true",
         "laurent-kind-in-toral-slot"])
-def test_non_canonical_value_is_one_failure(tmp_path, capsys, command, doc, tamper, failure):
+def test_non_canonical_value_is_one_failure(tmp_path, capsys, command, doc, tamper, places):
     # each value is true but not in the encoding the CLI emits: replay
-    # compares each data value with its kind's derivation type for type,
-    # reads a subspace only if encoding it again gives the report's JSON
-    # back, and reads a certificate only in a slot its kind may hold
+    # compares the results with the engine's type for type, and each
+    # edited place is one failure
     report = fresh_report(tmp_path, capsys, command, doc)
     assert replay_report(report)["failures"] == []
     tamper(report["results"])
-    assert replay_report(report)["failures"] == [failure]
+    assert replay_report(report)["failures"] == differs(*places)
+
+
+# a box of (10**5000 * 2 + 1)**2 - 1 characters
+HUGE_BOX = ("the engine refuses the input: the norm-bound (5001-digit) box in dimension 2 "
+            "holds more than 1000000 characters, above the limit of 1000000")
 
 
 @pytest.mark.parametrize("command,doc,flags,key,value,failure", [
-    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 10 ** 5000, RESULTS_SHAPE),
-    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 2.0, RESULTS_SHAPE),
-    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", True, RESULTS_SHAPE),
-    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", None, RESULTS_SHAPE),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", None, RESULTS_SHAPE),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", "3", RESULTS_SHAPE),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", 2.5, RESULTS_SHAPE),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", True, RESULTS_SHAPE),
-    ("find-ergodic", LEDRAPPIER, (), "search-box", 0, RESULTS_SHAPE),
-    ("find-ergodic", BLOCK_PAIR, (), "search-box", "junk", RESULTS_SHAPE),
-    ("analyze", FIB, (), "bogus", 7, RESULTS_SHAPE),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 10 ** 5000, HUGE_BOX),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "norm-bound", 2.0, FLAGS),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", True, FLAGS),
+    ("oracle-check", SHEAR, ORACLE_FLAGS, "cap", None, FLAGS),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", None, FLAGS),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", "3", FLAGS),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", 2.5, FLAGS),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", True, FLAGS),
+    ("find-ergodic", LEDRAPPIER, (), "search-box", 0, FLAGS),
+    ("find-ergodic", BLOCK_PAIR, (), "search-box", "junk", FLAGS),
+    ("analyze", FIB, (), "bogus", 7, FLAGS),
 ], ids=["norm-bound-5000-digits", "norm-bound-float", "cap-true", "cap-null",
         "search-box-null", "search-box-string", "search-box-float", "search-box-true",
         "search-box-zero", "toral-search-box-string", "analyze-flag"])
 def test_malformed_flag_is_one_failure(tmp_path, capsys, command, doc, flags, key, value,
                                        failure):
-    # a report states exactly the flags the CLI emits for its command, and
-    # a flag replays only as the CLI's integer type reads it: a positive
-    # int, short enough for str() to write
+    # a report states exactly the flags the CLI emits for its command, each
+    # a positive int, and the flags drive the derivation: a box too large
+    # to enumerate is refused as cross-validation refuses it, by its size
     report = fresh_report(tmp_path, capsys, command, doc, *flags)
     report["flags"][key] = value
     with within(1.0):
@@ -422,32 +443,32 @@ def test_oracle_check_on_a_solenoid_fails_replay():
               "results": {"characters_checked": 2, "finite_orbits": 0, "exceeded": 2,
                           "failures": []}}
     assert replay_report(report) == {"checked": 1, "failures": [
-        "orbits are enumerated on tori only"]}
+        "the engine refuses the input: orbits are enumerated on tori only"]}
 
 
-@pytest.mark.parametrize("key,failure", [
-    ("characters_checked", "characters checked is not the size of the box"),
-    ("finite_orbits", "finite and exceeded counts differ from the finite-orbit subspace"),
-    ("exceeded", "finite and exceeded counts differ from the finite-orbit subspace"),
-], ids=["characters-checked", "finite-orbits", "exceeded"])
-def test_float_oracle_count_fails_replay(tmp_path, capsys, key, failure):
+@pytest.mark.parametrize("key", ["characters_checked", "finite_orbits", "exceeded"],
+                         ids=["characters-checked", "finite-orbits", "exceeded"])
+def test_float_oracle_count_fails_replay(tmp_path, capsys, key):
     report = fresh_report(tmp_path, capsys, "oracle-check", SHEAR, *ORACLE_FLAGS)
     results = report["results"]
     results[key] = float(results[key])
-    assert replay_report(report)["failures"] == [failure]
+    assert replay_report(report)["failures"] == differs(f"/{key}")
 
 
-@pytest.mark.parametrize("factors", [None, [None], [[1000000000, 1]], [[1, 10 ** 30]]],
-                         ids=["null", "null-pair", "huge-order", "huge-count"])
-def test_malformed_cyclotomic_factors_is_one_failure(tmp_path, capsys, factors):
-    # the shape and the degree sum are checked before any cyclotomic
-    # polynomial is formed, so a huge order or count does not stall
+@pytest.mark.parametrize("factors,places", [
+    (None, [""]), ([None], ["/0"]), ([[1000000000, 1]], ["/0/0", "/0/1"]),
+    ([[1, 10 ** 30]], ["/0/1"]),
+], ids=["null", "null-pair", "huge-order", "huge-count"])
+def test_malformed_cyclotomic_factors_is_one_failure(tmp_path, capsys, factors, places):
+    # no stated value is used in arithmetic, so a huge order or count
+    # does not stall
     report = fresh_report(tmp_path, capsys, "analyze", SHEAR)
     data = report["results"]["generators"][0]["distal"]["certificate"]["data"]
     assert data == {"factors": [[1, 2]]}
     data["factors"] = factors
     with within(1.0):
-        assert replay_report(report)["failures"] == [FACTORS]
+        assert replay_report(report)["failures"] == differs(
+            *("/generators/0/distal/certificate/data/factors" + place for place in places))
 
 
 def test_forged_oracle_box_past_the_limit_fails_without_enumerating(tmp_path, capsys):
@@ -467,14 +488,14 @@ def test_witness_power_that_is_not_the_least_fails_replay(tmp_path, capsys, powe
     assert data["power"] == 3
     data["power"] = power
     # the group of u alone is replayed as the translation by u
-    assert replay_report(report)["failures"] == [POWER]
+    assert replay_report(report)["failures"] == differs("/group/certificate/data/power")
 
 
 def test_one_variable_group_must_be_the_verdict_of_u(tmp_path, capsys):
-    # the group slot is replayed as a verdict about the direction (1,)
+    # the group's verdict is the engine's verdict about the direction (1,)
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     report["results"]["group"]["certificate"]["data"]["power"] = 6
-    assert replay_report(report)["failures"] == [POWER]
+    assert replay_report(report)["failures"] == differs("/group/certificate/data/power")
 
 
 def test_common_factor_must_divide_the_power_identity(tmp_path, capsys):
@@ -485,7 +506,8 @@ def test_common_factor_must_divide_the_power_identity(tmp_path, capsys):
     data = report["results"]["directions"][0]["verdict"]["certificate"]["data"]
     assert data["power"] == 1
     data["common_factor"]["terms"] = [[[0, 0], 2], [[0, 1], 2], [[1, 0], 1], [[1, 1], 1]]
-    assert replay_report(report)["failures"] == [COMMON_FACTOR]
+    assert replay_report(report)["failures"] == differs(
+        "/directions/0/verdict/certificate/data/common_factor/terms")
 
 
 @pytest.mark.parametrize("exponent", [0.5, "1", None])
@@ -493,89 +515,98 @@ def test_malformed_common_factor_is_a_failure(tmp_path, capsys, exponent):
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     report["results"]["group"]["certificate"]["data"]["common_factor"]["terms"][0][0] = [
         exponent]
-    assert replay_report(report)["failures"] == [COMMON_FACTOR]
+    assert replay_report(report)["failures"] == differs(
+        "/group/certificate/data/common_factor/terms/0/0/0")
 
 
 @pytest.mark.parametrize("key,value", [
     ("p", 0), ("p", 1), ("p", 2.0), ("p", True), ("terms", [[[0], 1.0]])])
 def test_malformed_common_factor_shape_is_refused_before_arithmetic(tmp_path, capsys, key,
                                                                     value):
-    # refused before any arithmetic: reducing modulo p = 0 divides by
-    # zero, and a float is not a coefficient modulo p
+    # no stated value takes part in any arithmetic: reducing modulo p = 0
+    # would divide by zero, and a float is not a coefficient modulo p
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     report["results"]["group"]["certificate"]["data"]["common_factor"][key] = value
-    assert replay_report(report)["failures"] == [COMMON_FACTOR]
+    assert replay_report(report)["failures"] == differs(
+        f"/group/certificate/data/common_factor/{key}")
 
 
-@pytest.mark.parametrize("key,value,failure", [
-    ("factor", None, "stored factor differs"),
-    ("factor", [1, None], "stored factor differs"),
-    ("factor", {"x": 1}, "stored factor differs"),
-    ("cyclotomic_part", None, "stored cyclotomic_part differs"),
-    ("cyclotomic_part", [[1000000000, 1]], "stored cyclotomic_part differs"),
-    ("cyclotomic_part", [[1, 3]], "stored cyclotomic_part differs"),
+@pytest.mark.parametrize("key,value", [
+    ("factor", None), ("factor", [1, None]), ("factor", {"x": 1}),
+    ("cyclotomic_part", None), ("cyclotomic_part", [[1000000000, 1]]),
+    ("cyclotomic_part", [[1, 3]]),
 ], ids=[f"factor-{v}-residual factor is not a polynomial" for v in ("None", "value1", "value2")]
     + [f"cyclotomic_part-{v}-cyclotomic factors are not [order, count] pairs within the rank"
        for v in ("None", "value4", "value5")])
-def test_malformed_non_cyclotomic_factor_is_one_failure(tmp_path, capsys, key, value,
-                                                        failure):
+def test_malformed_non_cyclotomic_factor_is_one_failure(tmp_path, capsys, key, value):
     # Fibonacci's characteristic polynomial has no cyclotomic part; [[1, 3]]
-    # has degree 3, past the rank
+    # has degree 3, past the rank; each value has another shape or length
+    # than the engine's
     report = fresh_report(tmp_path, capsys, "analyze", FIB)
     data = report["results"]["generators"][0]["distal"]["certificate"]["data"]
     assert data == {"factor": [-1, -1, 1], "cyclotomic_part": []}
     data[key] = value
     with within(1.0):
-        assert replay_report(report)["failures"] == [failure]
+        assert replay_report(report)["failures"] == differs(
+            f"/generators/0/distal/certificate/data/{key}")
 
 
 @pytest.mark.parametrize("exponents", [[2.0, 1], ["1", 1], [1, 1, 1], [1], "11", None])
 def test_malformed_exponents_are_a_failure(tmp_path, capsys, exponents):
+    # a list of the engine's length differs in its first entry, and
+    # anything else as a whole
     report = fresh_report(tmp_path, capsys, "find-ergodic", BLOCK_PAIR)
     assert report["results"]["exponents"] == [1, 1]
     report["results"]["exponents"] = exponents
-    assert replay_report(report)["failures"] == ["exponents are not one integer per generator"]
+    place = "/exponents/0" if isinstance(exponents, list) and len(exponents) == 2 else "/exponents"
+    assert replay_report(report)["failures"] == differs(place)
 
 
 @pytest.mark.parametrize("exponents", [[10 ** 6, 1], [-10 ** 6, 1], [0, 1]])
 def test_exponents_past_the_search_bound_are_one_failure(tmp_path, capsys, exponents):
-    # refused before any power is formed: 10**6 would take minutes
+    # no power is formed from a stated exponent: 10**6 would take minutes
     report = fresh_report(tmp_path, capsys, "find-ergodic", BLOCK_PAIR)
     report["results"]["exponents"] = exponents
-    assert replay_report(report)["failures"] == [
-        "exponents are not positive within the search bound"]
+    with within(1.0):
+        assert replay_report(report)["failures"] == differs("/exponents/0")
 
 
 @pytest.mark.parametrize("direction", ["x", [1.5, 0], ["1", 0], 5, None])
 def test_malformed_direction_is_a_failure(tmp_path, capsys, direction):
+    # the engine finds (1, 1), so a two-item list differs in both places
     report = fresh_report(tmp_path, capsys, "find-ergodic", LEDRAPPIER)
     report["results"]["direction"] = direction
-    assert replay_report(report)["failures"] == ["direction is not one integer per variable"]
+    places = ["/direction/0", "/direction/1"] if isinstance(direction, list) else ["/direction"]
+    assert replay_report(report)["failures"] == differs(*places)
 
 
 @pytest.mark.parametrize("direction", [5, None, "x"])
 def test_malformed_axis_direction_is_a_failure(tmp_path, capsys, direction):
     report = fresh_report(tmp_path, capsys, "analyze", LEDRAPPIER)
     report["results"]["directions"][0]["direction"] = direction
-    assert replay_report(report)["failures"] == [
-        "directions are not the coordinate axes in order"]
+    assert replay_report(report)["failures"] == differs("/directions/0/direction")
 
 
 @pytest.mark.parametrize("character", [["a", 1], 5, None, [1, 2, 3]])
 def test_malformed_witness_character_is_a_failure(tmp_path, capsys, character):
+    # the witness is [1, 0], so ["a", 1] differs in both places, and a
+    # value of another shape or length as a whole
     report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
     results = report["results"]
     for verdict in (results["generators"][0]["ergodic"], results["group"]["ergodic"]):
         verdict["certificate"]["data"]["character"] = character
-    assert replay_report(report)["failures"] == [CHARACTER] * 2
+    places = ["/0", "/1"] if isinstance(character, list) and len(character) == 2 else [""]
+    assert replay_report(report)["failures"] == differs(
+        *(pointer(*witness, "character") + place
+          for witness in (ELEMENT_WITNESS, GROUP_WITNESS) for place in places))
 
 
 def test_witness_search_past_its_budget_is_a_failure(tmp_path, capsys, monkeypatch):
     report = fresh_report(tmp_path, capsys, "analyze", TRINOMIAL)
     monkeypatch.setattr(laurent, "MAX_WITNESS_STEPS", 0)
     failures = replay_report(report)["failures"]
-    assert failures and all(f.startswith("certificate data not re-derived: no witness "
-                                         "power up to") for f in failures)
+    assert len(failures) == 1
+    assert failures[0].startswith("the engine refuses the input: no witness power up to")
 
 
 def test_witness_outside_the_kernel_of_c_fails_replay(tmp_path, capsys):
@@ -587,7 +618,9 @@ def test_witness_outside_the_kernel_of_c_fails_replay(tmp_path, capsys):
     for verdict in witnesses:
         assert verdict["certificate"]["data"]["character"] == [0, 0, 1, 0]
         verdict["certificate"]["data"]["character"] = [1, 0, 0, 0]
-    assert replay_report(report)["failures"] == [CHARACTER] * 2
+    assert replay_report(report)["failures"] == differs(
+        *(pointer(*witness, "character", i)
+          for witness in (ELEMENT_WITNESS, GROUP_WITNESS) for i in (0, 2)))
 
 
 @pytest.mark.parametrize("slot", [ELEMENT_WITNESS, GROUP_WITNESS], ids=["element", "group"])
@@ -599,12 +632,17 @@ def test_witness_other_than_the_first_basis_vector_fails_replay(tmp_path, capsys
     report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
     assert replay_report(report)["failures"] == []
     _set(*slot, "character", character)(report["results"])
-    assert replay_report(report)["failures"] == [CHARACTER]
+    edited = [i for i, x in enumerate(character) if x != [1, 0][i]]
+    assert replay_report(report)["failures"] == differs(
+        *(pointer(*slot, "character", i) for i in edited))
 
 
 def test_witness_orders_must_agree_with_the_determinant_route(tmp_path, capsys, monkeypatch):
+    # an engine that asserts nothing of its two routes: the witness
+    # checks still compare them
     report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
     monkeypatch.setattr(matrices, "singular_cyclotomic_orders", lambda x, orders: [])
+    monkeypatch.setattr(toral, "_checked_spectrum", lambda b: b.spectrum)
     assert replay_report(report)["failures"] == [
         "cyclotomic division route and determinant route disagree"] * 2
 
@@ -612,62 +650,61 @@ def test_witness_orders_must_agree_with_the_determinant_route(tmp_path, capsys, 
 @pytest.mark.parametrize("subspace", [5, {"ambient": 2}, {"ambient": 3, "basis": []},
                                       {"ambient": 2.0, "basis": []}])
 def test_malformed_largest_subgroup_is_a_failure(tmp_path, capsys, subspace):
+    # the rotation's is the whole dual: a subspace with both keys differs
+    # in both, and any other value as a whole
     report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
     report["results"]["largest_ergodic_subgroup"]["subspace"] = subspace
-    assert replay_report(report)["failures"] == ["subspace is not a subspace of the dual"]
+    places = (["/ambient", "/basis"] if isinstance(subspace, dict) and "basis" in subspace
+              else [""])
+    assert replay_report(report)["failures"] == differs(
+        *("/largest_ergodic_subgroup/subspace" + place for place in places))
 
 
-MALFORMED_CHAIN = "chain is not made of subspaces of the dual"
-
-
-@pytest.mark.parametrize("key,value,failure", [
-    ("chain", 5, MALFORMED_CHAIN), ("chain", [5, 5, 5], MALFORMED_CHAIN),
-    ("residual", 5, RESULTS_SHAPE),
-    ("chain", [{"ambient": 2, "basis": ["a"]}] * 3, MALFORMED_CHAIN),
-    ("residual", {"ambient": 2, "basis": [["a", 1]]}, RESULTS_SHAPE),
+@pytest.mark.parametrize("key,value,places", [
+    ("chain", 5, ["/chain"]), ("chain", [5, 5, 5], ["/chain/0", "/chain/1", "/chain/2"]),
+    ("residual", 5, [""]),
+    ("chain", [{"ambient": 2, "basis": ["a"]}] * 3,
+     ["/chain/0/basis", "/chain/1/basis", "/chain/2/basis"]),
+    ("residual", {"ambient": 2, "basis": [["a", 1]]}, [""]),
 ], ids=["chain-scalar", "chain-of-scalars", "residual-scalar", "chain-basis",
         "residual-basis"])
-def test_malformed_filtration_subspace_is_a_failure(tmp_path, capsys, key, value, failure):
+def test_malformed_filtration_subspace_is_a_failure(tmp_path, capsys, key, value, places):
     # the chain is the whole report: a residual, which its last member
-    # fixes, is a key replay does not read and is refused
+    # fixes, is a key the engine's results do not have
     report = fresh_report(tmp_path, capsys, "filtration", FIB_TWICE)
     report["results"][key] = value
-    assert replay_report(report)["failures"] == [failure]
+    assert replay_report(report)["failures"] == differs(*places)
 
 
 def test_filtration_in_the_wrong_dimension_is_a_failure(tmp_path, capsys):
     # the whole space and zero of Q^3 pass every check on their own
-    # terms, and the zero and whole-space shortcuts act on neither, but
-    # they are not subspaces of the 2-torus's dual
+    # terms, but they are not subspaces of the 2-torus's dual
     report = fresh_report(tmp_path, capsys, "filtration", FIB)
     report["results"]["chain"] = [encode_subspace(Subspace.full(3)),
                                   encode_subspace(Subspace.zero(3))]
-    assert replay_report(report)["failures"] == [MALFORMED_CHAIN]
+    assert replay_report(report)["failures"] == differs(
+        "/chain/0/ambient", "/chain/0/basis", "/chain/1/ambient")
 
 
-@pytest.mark.parametrize("chain,failure", [
-    ([Subspace.full(4), Subspace.zero(4)], "stage quotient has a finite-orbit character"),
-    ([Subspace.full(4), Subspace.full(4)],
-     "a generator is not quasi-unipotent on its stage or a later one"),
+@pytest.mark.parametrize("chain", [
+    [Subspace.full(4), Subspace.zero(4)], [Subspace.full(4), Subspace.full(4)],
 ], ids=["stage-quotient", "residual"])
-def test_forged_filtration_chain_fails_replay(tmp_path, capsys, chain, failure):
-    # fib + I: the whole dual modulo zero keeps the identity block's fixed
-    # characters, and the Fibonacci block is not quasi-unipotent
+def test_forged_filtration_chain_fails_replay(tmp_path, capsys, chain):
+    # fib + I: the tail is <e3, e4>, so a tail of zero or the whole dual
+    # differs from it
     report = fresh_report(tmp_path, capsys, "filtration", FIB_IDENTITY)
     results = report["results"]
     assert [len(w["basis"]) for w in results["chain"]] == [4, 2]
     results["chain"] = [encode_subspace(w) for w in chain]
-    assert replay_report(report)["failures"] == [failure]
+    assert replay_report(report)["failures"] == differs("/chain/1/basis")
 
 
 def test_filtration_with_an_empty_chain_is_a_failure(tmp_path, capsys):
     report = fresh_report(tmp_path, capsys, "filtration", FIB)
     report["results"]["chain"] = []
-    assert replay_report(report)["failures"] == ["chain does not have one stage per generator"]
+    assert replay_report(report)["failures"] == differs("/chain")
 
 
-SHAPE = ("verdict is not shaped {kind, certificate: {kind, data}} "
-         "with its certificate kind's data keys")
 # A schema-8 analyze report of the 2-torus identity, as that schema
 # emitted it, with the group witness's orbit, orbit size and quotient
 # flag forged: schema 9 replay read none of the three and passed it.
@@ -699,16 +736,19 @@ SCHEMA_10_ELEMENT_MATRIX = (
     '"kind":"no-root-of-unity-eigenvalue"},"kind":"ergodic"}},"schema_version":10}')
 
 
-@pytest.mark.parametrize("text", [SCHEMA_8_FORGED_ORBIT, SCHEMA_9_FILTRATION,
-                                  SCHEMA_10_ELEMENT_MATRIX],
-                         ids=["schema-8-forged-orbit", "schema-9-filtration",
-                              "schema-10-element-matrix"])
-def test_report_of_an_earlier_schema_fails_replay(text):
+@pytest.mark.parametrize("text,checked,places", [
+    (SCHEMA_8_FORGED_ORBIT, 5,
+     ["/generators/0", "/group/ergodic/certificate/data", "/largest_ergodic_subgroup"]),
+    (SCHEMA_9_FILTRATION, 1, [""]),
+    (SCHEMA_10_ELEMENT_MATRIX, 1, [""]),
+], ids=["schema-8-forged-orbit", "schema-9-filtration", "schema-10-element-matrix"])
+def test_report_of_an_earlier_schema_fails_replay(text, checked, places):
     report = json.loads(text)
     assert replay_report(report) == {"checked": 0, "failures": ["schema version is not 11"]}
-    # read as schema 11, its extra fields are keys replay does not check
+    # read as schema 11, each dict with keys the engine's results lack is
+    # one failure
     report["schema_version"] = 11
-    assert replay_report(report) == {"checked": 0, "failures": [RESULTS_SHAPE]}
+    assert replay_report(report) == {"checked": checked, "failures": differs(*places)}
 
 
 @pytest.mark.parametrize("version", [11.0, "11", [11]])
@@ -718,16 +758,17 @@ def test_schema_version_is_the_int(tmp_path, capsys, version):
     assert replay_report(report) == {"checked": 0, "failures": ["schema version is not 11"]}
 
 
-def _certificates(node, kind):
-    """Every certificate of the kind in a report's results, depth first."""
+def _certificates(node, kind, path=()):
+    """(path, certificate) for every certificate of the kind in a
+    report's results, depth first."""
     if isinstance(node, dict):
         if node.get("kind") == kind and "data" in node:
-            yield node
-        for value in node.values():
-            yield from _certificates(value, kind)
+            yield path, node
+        for key, value in node.items():
+            yield from _certificates(value, kind, path + (key,))
     elif isinstance(node, list):
-        for value in node:
-            yield from _certificates(value, kind)
+        for i, value in enumerate(node):
+            yield from _certificates(value, kind, path + (i,))
 
 
 @pytest.mark.parametrize("kind,command,doc", [
@@ -746,15 +787,16 @@ def _certificates(node, kind):
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_unknown_certificate_data_key_is_one_failure(tmp_path, capsys, kind, command, doc):
     report = fresh_report(tmp_path, capsys, command, doc)
-    data = next(_certificates(report["results"], kind))["data"]
+    path, certificate = next(_certificates(report["results"], kind))
+    data = certificate["data"]
     assert replay_report(report)["failures"] == []
     data["unchecked"] = 1
-    assert replay_report(report)["failures"] == [SHAPE]
+    assert replay_report(report)["failures"] == differs(pointer(*path, "data"))
     del data["unchecked"]
     if data:
         # a missing key is refused as well
         data.pop(sorted(data)[0])
-        assert replay_report(report)["failures"] == [SHAPE]
+        assert replay_report(report)["failures"] == differs(pointer(*path, "data"))
 
 
 @pytest.mark.parametrize("strip", ["certificate", "kind"])
@@ -771,37 +813,34 @@ def test_verdict_without_certificate_or_kind_is_one_failure(tmp_path, capsys, co
     for step in path:
         verdict = verdict[step]
     del verdict[strip]
-    assert replay_report(report)["failures"] == [SHAPE]
+    assert replay_report(report)["failures"] == differs(pointer(*path))
 
 
-@pytest.mark.parametrize("command,doc,flags,path,failure", [
-    ("analyze", FIB, (), (), RESULTS_SHAPE),
-    ("analyze", FIB, (), ("generators", 0), RESULTS_SHAPE),
-    ("analyze", FIB, (), ("group",), RESULTS_SHAPE),
-    ("analyze", FIB, (), ("largest_ergodic_subgroup",), RESULTS_SHAPE),
-    ("analyze", LEDRAPPIER, (), (), RESULTS_SHAPE),
-    ("analyze", LEDRAPPIER, (), ("directions", 1), RESULTS_SHAPE),
-    ("find-ergodic", BLOCK_PAIR, (), (), RESULTS_SHAPE),
-    ("find-ergodic", LEDRAPPIER, (), (), RESULTS_SHAPE),
-    ("filtration", BLOCK_PAIR, (), (), RESULTS_SHAPE),
-    ("oracle-check", FIB, ORACLE_FLAGS, (), RESULTS_SHAPE),
+@pytest.mark.parametrize("command,doc,flags,path", [
+    ("analyze", FIB, (), ()),
+    ("analyze", FIB, (), ("generators", 0)),
+    ("analyze", FIB, (), ("group",)),
+    ("analyze", FIB, (), ("largest_ergodic_subgroup",)),
+    ("analyze", LEDRAPPIER, (), ()),
+    ("analyze", LEDRAPPIER, (), ("directions", 1)),
+    ("find-ergodic", BLOCK_PAIR, (), ()),
+    ("find-ergodic", LEDRAPPIER, (), ()),
+    ("filtration", BLOCK_PAIR, (), ()),
+    ("oracle-check", FIB, ORACLE_FLAGS, ()),
     # encoded values refuse keys of their own
-    ("analyze", ROTATION, (), ("largest_ergodic_subgroup", "subspace"),
-     "subspace is not a subspace of the dual"),
-    ("filtration", FIB_TWICE, (), ("chain", 1), MALFORMED_CHAIN),
-    ("analyze", TRINOMIAL, (), ("group", "certificate", "data", "common_factor"),
-     COMMON_FACTOR),
+    ("analyze", ROTATION, (), ("largest_ergodic_subgroup", "subspace")),
+    ("filtration", FIB_TWICE, (), ("chain", 1)),
+    ("analyze", TRINOMIAL, (), ("group", "certificate", "data", "common_factor")),
 ], ids=["analyze", "generator-entry", "group", "largest-subgroup", "laurent-analyze",
         "direction-entry", "find-ergodic", "laurent-find-ergodic", "filtration",
         "oracle-check", "subspace", "chain-member", "common-factor"])
-def test_unknown_results_key_is_one_failure(tmp_path, capsys, command, doc, flags, path,
-                                            failure):
+def test_unknown_results_key_is_one_failure(tmp_path, capsys, command, doc, flags, path):
     report = fresh_report(tmp_path, capsys, command, doc, *flags)
     target = report["results"]
     for step in path:
         target = target[step]
     target["unchecked"] = True
-    assert replay_report(report)["failures"] == [failure]
+    assert replay_report(report)["failures"] == differs(pointer(*path))
 
 
 def test_found_element_replaces_the_group_verdict(tmp_path, capsys):
@@ -820,15 +859,14 @@ FIB_PLUS_ONE_TWICE = {"type": "toral", "r": 3, "generators": [
 
 def test_filtration_stage_must_be_the_common_kernel(tmp_path, capsys):
     # stage 1 = Q^3 keeps every stage quotient free of finite-orbit
-    # characters and the tail <e3> quasi-unipotent, but generator 1 is not
-    # quasi-unipotent on its own stage
+    # characters and the tail <e3> quasi-unipotent, but it is not the
+    # engine's stage 1
     report = fresh_report(tmp_path, capsys, "filtration", FIB_PLUS_ONE_TWICE)
     chain = report["results"]["chain"]
     e3 = encode_subspace(Subspace.span(3, [(0, 0, 1)]))
     assert chain == [encode_subspace(Subspace.full(3)), e3, e3]
     chain[1] = encode_subspace(Subspace.full(3))
-    assert replay_report(report)["failures"] == [
-        "a generator is not quasi-unipotent on its stage or a later one"]
+    assert replay_report(report)["failures"] == differs("/chain/1/basis")
 
 
 # (1 + u + u^4)(1 + u^3 + u^4) over F_2: both factors are primitive, so the
@@ -845,7 +883,8 @@ def test_common_factor_must_be_the_engines(tmp_path, capsys):
     assert data["power"] == 15
     assert [e for (e,), _ in data["common_factor"]["terms"]] == [0, 1, 3, 4, 5, 7, 8]
     data["common_factor"]["terms"] = [[[0], 1], [[1], 1], [[4], 1]]
-    assert replay_report(report)["failures"] == [COMMON_FACTOR]
+    assert replay_report(report)["failures"] == differs(
+        "/group/certificate/data/common_factor/terms")
 
 
 @pytest.mark.parametrize("edit,failure", [
@@ -860,8 +899,21 @@ def test_invalid_input_echo_is_one_failure(tmp_path, capsys, edit, failure):
         f"input is not a valid action document: {failure}"]}
 
 
+@pytest.mark.parametrize("report,failure", [
+    ([], "report is not a JSON object"),
+    ("x", "report is not a JSON object"),
+    (None, "report is not a JSON object"),
+    ({"schema_version": 11, "command": 10 ** 5000}, "unknown command"),
+    ({"schema_version": 11, "command": ["analyze"]}, "unknown command"),
+], ids=["list", "string", "null", "command-5000-digits", "command-list"])
+def test_malformed_report_is_one_failure(report, failure):
+    # no value of the report is formatted: str() refuses an int of 5001
+    # digits
+    assert replay_report(report) == {"checked": 0, "failures": [failure]}
+
+
 def _mutations(node):
-    """Every single edit of a report's results, as (path, value): each
+    """Every single edit of a part of a report, as (path, value): each
     leaf set to null, a string, 10**9*x + 1, -x - 1, 10**5000 and 0, each
     list emptied, with its last item repeated and with its first two items
     swapped, and each dict emptied."""
@@ -881,7 +933,7 @@ def _mutations(node):
 
 def _mutant(report, path, value):
     mutant = json.loads(json.dumps(report))
-    *steps, last = ("results",) + path
+    *steps, last = path
     target = mutant
     for step in steps:
         target = target[step]
@@ -891,14 +943,30 @@ def _mutant(report, path, value):
 
 @pytest.mark.parametrize("golden", GOLDEN_COMMANDS, ids=lambda g: f"{g[0]}-{g[1]}")
 def test_every_golden_mutant_fails_replay(tmp_path, capsys, golden):
+    # an edited report fails replay, or is the engine's report on its own
+    # input echo and flags.  An edit of the results fails: those mutants
+    # share one action built from the unedited echo, whose derivation is
+    # cached.  An edit of the echo or the flags replays on a fresh action
     command, name, *flags = golden
     report = fresh_report(tmp_path, capsys, command, GOLDEN_DOCS[name], *flags)
-    mutants = 0
-    for path, value in _mutations(report["results"]):
-        mutant = _mutant(report, path, value)
-        if mutant == report:
-            continue  # the edit changed nothing, such as 0 set to 0
-        mutants += 1
-        with within(1.0):
-            assert replay_report(mutant)["failures"], (path, type(value))
-    assert mutants
+    action = build_action(report["input"])
+    mutants = clean = 0
+    for part in ("results", "input", "flags"):
+        for path, value in _mutations(report[part]):
+            mutant = _mutant(report, (part,) + path, value)
+            if mutant == report:
+                continue  # the edit changed nothing, such as 0 set to 0
+            mutants += 1
+            with within(1.0):
+                failures = replay_report(mutant, action if part == "results" else None)[
+                    "failures"]
+            if failures:
+                continue
+            assert part != "results", path
+            clean += 1
+            engine = encoded(report_results(command, build_action(mutant["input"]),
+                                            mutant["flags"]))
+            assert mutant["results"] == engine, (part, path)
+            assert json.dumps(mutant["results"], sort_keys=True) == json.dumps(
+                engine, sort_keys=True)
+    assert mutants > clean
