@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .encoding import decode_scalar
-from .errors import Issue, ValidationError
+from .errors import Issue, ValidationError, shown
 from .laurent import LaurentPoly, content_along, witness_power
 from .matrices import Matrix, Subspace, fixed_by_power
 
@@ -202,7 +202,7 @@ def _ring_issues(p, nvars) -> list:
     """The issues of p and nvars, checked before any arithmetic mod p."""
     issues = []
     if not (type(p) is int and p < _MAX_MODULUS and _is_prime(p)):
-        issues.append(Issue("bad-modulus", (), f"{p} is not a prime below 2**31"))
+        issues.append(Issue("bad-modulus", (), f"{shown(p)} is not a prime below 2**31"))
     if not (type(nvars) is int and nvars in (1, 2)):
         issues.append(Issue("bad-variable-count", (), "one or two variables supported"))
     return issues
@@ -313,7 +313,7 @@ def build_action(doc: dict):
         width = 0 if g.is_zero else max(g.canonical().degree_in(v) for v in range(g.nvars))
         if width > MAX_PRESENTER_WIDTH:
             raise ValidationError([Issue(
-                "resource-limit", (), f"presenter width {width} is above the limit "
+                "resource-limit", (), f"presenter width {shown(width)} is above the limit "
                                       f"of {MAX_PRESENTER_WIDTH}")])
         return laurent_cyclic_action(doc["p"], doc["d"], g)
-    raise ValidationError([Issue("schema", (), f"unknown action type {kind!r}")])
+    raise ValidationError([Issue("schema", (), f"unknown action type {shown(kind)}")])

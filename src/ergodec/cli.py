@@ -1,22 +1,23 @@
 """Command-line interface.
 
-One action per input file, built once per run; the command's results
-come from replay.report_results, which caches them on the action, so the
-replay of the report reads the same derivation.  One canonical report
-per run, and this module maps each outcome to its exit code.  Reports are
-deterministic byte for byte for a fixed input and flag set: keys are
-sorted, orderings are canonical, and timing goes to stderr instead of the
-report body.
+The command table lives in replay: one subparser per row of
+replay.COMMANDS, with the row's flags.  One action per input file, built
+once per run; the command's results come from replay.report_results,
+which caches them on the action, so the replay of the report reads the
+same derivation.  One canonical report per run, and this module maps
+each outcome to its exit code.  Reports are deterministic byte for byte
+for a fixed input and flag set: keys are sorted, orderings are
+canonical, and timing goes to stderr instead of the report body.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure
-(including a file that is not UTF-8 JSON, oracle-check on an action that
-is not toral, filtration on a Laurent action, and a resource-limit
-issue: a torus, generator entry or presenter too large, an oracle-check
-box too large to enumerate, or a Laurent witness power past the search
-budget), 3 hypothesis failure (the group is not
-ergodic, or no Laurent direction in --search-box is ergodic), 4
-certificate replay failure under --verify-report, 5 internal check
-failure (two routes that must agree did not; this is a bug).
+(including a file that is not UTF-8 JSON, a command on an action kind
+it does not take, and a resource-limit issue: a torus, generator entry
+or presenter too large, a cross-validation box too large to enumerate,
+or a Laurent witness power past the search budget), 3 hypothesis
+failure (the group is not ergodic, or no Laurent direction in the
+search box is ergodic), 4 certificate replay failure under
+--verify-report, 5 internal check failure (two routes that must agree
+did not; this is a bug).
 """
 
 from __future__ import annotations
@@ -94,13 +95,8 @@ class _CliExit(Exception):
 
 
 def _flags_payload(args) -> dict:
-    skip = {"file", "format", "verify_report", "command"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        out[key.replace("_", "-")] = value
-    return out
+    return {flag: getattr(args, flag.replace("-", "_"))
+            for flag in replay.COMMANDS[args.command].flags}
 
 
 def _positive_int(text: str) -> int:
@@ -123,22 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact ergodicity and distality decisions for commuting "
                     "automorphism groups of compact abelian groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in replay.COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("file", help="action document (JSON, one action per file)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--verify-report", action="store_true",
                        help="re-parse the report and replay every certificate")
-        return p
-
-    command("analyze", "validate and run all verdicts")
-    p = command("find-ergodic", "search for an ergodic element")
-    p.add_argument("--search-box", type=_positive_int, default=3)
-    command("filtration", "build the ergodic-distal chain")
-    p = command("oracle-check", "cross-validate against orbit enumeration")
-    p.add_argument("--norm-bound", type=_positive_int, default=3)
-    p.add_argument("--cap", type=_positive_int, default=100_000)
+        for flag, default in command.flags.items():
+            p.add_argument(f"--{flag}", type=_positive_int, default=default)
     return parser
 
 

@@ -1,8 +1,32 @@
-"""Shared exception types."""
+"""Shared exception types, and how an issue states a value."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+# An issue states an int in full below this size, and otherwise by its
+# digit count: str() refuses an int past sys.get_int_max_str_digits().
+SHORT = 10 ** 18
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of a positive int, without str(): log10 is off by at
+    most one either way, which the powers of ten settle."""
+    d = int(math.log10(n))
+    if 10 ** d > n:
+        d -= 1
+    elif 10 ** (d + 1) <= n:
+        d += 1
+    return d + 1
+
+
+def shown(value) -> str:
+    """value as an issue states it: an int of SHORT or more in absolute
+    value by its digit count, and anything else by its repr."""
+    if type(value) is int and not -SHORT < value < SHORT:
+        return f"({_digit_count(abs(value))}-digit)"
+    return repr(value)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ choose which disagreements to walk again.  A walk that gives up (too
 many characters visited, or coordinates past the size guard) certifies
 nothing; only the analytic side can assert an orbit is infinite.
 
-Every walk, here and in replay's oracle-check, is walk_orbit over
-orbit_maps(action), the dual generators compiled to closures;
+Every walk is walk_orbit over orbit_maps(action), the dual generators
+compiled to closures, and replay re-runs cross_validate itself;
 Matrix.matvec is only the reference the tests check those maps against.
 Cross-validation first walks each generator's cycle through a
 character, one generator at a time, with walk_orbit over that generator
@@ -56,18 +56,15 @@ never meet.
 from __future__ import annotations
 
 import itertools
-import math
 from operator import mul
 
-from .errors import Issue, ValidationError
+from .errors import SHORT, Issue, ValidationError, shown
 from .intpoly import max_torsion_order
 
 COORD_BITS = 64
 # Most nonzero characters a cross-validation box may hold: (2b+1)^r - 1
 # grows past any run time long before r or b look large.
 MAX_BOX_CHARACTERS = 10 ** 6
-# A box issue prints a norm bound or a character count in full below this.
-_SHORT = 10 ** 18
 
 
 def _compile_map(rows):
@@ -136,17 +133,6 @@ def box_characters(dim: int, norm_bound: int):
     return (chi for chi in itertools.product(side, repeat=dim) if any(chi))
 
 
-def _digit_count(n: int) -> int:
-    """Decimal digits of a positive int, without str(): log10 is off by at
-    most one either way, which the powers of ten settle."""
-    d = int(math.log10(n))
-    if 10 ** d > n:
-        d -= 1
-    elif 10 ** (d + 1) <= n:
-        d += 1
-    return d + 1
-
-
 def box_issue(action, norm_bound: int, cap: int) -> Issue | None:
     """The issue that stops a cross-validation box, or None: a schema
     issue for an action that is not toral or a norm bound or cap that is
@@ -156,19 +142,14 @@ def box_issue(action, norm_bound: int, cap: int) -> Issue | None:
         return Issue("schema", (), "orbits are enumerated on tori only")
     if not all(type(x) is int and x >= 1 for x in (norm_bound, cap)):
         return Issue("schema", (), "the norm bound and the cap must be positive integers")
-    if norm_bound < _SHORT:
-        count = (2 * norm_bound + 1) ** action.dim - 1
-        if count <= MAX_BOX_CHARACTERS:
-            return None
-        bound = norm_bound
-    else:
-        # past the limit in any dimension, and given by its digit count:
-        # str() refuses an int past sys.get_int_max_str_digits()
-        count, bound = None, f"({_digit_count(norm_bound)}-digit)"
-    held = count if count is not None and count < _SHORT else f"more than {MAX_BOX_CHARACTERS}"
+    # a norm bound of SHORT or more puts the box past the limit in any dimension
+    count = (2 * min(norm_bound, SHORT) + 1) ** action.dim - 1
+    if count <= MAX_BOX_CHARACTERS:
+        return None
+    held = count if count < SHORT else f"more than {MAX_BOX_CHARACTERS}"
     return Issue("resource-limit", (),
-                 f"the norm-bound {bound} box in dimension {action.dim} holds {held} "
-                 f"characters, above the limit of {MAX_BOX_CHARACTERS}")
+                 f"the norm-bound {shown(norm_bound)} box in dimension {action.dim} holds "
+                 f"{held} characters, above the limit of {MAX_BOX_CHARACTERS}")
 
 
 def cross_validate(action, norm_bound: int, cap: int) -> dict:

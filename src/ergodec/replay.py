@@ -1,7 +1,12 @@
-"""A command's results, derived once, and the replay of a report.
+"""The command table, each command's results derived once, and the
+replay of a report.
 
-report_results derives a command's results with the engines, as dicts
-and lists of Verdict and Subspace values that `encoded` turns into the
+COMMANDS has one row per command: its help line, its flags in order
+with their defaults, each a positive int, the derivation of its results
+from the action and flags, and its checks on the derived results.  The
+CLI builds its parser from the rows, and replay reads the same rows.
+report_results derives a command's results by its row, as dicts and
+lists of Verdict and Subspace values that `encoded` turns into the
 report's JSON, and the action caches them per command and flags.  The
 CLI builds its report from them, and replay reads a report through the
 same derivation: a report replays clean only when its results equal the
@@ -13,7 +18,8 @@ used in arithmetic: only the input echo and the flags drive computation.
 
 The checks are each verdict's certificate check (certificates.py), the
 three properties that fix the largest ergodic subgroup, those of the
-ergodic-distal chain, and the width bound on a found Laurent direction.
+ergodic-distal chain, the width bound on a found Laurent direction, and
+cross-validation's own agreement with the finite-orbit subspace.
 A saved report replays against a fresh action built from its input
 echo, and the CLI against the action it computed the report from, whose
 caches (dual products and spectra, finite-orbit subspace, Laurent
@@ -25,15 +31,15 @@ kernel as the quotient map's own cyclotomic part, since the other
 factors of c have no root there.  So replay walks no orbit for the
 subgroup and chain claims and splits no characteristic polynomial
 beyond the generators' own, while the engine checks the same claims
-through the subquotients' spectra.  Only oracle-check takes a walk, and
-replay derives its counts more cheaply than cross-validation does: each
-box character in the finite-orbit subspace must close its orbit within
-the cap, under oracle.walk_orbit over oracle.orbit_maps without the
-coordinate guard, and every other one counts as exceeded without a walk,
-since the analytic side already proves its orbit infinite.
+through the subquotients' spectra.  oracle-check's results are
+oracle.cross_validate's: a saved report re-runs it on a fresh action,
+and --verify-report reads the results the CLI cached, so no orbit is
+walked twice in one call.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from . import encoding, laurent_engine, oracle, toral
 from .actions import build_action
@@ -44,41 +50,6 @@ from .matrices import Matrix, Subspace, induced, kernel
 
 SCHEMA_VERSION = 11
 
-# The flags the CLI emits, by command: each is a positive int.
-_FLAGS = {"analyze": (), "find-ergodic": ("search-box",), "filtration": (),
-          "oracle-check": ("norm-bound", "cap")}
-
-
-def _derive(command: str, action, flags: dict) -> dict:
-    if command == "oracle-check":
-        return oracle.cross_validate(action, flags["norm-bound"], flags["cap"])
-    if action.kind == "laurent":
-        if command == "analyze":
-            return {"directions": [
-                {"direction": list(axis),
-                 "verdict": laurent_engine.direction_is_ergodic(action, axis)}
-                for axis in stated_axes(action.nvars)],
-                "group": laurent_engine.group_is_ergodic(action)}
-        if command == "find-ergodic":
-            direction, verdict = laurent_engine.find_ergodic_direction(action,
-                                                                       flags["search-box"])
-            return {"direction": list(direction), "verdict": verdict}
-        raise ValidationError([Issue("schema", (),
-                                     "filtration is defined for toral and solenoid actions")])
-    if command == "analyze":
-        n = action.n_generators
-        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        return {
-            "generators": [{"ergodic": toral.is_ergodic_element(action, exps),
-                            "distal": toral.is_distal_element(action, exps)} for exps in units],
-            "group": {"ergodic": toral.is_ergodic_group(action),
-                      "distal": toral.is_distal_group(action)},
-            "largest_ergodic_subgroup": {"subspace": toral.largest_ergodic_subgroup(action)}}
-    if command == "find-ergodic":
-        exps, verdict = toral.find_ergodic_exponents(action)
-        return {"exponents": list(exps), "verdict": verdict}
-    return {"chain": list(toral.ergodic_distal_filtration(action))}
-
 
 def report_results(command: str, action, flags: dict) -> dict:
     """The command's results on the action under the flags, as the
@@ -87,7 +58,7 @@ def report_results(command: str, action, flags: dict) -> dict:
     ValidationError where the engine refuses the input."""
     key = (command, tuple(sorted(flags.items())))
     if key not in action.results:
-        action.results[key] = _derive(command, action, flags)
+        action.results[key] = COMMANDS[command].derive(action, flags)
     return action.results[key]
 
 
@@ -145,13 +116,16 @@ def _all_quasi_unipotent(duals, sub: Subspace) -> bool:
     return sub.is_zero or all(kills(d.spectrum.unipotent_power, sub.basis) for d in duals)
 
 
-def replay_largest_subgroup(action, sub: Subspace, failures: list) -> None:
-    """The three properties that fix the largest ergodic subgroup's dual
-    subspace W: (a) W is invariant, (b) every generator is quasi-unipotent
-    on W, so W lies in the common kernel of the c(D)**n, and (c) the
-    quotient by W has no finite-orbit character, as it would if W were
-    strictly inside that kernel: the maps the c(D) induce on it have no
-    common kernel."""
+def replay_largest_subgroup(action, derived: dict, failures: list) -> None:
+    """On a torus or solenoid, the three properties that fix the largest
+    ergodic subgroup's dual subspace W: (a) W is invariant, (b) every
+    generator is quasi-unipotent on W, so W lies in the common kernel of
+    the c(D)**n, and (c) the quotient by W has no finite-orbit character,
+    as it would if W were strictly inside that kernel: the maps the c(D)
+    induce on it have no common kernel."""
+    if action.kind == "laurent":
+        return  # a Laurent analyze states no subgroup
+    sub = derived["largest_ergodic_subgroup"]["subspace"]
     duals = action.dual_generators
     invariant = all(sub.is_invariant(d) for d in duals)
     check(invariant, failures, "subspace is not invariant")
@@ -197,40 +171,71 @@ def replay_filtration(action, chain, failures: list) -> None:
           "a generator is not quasi-unipotent on its stage or a later one")
 
 
-def _oracle_counts(action, flags: dict, failures: list) -> dict:
-    """The cross-validation results for the box and cap the flags state,
-    on a torus only, as cross-validation runs: every box character in
-    the finite-orbit subspace must close its orbit within the cap, and
-    every other one counts as exceeded without a walk."""
-    bound, cap = flags["norm-bound"], flags["cap"]
-    issue = oracle.box_issue(action, bound, cap)
-    if issue is not None:
-        raise ValidationError([issue])
-    fixed = action.finite_orbit_subspace
-    maps = oracle.orbit_maps(action)
-    box = list(oracle.box_characters(action.dim, bound))
-    inside = [chi for chi in box if fixed.contains(chi)]
-    closed: set = set()
-    for chi in inside:
-        if chi in closed:
-            continue
-        seen, stop, _ = oracle.walk_orbit(maps, chi, cap)
-        if stop is not None:
-            failures.append("a finite-orbit character's orbit does not close within the cap")
-            break
-        closed |= seen
-    return {"characters_checked": len(box), "finite_orbits": len(inside),
-            "exceeded": len(box) - len(inside), "failures": []}
+def _analyze(action, flags: dict) -> dict:
+    if action.kind == "laurent":
+        return {"directions": [
+            {"direction": list(axis),
+             "verdict": laurent_engine.direction_is_ergodic(action, axis)}
+            for axis in stated_axes(action.nvars)],
+            "group": laurent_engine.group_is_ergodic(action)}
+    n = action.n_generators
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return {
+        "generators": [{"ergodic": toral.is_ergodic_element(action, exps),
+                        "distal": toral.is_distal_element(action, exps)} for exps in units],
+        "group": {"ergodic": toral.is_ergodic_group(action),
+                  "distal": toral.is_distal_group(action)},
+        "largest_ergodic_subgroup": {"subspace": toral.largest_ergodic_subgroup(action)}}
 
 
-def _replay_width_bound(action, direction, failures: list) -> None:
-    """The found direction's shell is at most one more than g's smaller
-    width: a non-ergodic line n0 = (a, b) puts a factor of g in u^n0
-    alone, whose Newton segment is a Minkowski summand of g's, so shells
-    1..s without an ergodic line make both widths at least s."""
-    widths = [action.presenter.degree_in(v) for v in range(action.nvars)]
-    check(max(map(abs, direction)) <= min(widths) + 1, failures,
-          "found direction lies past the width bound")
+def _find_ergodic(action, flags: dict) -> dict:
+    if action.kind == "laurent":
+        direction, verdict = laurent_engine.find_ergodic_direction(action, flags["search-box"])
+        return {"direction": list(direction), "verdict": verdict}
+    exps, verdict = toral.find_ergodic_exponents(action)
+    return {"exponents": list(exps), "verdict": verdict}
+
+
+def _replay_width_bound(action, derived: dict, failures: list) -> None:
+    """A found Laurent direction's shell is at most one more than g's
+    smaller width: a non-ergodic line n0 = (a, b) puts a factor of g in
+    u^n0 alone, whose Newton segment is a Minkowski summand of g's, so
+    shells 1..s without an ergodic line make both widths at least s."""
+    if action.kind == "laurent":
+        widths = [action.presenter.degree_in(v) for v in range(action.nvars)]
+        check(max(map(abs, derived["direction"])) <= min(widths) + 1, failures,
+              "found direction lies past the width bound")
+
+
+def _filtration(action, flags: dict) -> dict:
+    if action.kind == "laurent":
+        raise ValidationError([Issue("schema", (),
+                                     "filtration is defined for toral and solenoid actions")])
+    return {"chain": list(toral.ergodic_distal_filtration(action))}
+
+
+class Command(NamedTuple):
+    help: str
+    flags: dict  # name: default, in the order the parser adds them
+    derive: Callable  # (action, flags) -> the results report_results caches
+    check: Callable  # (action, derived results, failures) -> None
+
+
+COMMANDS = {
+    "analyze": Command("validate and run all verdicts", {}, _analyze, replay_largest_subgroup),
+    "find-ergodic": Command("search for an ergodic element", {"search-box": 3},
+                            _find_ergodic, _replay_width_bound),
+    "filtration": Command(
+        "build the ergodic-distal chain", {}, _filtration,
+        lambda action, derived, failures: replay_filtration(action, derived["chain"],
+                                                            failures)),
+    "oracle-check": Command(
+        "cross-validate against orbit enumeration", {"norm-bound": 3, "cap": 100_000},
+        lambda action, flags: oracle.cross_validate(action, flags["norm-bound"], flags["cap"]),
+        lambda action, derived, failures: check(
+            not derived["failures"], failures,
+            "cross-validation disagrees with the finite-orbit subspace")),
+}
 
 
 def replay_report(report, action=None) -> dict:
@@ -250,33 +255,26 @@ def replay_report(report, action=None) -> dict:
     command, flags, results = (report.get(k) for k in ("command", "flags", "results"))
     if not _same(report.get("schema_version"), SCHEMA_VERSION):
         return {"checked": 0, "failures": [f"schema version is not {SCHEMA_VERSION}"]}
-    if not (isinstance(command, str) and command in _FLAGS):
+    row = COMMANDS.get(command) if isinstance(command, str) else None
+    if row is None:
         return {"checked": 0, "failures": ["unknown command"]}
-    if not (isinstance(flags, dict) and flags.keys() == set(_FLAGS[command])
+    if not (isinstance(flags, dict) and flags.keys() == row.flags.keys()
             and all(type(v) is int and v >= 1 for v in flags.values())):
         return {"checked": 0, "failures": ["flags are not the command's positive integers"]}
     if action is None:
         try:
             action = build_action(report.get("input"))
-        except ValueError as exc:  # a ValidationError, or an int str() refuses
+        except ValidationError as exc:
             return {"checked": 0, "failures": [f"input is not a valid action document: {exc}"]}
-    failures: list = []
     try:
-        derived = (_oracle_counts(action, flags, failures) if command == "oracle-check"
-                   else report_results(command, action, flags))
+        derived = report_results(command, action, flags)
     except (NotErgodicGroupError, SearchExhaustedError, ValidationError) as exc:
         return {"checked": 1, "failures": [f"the engine refuses the input: {exc}"]}
-    failures += [f"results differ from the engine's at /results{pointer}"
-                 for pointer in _differences(results, encoded(derived), "")]
+    failures = [f"results differ from the engine's at /results{pointer}"
+                for pointer in _differences(results, encoded(derived), "")]
     verdicts = list(_verdicts(derived))
     for verdict in verdicts:
         verdict.check(action, failures)
-    toral_analyze = command == "analyze" and action.kind != "laurent"
-    if toral_analyze:
-        replay_largest_subgroup(action, derived["largest_ergodic_subgroup"]["subspace"],
-                                failures)
-    elif command == "filtration":
-        replay_filtration(action, derived["chain"], failures)
-    elif command == "find-ergodic" and action.kind == "laurent":
-        _replay_width_bound(action, derived["direction"], failures)
-    return {"checked": max(1, len(verdicts) + toral_analyze), "failures": failures}
+    row.check(action, derived, failures)
+    return {"checked": max(1, len(verdicts) + ("largest_ergodic_subgroup" in derived)),
+            "failures": failures}

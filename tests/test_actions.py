@@ -153,6 +153,21 @@ class TestBuildAction:
         assert [issue.code for issue in info.value.issues] == ["resource-limit"]
         assert "presenter width 65 is above the limit of 64" in str(info.value)
 
+    @pytest.mark.parametrize("change,code,message", [
+        ({"p": 10 ** 5000}, "bad-modulus", "(5001-digit) is not a prime below 2**31"),
+        ({"g": [{"exponents": [0], "coefficient": 1},
+                {"exponents": [10 ** 5000], "coefficient": 1}]},
+         "resource-limit", "presenter width (5001-digit) is above the limit of 64"),
+    ], ids=["modulus", "exponent"])
+    def test_huge_int_is_stated_by_its_digit_count(self, change, code, message):
+        # str() refuses an int of more than 4300 digits
+        doc = dict({"type": "laurent", "p": 2, "d": 1, "g": [
+            {"exponents": [0], "coefficient": 1}, {"exponents": [1], "coefficient": 1}]},
+            **change)
+        with pytest.raises(ValidationError) as info:
+            build_action(doc)
+        assert [(i.code, i.message) for i in info.value.issues] == [(code, message)]
+
     def test_library_constructors_are_not_capped(self):
         assert product_counterexample(5).dim == 80 > MAX_DIMENSION
 

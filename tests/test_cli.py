@@ -8,7 +8,7 @@ import time
 import pytest
 
 from ergodec import (LaurentPoly, Polynomial, Subspace, Verdict, actions, build_action, cli,
-                     laurent, laurent_engine, matrices, replay, toral)
+                     laurent, laurent_engine, matrices, oracle, replay, toral)
 from ergodec.cli import main
 from factories import counterexample_doc, cyclotomic_blocks_doc
 
@@ -187,6 +187,21 @@ class TestAnalyze:
                     assert len(calls) == count, (doc, command, flags)
         capsys.readouterr()
 
+    def test_verify_report_walks_no_orbit_twice(self, tmp_path, capsys, monkeypatch):
+        # in-process replay reads the cross-validation the CLI cached
+        calls = []
+        walk_orbit = oracle.walk_orbit
+        monkeypatch.setattr(oracle, "walk_orbit",
+                            lambda *args, **kw: calls.append(args) or walk_orbit(*args, **kw))
+        path = write(tmp_path, "fib-identity.json", FIB_IDENTITY)
+        counts = []
+        for flags in ([], ["--verify-report"]):
+            calls.clear()
+            assert main(["oracle-check", path, "--norm-bound", "2", *flags]) == 0
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] > 0 and counts[0] == counts[1]
+
     def test_no_cache_outlives_a_call(self, tmp_path, capsys, monkeypatch):
         # every call builds its own action, so each splits its own spectra
         calls = []
@@ -257,11 +272,15 @@ class TestAnalyze:
         # every Fibonacci character taken for one with a finite orbit
         ("oracle-check", FIB, ("--norm-bound", "1", "--cap", "50"), actions.MatrixAction,
          "finite_orbit_subspace", property(lambda action: Subspace.full(action.dim)),
-         "a finite-orbit character's orbit does not close within the cap"),
+         "cross-validation disagrees with the finite-orbit subspace"),
+        # fib + I with no finite-orbit character: those of <e3, e4> are fixed
+        ("oracle-check", FIB_IDENTITY, ("--norm-bound", "1"), actions.MatrixAction,
+         "finite_orbit_subspace", property(lambda action: Subspace.zero(action.dim)),
+         "cross-validation disagrees with the finite-orbit subspace"),
     ], ids=["subgroup-zero", "subgroup-full", "subgroup-not-invariant", "stage-not-kernel",
             "chain-length", "chain-start", "chain-not-decreasing", "chain-not-invariant",
             "stage-quotient", "multiplies-back", "common-factor", "width-bound",
-            "orbit-not-closing"])
+            "orbit-not-closing", "finite-orbit-outside"])
     def test_engine_fault_fails_replay(self, tmp_path, capsys, monkeypatch, command, doc,
                                        flags, target, name, fake, failure):
         # the report's results equal the derivation they were built from,

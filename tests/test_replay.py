@@ -471,6 +471,17 @@ def test_malformed_cyclotomic_factors_is_one_failure(tmp_path, capsys, factors, 
             *("/generators/0/distal/certificate/data/factors" + place for place in places))
 
 
+@pytest.mark.parametrize("doc", [FIB_IDENTITY, BLOCK_PAIR], ids=["fib-identity", "block-pair"])
+def test_oracle_check_replays_standalone(tmp_path, capsys, doc):
+    # a saved report re-runs cross-validation on a fresh action
+    report = fresh_report(tmp_path, capsys, "oracle-check", doc, "--norm-bound", "3")
+    with within(1.0):
+        assert replay_report(report) == {"checked": 1, "failures": []}
+    report["results"]["finite_orbits"] += 1
+    with within(1.0):
+        assert replay_report(report)["failures"] == differs("/finite_orbits")
+
+
 def test_forged_oracle_box_past_the_limit_fails_without_enumerating(tmp_path, capsys):
     report = fresh_report(tmp_path, capsys, "oracle-check", SHEAR, *ORACLE_FLAGS)
     # a box of about 4e12 characters
@@ -891,7 +902,13 @@ def test_common_factor_must_be_the_engines(tmp_path, capsys):
     (lambda report: report.pop("input"), "document must declare a type"),
     (lambda report: report.update(input={"type": "toral", "r": 1, "generators": [[[2]]]}),
      "generator 1 has determinant 2"),
-], ids=["missing", "not-unimodular"])
+    # str() refuses an int of more than 4300 digits
+    (lambda report: report.update(input=dict(TRINOMIAL, p=10 ** 5000)),
+     "(5001-digit) is not a prime below 2**31"),
+    (lambda report: report.update(input=dict(TRINOMIAL, g=[
+        {"exponents": [0], "coefficient": 1}, {"exponents": [10 ** 5000], "coefficient": 1}])),
+     "presenter width (5001-digit) is above the limit of 64"),
+], ids=["missing", "not-unimodular", "modulus-5001-digits", "exponent-5001-digits"])
 def test_invalid_input_echo_is_one_failure(tmp_path, capsys, edit, failure):
     report = fresh_report(tmp_path, capsys, "analyze", FIB)
     edit(report)
