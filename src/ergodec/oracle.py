@@ -11,8 +11,9 @@ many characters visited, or coordinates past the size guard) certifies
 nothing; only the analytic side can assert an orbit is infinite.
 
 Every walk is walk_orbit over orbit_maps(action), the dual generators
-compiled to closures, and replay re-runs cross_validate itself;
-Matrix.matvec is only the reference the tests check those maps against.
+compiled to closures, and replay takes none of its own: it reads or
+re-runs cross_validate.  Matrix.matvec is only the reference the tests
+check those maps against.
 Cross-validation first walks each generator's cycle through a
 character, one generator at a time, with walk_orbit over that generator
 alone: a one-map walk is exactly its forward cycle.  The generators
