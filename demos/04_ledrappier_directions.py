@@ -13,7 +13,12 @@ direction.  Multiplying it by 1 + u1*u2 plants a factor in u^(1, 1), which
 makes the diagonal non-ergodic: the exact verdict names the least
 witness power k = 1 and the common factor h = 1 + u1*u2 of the planted
 presenter and u^(k*(1, 1)) - 1, so the class of the presenter divided by
-h, which is g, has a finite orbit along the diagonal.  A one-variable
+h, which is g, has a finite orbit along the diagonal.
+
+The search for an ergodic direction needs no box: a non-ergodic line
+puts a factor of g in u^n0 alone, whose Newton segment is a Minkowski
+summand of g's, so an ergodic direction lies within one shell more than
+g's smaller width.  A one-variable
 presenter, by contrast, has a finite module, so no translation is ever
 ergodic there.
 """
@@ -21,8 +26,15 @@ ergodic there.
 from ergodec import (LaurentPoly, content_along, direction_is_ergodic,
                      find_ergodic_direction, group_is_ergodic, laurent_cyclic_action)
 from ergodec.encoding import decode_laurent
+from ergodec.laurent_engine import search_bound
 
 DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 2), (2, -1))
+
+
+def show_first(action):
+    found, _ = find_ergodic_direction(action)
+    print(f"first ergodic direction: {found} (the search ends by shell "
+          f"{search_bound(action)})")
 
 
 def show(action, directions):
@@ -42,16 +54,14 @@ def main():
     print(f"presenter g = {g} over F_2")
     print(f"group verdict: {group_is_ergodic(action).kind}")
     show(action, DIRECTIONS)
-    found, _ = find_ergodic_direction(action, search_box=3)
-    print(f"first ergodic direction in the box: {found}")
+    show_first(action)
 
     print()
     planted = g * LaurentPoly.from_terms(2, 2, {(0, 0): 1, (1, 1): 1})
     act2 = laurent_cyclic_action(2, 2, planted)
     print(f"planted presenter (1 + u1*u2) * g = {planted}")
     show(act2, DIRECTIONS)
-    found, _ = find_ergodic_direction(act2, search_box=3)
-    print(f"first ergodic direction in the box: {found}")
+    show_first(act2)
     data = direction_is_ergodic(act2, (1, 1)).data
     print(f"along (1, 1): least witness power {data['power']}, common factor "
           f"h = {decode_laurent(data['common_factor'])}")

@@ -7,8 +7,7 @@ from .actions import (LaurentCyclicAction, MatrixAction, build_action, dual_elem
                       element, laurent_cyclic_action, product_counterexample,
                       solenoid_action, toral_action)
 from .certificates import Verdict
-from .errors import (InternalCheckError, Issue, NotErgodicGroupError,
-                     SearchExhaustedError, ValidationError)
+from .errors import InternalCheckError, Issue, NotErgodicGroupError, ValidationError
 from .intpoly import Polynomial, cyclotomic
 from .laurent import LaurentPoly, content_along
 from .laurent_engine import direction_is_ergodic, find_ergodic_direction, group_is_ergodic
@@ -22,11 +21,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InternalCheckError", "Issue", "LaurentCyclicAction", "LaurentPoly", "Matrix",
-    "MatrixAction", "NotErgodicGroupError", "Polynomial", "SearchExhaustedError",
-    "Subspace", "ValidationError", "Verdict", "build_action", "content_along",
-    "cross_validate", "cyclotomic", "direction_is_ergodic", "dual_element", "element",
-    "ergodic_distal_filtration", "find_ergodic_direction", "find_ergodic_exponents",
-    "group_is_ergodic", "is_distal_element", "is_distal_group", "is_ergodic_element",
-    "is_ergodic_group", "kernel", "largest_ergodic_subgroup", "laurent_cyclic_action",
+    "MatrixAction", "NotErgodicGroupError", "Polynomial", "Subspace", "ValidationError",
+    "Verdict", "build_action", "content_along", "cross_validate", "cyclotomic",
+    "direction_is_ergodic", "dual_element", "element", "ergodic_distal_filtration",
+    "find_ergodic_direction", "find_ergodic_exponents", "group_is_ergodic",
+    "is_distal_element", "is_distal_group", "is_ergodic_element", "is_ergodic_group",
+    "kernel", "largest_ergodic_subgroup", "laurent_cyclic_action",
     "product_counterexample", "solenoid_action", "toral_action",
 ]

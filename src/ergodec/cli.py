@@ -14,10 +14,10 @@ Exit codes: 0 success, 1 I/O failure, 2 schema or validation failure
 it does not take, and a resource-limit issue: a torus, generator entry
 or presenter too large, a cross-validation box too large to enumerate,
 or a Laurent witness power past the search budget), 3 hypothesis
-failure (the group is not ergodic, or no Laurent direction in the
-search box is ergodic), 4 certificate replay failure under
+failure (the group is not ergodic; find-ergodic's search is total on
+every kind, so it has no other failure), 4 certificate replay failure under
 --verify-report, 5 internal check failure (two routes that must agree
-did not; this is a bug).
+did not, or a total search passed its bound; this is a bug).
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import time
 
 from . import replay
 from .actions import build_action
-from .errors import (InternalCheckError, NotErgodicGroupError, SearchExhaustedError,
-                     ValidationError)
+from .errors import InternalCheckError, NotErgodicGroupError, ValidationError
 from .replay import SCHEMA_VERSION
 
 
@@ -146,9 +145,6 @@ def main(argv=None) -> int:
     except NotErgodicGroupError as exc:
         sys.stderr.write("the group action is not ergodic: witness "
                          f"{json.dumps(exc.witness_payload, sort_keys=True)}\n")
-        return 3
-    except SearchExhaustedError as exc:
-        sys.stderr.write(f"search exhausted within bound {exc.bound}\n")
         return 3
     except ValidationError as exc:
         # an invalid document, or a resource limit a command ran into

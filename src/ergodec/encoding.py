@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import shown
 from .intpoly import Polynomial
 from .laurent import LaurentPoly
 from .matrices import Matrix, Subspace
@@ -38,15 +39,15 @@ def decode_scalar(v):
     if type(v) is int:
         return v
     if isinstance(v, str) and _SCALAR.fullmatch(v):
-        args = (v,)
+        num, _, den = v.partition("/")
+        num, den = int(num), int(den or 1)
     elif isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v):
-        args = tuple(v)
+        num, den = v
     else:
-        raise TypeError(f"not an exact scalar: {v!r}")
-    try:
-        f = Fraction(*args)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {v!r}") from None
+        raise TypeError(f"not an exact scalar: {shown(v)}")
+    if den == 0:  # before Fraction, whose message would format num
+        raise ValueError(f"zero denominator in {shown(v)}")
+    f = Fraction(num, den)
     return int(f) if f.denominator == 1 else f
 
 

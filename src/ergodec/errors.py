@@ -23,9 +23,12 @@ def _digit_count(n: int) -> int:
 
 def shown(value) -> str:
     """value as an issue states it: an int of SHORT or more in absolute
-    value by its digit count, and anything else by its repr."""
+    value by its digit count, a list or dict by its type alone, since its
+    repr may hold such an int, and anything else by its repr."""
     if type(value) is int and not -SHORT < value < SHORT:
         return f"({_digit_count(abs(value))}-digit)"
+    if isinstance(value, (list, dict)):
+        return f"a {type(value).__name__}"
     return repr(value)
 
 
@@ -53,14 +56,6 @@ class NotErgodicGroupError(RuntimeError):
     def __init__(self, witness_payload):
         self.witness_payload = witness_payload
         super().__init__("the group action is not ergodic")
-
-
-class SearchExhaustedError(RuntimeError):
-    """The configured search region was exhausted without a hit."""
-
-    def __init__(self, bound):
-        self.bound = bound
-        super().__init__(f"search exhausted within bound {bound}")
 
 
 class InternalCheckError(AssertionError):

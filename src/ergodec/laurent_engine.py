@@ -13,12 +13,13 @@ the least order of t^m modulo an irreducible factor h of the content.
 That order divides p^(deg h) - 1, so laurent.witness_power gcd-tests only
 the k that divide p^d - 1 for some d up to the content's degree.  Every
 direction is decided exactly this way, within the search budget
-laurent.MAX_WITNESS_STEPS.
+laurent.MAX_WITNESS_STEPS, and an ergodic group has an ergodic one within
+search_bound shells.
 """
 
 from __future__ import annotations
 
-from .errors import NotErgodicGroupError, SearchExhaustedError
+from .errors import InternalCheckError, NotErgodicGroupError
 from .laurent import directions_in_shell
 from .certificates import Verdict
 
@@ -53,18 +54,29 @@ def group_is_ergodic(action) -> Verdict:
     return Verdict.of("coprime-axis-powers", action, None)
 
 
-def find_ergodic_direction(action, search_box: int):
-    """First direction, scanning sup-norm shells up to search_box in
-    descending lexicographic order, whose translation is ergodic.
+def search_bound(action) -> int:
+    """The shell by which find_ergodic_direction finds an ergodic
+    direction: one more than g's smaller width.  A non-ergodic line n0
+    puts a factor of g in u^n0 alone, whose Newton segment is a Minkowski
+    summand of g's (Ostrowski; Gao, J. Algebra 237, 2001), so shells
+    1..s without an ergodic line make both widths at least s."""
+    return 1 + min(action.presenter.degree_in(v) for v in range(action.nvars))
 
-    Returns (direction, verdict).
+
+def find_ergodic_direction(action):
+    """First direction, scanning sup-norm shells in descending
+    lexicographic order up to search_bound, whose translation is ergodic.
+
+    Returns (direction, verdict).  Raises NotErgodicGroupError when the
+    group itself is not ergodic.
     """
     group = group_is_ergodic(action)
     if not group.is_ergodic:
         raise NotErgodicGroupError(group.to_payload())
-    for shell in range(1, search_box + 1):
+    bound = search_bound(action)
+    for shell in range(1, bound + 1):
         for direction in directions_in_shell(action.nvars, shell):
             verdict = direction_is_ergodic(action, direction)
             if verdict.is_ergodic:
                 return direction, verdict
-    raise SearchExhaustedError(search_box)
+    raise InternalCheckError(f"no ergodic direction within shell {bound}")

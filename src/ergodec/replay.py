@@ -5,6 +5,8 @@ COMMANDS has one row per command: its help line, its flags in order
 with their defaults, each a positive int, the derivation of its results
 from the action and flags, and its checks on the derived results.  The
 CLI builds its parser from the rows, and replay reads the same rows.
+find-ergodic's search-box flag is parsed and stated but read by no
+derivation: both of its searches are total.
 report_results derives a command's results by its row, as dicts and
 lists of Verdict and Subspace values that `encoded` turns into the
 report's JSON, and the action caches them per command and flags.  The
@@ -44,7 +46,7 @@ from typing import Callable, NamedTuple
 from . import encoding, laurent_engine, oracle, toral
 from .actions import build_action
 from .certificates import Verdict, check, kills
-from .errors import Issue, NotErgodicGroupError, SearchExhaustedError, ValidationError
+from .errors import Issue, NotErgodicGroupError, ValidationError
 from .laurent import stated_axes
 from .matrices import Matrix, Subspace, induced, kernel
 
@@ -54,8 +56,8 @@ SCHEMA_VERSION = 11
 def report_results(command: str, action, flags: dict) -> dict:
     """The command's results on the action under the flags, as the
     engines derive them, computed once per command and flags and cached
-    on the action.  Raises NotErgodicGroupError, SearchExhaustedError or
-    ValidationError where the engine refuses the input."""
+    on the action.  Raises NotErgodicGroupError or ValidationError where
+    the engine refuses the input."""
     key = (command, tuple(sorted(flags.items())))
     if key not in action.results:
         action.results[key] = COMMANDS[command].derive(action, flags)
@@ -135,11 +137,9 @@ def replay_largest_subgroup(action, derived: dict, failures: list) -> None:
           "a generator is not quasi-unipotent on the subspace")
     if sub.is_full:
         return  # the quotient is zero
-    # the quotient by W = 0 is the space itself, and the action holds the
-    # common kernel of the c(D) there
-    common = action.finite_orbit_subspace if sub.is_zero else kernel(Matrix.from_rows(
-        [row for d in duals
-         for row in induced(d.spectrum.cyclotomic_at, Subspace.full(action.dim), sub).rows]))
+    full = Subspace.full(action.dim)
+    common = kernel(Matrix.from_rows(
+        [row for d in duals for row in induced(d.spectrum.cyclotomic_at, full, sub).rows]))
     check(common.is_zero, failures, "quotient has a finite-orbit character")
 
 
@@ -190,21 +190,17 @@ def _analyze(action, flags: dict) -> dict:
 
 def _find_ergodic(action, flags: dict) -> dict:
     if action.kind == "laurent":
-        direction, verdict = laurent_engine.find_ergodic_direction(action, flags["search-box"])
+        direction, verdict = laurent_engine.find_ergodic_direction(action)
         return {"direction": list(direction), "verdict": verdict}
     exps, verdict = toral.find_ergodic_exponents(action)
     return {"exponents": list(exps), "verdict": verdict}
 
 
 def _replay_width_bound(action, derived: dict, failures: list) -> None:
-    """A found Laurent direction's shell is at most one more than g's
-    smaller width: a non-ergodic line n0 = (a, b) puts a factor of g in
-    u^n0 alone, whose Newton segment is a Minkowski summand of g's, so
-    shells 1..s without an ergodic line make both widths at least s."""
+    """A found Laurent direction lies within laurent_engine.search_bound."""
     if action.kind == "laurent":
-        widths = [action.presenter.degree_in(v) for v in range(action.nvars)]
-        check(max(map(abs, derived["direction"])) <= min(widths) + 1, failures,
-              "found direction lies past the width bound")
+        check(max(map(abs, derived["direction"])) <= laurent_engine.search_bound(action),
+              failures, "found direction lies past the width bound")
 
 
 def _filtration(action, flags: dict) -> dict:
@@ -268,7 +264,7 @@ def replay_report(report, action=None) -> dict:
             return {"checked": 0, "failures": [f"input is not a valid action document: {exc}"]}
     try:
         derived = report_results(command, action, flags)
-    except (NotErgodicGroupError, SearchExhaustedError, ValidationError) as exc:
+    except (NotErgodicGroupError, ValidationError) as exc:
         return {"checked": 1, "failures": [f"the engine refuses the input: {exc}"]}
     failures = [f"results differ from the engine's at /results{pointer}"
                 for pointer in _differences(results, encoded(derived), "")]

@@ -228,12 +228,12 @@ def test_criterion_08_laurent_engine():
         assert verdict.kind == "ergodic"
     group = group_is_ergodic(ledrappier)
     assert group.kind == "ergodic"
-    found, verdict = find_ergodic_direction(ledrappier, 3)
+    found, verdict = find_ergodic_direction(ledrappier)
     assert found == (1, 1) and verdict.kind == "ergodic"
     planted = laurent_cyclic_action(2, 2, ledrappier.presenter * LaurentPoly.from_terms(
         2, 2, {(0, 0): 1, (1, 1): 1}))
     assert direction_is_ergodic(planted, (1, 1)).kind == "not-ergodic"
-    found, verdict = find_ergodic_direction(planted, 3)
+    found, verdict = find_ergodic_direction(planted)
     assert found == (1, 0) and verdict.kind == "ergodic"
     elapsed = budget.check()
     print(f"PASS criterion 8: one-variable witness replayed, "

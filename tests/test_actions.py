@@ -158,7 +158,13 @@ class TestBuildAction:
         ({"g": [{"exponents": [0], "coefficient": 1},
                 {"exponents": [10 ** 5000], "coefficient": 1}]},
          "resource-limit", "presenter width (5001-digit) is above the limit of 64"),
-    ], ids=["modulus", "exponent"])
+        # a list holding one is named by its type
+        ({"type": [10 ** 5000]}, "schema", "unknown action type a list"),
+        ({"type": "solenoid", "r": 1, "generators": [[[[1, 2, 10 ** 5000]]]]},
+         "schema", "bad generator: not an exact scalar: a list"),
+        ({"type": "solenoid", "r": 1, "generators": [[[[10 ** 5000, 0]]]]},
+         "schema", "bad generator: zero denominator in a list"),
+    ], ids=["modulus", "exponent", "type", "entry", "entry-zero-denominator"])
     def test_huge_int_is_stated_by_its_digit_count(self, change, code, message):
         # str() refuses an int of more than 4300 digits
         doc = dict({"type": "laurent", "p": 2, "d": 1, "g": [

@@ -42,6 +42,11 @@ LEDRAPPIER = {"type": "laurent", "p": 2, "d": 2, "g": [
     {"exponents": [0, 0], "coefficient": 1},
     {"exponents": [1, 0], "coefficient": 1},
     {"exponents": [0, 1], "coefficient": 1}]}
+# (1 + u1)(1 + u2)(1 + u1*u2)(1 + u1/u2) over F_2: every direction of
+# shell 1 is parallel to a planted line, and (2, 1) leads shell 2's others
+SHELL_ONE_BLOCKED = {"type": "laurent", "p": 2, "d": 2, "g": [
+    {"exponents": e, "coefficient": 1}
+    for e in ([0, 1], [0, 2], [1, 0], [1, 3], [2, 0], [2, 3], [3, 1], [3, 2])]}
 TRINOMIAL = {"type": "laurent", "p": 2, "d": 1, "g": [
     {"exponents": [0], "coefficient": 1}, {"exponents": [1], "coefficient": 1},
     {"exponents": [2], "coefficient": 1}]}
@@ -235,6 +240,11 @@ class TestAnalyze:
          lambda action: Subspace.full(4), "a generator is not quasi-unipotent on the subspace"),
         ("analyze", FIB_IDENTITY, (), toral, "largest_ergodic_subgroup",
          lambda action: Subspace.span(4, [(1, 0, 0, 0)]), "subspace is not invariant"),
+        # fib + I with no finite-orbit character: the group reads ergodic and
+        # the subgroup zero, while c(D) still kills e3 and e4
+        ("analyze", FIB_IDENTITY, (), actions.MatrixAction, "finite_orbit_subspace",
+         property(lambda action: Subspace.zero(action.dim)),
+         "quotient has a finite-orbit character"),
         # a stage that is not the common kernel
         ("filtration", FIB_PLUS_ONE_TWICE, (), toral, "ergodic_distal_filtration",
          lambda action: (Subspace.full(3), Subspace.full(3), Subspace.span(3, [(0, 0, 1)])),
@@ -267,7 +277,7 @@ class TestAnalyze:
         # shell 1 or 2
         ("find-ergodic", LEDRAPPIER, ("--search-box", "5"), laurent_engine,
          "find_ergodic_direction",
-         lambda action, box: ((3, 1), laurent_engine.direction_is_ergodic(action, (3, 1))),
+         lambda action: ((3, 1), laurent_engine.direction_is_ergodic(action, (3, 1))),
          "found direction lies past the width bound"),
         # every Fibonacci character taken for one with a finite orbit
         ("oracle-check", FIB, ("--norm-bound", "1", "--cap", "50"), actions.MatrixAction,
@@ -277,7 +287,8 @@ class TestAnalyze:
         ("oracle-check", FIB_IDENTITY, ("--norm-bound", "1"), actions.MatrixAction,
          "finite_orbit_subspace", property(lambda action: Subspace.zero(action.dim)),
          "cross-validation disagrees with the finite-orbit subspace"),
-    ], ids=["subgroup-zero", "subgroup-full", "subgroup-not-invariant", "stage-not-kernel",
+    ], ids=["subgroup-zero", "subgroup-full", "subgroup-not-invariant",
+            "group-finite-orbits-zero", "stage-not-kernel",
             "chain-length", "chain-start", "chain-not-decreasing", "chain-not-invariant",
             "stage-quotient", "multiplies-back", "common-factor", "width-bound",
             "orbit-not-closing", "finite-orbit-outside"])
@@ -423,6 +434,28 @@ class TestFindErgodic:
         monkeypatch.setattr(toral, "is_ergodic_element", lambda action, exps: never)
         assert main(["find-ergodic", write(tmp_path, "bp.json", BLOCK_PAIR)]) == 5
         assert "no ergodic element within coordinate sum 6" in capsys.readouterr().err
+
+    def test_exhausted_width_bound_is_an_internal_failure(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # an ergodic two-variable group always has an ergodic direction
+        # within one shell past the smaller width, 1 for Ledrappier
+        never = Verdict("finite-quotient-witness", {
+            "power": 1, "common_factor": {"p": 2, "vars": 2, "terms": [[[0, 0], 1]]}})
+        monkeypatch.setattr(laurent_engine, "direction_is_ergodic",
+                            lambda action, direction: never)
+        assert main(["find-ergodic", write(tmp_path, "led.json", LEDRAPPIER)]) == 5
+        assert "no ergodic direction within shell 2" in capsys.readouterr().err
+
+    def test_search_past_the_box_replays_clean(self, tmp_path, capsys):
+        # the flag bounds no search: with shell 1 blocked, a box of 1 still
+        # finds (2, 1), and the saved report replays on a fresh action
+        assert main(["find-ergodic", write(tmp_path, "blocked.json", SHELL_ONE_BLOCKED),
+                     "--search-box", "1", "--verify-report"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["direction"] == [2, 1]
+        assert report["flags"] == {"search-box": 1}
+        assert report.pop("verification") == {"checked": 1, "failures": []}
+        assert replay.replay_report(report) == {"checked": 1, "failures": []}
 
 
 def chain_dims(report) -> list:

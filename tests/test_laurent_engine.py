@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import random
 
 import pytest
@@ -94,7 +97,7 @@ class TestOneVariable:
 
     def test_find_direction_rejects_one_variable(self):
         with pytest.raises(NotErgodicGroupError):
-            find_ergodic_direction(trinomial_action(), 3)
+            find_ergodic_direction(trinomial_action())
 
 
 class TestLedrappier:
@@ -115,7 +118,7 @@ class TestLedrappier:
             for n in directions_in_shell(2, shell):
                 assert direction_is_ergodic(act, n).kind == "ergodic"
         # so the search returns (1, 1), which leads shell 1
-        assert find_ergodic_direction(act, 3) == ((1, 1), v)
+        assert find_ergodic_direction(act) == ((1, 1), v)
 
     def test_group_exactly_ergodic(self):
         v = group_is_ergodic(ledrappier_action())
@@ -126,7 +129,7 @@ class TestLedrappier:
         # with a factor 1 + u1*u2 planted, (1, 1), which leads shell 1,
         # fails, and the first axis comes next
         g = ledrappier_action().presenter * lp(2, 2, {(0, 0): 1, (1, 1): 1})
-        direction, verdict = find_ergodic_direction(laurent_cyclic_action(2, 2, g), 3)
+        direction, verdict = find_ergodic_direction(laurent_cyclic_action(2, 2, g))
         assert direction == (1, 0)
         assert verdict.kind == "ergodic"
         assert verdict.data == {}
@@ -211,7 +214,7 @@ class TestTwoVariableWitnesses:
         act = laurent_cyclic_action(2, 2, g)
         for n in ((1, 1), (1, 0), (1, -1)):
             assert direction_is_ergodic(act, n).kind == "not-ergodic"
-        direction, verdict = find_ergodic_direction(act, 3)
+        direction, verdict = find_ergodic_direction(act)
         assert direction == (0, 1)
         assert verdict.kind == "ergodic"
 
@@ -228,10 +231,39 @@ class TestTwoVariableWitnesses:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(laurent_engine, "direction_is_ergodic", counted)
-        direction, verdict = find_ergodic_direction(act, 3)
+        direction, verdict = find_ergodic_direction(act)
         assert calls == [(1, 1)]
         assert direction == (1, 1)
         assert verdict.kind == "ergodic"
+
+
+# the primitive lines of shells 1 and 2, one direction each
+SHORT_LINES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2))
+
+
+def parallel(n, line) -> bool:
+    return n[0] * line[1] == n[1] * line[0]
+
+
+class TestTotalSearch:
+    @pytest.mark.parametrize("size", range(1, len(SHORT_LINES) + 1))
+    def test_first_direction_off_the_planted_lines(self, size):
+        # g = product of 1 + u^n0 over the planted lines n0 over F2: the
+        # non-ergodic directions are exactly those parallel to one of them,
+        # so the search returns the first other direction in scan order,
+        # and that lies within the width bound
+        for planted in itertools.combinations(SHORT_LINES, size):
+            g = functools.reduce(operator.mul, (lp(2, 2, {(0, 0): 1, n0: 1}) for n0 in planted))
+            act = laurent_cyclic_action(2, 2, g)
+            expected = next(n for shell in itertools.count(1)
+                            for n in directions_in_shell(2, shell)
+                            if not any(parallel(n, line) for line in planted))
+            direction, verdict = find_ergodic_direction(act)
+            assert direction == expected
+            assert verdict.kind == "ergodic"
+            assert max(map(abs, direction)) <= laurent_engine.search_bound(act)
+            if size == len(SHORT_LINES):
+                assert direction == (3, 2)
 
 
 class TestInvariances:
