@@ -22,18 +22,19 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 
 from .encoding import decode_scalar
 from .errors import Issue, ValidationError, shown
 from .laurent import LaurentPoly, content_along, witness_power
-from .matrices import Matrix, Subspace, fixed_by_power
+from .matrices import Matrix, Subspace, common_kernel
 
 # Largest torus or solenoid dimension a document may declare: route B
 # takes one determinant per candidate order, and in-process `analyze
-# --verify-report` on the companion of x^r - 3x - 1 takes about 0.33 s at
-# r = 32, 1.3 s at r = 48 and 3.8 s at r = 64 on a 2-CPU x86 host.
-# Library constructors are not capped.
+# --verify-report` on the companion of x^r - 3x - 1 takes about 0.29 s at
+# r = 32, 1.4 s at r = 48 and 4.0 s at r = 64 on a 2-CPU Intel Xeon host
+# under Python 3.11.  Library constructors are not capped.
 MAX_DIMENSION = 64
 
 # Largest bit length of a numerator or denominator of a generator entry a
@@ -71,8 +72,10 @@ class MatrixAction:
     @functools.cached_property
     def finite_orbit_subspace(self) -> Subspace:
         """Characters of the dual space whose group orbit is finite: the
-        common kernel of the cyclotomic parts of the dual generators."""
-        return fixed_by_power(self.dual_generators)
+        common kernel of the dual generators' c(D), or one's cached own."""
+        duals = self.dual_generators
+        return (duals[0].spectrum.finite_orbit_subspace if len(duals) == 1
+                else common_kernel([d.spectrum.cyclotomic_at for d in duals]))
 
     def witness_character(self, fixed: Subspace) -> tuple:
         """The witness a nonzero subspace of finite-orbit characters
@@ -280,6 +283,14 @@ def build_action(doc: dict):
     if kind in ("toral", "solenoid"):
         if "generators" not in doc or not isinstance(doc["generators"], list):
             raise ValidationError([Issue("schema", (), "generators array required")])
+        # a string's digit run is refused by its length before int() reads it
+        run = max((len(digits) for g in doc["generators"] if isinstance(g, list)
+                   for row in g if isinstance(row, list) for x in row if isinstance(x, str)
+                   for digits in re.findall("[0-9]+", x)), default=0)
+        if run > len(str(2 ** MAX_ENTRY_BITS)):
+            raise ValidationError([Issue(
+                "resource-limit", (), f"a generator entry with a run of {run} digits is above "
+                                      f"the limit of {MAX_ENTRY_BITS} bits")])
         try:
             mats = [Matrix.from_rows([[decode_scalar(x) for x in row] for row in g])
                     for g in doc["generators"]]

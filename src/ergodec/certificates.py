@@ -1,9 +1,10 @@
 """Certificate kinds.  CERTIFICATES has one row per kind: the verdict it
 proves, its data keys, its derivation of the data from the action and
-the verdict's subject, which the engines build each verdict with
-(Verdict.of), and its check of what the derivation does not fix: route
-A against route B, c(D) against the witness, the factors against the
-characteristic polynomial, the common factor against the presenter.  A
+the verdict's subject, which decides whether the kind holds, and its
+check of what the derivation does not fix: route A against route B,
+c(D) against the witness, the factors against the characteristic
+polynomial, the common factor against the presenter.  An engine names
+its claim's kinds to Verdict.of, which takes the first that holds.  A
 Verdict keeps its subject, an element's dual matrix in a one-item list,
 the dual generators, a direction, or None for the two-variable Laurent
 group, so replay runs the check on the verdict the engine derived.
@@ -113,6 +114,12 @@ def _divides_presenter(action, direction, failures) -> None:
           failures, "common factor does not divide the presenter")
 
 
+def _unless(derive) -> Callable:
+    """The derivation of a kind with no data that holds exactly when the
+    given one does not, so the two kinds split on one condition."""
+    return lambda action, about: {} if derive(action, about) is None else None
+
+
 class Row(NamedTuple):
     """A certificate kind.  derive returns its JSON-ready data about the
     subject, or None when the kind does not hold of it; check is None
@@ -127,27 +134,19 @@ class Row(NamedTuple):
 CERTIFICATES = {
     "no-root-of-unity-eigenvalue": Row(
         "ergodic", ("char_poly",), _no_root_of_unity, _routes_agree),
-    "zero-finite-orbit-subspace": Row(
-        "ergodic", (),
-        lambda action, duals: {} if action.finite_orbit_subspace.is_zero else None, None),
+    "zero-finite-orbit-subspace": Row("ergodic", (), _unless(_witness), None),
     "witness-character": Row(
         "not-ergodic", ("character", "power"), _witness, _witness_fixed),
     "cyclotomic-char-poly": Row(
         "distal", ("factors",), _cyclotomic_char_poly, _multiplies_back),
-    "all-generators-quasi-unipotent": Row(
-        "distal", (),
-        lambda action, duals: {} if all(d.spectrum.rest.is_one for d in duals) else None,
-        None),
+    "all-generators-quasi-unipotent": Row("distal", (), _unless(_first_non_distal), None),
     "non-cyclotomic-factor": Row(
         "not-distal", ("factor", "cyclotomic_part"), _non_cyclotomic_factor, _multiplies_back),
     "non-quasi-unipotent-generator": Row(
         "not-distal", ("generator",), _first_non_distal, None),
     "finite-quotient-witness": Row(
         "not-ergodic", ("power", "common_factor"), _finite_quotient, _divides_presenter),
-    "trivial-univariate-content": Row(
-        "ergodic", (),
-        lambda action, direction: {} if len(action.content(direction)[2]) == 1 else None,
-        None),
+    "trivial-univariate-content": Row("ergodic", (), _unless(_finite_quotient), None),
     "coprime-axis-powers": Row(
         "ergodic", (), lambda action, about: (
             None if action.presenter.is_zero or action.presenter.is_unit else {}), None),
@@ -170,13 +169,14 @@ class Verdict:
                 f"not a certificate: {self.certificate!r} with data keys {sorted(self.data)}")
 
     @classmethod
-    def of(cls, certificate: str, action, about) -> "Verdict":
-        """The kind's verdict with its row's data about the subject;
-        InternalCheckError if the kind fails it."""
-        data = CERTIFICATES[certificate].derive(action, about)
-        if data is None:
-            raise InternalCheckError(f"a {certificate} certificate does not hold of its subject")
-        return cls(certificate, data, about)
+    def of(cls, action, about, *kinds: str) -> "Verdict":
+        """The verdict of the first of the kinds whose row derivation holds
+        of the subject; InternalCheckError, naming the kinds, if none does."""
+        for kind in kinds:
+            data = CERTIFICATES[kind].derive(action, about)
+            if data is not None:
+                return cls(kind, data, about)
+        raise InternalCheckError(f"none of the kinds {', '.join(kinds)} holds of its subject")
 
     def check(self, action, failures: list) -> None:
         """Run the row's independent check on the subject."""

@@ -93,11 +93,6 @@ class _CliExit(Exception):
         super().__init__(message)
 
 
-def _flags_payload(args) -> dict:
-    return {flag: getattr(args, flag.replace("-", "_"))
-            for flag in replay.COMMANDS[args.command].flags}
-
-
 def _positive_int(text: str) -> int:
     """The type of every integer flag: anything else exits 2."""
     try:
@@ -132,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
-    flags = _flags_payload(args)
+    flags = {flag: getattr(args, flag.replace("-", "_"))
+             for flag in replay.COMMANDS[args.command].flags}
     try:
         # one action per call: the command and the replay of its report
         # share it, and with it every value it caches, its results too

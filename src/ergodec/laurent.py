@@ -218,11 +218,9 @@ class LaurentPoly:
     def canonical(self) -> "LaurentPoly":
         """Unit-normalized form: shift exponents so each variable has
         minimum exponent zero."""
-        if self.is_zero:
+        if self.is_canonical():
             return self
         off = self.min_exponents()
-        if all(o == 0 for o in off):
-            return self
         return LaurentPoly(self.p, self.nvars, tuple(sorted(
             (tuple(x - o for x, o in zip(e, off)), c) for e, c in self.terms)))
 
@@ -341,16 +339,12 @@ def laurent_divides(g: LaurentPoly, h: LaurentPoly):
         raise ValueError("division by the zero polynomial")
     if h.is_zero:
         return LaurentPoly.zero(g.p, g.nvars)
-    off_g = g.min_exponents()
-    off_h = h.min_exponents()
-    gc = {tuple(x - o for x, o in zip(e, off_g)): c for e, c in g.terms}
-    hc = {tuple(x - o for x, o in zip(e, off_h)): c for e, c in h.terms}
-    quo = _poly_divide_canonical(hc, gc, g.p, g.nvars)
+    quo = _poly_divide_canonical(dict(h.canonical().terms), dict(g.canonical().terms),
+                                 g.p, g.nvars)
     if quo is None:
         return None
-    shift = tuple(oh - og for oh, og in zip(off_h, off_g))
-    return LaurentPoly.from_terms(g.p, g.nvars, {
-        tuple(e[i] + shift[i] for i in range(g.nvars)): c for e, c in quo.items()})
+    shift = tuple(oh - og for oh, og in zip(h.min_exponents(), g.min_exponents()))
+    return LaurentPoly.from_terms(g.p, g.nvars, quo) * LaurentPoly.monomial(g.p, g.nvars, shift)
 
 
 def _ext_gcd(a: int, b: int):

@@ -29,15 +29,9 @@ def direction_is_ergodic(action, direction) -> Verdict:
     decided by g's content along the direction.  A negative verdict
     carries the least witness power k and the common factor of g and
     u^(k*direction) - 1, mapped back from t to u^n0.  The certificate
-    names no direction: the report entry that holds it does."""
-    direction = tuple(int(x) for x in direction)
-    if len(direction) != action.nvars:
-        raise ValueError("direction length must match the variable count")
-    if all(x == 0 for x in direction):
-        raise ValueError("direction must be nonzero")
-    kind = ("trivial-univariate-content" if len(action.content(direction)[2]) == 1
-            else "finite-quotient-witness")
-    return Verdict.of(kind, action, direction)
+    names no direction: the report entry that holds it does.  content_along
+    refuses a zero direction and one of the wrong length."""
+    return Verdict.of(action, direction, "trivial-univariate-content", "finite-quotient-witness")
 
 
 def group_is_ergodic(action) -> Verdict:
@@ -51,7 +45,7 @@ def group_is_ergodic(action) -> Verdict:
     """
     if action.nvars == 1:
         return direction_is_ergodic(action, (1,))
-    return Verdict.of("coprime-axis-powers", action, None)
+    return Verdict.of(action, None, "coprime-axis-powers")
 
 
 def search_bound(action) -> int:

@@ -8,7 +8,9 @@ subspaces is equality of representations.  One primitive, induced, maps
 a matrix to a quotient of nested invariant subspaces, restrictions included.
 The whole space modulo zero is the matrix itself, so that quotient reads
 the spectrum the matrix caches; zero and the whole space are invariant
-under every matrix of their size without a product.
+under every matrix of their size without a product.  Another,
+common_kernel, is the kernel of matrices stacked: every finite-orbit
+subspace, largest ergodic subgroup and filtration stage is one.
 
 Elimination is integer-first: rref scales each row to integers and
 eliminates by cross-multiplication, and only the emitted rows are divided
@@ -486,15 +488,13 @@ class Spectrum:
         return self.cyclotomic_at ** self.matrix.nrows
 
 
-def fixed_by_power(mats) -> Subspace:
-    """Characters with a finite orbit under square matrices of one size:
-    the kernel of every c(x) stacked.  As x**m - 1 is squarefree, this
-    is the common fixed space of the x**m for any m that all the orders
-    of x's spectrum divide.  One matrix's is the one its spectrum caches."""
-    if len(mats) == 1:
-        return mats[0].spectrum.finite_orbit_subspace
-    return kernel(Matrix.from_rows(
-        [row for x in mats for row in x.spectrum.cyclotomic_at.rows]))
+def common_kernel(mats) -> Subspace:
+    """The kernel of matrices with one column count, stacked: the vectors
+    every one of them kills.  Over the c(x) of square matrices x it is
+    the characters with a finite orbit under every x, and as x**m - 1 is
+    squarefree, the common fixed space of the x**m for any m that all
+    the orders of the spectra divide."""
+    return kernel(Matrix.from_rows([row for m in mats for row in m.rows]))
 
 
 def quasi_unipotent_on(x: Matrix, sub: Subspace) -> bool:

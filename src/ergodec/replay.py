@@ -48,7 +48,7 @@ from .actions import build_action
 from .certificates import Verdict, check, kills
 from .errors import Issue, NotErgodicGroupError, ValidationError
 from .laurent import stated_axes
-from .matrices import Matrix, Subspace, induced, kernel
+from .matrices import Subspace, common_kernel, induced, kernel
 
 SCHEMA_VERSION = 11
 
@@ -86,29 +86,19 @@ def _verdicts(value):
             yield from _verdicts(item)
 
 
-def _same(value, canonical) -> bool:
-    """value is canonical type for type, as JSON spells it: == takes 4.0 and true for 4."""
-    if type(canonical) is list:
-        return (type(value) is list and len(value) == len(canonical)
-                and all(map(_same, value, canonical)))
-    if type(canonical) is dict:
-        return (type(value) is dict and value.keys() == canonical.keys()
-                and all(_same(value[k], canonical[k]) for k in canonical))
-    return type(value) is type(canonical) and value == canonical
-
-
 def _differences(value, canonical, pointer: str):
     """The JSON Pointers, from pointer down, of the places where value
-    is not canonical: the deepest dict or list whose keys or length
-    differ, and each differing scalar.  Only canonical's keys and indices
-    make a pointer."""
+    is not canonical type for type, as JSON spells it (== takes 4.0 and
+    true for 4): the deepest dict or list whose keys or length differ,
+    and each differing scalar.  Only canonical's keys and indices make a
+    pointer, and the root's is the empty string."""
     if type(canonical) is dict and type(value) is dict and value.keys() == canonical.keys():
         for key, item in canonical.items():
             yield from _differences(value[key], item, f"{pointer}/{key}")
     elif type(canonical) is list and type(value) is list and len(value) == len(canonical):
         for i, pair in enumerate(zip(value, canonical)):
             yield from _differences(*pair, f"{pointer}/{i}")
-    elif not _same(value, canonical):
+    elif type(value) is not type(canonical) or value != canonical:
         yield pointer
 
 
@@ -138,8 +128,7 @@ def replay_largest_subgroup(action, derived: dict, failures: list) -> None:
     if sub.is_full:
         return  # the quotient is zero
     full = Subspace.full(action.dim)
-    common = kernel(Matrix.from_rows(
-        [row for d in duals for row in induced(d.spectrum.cyclotomic_at, full, sub).rows]))
+    common = common_kernel([induced(d.spectrum.cyclotomic_at, full, sub) for d in duals])
     check(common.is_zero, failures, "quotient has a finite-orbit character")
 
 
@@ -249,7 +238,7 @@ def replay_report(report, action=None) -> dict:
     if not isinstance(report, dict):
         return {"checked": 0, "failures": ["report is not a JSON object"]}
     command, flags, results = (report.get(k) for k in ("command", "flags", "results"))
-    if not _same(report.get("schema_version"), SCHEMA_VERSION):
+    if list(_differences(report.get("schema_version"), SCHEMA_VERSION, "")):
         return {"checked": 0, "failures": [f"schema version is not {SCHEMA_VERSION}"]}
     row = COMMANDS.get(command) if isinstance(command, str) else None
     if row is None:

@@ -11,17 +11,18 @@ quasi-unipotent exactly when c(X)**r = 0.  Every operation returns a
 verdict with a certificate that can be replayed by exact linear algebra
 alone, and each order d is detected by two independent routes asserted
 to agree: cyclotomic(d) divides the characteristic polynomial, and
-cyclotomic(d) at X is singular.  The group's finite-orbit subspace is
-the action's own MatrixAction.finite_orbit_subspace, and each filtration
-stage is checked on the map matrices.induced gives on its quotient.
+cyclotomic(d) at X is singular.  Verdict.of picks each verdict's kind by
+the certificate rows.  The group's finite-orbit subspace is the action's
+own MatrixAction.finite_orbit_subspace, the largest ergodic subgroup and
+each filtration stage are a matrices.common_kernel, and each stage is
+checked on the map matrices.induced gives on its quotient.
 """
 
 from __future__ import annotations
 
 from .actions import dual_element, ergodic_search_bound, positive_vectors
 from .errors import InternalCheckError, NotErgodicGroupError
-from .matrices import (Matrix, Spectrum, Subspace, fixed_by_power, induced, kernel,
-                       quasi_unipotent_on)
+from .matrices import Matrix, Spectrum, Subspace, common_kernel, induced, quasi_unipotent_on
 from .certificates import Verdict
 
 
@@ -38,8 +39,8 @@ def _checked_spectrum(b: Matrix) -> Spectrum:
 def is_ergodic_element(action, exponents) -> Verdict:
     """Ergodicity of a single product of generator powers."""
     b = dual_element(action, exponents)
-    kind = "witness-character" if _checked_spectrum(b).orders else "no-root-of-unity-eigenvalue"
-    return Verdict.of(kind, action, [b])
+    _checked_spectrum(b)
+    return Verdict.of(action, [b], "no-root-of-unity-eigenvalue", "witness-character")
 
 
 def is_distal_element(action, exponents) -> Verdict:
@@ -50,8 +51,7 @@ def is_distal_element(action, exponents) -> Verdict:
     if spectrum.rest.is_one != spectrum.unipotent_power.is_zero:
         raise InternalCheckError(
             "cyclotomic factorization route and nilpotency route disagree")
-    kind = "cyclotomic-char-poly" if spectrum.rest.is_one else "non-cyclotomic-factor"
-    return Verdict.of(kind, action, [b])
+    return Verdict.of(action, [b], "cyclotomic-char-poly", "non-cyclotomic-factor")
 
 
 def is_ergodic_group(action) -> Verdict:
@@ -59,19 +59,18 @@ def is_ergodic_group(action) -> Verdict:
     witness lies in the kernel of every c(D), so the stated power, the
     lcm of all the generators' orders, fixes it under each generator and
     its orbit has at most power**n points."""
-    kind = ("zero-finite-orbit-subspace" if action.finite_orbit_subspace.is_zero
-            else "witness-character")
-    return Verdict.of(kind, action, action.dual_generators)
+    return Verdict.of(action, action.dual_generators,
+                      "zero-finite-orbit-subspace", "witness-character")
 
 
 def is_distal_group(action) -> Verdict:
     """Group distality is equivalent to distality of every generator for
-    commuting automorphisms."""
+    commuting automorphisms, whose own verdicts run their self-checks."""
     n = action.n_generators
-    distal = [is_distal_element(action, tuple(int(j == i) for j in range(n))).is_distal
-              for i in range(n)]
-    kind = "all-generators-quasi-unipotent" if all(distal) else "non-quasi-unipotent-generator"
-    return Verdict.of(kind, action, action.dual_generators)
+    for i in range(n):
+        is_distal_element(action, tuple(int(j == i) for j in range(n)))
+    return Verdict.of(action, action.dual_generators,
+                      "all-generators-quasi-unipotent", "non-quasi-unipotent-generator")
 
 
 def largest_ergodic_subgroup(action):
@@ -89,8 +88,7 @@ def largest_ergodic_subgroup(action):
     duals = action.dual_generators
     w = action.finite_orbit_subspace
     if not w.is_zero:
-        w = kernel(Matrix.from_rows(
-            [row for d in duals for row in d.spectrum.unipotent_power.rows]))
+        w = common_kernel([d.spectrum.unipotent_power for d in duals])
     for d in duals:
         if not w.is_invariant(d):
             raise InternalCheckError("common kernel is not invariant")
@@ -108,18 +106,15 @@ def ergodic_distal_filtration(action) -> tuple:
     ergodic."""
     duals = action.dual_generators
     chain = [Subspace.full(action.dim)]
-    rows = []
-    for d in duals:
+    for i, d in enumerate(duals, start=1):
         w_prev = chain[-1]
         # stage i is the common kernel of the c(D)**r of generators 1..i
-        rows += d.spectrum.unipotent_power.rows
-        w_i = kernel(Matrix.from_rows(rows))
+        w_i = common_kernel([other.spectrum.unipotent_power for other in duals[:i]])
         for other in duals:
             if not w_i.is_invariant(other):
                 raise InternalCheckError("stage subspace is not invariant")
         # no nonzero character of the stage quotient has a finite d-orbit
-        if (w_prev.dim != w_i.dim
-                and not fixed_by_power([induced(d, w_prev, w_i)]).is_zero):
+        if w_prev.dim != w_i.dim and induced(d, w_prev, w_i).spectrum.orders:
             raise InternalCheckError("stage quotient carries a finite-orbit character")
         chain.append(w_i)
     residual = chain[-1]

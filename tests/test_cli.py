@@ -167,6 +167,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("internal check failed: ") and err.count("\n") == 1
 
+    def test_no_kind_holding_exits_5(self, tmp_path, capsys, monkeypatch):
+        # the rotation has a root-of-unity eigenvalue, so only a witness
+        # could hold, and a zero finite-orbit subspace gives none
+        monkeypatch.setattr(matrices.Spectrum, "finite_orbit_subspace",
+                            property(lambda spectrum: Subspace.zero(spectrum.matrix.nrows)))
+        assert main(["analyze", write(tmp_path, "rotation.json", ROTATION)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal check failed: ")
+        assert "no-root-of-unity-eigenvalue" in captured.err
+        assert "witness-character" in captured.err
+
     def test_one_char_poly_per_generator(self, tmp_path, capsys, monkeypatch):
         # each dual generator's spectrum is split once, and in-process
         # replay reads the same spectra on the same action.  On a
@@ -331,6 +343,18 @@ class TestAnalyze:
                 in captured.err)
         assert "Traceback" not in captured.err and captured.out == ""
         assert calls == []
+
+    @pytest.mark.parametrize("entry", ["1" * 5000, "1/" + "3" * 5000],
+                             ids=["numerator", "denominator"])
+    def test_digit_run_past_the_bit_limit_exits_2(self, tmp_path, capsys, entry):
+        # refused by its length: int() would refuse a string of more than
+        # 4300 digits with its own message
+        doc = {"type": "solenoid", "r": 1, "generators": [[[entry]]]}
+        assert main(["analyze", write(tmp_path, "long.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert ("resource-limit: a generator entry with a run of 5000 digits is above "
+                "the limit of 128 bits" in captured.err)
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_presenter_past_the_width_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         # 1 + u + u^1000000 is refused before any content is computed

@@ -289,5 +289,7 @@ class TestInvariances:
             assert v1.kind == v2.kind
 
     def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            direction_is_ergodic(ledrappier_action(), (0, 0))
+        # as is a direction of the wrong length: content_along refuses both
+        for direction in [(0, 0), (1, 0, 0)]:
+            with pytest.raises(ValueError):
+                direction_is_ergodic(ledrappier_action(), direction)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ergodec.intpoly import Polynomial, cyclotomic, orders_with_totient_at_most
 from ergodec.matrices import (DimensionError, Matrix, Subspace, _bareiss, _matrix_over,
-                              _scaled_poly_at, fixed_by_power, induced, kernel,
+                              _scaled_poly_at, common_kernel, induced, kernel,
                               singular_cyclotomic_orders)
 from ergodec.oracle import walk_orbit
 from factories import fibonacci_matrix, random_unimodular
@@ -289,14 +289,17 @@ class TestQuotients:
 
 
 class TestFiniteOrbitPrimitives:
-    def test_fixed_by_power_is_common_fixed_space(self):
+    def test_common_kernel_is_common_fixed_space(self):
+        def fixed(mats):
+            return common_kernel([x.spectrum.cyclotomic_at for x in mats])
+
         rot = Matrix.from_rows([[0, -1], [1, 0]])
         shear = Matrix.from_rows([[1, 1], [0, 1]])
-        assert fixed_by_power([rot]).is_full
-        assert fixed_by_power([fibonacci_matrix()]).is_zero
-        assert fixed_by_power([shear]) == Subspace.span(2, [(1, 0)])
-        assert fixed_by_power([rot, shear]) == Subspace.span(2, [(1, 0)])
-        assert fixed_by_power([rot, fibonacci_matrix()]).is_zero
+        assert fixed([rot]).is_full
+        assert fixed([fibonacci_matrix()]).is_zero
+        assert fixed([shear]) == Subspace.span(2, [(1, 0)])
+        assert fixed([rot, shear]) == Subspace.span(2, [(1, 0)])
+        assert fixed([rot, fibonacci_matrix()]).is_zero
 
     def test_unipotent_power(self):
         rot = Matrix.from_rows([[0, -1], [1, 0]])
