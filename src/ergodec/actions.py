@@ -30,19 +30,17 @@ from .errors import Issue, ValidationError, shown
 from .laurent import LaurentPoly, content_along, witness_power
 from .matrices import Matrix, Subspace, common_kernel
 
-# Largest torus or solenoid dimension a document may declare: route B
-# takes one determinant per candidate order, and in-process `analyze
-# --verify-report` on the companion of x^r - 3x - 1 takes about 0.29 s at
-# r = 32, 1.4 s at r = 48 and 4.0 s at r = 64 on a 2-CPU Intel Xeon host
-# under Python 3.11.  Library constructors are not capped.
+# Largest torus or solenoid dimension a document may declare.  In-process
+# `analyze` on the companion of x^r - 3x - 1 takes about 0.04 s at r = 32,
+# 0.3 s at r = 64 and 3 s at r = 128 on a 2-CPU x86 host under Python
+# 3.11.  Library constructors are not capped.
 MAX_DIMENSION = 64
 
 # Largest bit length of a numerator or denominator of a generator entry a
-# document may declare: route B evaluates cyclotomic polynomials of degree
-# up to the dimension at each dual matrix, so the entries' size multiplies
-# its cost.  In-process find-ergodic on the rank-16 product counterexample
-# of radius 2, with one entry set to 2**128 + 1, takes about 0.27 s, and
-# with 10**1000 about 94 s, on a 2-CPU x86 host.
+# document may declare: the characteristic polynomial's cost grows with it.
+# In-process `analyze` on a dense rank-32 conjugate of 16 Fibonacci blocks
+# takes about 0.08 s with 16-bit, 1.4 s with 512-bit and 7.5 s with
+# 1536-bit entries on that host.
 MAX_ENTRY_BITS = 128
 
 # Largest width, in any variable, of a Laurent presenter a document may
@@ -283,10 +281,12 @@ def build_action(doc: dict):
     if kind in ("toral", "solenoid"):
         if "generators" not in doc or not isinstance(doc["generators"], list):
             raise ValidationError([Issue("schema", (), "generators array required")])
+        if not all(isinstance(g, list) and all(isinstance(row, list) for row in g)
+                   for g in doc["generators"]):
+            raise ValidationError([Issue("schema", (), "generators must be lists of row lists")])
         # a string's digit run is refused by its length before int() reads it
-        run = max((len(digits) for g in doc["generators"] if isinstance(g, list)
-                   for row in g if isinstance(row, list) for x in row if isinstance(x, str)
-                   for digits in re.findall("[0-9]+", x)), default=0)
+        run = max((len(digits) for g in doc["generators"] for row in g for x in row
+                   if isinstance(x, str) for digits in re.findall("[0-9]+", x)), default=0)
         if run > len(str(2 ** MAX_ENTRY_BITS)):
             raise ValidationError([Issue(
                 "resource-limit", (), f"a generator entry with a run of {run} digits is above "

@@ -1,13 +1,14 @@
 """Certificate kinds.  CERTIFICATES has one row per kind: the verdict it
 proves, its data keys, its derivation of the data from the action and
 the verdict's subject, which decides whether the kind holds, and its
-check of what the derivation does not fix: route A against route B,
-c(D) against the witness, the factors against the characteristic
-polynomial, the common factor against the presenter.  An engine names
-its claim's kinds to Verdict.of, which takes the first that holds.  A
-Verdict keeps its subject, an element's dual matrix in a one-item list,
-the dual generators, a direction, or None for the two-variable Laurent
-group, so replay runs the check on the verdict the engine derived.
+check of what the derivation does not fix: the division route against
+the minimal-polynomial route, c(D) against the witness, the factors
+against the characteristic polynomial, the common factor against the
+presenter.  An engine names its claim's kinds to Verdict.of, which takes
+the first that holds.  A Verdict keeps its subject, an element's dual
+matrix in a one-item list, the dual generators, a direction, or None for
+the two-variable Laurent group, so replay runs the check on the verdict
+the engine derived.
 
 Toral and solenoid claims are checked with a generator's own c(D) and
 c(D)**r, c the product of D's distinct cyclotomic factors, which the
@@ -45,8 +46,8 @@ def _no_root_of_unity(action, about):
 
 
 def _routes_agree(action, duals, failures) -> None:
-    check(all(d.spectrum.singular_orders == d.spectrum.orders for d in duals), failures,
-          "cyclotomic division route and determinant route disagree")
+    check(all(d.spectrum.minimal_poly_orders == d.spectrum.orders for d in duals), failures,
+          "cyclotomic division route and minimal-polynomial route disagree")
 
 
 def _fixed(action, duals) -> Subspace:

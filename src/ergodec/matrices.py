@@ -15,11 +15,10 @@ subspace, largest ergodic subgroup and filtration stage is one.
 Elimination is integer-first: rref scales each row to integers and
 eliminates by cross-multiplication, and only the emitted rows are divided
 by their pivots, so a Fraction appears only in an entry that is not an
-integer.  A square matrix x keeps one integer scaling x = A/L and one list
-of the powers of A as int rows, grown on demand: the determinant route
-takes the Bareiss determinant of L**phi(d) * cyclotomic(d)(x) and c(x) is
-read from the same list, with no Matrix per power and no Fraction when L
-is 1.
+integer.  A square matrix x keeps one integer scaling x = A/L, whose
+Krylov vectors the minimal-polynomial route eliminates the same way, and
+one list of the powers of A as int rows, grown on demand for c(x), with
+no Matrix per power and no Fraction when L is 1.
 
 Subspace.reduce leaves its residual as elimination made it: contains
 only tests it for zero, and induced normalizes it through
@@ -34,8 +33,9 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .intpoly import (Polynomial, _norm_scalar, cyclotomic, cyclotomic_product,
-                      cyclotomic_split, orders_with_totient_at_most)
+from .intpoly import (Polynomial, _divmod_coeffs, _norm_scalar, cyclotomic,
+                      cyclotomic_product, cyclotomic_split, orders_with_totient_at_most,
+                      poly_gcd)
 
 
 class DimensionError(ValueError):
@@ -190,8 +190,7 @@ class Matrix:
 
     @cached_property
     def _int_powers(self) -> list:
-        """[I, A, A**2, ...] as int rows, as far as _scaled_poly_at has
-        grown it: one list of powers per matrix."""
+        """[I, A, A**2, ...] as int rows, as far as c(x) has grown it."""
         n = self.nrows
         return [[[int(i == j) for j in range(n)] for i in range(n)], self._scaled[1]]
 
@@ -409,11 +408,9 @@ def induced(m: Matrix, outer: Subspace, inner: Subspace) -> Matrix:
 
 
 def _scaled_poly_at(p: Polynomial, x: Matrix) -> tuple:
-    """(rows, L**k) with rows the ints of L**k * p(x), for an integer p
-    of degree k and x = A/L: the sum of p's coefficients times
-    L**(k - i) * A**i, read from x's one power list, grown on demand, so
-    the determinant route and c(x) share the powers both need.  The
-    rows are new lists, never the cached powers."""
+    """(rows, L**k) with rows the ints of L**k * p(x), for an integer p of
+    degree k and x = A/L: the sum of p's coefficients times L**(k - i) *
+    A**i from x's one power list, as new lists, never the cached powers."""
     k = p.degree
     den, powers = x._scaled[0], x._int_powers
     if len(powers) <= k:
@@ -436,11 +433,28 @@ def _matrix_over(rows, den: int) -> Matrix:
     return Matrix(tuple(tuple(_norm_scalar(Fraction(y, den)) for y in row) for row in rows))
 
 
-def singular_cyclotomic_orders(x: Matrix, orders) -> list:
-    """The d in orders with cyclotomic(d) at x singular: the orders of
-    the root-of-unity eigenvalues of x, by determinants instead of the
-    characteristic polynomial."""
-    return [d for d in orders if _bareiss(_scaled_poly_at(cyclotomic(d), x)[0]) == 0]
+def _extend(rows, u, n: int) -> list:
+    """u eliminated against the echelon (row, pivot) pairs as rref does,
+    and appended when one of its first n entries is not zero."""
+    for row, p in rows:
+        if f := u[p]:
+            u = [row[p] * a - f * b for a, b in zip(u, row)]
+            g = gcd(*u)
+            u = [x // g for x in u] if g > 1 else u
+    if (p := next((i for i in range(n) if u[i]), None)) is not None:
+        rows.append((u, p))
+    return u
+
+
+def _krylov(a, v, span: list) -> Polynomial:
+    """v's minimal polynomial under the int matrix a, with its Krylov vectors
+    added to span; each carries its polynomial until elimination clears one."""
+    n = len(a)
+    rows, u = [], list(v) + [1] + [0] * n
+    while any((u := _extend(rows, u, n))[:n]):
+        _extend(span, u[:n], n)
+        u = [sum(map(mul, r, u)) for r in a] + [0] + u[n:-1]
+    return Polynomial(tuple(c // u[n + len(rows)] for c in u[n:n + len(rows) + 1]))
 
 
 @dataclass(frozen=True)
@@ -451,8 +465,8 @@ class Spectrum:
     of the candidate_orders, so the cyclotomic factors of the
     characteristic polynomial over those orders find them all: factors as
     (d, count) pairs, and the cofactor rest, which is 1 exactly when x is
-    quasi-unipotent.  The determinant route, c(x) and c(x)**n, c the
-    product of the distinct cyclotomic factors, are computed when read."""
+    quasi-unipotent.  The minimal-polynomial route, c(x) and c(x)**n, c
+    the product of the distinct cyclotomic factors, are read on demand."""
 
     matrix: Matrix = field(repr=False, compare=False)
     char_poly: Polynomial
@@ -466,9 +480,24 @@ class Spectrum:
         return [d for d, _ in self.factors]
 
     @cached_property
-    def singular_orders(self) -> list:
-        """The same orders by the independent determinant route."""
-        return singular_cyclotomic_orders(self.matrix, self.candidate_orders)
+    def minimal_poly(self) -> Polynomial:
+        """The minimal polynomial of A = L*x: the lcm of those of each e_j
+        outside the span of the Krylov spaces so far, as x may be derogatory."""
+        a, span, mu = self.matrix._scaled[1], [], Polynomial.one()
+        for e in map(list, Matrix.identity(len(a)).rows):
+            if len(span) < len(a) and any(_extend(span, e, len(a))):
+                p = _krylov(a, e, span)
+                mu = mu if p.divides(mu) else (mu * p).exact_div(poly_gcd(mu, p))
+        return mu
+
+    @cached_property
+    def minimal_poly_orders(self) -> list:
+        """The same orders by the independent minimal-polynomial route: the d
+        with the monic integer L**phi(d) * cyclotomic(d)(t/L) dividing it."""
+        den, mu = self.matrix._scaled[0], self.minimal_poly.coeffs
+        return [d for d, phi in zip(self.candidate_orders, map(cyclotomic, self.candidate_orders))
+                if not any(_divmod_coeffs(mu, [c * den ** (phi.degree - i)
+                                               for i, c in enumerate(phi.coeffs)])[1])]
 
     @cached_property
     def cyclotomic_at(self) -> Matrix:

@@ -10,12 +10,12 @@ cyclotomic factors of X's characteristic polynomial, and X is
 quasi-unipotent exactly when c(X)**r = 0.  Every operation returns a
 verdict with a certificate that can be replayed by exact linear algebra
 alone, and each order d is detected by two independent routes asserted
-to agree: cyclotomic(d) divides the characteristic polynomial, and
-cyclotomic(d) at X is singular.  Verdict.of picks each verdict's kind by
-the certificate rows.  The group's finite-orbit subspace is the action's
-own MatrixAction.finite_orbit_subspace, the largest ergodic subgroup and
-each filtration stage are a matrices.common_kernel, and each stage is
-checked on the map matrices.induced gives on its quotient.
+to agree: cyclotomic(d) divides the characteristic polynomial, and the
+minimal polynomial from Krylov spaces.  Verdict.of picks each verdict's
+kind by the certificate rows.  The group's finite-orbit subspace is the
+action's own MatrixAction.finite_orbit_subspace, the largest ergodic
+subgroup and each filtration stage are a matrices.common_kernel, and
+each stage is checked on the map matrices.induced gives on its quotient.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from .certificates import Verdict
 
 def _checked_spectrum(b: Matrix) -> Spectrum:
     """The spectrum of a dual matrix, with its cyclotomic division route
-    and cyclotomic determinant route asserted to agree order by order."""
+    and minimal-polynomial route asserted to agree order by order."""
     spectrum = b.spectrum
-    if spectrum.orders != spectrum.singular_orders:
+    if spectrum.orders != spectrum.minimal_poly_orders:
         raise InternalCheckError(
-            "cyclotomic division route and cyclotomic determinant route disagree")
+            "cyclotomic division route and minimal-polynomial route disagree")
     return spectrum
 
 

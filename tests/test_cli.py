@@ -31,6 +31,13 @@ F_CUBED = {"type": "toral", "r": 6, "generators": [
 COMPANION_16 = {"type": "toral", "r": 16, "generators": [
     [[1 if i == j + 1 else 0 for j in range(15)] + [{0: 1, 1: 3}.get(i, 0)]
      for i in range(16)]]}
+# the Fibonacci block beside the rotation of order 4
+FIB_ROTATION = {"type": "toral", "r": 4, "generators": [
+    [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]]}
+# companion matrix of x^64 - (2^64 + 1)x - 1, with entries inside the cap
+COMPANION_64_WIDE = {"type": "toral", "r": 64, "generators": [
+    [[1 if i == j + 1 else 0 for j in range(63)] + [{0: 1, 1: 2 ** 64 + 1}.get(i, 0)]
+     for i in range(64)]]}
 # the Fibonacci block beside a 2x2 identity
 FIB_IDENTITY = {"type": "toral", "r": 4, "generators": [
     [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}
@@ -161,11 +168,41 @@ class TestAnalyze:
         assert f"{code}: " in captured.err and "Traceback" not in captured.err
 
     def test_internal_check_failure_exits_5(self, tmp_path, capsys, monkeypatch):
-        # the determinant route claims order 1, which the division route rules out
-        monkeypatch.setattr(matrices, "singular_cyclotomic_orders", lambda x, orders: [1])
+        # the minimal-polynomial route claims order 1, which the division
+        # route rules out
+        monkeypatch.setattr(matrices.Spectrum, "minimal_poly_orders",
+                            property(lambda spectrum: [1]))
         assert main(["analyze", write(tmp_path, "fib.json", FIB)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("internal check failed: ") and err.count("\n") == 1
+
+    def test_krylov_from_the_first_start_vector_alone_exits_5(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # e1's Krylov space is the Fibonacci block, so without the later
+        # start vectors the minimal polynomial misses the rotation's order 4
+        path = write(tmp_path, "fib-rotation.json", FIB_ROTATION)
+        assert main(["analyze", path, "--verify-report"]) == 0
+        capsys.readouterr()
+        krylov = matrices._krylov
+        monkeypatch.setattr(matrices, "_krylov", lambda a, v, span: krylov(a, v, span) if v[0]
+                            else Polynomial.one())
+        assert main(["analyze", path]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal check failed: cyclotomic division route and "
+                                "minimal-polynomial route disagree\n")
+
+    @pytest.mark.parametrize("kind", ["toral", "solenoid"])
+    @pytest.mark.parametrize("generator", [["21", "11"], {"21": 0, "11": 0}, [[2, 1], "11"]],
+                             ids=["strings", "object", "string-row"])
+    def test_generator_that_is_not_a_list_of_lists_exits_2(self, tmp_path, kind, generator):
+        # read digit by digit, each would be the matrix [[2, 1], [1, 1]]
+        doc = {"type": kind, "r": 2, "generators": [generator]}
+        res = run("analyze", write(tmp_path, "bad.json", doc))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "schema: generators must be lists of row lists" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_no_kind_holding_exits_5(self, tmp_path, capsys, monkeypatch):
         # the rotation has a root-of-unity eigenvalue, so only a witness
@@ -733,6 +770,26 @@ class TestRankWall:
             assert replay.replay_report(report, action)["failures"] == [
                 "results differ from the engine's at "
                 "/results/group/ergodic/certificate/data/power"]
+
+    def test_wide_rank_64_companion_analyze_is_fast(self, tmp_path, capsys):
+        # one Krylov chain of length 64; one determinant per candidate
+        # order took about 8 s on a 2-CPU host
+        started = time.monotonic()
+        assert main(["analyze", write(tmp_path, "c64.json", COMPANION_64_WIDE),
+                     "--verify-report"]) == 0
+        assert time.monotonic() - started < 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["generators"][0]["ergodic"]["kind"] == "ergodic"
+        assert report["verification"]["failures"] == []
+
+    def test_radius_3_counterexample_find_ergodic_is_fast(self, tmp_path, capsys):
+        # rank 32: each element's Krylov chains stay inside its 16 diagonal
+        # blocks; one determinant per candidate order took about 1.5 s
+        started = time.monotonic()
+        assert main(["find-ergodic", write(tmp_path, "ce3.json", counterexample_doc(3)),
+                     "--verify-report"]) == 0
+        assert time.monotonic() - started < 1
+        assert json.loads(capsys.readouterr().out)["verification"]["failures"] == []
 
     def test_finite_order_rank_26_report_is_small(self, tmp_path, capsys):
         # the witness is one character, not its 3465-point orbit

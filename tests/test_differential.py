@@ -1,5 +1,6 @@
 """Differential tests against sympy: the cyclotomic split of a
-characteristic polynomial against sympy's factorization, the finite-orbit
+characteristic polynomial against sympy's factorization, the minimal
+polynomial against sympy's evaluation at the matrix, the finite-orbit
 kernel and the largest ergodic subgroup's dual subspace against sympy's
 nullspace, the fraction-free rref against sympy's rref and a Fraction
 Gauss-Jordan reference, the Laurent gcds and contents over GF(p) against
@@ -17,7 +18,7 @@ from ergodec import (LaurentPoly, Matrix, Subspace, content_along, direction_is_
 from ergodec.encoding import decode_laurent
 from ergodec.intpoly import cyclotomic_split, orders_with_totient_at_most
 from ergodec.laurent import _fp_gcd
-from ergodec.matrices import common_kernel, rref, singular_cyclotomic_orders
+from ergodec.matrices import common_kernel, rref
 from factories import (commuting_mixed_family, commuting_unipotent_family,
                        conjugate, ergodic_distal_pair, random_unimodular)
 
@@ -88,8 +89,20 @@ def test_cyclotomic_split_matches_sympy(gens):
         assert dict(factors) == orders
         assert [sp.Rational(c.numerator, c.denominator) for c in reversed(rest.coeffs)] \
             == sympy_rest.all_coeffs()
-        assert singular_cyclotomic_orders(g, orders_with_totient_at_most(g.nrows)) \
-            == sorted(orders)
+        assert g.spectrum.minimal_poly_orders == sorted(orders)
+
+
+@pytest.mark.parametrize("gens", FAMILIES)
+def test_minimal_poly_matches_sympy(gens):
+    # sympy has no matrix minimal polynomial: mu kills A = L*X, and mu
+    # with any one irreducible factor removed does not
+    for g in gens:
+        mu = sp.Poly(list(reversed(g.spectrum.minimal_poly.coeffs)), X)
+        a = to_sympy(g) * g._scaled[0]
+        assert at_matrix(mu, a).is_zero_matrix
+        _, factors = sp.factor_list(mu.as_expr(), X)
+        for f, _ in factors:
+            assert not at_matrix(sp.quo(mu, sp.Poly(f, X)), a).is_zero_matrix
 
 
 def sympy_common_kernel(mats, power):

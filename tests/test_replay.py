@@ -648,14 +648,15 @@ def test_witness_other_than_the_first_basis_vector_fails_replay(tmp_path, capsys
         *(pointer(*slot, "character", i) for i in edited))
 
 
-def test_witness_orders_must_agree_with_the_determinant_route(tmp_path, capsys, monkeypatch):
+def test_witness_orders_must_agree_with_the_minimal_polynomial_route(tmp_path, capsys,
+                                                                     monkeypatch):
     # an engine that asserts nothing of its two routes: the witness
     # checks still compare them
     report = fresh_report(tmp_path, capsys, "analyze", ROTATION)
-    monkeypatch.setattr(matrices, "singular_cyclotomic_orders", lambda x, orders: [])
+    monkeypatch.setattr(matrices.Spectrum, "minimal_poly_orders", property(lambda s: []))
     monkeypatch.setattr(toral, "_checked_spectrum", lambda b: b.spectrum)
     assert replay_report(report)["failures"] == [
-        "cyclotomic division route and determinant route disagree"] * 2
+        "cyclotomic division route and minimal-polynomial route disagree"] * 2
 
 
 @pytest.mark.parametrize("subspace", [5, {"ambient": 2}, {"ambient": 3, "basis": []},
